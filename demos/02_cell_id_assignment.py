@@ -2,11 +2,13 @@
 
 A sensor that knows its own position, the sink position and the
 transmission range can name its cell with a handful of arithmetic
-operations: solve the lattice equations for real-valued (u, v, w), then
-test the eight floor/ceil integer combinations and keep the nearest
-center. This demo shows the eight candidates for one point, confirms the
-method agrees with exhaustive search on a large random sample, and
-exhibits a point where the cheaper nearest-integer shortcut goes wrong.
+operations. TO cell centers form the body-centered cubic lattice: in units
+of the step d, the integer points whose coordinates are all even or all
+odd. So round the position to the nearest all-even point and to the
+nearest all-odd point and keep the nearer one. This demo shows the two
+candidates for one point, confirms the rule agrees with exhaustive search
+on a large random sample, and exhibits a point where the cheaper
+nearest-integer shortcut goes wrong.
 """
 
 import math
@@ -31,17 +33,15 @@ print(f"sink at {spec.sink}, transmission range {spec.r_t:.4f} m")
 print(f"sensor at {point}\n")
 
 d = 2.0 * spec.circumradius / math.sqrt(5.0)
-w_real = point[2] / d
-u_real = (point[0] / d - w_real) / 2.0
-v_real = (point[1] / d - w_real) / 2.0
-print(f"real-valued solution: u={u_real:.3f}, v={v_real:.3f}, w={w_real:.3f}")
-print("floor/ceil candidates and their center distances:")
-for u in (math.floor(u_real), math.ceil(u_real)):
-    for v in (math.floor(v_real), math.ceil(v_real)):
-        for w in (math.floor(w_real), math.ceil(w_real)):
-            c = cell_center(spec, (u, v, w))
-            print(f"  ({u:2d},{v:2d},{w:2d}) -> center {np.round(c, 2)}"
-                  f"  dist {np.linalg.norm(point - c):.4f}")
+t = point / d
+even = 2.0 * np.round(t / 2.0)
+odd = 2.0 * np.round((t - 1.0) / 2.0) + 1.0
+print(f"position in steps: {t}")
+print("coset candidates and their distances (in steps):")
+for name, c in (("all even", even), ("all odd", odd)):
+    X, Y, Z = (int(x) for x in c)
+    cid = ((X - Z) // 2, (Y - Z) // 2, Z)  # center = ((2u+w)d, (2v+w)d, wd)
+    print(f"  {name:8s} {c} -> cell {cid}  dist {np.linalg.norm(t - c):.4f}")
 
 chosen = assign_cell(spec, point)
 print(f"\nchosen cell:        {tuple(chosen)}")

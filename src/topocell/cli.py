@@ -37,6 +37,11 @@ from .simulator import (
 
 SQRT17 = math.sqrt(17.0)
 
+
+class MalformedFileError(Exception):
+    """A readable input file whose contents do not parse."""
+
+
 TABLE_I_COLUMNS = [
     "shape", "neighbor_count",
     "max_radius_coeff", "max_radius_reference", "max_radius_deviation",
@@ -246,12 +251,14 @@ def cmd_simulate(args) -> int:
 def _load_dead_cells(path: str) -> set[CellId]:
     dead = set()
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            u, v, w = (int(p) for p in line.split(","))
-            dead.add(CellId(u, v, w))
+            try:
+                dead.add(CellId(*_id_triple(line)))
+            except argparse.ArgumentTypeError as exc:
+                raise MalformedFileError(f"{path}:{lineno}: {exc}") from None
     return dead
 
 
@@ -326,6 +333,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed config: {exc}", file=sys.stderr)
+        return 5
+    except MalformedFileError as exc:
+        print(f"error: malformed file: {exc}", file=sys.stderr)
         return 5
     except EmptyRegionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,16 +10,35 @@ transmission range r_t, with R = max_cell_radius(shape, r_t):
 * HP: layers at z = w*h; within a layer, rows at y = 1.5*a*v with centers at
   x = sqrt(3)*a*(u + (v mod 2)/2), i.e. odd rows shifted half a step along x.
 
-A sensor at point p finds its cell without search: solve the center
-equations for real-valued (u, v, w), take floor and ceiling of each
-coordinate (eight integer candidates), and keep the candidate whose center
-is nearest to p. The real solutions put the true cell within one unit of
-each rounded coordinate for every interior point, so the eight candidates
-always contain the answer; ``assign_cell_oracle`` provides the brute-force
-cross-check. The cheaper nearest-integer shortcut rounds each coordinate
-independently; it is wrong for 3/8 of random points (the rounding box and
-the cell disagree on that much volume) and is kept only to quantify that
-failure rate.
+A sensor at point p finds its cell without search. The four tessellations
+are the Voronoi cells of four classical lattices, and each lattice has a
+closed-form nearest-point rule (Conway & Sloane, "Fast quantizing and
+decoding algorithms for lattice quantizers and codes", IEEE Trans. IT 28(2),
+1982):
+
+* CB is Z^3 in units of s: round each coordinate.
+* TO is the body-centered cubic lattice: in units of d, the integer points
+  whose coordinates are all even or all odd. Round to the even coset 2Z^3
+  and to the odd coset 2Z^3 + (1, 1, 1) and keep the nearer point.
+* RD is the face-centered cubic lattice D3: in the coordinates
+  ((x+y)/2q, (x-y)/2q, z/R), q = R/sqrt2, the integer points with an even
+  coordinate sum. Round every coordinate; if the sum is odd, round the
+  coordinate with the largest rounding error the other way.
+* HP is the hexagonal lattice times Z: the even rows and the odd rows each
+  form a rectangular lattice in the plane, so round to both and keep the
+  nearer point; round w on its own.
+
+Points equidistant from several centers go to the smallest (u, v, w). The
+rules settle every point whose decision is more than a small tolerance
+away from a tie; the rare points within it, exact ties included, go to
+``assign_cells_oracle``, the brute-force search that is also the reference
+the decoders are tested against. Points farther than ``MAX_STEPS`` lattice
+steps from the sink along any axis are rejected with ``ValueError``.
+
+The cheaper nearest-integer shortcut rounds each coordinate of the TO
+solution independently; it is wrong for 3/8 of random points (the rounding
+box and the cell disagree on that much volume) and is kept only to quantify
+that failure rate.
 """
 
 from __future__ import annotations
@@ -35,6 +54,16 @@ from .geometry import CellShape, as_point, max_cell_radius, neighbor_classes
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
+
+# Supported domain: every coordinate of p - sink within MAX_STEPS lattice
+# steps, the step being the shape's first spacing constant (CB s, RD R/sqrt2,
+# TO d, HP hexagon side a). Ids then stay within MAX_STEPS + 2 of zero, exact
+# in float arithmetic, and an id triple packs into one int64 key.
+MAX_STEPS = 2 ** 19
+# decisions this close to a tie, in lattice units, go to the exhaustive search
+_TIE_TOL = 1e-8
+# rows decoded at once, bounding the decoder's temporaries
+_CHUNK = 1 << 16
 
 
 class CellId(NamedTuple):
@@ -130,56 +159,82 @@ def _fractional_ids(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
     raise ValueError("HP has row-dependent fractional coordinates")
 
 
-def _candidate_ids(spec: LatticeSpec, pts: np.ndarray) -> np.ndarray:
-    """The eight floor/ceil integer candidates per point, shape (n, 8, 3)."""
-    rel = pts - spec.sink
-    n = len(pts)
-    cands = np.empty((n, 8, 3), dtype=np.int64)
-    if spec.shape is CellShape.HP:
-        a, h = _steps(spec)
-        w_r = rel[:, 2] / h
-        v_r = rel[:, 1] / (1.5 * a)
-        w_lo, w_hi = np.floor(w_r), np.ceil(w_r)
-        i = 0
-        for v in (np.floor(v_r), np.ceil(v_r)):
-            # x-index of this row depends on the row's parity
-            u_r = rel[:, 0] / (_SQRT3 * a) - np.mod(v, 2.0) / 2.0
-            for u in (np.floor(u_r), np.ceil(u_r)):
-                for w in (w_lo, w_hi):
-                    cands[:, i, 0] = u
-                    cands[:, i, 1] = v
-                    cands[:, i, 2] = w
-                    i += 1
-        return cands
-    fr = _fractional_ids(spec, rel)
-    lo = np.floor(fr)
-    hi = np.ceil(fr)
-    i = 0
-    for bu in (0, 1):
-        for bv in (0, 1):
-            for bw in (0, 1):
-                cands[:, i, 0] = hi[:, 0] if bu else lo[:, 0]
-                cands[:, i, 1] = hi[:, 1] if bv else lo[:, 1]
-                cands[:, i, 2] = hi[:, 2] if bw else lo[:, 2]
-                i += 1
-    return cands
+# Each decoder takes the shape's spacing constants and the points relative
+# to the sink as a (3, n) array. It returns the ids as a (3, n) float array
+# of integers, plus a mask of the points whose decision is within _TIE_TOL of
+# a tie.
+
+# (u, v, w) from the decoders' lattice coordinates: (2u+w, 2v+w, w) for TO,
+# (u+v+w, u-v, w) for RD
+_TO_IDS = np.array([[0.5, 0.0, -0.5], [0.0, 0.5, -0.5], [0.0, 0.0, 1.0]])
+_RD_IDS = np.array([[0.5, 0.5, -0.5], [0.5, -0.5, -0.5], [0.0, 0.0, 1.0]])
+_HP_SHIFT = np.array([[0.5], [0.5], [0.0]])
+_HP_IDS = np.array([[1.0], [2.0], [1.0]])
 
 
-def _argmin_lex(ids: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Row-wise argmin of d2, breaking exact ties by smallest (u, v, w)."""
-    tie = d2 <= d2.min(axis=1, keepdims=True)
-    big = np.iinfo(np.int64).max
-    for axis in range(3):
-        comp = np.where(tie, ids[:, :, axis], big)
-        tie &= comp == comp.min(axis=1, keepdims=True)
-    pick = tie.argmax(axis=1)
-    return ids[np.arange(len(ids)), pick]
+def _decode_cb(steps: tuple[float, ...], rel: np.ndarray):
+    (s,) = steps
+    t = rel / s
+    best = np.rint(t)
+    return best, (np.abs(t - best) >= 0.5 - _TIE_TOL).any(axis=0)
 
 
-def _nearest_of(spec: LatticeSpec, pts: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    centers = cell_centers(spec, cands)
-    d2 = ((pts[:, None, :] - centers) ** 2).sum(axis=-1)
-    return _argmin_lex(cands, d2)
+def _decode_to(steps: tuple[float, ...], rel: np.ndarray):
+    (d,) = steps
+    t = rel / d
+    even = 2.0 * np.rint(0.5 * t)
+    err = t - even  # in [-1, 1]
+    # the nearest odd point is even + sign(err) per coordinate, at distance
+    # 1 - |err|, so it is the nearer point when sum(|err|) > 3/2
+    a = np.abs(err)
+    margin = a.sum(axis=0) - 1.5
+    odd = margin > 0
+    best = even + odd * np.sign(err)
+    tie = (np.abs(margin) <= _TIE_TOL) | np.where(
+        odd, a.min(axis=0) <= _TIE_TOL, a.max(axis=0) >= 1.0 - _TIE_TOL)
+    return _TO_IDS @ best, tie
+
+
+def _decode_rd(steps: tuple[float, ...], rel: np.ndarray):
+    q, R = steps
+    c = 0.5 / q  # to D3 coordinates (u+v+w, u-v, w), integers with an even sum
+    t = np.array([[c, c, 0.0], [c, -c, 0.0], [0.0, 0.0, 1.0 / R]]) @ rel
+    best = np.rint(t)
+    err = t - best
+    a = np.abs(err)
+    amax = a.max(axis=0)
+    odd = best.sum(axis=0) % 2 != 0
+    best += np.copysign(odd & (a >= amax), err)  # re-round the worst coordinate
+    # ties: a coordinate at a half, or two coordinates worst at once
+    tie = (amax >= 0.5 - _TIE_TOL) | (odd & ((a >= amax - _TIE_TOL).sum(axis=0) > 1))
+    return _RD_IDS @ best, tie
+
+
+def _decode_hp(steps: tuple[float, ...], rel: np.ndarray):
+    a, h = steps
+    # in (S, T, W) = (x/(sqrt3 a), y/(3a), z/h) even rows are the integer
+    # points and odd rows are shifted by (1/2, 1/2, 0); squared distance is
+    # proportional to dS^2 + 3 dT^2 in the plane
+    t = rel / np.array([[_SQRT3 * a], [3.0 * a], [h]])
+    even = np.rint(t)
+    err = t - even
+    e = np.abs(err)
+    # the nearest odd-row point is half a step toward t on S and T
+    margin = e[0] + 3.0 * e[1] - 1.0
+    odd = margin > 0
+    best = even + odd * _HP_SHIFT * np.sign(err)
+    half = 0.5 - _TIE_TOL
+    tie = (np.abs(margin) <= _TIE_TOL) | (e[2] >= half) | np.where(
+        odd, e[:2].min(axis=0) <= _TIE_TOL, e[:2].max(axis=0) >= half)
+    return np.floor(best * _HP_IDS), tie  # u = floor(S), v = 2T, w = W
+
+
+_DECODERS = {
+    CellShape.CB: _decode_cb,
+    CellShape.HP: _decode_hp,
+    CellShape.RD: _decode_rd,
+    CellShape.TO: _decode_to,
+}
 
 
 def _check_points(points) -> np.ndarray:
@@ -187,21 +242,39 @@ def _check_points(points) -> np.ndarray:
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point coordinates must be finite")
     return pts
+
+
+def _check_reach(rel: np.ndarray, step: float) -> None:
+    """Reject offsets from the sink that are not finite or exceed MAX_STEPS."""
+    if not np.abs(rel).max(initial=0.0) <= MAX_STEPS * step:
+        raise ValueError(
+            f"point coordinates must be finite and within {MAX_STEPS} lattice steps "
+            f"({MAX_STEPS * step:.6g} m) of the sink along each axis")
 
 
 def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     """Cell ids for an (n, 3) array of points, as an (n, 3) integer array.
 
-    Constant work per point: eight candidate cells from the floor/ceil
-    brackets of the real-valued lattice solution, then the nearest center
-    wins. Points equidistant from several centers go to the candidate with
-    the smallest (u, v, w).
+    Constant work per point: the closed-form nearest-point rule of the
+    shape's lattice. Points equidistant from several centers go to the
+    smallest (u, v, w); only points within a rounding tolerance of such a
+    tie are settled by the exhaustive search.
     """
     pts = _check_points(points)
-    return _nearest_of(spec, pts, _candidate_ids(spec, pts))
+    decode = _DECODERS[spec.shape]
+    steps = _steps(spec)
+    ids = np.empty((len(pts), 3), dtype=np.int64)
+    for start in range(0, len(pts), _CHUNK):
+        chunk = pts[start:start + _CHUNK]
+        rel = (chunk - spec.sink).T.copy()
+        _check_reach(rel, steps[0])
+        block, tie = decode(steps, rel)
+        out = ids[start:start + _CHUNK]
+        out[...] = block.T
+        if tie.any():
+            out[tie] = assign_cells_oracle(spec, chunk[tie])
+    return ids
 
 
 def assign_cell(spec: LatticeSpec, p) -> CellId:
@@ -223,9 +296,9 @@ def assign_cells_nearest_int(spec: LatticeSpec, points) -> np.ndarray:
     """
     if spec.shape is not CellShape.TO:
         raise ValueError("nearest-integer assignment is only defined for the TO lattice")
-    pts = _check_points(points)
-    fr = _fractional_ids(spec, pts - spec.sink)
-    return _round_half_away(fr).astype(np.int64)
+    rel = _check_points(points) - spec.sink
+    _check_reach(rel, _steps(spec)[0])
+    return _round_half_away(_fractional_ids(spec, rel)).astype(np.int64)
 
 
 def assign_cell_nearest_int(spec: LatticeSpec, p) -> CellId:
@@ -233,8 +306,7 @@ def assign_cell_nearest_int(spec: LatticeSpec, p) -> CellId:
     return CellId(int(row[0]), int(row[1]), int(row[2]))
 
 
-def _rounded_base(spec: LatticeSpec, pts: np.ndarray) -> np.ndarray:
-    rel = pts - spec.sink
+def _rounded_base(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
     if spec.shape is CellShape.HP:
         a, h = _steps(spec)
         w = _round_half_away(rel[:, 2] / h)
@@ -266,7 +338,9 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     if window < 2:
         raise ValueError("oracle window must be at least 2")
     pts = _check_points(points)
-    base = _rounded_base(spec, pts)
+    rel = pts - spec.sink
+    _check_reach(rel, _steps(spec)[0])
+    base = _rounded_base(spec, rel)
     rng = np.arange(-window, window + 1, dtype=np.int64)
     offs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
     # lexicographic candidate order makes the first tie the smallest id

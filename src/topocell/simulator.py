@@ -243,6 +243,20 @@ def _cell_steps(n_nodes: int, unit_charges: int, k: int) -> int:
     return (n_nodes * unit_charges) // k
 
 
+def _cell_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ids in lexicographic order, with the number of rows of each.
+
+    Each id packs into one int64 key relative to the smallest id; the
+    lattice domain bound (``lattice.MAX_STEPS``) keeps every key below
+    2**61.
+    """
+    lo = ids.min(axis=0)
+    dims = tuple(ids.max(axis=0) - lo + 1)
+    keys, counts = np.unique(np.ravel_multi_index(tuple((ids - lo).T), dims),
+                             return_counts=True)
+    return np.stack(np.unravel_index(keys, dims), axis=-1) + lo, counts
+
+
 def lifetime_simulation(spec: LatticeSpec, config: DeploymentConfig,
                         battery_capacity: float, k: int = 1) -> SimResult:
     """Run the sleep-scheduling drain model and report the network lifetime.
@@ -256,20 +270,17 @@ def lifetime_simulation(spec: LatticeSpec, config: DeploymentConfig,
         raise ValueError("battery_capacity must be positive and finite")
     if k < 1:
         raise ValueError("k must be at least 1")
-    pts = _uniform_points(config)
-    ids = assign_cells(spec, pts)
-    centers = cell_centers(spec, ids)
+    cells, counts = _cell_counts(assign_cells(spec, _uniform_points(config)))
+    centers = cell_centers(spec, cells)
     extents = build_polyhedron(spec.shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
     interior = (
         (centers >= config.box.lo + extents) & (centers <= config.box.hi - extents)
     ).all(axis=1)
-    ids_interior = ids[interior]
-    if len(ids_interior) == 0:
+    counts = counts[interior]
+    if len(counts) == 0:
         raise EmptyRegionError("no populated cell lies entirely inside the box")
-    _, counts = np.unique(ids_interior, axis=0, return_counts=True)
-    unit_charges = math.ceil(battery_capacity)
-    per_cell = np.array([_cell_steps(int(n), unit_charges, k) for n in counts])
-    lifetime = int(per_cell.min())
+    # a cell's steps grow with its node count, so the sparsest cell decides
+    lifetime = _cell_steps(int(counts.min()), math.ceil(battery_capacity), k)
     populated = len(counts)
     return SimResult(
         shape=spec.shape,

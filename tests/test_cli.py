@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,13 @@ class TestAssign:
         assert (row["exact_u"], row["exact_v"], row["exact_w"]) == (0, 0, 1)
         assert row["matches_exact"] is False
 
+    def test_point_outside_domain_is_invalid_parameter(self):
+        code, out, err = run_cli(["assign", "--shape", "to", "--rt", "1",
+                                  "--point", "1e20,0,0"])
+        assert code == 3
+        assert out == ""
+        assert "lattice steps" in err
+
     def test_malformed_point_is_usage_error(self):
         code, _, _ = run_cli(["assign", "--shape", "to", "--rt", "1",
                               "--point", "1,2"])
@@ -138,6 +147,17 @@ class TestSimulate:
                                 "--seed", "1"])
         assert code == 5
         assert "error" in err
+
+    def test_readme_config_example(self, tmp_path, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"### Config file \(JSON\)\s+```json\n(.*?)```", readme, re.S)
+        cfg = json.loads(block.group(1))
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "lifetime", "--config", str(path), "--seed", "3",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["shape"] for r in rows] == cfg["shapes"]
 
     def test_malformed_config_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -186,6 +206,17 @@ class TestRoute:
                                 "--dead-cells", str(dead_file)])
         assert code == 3
         assert "not alive" in err
+
+
+    @pytest.mark.parametrize("line", ["1,2", "1,2,x", "1,2,3,4"])
+    def test_malformed_dead_cells_is_io_error(self, tmp_path, line):
+        dead_file = tmp_path / "dead.txt"
+        dead_file.write_text("# header\n4,4,4\n" + line + "\n")
+        code, _, err = run_cli(["route", "--shape", "to", "--rt", "1",
+                                "--src", "0,0,0", "--dst", "5,5,5",
+                                "--dead-cells", str(dead_file)])
+        assert code == 5
+        assert ":3:" in err
 
 
 class TestDeterminism:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from topocell.geometry import CellShape
 from topocell.lattice import (
+    MAX_STEPS,
     CellId,
     LatticeSpec,
     assign_cell,
@@ -120,6 +123,102 @@ class TestAssignCell:
             for nb in neighbors(spec, CellId(*cid)):
                 d_nb = np.linalg.norm(p - cell_center(spec, nb))
                 assert d_own <= d_nb * (1 + 1e-12)
+
+
+class TestExactCoordinates:
+    """Points whose real-valued lattice coordinates are exact integers or
+    exact halves, where rounding rules meet ties."""
+
+    @staticmethod
+    def z_step(spec):
+        # spacing of the center layers along z
+        return float(cell_center(spec, (0, 0, 1))[2] - spec.sink[2])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_center_layer_planes_match_oracle(self, shape):
+        # z = sink_z + k * (z step) makes the z lattice coordinate an exact
+        # integer; the sink plane k = 0 gets half of the points
+        spec = LatticeSpec(shape, SQRT17, sink=(0.37, -0.21, 0.0))
+        rng = np.random.default_rng(17)
+        n = 100_000
+        pts = spec.sink + rng.uniform(-9.0, 9.0, (n, 3))
+        k = np.where(rng.random(n) < 0.5, 0, rng.integers(-3, 4, n))
+        pts[:, 2] = spec.sink[2] + k * self.z_step(spec)
+        assert (assign_cells(spec, pts) == assign_cells_oracle(spec, pts)).all()
+
+    def test_to_sink_plane_witness(self):
+        spec = LatticeSpec("to", SQRT17)
+        assert assign_cell(spec, (-9, -9, -2)) == CellId(-4, -4, -1)
+        assert assign_cell_oracle(spec, (-9, -9, -2)) == CellId(-4, -4, -1)
+
+    def test_midpoints_go_to_smallest_id(self):
+        # step d is exactly 1 here, so every midpoint between a cell and one
+        # of its first-tier neighbors is an exact tie in floating point
+        spec = LatticeSpec(CellShape.TO, SQRT17)
+        cells = id_grid(3)
+        pairs = np.array([(c, nb) for c in cells for nb in neighbors(spec, CellId(*c))])
+        mids = (cell_centers(spec, pairs[:, 0]) + cell_centers(spec, pairs[:, 1])) / 2.0
+        smallest = np.array([min(tuple(a), tuple(b)) for a, b in pairs])
+        assert len(mids) == 343 * 14
+        assert (assign_cells_oracle(spec, mids) == smallest).all()
+        assert (assign_cells(spec, mids) == smallest).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_quarter_grid_matches_oracle(self, shape):
+        # every point of a grid of quarter meters, including exact ties
+        # where several cells meet
+        spec = LatticeSpec(shape, 4.0)
+        r = np.arange(-8, 9) * 0.25
+        pts = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+        assert (assign_cells(spec, pts) == assign_cells_oracle(spec, pts)).all()
+
+
+_coord = st.floats(-40.0, 40.0, allow_nan=False)
+
+
+class TestProperty:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        r_t=st.floats(0.05, 50.0),
+        sink=st.tuples(_coord, _coord, _coord),
+        offsets=st.lists(st.tuples(_coord, _coord, _coord), min_size=1, max_size=20),
+    )
+    def test_decoder_matches_oracle(self, shape, r_t, sink, offsets):
+        # offsets are in eighths of r_t, so every example spans a few dozen cells
+        spec = LatticeSpec(shape, r_t, sink=sink)
+        pts = spec.sink + np.array(offsets) * (r_t / 8.0)
+        assert (assign_cells(spec, pts) == assign_cells_oracle(spec, pts)).all()
+
+
+class TestDomain:
+    # the lattice step lies between 0.7 R and 1.2 R for every shape
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_far_points_rejected(self, shape):
+        spec = LatticeSpec(shape, 1.0, sink=(5.0, 0.0, 0.0))
+        far = 1.2 * MAX_STEPS * spec.circumradius
+        for p in ((1e20, 0.0, 0.0), (5.0, -far, 0.0), (5.0, 0.0, far)):
+            with pytest.raises(ValueError, match="lattice steps"):
+                assign_cell(spec, p)
+            with pytest.raises(ValueError, match="lattice steps"):
+                assign_cells_oracle(spec, [p])
+
+    def test_nearest_int_rejects_far_points(self):
+        with pytest.raises(ValueError, match="lattice steps"):
+            assign_cell_nearest_int(LatticeSpec(CellShape.TO, 1.0), (0.0, 1e20, 0.0))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ids_near_the_bound(self, shape):
+        # corners of the supported box: ids stay exact, within MAX_STEPS + 2
+        spec = LatticeSpec(shape, 1.0, sink=(0.5, -0.25, 2.0))
+        rng = np.random.default_rng(8)
+        signs = rng.choice([-1.0, 1.0], (1000, 3))
+        pts = spec.sink + signs * 0.7 * MAX_STEPS * spec.circumradius
+        pts += rng.uniform(-2.0, 2.0, pts.shape)
+        ids = assign_cells(spec, pts)
+        assert np.abs(ids).max() <= MAX_STEPS + 2
+        assert (ids == assign_cells_oracle(spec, pts)).all()
 
 
 class TestNearestInt:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from topocell.geometry import CellShape, build_polyhedron
-from topocell.lattice import LatticeSpec, assign_cell, cell_center
+from topocell.lattice import (
+    LatticeSpec,
+    assign_cell,
+    assign_cells_oracle,
+    cell_center,
+    cell_centers,
+)
 from topocell.planner import cell_volume_coeff
 from topocell.simulator import (
     Box,
@@ -135,6 +141,24 @@ class TestLifetimeSimulation:
             spec, cfg = cb_single_cell_setup(n, seed=int(rng.integers(1000)))
             res = lifetime_simulation(spec, cfg, battery_capacity=capacity, k=k)
             assert res.network_lifetime == step_drain_oracle([n], capacity, k)
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_matches_recount_from_oracle_ids(self, shape):
+        # many cells: interior filter per node, row-wise unique over oracle
+        # ids and the literal drain give the same statistics
+        spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
+        box = Box(lo=(-0.6, -0.5, -0.55), hi=(0.5, 0.6, 0.45))
+        cfg = DeploymentConfig(box=box, node_count=3000, seed=4)
+        pts = np.array([node.position for node in deploy(cfg, spec)])
+        ids = assign_cells_oracle(spec, pts)
+        centers = cell_centers(spec, ids)
+        ext = build_polyhedron(shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
+        interior = ((centers >= box.lo + ext) & (centers <= box.hi - ext)).all(axis=1)
+        _, counts = np.unique(ids[interior], axis=0, return_counts=True)
+        res = lifetime_simulation(spec, cfg, battery_capacity=2.5, k=2)
+        assert res.cells_populated == len(counts) > 1
+        assert res.mean_nodes_per_cell == counts.mean()
+        assert res.network_lifetime == step_drain_oracle(counts, 2.5, 2)
 
     def test_active_counts_are_k_times_cells(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
