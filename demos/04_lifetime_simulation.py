@@ -39,10 +39,11 @@ for shape in CellShape:
     mean = np.mean(lifetimes[shape])
     print(f"{shape.value:6s} {mean:14.1f} {mean / to_mean:12.4f} {lifetime_fraction(shape):17.5f}")
 
-print("\nk-coverage variant (k = 2, every point monitored twice):")
+k = 2
+print(f"\nk-coverage variant (k = {k}, every point monitored twice):")
 cfg = DeploymentConfig(box=box, node_count=nodes, seed=0)
 for shape in (CellShape.TO, CellShape.CB):
-    res = lifetime_simulation(LatticeSpec(shape, 1.0), cfg, battery_capacity=8.0, k=2)
+    res = lifetime_simulation(LatticeSpec(shape, 1.0), cfg, battery_capacity=8.0, k=k)
     print(f"  {shape.value}: lifetime {res.network_lifetime}, "
-          f"{res.active_count_over_time[0]} active nodes per step "
-          f"({res.cells_populated} cells x k=2)")
+          f"{k * res.cells_populated} active nodes per step "
+          f"({res.cells_populated} cells x k={k})")

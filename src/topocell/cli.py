@@ -109,9 +109,16 @@ def _add_spec_flags(p: argparse.ArgumentParser):
                    help="information-sink location x,y,z (lattice anchor)")
 
 
-def _spec_from_args(args) -> LatticeSpec:
-    rt = args.rt * SQRT17 if args.rt_sqrt17_units else args.rt
-    return LatticeSpec(shape=CellShape(args.shape), r_t=rt, sink=args.sink)
+def _spec(fields: dict, shape: str) -> LatticeSpec:
+    """Lattice spec from the spec flags (as ``vars(args)``) or a JSON config.
+
+    Both name the fields alike: ``rt``, ``rt_sqrt17_units`` and ``sink``.
+    """
+    rt = float(fields["rt"])
+    if fields.get("rt_sqrt17_units"):
+        rt *= SQRT17
+    return LatticeSpec(shape=CellShape(shape), r_t=rt,
+                       sink=fields.get("sink", (0.0, 0.0, 0.0)))
 
 
 def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
@@ -152,7 +159,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_assign(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(vars(args), args.shape)
     point = np.asarray(args.point)
     if args.method == "exact":
         cid = assign_cell(spec, point)
@@ -187,18 +194,10 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _config_spec(cfg: dict, shape: str) -> LatticeSpec:
-    rt = float(cfg["rt"])
-    if cfg.get("rt_sqrt17_units"):
-        rt *= SQRT17
-    return LatticeSpec(shape=CellShape(shape), r_t=rt,
-                       sink=cfg.get("sink", (0.0, 0.0, 0.0)))
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if args.kind == "accuracy":
-        spec = _config_spec(cfg, cfg["shape"])
+        spec = _spec(cfg, cfg["shape"])
         report = accuracy_experiment(spec, int(cfg["n"]), args.seed)
         rows = [{
             "shape": spec.shape.value,
@@ -220,7 +219,7 @@ def cmd_simulate(args) -> int:
         k = int(cfg.get("k", 1))
         results = {}
         for shape in shapes:
-            spec = _config_spec(cfg, shape)
+            spec = _spec(cfg, shape)
             results[shape] = (spec, lifetime_simulation(spec, config, capacity, k))
         to_lifetime = results["to"][1].network_lifetime if "to" in results else None
         rows = []
@@ -263,7 +262,7 @@ def _load_dead_cells(path: str) -> set[CellId]:
 
 
 def cmd_route(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(vars(args), args.shape)
     dead = _load_dead_cells(args.dead_cells) if args.dead_cells else set()
     alive = (lambda cid: cid not in dead) if dead else None
     path = greedy_route(spec, args.src, args.dst, alive=alive,

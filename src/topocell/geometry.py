@@ -4,24 +4,36 @@ Four convex polyhedra are practical as virtual cells for dense 3D
 deployments because congruent copies of each tile space with no gaps:
 the cube (CB), the hexagonal prism with optimal height (HP), the rhombic
 dodecahedron (RD) and the truncated octahedron (TO). This module fixes one
-concrete orientation per shape, builds explicit vertex lists, and derives
-the constants a deployment planner needs: circumradii, cell volumes,
-first-tier neighbor classes, and the worst-case distance between points of
-two neighboring cells (the quantity that bounds the usable cell size for a
-given transmission range).
+concrete orientation and lattice spacing per shape, builds explicit vertex
+lists, and derives the constants a deployment planner needs: circumradii,
+cell volumes, first-tier neighbor classes, and the worst-case distance
+between points of two neighboring cells (the quantity that bounds the usable
+cell size for a given transmission range).
 
-Orientation conventions, for a cell centered at the origin with
-circumradius R:
+Each tessellation is the Voronoi tessellation of a lattice of cell centers.
+For circumradius R, ``cell_spacing`` gives the spacing constants and
+``center_offsets`` the center of cell (u, v, w) relative to cell (0, 0, 0):
 
-* CB: axis-aligned cube of side s = 2R/sqrt(3); vertices (+-s/2, +-s/2, +-s/2).
-* HP: hexagon side a = R*sqrt(2/3), prism height h = a*sqrt(2). Hexagon
-  corners sit at angles 30, 90, ..., 330 degrees so a flat side faces +x;
-  corner rings at z = +-h/2. This matches the offset-row column lattice
-  used by the lattice module (in-plane neighbors along +-x).
-* RD: six 4-edge vertices at (+-R/sqrt2, +-R/sqrt2, 0) and (0, 0, +-R),
-  eight 3-edge vertices at (+-R/sqrt2, 0, +-R/2) and (0, +-R/sqrt2, +-R/2).
+* CB: (u*s, v*s, w*s), cube side s = 2R/sqrt(3).
+* RD: ((2u+w)*q, (2v+w)*q, w*R), q = R/sqrt2.
+* TO: ((2u+w)*d, (2v+w)*d, w*d), d = 2R/sqrt(5).
+* HP: layers at z = w*h; within a layer, rows at y = 1.5*a*v with centers at
+  x = sqrt(3)*a*(u + (v mod 2)/2), i.e. odd rows shifted half a step along
+  x. Hexagon side a = R*sqrt(2/3), prism height h = a*sqrt(2).
+
+Vertex lists, for a cell centered at the origin:
+
+* CB: (+-s/2, +-s/2, +-s/2).
+* HP: hexagon corners at angles 30, 90, ..., 330 degrees so a flat side
+  faces +x (in-plane neighbors along +-x); corner rings at z = +-h/2.
+* RD: six 4-edge vertices at (+-q, +-q, 0) and (0, 0, +-R), eight 3-edge
+  vertices at (+-q, 0, +-R/2) and (0, +-q, +-R/2).
 * TO: 24 vertices following the pattern (+-d, +-d/2, 0) over all axis
-  placements, with d = 2R/sqrt(5).
+  placements.
+
+A cell's faces are the bisector planes between its center and the centers
+of its face-sharing neighbors, so the face planes follow from the neighbor
+classes and the spacing alone.
 
 "Radius" always means circumradius, the largest center-to-vertex distance.
 For RD that is the distance to the six 4-edge vertices; the eight 3-edge
@@ -36,7 +48,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -84,8 +95,16 @@ class Polyhedron:
         return np.abs(self.vertices - self.center).max(axis=0)
 
     def face_equations(self) -> np.ndarray:
-        """Outward face planes, rows (a, b, c, off) with a*x+b*y+c*z+off <= 0 inside."""
-        return ConvexHull(self.vertices).equations
+        """Outward face planes, rows (a, b, c, off) with a*x+b*y+c*z+off <= 0 inside.
+
+        One plane per face-sharing neighbor (6 CB, 8 HP, 12 RD, 14 TO): the
+        bisector between the center c and the neighbor center c + v, with
+        normal v/|v| and offset -(v.c)/|v| - |v|/2.
+        """
+        v = center_offsets(self.shape, self.circumradius, _FACE_IDS[self.shape])
+        length = np.sqrt((v ** 2).sum(axis=1, keepdims=True))
+        normal = v / length
+        return np.hstack([normal, -(normal @ self.center)[:, None] - length / 2.0])
 
     def contains(self, points, rel_tol: float = 1e-9):
         """Half-space membership test against the face planes.
@@ -124,6 +143,50 @@ class NeighborClass:
     max_pair_distance_coeff: float
 
 
+def cell_spacing(shape: CellShape, circumradius: float) -> tuple[float, ...]:
+    """Center-spacing constants of the tessellation by cells of radius R.
+
+    CB (s,), RD (q, R), TO (d,) and HP (a, h), as in the module docstring.
+    The first constant is the shape's lattice step.
+    """
+    shape = CellShape(shape)
+    R = float(circumradius)
+    if shape is CellShape.CB:
+        return (2.0 * R / _SQRT3,)
+    if shape is CellShape.RD:
+        return (R / _SQRT2, R)
+    if shape is CellShape.TO:
+        return (2.0 * R / _SQRT5,)
+    a = R * math.sqrt(2.0 / 3.0)
+    return (a, a * _SQRT2)  # hexagon side, prism height
+
+
+def center_offsets(shape: CellShape, circumradius: float, ids) -> np.ndarray:
+    """Centers of the cells ``ids`` (shape (..., 3)) relative to cell (0, 0, 0)."""
+    shape = CellShape(shape)
+    spacing = cell_spacing(shape, circumradius)
+    ids = np.asarray(ids, dtype=np.int64)
+    u = ids[..., 0].astype(float)
+    v = ids[..., 1].astype(float)
+    w = ids[..., 2].astype(float)
+    if shape is CellShape.CB:
+        (s,) = spacing
+        return np.stack([u * s, v * s, w * s], axis=-1)
+    if shape is CellShape.RD:
+        q, R = spacing
+        return np.stack([(2 * u + w) * q, (2 * v + w) * q, w * R], axis=-1)
+    if shape is CellShape.TO:
+        (d,) = spacing
+        return np.stack([(2 * u + w) * d, (2 * v + w) * d, w * d], axis=-1)
+    a, h = spacing
+    parity = np.mod(ids[..., 1], 2).astype(float)
+    return np.stack([
+        _SQRT3 * a * (u + parity / 2.0),
+        1.5 * a * v,
+        h * w,
+    ], axis=-1)
+
+
 def build_polyhedron(shape: CellShape, center, circumradius: float) -> Polyhedron:
     """Build the vertex list of a cell with the module's fixed orientations."""
     if not (math.isfinite(circumradius) and circumradius > 0):
@@ -132,12 +195,12 @@ def build_polyhedron(shape: CellShape, center, circumradius: float) -> Polyhedro
     c = as_point(center)
     R = float(circumradius)
 
+    spacing = cell_spacing(shape, R)
     if shape is CellShape.CB:
-        half = R / _SQRT3
+        half = spacing[0] / 2.0
         local = half * np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
     elif shape is CellShape.HP:
-        a = R * math.sqrt(2.0 / 3.0)
-        h = a * _SQRT2
+        a, h = spacing
         angles = np.deg2rad(np.arange(30.0, 360.0, 60.0))
         ring = np.column_stack([a * np.cos(angles), a * np.sin(angles)])
         local = np.vstack([
@@ -145,7 +208,7 @@ def build_polyhedron(shape: CellShape, center, circumradius: float) -> Polyhedro
             np.column_stack([ring, np.full(6, -h / 2.0)]),
         ])
     elif shape is CellShape.RD:
-        q = R / _SQRT2
+        q = spacing[0]
         local = np.array([
             (q, 0.0, R / 2), (q, 0.0, -R / 2), (q, q, 0.0), (q, -q, 0.0),
             (-q, 0.0, R / 2), (-q, 0.0, -R / 2), (-q, q, 0.0), (-q, -q, 0.0),
@@ -153,7 +216,7 @@ def build_polyhedron(shape: CellShape, center, circumradius: float) -> Polyhedro
             (0.0, 0.0, R), (0.0, 0.0, -R),
         ])
     else:  # TO
-        d = 2.0 * R / _SQRT5
+        (d,) = spacing
         e = d / 2.0
         rows = []
         for sd in (d, -d):
@@ -230,6 +293,13 @@ def _classes() -> dict[CellShape, tuple[NeighborClass, ...]]:
 
 
 _NEIGHBOR_CLASSES = _classes()
+
+# id offsets of the face-sharing neighbors of cell (0, 0, 0), an even row
+_FACE_IDS = {
+    shape: np.array([off for cls in classes if cls.label.endswith("face")
+                     for off in cls.offset_generators])
+    for shape, classes in _NEIGHBOR_CLASSES.items()
+}
 
 NEIGHBOR_COUNTS = {
     shape: sum(cls.count for cls in classes)

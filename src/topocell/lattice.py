@@ -1,14 +1,10 @@
 """Integer cell addressing for the four space-filling tessellations.
 
 Every cell is named by an integer triple (u, v, w). Cell centers are
-anchored at the information sink and spaced by constants derived from the
-transmission range r_t, with R = max_cell_radius(shape, r_t):
-
-* CB: center = sink + (u*s, v*s, w*s), cube side s = 2R/sqrt(3).
-* RD: center = sink + ((2u+w)*R/sqrt2, (2v+w)*R/sqrt2, w*R).
-* TO: center = sink + ((2u+w)*d, (2v+w)*d, w*d), d = 2R/sqrt(5) = r_t/sqrt(17).
-* HP: layers at z = w*h; within a layer, rows at y = 1.5*a*v with centers at
-  x = sqrt(3)*a*(u + (v mod 2)/2), i.e. odd rows shifted half a step along x.
+anchored at the information sink: center = sink + center_offsets(shape, R,
+(u, v, w)) with R = max_cell_radius(shape, r_t), where the geometry module
+owns the spacing constants (CB s, RD q = R/sqrt2 and R, TO d = r_t/sqrt(17),
+HP hexagon side a and prism height h) and the center formulas.
 
 A sensor at point p finds its cell without search. The four tessellations
 are the Voronoi cells of four classical lattices, and each lattice has a
@@ -49,11 +45,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CellShape, as_point, max_cell_radius, neighbor_classes
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT3 = math.sqrt(3.0)
-_SQRT5 = math.sqrt(5.0)
+from .geometry import (
+    _SQRT3,
+    CellShape,
+    as_point,
+    cell_spacing,
+    center_offsets,
+    max_cell_radius,
+    neighbor_classes,
+)
 
 # Supported domain: every coordinate of p - sink within MAX_STEPS lattice
 # steps, the step being the shape's first spacing constant (CB s, RD R/sqrt2,
@@ -96,42 +96,13 @@ class LatticeSpec:
 
 
 def _steps(spec: LatticeSpec) -> tuple[float, ...]:
-    """Per-shape center-spacing constants."""
-    R = spec.circumradius
-    if spec.shape is CellShape.CB:
-        return (2.0 * R / _SQRT3,)
-    if spec.shape is CellShape.RD:
-        return (R / _SQRT2, R)
-    if spec.shape is CellShape.TO:
-        return (2.0 * R / _SQRT5,)
-    a = R * math.sqrt(2.0 / 3.0)
-    return (a, a * _SQRT2)  # hexagon side, prism height
+    """The spec's center-spacing constants (see ``geometry.cell_spacing``)."""
+    return cell_spacing(spec.shape, spec.circumradius)
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
     """Centers for an array of ids of shape (..., 3)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    u = ids[..., 0].astype(float)
-    v = ids[..., 1].astype(float)
-    w = ids[..., 2].astype(float)
-    if spec.shape is CellShape.CB:
-        (s,) = _steps(spec)
-        local = np.stack([u * s, v * s, w * s], axis=-1)
-    elif spec.shape is CellShape.RD:
-        q, R = _steps(spec)
-        local = np.stack([(2 * u + w) * q, (2 * v + w) * q, w * R], axis=-1)
-    elif spec.shape is CellShape.TO:
-        (d,) = _steps(spec)
-        local = np.stack([(2 * u + w) * d, (2 * v + w) * d, w * d], axis=-1)
-    else:
-        a, h = _steps(spec)
-        parity = np.mod(ids[..., 1], 2).astype(float)
-        local = np.stack([
-            _SQRT3 * a * (u + parity / 2.0),
-            1.5 * a * v,
-            h * w,
-        ], axis=-1)
-    return spec.sink + local
+    return spec.sink + center_offsets(spec.shape, spec.circumradius, ids)
 
 
 def cell_center(spec: LatticeSpec, cid) -> np.ndarray:
@@ -318,12 +289,11 @@ def _rounded_base(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
 
 def _center_offset_for(spec: LatticeSpec, offs: np.ndarray, v_parity: int) -> np.ndarray:
     """Center displacement produced by adding id offsets, per base-row parity."""
-    if spec.shape is not CellShape.HP:
-        return cell_centers(spec, offs) - spec.sink
-    a, h = _steps(spec)
-    parity_after = np.mod(v_parity + offs[:, 1], 2)
-    dx = _SQRT3 * a * (offs[:, 0] + (parity_after - v_parity) / 2.0)
-    return np.stack([dx, 1.5 * a * offs[:, 1], h * offs[:, 2]], axis=-1)
+    if v_parity:
+        # HP from an odd row: an odd dv lands half a step back along x, which
+        # is the even-row displacement of (du - 1, dv, dw)
+        offs = offs - np.outer(offs[:, 1] & 1, (1, 0, 0))
+    return center_offsets(spec.shape, spec.circumradius, offs)
 
 
 def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarray:

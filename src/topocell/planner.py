@@ -24,18 +24,15 @@ from .geometry import (
     NEIGHBOR_COUNTS,
     build_polyhedron,
     cell_volume,
+    center_offsets,
     max_cell_radius,
     max_vertex_pair_distance,
     neighbor_classes,
     sample_inside,
 )
-from .lattice import LatticeSpec, cell_center
+from .lattice import LatticeSpec
 
 SHAPE_ORDER = (CellShape.CB, CellShape.HP, CellShape.RD, CellShape.TO)
-
-_SQRT3 = math.sqrt(3.0)
-_SQRT14 = math.sqrt(14.0)
-_SQRT17 = math.sqrt(17.0)
 
 
 @dataclass(frozen=True)
@@ -254,13 +251,12 @@ def verify_connectivity(spec: LatticeSpec, circumradius: float | None = None,
     """
     R = spec.circumradius if circumradius is None else float(circumradius)
     base = build_polyhedron(spec.shape, (0.0, 0.0, 0.0), R)
-    scale = R / spec.circumradius
     per_class: dict[str, float] = {}
     for cls in neighbor_classes(spec.shape):
         worst = 0.0
         for off in cls.offset_generators:
-            # place the neighbor on the (rescaled) lattice; (0,0,0) is an even row
-            center = (cell_center(spec, off) - spec.sink) * scale
+            # the neighbor on the lattice of radius-R cells; (0,0,0) is an even row
+            center = center_offsets(spec.shape, R, off)
             other = build_polyhedron(spec.shape, center, R)
             worst = max(worst, max_vertex_pair_distance(base, other))
         per_class[cls.label] = worst

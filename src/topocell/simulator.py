@@ -2,7 +2,8 @@
 
 Three experiment families:
 
-* ``deploy`` scatters sensors uniformly in a box and assigns each its cell.
+* ``deploy`` scatters sensors uniformly in a box and assigns each its cell,
+  returning the positions and cell ids as arrays.
 * ``accuracy_experiment`` scores the constant-time assignment and the
   nearest-integer shortcut against exhaustive search (TO lattice).
 * ``lifetime_simulation`` runs the sleep-scheduling energy model: in every
@@ -24,24 +25,18 @@ experiment config, so identical seeds reproduce identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CellShape, build_polyhedron
+from .geometry import _SQRT3, CellShape, build_polyhedron, cell_spacing
 from .lattice import (
-    CellId,
     LatticeSpec,
-    _steps,
     assign_cells,
     assign_cells_nearest_int,
     assign_cells_oracle,
     cell_centers,
 )
-
-NODE_ACTIVE = "active"
-NODE_ASLEEP = "asleep"
-NODE_DEAD = "dead"
 
 
 class EmptyRegionError(RuntimeError):
@@ -95,17 +90,6 @@ class DeploymentConfig:
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
 
-@dataclass
-class Node:
-    """A deployed sensor with its cell assignment and energy state."""
-
-    id: int
-    position: np.ndarray
-    cell: CellId
-    battery: float = 1.0
-    state: str = NODE_ASLEEP
-
-
 @dataclass(frozen=True)
 class AccuracyReport:
     """Cell-id prediction scores against exhaustive search."""
@@ -125,13 +109,16 @@ class AccuracyReport:
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """Aggregate outcome of one lifetime simulation run."""
+    """Aggregate outcome of one lifetime simulation run.
+
+    Until ``network_lifetime`` every populated interior cell fields k
+    active nodes, so k * ``cells_populated`` nodes are active per step.
+    """
 
     shape: CellShape
     cells_populated: int
     mean_nodes_per_cell: float
     network_lifetime: int
-    active_count_over_time: np.ndarray = field(repr=False)
 
 
 def _uniform_points(config: DeploymentConfig) -> np.ndarray:
@@ -140,14 +127,13 @@ def _uniform_points(config: DeploymentConfig) -> np.ndarray:
     return config.box.lo + rng.random((config.node_count, 3)) * span
 
 
-def deploy(config: DeploymentConfig, spec: LatticeSpec) -> list[Node]:
-    """Scatter nodes uniformly in the box and assign each to its cell."""
+def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter nodes uniformly in the box and assign each to its cell.
+
+    Returns the (n, 3) node positions and their (n, 3) integer cell ids.
+    """
     pts = _uniform_points(config)
-    ids = assign_cells(spec, pts)
-    return [
-        Node(id=i, position=pts[i], cell=CellId(*map(int, ids[i])))
-        for i in range(len(pts))
-    ]
+    return pts, assign_cells(spec, pts)
 
 
 def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
@@ -202,18 +188,19 @@ def active_count(spec: LatticeSpec, box: Box) -> int:
     lo = box.lo - spec.sink
     hi = box.hi - spec.sink
     shape = spec.shape
+    spacing = cell_spacing(shape, spec.circumradius)
     if shape is CellShape.CB:
-        (s,) = _steps(spec)
+        (s,) = spacing
         return (
             _range_count(lo[0] / s, hi[0] / s)
             * _range_count(lo[1] / s, hi[1] / s)
             * _range_count(lo[2] / s, hi[2] / s)
         )
     if shape is CellShape.HP:
-        a, h = _steps(spec)
+        a, h = spacing
         n_layers = _range_count(lo[2] / h, hi[2] / h)
         vlo, vhi = lo[1] / (1.5 * a), hi[1] / (1.5 * a)
-        xs = math.sqrt(3.0) * a
+        xs = _SQRT3 * a
         in_plane = 0
         for parity in (0, 1):
             rows = _parity_count(vlo, vhi, parity)
@@ -222,9 +209,9 @@ def active_count(spec: LatticeSpec, box: Box) -> int:
         return in_plane * n_layers
     # RD and TO: z fixes w, then u and v ranges follow independently
     if shape is CellShape.RD:
-        q, zstep = _steps(spec)
+        q, zstep = spacing
     else:
-        (q,) = _steps(spec)
+        (q,) = spacing
         zstep = q
     total = 0
     w0 = math.ceil(lo[2] / zstep)
@@ -281,11 +268,9 @@ def lifetime_simulation(spec: LatticeSpec, config: DeploymentConfig,
         raise EmptyRegionError("no populated cell lies entirely inside the box")
     # a cell's steps grow with its node count, so the sparsest cell decides
     lifetime = _cell_steps(int(counts.min()), math.ceil(battery_capacity), k)
-    populated = len(counts)
     return SimResult(
         shape=spec.shape,
-        cells_populated=populated,
+        cells_populated=len(counts),
         mean_nodes_per_cell=float(counts.mean()),
         network_lifetime=lifetime,
-        active_count_over_time=np.full(lifetime, k * populated, dtype=np.int64),
     )

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from topocell.geometry import (
 from topocell.lattice import LatticeSpec, cell_center
 
 SHAPES = list(CellShape)
+
+FACE_COUNTS = {CellShape.CB: 6, CellShape.HP: 8, CellShape.RD: 12, CellShape.TO: 14}
 
 
 def brute_class_coeff(shape, cls):
@@ -196,3 +200,49 @@ class TestConvexityWitness:
         assert not poly.contains((0.0, 0.0, 1.001))
         flags = poly.contains(np.array([[0, 0, 0], [2, 2, 2]], dtype=float))
         assert list(flags) == [True, False]
+
+
+def assert_same_planes(planes, reference, scale):
+    """Every row of each set matches a row of the other; offsets in units of scale."""
+    a = np.hstack([planes[:, :3], planes[:, 3:] / scale])
+    b = np.hstack([reference[:, :3], reference[:, 3:] / scale])
+    gap = np.abs(a[:, None, :] - b[None, :, :]).max(axis=-1)
+    assert gap.min(axis=1).max() <= 1e-9  # every face plane is a hull plane
+    assert gap.min(axis=0).max() <= 1e-9  # every hull plane is a face plane
+
+
+class TestFacePlanes:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (1.5, -2.25, 7.0), (-310.7, 45.2, 0.013)])
+    @pytest.mark.parametrize("R", [1e-3, 0.37, 1.0, 42.0])
+    def test_match_convex_hull_faces(self, shape, center, R):
+        poly = build_polyhedron(shape, center, R)
+        planes = poly.face_equations()
+        assert planes.shape == (FACE_COUNTS[shape], 4)
+        assert np.allclose(np.linalg.norm(planes[:, :3], axis=1), 1.0, rtol=0, atol=1e-15)
+        # one plane per face: the hull's triangulated duplicates collapse onto them
+        assert len(np.unique(np.round(planes[:, :3], 6), axis=0)) == len(planes)
+        scale = R + np.abs(center).max()
+        assert_same_planes(planes, ConvexHull(poly.vertices).equations, scale)
+        slack = planes[:, :3] @ poly.vertices.T + planes[:, 3:]
+        assert slack.max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_contains_matches_hull_membership(self, shape):
+        rng = np.random.default_rng(11)
+        R = 0.8
+        poly = build_polyhedron(shape, (0.4, -1.1, 2.6), R)
+        lo = poly.vertices.min(axis=0) - 0.1 * R
+        hi = poly.vertices.max(axis=0) + 0.1 * R
+        pts = rng.uniform(lo, hi, size=(10_000, 3))
+        eqs = ConvexHull(poly.vertices).equations
+        in_hull = (pts @ eqs[:, :3].T + eqs[:, 3] <= 0.0).all(axis=1)
+        assert 0 < in_hull.sum() < len(pts)
+        assert np.array_equal(poly.contains(pts), in_hull)
+        assert poly.contains(pts[0]) == in_hull[0]
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, topocell; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

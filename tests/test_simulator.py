@@ -16,7 +16,6 @@ from topocell.simulator import (
     Box,
     DeploymentConfig,
     EmptyRegionError,
-    NODE_ASLEEP,
     accuracy_experiment,
     active_count,
     deploy,
@@ -54,18 +53,19 @@ class TestDeploy:
     def test_deterministic(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
         cfg = DeploymentConfig(box=Box(lo=(0, 0, 0), hi=(3, 3, 3)), node_count=500, seed=99)
-        a = deploy(cfg, spec)
-        b = deploy(cfg, spec)
-        assert all(na.cell == nb.cell for na, nb in zip(a, b))
-        assert all(np.array_equal(na.position, nb.position) for na, nb in zip(a, b))
+        pos_a, ids_a = deploy(cfg, spec)
+        pos_b, ids_b = deploy(cfg, spec)
+        assert pos_a.shape == ids_a.shape == (500, 3)
+        assert ids_a.dtype == np.int64
+        assert np.array_equal(pos_a, pos_b)
+        assert np.array_equal(ids_a, ids_b)
 
     def test_single_node_voronoi(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
         cfg = DeploymentConfig(box=Box(lo=(0, 0, 0), hi=(1, 1, 1)), node_count=1, seed=4)
-        (node,) = deploy(cfg, spec)
-        assert node.state == NODE_ASLEEP
-        assert node.cell == assign_cell(spec, node.position)
-        d = np.linalg.norm(node.position - cell_center(spec, node.cell))
+        (position,), (cell,) = deploy(cfg, spec)
+        assert tuple(cell) == assign_cell(spec, position)
+        d = np.linalg.norm(position - cell_center(spec, cell))
         assert d <= spec.circumradius
 
     def test_mean_nodes_per_interior_cell(self):
@@ -149,7 +149,7 @@ class TestLifetimeSimulation:
         spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
         box = Box(lo=(-0.6, -0.5, -0.55), hi=(0.5, 0.6, 0.45))
         cfg = DeploymentConfig(box=box, node_count=3000, seed=4)
-        pts = np.array([node.position for node in deploy(cfg, spec)])
+        pts, _ = deploy(cfg, spec)
         ids = assign_cells_oracle(spec, pts)
         centers = cell_centers(spec, ids)
         ext = build_polyhedron(shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
@@ -164,10 +164,23 @@ class TestLifetimeSimulation:
         spec = LatticeSpec(CellShape.TO, 1.0)
         box = Box(lo=(-1.0, -1.0, -1.0), hi=(1.0, 1.0, 1.0))
         cfg = DeploymentConfig(box=box, node_count=30_000, seed=6)
+        # k active nodes in each of the same populated cells, so k times the
+        # cells are active per step; each cell has at least k nodes while the
+        # network lives, and the balanced rotation divides the lifetime by k
+        single = lifetime_simulation(spec, cfg, battery_capacity=3.0, k=1)
         for k in (1, 2, 3):
             res = lifetime_simulation(spec, cfg, battery_capacity=3.0, k=k)
-            assert (res.active_count_over_time == k * res.cells_populated).all()
-            assert len(res.active_count_over_time) == res.network_lifetime
+            assert res.cells_populated == single.cells_populated
+            assert res.mean_nodes_per_cell == single.mean_nodes_per_cell
+            assert res.network_lifetime == single.network_lifetime // k > 0
+            assert k * res.cells_populated <= res.mean_nodes_per_cell * res.cells_populated
+
+    def test_huge_battery_capacity(self):
+        # the lifetime is a closed form; nothing may scale with its length
+        spec, cfg = cb_single_cell_setup(10)
+        res = lifetime_simulation(spec, cfg, battery_capacity=1e15, k=1)
+        assert res.cells_populated == 1
+        assert res.network_lifetime == 10 ** 16
 
     def test_lifetime_linear_in_capacity(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
