@@ -28,8 +28,16 @@ Points equidistant from several centers go to the smallest (u, v, w). The
 rules settle every point whose decision is more than a small tolerance
 away from a tie; the rare points within it, exact ties included, go to
 ``assign_cells_oracle``, the brute-force search that is also the reference
-the decoders are tested against. Points farther than ``MAX_STEPS`` lattice
-steps from the sink along any axis are rejected with ``ValueError``.
+the decoders are tested against. The oracle shares nothing with the
+decoders. It enumerates an id window around the rounded solution but
+scores only the candidates that can still win: the covering radius of each
+lattice is the cell circumradius R (every point lies within R of its
+nearest center), so the nearest center and every center tied with it lie
+within |p - c| + R of the window's middle center c, and a candidate beyond
+that can neither win nor tie. Dropping those candidates therefore leaves
+the result, ties included, equal to that of the full window. Points
+farther than ``MAX_STEPS`` lattice steps from the sink along any axis are
+rejected with ``ValueError``.
 
 The cheaper nearest-integer shortcut rounds each coordinate of the TO
 solution independently; it is wrong for 3/8 of random points (the rounding
@@ -40,7 +48,7 @@ that failure rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +89,8 @@ class LatticeSpec:
     shape: CellShape
     r_t: float
     sink: np.ndarray = (0.0, 0.0, 0.0)
+    # cell circumradius R at the maximum usable size for r_t, derived once
+    circumradius: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shape", CellShape(self.shape))
@@ -88,11 +98,7 @@ class LatticeSpec:
             raise ValueError("transmission range must be positive and finite")
         object.__setattr__(self, "r_t", float(self.r_t))
         object.__setattr__(self, "sink", as_point(self.sink))
-
-    @property
-    def circumradius(self) -> float:
-        """Cell circumradius R at the maximum usable size for r_t."""
-        return max_cell_radius(self.shape, self.r_t)
+        object.__setattr__(self, "circumradius", max_cell_radius(self.shape, self.r_t))
 
 
 def _steps(spec: LatticeSpec) -> tuple[float, ...]:
@@ -304,6 +310,15 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     with the same smallest-(u, v, w) tie rule. Centers further than the
     window are farther away than any candidate inside it, so window >= 2 is
     already exhaustive in effect; the default of 3 leaves margin.
+
+    Each chunk of points scores only the window's candidates within
+    max|q| + R of the rounded center, q = p - center(rounded id), with a
+    relative slack of 1e-9. The lattice's covering radius is the cell
+    circumradius R, so the nearest center is within R of p, and any
+    candidate farther than |q| + R from the rounded center is farther than
+    R from p: it can neither win nor tie. The kept candidates stay in
+    lexicographic order, so the first minimum is still the smallest id and
+    the result equals the full-window search, ties included.
     """
     if window < 2:
         raise ValueError("oracle window must be at least 2")
@@ -343,10 +358,16 @@ def _oracle_gemm(spec, pts, base, offs, doff):
     # candidate center = center(base) + doff[k]; distances via the expansion
     # |q - doff|^2 = |q|^2 - 2 q.doff + |doff|^2 with q = p - center(base)
     q = pts - cell_centers(spec, base)
-    d2 = (q ** 2).sum(axis=1, keepdims=True) - 2.0 * (q @ doff.T) + (doff ** 2).sum(axis=1)
-    tie = d2 <= d2.min(axis=1, keepdims=True)
-    pick = tie.argmax(axis=1)
-    return base + offs[pick]
+    q2 = (q ** 2).sum(axis=1, keepdims=True)
+    # the nearest center is within R of p, so a candidate with
+    # |doff| > |q| + R can neither win nor tie; the slack keeps exact ties
+    doff2 = (doff ** 2).sum(axis=1)
+    reach = (math.sqrt(q2.max()) + spec.circumradius) * (1.0 + 1e-9)
+    keep = doff2 <= reach * reach
+    offs, doff, doff2 = offs[keep], doff[keep], doff2[keep]
+    d2 = q2 - 2.0 * (q @ doff.T) + doff2
+    # argmin takes the first minimum, the smallest id in lexicographic order
+    return base + offs[d2.argmin(axis=1)]
 
 
 def assign_cell_oracle(spec: LatticeSpec, p, window: int = 3) -> CellId:

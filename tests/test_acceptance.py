@@ -166,7 +166,8 @@ def test_criterion_6_nearest_int_fraction():
     frac = rep.fraction_nearest_int
     elapsed = time.time() - t0
     ok = abs(frac - 0.78) <= 0.02 and elapsed < 10.0
-    report(6, "nearest-integer fraction 0.78 +/- 0.02", ok)
+    report(6, "nearest-integer fraction 0.78 +/- 0.02", ok,
+           f"fraction={frac:.5f}, elapsed={elapsed:.2f}s")
     assert ok, (
         f"fraction={frac:.5f} (analytic value 5/8 = 0.625); the reference "
         f"78354/100000 is not reachable by the independent-rounding rule"
@@ -213,8 +214,8 @@ def test_criterion_8_lifetime_ratios():
     ok = (abs(cb_mean - 0.42154) <= 0.1 * 0.42154
           and abs(rd_mean - 0.5476) <= 0.1 * 0.5476
           and elapsed < 60.0)
-    assert report(8, "simulated lifetime ratios", ok), \
-        f"cb={cb_mean:.4f}, rd={rd_mean:.4f}, elapsed={elapsed:.1f}s"
+    measured = f"cb={cb_mean:.4f}, rd={rd_mean:.4f}, elapsed={elapsed:.1f}s"
+    assert report(8, "simulated lifetime ratios", ok, measured), measured
 
 
 def test_criterion_9_routing_delivery():
@@ -256,7 +257,8 @@ def test_criterion_9_routing_delivery():
             break
     elapsed = time.time() - t0
     ok &= elapsed < 30.0
-    assert report(9, "greedy routing delivery", ok), f"elapsed={elapsed:.1f}s"
+    measured = f"elapsed={elapsed:.1f}s"
+    assert report(9, "greedy routing delivery", ok, measured), measured
 
 
 def test_criterion_10_cli_determinism(tmp_path):

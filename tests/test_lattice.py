@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from topocell.geometry import CellShape
+from topocell.geometry import CellShape, build_polyhedron, cell_spacing, max_cell_radius
 from topocell.lattice import (
     MAX_STEPS,
     CellId,
@@ -265,6 +266,64 @@ class TestOracle:
         with pytest.raises(ValueError):
             assign_cell_oracle(spec, (0, 0, 0), window=1)
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("r_t,sink", RANDOM_SPECS[:2])
+    def test_matches_kdtree_nearest_center(self, shape, r_t, sink):
+        # independent of the oracle's candidate pruning: nearest center by a
+        # k-d tree over every center of an id grid that covers the points
+        spec = LatticeSpec(shape, r_t, sink=sink)
+        R = spec.circumradius
+        rng = np.random.default_rng(17)
+        pts = spec.sink + rng.uniform(-6 * r_t, 6 * r_t, (100_000, 3))
+        # every center within reach of the points has |id| <= reach / step + 1
+        reach = 6 * r_t + 2 * R
+        ids = id_grid(math.ceil(reach / min(cell_spacing(shape, R))) + 1)
+        centers = cell_centers(spec, ids)
+        near = (np.abs(centers - spec.sink) <= reach).all(axis=1)
+        ids, centers = ids[near], centers[near]
+        dist, idx = cKDTree(centers).query(pts, k=2)
+        assert dist[:, 0].max() <= R * (1 + 1e-9)  # the grid covers every point
+        clear = dist[:, 1] - dist[:, 0] > 1e-9 * R
+        assert clear.mean() > 0.99
+        got = assign_cells_oracle(spec, pts[clear])
+        assert (got == ids[idx[clear, 0]]).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_cell_vertices(self, shape):
+        # vertices sit equidistant from several centers, the farthest at R,
+        # the covering radius: the edge of the oracle's candidate cut-off
+        # (RD's 3-edge vertices sit closer, at R sqrt3 / 2). r_t = 2 sqrt3
+        # (CB side 1) and sqrt17 (TO step 1) make vertices and centers exact
+        # binary fractions, so the equidistant centers tie exactly in floating
+        # point too and the smallest id must win. RD (R = sqrt2 q) and HP
+        # (in-plane sqrt3) cannot place a vertex exactly; there the oracle's
+        # id must still be one of the equidistant centers.
+        r_t = {CellShape.CB: 2 * math.sqrt(3.0), CellShape.TO: SQRT17}.get(shape, 3.7)
+        spec = LatticeSpec(shape, r_t, sink=(0.5, -1.25, 2.0))
+        R = spec.circumradius
+        exact = shape in (CellShape.CB, CellShape.TO)
+        farthest = 0.0
+        for base in ((0, 0, 0), (2, -3, 1), (-1, 2, -2)):
+            poly = build_polyhedron(shape, cell_center(spec, base), R)
+            got = assign_cells_oracle(spec, poly.vertices)
+            for p, cid in zip(poly.vertices, got):
+                dists = {}
+                for off in itertools.product(range(-3, 4), repeat=3):
+                    cand = tuple(b + o for b, o in zip(base, off))
+                    diff = p - cell_center(spec, cand)
+                    dists[cand] = math.sqrt(float(diff @ diff))
+                dmin = min(dists.values())
+                assert dmin == pytest.approx(dists[base], rel=1e-9)
+                farthest = max(farthest, dmin)
+                tied = sorted(c for c, d in dists.items() if d <= dmin + 1e-9 * R)
+                assert len(tied) >= 3
+                if exact:
+                    assert all(dists[c] == dmin for c in tied)
+                    assert tuple(cid) == tied[0]
+                else:
+                    assert tuple(cid) in tied
+        assert farthest == pytest.approx(R, rel=1e-9)
+
 
 class TestNeighbors:
     def test_to_reference_list(self):
@@ -339,3 +398,11 @@ class TestSpecValidation:
     def test_shape_coercion(self):
         spec = LatticeSpec("to", 1.0)
         assert spec.shape is CellShape.TO
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_circumradius(self, shape):
+        for r_t in (0.37, 1.0, SQRT17):
+            spec = LatticeSpec(shape, r_t)
+            assert spec.circumradius == max_cell_radius(shape, r_t)
+        with pytest.raises(AttributeError):
+            spec.circumradius = 1.0
