@@ -19,6 +19,7 @@ import numpy as np
 from . import planner
 from .geometry import CellShape
 from .lattice import (
+    MAX_WINDOW,
     CellId,
     LatticeSpec,
     assign_cell,
@@ -300,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_assign.add_argument("--method", choices=("exact", "nearest_int", "oracle"),
                           default="exact")
     p_assign.add_argument("--window", type=int, default=3,
-                          help="search half-width for --method oracle")
+                          help=f"search half-width for --method oracle, 2 to {MAX_WINDOW}")
     _add_output_flags(p_assign)
     p_assign.set_defaults(func=cmd_assign)
 

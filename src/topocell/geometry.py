@@ -10,16 +10,24 @@ cell volumes, first-tier neighbor classes, and the worst-case distance
 between points of two neighboring cells (the quantity that bounds the usable
 cell size for a given transmission range).
 
-Each tessellation is the Voronoi tessellation of a lattice of cell centers.
-For circumradius R, ``cell_spacing`` gives the spacing constants and
-``center_offsets`` the center of cell (u, v, w) relative to cell (0, 0, 0):
+Each tessellation is the Voronoi tessellation of a lattice of cell centers,
+and each lattice has one generator basis (``lattice_basis``): an integer
+matrix M and a per-axis scale, the cell with basis ids b sitting at
+(b @ M.T) * scale from cell (0, 0, 0). With ``cell_spacing``'s constants for
+circumradius R:
 
-* CB: (u*s, v*s, w*s), cube side s = 2R/sqrt(3).
-* RD: ((2u+w)*q, (2v+w)*q, w*R), q = R/sqrt2.
-* TO: ((2u+w)*d, (2v+w)*d, w*d), d = 2R/sqrt(5).
-* HP: layers at z = w*h; within a layer, rows at y = 1.5*a*v with centers at
-  x = sqrt(3)*a*(u + (v mod 2)/2), i.e. odd rows shifted half a step along
-  x. Hexagon side a = R*sqrt(2/3), prism height h = a*sqrt(2).
+* CB, Z^3: M = I, scale (s, s, s), cube side s = 2R/sqrt(3).
+* RD, face-centered cubic D3: M = [[2,0,1],[0,2,1],[0,0,1]], (q, q, R),
+  q = R/sqrt2. TO, body-centered cubic D3*: the same M, (d, d, d),
+  d = 2R/sqrt(5).
+* HP, hexagonal A2 times Z: M = [[2,1,0],[0,1,0],[0,0,1]],
+  (sqrt(3)*a/2, 1.5*a, h), hexagon side a = R*sqrt(2/3), height h = a*sqrt2.
+
+Public ids are the paper's offset ids (u, v, w), equal to the basis ids
+except on HP, whose odd rows sit half a step further along x: its centers
+are at (sqrt(3)*a*(u + (v mod 2)/2), 1.5*a*v, h*w), and its basis ids are
+the axial ids (u - floor(v/2), v, w). ``to_basis_ids`` and
+``to_public_ids`` are the one place that converts.
 
 Vertex lists, for a cell centered at the origin:
 
@@ -128,10 +136,8 @@ class Polyhedron:
 class NeighborClass:
     """One class of first-tier neighbors (cells sharing a face, edge or vertex).
 
-    ``offset_generators`` are integer cell-id deltas producing every neighbor
-    of the class from a reference cell. For HP they are valid as stated for
-    cells in even rows (even v); the lattice module applies the odd-row
-    parity correction.  ``max_pair_distance_coeff`` is the largest distance
+    ``offset_generators`` are the public ids of the class's neighbors of
+    cell (0, 0, 0).  ``max_pair_distance_coeff`` is the largest distance
     between any point of the cell and any point of a class neighbor, divided
     by the circumradius R.
     """
@@ -161,30 +167,56 @@ def cell_spacing(shape: CellShape, circumradius: float) -> tuple[float, ...]:
     return (a, a * _SQRT2)  # hexagon side, prism height
 
 
-def center_offsets(shape: CellShape, circumradius: float, ids) -> np.ndarray:
-    """Centers of the cells ``ids`` (shape (..., 3)) relative to cell (0, 0, 0)."""
+# generator matrix M of each shape's lattice, rows indexed by x, y, z
+_BASES = {
+    CellShape.CB: np.eye(3),
+    CellShape.HP: np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    CellShape.RD: np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]),
+    CellShape.TO: np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]),
+}
+
+
+def lattice_basis(shape: CellShape, circumradius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generator matrix M (3, 3) and per-axis scale (3,): see the module docstring."""
     shape = CellShape(shape)
     spacing = cell_spacing(shape, circumradius)
-    ids = np.asarray(ids, dtype=np.int64)
-    u = ids[..., 0].astype(float)
-    v = ids[..., 1].astype(float)
-    w = ids[..., 2].astype(float)
-    if shape is CellShape.CB:
-        (s,) = spacing
-        return np.stack([u * s, v * s, w * s], axis=-1)
-    if shape is CellShape.RD:
+    if shape is CellShape.HP:
+        a, h = spacing
+        scale = (_SQRT3 * a / 2.0, 1.5 * a, h)
+    elif shape is CellShape.RD:
         q, R = spacing
-        return np.stack([(2 * u + w) * q, (2 * v + w) * q, w * R], axis=-1)
-    if shape is CellShape.TO:
-        (d,) = spacing
-        return np.stack([(2 * u + w) * d, (2 * v + w) * d, w * d], axis=-1)
-    a, h = spacing
-    parity = np.mod(ids[..., 1], 2).astype(float)
-    return np.stack([
-        _SQRT3 * a * (u + parity / 2.0),
-        1.5 * a * v,
-        h * w,
-    ], axis=-1)
+        scale = (q, q, R)
+    else:
+        scale = spacing * 3  # (s, s, s) for CB, (d, d, d) for TO
+    return _BASES[shape], np.array(scale)
+
+
+# HP's axial id alpha = u - floor(v/2) undoes the half-step shift of odd rows
+_ROW_SHIFT = np.array([1, 0, 0])
+
+
+def to_basis_ids(shape: CellShape, ids) -> np.ndarray:
+    """Basis ids of the public ids ``ids`` (integers, shape (..., 3))."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if CellShape(shape) is CellShape.HP:
+        return ids - (ids[..., 1:2] >> 1) * _ROW_SHIFT
+    return ids
+
+
+def to_public_ids(shape: CellShape, ids) -> np.ndarray:
+    """Public ids of the basis ids ``ids``, the inverse of ``to_basis_ids``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if CellShape(shape) is CellShape.HP:
+        return ids + (ids[..., 1:2] >> 1) * _ROW_SHIFT
+    return ids
+
+
+def center_offsets(shape: CellShape, circumradius: float, ids) -> np.ndarray:
+    """Centers of the cells ``ids`` (shape (..., 3)) relative to cell (0, 0, 0)."""
+    basis, scale = lattice_basis(shape, circumradius)
+    # float products and sums of small integers are exact, and BLAS has no
+    # integer matmul
+    return (to_basis_ids(shape, ids).astype(float) @ basis.T) * scale
 
 
 def build_polyhedron(shape: CellShape, center, circumradius: float) -> Polyhedron:
@@ -294,7 +326,7 @@ def _classes() -> dict[CellShape, tuple[NeighborClass, ...]]:
 
 _NEIGHBOR_CLASSES = _classes()
 
-# id offsets of the face-sharing neighbors of cell (0, 0, 0), an even row
+# ids of the face-sharing neighbors of cell (0, 0, 0)
 _FACE_IDS = {
     shape: np.array([off for cls in classes if cls.label.endswith("face")
                      for off in cls.offset_generators])

@@ -1,10 +1,12 @@
 """Integer cell addressing for the four space-filling tessellations.
 
-Every cell is named by an integer triple (u, v, w). Cell centers are
-anchored at the information sink: center = sink + center_offsets(shape, R,
-(u, v, w)) with R = max_cell_radius(shape, r_t), where the geometry module
-owns the spacing constants (CB s, RD q = R/sqrt2 and R, TO d = r_t/sqrt(17),
-HP hexagon side a and prism height h) and the center formulas.
+Every cell is named by an integer triple (u, v, w), its public offset id.
+Cell centers are anchored at the information sink: center = sink +
+center_offsets(shape, R, (u, v, w)) with R = max_cell_radius(shape, r_t).
+The geometry module owns each lattice's generator basis and the one
+conversion between public and basis ids, which differ only on HP. The
+decoders, the oracle's candidate table and the neighbor table work in
+basis ids; the public functions take and return public ids.
 
 A sensor at point p finds its cell without search. The four tessellations
 are the Voronoi cells of four classical lattices, and each lattice has a
@@ -49,18 +51,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (
-    _SQRT3,
     CellShape,
     as_point,
     cell_spacing,
     center_offsets,
+    lattice_basis,
     max_cell_radius,
     neighbor_classes,
+    to_basis_ids,
+    to_public_ids,
 )
 
 # Supported domain: every coordinate of p - sink within MAX_STEPS lattice
@@ -68,6 +73,8 @@ from .geometry import (
 # TO d, HP hexagon side a). Ids then stay within MAX_STEPS + 2 of zero, exact
 # in float arithmetic, and an id triple packs into one int64 key.
 MAX_STEPS = 2 ** 19
+# largest oracle window: windows >= 2 all give the same ids, at (2w+1)^3 rows
+MAX_WINDOW = 8
 # decisions this close to a tie, in lattice units, go to the exhaustive search
 _TIE_TOL = 1e-8
 # rows decoded at once, bounding the decoder's temporaries
@@ -89,8 +96,12 @@ class LatticeSpec:
     shape: CellShape
     r_t: float
     sink: np.ndarray = (0.0, 0.0, 0.0)
-    # cell circumradius R at the maximum usable size for r_t, derived once
+    # derived once: the circumradius R at the maximum usable size for r_t,
+    # ``geometry.lattice_basis``, and the domain step of MAX_STEPS
     circumradius: float = field(init=False)
+    basis: np.ndarray = field(init=False)
+    scale: np.ndarray = field(init=False)
+    step: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shape", CellShape(self.shape))
@@ -98,12 +109,12 @@ class LatticeSpec:
             raise ValueError("transmission range must be positive and finite")
         object.__setattr__(self, "r_t", float(self.r_t))
         object.__setattr__(self, "sink", as_point(self.sink))
-        object.__setattr__(self, "circumradius", max_cell_radius(self.shape, self.r_t))
-
-
-def _steps(spec: LatticeSpec) -> tuple[float, ...]:
-    """The spec's center-spacing constants (see ``geometry.cell_spacing``)."""
-    return cell_spacing(spec.shape, spec.circumradius)
+        R = max_cell_radius(self.shape, self.r_t)
+        basis, scale = lattice_basis(self.shape, R)
+        object.__setattr__(self, "circumradius", R)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "step", cell_spacing(self.shape, R)[0])
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
@@ -117,48 +128,30 @@ def cell_center(spec: LatticeSpec, cid) -> np.ndarray:
 
 
 def _fractional_ids(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
-    """Real-valued (u, v, w) solving the center equations, for CB/RD/TO."""
-    if spec.shape is CellShape.CB:
-        (s,) = _steps(spec)
-        return rel / s
-    if spec.shape is CellShape.RD:
-        q, R = _steps(spec)
-        w = rel[:, 2] / R
-        u = (rel[:, 0] / q - w) / 2.0
-        v = (rel[:, 1] / q - w) / 2.0
-        return np.stack([u, v, w], axis=-1)
-    if spec.shape is CellShape.TO:
-        (d,) = _steps(spec)
-        w = rel[:, 2] / d
-        u = (rel[:, 0] / d - w) / 2.0
-        v = (rel[:, 1] / d - w) / 2.0
-        return np.stack([u, v, w], axis=-1)
-    raise ValueError("HP has row-dependent fractional coordinates")
+    """Real-valued basis ids solving the center equations for rows of ``rel``."""
+    return (rel / spec.scale) @ np.linalg.inv(spec.basis).T
 
 
-# Each decoder takes the shape's spacing constants and the points relative
-# to the sink as a (3, n) array. It returns the ids as a (3, n) float array
-# of integers, plus a mask of the points whose decision is within _TIE_TOL of
-# a tie.
+# Each decoder takes the basis scale as a (3, 1) column and the points
+# relative to the sink as a (3, n) array. It returns the basis ids, through a
+# fixed matrix, as a (3, n) float array of integers, plus a mask of the
+# points whose decision is within _TIE_TOL of a tie.
 
-# (u, v, w) from the decoders' lattice coordinates: (2u+w, 2v+w, w) for TO,
-# (u+v+w, u-v, w) for RD
+# basis ids from the decoders' lattice coordinates: (2u+w, 2v+w, w) for TO,
+# (u+v+w, u-v, w) for RD, (alpha + v/2, v/2, w) for HP
 _TO_IDS = np.array([[0.5, 0.0, -0.5], [0.0, 0.5, -0.5], [0.0, 0.0, 1.0]])
 _RD_IDS = np.array([[0.5, 0.5, -0.5], [0.5, -0.5, -0.5], [0.0, 0.0, 1.0]])
-_HP_SHIFT = np.array([[0.5], [0.5], [0.0]])
-_HP_IDS = np.array([[1.0], [2.0], [1.0]])
+_HP_IDS = np.array([[1.0, -1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _decode_cb(steps: tuple[float, ...], rel: np.ndarray):
-    (s,) = steps
-    t = rel / s
+def _decode_cb(scale: np.ndarray, rel: np.ndarray):
+    t = rel / scale
     best = np.rint(t)
     return best, (np.abs(t - best) >= 0.5 - _TIE_TOL).any(axis=0)
 
 
-def _decode_to(steps: tuple[float, ...], rel: np.ndarray):
-    (d,) = steps
-    t = rel / d
+def _decode_to(scale: np.ndarray, rel: np.ndarray):
+    t = rel / scale
     even = 2.0 * np.rint(0.5 * t)
     err = t - even  # in [-1, 1]
     # the nearest odd point is even + sign(err) per coordinate, at distance
@@ -172,8 +165,8 @@ def _decode_to(steps: tuple[float, ...], rel: np.ndarray):
     return _TO_IDS @ best, tie
 
 
-def _decode_rd(steps: tuple[float, ...], rel: np.ndarray):
-    q, R = steps
+def _decode_rd(scale: np.ndarray, rel: np.ndarray):
+    q, _, R = scale[:, 0]
     c = 0.5 / q  # to D3 coordinates (u+v+w, u-v, w), integers with an even sum
     t = np.array([[c, c, 0.0], [c, -c, 0.0], [0.0, 0.0, 1.0 / R]]) @ rel
     best = np.rint(t)
@@ -187,23 +180,24 @@ def _decode_rd(steps: tuple[float, ...], rel: np.ndarray):
     return _RD_IDS @ best, tie
 
 
-def _decode_hp(steps: tuple[float, ...], rel: np.ndarray):
-    a, h = steps
-    # in (S, T, W) = (x/(sqrt3 a), y/(3a), z/h) even rows are the integer
-    # points and odd rows are shifted by (1/2, 1/2, 0); squared distance is
-    # proportional to dS^2 + 3 dT^2 in the plane
-    t = rel / np.array([[_SQRT3 * a], [3.0 * a], [h]])
-    even = np.rint(t)
-    err = t - even
+def _decode_hp(scale: np.ndarray, rel: np.ndarray):
+    # HP is the one lattice decoded in its own coordinates: in
+    # (S, T, W) = (x/(sqrt3 a), y/(3a), z/h), half the scaled coordinates in
+    # the plane, even rows are the integer points and odd rows are shifted by
+    # (1/2, 1/2, 0); squared distance is proportional to dS^2 + 3 dT^2 there
+    t = rel / scale
+    t[:2] *= 0.5
+    best = np.rint(t)
+    err = t - best
     e = np.abs(err)
     # the nearest odd-row point is half a step toward t on S and T
     margin = e[0] + 3.0 * e[1] - 1.0
     odd = margin > 0
-    best = even + odd * _HP_SHIFT * np.sign(err)
+    best[:2] += 0.5 * odd * np.sign(err[:2])
     half = 0.5 - _TIE_TOL
     tie = (np.abs(margin) <= _TIE_TOL) | (e[2] >= half) | np.where(
         odd, e[:2].min(axis=0) <= _TIE_TOL, e[:2].max(axis=0) >= half)
-    return np.floor(best * _HP_IDS), tie  # u = floor(S), v = 2T, w = W
+    return _HP_IDS @ best, tie
 
 
 _DECODERS = {
@@ -222,12 +216,12 @@ def _check_points(points) -> np.ndarray:
     return pts
 
 
-def _check_reach(rel: np.ndarray, step: float) -> None:
+def _check_reach(spec: LatticeSpec, rel: np.ndarray) -> None:
     """Reject offsets from the sink that are not finite or exceed MAX_STEPS."""
-    if not np.abs(rel).max(initial=0.0) <= MAX_STEPS * step:
+    if not np.abs(rel).max(initial=0.0) <= MAX_STEPS * spec.step:
         raise ValueError(
             f"point coordinates must be finite and within {MAX_STEPS} lattice steps "
-            f"({MAX_STEPS * step:.6g} m) of the sink along each axis")
+            f"({MAX_STEPS * spec.step:.6g} m) of the sink along each axis")
 
 
 def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
@@ -240,18 +234,18 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     """
     pts = _check_points(points)
     decode = _DECODERS[spec.shape]
-    steps = _steps(spec)
+    scale = spec.scale[:, None]
     ids = np.empty((len(pts), 3), dtype=np.int64)
     for start in range(0, len(pts), _CHUNK):
         chunk = pts[start:start + _CHUNK]
         rel = (chunk - spec.sink).T.copy()
-        _check_reach(rel, steps[0])
-        block, tie = decode(steps, rel)
+        _check_reach(spec, rel)
+        block, tie = decode(scale, rel)
         out = ids[start:start + _CHUNK]
         out[...] = block.T
         if tie.any():
-            out[tie] = assign_cells_oracle(spec, chunk[tie])
-    return ids
+            out[tie] = to_basis_ids(spec.shape, assign_cells_oracle(spec, chunk[tie]))
+    return to_public_ids(spec.shape, ids)
 
 
 def assign_cell(spec: LatticeSpec, p) -> CellId:
@@ -274,7 +268,7 @@ def assign_cells_nearest_int(spec: LatticeSpec, points) -> np.ndarray:
     if spec.shape is not CellShape.TO:
         raise ValueError("nearest-integer assignment is only defined for the TO lattice")
     rel = _check_points(points) - spec.sink
-    _check_reach(rel, _steps(spec)[0])
+    _check_reach(spec, rel)
     return _round_half_away(_fractional_ids(spec, rel)).astype(np.int64)
 
 
@@ -284,32 +278,26 @@ def assign_cell_nearest_int(spec: LatticeSpec, p) -> CellId:
 
 
 def _rounded_base(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
+    """Public id of the rounded real solution, the middle of the oracle window."""
     if spec.shape is CellShape.HP:
-        a, h = _steps(spec)
-        w = _round_half_away(rel[:, 2] / h)
-        v = _round_half_away(rel[:, 1] / (1.5 * a))
-        u = _round_half_away(rel[:, 0] / (_SQRT3 * a) - np.mod(v, 2.0) / 2.0)
-        return np.stack([u, v, w], axis=-1).astype(np.int64)
+        # HP rounds its public ids, row first: rounding the basis ids moves
+        # the window's middle, and with it which of two float near-ties wins
+        t = rel / spec.scale
+        v = _round_half_away(t[:, 1])
+        u = _round_half_away(t[:, 0] / 2.0 - np.mod(v, 2.0) / 2.0)
+        return np.stack([u, v, _round_half_away(t[:, 2])], axis=-1).astype(np.int64)
     return _round_half_away(_fractional_ids(spec, rel)).astype(np.int64)
-
-
-def _center_offset_for(spec: LatticeSpec, offs: np.ndarray, v_parity: int) -> np.ndarray:
-    """Center displacement produced by adding id offsets, per base-row parity."""
-    if v_parity:
-        # HP from an odd row: an odd dv lands half a step back along x, which
-        # is the even-row displacement of (du - 1, dv, dw)
-        offs = offs - np.outer(offs[:, 1] & 1, (1, 0, 0))
-    return center_offsets(spec.shape, spec.circumradius, offs)
 
 
 def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarray:
     """Exhaustive-search assignment over a (2*window+1)^3 id neighborhood.
 
-    Ground truth for the constant-time method: enumerates every id within
-    ``window`` of the rounded real solution and returns the nearest center,
-    with the same smallest-(u, v, w) tie rule. Centers further than the
-    window are farther away than any candidate inside it, so window >= 2 is
-    already exhaustive in effect; the default of 3 leaves margin.
+    Ground truth for the constant-time method: enumerates every basis id
+    within ``window`` of the rounded real solution and returns the nearest
+    center, with the same smallest-(u, v, w) tie rule. Centers further than
+    the window are farther away than any candidate inside it, so window >= 2
+    is already exhaustive in effect; the default of 3 leaves margin, and
+    windows above MAX_WINDOW only cost time and memory, so they are refused.
 
     Each chunk of points scores only the window's candidates within
     max|q| + R of the rounded center, q = p - center(rounded id), with a
@@ -317,41 +305,28 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     circumradius R, so the nearest center is within R of p, and any
     candidate farther than |q| + R from the rounded center is farther than
     R from p: it can neither win nor tie. The kept candidates stay in
-    lexicographic order, so the first minimum is still the smallest id and
-    the result equals the full-window search, ties included.
+    lexicographic order of basis ids, so the first minimum is the smallest
+    id (on HP, whose basis order differs from the public order, rows with
+    several exact minima take the smallest public id among them), and the
+    result equals the full-window search, ties included.
     """
-    if window < 2:
-        raise ValueError("oracle window must be at least 2")
+    if not 2 <= window <= MAX_WINDOW:
+        raise ValueError(f"oracle window must be between 2 and {MAX_WINDOW}")
     pts = _check_points(points)
     rel = pts - spec.sink
-    _check_reach(rel, _steps(spec)[0])
+    _check_reach(spec, rel)
     base = _rounded_base(spec, rel)
     rng = np.arange(-window, window + 1, dtype=np.int64)
+    # basis-id offsets in lexicographic order and their center displacements
     offs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    # lexicographic candidate order makes the first tie the smallest id
-    order = np.lexsort((offs[:, 2], offs[:, 1], offs[:, 0]))
-    offs = offs[order]
+    doff = (offs.astype(float) @ spec.basis.T) * spec.scale
 
     out = np.empty((len(pts), 3), dtype=np.int64)
     chunk = max(1, int(2_000_000 // len(offs)))
     for start in range(0, len(pts), chunk):
         sl = slice(start, min(start + chunk, len(pts)))
-        out[sl] = _oracle_chunk(spec, pts[sl], base[sl], offs)
+        out[sl] = _oracle_gemm(spec, pts[sl], base[sl], offs, doff)
     return out
-
-
-def _oracle_chunk(spec, pts, base, offs):
-    if spec.shape is CellShape.HP:
-        result = np.empty((len(pts), 3), dtype=np.int64)
-        for parity in (0, 1):
-            mask = (base[:, 1] & 1) == parity
-            if not mask.any():
-                continue
-            doff = _center_offset_for(spec, offs, parity)
-            result[mask] = _oracle_gemm(spec, pts[mask], base[mask], offs, doff)
-        return result
-    doff = _center_offset_for(spec, offs, 0)
-    return _oracle_gemm(spec, pts, base, offs, doff)
 
 
 def _oracle_gemm(spec, pts, base, offs, doff):
@@ -366,8 +341,16 @@ def _oracle_gemm(spec, pts, base, offs, doff):
     keep = doff2 <= reach * reach
     offs, doff, doff2 = offs[keep], doff[keep], doff2[keep]
     d2 = q2 - 2.0 * (q @ doff.T) + doff2
-    # argmin takes the first minimum, the smallest id in lexicographic order
-    return base + offs[d2.argmin(axis=1)]
+    # argmin takes the first minimum, the smallest basis id
+    base = to_basis_ids(spec.shape, base)
+    ids = to_public_ids(spec.shape, base + offs[d2.argmin(axis=1)])
+    if spec.shape is CellShape.HP:
+        # HP's basis order is not its public order: rows with several exact
+        # minima take the smallest public id among them
+        tied = d2 == d2.min(axis=1, keepdims=True)
+        for r in np.flatnonzero(tied.sum(axis=1) > 1):
+            ids[r] = min(to_public_ids(spec.shape, base[r] + offs[tied[r]]).tolist())
+    return ids
 
 
 def assign_cell_oracle(spec: LatticeSpec, p, window: int = 3) -> CellId:
@@ -375,14 +358,22 @@ def assign_cell_oracle(spec: LatticeSpec, p, window: int = 3) -> CellId:
     return CellId(int(row[0]), int(row[1]), int(row[2]))
 
 
+# basis-id offsets of the first-tier neighbors of any cell, in the order of
+# the neighbor classes and their generators
+_NEIGHBOR_OFFSETS = {
+    shape: to_basis_ids(shape, [off for cls in neighbor_classes(shape)
+                                for off in cls.offset_generators])
+    for shape in CellShape
+}
+
+
+# CellId from a row without the Python-level constructor; neighbors() makes
+# one per neighbor on every routing hop
+_cell_id = partial(tuple.__new__, CellId)
+
+
 def neighbors(spec: LatticeSpec, cid) -> list[CellId]:
     """All first-tier neighbor ids of a cell (14 TO, 18 RD, 20 HP, 26 CB)."""
-    cid = CellId(*map(int, tuple(cid)))
-    odd_row = spec.shape is CellShape.HP and (cid.v & 1) == 1
-    out = []
-    for cls in neighbor_classes(spec.shape):
-        for du, dv, dw in cls.offset_generators:
-            if odd_row and dv % 2 != 0:
-                du += 1  # odd rows sit half a step further along x
-            out.append(CellId(cid.u + du, cid.v + dv, cid.w + dw))
-    return out
+    cell = to_basis_ids(spec.shape, tuple(cid))
+    ids = to_public_ids(spec.shape, cell + _NEIGHBOR_OFFSETS[spec.shape])
+    return list(map(_cell_id, ids.tolist()))

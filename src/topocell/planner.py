@@ -255,7 +255,7 @@ def verify_connectivity(spec: LatticeSpec, circumradius: float | None = None,
     for cls in neighbor_classes(spec.shape):
         worst = 0.0
         for off in cls.offset_generators:
-            # the neighbor on the lattice of radius-R cells; (0,0,0) is an even row
+            # the neighbor on the lattice of radius-R cells
             center = center_offsets(spec.shape, R, off)
             other = build_polyhedron(spec.shape, center, R)
             worst = max(worst, max_vertex_pair_distance(base, other))

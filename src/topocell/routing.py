@@ -6,7 +6,9 @@ alive neighbor whose id is strictly closer to the destination id under the
 squared id-space metric (ud-u)^2 + (vd-v)^2 + (wd-w)^2. The metric is a
 nonnegative integer that shrinks every hop, so routes always terminate; if
 no alive neighbor improves it before the destination is reached, the route
-is a dead end (no recovery is attempted).
+is a dead end (no recovery is attempted). Endpoints must be ids of the
+supported domain, every coordinate within MAX_STEPS + 2 of zero, which also
+bounds the length of any route.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import CellId, LatticeSpec, neighbors
+from .lattice import MAX_STEPS, CellId, LatticeSpec, neighbors
 
 DELIVERED = "delivered"
 DEAD_END = "dead_end"
@@ -32,6 +34,13 @@ class RoutePath:
     @property
     def hop_count(self) -> int:
         return len(self.hops) - 1
+
+
+def _cell(cid, role: str) -> CellId:
+    cid = CellId(*map(int, tuple(cid)))
+    if max(map(abs, cid)) > MAX_STEPS + 2:
+        raise ValueError(f"{role} cell id must lie within {MAX_STEPS + 2} of zero on each axis")
+    return cid
 
 
 def _metric(a: CellId, b: CellId) -> int:
@@ -62,8 +71,8 @@ def greedy_route(spec: LatticeSpec, src, dst,
     routes; ``tie_break="random"`` instead picks uniformly among all
     qualifying neighbors using the given seed.
     """
-    src = CellId(*map(int, tuple(src)))
-    dst = CellId(*map(int, tuple(dst)))
+    src = _cell(src, "source")
+    dst = _cell(dst, "destination")
     if alive is not None and not alive(src):
         raise ValueError("source cell is not alive")
     if alive is not None and not alive(dst):
@@ -89,6 +98,6 @@ def greedy_route(spec: LatticeSpec, src, dst,
 def neighbor_choice_count(spec: LatticeSpec, current, dst,
                           alive: Callable[[CellId], bool] | None = None) -> int:
     """How many alive neighbors make strict progress toward dst."""
-    cur = CellId(*map(int, tuple(current)))
-    target = CellId(*map(int, tuple(dst)))
+    cur = _cell(current, "current")
+    target = _cell(dst, "destination")
     return len(_qualifying(spec, cur, target, alive))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _SQRT3, CellShape, build_polyhedron, cell_spacing
+from .geometry import CellShape, build_polyhedron
 from .lattice import (
     LatticeSpec,
     assign_cells,
@@ -167,59 +167,26 @@ def _range_count(lo: float, hi: float) -> int:
     return max(0, n1 - n0 + 1)
 
 
-def _parity_count(lo: float, hi: float, parity: int) -> int:
-    """Number of integers of the given parity in [lo, hi]."""
-    n0 = math.ceil(lo)
-    n1 = math.floor(hi)
-    if n1 < n0:
-        return 0
-    first = n0 + ((parity - n0) % 2)
-    if first > n1:
-        return 0
-    return (n1 - first) // 2 + 1
-
-
 def active_count(spec: LatticeSpec, box: Box) -> int:
     """Number of cell centers inside the box: the active-node population.
 
     With one node active per cell, the number of simultaneously active
     nodes in a region equals the number of cells whose center falls in it.
     """
-    lo = box.lo - spec.sink
-    hi = box.hi - spec.sink
-    shape = spec.shape
-    spacing = cell_spacing(shape, spec.circumradius)
-    if shape is CellShape.CB:
-        (s,) = spacing
-        return (
-            _range_count(lo[0] / s, hi[0] / s)
-            * _range_count(lo[1] / s, hi[1] / s)
-            * _range_count(lo[2] / s, hi[2] / s)
-        )
-    if shape is CellShape.HP:
-        a, h = spacing
-        n_layers = _range_count(lo[2] / h, hi[2] / h)
-        vlo, vhi = lo[1] / (1.5 * a), hi[1] / (1.5 * a)
-        xs = _SQRT3 * a
-        in_plane = 0
-        for parity in (0, 1):
-            rows = _parity_count(vlo, vhi, parity)
-            cols = _range_count(lo[0] / xs - parity / 2.0, hi[0] / xs - parity / 2.0)
-            in_plane += rows * cols
-        return in_plane * n_layers
-    # RD and TO: z fixes w, then u and v ranges follow independently
-    if shape is CellShape.RD:
-        q, zstep = spacing
-    else:
-        (q,) = spacing
-        zstep = q
+    # a center's coordinate i is scale_i * (M_ii b_i + M_ij b_j), where j is
+    # the basis id the others depend on (w for RD and TO, v for HP): for each
+    # b_j the other two basis ids range independently
+    m = spec.basis.tolist()
+    j = int(np.count_nonzero(spec.basis, axis=0).argmax())
+    lo = ((box.lo - spec.sink) / spec.scale).tolist()
+    hi = ((box.hi - spec.sink) / spec.scale).tolist()
     total = 0
-    w0 = math.ceil(lo[2] / zstep)
-    w1 = math.floor(hi[2] / zstep)
-    for w in range(w0, w1 + 1):
-        cu = _range_count((lo[0] / q - w) / 2.0, (hi[0] / q - w) / 2.0)
-        cv = _range_count((lo[1] / q - w) / 2.0, (hi[1] / q - w) / 2.0)
-        total += cu * cv
+    for b in range(math.ceil(lo[j]), math.floor(hi[j]) + 1):
+        count = 1
+        for i in {0, 1, 2} - {j}:
+            count *= _range_count((lo[i] - m[i][j] * b) / m[i][i],
+                                  (hi[i] - m[i][j] * b) / m[i][i])
+        total += count
     return total
 
 

@@ -76,6 +76,7 @@ def brute_worst_coeff(shape):
 def test_criterion_1_radius_coefficients():
     t0 = time.time()
     ok = True
+    coeffs = {}
     for shape in SHAPES:
         coeff = max_cell_radius(shape, 1.0)
         ref = REFERENCE_RADIUS[shape]
@@ -83,14 +84,17 @@ def test_criterion_1_radius_coefficients():
         # closed form against exhaustive vertex-pair maximization
         brute = 1.0 / brute_worst_coeff(shape)
         ok &= abs(coeff - brute) <= 1e-9 * coeff
+        coeffs[shape.value] = f"{coeff:.6f}"
     elapsed = time.time() - t0
     ok &= elapsed < 1.0
-    assert report(1, "table I radii", ok), f"elapsed={elapsed:.2f}s"
+    measured = f"radius/r_t={coeffs}, elapsed={elapsed:.2f}s"
+    assert report(1, "table I radii", ok, measured), measured
 
 
 def test_criterion_2_neighbor_distances():
     t0 = time.time()
     ok = True
+    worst_per_shape = {}
     for shape in SHAPES:
         spec = LatticeSpec(shape, worst_neighbor_coeff(shape))  # R = 1
         base = build_polyhedron(shape, (0.0, 0.0, 0.0), 1.0)
@@ -102,9 +106,12 @@ def test_criterion_2_neighbor_distances():
             ref = REFERENCE_CLASS_COEFF[(shape, cls.label)]
             ok &= abs(worst - ref.value) <= ref.gate(1e-6)
             ok &= abs(worst - cls.max_pair_distance_coeff) <= 1e-9
+            worst_per_shape[shape.value] = max(worst, worst_per_shape.get(shape.value, 0.0))
     elapsed = time.time() - t0
     ok &= elapsed < 1.0
-    assert report(2, "table I neighbor distances", ok), f"elapsed={elapsed:.2f}s"
+    shown = {k: f"{v:.6f}" for k, v in worst_per_shape.items()}
+    measured = f"worst/R={shown}, elapsed={elapsed:.2f}s"
+    assert report(2, "table I neighbor distances", ok, measured), measured
 
 
 def test_criterion_3_sensing_ranges():
@@ -128,12 +135,15 @@ def test_criterion_4_table_ii():
     lo = np.array([0.1234, 0.5678, 0.9012])
     box = Box(lo=lo, hi=lo + 30.0)
     counts = {shape: active_count(LatticeSpec(shape, 1.0), box) for shape in SHAPES}
+    ratios = {}
     for shape in (CellShape.CB, CellShape.HP, CellShape.RD):
         ratio = counts[shape] / counts[CellShape.TO]
         ok &= abs(ratio - active_node_ratio(shape)) <= 0.02 * active_node_ratio(shape)
+        ratios[shape.value] = f"{ratio:.4f}"
     elapsed = time.time() - t0
     ok &= elapsed < 5.0
-    assert report(4, "table II ratios", ok), f"elapsed={elapsed:.2f}s"
+    measured = f"count ratios to TO={ratios}, elapsed={elapsed:.2f}s"
+    assert report(4, "table II ratios", ok, measured), measured
 
 
 def test_criterion_5_exact_assignment_matches_oracle():
@@ -187,7 +197,8 @@ def test_criterion_7_roundtrip():
             back = assign_cells(spec, cell_centers(spec, ids))
             failures += int((back != ids).any(axis=1).sum())
     ok = failures == 0
-    assert report(7, "center/assign roundtrip", ok), f"failures={failures}"
+    measured = f"failures={failures} of {len(ids) * len(SHAPES) * 3} ids"
+    assert report(7, "center/assign roundtrip", ok, measured), measured
 
 
 def test_criterion_8_lifetime_ratios():

@@ -12,10 +12,10 @@ from topocell.cli import main
 SQRT17 = math.sqrt(17.0)
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "topocell", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -105,6 +105,14 @@ class TestAssign:
         assert code == 3
         assert out == ""
         assert "lattice steps" in err
+
+    def test_oversized_oracle_window_is_invalid_parameter(self):
+        code, out, err = run_cli(["assign", "--shape", "to", "--rt", "1",
+                                  "--point", "0.6,0.6,0.6", "--method", "oracle",
+                                  "--window", "9"])
+        assert code == 3
+        assert out == ""
+        assert "window" in err
 
     def test_malformed_point_is_usage_error(self):
         code, _, _ = run_cli(["assign", "--shape", "to", "--rt", "1",
@@ -207,6 +215,16 @@ class TestRoute:
         assert code == 3
         assert "not alive" in err
 
+
+    def test_endpoint_outside_domain_is_invalid_parameter(self):
+        # rejected before the first hop; a walk toward this id would take
+        # about 1e20 hops, so the timeout turns a hang into a failure
+        code, out, err = run_cli(["route", "--shape", "to", "--rt", "1",
+                                  "--src", "0,0,0", "--dst", "100000000000000000000,0,0",
+                                  "--format", "csv"], timeout=30)
+        assert code == 3
+        assert out == ""
+        assert "destination" in err
 
     @pytest.mark.parametrize("line", ["1,2", "1,2,x", "1,2,3,4"])
     def test_malformed_dead_cells_is_io_error(self, tmp_path, line):

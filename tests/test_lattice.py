@@ -7,9 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from topocell.geometry import CellShape, build_polyhedron, cell_spacing, max_cell_radius
+from topocell.geometry import (
+    CellShape,
+    build_polyhedron,
+    cell_spacing,
+    center_offsets,
+    max_cell_radius,
+    neighbor_classes,
+    to_basis_ids,
+    to_public_ids,
+)
 from topocell.lattice import (
     MAX_STEPS,
+    MAX_WINDOW,
     CellId,
     LatticeSpec,
     assign_cell,
@@ -265,6 +275,45 @@ class TestOracle:
         spec = LatticeSpec(CellShape.TO, 1.0)
         with pytest.raises(ValueError):
             assign_cell_oracle(spec, (0, 0, 0), window=1)
+        with pytest.raises(ValueError, match="window"):
+            assign_cell_oracle(spec, (0, 0, 0), window=MAX_WINDOW + 1)
+        assert assign_cell_oracle(spec, (0, 0, 0), window=MAX_WINDOW) == CellId(0, 0, 0)
+
+    @pytest.mark.parametrize("r_t,sink", [(0.8, (1.0, -0.32, 2.264)), (1.0, (0.5, 0.25, -1.0))])
+    def test_hp_exact_ties_take_smallest_public_id(self, r_t, sink):
+        # Neighbor-pair midpoints and cell vertices, where the oracle's
+        # expanded distances often tie exactly. The reference scores the
+        # public-id window in lexicographic order, an odd base row displacing
+        # by the even-row offset of (du - 1, dv, dw), so its first minimum is
+        # the smallest public id; its rounded base and distance expansion are
+        # the oracle's.
+        spec = LatticeSpec(CellShape.HP, r_t, sink=sink)
+        R = spec.circumradius
+        a, h = cell_spacing(CellShape.HP, R)
+        cells = id_grid(3)
+        centers = cell_centers(spec, cells)
+        mids = [(c + cell_centers(spec, np.array(neighbors(spec, tuple(cell))))) / 2.0
+                for cell, c in zip(cells, centers)]
+        verts = [build_polyhedron(CellShape.HP, c, R).vertices for c in centers]
+        pts = np.vstack(mids + verts)
+        rel = pts - spec.sink
+
+        def round_half_away(x):
+            return np.trunc(x + np.copysign(0.5, x))
+
+        v = round_half_away(rel[:, 1] / (1.5 * a))
+        u = round_half_away(rel[:, 0] / (math.sqrt(3.0) * a) - np.mod(v, 2.0) / 2.0)
+        base = np.stack([u, v, round_half_away(rel[:, 2] / h)], axis=-1).astype(np.int64)
+        offs = id_grid(3)
+        q = pts - cell_centers(spec, base)
+        q2 = (q ** 2).sum(axis=1, keepdims=True)
+        want = np.empty_like(base)
+        for parity in (0, 1):
+            rows = (base[:, 1] & 1) == parity
+            doff = center_offsets(CellShape.HP, R, offs - parity * np.outer(offs[:, 1] & 1, (1, 0, 0)))
+            d2 = q2[rows] - 2.0 * (q[rows] @ doff.T) + (doff ** 2).sum(axis=1)
+            want[rows] = base[rows] + offs[d2.argmin(axis=1)]
+        assert (assign_cells_oracle(spec, pts) == want).all()
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("r_t,sink", RANDOM_SPECS[:2])
@@ -367,6 +416,69 @@ class TestNeighbors:
         for nb in neighbors(spec, (0, 0, 0)):
             d = np.linalg.norm(cell_center(spec, nb) - c0)
             assert d <= 2 * R * worst_neighbor_coeff(shape)
+
+
+class TestBasis:
+    """Public offset ids against the generator bases: the offset rules the
+    library no longer spells out, kept here as references."""
+
+    @staticmethod
+    def offset_centers(shape, R, ids):
+        # the center of public id (u, v, w) relative to cell (0, 0, 0)
+        spacing = cell_spacing(shape, R)
+        u, v, w = (ids[:, k].astype(float) for k in range(3))
+        if shape is CellShape.CB:
+            (s,) = spacing
+            return np.stack([u * s, v * s, w * s], axis=-1)
+        if shape is CellShape.RD:
+            q, R = spacing
+            return np.stack([(2 * u + w) * q, (2 * v + w) * q, w * R], axis=-1)
+        if shape is CellShape.TO:
+            (d,) = spacing
+            return np.stack([(2 * u + w) * d, (2 * v + w) * d, w * d], axis=-1)
+        a, h = spacing
+        parity = np.mod(ids[:, 1], 2).astype(float)
+        return np.stack([math.sqrt(3.0) * a * (u + parity / 2.0), 1.5 * a * v, h * w], axis=-1)
+
+    @staticmethod
+    def random_ids(seed, n=200_000):
+        # ids anywhere in the domain, within MAX_STEPS + 2 of zero
+        rng = np.random.default_rng(seed)
+        return rng.integers(-(MAX_STEPS + 2), MAX_STEPS + 3, (n, 3))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("r_t,sink", RANDOM_SPECS)
+    def test_centers_match_offset_formulas_bit_for_bit(self, shape, r_t, sink):
+        spec = LatticeSpec(shape, r_t, sink=sink)
+        ids = self.random_ids(41)
+        want = self.offset_centers(shape, spec.circumradius, ids)
+        got = center_offsets(shape, spec.circumradius, ids)
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+        assert (cell_centers(spec, ids).view(np.int64)
+                == (spec.sink + want).view(np.int64)).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_public_basis_roundtrip(self, shape):
+        ids = self.random_ids(42)
+        basis = to_basis_ids(shape, ids)
+        assert (to_public_ids(shape, basis) == ids).all()
+        assert (to_basis_ids(shape, to_public_ids(shape, ids)) == ids).all()
+        if shape is not CellShape.HP:
+            assert (basis == ids).all()
+
+    def test_hp_neighbors_follow_odd_row_rule(self):
+        # the generators as stated about cell (0, 0, 0); a cell on an odd row
+        # takes du + 1 for every odd dv, as its row sits half a step along x
+        spec = LatticeSpec(CellShape.HP, 1.0)
+        gens = [off for cls in neighbor_classes(CellShape.HP) for off in cls.offset_generators]
+        cells = self.random_ids(43, n=2000)
+        cells[::2, 1] &= ~1
+        cells[1::2, 1] |= 1
+        for u, v, w in cells.tolist():
+            odd_row = v % 2 == 1
+            want = [CellId(u + du + int(odd_row and dv % 2 == 1), v + dv, w + dw)
+                    for du, dv, dw in gens]
+            assert neighbors(spec, (u, v, w)) == want
 
 
 class TestInjectivity:

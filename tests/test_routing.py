@@ -1,10 +1,8 @@
-from collections import deque
-
 import numpy as np
 import pytest
 
 from topocell.geometry import CellShape
-from topocell.lattice import CellId, LatticeSpec, neighbors
+from topocell.lattice import MAX_STEPS, CellId, LatticeSpec, neighbors
 from topocell.routing import (
     DEAD_END,
     DELIVERED,
@@ -19,21 +17,26 @@ def metric(a, b):
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
 
 
-def bfs_distance(spec, src, dst, bound=30):
-    """Graph distance on the id lattice, restricted to a bounding box."""
-    src, dst = tuple(src), tuple(dst)
-    seen = {src: 0}
-    dq = deque([src])
-    while dq:
-        cur = dq.popleft()
-        if cur == dst:
-            return seen[cur]
-        for nb in neighbors(spec, cur):
-            t = tuple(nb)
-            if t not in seen and all(abs(x) <= bound for x in t):
-                seen[t] = seen[cur] + 1
-                dq.append(t)
-    return None
+def distance_field(spec, bound):
+    """Graph distance from cell (0, 0, 0) to every id within ``bound`` on each
+    axis (-1 where unreached), by breadth-first search restricted to that
+    box. The id graph is translation invariant, so the distance from src to
+    dst is the field at dst - src."""
+    offsets = np.array(neighbors(spec, (0, 0, 0)))
+    size = 2 * bound + 1
+    dist = -np.ones((size, size, size), dtype=np.int32)
+    frontier = np.array([[bound, bound, bound]])
+    dist[bound, bound, bound] = 0
+    level = 0
+    while len(frontier):
+        level += 1
+        nxt = (frontier[:, None, :] + offsets).reshape(-1, 3)
+        nxt = nxt[((nxt >= 0) & (nxt < size)).all(axis=1)]
+        idx = np.unique(np.ravel_multi_index(tuple(nxt.T), dist.shape))
+        idx = idx[dist.flat[idx] < 0]
+        dist.flat[idx] = level
+        frontier = np.stack(np.unravel_index(idx, dist.shape), axis=-1)
+    return dist
 
 
 class TestGreedyRoute:
@@ -92,15 +95,33 @@ class TestGreedyRoute:
             greedy_route(SPEC, (0, 0, 0), (1, 0, 0), tie_break="nope")
 
     def test_random_sample_delivers_with_bfs_bound(self):
+        bound = 30
+        field = distance_field(SPEC, bound)
         rng = np.random.default_rng(31)
         for _ in range(60):
             src = tuple(int(x) for x in rng.integers(-6, 7, 3))
             dst = tuple(int(x) for x in rng.integers(-6, 7, 3))
             path = greedy_route(SPEC, src, dst)
             assert path.outcome == DELIVERED
-            d = bfs_distance(SPEC, src, dst)
+            d = int(field[tuple(b - a + bound for a, b in zip(src, dst))])
+            d = None if d < 0 else d
             assert d is not None
             assert path.hop_count >= d
+
+    def test_endpoints_outside_id_domain_rejected(self):
+        edge = MAX_STEPS + 2
+        assert greedy_route(SPEC, (edge, -edge, 0), (edge, -edge, 0)).hop_count == 0
+        for axis in range(3):
+            far = [0, 0, 0]
+            far[axis] = (-1) ** axis * (edge + 1)
+            with pytest.raises(ValueError, match="within"):
+                greedy_route(SPEC, far, (0, 0, 0))
+            with pytest.raises(ValueError, match="within"):
+                greedy_route(SPEC, (0, 0, 0), far)
+            with pytest.raises(ValueError, match="within"):
+                neighbor_choice_count(SPEC, far, (0, 0, 0))
+            with pytest.raises(ValueError, match="within"):
+                neighbor_choice_count(SPEC, (0, 0, 0), far)
 
 
 class TestNeighborChoiceCount:
