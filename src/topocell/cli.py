@@ -160,6 +160,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_assign(args) -> int:
+    if not 2 <= args.window <= MAX_WINDOW:
+        raise ValueError(f"--window must be between 2 and {MAX_WINDOW}")
     spec = _spec(vars(args), args.shape)
     point = np.asarray(args.point)
     if args.method == "exact":
@@ -301,7 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_assign.add_argument("--method", choices=("exact", "nearest_int", "oracle"),
                           default="exact")
     p_assign.add_argument("--window", type=int, default=3,
-                          help=f"search half-width for --method oracle, 2 to {MAX_WINDOW}")
+                          help=f"search half-width for --method oracle, 2 to {MAX_WINDOW} "
+                               "(checked for every method)")
     _add_output_flags(p_assign)
     p_assign.set_defaults(func=cmd_assign)
 

@@ -23,6 +23,14 @@ circumradius R:
 * HP, hexagonal A2 times Z: M = [[2,1,0],[0,1,0],[0,0,1]],
   (sqrt(3)*a/2, 1.5*a, h), hexagon side a = R*sqrt(2/3), height h = a*sqrt2.
 
+In the scaled coordinates y = b @ M.T, every one of these lattices is the
+rectangular lattice diag(P) Z^3 or the union of it and its shift by 1
+along every axis of period 2 (``coset_period``):
+
+* CB, P = (1, 1, 1): one coset.
+* HP, P = (2, 2, 1): shift (1, 1, 0) = M (0, 1, 0).
+* RD and TO, P = (2, 2, 2): shift (1, 1, 1) = M (0, 0, 1).
+
 Public ids are the paper's offset ids (u, v, w), equal to the basis ids
 except on HP, whose odd rows sit half a step further along x: its centers
 are at (sqrt(3)*a*(u + (v mod 2)/2), 1.5*a*v, h*w), and its basis ids are
@@ -174,6 +182,24 @@ _BASES = {
     CellShape.RD: np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]),
     CellShape.TO: np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]),
 }
+
+
+# per-axis period P of the rectangular lattice diag(P) Z^3 inside M Z^3
+_PERIODS = {
+    CellShape.CB: np.array([1.0, 1.0, 1.0]),
+    CellShape.HP: np.array([2.0, 2.0, 1.0]),
+    CellShape.RD: np.array([2.0, 2.0, 2.0]),
+    CellShape.TO: np.array([2.0, 2.0, 2.0]),
+}
+
+
+def coset_period(shape: CellShape) -> np.ndarray:
+    """Per-axis period P (3,) of the cosets of ``lattice_basis``'s M Z^3.
+
+    M Z^3 is diag(P) Z^3, plus its shift by 1 along every period-2 axis
+    when there is one: see the module docstring.
+    """
+    return _PERIODS[CellShape(shape)]
 
 
 def lattice_basis(shape: CellShape, circumradius: float) -> tuple[np.ndarray, np.ndarray]:

@@ -5,33 +5,31 @@ Cell centers are anchored at the information sink: center = sink +
 center_offsets(shape, R, (u, v, w)) with R = max_cell_radius(shape, r_t).
 The geometry module owns each lattice's generator basis and the one
 conversion between public and basis ids, which differ only on HP. The
-decoders, the oracle's candidate table and the neighbor table work in
+decoder, the oracle's candidate table and the neighbor table work in
 basis ids; the public functions take and return public ids.
 
 A sensor at point p finds its cell without search. The four tessellations
-are the Voronoi cells of four classical lattices, and each lattice has a
-closed-form nearest-point rule (Conway & Sloane, "Fast quantizing and
+are the Voronoi cells of four classical lattices: CB is Z^3, RD the
+face-centered cubic D3, TO the body-centered cubic D3* and HP the
+hexagonal lattice times Z. In the scaled coordinates y = (p - sink) / scale
+of ``geometry.lattice_basis``, each is the rectangular lattice diag(P) Z^3
+or the union of it and its shift by 1 along every axis of period 2
+(``geometry.coset_period``). The nearest point of such a union takes one
+rounding per coset and a comparison (Conway & Sloane, "Fast quantizing and
 decoding algorithms for lattice quantizers and codes", IEEE Trans. IT 28(2),
-1982):
-
-* CB is Z^3 in units of s: round each coordinate.
-* TO is the body-centered cubic lattice: in units of d, the integer points
-  whose coordinates are all even or all odd. Round to the even coset 2Z^3
-  and to the odd coset 2Z^3 + (1, 1, 1) and keep the nearer point.
-* RD is the face-centered cubic lattice D3: in the coordinates
-  ((x+y)/2q, (x-y)/2q, z/R), q = R/sqrt2, the integer points with an even
-  coordinate sum. Round every coordinate; if the sum is odd, round the
-  coordinate with the largest rounding error the other way.
-* HP is the hexagonal lattice times Z: the even rows and the odd rows each
-  form a rectangular lattice in the plane, so round to both and keep the
-  nearer point; round w on its own.
+1982), and one rule serves all four shapes: round y to the nearest point
+of diag(P) Z^3, at distance a_i along axis i; the nearest point of the
+shifted coset is one step toward y on each period-2 axis, at 1 - a_i there,
+so it is the nearer point when the sum of w_i (a_i - 1/2) over those axes
+is positive, w_i being the squared scale of axis i. CB, with one coset, is
+plain rounding. The basis ids are M^-1 times the chosen point.
 
 Points equidistant from several centers go to the smallest (u, v, w). The
-rules settle every point whose decision is more than a small tolerance
+rule settles every point whose decision is more than a small tolerance
 away from a tie; the rare points within it, exact ties included, go to
 ``assign_cells_oracle``, the brute-force search that is also the reference
-the decoders are tested against. The oracle shares nothing with the
-decoders. It enumerates an id window around the rounded solution but
+the decoder is tested against. The oracle shares nothing with the
+decoder. It enumerates an id window around the rounded solution but
 scores only the candidates that can still win: the covering radius of each
 lattice is the cell circumradius R (every point lies within R of its
 nearest center), so the nearest center and every center tied with it lie
@@ -61,6 +59,7 @@ from .geometry import (
     as_point,
     cell_spacing,
     center_offsets,
+    coset_period,
     lattice_basis,
     max_cell_radius,
     neighbor_classes,
@@ -97,10 +96,15 @@ class LatticeSpec:
     r_t: float
     sink: np.ndarray = (0.0, 0.0, 0.0)
     # derived once: the circumradius R at the maximum usable size for r_t,
-    # ``geometry.lattice_basis``, and the domain step of MAX_STEPS
+    # ``geometry.lattice_basis`` and its inverse, ``geometry.coset_period``,
+    # the decoder's weights and threshold, and the domain step of MAX_STEPS
     circumradius: float = field(init=False)
     basis: np.ndarray = field(init=False)
     scale: np.ndarray = field(init=False)
+    inverse: np.ndarray = field(init=False)
+    period: np.ndarray = field(init=False)
+    weight: np.ndarray = field(init=False)
+    threshold: float = field(init=False)
     step: float = field(init=False)
 
     def __post_init__(self):
@@ -114,6 +118,15 @@ class LatticeSpec:
         object.__setattr__(self, "circumradius", R)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "inverse", np.linalg.inv(basis))
+        period = coset_period(self.shape)
+        object.__setattr__(self, "period", period)
+        # squared scale of the period-2 axes relative to axis 0, the
+        # smallest: the metric in which the decoder compares its cosets, the
+        # shifted one being nearer when weight @ a exceeds half its sum
+        weight = (period == 2) * (scale / scale[0]) ** 2
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "threshold", 0.5 * float(weight.sum()))
         object.__setattr__(self, "step", cell_spacing(self.shape, R)[0])
 
 
@@ -129,83 +142,41 @@ def cell_center(spec: LatticeSpec, cid) -> np.ndarray:
 
 def _fractional_ids(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
     """Real-valued basis ids solving the center equations for rows of ``rel``."""
-    return (rel / spec.scale) @ np.linalg.inv(spec.basis).T
+    return (rel / spec.scale) @ spec.inverse.T
 
 
-# Each decoder takes the basis scale as a (3, 1) column and the points
-# relative to the sink as a (3, n) array. It returns the basis ids, through a
-# fixed matrix, as a (3, n) float array of integers, plus a mask of the
-# points whose decision is within _TIE_TOL of a tie.
+def _decode(spec: LatticeSpec, rel: np.ndarray):
+    """Nearest centers to the columns of ``rel`` (3, n), points relative to the sink.
 
-# basis ids from the decoders' lattice coordinates: (2u+w, 2v+w, w) for TO,
-# (u+v+w, u-v, w) for RD, (alpha + v/2, v/2, w) for HP
-_TO_IDS = np.array([[0.5, 0.0, -0.5], [0.0, 0.5, -0.5], [0.0, 0.0, 1.0]])
-_RD_IDS = np.array([[0.5, 0.5, -0.5], [0.5, -0.5, -0.5], [0.0, 0.0, 1.0]])
-_HP_IDS = np.array([[1.0, -1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _decode_cb(scale: np.ndarray, rel: np.ndarray):
-    t = rel / scale
-    best = np.rint(t)
-    return best, (np.abs(t - best) >= 0.5 - _TIE_TOL).any(axis=0)
-
-
-def _decode_to(scale: np.ndarray, rel: np.ndarray):
-    t = rel / scale
-    even = 2.0 * np.rint(0.5 * t)
-    err = t - even  # in [-1, 1]
-    # the nearest odd point is even + sign(err) per coordinate, at distance
-    # 1 - |err|, so it is the nearer point when sum(|err|) > 3/2
+    Returns their basis ids as a (3, n) float array of integers, and a mask
+    of the points whose decision is within _TIE_TOL of a tie.
+    """
+    if spec.shape is CellShape.CB:  # one coset
+        t = rel / spec.scale[:, None]
+        near = np.rint(t)
+        return near, (np.abs(t - near) >= 0.5 - _TIE_TOL).any(axis=0)
+    # near: the nearest point of diag(P) Z^3 to t = rel / scale, and
+    # err = t - near, both exact; the arithmetic runs in place, as a chunk's
+    # temporaries cost more than the arithmetic itself
+    period = spec.period[:, None]
+    err = rel / (spec.scale * spec.period)[:, None]
+    near = np.rint(err)
+    err -= near
+    err *= period
+    near *= period
     a = np.abs(err)
-    margin = a.sum(axis=0) - 1.5
-    odd = margin > 0
-    best = even + odd * np.sign(err)
-    tie = (np.abs(margin) <= _TIE_TOL) | np.where(
-        odd, a.min(axis=0) <= _TIE_TOL, a.max(axis=0) >= 1.0 - _TIE_TOL)
-    return _TO_IDS @ best, tie
-
-
-def _decode_rd(scale: np.ndarray, rel: np.ndarray):
-    q, _, R = scale[:, 0]
-    c = 0.5 / q  # to D3 coordinates (u+v+w, u-v, w), integers with an even sum
-    t = np.array([[c, c, 0.0], [c, -c, 0.0], [0.0, 0.0, 1.0 / R]]) @ rel
-    best = np.rint(t)
-    err = t - best
-    a = np.abs(err)
-    amax = a.max(axis=0)
-    odd = best.sum(axis=0) % 2 != 0
-    best += np.copysign(odd & (a >= amax), err)  # re-round the worst coordinate
-    # ties: a coordinate at a half, or two coordinates worst at once
-    tie = (amax >= 0.5 - _TIE_TOL) | (odd & ((a >= amax - _TIE_TOL).sum(axis=0) > 1))
-    return _RD_IDS @ best, tie
-
-
-def _decode_hp(scale: np.ndarray, rel: np.ndarray):
-    # HP is the one lattice decoded in its own coordinates: in
-    # (S, T, W) = (x/(sqrt3 a), y/(3a), z/h), half the scaled coordinates in
-    # the plane, even rows are the integer points and odd rows are shifted by
-    # (1/2, 1/2, 0); squared distance is proportional to dS^2 + 3 dT^2 there
-    t = rel / scale
-    t[:2] *= 0.5
-    best = np.rint(t)
-    err = t - best
-    e = np.abs(err)
-    # the nearest odd-row point is half a step toward t on S and T
-    margin = e[0] + 3.0 * e[1] - 1.0
-    odd = margin > 0
-    best[:2] += 0.5 * odd * np.sign(err[:2])
-    half = 0.5 - _TIE_TOL
-    tie = (np.abs(margin) <= _TIE_TOL) | (e[2] >= half) | np.where(
-        odd, e[:2].min(axis=0) <= _TIE_TOL, e[:2].max(axis=0) >= half)
-    return _HP_IDS @ best, tie
-
-
-_DECODERS = {
-    CellShape.CB: _decode_cb,
-    CellShape.HP: _decode_hp,
-    CellShape.RD: _decode_rd,
-    CellShape.TO: _decode_to,
-}
+    # the shifted coset's nearest point is near + sign(err) on the period-2
+    # axes, 1 - a away there instead of a: it is the nearer point when the
+    # weighted sum of a - 1/2 over those axes is positive
+    margin = spec.weight @ a
+    margin -= spec.threshold
+    shift = (margin > 0) * (period - 1.0)
+    near += np.copysign(shift, err, out=err)
+    # ties: two cosets equally near, or the chosen coset's rounding at a half
+    a -= shift
+    tie = (np.abs(a, out=a) >= 0.5 * period - _TIE_TOL).any(axis=0)
+    tie |= np.abs(margin) <= _TIE_TOL
+    return spec.inverse @ near, tie
 
 
 def _check_points(points) -> np.ndarray:
@@ -233,14 +204,12 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     tie are settled by the exhaustive search.
     """
     pts = _check_points(points)
-    decode = _DECODERS[spec.shape]
-    scale = spec.scale[:, None]
     ids = np.empty((len(pts), 3), dtype=np.int64)
     for start in range(0, len(pts), _CHUNK):
         chunk = pts[start:start + _CHUNK]
         rel = (chunk - spec.sink).T.copy()
         _check_reach(spec, rel)
-        block, tie = decode(scale, rel)
+        block, tie = _decode(spec, rel)
         out = ids[start:start + _CHUNK]
         out[...] = block.T
         if tie.any():
@@ -372,8 +341,23 @@ _NEIGHBOR_OFFSETS = {
 _cell_id = partial(tuple.__new__, CellId)
 
 
+def as_cell_id(cid, what: str = "cell id") -> CellId:
+    """``cid`` as a CellId of Python ints, checked to be an id of the domain.
+
+    Ids of the supported domain have every coordinate within MAX_STEPS + 2
+    of zero; farther ones raise ``ValueError`` naming ``what``.
+    """
+    u, v, w = map(int, cid)
+    if max(abs(u), abs(v), abs(w)) > MAX_STEPS + 2:
+        raise ValueError(f"{what} must lie within {MAX_STEPS + 2} of zero on each axis")
+    return _cell_id((u, v, w))
+
+
 def neighbors(spec: LatticeSpec, cid) -> list[CellId]:
-    """All first-tier neighbor ids of a cell (14 TO, 18 RD, 20 HP, 26 CB)."""
-    cell = to_basis_ids(spec.shape, tuple(cid))
+    """All first-tier neighbor ids of a cell (14 TO, 18 RD, 20 HP, 26 CB).
+
+    The cell must be an id of the domain (``as_cell_id``).
+    """
+    cell = to_basis_ids(spec.shape, as_cell_id(cid))
     ids = to_public_ids(spec.shape, cell + _NEIGHBOR_OFFSETS[spec.shape])
     return list(map(_cell_id, ids.tolist()))

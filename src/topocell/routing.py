@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import MAX_STEPS, CellId, LatticeSpec, neighbors
+from .lattice import CellId, LatticeSpec, as_cell_id, neighbors
 
 DELIVERED = "delivered"
 DEAD_END = "dead_end"
@@ -34,13 +34,6 @@ class RoutePath:
     @property
     def hop_count(self) -> int:
         return len(self.hops) - 1
-
-
-def _cell(cid, role: str) -> CellId:
-    cid = CellId(*map(int, tuple(cid)))
-    if max(map(abs, cid)) > MAX_STEPS + 2:
-        raise ValueError(f"{role} cell id must lie within {MAX_STEPS + 2} of zero on each axis")
-    return cid
 
 
 def _metric(a: CellId, b: CellId) -> int:
@@ -71,8 +64,8 @@ def greedy_route(spec: LatticeSpec, src, dst,
     routes; ``tie_break="random"`` instead picks uniformly among all
     qualifying neighbors using the given seed.
     """
-    src = _cell(src, "source")
-    dst = _cell(dst, "destination")
+    src = as_cell_id(src, "source cell id")
+    dst = as_cell_id(dst, "destination cell id")
     if alive is not None and not alive(src):
         raise ValueError("source cell is not alive")
     if alive is not None and not alive(dst):
@@ -98,6 +91,6 @@ def greedy_route(spec: LatticeSpec, src, dst,
 def neighbor_choice_count(spec: LatticeSpec, current, dst,
                           alive: Callable[[CellId], bool] | None = None) -> int:
     """How many alive neighbors make strict progress toward dst."""
-    cur = _cell(current, "current")
-    target = _cell(dst, "destination")
+    cur = as_cell_id(current, "current cell id")
+    target = as_cell_id(dst, "destination cell id")
     return len(_qualifying(spec, cur, target, alive))

@@ -160,34 +160,51 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
     )
 
 
-def _range_count(lo: float, hi: float) -> int:
-    """Number of integers n with lo <= n <= hi."""
-    n0 = math.ceil(lo)
-    n1 = math.floor(hi)
-    return max(0, n1 - n0 + 1)
+def _first(pred, k: int) -> int:
+    """Smallest integer j with pred(j), for a predicate false below some
+    integer and true from it on: gallops out from the guess k, then bisects."""
+    lo, hi, step = k - 1, k, 1
+    while pred(lo):
+        lo, hi, step = lo - step, lo, 2 * step
+    while not pred(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
+def _axis_count(lo: float, hi: float, sink: float, scale: float, period: int,
+                shift: int) -> int:
+    """Number of integers k with lo <= sink + (period * k + shift) * scale <= hi,
+    evaluated in float arithmetic."""
+    def center(k):
+        return sink + (period * k + shift) * scale
+    first = _first(lambda k: center(k) >= lo, math.ceil(((lo - sink) / scale - shift) / period))
+    beyond = _first(lambda k: center(k) > hi,
+                    math.floor(((hi - sink) / scale - shift) / period) + 1)
+    return max(0, beyond - first)
 
 
 def active_count(spec: LatticeSpec, box: Box) -> int:
-    """Number of cell centers inside the box: the active-node population.
+    """Number of cells whose center lies in the closed box: the active-node population.
 
     With one node active per cell, the number of simultaneously active
     nodes in a region equals the number of cells whose center falls in it.
+    The centers are those ``cell_centers`` computes, so a box whose faces
+    pass through centers counts them exactly as ``Box.contains`` does.
     """
-    # a center's coordinate i is scale_i * (M_ii b_i + M_ij b_j), where j is
-    # the basis id the others depend on (w for RD and TO, v for HP): for each
-    # b_j the other two basis ids range independently
-    m = spec.basis.tolist()
-    j = int(np.count_nonzero(spec.basis, axis=0).argmax())
-    lo = ((box.lo - spec.sink) / spec.scale).tolist()
-    hi = ((box.hi - spec.sink) / spec.scale).tolist()
-    total = 0
-    for b in range(math.ceil(lo[j]), math.floor(hi[j]) + 1):
-        count = 1
-        for i in {0, 1, 2} - {j}:
-            count *= _range_count((lo[i] - m[i][j] * b) / m[i][i],
-                                  (hi[i] - m[i][j] * b) / m[i][i])
-        total += count
-    return total
+    # In scaled coordinates y = b @ M.T the centers are diag(P) Z^3 and, if
+    # some period P_i is 2, its shift by P - 1; on each coset the count is a
+    # product of per-axis counts. Axis i of a center is computed as
+    # sink_i + y_i * scale_i, monotone in y_i, so each range boundary is
+    # settled in that same float arithmetic from its real-valued estimate.
+    period = spec.period.astype(int).tolist()
+    shifts = [[0, 0, 0]] if max(period) == 1 else [[0, 0, 0], [p - 1 for p in period]]
+    axes = list(zip(box.lo.tolist(), box.hi.tolist(), spec.sink.tolist(),
+                    spec.scale.tolist(), period))
+    return sum(math.prod(_axis_count(*axis, o) for axis, o in zip(axes, shift))
+               for shift in shifts)
 
 
 def _cell_steps(n_nodes: int, unit_charges: int, k: int) -> int:

@@ -114,6 +114,15 @@ class TestAssign:
         assert out == ""
         assert "window" in err
 
+    @pytest.mark.parametrize("method", ["exact", "nearest_int"])
+    def test_window_checked_for_every_method(self, method):
+        code, out, err = run_cli(["assign", "--shape", "to", "--rt", "1",
+                                  "--point", "0,0,0", "--method", method,
+                                  "--window", "300"])
+        assert code == 3
+        assert out == ""
+        assert "window" in err
+
     def test_malformed_point_is_usage_error(self):
         code, _, _ = run_cli(["assign", "--shape", "to", "--rt", "1",
                               "--point", "1,2"])

@@ -12,6 +12,8 @@ from topocell.geometry import (
     build_polyhedron,
     cell_spacing,
     center_offsets,
+    coset_period,
+    lattice_basis,
     max_cell_radius,
     neighbor_classes,
     to_basis_ids,
@@ -407,6 +409,17 @@ class TestNeighbors:
                 assert base in neighbors(spec, nb)
 
     @pytest.mark.parametrize("shape", SHAPES)
+    def test_ids_outside_domain_rejected(self, shape):
+        # int64 arithmetic would wrap the first and overflow on the second
+        spec = LatticeSpec(shape, 1.0)
+        edge = MAX_STEPS + 2
+        assert len(neighbors(spec, (edge, -edge, edge))) == len(neighbors(spec, (0, 0, 0)))
+        for cid in ((2 ** 63 - 1, 0, 0), (0, 2 ** 70, 0), (0, 0, -edge - 1),
+                    np.array([-2 ** 63, 0, 0])):
+            with pytest.raises(ValueError, match="within"):
+                neighbors(spec, cid)
+
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_neighbors_touch(self, shape):
         # every neighbor center lies within the worst-case two-cell span
         from topocell.geometry import worst_neighbor_coeff
@@ -465,6 +478,19 @@ class TestBasis:
         assert (to_basis_ids(shape, to_public_ids(shape, ids)) == ids).all()
         if shape is not CellShape.HP:
             assert (basis == ids).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_coset_table(self, shape):
+        # y is a point of M Z^3 (M^-1 y integral) exactly when y is in
+        # diag(P) Z^3, or in its shift by 1 along every period-2 axis
+        basis, _ = lattice_basis(shape, 1.0)
+        period = coset_period(shape).astype(int)
+        y = id_grid(4)
+        in_lattice = (y @ np.linalg.inv(basis).T % 1.0 == 0.0).all(axis=1)
+        in_cosets = (y % period == 0).all(axis=1)
+        if (period == 2).any():
+            in_cosets |= ((y - (period - 1)) % period == 0).all(axis=1)
+        assert (in_lattice == in_cosets).all()
 
     def test_hp_neighbors_follow_odd_row_rule(self):
         # the generators as stated about cell (0, 0, 0); a cell on an odd row

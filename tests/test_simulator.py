@@ -244,15 +244,33 @@ class TestActiveCount:
         assert cb / to == pytest.approx(2.372239, rel=0.02)
 
     def test_matches_direct_enumeration(self):
-        # cross-check the slab counting against brute-force center generation
-        from topocell.lattice import cell_centers
-        lo = np.array([-1.05, -0.95, -1.1])
-        hi = np.array([1.02, 1.3, 0.98])
-        box = Box(lo=lo, hi=hi)
-        r = np.arange(-30, 31)
+        # cross-check the closed form against the centers cell_centers
+        # computes, over an id grid that covers every box: the fixed box,
+        # random boxes, and boxes whose faces pass through centers, where the
+        # count is decided by the float value of each center coordinate
+        r = np.arange(-13, 14)
         grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+        corners = grid[(np.abs(grid) <= 4).all(axis=1)]
+        rng = np.random.default_rng(23)
         for shape in CellShape:
-            spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
-            centers = cell_centers(spec, grid)
-            inside = ((centers >= lo) & (centers <= hi)).all(axis=1).sum()
-            assert active_count(spec, box) == inside
+            for r_t, sink in ((1.0, (0.11, -0.07, 0.23)), (0.3, (0.0, 0.0, 0.0)),
+                              (3.7, (1.25, -0.4, 2.83)), (17.0, (-40.0, 12.5, 7.125))):
+                spec = LatticeSpec(shape, r_t, sink=sink)
+                centers = cell_centers(spec, grid)
+                boxes = []
+                if r_t == 1.0:
+                    boxes.append(Box(lo=(-1.05, -0.95, -1.1), hi=(1.02, 1.3, 0.98)))
+                for _ in range(10):
+                    lo = spec.sink + rng.uniform(-3, 1, 3) * spec.circumradius
+                    boxes.append(Box(lo=lo, hi=lo + rng.uniform(0.1, 3, 3) * spec.circumradius))
+                # every box corner among the centers of ids within 4 of zero,
+                # so every center inside has an id within 13 of zero
+                faces = cell_centers(spec, corners[rng.integers(len(corners), size=(60, 2))])
+                for lo, hi in zip(faces.min(axis=1), faces.max(axis=1)):
+                    if (hi > lo).all():
+                        boxes.append(Box(lo=lo, hi=hi))
+                assert len(boxes) > 40
+                rim = centers[np.abs(grid).max(axis=1) == 13]
+                for box in boxes:
+                    assert not box.contains(rim).any()  # the grid covers the box
+                    assert active_count(spec, box) == box.contains(centers).sum()
