@@ -194,14 +194,26 @@ def cmd_assign(args) -> int:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise MalformedFileError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _whole(value, field: str) -> int:
+    """A config count as an int: a JSON number with a whole value, so 1e5 is one."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"config field {field!r} must be a whole number, got {value!r}")
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if args.kind == "accuracy":
         spec = _spec(cfg, cfg["shape"])
-        report = accuracy_experiment(spec, int(cfg["n"]), args.seed)
+        report = accuracy_experiment(spec, _whole(cfg["n"], "n"), args.seed)
         rows = [{
             "shape": spec.shape.value,
             "rt": spec.r_t,
@@ -215,11 +227,13 @@ def cmd_simulate(args) -> int:
         columns = ACCURACY_COLUMNS
     else:
         shapes = cfg["shapes"] if "shapes" in cfg else [cfg["shape"]]
+        if not isinstance(shapes, list) or not shapes:
+            raise ValueError("config field 'shapes' must be a non-empty list of shapes")
         box = Box(lo=cfg["box"]["lo"], hi=cfg["box"]["hi"])
-        config = DeploymentConfig(box=box, node_count=int(cfg["node_count"]),
+        config = DeploymentConfig(box=box, node_count=_whole(cfg["node_count"], "node_count"),
                                   seed=args.seed)
         capacity = float(cfg["battery_capacity"])
-        k = int(cfg.get("k", 1))
+        k = _whole(cfg.get("k", 1), "k")
         results = {}
         for shape in shapes:
             spec = _spec(cfg, shape)

@@ -24,20 +24,23 @@ so it is the nearer point when the sum of w_i (a_i - 1/2) over those axes
 is positive, w_i being the squared scale of axis i. CB, with one coset, is
 plain rounding. The basis ids are M^-1 times the chosen point.
 
-Points equidistant from several centers go to the smallest (u, v, w). The
-rule settles every point whose decision is more than a small tolerance
-away from a tie; the rare points within it, exact ties included, go to
-``assign_cells_oracle``, the brute-force search that is also the reference
-the decoder is tested against. The oracle shares nothing with the
-decoder. It enumerates an id window around the rounded solution but
-scores only the candidates that can still win: the covering radius of each
-lattice is the cell circumradius R (every point lies within R of its
-nearest center), so the nearest center and every center tied with it lie
-within |p - c| + R of the window's middle center c, and a candidate beyond
-that can neither win nor tie. Dropping those candidates therefore leaves
-the result, ties included, equal to that of the full window. Points
-farther than ``MAX_STEPS`` lattice steps from the sink along any axis are
-rejected with ``ValueError``.
+Every point p gets the id whose center, as ``cell_centers`` computes it,
+is nearest to p in exact arithmetic; among exactly equidistant centers, on
+cell boundaries, it gets the smallest (u, v, w). The rule settles every
+point whose decision is more than a small tolerance away from a tie; the
+rare points within it go to ``assign_cells_oracle``, the brute-force search
+that is also the reference the decoder is tested against. The oracle
+shares nothing with the decoder. It enumerates an id window around the
+rounded solution but scores only the candidates that can still win: the
+covering radius of each lattice is the cell circumradius R (every point
+lies within R of its nearest center), so the nearest center and every
+center tied with it lie within |p - c| + R of the window's middle center
+c, and a candidate beyond that can neither win nor tie. Float distances
+decide every point whose runner-up is farther than a rigorous bound on
+their rounding error; the rest are re-scored exactly in integers, so the
+result, ties included, is that of the full window and of exact
+arithmetic. Points farther than ``MAX_STEPS`` lattice steps from the sink
+along any axis are rejected with ``ValueError``.
 
 The cheaper nearest-integer shortcut rounds each coordinate of the TO
 solution independently; it is wrong for 3/8 of random points (the rounding
@@ -50,6 +53,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -78,6 +83,9 @@ MAX_WINDOW = 8
 _TIE_TOL = 1e-8
 # rows decoded at once, bounding the decoder's temporaries
 _CHUNK = 1 << 16
+# rows the oracle scores at once, bounding its (candidates, rows) arrays; the
+# candidates it keeps are the centers within reach, however wide the window
+_ORACLE_ROWS = 1 << 13
 
 
 class CellId(NamedTuple):
@@ -199,9 +207,10 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     """Cell ids for an (n, 3) array of points, as an (n, 3) integer array.
 
     Constant work per point: the closed-form nearest-point rule of the
-    shape's lattice. Points equidistant from several centers go to the
-    smallest (u, v, w); only points within a rounding tolerance of such a
-    tie are settled by the exhaustive search.
+    shape's lattice. The ids are those of ``assign_cells_oracle``: points
+    equidistant from several centers go to the smallest (u, v, w), and
+    only points within a rounding tolerance of such a tie are settled by
+    the exhaustive search.
     """
     pts = _check_points(points)
     ids = np.empty((len(pts), 3), dtype=np.int64)
@@ -213,7 +222,7 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
         out = ids[start:start + _CHUNK]
         out[...] = block.T
         if tie.any():
-            out[tie] = to_basis_ids(spec.shape, assign_cells_oracle(spec, chunk[tie]))
+            out[tie] = _oracle(spec, chunk[tie])
     return to_public_ids(spec.shape, ids)
 
 
@@ -246,79 +255,98 @@ def assign_cell_nearest_int(spec: LatticeSpec, p) -> CellId:
     return CellId(int(row[0]), int(row[1]), int(row[2]))
 
 
-def _rounded_base(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
-    """Public id of the rounded real solution, the middle of the oracle window."""
-    if spec.shape is CellShape.HP:
-        # HP rounds its public ids, row first: rounding the basis ids moves
-        # the window's middle, and with it which of two float near-ties wins
-        t = rel / spec.scale
-        v = _round_half_away(t[:, 1])
-        u = _round_half_away(t[:, 0] / 2.0 - np.mod(v, 2.0) / 2.0)
-        return np.stack([u, v, _round_half_away(t[:, 2])], axis=-1).astype(np.int64)
-    return _round_half_away(_fractional_ids(spec, rel)).astype(np.int64)
-
-
 def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarray:
     """Exhaustive-search assignment over a (2*window+1)^3 id neighborhood.
 
-    Ground truth for the constant-time method: enumerates every basis id
-    within ``window`` of the rounded real solution and returns the nearest
-    center, with the same smallest-(u, v, w) tie rule. Centers further than
-    the window are farther away than any candidate inside it, so window >= 2
-    is already exhaustive in effect; the default of 3 leaves margin, and
-    windows above MAX_WINDOW only cost time and memory, so they are refused.
+    Ground truth for the constant-time method. Returns, for each point p,
+    the id whose center, as ``cell_centers`` computes it, is nearest to p in
+    exact arithmetic; among exactly equidistant centers it returns the
+    smallest (u, v, w). It enumerates every basis id within ``window`` of
+    the rounded real solution. Centers further than the window are farther
+    away than any candidate inside it, so window >= 2 is already exhaustive
+    in effect; the default of 3 leaves margin, and windows above MAX_WINDOW
+    only cost time and memory, so they are refused.
 
     Each chunk of points scores only the window's candidates within
     max|q| + R of the rounded center, q = p - center(rounded id), with a
     relative slack of 1e-9. The lattice's covering radius is the cell
     circumradius R, so the nearest center is within R of p, and any
     candidate farther than |q| + R from the rounded center is farther than
-    R from p: it can neither win nor tie. The kept candidates stay in
-    lexicographic order of basis ids, so the first minimum is the smallest
-    id (on HP, whose basis order differs from the public order, rows with
-    several exact minima take the smallest public id among them), and the
-    result equals the full-window search, ties included.
+    R from p: it can neither win nor tie. The kept candidates are scored as
+    a floating-point filter with an exact fallback (Shewchuk, "Adaptive
+    precision floating-point arithmetic and fast robust geometric
+    predicates", DCG 18, 1997): float distances decide every point whose
+    runner-up is farther than a rigorous bound on their rounding error, and
+    the points within it are re-scored exactly in integers, every float
+    being an integer times a power of two.
     """
     if not 2 <= window <= MAX_WINDOW:
         raise ValueError(f"oracle window must be between 2 and {MAX_WINDOW}")
     pts = _check_points(points)
-    rel = pts - spec.sink
-    _check_reach(spec, rel)
-    base = _rounded_base(spec, rel)
+    _check_reach(spec, pts - spec.sink)
+    return to_public_ids(spec.shape, _oracle(spec, pts, window))
+
+
+def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
+    """Basis ids of ``assign_cells_oracle`` for the rows of ``pts`` (n, 3)."""
     rng = np.arange(-window, window + 1, dtype=np.int64)
     # basis-id offsets in lexicographic order and their center displacements
     offs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    doff = (offs.astype(float) @ spec.basis.T) * spec.scale
-
+    doff = (offs @ spec.basis.T) * spec.scale
     out = np.empty((len(pts), 3), dtype=np.int64)
-    chunk = max(1, int(2_000_000 // len(offs)))
-    for start in range(0, len(pts), chunk):
-        sl = slice(start, min(start + chunk, len(pts)))
-        out[sl] = _oracle_gemm(spec, pts[sl], base[sl], offs, doff)
+    for i in range(0, len(pts), _ORACLE_ROWS):
+        out[i:i + _ORACLE_ROWS] = _oracle_chunk(spec, pts[i:i + _ORACLE_ROWS], offs, doff)
     return out
 
 
-def _oracle_gemm(spec, pts, base, offs, doff):
-    # candidate center = center(base) + doff[k]; distances via the expansion
-    # |q - doff|^2 = |q|^2 - 2 q.doff + |doff|^2 with q = p - center(base)
-    q = pts - cell_centers(spec, base)
-    q2 = (q ** 2).sum(axis=1, keepdims=True)
+def _oracle_chunk(spec, pts, offs, doff):
+    """``_oracle`` on one chunk: the float filter, then the exact re-score of
+    the rows it flags."""
+    base = _round_half_away(_fractional_ids(spec, pts - spec.sink)).astype(np.int64)
+    # candidate center = center(base) + doff[k]; distances as a (k, n) array
+    # by the expansion |q - doff|^2 = |q|^2 - 2 doff.q + |doff|^2, with
+    # q = p - center(base) as columns
+    q = (pts - cell_centers(spec, to_public_ids(spec.shape, base))).T.copy()
+    q2 = (q * q).sum(axis=0)
     # the nearest center is within R of p, so a candidate with
     # |doff| > |q| + R can neither win nor tie; the slack keeps exact ties
-    doff2 = (doff ** 2).sum(axis=1)
-    reach = (math.sqrt(q2.max()) + spec.circumradius) * (1.0 + 1e-9)
-    keep = doff2 <= reach * reach
+    doff2 = (doff * doff).sum(axis=1)
+    keep = doff2 <= ((math.sqrt(q2.max()) + spec.circumradius) * (1.0 + 1e-9)) ** 2
     offs, doff, doff2 = offs[keep], doff[keep], doff2[keep]
-    d2 = q2 - 2.0 * (q @ doff.T) + doff2
-    # argmin takes the first minimum, the smallest basis id
-    base = to_basis_ids(spec.shape, base)
-    ids = to_public_ids(spec.shape, base + offs[d2.argmin(axis=1)])
-    if spec.shape is CellShape.HP:
-        # HP's basis order is not its public order: rows with several exact
-        # minima take the smallest public id among them
-        tied = d2 == d2.min(axis=1, keepdims=True)
-        for r in np.flatnonzero(tied.sum(axis=1) > 1):
-            ids[r] = min(to_public_ids(spec.shape, base[r] + offs[tied[r]]).tolist())
+    d2 = (-2.0 * doff) @ q
+    d2 += q2
+    d2 += doff2[:, None]
+    # Rounding error, with u = 2^-53, L = max|q| + max|doff| and
+    # A = |sink| + max|p| (maxima over coordinates), so that every
+    # coordinate of q - doff is within L and of a center or a center offset
+    # within A + L: a center from cell_centers is within
+    # u(|sink| + 2|offset|) <= 3u(A + L) of sink + offset on each axis, q
+    # within uL of p - center(base) and doff within uL of its offset, so
+    # each coordinate of q - doff is within 8u(A + L) of the exact
+    # p - center, which moves d2 by at most 3 * 2L * 8u(A + L); evaluating
+    # the expansion (sums of three terms, each within 3L^2) adds at most
+    # 16uL^2. Every d2 is thus within e = 64uL(A + L) of its exact value.
+    # With tol = 4e, a row with no second candidate within tol of its
+    # minimum has one exact winner, which is also the argmin of any float
+    # evaluation within e; the others are flagged.
+    size = np.abs(q).max() + np.abs(doff).max()
+    tol = 2.0 ** -45 * size * (size + np.abs(spec.sink).max() + np.abs(pts).max())
+    close = d2 <= d2.min(axis=0) + tol
+    # the first close candidate, on an unflagged row the only one
+    ids = base + offs[close.argmax(axis=0)]
+    flagged = np.flatnonzero(close.sum(axis=0) > 1)
+    pair, k = np.nonzero(close[:, flagged].T)
+    # the flagged rows' close candidates, scored exactly: every float is
+    # m 2^e with integer m, so the coordinates become Python ints in units
+    # of the smallest 2^e among them; the nearest center wins, and among
+    # exactly equidistant ones the smallest public id
+    cand = base[flagged[pair]] + offs[k]
+    pub = to_public_ids(spec.shape, cand)
+    m, e = np.frexp(np.vstack([pts[flagged], cell_centers(spec, pub)]))
+    x = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - e.min(initial=0)).astype(object)
+    d2x = ((x[pair] - x[len(flagged):]) ** 2).sum(axis=1)
+    keys = zip(pair.tolist(), d2x, pub.tolist(), range(len(pair)))
+    ids[flagged] = cand[[min(group)[3] for _, group in groupby(keys, itemgetter(0))]]
     return ids
 
 

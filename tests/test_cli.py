@@ -182,6 +182,55 @@ class TestSimulate:
         code, _, _ = run_cli(["simulate", "accuracy", "--config", str(bad), "--seed", "1"])
         assert code == 5
 
+    @pytest.mark.parametrize("kind", ["accuracy", "lifetime"])
+    def test_config_not_an_object_is_malformed(self, tmp_path, kind):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2, 3]")
+        code, _, err = run_cli(["simulate", kind, "--config", str(bad), "--seed", "1"])
+        assert code == 5
+        assert "JSON object" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
+    def test_empty_shapes_is_invalid_parameter(self, lifetime_config, fmt, capsys):
+        cfg = json.loads(Path(lifetime_config).read_text())
+        Path(lifetime_config).write_text(json.dumps({**cfg, "shapes": []}))
+        assert main(["simulate", "lifetime", "--config", lifetime_config, "--seed", "3",
+                     "--format", fmt]) == 3
+        assert "shapes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("k", 1.5), ("node_count", 30000.5),
+                                             ("node_count", "30000"), ("k", True)])
+    def test_count_that_is_not_whole_is_invalid_parameter(self, lifetime_config, field,
+                                                          value, capsys):
+        cfg = json.loads(Path(lifetime_config).read_text())
+        Path(lifetime_config).write_text(json.dumps({**cfg, field: value}))
+        assert main(["simulate", "lifetime", "--config", lifetime_config, "--seed", "3"]) == 3
+        assert field in capsys.readouterr().err
+
+    def test_fractional_n_is_invalid_parameter(self, accuracy_config, capsys):
+        cfg = json.loads(Path(accuracy_config).read_text())
+        Path(accuracy_config).write_text(json.dumps({**cfg, "n": 1.5}))
+        assert main(["simulate", "accuracy", "--config", accuracy_config, "--seed", "7"]) == 3
+        assert "'n'" in capsys.readouterr().err
+
+    def test_integral_float_counts_accepted(self, accuracy_config, lifetime_config, capsys):
+        assert main(["simulate", "accuracy", "--config", accuracy_config, "--seed", "7",
+                     "--format", "csv"]) == 0
+        want = capsys.readouterr().out
+        cfg = json.loads(Path(accuracy_config).read_text())
+        Path(accuracy_config).write_text(json.dumps({**cfg, "n": 2e3}))
+        assert main(["simulate", "accuracy", "--config", accuracy_config, "--seed", "7",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == want
+        assert main(["simulate", "lifetime", "--config", lifetime_config, "--seed", "3",
+                     "--format", "csv"]) == 0
+        want = capsys.readouterr().out
+        cfg = json.loads(Path(lifetime_config).read_text())
+        Path(lifetime_config).write_text(json.dumps({**cfg, "node_count": 3e4, "k": 1.0}))
+        assert main(["simulate", "lifetime", "--config", lifetime_config, "--seed", "3",
+                     "--format", "csv"]) == 0
+        assert capsys.readouterr().out == want
+
 
 class TestRoute:
     def test_src_equals_dst(self, capsys):

@@ -1,5 +1,6 @@
-import itertools
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +59,33 @@ TO_NEIGHBOR_OFFSETS = {
 def id_grid(half_width):
     r = np.arange(-half_width, half_width + 1)
     return np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def exact_nearest(spec, pts, owners):
+    """Reference for the oracle's contract, point by point.
+
+    ``owners[i]`` is a cell whose boundary holds ``pts[i]``, so it is among
+    the nearest centers. Its public id window of half-width 2 holds every
+    center within 2R of its own, so every center within R of the point.
+    Float distances pick the centers within 1e-6 R^2 of the nearest,
+    ``fractions.Fraction`` decides among them. Returns the ids and the float
+    squared distances to the window's centers (n, 125).
+    """
+    R = spec.circumradius
+    cand = owners[:, None, :] + id_grid(2)
+    centers = cell_centers(spec, cand)
+    d2 = ((pts[:, None, :] - centers) ** 2).sum(axis=2)
+    dmin = np.sqrt(d2.min(axis=1))
+    assert dmin.max() <= R * (1 + 1e-9)
+    owner = np.sqrt(((pts - cell_centers(spec, owners)) ** 2).sum(axis=1))
+    assert np.abs(owner - dmin).max() <= 1e-9 * R
+    want = np.empty_like(owners)
+    frac = functools.cache(Fraction)  # the centers' coordinates recur
+    for i, near in enumerate(d2 <= d2.min(axis=1, keepdims=True) + 1e-6 * R * R):
+        p = [Fraction(x) for x in pts[i].tolist()]
+        exact = [sum((a - frac(b)) ** 2 for a, b in zip(p, c)) for c in centers[i, near].tolist()]
+        want[i] = min(zip(exact, map(tuple, cand[i, near].tolist())))[1]
+    return want, d2
 
 
 class TestCellCenter:
@@ -268,6 +296,15 @@ class TestOracle:
         w2 = assign_cells_oracle(spec, pts, window=2)
         w4 = assign_cells_oracle(spec, pts, window=4)
         assert (w2 == w4).all()
+        # with ties decided exactly, the window's extent changes no id, on
+        # any shape, cell vertices included
+        for shape in SHAPES:
+            spec = LatticeSpec(shape, 3.7, sink=(1.25, -0.4, 2.83))
+            centers = cell_centers(spec, id_grid(1))
+            verts = [build_polyhedron(shape, c, spec.circumradius).vertices for c in centers]
+            pts = np.vstack([spec.sink + rng.uniform(-20, 20, (2_000, 3))] + verts)
+            w2 = assign_cells_oracle(spec, pts, window=2)
+            assert (assign_cells_oracle(spec, pts, window=MAX_WINDOW) == w2).all()
 
     def test_example_point(self):
         spec = LatticeSpec(CellShape.TO, SQRT17)
@@ -280,42 +317,6 @@ class TestOracle:
         with pytest.raises(ValueError, match="window"):
             assign_cell_oracle(spec, (0, 0, 0), window=MAX_WINDOW + 1)
         assert assign_cell_oracle(spec, (0, 0, 0), window=MAX_WINDOW) == CellId(0, 0, 0)
-
-    @pytest.mark.parametrize("r_t,sink", [(0.8, (1.0, -0.32, 2.264)), (1.0, (0.5, 0.25, -1.0))])
-    def test_hp_exact_ties_take_smallest_public_id(self, r_t, sink):
-        # Neighbor-pair midpoints and cell vertices, where the oracle's
-        # expanded distances often tie exactly. The reference scores the
-        # public-id window in lexicographic order, an odd base row displacing
-        # by the even-row offset of (du - 1, dv, dw), so its first minimum is
-        # the smallest public id; its rounded base and distance expansion are
-        # the oracle's.
-        spec = LatticeSpec(CellShape.HP, r_t, sink=sink)
-        R = spec.circumradius
-        a, h = cell_spacing(CellShape.HP, R)
-        cells = id_grid(3)
-        centers = cell_centers(spec, cells)
-        mids = [(c + cell_centers(spec, np.array(neighbors(spec, tuple(cell))))) / 2.0
-                for cell, c in zip(cells, centers)]
-        verts = [build_polyhedron(CellShape.HP, c, R).vertices for c in centers]
-        pts = np.vstack(mids + verts)
-        rel = pts - spec.sink
-
-        def round_half_away(x):
-            return np.trunc(x + np.copysign(0.5, x))
-
-        v = round_half_away(rel[:, 1] / (1.5 * a))
-        u = round_half_away(rel[:, 0] / (math.sqrt(3.0) * a) - np.mod(v, 2.0) / 2.0)
-        base = np.stack([u, v, round_half_away(rel[:, 2] / h)], axis=-1).astype(np.int64)
-        offs = id_grid(3)
-        q = pts - cell_centers(spec, base)
-        q2 = (q ** 2).sum(axis=1, keepdims=True)
-        want = np.empty_like(base)
-        for parity in (0, 1):
-            rows = (base[:, 1] & 1) == parity
-            doff = center_offsets(CellShape.HP, R, offs - parity * np.outer(offs[:, 1] & 1, (1, 0, 0)))
-            d2 = q2[rows] - 2.0 * (q[rows] @ doff.T) + (doff ** 2).sum(axis=1)
-            want[rows] = base[rows] + offs[d2.argmin(axis=1)]
-        assert (assign_cells_oracle(spec, pts) == want).all()
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("r_t,sink", RANDOM_SPECS[:2])
@@ -341,39 +342,53 @@ class TestOracle:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_cell_vertices(self, shape):
-        # vertices sit equidistant from several centers, the farthest at R,
-        # the covering radius: the edge of the oracle's candidate cut-off
-        # (RD's 3-edge vertices sit closer, at R sqrt3 / 2). r_t = 2 sqrt3
-        # (CB side 1) and sqrt17 (TO step 1) make vertices and centers exact
-        # binary fractions, so the equidistant centers tie exactly in floating
-        # point too and the smallest id must win. RD (R = sqrt2 q) and HP
-        # (in-plane sqrt3) cannot place a vertex exactly; there the oracle's
-        # id must still be one of the equidistant centers.
-        r_t = {CellShape.CB: 2 * math.sqrt(3.0), CellShape.TO: SQRT17}.get(shape, 3.7)
-        spec = LatticeSpec(shape, r_t, sink=(0.5, -1.25, 2.0))
-        R = spec.circumradius
-        exact = shape in (CellShape.CB, CellShape.TO)
-        farthest = 0.0
-        for base in ((0, 0, 0), (2, -3, 1), (-1, 2, -2)):
-            poly = build_polyhedron(shape, cell_center(spec, base), R)
-            got = assign_cells_oracle(spec, poly.vertices)
-            for p, cid in zip(poly.vertices, got):
-                dists = {}
-                for off in itertools.product(range(-3, 4), repeat=3):
-                    cand = tuple(b + o for b, o in zip(base, off))
-                    diff = p - cell_center(spec, cand)
-                    dists[cand] = math.sqrt(float(diff @ diff))
-                dmin = min(dists.values())
-                assert dmin == pytest.approx(dists[base], rel=1e-9)
-                farthest = max(farthest, dmin)
-                tied = sorted(c for c, d in dists.items() if d <= dmin + 1e-9 * R)
-                assert len(tied) >= 3
-                if exact:
-                    assert all(dists[c] == dmin for c in tied)
-                    assert tuple(cid) == tied[0]
-                else:
-                    assert tuple(cid) in tied
-        assert farthest == pytest.approx(R, rel=1e-9)
+        # The oracle's contract on points equidistant from several centers:
+        # the id whose center, as cell_centers computes it, is nearest to the
+        # float point in exact arithmetic, the smallest (u, v, w) among exact
+        # ties. Vertices sit equidistant from several centers, the farthest
+        # at R, the covering radius and the edge of the oracle's candidate
+        # cut-off (RD's 3-edge vertices sit closer, at R sqrt3 / 2). Only the
+        # first spec of CB (side 1) and TO (step 1) makes every coordinate a
+        # binary fraction, so that the equidistant centers tie exactly in
+        # floating point; elsewhere rounding separates them by a few ulps.
+        binary = {CellShape.CB: 2 * math.sqrt(3.0), CellShape.TO: SQRT17}.get(shape, 3.7)
+        specs = [(binary, (0.5, -1.25, 2.0)), (3.7, (1.25, -0.4, 2.83)),
+                 (0.8, (0.0, 0.0, 0.0)), (17.0, (-3.3, 2.2, -1.1))]
+        cells = np.array([(0, 0, 0), (2, -3, 1), (-1, 2, -2), (1, 1, -1)])
+        for r_t, sink in specs:
+            spec = LatticeSpec(shape, r_t, sink=sink)
+            R = spec.circumradius
+            verts = [build_polyhedron(shape, c, R).vertices for c in cell_centers(spec, cells)]
+            owners = np.repeat(cells, [len(v) for v in verts], axis=0)
+            pts = np.vstack(verts)
+            want, d2 = exact_nearest(spec, pts, owners)
+            dmin = np.sqrt(d2.min(axis=1, keepdims=True))
+            tied = np.sqrt(d2) <= dmin + 1e-9 * R
+            assert (tied.sum(axis=1) >= 3).all()
+            assert dmin.max() == pytest.approx(R, rel=1e-9)
+            if r_t == binary and shape in (CellShape.CB, CellShape.TO):
+                assert (d2 == d2.min(axis=1, keepdims=True))[tied].all()
+            assert (assign_cells_oracle(spec, pts) == want).all()
+            assert (assign_cells(spec, pts) == want).all()
+        if shape is CellShape.HP:
+            # HP's basis order is not its public order: the neighbor-pair
+            # midpoints and cell vertices of a 7^3 block, at two more specs
+            for r_t, sink in [(0.8, (1.0, -0.32, 2.264)), (1.0, (0.5, 0.25, -1.0))]:
+                spec = LatticeSpec(shape, r_t, sink=sink)
+                R = spec.circumradius
+                block = id_grid(3)
+                centers = cell_centers(spec, block)
+                nbs = [cell_centers(spec, np.array(neighbors(spec, tuple(c)))) for c in block]
+                verts = [build_polyhedron(shape, c, R).vertices for c in centers]
+                pts = np.vstack([(c + nb) / 2.0 for c, nb in zip(centers, nbs)] + verts)
+                owners = np.repeat(np.vstack([block, block]),
+                                   [len(x) for x in nbs + verts], axis=0)
+                # each midpoint and vertex once, whichever of its cells built it
+                pts, first = np.unique(pts, axis=0, return_index=True)
+                owners = owners[first]
+                want = exact_nearest(spec, pts, owners)[0]
+                assert (assign_cells_oracle(spec, pts) == want).all()
+                assert (assign_cells(spec, pts) == want).all()
 
 
 class TestNeighbors:
@@ -478,6 +493,12 @@ class TestBasis:
         assert (to_basis_ids(shape, to_public_ids(shape, ids)) == ids).all()
         if shape is not CellShape.HP:
             assert (basis == ids).all()
+        # a shape's string value converts alike; an unknown shape is refused
+        assert (to_basis_ids(shape.value, ids) == basis).all()
+        assert (to_public_ids(shape.value, basis) == ids).all()
+        for convert in (to_basis_ids, to_public_ids):
+            with pytest.raises(ValueError):
+                convert("xx", ids)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_coset_table(self, shape):
