@@ -115,7 +115,7 @@ def _spec(fields: dict, shape: str) -> LatticeSpec:
 
     Both name the fields alike: ``rt``, ``rt_sqrt17_units`` and ``sink``.
     """
-    rt = float(fields["rt"])
+    rt = _number(fields["rt"], "rt")
     if fields.get("rt_sqrt17_units"):
         rt *= SQRT17
     return LatticeSpec(shape=CellShape(shape), r_t=rt,
@@ -209,6 +209,13 @@ def _whole(value, field: str) -> int:
     raise ValueError(f"config field {field!r} must be a whole number, got {value!r}")
 
 
+def _number(value, field: str) -> float:
+    """A config quantity as a float: a JSON number, not a bool or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"config field {field!r} must be a number, got {value!r}")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if args.kind == "accuracy":
@@ -229,10 +236,12 @@ def cmd_simulate(args) -> int:
         shapes = cfg["shapes"] if "shapes" in cfg else [cfg["shape"]]
         if not isinstance(shapes, list) or not shapes:
             raise ValueError("config field 'shapes' must be a non-empty list of shapes")
+        if not isinstance(cfg["box"], dict):
+            raise ValueError(f"config field 'box' must be an object, got {cfg['box']!r}")
         box = Box(lo=cfg["box"]["lo"], hi=cfg["box"]["hi"])
         config = DeploymentConfig(box=box, node_count=_whole(cfg["node_count"], "node_count"),
                                   seed=args.seed)
-        capacity = float(cfg["battery_capacity"])
+        capacity = _number(cfg["battery_capacity"], "battery_capacity")
         k = _whole(cfg.get("k", 1), "k")
         results = {}
         for shape in shapes:

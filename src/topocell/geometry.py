@@ -96,13 +96,17 @@ VERTEX_COUNTS = {
 }
 
 
-def as_point(p) -> np.ndarray:
-    """Validate and convert a 3D point to a float array of shape (3,)."""
-    q = np.asarray(p, dtype=float)
+def as_point(p, what: str = "point") -> np.ndarray:
+    """Validate and convert a 3D point to a float array of shape (3,); errors
+    name the point ``what``."""
+    try:
+        q = np.asarray(p, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} must be a 3D point of numbers, got {p!r}") from None
     if q.shape != (3,):
-        raise ValueError(f"expected a 3D point, got array of shape {q.shape}")
+        raise ValueError(f"{what} must be a 3D point, got array of shape {q.shape}")
     if not np.all(np.isfinite(q)):
-        raise ValueError("point coordinates must be finite")
+        raise ValueError(f"{what} coordinates must be finite")
     return q
 
 

@@ -120,7 +120,7 @@ class LatticeSpec:
         if not (math.isfinite(self.r_t) and self.r_t > 0):
             raise ValueError("transmission range must be positive and finite")
         object.__setattr__(self, "r_t", float(self.r_t))
-        object.__setattr__(self, "sink", as_point(self.sink))
+        object.__setattr__(self, "sink", as_point(self.sink, "sink"))
         R = max_cell_radius(self.shape, self.r_t)
         basis, scale = lattice_basis(self.shape, R)
         object.__setattr__(self, "circumradius", R)
@@ -356,16 +356,35 @@ def assign_cell_oracle(spec: LatticeSpec, p, window: int = 3) -> CellId:
 
 
 # basis-id offsets of the first-tier neighbors of any cell, in the order of
-# the neighbor classes and their generators
+# the neighbor classes and their generators, and the same rows as int tuples
+# for the per-cell path of neighbors() and routing
 _NEIGHBOR_OFFSETS = {
     shape: to_basis_ids(shape, [off for cls in neighbor_classes(shape)
                                 for off in cls.offset_generators])
     for shape in CellShape
 }
+_NEIGHBOR_STEPS = {s: tuple(map(tuple, offs.tolist())) for s, offs in _NEIGHBOR_OFFSETS.items()}
 
 
-# CellId from a row without the Python-level constructor; neighbors() makes
-# one per neighbor on every routing hop
+def _neighbor_rows(shape: CellShape, cell) -> list[tuple[int, int, int]]:
+    """Public ids of the first-tier neighbors of the public id ``cell``, as int
+    tuples in the order of ``_NEIGHBOR_OFFSETS``.
+
+    Python-int arithmetic only: HP's basis id is (a, v, w) with the axial
+    a = u - (v >> 1), and back u = a + (v >> 1), the per-cell form of
+    ``geometry.to_basis_ids`` and ``to_public_ids``; ``>>`` floors negative
+    ints as int64 does.
+    """
+    u, v, w = cell
+    if shape is CellShape.HP:
+        a = u - (v >> 1)
+        return [(a + du + ((v + dv) >> 1), v + dv, w + dw)
+                for du, dv, dw in _NEIGHBOR_STEPS[shape]]
+    return [(u + du, v + dv, w + dw) for du, dv, dw in _NEIGHBOR_STEPS[shape]]
+
+
+# CellId from a row without the Python-level constructor; routing makes one
+# per neighbor that makes progress on every hop
 _cell_id = partial(tuple.__new__, CellId)
 
 
@@ -386,6 +405,4 @@ def neighbors(spec: LatticeSpec, cid) -> list[CellId]:
 
     The cell must be an id of the domain (``as_cell_id``).
     """
-    cell = to_basis_ids(spec.shape, as_cell_id(cid))
-    ids = to_public_ids(spec.shape, cell + _NEIGHBOR_OFFSETS[spec.shape])
-    return list(map(_cell_id, ids.tolist()))
+    return list(map(_cell_id, _neighbor_rows(spec.shape, as_cell_id(cid))))

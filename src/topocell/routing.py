@@ -8,7 +8,14 @@ nonnegative integer that shrinks every hop, so routes always terminate; if
 no alive neighbor improves it before the destination is reached, the route
 is a dead end (no recovery is attempted). Endpoints must be ids of the
 supported domain, every coordinate within MAX_STEPS + 2 of zero, which also
-bounds the length of any route.
+bounds the length of any route: every hop lies within |src - dst| of dst.
+Hops themselves are not checked against the domain, so a route between
+endpoints near its edge may pass through ids just beyond it.
+
+A hop is Python-int arithmetic on the neighbor rows of
+``lattice._neighbor_rows``: each neighbor's metric is computed first, and
+the ``alive`` predicate is evaluated only on the neighbors that make strict
+progress, so it must be a side-effect-free membership test.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import CellId, LatticeSpec, as_cell_id, neighbors
+from .lattice import CellId, LatticeSpec, _cell_id, _neighbor_rows, as_cell_id
 
 DELIVERED = "delivered"
 DEAD_END = "dead_end"
@@ -36,20 +43,20 @@ class RoutePath:
         return len(self.hops) - 1
 
 
-def _metric(a: CellId, b: CellId) -> int:
-    return (a.u - b.u) ** 2 + (a.v - b.v) ** 2 + (a.w - b.w) ** 2
-
-
 def _qualifying(spec: LatticeSpec, cur: CellId, dst: CellId,
                 alive: Callable[[CellId], bool] | None) -> list[tuple[int, CellId]]:
-    bar = _metric(cur, dst)
+    """(metric, id) of the alive neighbors of cur strictly closer to dst, in
+    neighbor order; ``alive`` is asked only of the closer ones."""
+    ud, vd, wd = dst
+    bar = (ud - cur.u) ** 2 + (vd - cur.v) ** 2 + (wd - cur.w) ** 2
     found = []
-    for nb in neighbors(spec, cur):
-        if alive is not None and not alive(nb):
-            continue
-        m = _metric(nb, dst)
+    for row in _neighbor_rows(spec.shape, cur):
+        u, v, w = row
+        m = (ud - u) * (ud - u) + (vd - v) * (vd - v) + (wd - w) * (wd - w)
         if m < bar:
-            found.append((m, nb))
+            nb = _cell_id(row)
+            if alive is None or alive(nb):
+                found.append((m, nb))
     return found
 
 
@@ -58,11 +65,13 @@ def greedy_route(spec: LatticeSpec, src, dst,
                  tie_break: str = "lex", seed: int | None = None) -> RoutePath:
     """Forward greedily from src to dst over alive cells.
 
-    ``alive`` is a membership predicate over cell ids (None means every
-    cell is alive). By default the forwarder takes the neighbor with the
-    smallest metric, breaking ties by smallest (u, v, w) for reproducible
-    routes; ``tie_break="random"`` instead picks uniformly among all
-    qualifying neighbors using the given seed.
+    ``alive`` is a side-effect-free membership predicate over cell ids
+    (None means every cell is alive); it is evaluated on the endpoints and
+    then only on neighbors that make strict progress. By default the
+    forwarder takes the neighbor with the smallest metric, breaking ties by
+    smallest (u, v, w) for reproducible routes; ``tie_break="random"``
+    instead picks uniformly among all qualifying neighbors using the given
+    seed.
     """
     src = as_cell_id(src, "source cell id")
     dst = as_cell_id(dst, "destination cell id")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CellShape, build_polyhedron
+from .geometry import CellShape, as_point, build_polyhedron
 from .lattice import (
     LatticeSpec,
     assign_cells,
@@ -51,12 +51,7 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != (3,) or hi.shape != (3,):
-            raise ValueError("box corners must be 3D points")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("box corners must be finite")
+        lo, hi = as_point(self.lo, "box corner lo"), as_point(self.hi, "box corner hi")
         if not np.all(hi > lo):
             raise ValueError("box must have positive volume")
         object.__setattr__(self, "lo", lo)

@@ -255,9 +255,14 @@ def test_criterion_9_routing_delivery():
     rng = np.random.default_rng(123)
     pairs = rng.integers(-10, 11, (10_000, 6))
     ok = True
+    hops = 0
+    route_s = 0.0
     for row in pairs:
         src, dst = CellId(*map(int, row[:3])), CellId(*map(int, row[3:]))
+        t1 = time.perf_counter()
         path = greedy_route(spec, src, dst)
+        route_s += time.perf_counter() - t1
+        hops += path.hop_count
         ok &= path.outcome == DELIVERED
         ms = [(h.u - dst.u) ** 2 + (h.v - dst.v) ** 2 + (h.w - dst.w) ** 2
               for h in path.hops]
@@ -268,7 +273,8 @@ def test_criterion_9_routing_delivery():
             break
     elapsed = time.time() - t0
     ok &= elapsed < 30.0
-    measured = f"elapsed={elapsed:.1f}s"
+    measured = (f"hops={hops}, us_per_hop={route_s / max(hops, 1) * 1e6:.1f}, "
+                f"elapsed={elapsed:.1f}s")
     assert report(9, "greedy routing delivery", ok, measured), measured
 
 

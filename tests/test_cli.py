@@ -207,6 +207,22 @@ class TestSimulate:
         assert main(["simulate", "lifetime", "--config", lifetime_config, "--seed", "3"]) == 3
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,field,value,named", [
+        ("lifetime", "box", [0, 1], "box"),
+        ("lifetime", "box", {"lo": {"x": 0}, "hi": [1, 1, 1]}, "box"),
+        ("lifetime", "rt", [1], "rt"),
+        ("accuracy", "rt", [1], "rt"),
+        ("lifetime", "battery_capacity", [2], "battery_capacity"),
+        ("lifetime", "sink", {"x": 0}, "sink"),
+        ("accuracy", "sink", [{}, 0, 0], "sink"),
+    ])
+    def test_field_of_wrong_type_is_invalid_parameter(self, accuracy_config, lifetime_config,
+                                                      kind, field, value, named, capsys):
+        path = Path(accuracy_config if kind == "accuracy" else lifetime_config)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        assert main(["simulate", kind, "--config", str(path), "--seed", "3"]) == 3
+        assert named in capsys.readouterr().err
+
     def test_fractional_n_is_invalid_parameter(self, accuracy_config, capsys):
         cfg = json.loads(Path(accuracy_config).read_text())
         Path(accuracy_config).write_text(json.dumps({**cfg, "n": 1.5}))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from topocell.geometry import (
     to_public_ids,
 )
 from topocell.lattice import (
+    _NEIGHBOR_OFFSETS,
     MAX_STEPS,
     MAX_WINDOW,
     CellId,
@@ -422,6 +424,24 @@ class TestNeighbors:
             assert base not in nbrs
             for nb in nbrs:
                 assert base in neighbors(spec, nb)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_int64_table_form(self, shape):
+        # the per-cell Python-int rows equal the offset table applied to int64
+        # basis ids, order included, across the domain and at its edges; HP
+        # cells with negative odd v check that >> floors Python ints as it
+        # floors int64
+        spec = LatticeSpec(shape, 1.0)
+        edge = MAX_STEPS + 2
+        rng = np.random.default_rng(41)
+        cells = [*rng.integers(-edge, edge + 1, (300, 3)).tolist(),
+                 *itertools.product((-edge, 1 - edge, edge - 1, edge), repeat=3),
+                 *itertools.product((-2, 0, 3), (-7, -5, -3, -1, 0, 1, 4), (-1, 2))]
+        for cid in cells:
+            want = to_public_ids(shape, to_basis_ids(shape, cid) + _NEIGHBOR_OFFSETS[shape])
+            got = neighbors(spec, cid)
+            assert got == [CellId(*row) for row in want.tolist()]
+            assert all(type(x) is int for nb in got for x in nb)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_ids_outside_domain_rejected(self, shape):

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from topocell.geometry import CellShape
-from topocell.lattice import MAX_STEPS, CellId, LatticeSpec, neighbors
+from topocell.geometry import CellShape, to_basis_ids, to_public_ids
+from topocell.lattice import _NEIGHBOR_OFFSETS, MAX_STEPS, CellId, LatticeSpec, neighbors
 from topocell.routing import (
     DEAD_END,
     DELIVERED,
@@ -15,6 +17,68 @@ SPEC = LatticeSpec(CellShape.TO, 1.0)
 
 def metric(a, b):
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
+
+
+def table_neighbors(spec, cid):
+    """Neighbor ids by the int64 offset table, in table order."""
+    shape = spec.shape
+    rows = to_public_ids(shape, to_basis_ids(shape, cid) + _NEIGHBOR_OFFSETS[shape])
+    return [CellId(*row) for row in rows.tolist()]
+
+
+def reference_options(spec, cur, dst, alive):
+    """The forwarding options as first written: alive is asked of every
+    neighbor, then its metric is compared."""
+    bar = metric(cur, dst)
+    found = []
+    for nb in table_neighbors(spec, cur):
+        if alive is not None and not alive(nb):
+            continue
+        m = metric(nb, dst)
+        if m < bar:
+            found.append((m, nb))
+    return found
+
+
+def reference_route(spec, src, dst, alive=None, tie_break="lex", seed=None):
+    """(hops, outcome) of the greedy loop over ``reference_options``."""
+    rng = np.random.default_rng(seed) if tie_break == "random" else None
+    cur, dst = CellId(*src), CellId(*dst)
+    hops = [cur]
+    while cur != dst:
+        options = reference_options(spec, cur, dst, alive)
+        if not options:
+            return hops, DEAD_END
+        if rng is not None:
+            cur = options[int(rng.integers(len(options)))][1]
+        else:
+            cur = min(options)[1]
+        hops.append(cur)
+    return hops, DELIVERED
+
+
+class Recorder:
+    """Alive predicate over a dead set that records every id it is asked of."""
+
+    def __init__(self, dead):
+        self.dead = dead
+        self.calls = []
+
+    def __call__(self, cid):
+        self.calls.append(cid)
+        return cid not in self.dead
+
+
+def dead_grid(seed, base=(0, 0, 0), half=5, frac=0.15):
+    """Ids within ``half`` of ``base`` on each axis and a dead subset of them: a
+    seeded random ``frac`` and the wall u = base u + 1, which no neighbor
+    offset steps over, so routes across it mostly end dead."""
+    grid = [CellId(*(b + d for b, d in zip(base, off)))
+            for off in itertools.product(range(-half, half + 1), repeat=3)]
+    rng = np.random.default_rng(seed)
+    dead = {grid[i] for i in rng.choice(len(grid), int(frac * len(grid)), replace=False)}
+    dead |= {c for c in grid if c.u == base[0] + 1}
+    return [c for c in grid if c not in dead], frozenset(dead)
 
 
 def distance_field(spec, bound):
@@ -149,3 +213,59 @@ class TestNeighborChoiceCount:
             if neighbor_choice_count(SPEC, cur, dst) > 1:
                 multi += 1
         assert multi >= 35
+
+
+# at the origin, and reaching the domain's corner, with negative odd HP rows;
+# hops are not checked against the domain, so routes there may step past it
+BASES = [(0, 0, 0), (MAX_STEPS - 3, 3 - MAX_STEPS, MAX_STEPS - 3)]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_routes_match_reference(self, shape, base):
+        spec = LatticeSpec(shape, 1.0)
+        cells, dead = dead_grid(5, base)
+        alive = lambda cid: cid not in dead
+        rng = np.random.default_rng(9)
+        outcomes = set()
+        for _ in range(40):
+            src, dst = (cells[i] for i in rng.choice(len(cells), 2, replace=False))
+            for tie_break, seed in (("lex", None), ("random", 0), ("random", 17)):
+                path = greedy_route(spec, src, dst, alive=alive, tie_break=tie_break,
+                                    seed=seed)
+                want = reference_route(spec, src, dst, alive, tie_break, seed)
+                assert (path.hops, path.outcome) == want
+                outcomes.add(path.outcome)
+        assert outcomes == {DELIVERED, DEAD_END}
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_alive_asked_only_of_progress(self, shape):
+        # the predicate sees the endpoints, then on each hop that computes
+        # options exactly the neighbors strictly closer to dst, in table order
+        spec = LatticeSpec(shape, 1.0)
+        cells, dead = dead_grid(6)
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            src, dst = (cells[i] for i in rng.choice(len(cells), 2, replace=False))
+            alive = Recorder(dead)
+            path = greedy_route(spec, src, dst, alive=alive)
+            asked = path.hops if path.outcome == DEAD_END else path.hops[:-1]
+            want = [src, dst] + [nb for cur in asked for nb in table_neighbors(spec, cur)
+                                 if metric(nb, dst) < metric(cur, dst)]
+            assert alive.calls == want
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_choice_count_matches_reference(self, shape, base):
+        spec = LatticeSpec(shape, 1.0)
+        cells, dead = dead_grid(7, base)
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            cur, dst = (cells[i] for i in rng.choice(len(cells), 2, replace=False))
+            alive = Recorder(dead)
+            count = neighbor_choice_count(spec, cur, dst, alive=alive)
+            assert count == len(reference_options(spec, cur, dst, lambda c: c not in dead))
+            assert all(metric(nb, dst) < metric(cur, dst) for nb in alive.calls)
+            assert neighbor_choice_count(spec, cur, dst) == len(
+                reference_options(spec, cur, dst, None))
