@@ -23,6 +23,9 @@ shifted coset is one step toward y on each period-2 axis, at 1 - a_i there,
 so it is the nearer point when the sum of w_i (a_i - 1/2) over those axes
 is positive, w_i being the squared scale of axis i. CB, with one coset, is
 plain rounding. The basis ids are M^-1 times the chosen point.
+``assign_cells`` runs this rule on arrays of points (``_decode``);
+``assign_cell``, the call of one sensor, runs it for one point step for
+step in Python floats, with no numpy call, and gives the same ids.
 
 Every point p gets the id whose center, as ``cell_centers`` computes it,
 is nearest to p in exact arithmetic; among exactly equidistant centers, on
@@ -53,8 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +87,7 @@ _CHUNK = 1 << 16
 # rows the oracle scores at once, bounding its (candidates, rows) arrays; the
 # candidates it keeps are the centers within reach, however wide the window
 _ORACLE_ROWS = 1 << 13
+_FLOAT64 = np.dtype(np.float64)
 
 
 class CellId(NamedTuple):
@@ -94,6 +96,18 @@ class CellId(NamedTuple):
     u: int
     v: int
     w: int
+
+
+class _PointRule(NamedTuple):
+    """``_decode``'s constants of one spec as Python numbers, for ``assign_cell``."""
+
+    sink: tuple[float, float, float]
+    divisor: tuple[float, float, float]  # scale * period
+    period: tuple[int, int, int]
+    weight: tuple[float, float, float]
+    threshold: float
+    inverse: tuple[tuple[float, float, float], ...]  # rows of M^-1
+    reach: float  # MAX_STEPS * step
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +119,8 @@ class LatticeSpec:
     sink: np.ndarray = (0.0, 0.0, 0.0)
     # derived once: the circumradius R at the maximum usable size for r_t,
     # ``geometry.lattice_basis`` and its inverse, ``geometry.coset_period``,
-    # the decoder's weights and threshold, and the domain step of MAX_STEPS
+    # the decoder's weights and threshold, the domain step of MAX_STEPS, and
+    # the same constants as Python numbers for the one-point decoder
     circumradius: float = field(init=False)
     basis: np.ndarray = field(init=False)
     scale: np.ndarray = field(init=False)
@@ -114,6 +129,7 @@ class LatticeSpec:
     weight: np.ndarray = field(init=False)
     threshold: float = field(init=False)
     step: float = field(init=False)
+    point_rule: _PointRule = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shape", CellShape(self.shape))
@@ -136,6 +152,10 @@ class LatticeSpec:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "threshold", 0.5 * float(weight.sum()))
         object.__setattr__(self, "step", cell_spacing(self.shape, R)[0])
+        object.__setattr__(self, "point_rule", _PointRule(
+            tuple(self.sink.tolist()), tuple((scale * period).tolist()),
+            tuple(period.astype(int).tolist()), tuple(weight.tolist()), self.threshold,
+            tuple(map(tuple, self.inverse.tolist())), MAX_STEPS * self.step))
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
@@ -195,12 +215,16 @@ def _check_points(points) -> np.ndarray:
     return pts
 
 
+def _reach_error(spec: LatticeSpec) -> ValueError:
+    return ValueError(
+        f"point coordinates must be finite and within {MAX_STEPS} lattice steps "
+        f"({MAX_STEPS * spec.step:.6g} m) of the sink along each axis")
+
+
 def _check_reach(spec: LatticeSpec, rel: np.ndarray) -> None:
     """Reject offsets from the sink that are not finite or exceed MAX_STEPS."""
     if not np.abs(rel).max(initial=0.0) <= MAX_STEPS * spec.step:
-        raise ValueError(
-            f"point coordinates must be finite and within {MAX_STEPS} lattice steps "
-            f"({MAX_STEPS * spec.step:.6g} m) of the sink along each axis")
+        raise _reach_error(spec)
 
 
 def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
@@ -226,10 +250,59 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     return to_public_ids(spec.shape, ids)
 
 
+def _coords(p) -> list[float]:
+    """The coordinates of ``as_point(p)`` as Python floats, not yet checked to
+    be finite: read without numpy from a float64 array of shape (3,),
+    through ``as_point`` otherwise."""
+    if type(p) is np.ndarray and p.dtype is _FLOAT64 and p.shape == (3,):
+        return p.tolist()
+    return as_point(p).tolist()
+
+
 def assign_cell(spec: LatticeSpec, p) -> CellId:
-    """Cell id of a single point."""
-    row = assign_cells(spec, as_point(p)[None, :])[0]
-    return CellId(int(row[0]), int(row[1]), int(row[2]))
+    """Cell id of a single point, the one ``assign_cells`` gives it.
+
+    ``_decode`` for one point, step for step in Python floats and ints with
+    no numpy call: the few dozen operations a sensor needs to find its cell
+    from its own location. Only a point within _TIE_TOL of a tie goes to the
+    oracle. Invalid points raise the errors of ``as_point`` and of the
+    domain check.
+    """
+    sink, divisor, period, weight, threshold, inverse, reach = spec.point_rule
+    xyz = _coords(p)
+    rx, ry, rz = xyz[0] - sink[0], xyz[1] - sink[1], xyz[2] - sink[2]
+    if not (abs(rx) <= reach and abs(ry) <= reach and abs(rz) <= reach):
+        as_point(p)  # raises for coordinates that are not finite
+        raise _reach_error(spec)
+    # n: the nearest point of diag(P) Z^3 to t = rel / scale, and e = t - n,
+    # both exact; round, like np.rint, takes halves to even
+    px, py, pz = period
+    tx, ty, tz = rx / divisor[0], ry / divisor[1], rz / divisor[2]
+    nx, ny, nz = round(tx), round(ty), round(tz)
+    ex, ey, ez = (tx - nx) * px, (ty - ny) * py, (tz - nz) * pz
+    nx, ny, nz = nx * px, ny * py, nz * pz
+    ax, ay, az = abs(ex), abs(ey), abs(ez)
+    tie = False
+    if threshold:  # a second coset, shifted on the period-2 axes; CB has none
+        margin = weight[0] * ax + weight[1] * ay + weight[2] * az - threshold
+        if margin > 0:
+            sx, sy, sz = px - 1, py - 1, pz - 1
+            nx += sx if ex >= 0 else -sx
+            ny += sy if ey >= 0 else -sy
+            nz += sz if ez >= 0 else -sz
+            ax, ay, az = abs(ax - sx), abs(ay - sy), abs(az - sz)
+        tie = abs(margin) <= _TIE_TOL
+    if (tie or ax >= 0.5 * px - _TIE_TOL or ay >= 0.5 * py - _TIE_TOL
+            or az >= 0.5 * pz - _TIE_TOL):
+        u, v, w = _oracle(spec, np.array([xyz]))[0].tolist()
+    else:
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = inverse
+        u = int(m00 * nx + m01 * ny + m02 * nz)
+        v = int(m10 * nx + m11 * ny + m12 * nz)
+        w = int(m20 * nx + m21 * ny + m22 * nz)
+    if spec.shape is CellShape.HP:
+        u += v >> 1
+    return _cell_id((u, v, w))
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -289,9 +362,8 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
 
 def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
     """Basis ids of ``assign_cells_oracle`` for the rows of ``pts`` (n, 3)."""
-    rng = np.arange(-window, window + 1, dtype=np.int64)
     # basis-id offsets in lexicographic order and their center displacements
-    offs = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
+    offs = np.indices((2 * window + 1,) * 3, dtype=np.int64).reshape(3, -1).T - window
     doff = (offs @ spec.basis.T) * spec.scale
     out = np.empty((len(pts), 3), dtype=np.int64)
     for i in range(0, len(pts), _ORACLE_ROWS):
@@ -335,18 +407,25 @@ def _oracle_chunk(spec, pts, offs, doff):
     # the first close candidate, on an unflagged row the only one
     ids = base + offs[close.argmax(axis=0)]
     flagged = np.flatnonzero(close.sum(axis=0) > 1)
-    pair, k = np.nonzero(close[:, flagged].T)
+    if not len(flagged):
+        return ids
     # the flagged rows' close candidates, scored exactly: every float is
-    # m 2^e with integer m, so the coordinates become Python ints in units
-    # of the smallest 2^e among them; the nearest center wins, and among
-    # exactly equidistant ones the smallest public id
+    # m 2^e with an integer m of 53 bits, so the coordinates become Python
+    # ints in units of the smallest 2^e among them, and so do the squared
+    # distances
+    pair, k = np.nonzero(close[:, flagged].T)
     cand = base[flagged[pair]] + offs[k]
     pub = to_public_ids(spec.shape, cand)
     m, e = np.frexp(np.vstack([pts[flagged], cell_centers(spec, pub)]))
-    x = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - e.min(initial=0)).astype(object)
-    d2x = ((x[pair] - x[len(flagged):]) ** 2).sum(axis=1)
-    keys = zip(pair.tolist(), d2x, pub.tolist(), range(len(pair)))
-    ids[flagged] = cand[[min(group)[3] for _, group in groupby(keys, itemgetter(0))]]
+    x = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - e.min()).astype(object)
+    diff = x[pair] - x[len(flagged):]
+    d2 = (diff * diff).sum(axis=1)
+    # the nearest center wins, and among exactly equidistant ones the
+    # smallest public id; pair runs over every flagged row in order
+    rows = np.arange(len(flagged))
+    win = np.flatnonzero(d2 == np.minimum.reduceat(d2, np.searchsorted(pair, rows))[pair])
+    win = win[np.lexsort((*pub[win].T[::-1], pair[win]))]
+    ids[flagged] = cand[win[np.searchsorted(pair[win], rows)]]
     return ids
 
 

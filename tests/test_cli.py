@@ -106,6 +106,22 @@ class TestAssign:
         assert out == ""
         assert "lattice steps" in err
 
+    @pytest.mark.parametrize("method", ["exact", "oracle", "nearest_int"])
+    @pytest.mark.parametrize("point,message", [
+        ("nan,0,0", "point coordinates must be finite"),
+        ("0,inf,0", "point coordinates must be finite"),
+        ("0,0,-inf", "point coordinates must be finite"),
+        ("0,600000,0", "lattice steps"),
+    ])
+    def test_unusable_point_is_invalid_parameter(self, method, point, message, capsys):
+        # 600000 m is beyond MAX_STEPS = 2^19 TO steps of 1/sqrt(17) m
+        code = main(["assign", "--shape", "to", "--rt", "1", "--point", point,
+                     "--method", method])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_oversized_oracle_window_is_invalid_parameter(self):
         code, out, err = run_cli(["assign", "--shape", "to", "--rt", "1",
                                   "--point", "0.6,0.6,0.6", "--method", "oracle",

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from topocell import lattice
 from topocell.geometry import (
     CellShape,
+    as_point,
     build_polyhedron,
     cell_spacing,
     center_offsets,
@@ -137,6 +139,103 @@ class TestAssignCell:
         with pytest.raises(ValueError):
             assign_cell(spec, (math.nan, 0.0, 0.0))
 
+    @staticmethod
+    def one_row(spec, p):
+        """A single point through the batch path, checks included."""
+        return CellId(*assign_cells(spec, as_point(p)[None, :])[0].tolist())
+
+    @staticmethod
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except Exception as exc:  # the type and message are compared
+            return type(exc), str(exc)
+
+    @staticmethod
+    def tie_points(spec, cells):
+        """Vertices of ``cells`` and midpoints to their neighbors' centers:
+        points equidistant from several centers."""
+        R = spec.circumradius
+        centers = cell_centers(spec, cells)
+        verts = [build_polyhedron(spec.shape, c, R).vertices for c in centers]
+        mids = [(c + cell_centers(spec, np.array(neighbors(spec, tuple(cell))))) / 2.0
+                for c, cell in zip(centers, cells)]
+        return np.vstack(verts + mids)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("r_t,sink", [(1.0, (0.0, 0.0, 0.0)), (3.7, (1.25, -0.4, 2.83))])
+    def test_matches_batch(self, shape, r_t, sink):
+        # the one-point decoder against assign_cells, row for row: random
+        # points, points on cell boundaries (the tie path), HP rows of
+        # negative odd v, and the corners of the supported box
+        spec = LatticeSpec(shape, r_t, sink=sink)
+        R = spec.circumradius
+        rng = np.random.default_rng(21)
+        cells = np.array([(0, 0, 0), (2, -3, 1), (-1, 2, -2), (1, 1, -1), (3, -5, 0), (-2, -1, 4)])
+        odd = np.array([(u, v, w) for u in (-2, 0, 3) for v in (-7, -3, -1) for w in (-1, 2)])
+        near_odd = cell_centers(spec, np.repeat(odd, 20, axis=0))
+        near_odd += rng.uniform(-R, R, near_odd.shape)
+        lim = lattice.MAX_STEPS * spec.step
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        corners = spec.sink + np.vstack([signs * lim, signs * lim * (1 - 1e-12),
+                                         signs * (lim - 2.0 * R)])
+        pts = np.vstack([spec.sink + rng.uniform(-8 * R, 8 * R, (3000, 3)),
+                         self.tie_points(spec, np.vstack([cells, odd])), near_odd, corners])
+        assert (assign_cells(spec, pts) == [assign_cell(spec, p) for p in pts]).all()
+        for p in corners.tolist() + (corners * (1 + 1e-9)).tolist():
+            assert self.outcome(assign_cell, spec, p) == self.outcome(self.one_row, spec, p)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_fast_path_runs(self, shape, monkeypatch):
+        # random points never reach the oracle, points on cell boundaries
+        # do, and the batch path is never taken
+        spec = LatticeSpec(shape, 3.7, sink=(1.25, -0.4, 2.83))
+        calls = []
+        oracle = lattice._oracle
+        monkeypatch.setattr(lattice, "_oracle", lambda *a: calls.append(1) or oracle(*a))
+
+        def no_batch(*args):
+            raise AssertionError("assign_cell took the batch path")
+
+        monkeypatch.setattr(lattice, "assign_cells", no_batch)
+        rng = np.random.default_rng(4)
+        for p in spec.sink + rng.uniform(-20.0, 20.0, (10_000, 3)):
+            assign_cell(spec, p)
+        assert not calls
+        for p in self.tie_points(spec, np.array([(0, 0, 0), (1, -2, 1)])):
+            assign_cell(spec, p)
+        assert calls
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.filterwarnings("ignore:Casting complex values")
+    def test_invalid_points_raise_batch_errors(self, shape):
+        # every invalid point raises what the batch path raises for it,
+        # type and message; valid but unusual forms give its id
+        spec = LatticeSpec(shape, 3.7, sink=(1.25, -0.4, 2.83))
+        points = []
+        for bad in (math.nan, math.inf, -math.inf):
+            for axis in range(3):
+                c = [0.5, -0.25, 1.0]
+                c[axis] = bad
+                points += [tuple(c), c, np.array(c), np.array(c, dtype=np.float32)]
+                with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+                    assign_cell(spec, np.array(c))
+        points += [
+            (1e20, 0.0, 0.0), [0.0, -1e20, 0.0], np.array([0, 0, 10 ** 15]), (10 ** 400, 0, 0),
+            np.array([1, 2, 3]), np.array([1, 2, 3], dtype=np.int32), (1, 2, 3), (True, 0, 1),
+            np.array([0.3, -0.1, 0.2], dtype=">f8"), np.array([1.0, 9.0, 2.0, 8.0, 3.0])[::2],
+            (np.float64(0.3), 0.0, 0.0), np.array([0.1, 0.2, 0.3], dtype=np.float16),
+            (1, 2), [1, 2, 3, 4], np.zeros(2), np.zeros((1, 3)), np.zeros((3, 1)), [[1], [2], [3]],
+            5.0, "abc", "123", b"abc", ("a", "b", "c"), ("1", "2", "3"), (None, 0, 0), {1, 2, 3},
+            (1j, 0, 0), np.array(["1", "2", "3"]), np.array([0.1, 0.2, 0.3], dtype=object),
+        ]
+        for p in points:
+            assert self.outcome(assign_cell, spec, p) == self.outcome(self.one_row, spec, p), p
+        with pytest.raises(ValueError, match="lattice steps"):
+            assign_cell(spec, np.array([0, 0, 10 ** 15]))
+        with pytest.raises(ValueError, match="3D point"):
+            assign_cell(spec, (1.0, 2.0))
+
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("r_t,sink", RANDOM_SPECS)
     def test_roundtrip(self, shape, r_t, sink):
@@ -231,7 +330,9 @@ class TestProperty:
         # offsets are in eighths of r_t, so every example spans a few dozen cells
         spec = LatticeSpec(shape, r_t, sink=sink)
         pts = spec.sink + np.array(offsets) * (r_t / 8.0)
-        assert (assign_cells(spec, pts) == assign_cells_oracle(spec, pts)).all()
+        ids = assign_cells(spec, pts)
+        assert (ids == assign_cells_oracle(spec, pts)).all()
+        assert (ids == [assign_cell(spec, p) for p in pts]).all()
 
 
 class TestDomain:
