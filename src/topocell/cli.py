@@ -116,7 +116,11 @@ def _spec(fields: dict, shape: str) -> LatticeSpec:
     Both name the fields alike: ``rt``, ``rt_sqrt17_units`` and ``sink``.
     """
     rt = _number(fields["rt"], "rt")
-    if fields.get("rt_sqrt17_units"):
+    sqrt17_units = fields.get("rt_sqrt17_units", False)
+    if not isinstance(sqrt17_units, bool):
+        raise ValueError(
+            f"config field 'rt_sqrt17_units' must be true or false, got {sqrt17_units!r}")
+    if sqrt17_units:
         rt *= SQRT17
     return LatticeSpec(shape=CellShape(shape), r_t=rt,
                        sink=fields.get("sink", (0.0, 0.0, 0.0)))

@@ -101,7 +101,7 @@ def as_point(p, what: str = "point") -> np.ndarray:
     name the point ``what``."""
     try:
         q = np.asarray(p, dtype=float)
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"{what} must be a 3D point of numbers, got {p!r}") from None
     if q.shape != (3,):
         raise ValueError(f"{what} must be a 3D point, got array of shape {q.shape}")

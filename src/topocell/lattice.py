@@ -25,7 +25,11 @@ is positive, w_i being the squared scale of axis i. CB, with one coset, is
 plain rounding. The basis ids are M^-1 times the chosen point.
 ``assign_cells`` runs this rule on arrays of points (``_decode``);
 ``assign_cell``, the call of one sensor, runs it for one point step for
-step in Python floats, with no numpy call, and gives the same ids.
+step in Python floats, with no numpy call, and gives the same ids. Both
+read the rule's constants (the sink, scale, period, weights, threshold,
+M^-1 and the domain bound) from one record of Python numbers that
+``LatticeSpec`` derives once, ``LatticeSpec.rule``, so they use the same
+numbers and flag the same points as ties.
 
 Every point p gets the id whose center, as ``cell_centers`` computes it,
 is nearest to p in exact arithmetic; among exactly equidistant centers, on
@@ -98,12 +102,13 @@ class CellId(NamedTuple):
     w: int
 
 
-class _PointRule(NamedTuple):
-    """``_decode``'s constants of one spec as Python numbers, for ``assign_cell``."""
+class _Rule(NamedTuple):
+    """The nearest-point rule's constants of one spec, as Python numbers."""
 
     sink: tuple[float, float, float]
+    scale: tuple[float, float, float]  # per-axis scale of ``geometry.lattice_basis``
     divisor: tuple[float, float, float]  # scale * period
-    period: tuple[int, int, int]
+    period: tuple[int, int, int]  # ``geometry.coset_period``
     weight: tuple[float, float, float]
     threshold: float
     inverse: tuple[tuple[float, float, float], ...]  # rows of M^-1
@@ -118,18 +123,12 @@ class LatticeSpec:
     r_t: float
     sink: np.ndarray = (0.0, 0.0, 0.0)
     # derived once: the circumradius R at the maximum usable size for r_t,
-    # ``geometry.lattice_basis`` and its inverse, ``geometry.coset_period``,
-    # the decoder's weights and threshold, the domain step of MAX_STEPS, and
-    # the same constants as Python numbers for the one-point decoder
+    # the domain step of MAX_STEPS, and the one record of the nearest-point
+    # rule's constants, which both decoders, the domain check and
+    # ``simulator.active_count`` read
     circumradius: float = field(init=False)
-    basis: np.ndarray = field(init=False)
-    scale: np.ndarray = field(init=False)
-    inverse: np.ndarray = field(init=False)
-    period: np.ndarray = field(init=False)
-    weight: np.ndarray = field(init=False)
-    threshold: float = field(init=False)
     step: float = field(init=False)
-    point_rule: _PointRule = field(init=False, repr=False)
+    rule: _Rule = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shape", CellShape(self.shape))
@@ -138,24 +137,19 @@ class LatticeSpec:
         object.__setattr__(self, "r_t", float(self.r_t))
         object.__setattr__(self, "sink", as_point(self.sink, "sink"))
         R = max_cell_radius(self.shape, self.r_t)
-        basis, scale = lattice_basis(self.shape, R)
+        step = cell_spacing(self.shape, R)[0]
         object.__setattr__(self, "circumradius", R)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "inverse", np.linalg.inv(basis))
+        object.__setattr__(self, "step", step)
+        basis, scale = lattice_basis(self.shape, R)
         period = coset_period(self.shape)
-        object.__setattr__(self, "period", period)
         # squared scale of the period-2 axes relative to axis 0, the
         # smallest: the metric in which the decoder compares its cosets, the
         # shifted one being nearer when weight @ a exceeds half its sum
         weight = (period == 2) * (scale / scale[0]) ** 2
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "threshold", 0.5 * float(weight.sum()))
-        object.__setattr__(self, "step", cell_spacing(self.shape, R)[0])
-        object.__setattr__(self, "point_rule", _PointRule(
-            tuple(self.sink.tolist()), tuple((scale * period).tolist()),
-            tuple(period.astype(int).tolist()), tuple(weight.tolist()), self.threshold,
-            tuple(map(tuple, self.inverse.tolist())), MAX_STEPS * self.step))
+        object.__setattr__(self, "rule", _Rule(
+            tuple(self.sink.tolist()), tuple(scale.tolist()), tuple((scale * period).tolist()),
+            tuple(period.astype(int).tolist()), tuple(weight.tolist()), 0.5 * float(weight.sum()),
+            tuple(map(tuple, np.linalg.inv(basis).tolist())), MAX_STEPS * step))
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
@@ -170,41 +164,42 @@ def cell_center(spec: LatticeSpec, cid) -> np.ndarray:
 
 def _fractional_ids(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
     """Real-valued basis ids solving the center equations for rows of ``rel``."""
-    return (rel / spec.scale) @ spec.inverse.T
+    return (rel / np.array(spec.rule.scale)) @ np.array(spec.rule.inverse).T
 
 
 def _decode(spec: LatticeSpec, rel: np.ndarray):
     """Nearest centers to the columns of ``rel`` (3, n), points relative to the sink.
 
     Returns their basis ids as a (3, n) float array of integers, and a mask
-    of the points whose decision is within _TIE_TOL of a tie.
+    of the points whose decision is within _TIE_TOL of a tie. ``assign_cell``
+    is the same rule for one point, step for step.
     """
-    if spec.shape is CellShape.CB:  # one coset
-        t = rel / spec.scale[:, None]
-        near = np.rint(t)
-        return near, (np.abs(t - near) >= 0.5 - _TIE_TOL).any(axis=0)
+    _, _, divisor, period, weight, threshold, inverse, _ = spec.rule
+    period = np.array(period, dtype=float)[:, None]
     # near: the nearest point of diag(P) Z^3 to t = rel / scale, and
     # err = t - near, both exact; the arithmetic runs in place, as a chunk's
     # temporaries cost more than the arithmetic itself
-    period = spec.period[:, None]
-    err = rel / (spec.scale * spec.period)[:, None]
+    err = rel / np.array(divisor)[:, None]
     near = np.rint(err)
     err -= near
     err *= period
     near *= period
     a = np.abs(err)
-    # the shifted coset's nearest point is near + sign(err) on the period-2
-    # axes, 1 - a away there instead of a: it is the nearer point when the
-    # weighted sum of a - 1/2 over those axes is positive
-    margin = spec.weight @ a
-    margin -= spec.threshold
-    shift = (margin > 0) * (period - 1.0)
-    near += np.copysign(shift, err, out=err)
+    tie = False
+    if threshold:  # a second coset, shifted on the period-2 axes; CB has none
+        # its nearest point is near + sign(err) on the period-2 axes, 1 - a
+        # away there instead of a: it is the nearer point when the weighted
+        # sum of a - 1/2 over those axes is positive
+        margin = np.array(weight) @ a
+        margin -= threshold
+        shift = (margin > 0) * (period - 1.0)
+        near += np.copysign(shift, err, out=err)
+        a -= shift
+        np.abs(a, out=a)
+        tie = np.abs(margin) <= _TIE_TOL
     # ties: two cosets equally near, or the chosen coset's rounding at a half
-    a -= shift
-    tie = (np.abs(a, out=a) >= 0.5 * period - _TIE_TOL).any(axis=0)
-    tie |= np.abs(margin) <= _TIE_TOL
-    return spec.inverse @ near, tie
+    tie |= (a >= 0.5 * period - _TIE_TOL).any(axis=0)
+    return np.array(inverse) @ near, tie
 
 
 def _check_points(points) -> np.ndarray:
@@ -218,12 +213,12 @@ def _check_points(points) -> np.ndarray:
 def _reach_error(spec: LatticeSpec) -> ValueError:
     return ValueError(
         f"point coordinates must be finite and within {MAX_STEPS} lattice steps "
-        f"({MAX_STEPS * spec.step:.6g} m) of the sink along each axis")
+        f"({spec.rule.reach:.6g} m) of the sink along each axis")
 
 
 def _check_reach(spec: LatticeSpec, rel: np.ndarray) -> None:
     """Reject offsets from the sink that are not finite or exceed MAX_STEPS."""
-    if not np.abs(rel).max(initial=0.0) <= MAX_STEPS * spec.step:
+    if not np.abs(rel).max(initial=0.0) <= spec.rule.reach:
         raise _reach_error(spec)
 
 
@@ -268,7 +263,7 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
     oracle. Invalid points raise the errors of ``as_point`` and of the
     domain check.
     """
-    sink, divisor, period, weight, threshold, inverse, reach = spec.point_rule
+    sink, _, divisor, period, weight, threshold, inverse, reach = spec.rule
     xyz = _coords(p)
     rx, ry, rz = xyz[0] - sink[0], xyz[1] - sink[1], xyz[2] - sink[2]
     if not (abs(rx) <= reach and abs(ry) <= reach and abs(rz) <= reach):
@@ -364,7 +359,8 @@ def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
     """Basis ids of ``assign_cells_oracle`` for the rows of ``pts`` (n, 3)."""
     # basis-id offsets in lexicographic order and their center displacements
     offs = np.indices((2 * window + 1,) * 3, dtype=np.int64).reshape(3, -1).T - window
-    doff = (offs @ spec.basis.T) * spec.scale
+    basis, scale = lattice_basis(spec.shape, spec.circumradius)
+    doff = (offs @ basis.T) * scale
     out = np.empty((len(pts), 3), dtype=np.int64)
     for i in range(0, len(pts), _ORACLE_ROWS):
         out[i:i + _ORACLE_ROWS] = _oracle_chunk(spec, pts[i:i + _ORACLE_ROWS], offs, doff)

@@ -63,13 +63,6 @@ REFERENCE_SENSING = {
     CellShape.TO: Reference(0.542326, 6),
 }
 
-REFERENCE_VOLUME = {
-    CellShape.CB: Reference(0.024056, 6),
-    CellShape.HP: Reference(0.03818, 5),
-    CellShape.RD: Reference(0.03125),
-    CellShape.TO: Reference(0.057, 3),
-}
-
 REFERENCE_ACTIVE_RATIO = {
     CellShape.CB: Reference(2.372239, 6),
     CellShape.HP: Reference(1.49468, 5),

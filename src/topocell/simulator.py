@@ -194,10 +194,9 @@ def active_count(spec: LatticeSpec, box: Box) -> int:
     # product of per-axis counts. Axis i of a center is computed as
     # sink_i + y_i * scale_i, monotone in y_i, so each range boundary is
     # settled in that same float arithmetic from its real-valued estimate.
-    period = spec.period.astype(int).tolist()
-    shifts = [[0, 0, 0]] if max(period) == 1 else [[0, 0, 0], [p - 1 for p in period]]
-    axes = list(zip(box.lo.tolist(), box.hi.tolist(), spec.sink.tolist(),
-                    spec.scale.tolist(), period))
+    rule = spec.rule
+    shifts = [[0, 0, 0]] if max(rule.period) == 1 else [[0, 0, 0], [p - 1 for p in rule.period]]
+    axes = list(zip(box.lo.tolist(), box.hi.tolist(), rule.sink, rule.scale, rule.period))
     return sum(math.prod(_axis_count(*axis, o) for axis, o in zip(axes, shift))
                for shift in shifts)
 

@@ -231,6 +231,11 @@ class TestSimulate:
         ("lifetime", "battery_capacity", [2], "battery_capacity"),
         ("lifetime", "sink", {"x": 0}, "sink"),
         ("accuracy", "sink", [{}, 0, 0], "sink"),
+        ("accuracy", "sink", "abc", "sink"),
+        ("lifetime", "box", {"lo": "0,0,0", "hi": [1, 1, 1]}, "box corner lo"),
+        ("accuracy", "rt_sqrt17_units", "false", "rt_sqrt17_units"),
+        ("accuracy", "rt_sqrt17_units", "yes", "rt_sqrt17_units"),
+        ("accuracy", "rt_sqrt17_units", 1, "rt_sqrt17_units"),
     ])
     def test_field_of_wrong_type_is_invalid_parameter(self, accuracy_config, lifetime_config,
                                                       kind, field, value, named, capsys):

@@ -186,6 +186,31 @@ class TestAssignCell:
             assert self.outcome(assign_cell, spec, p) == self.outcome(self.one_row, spec, p)
 
     @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("r_t,sink", [(1.0, (0.0, 0.0, 0.0)), (3.7, (1.25, -0.4, 2.83))])
+    def test_decoders_flag_the_same_rows(self, shape, r_t, sink, monkeypatch):
+        # assign_cell sends to the oracle exactly the points whose rows
+        # _decode flags: random points, the vertices and neighbor midpoints
+        # of a 7^3 block, those vertices moved by a few ulps, and points
+        # 1e-10 to 1e-6 steps from them, on both sides of the tie tolerance
+        spec = LatticeSpec(shape, r_t, sink=sink)
+        rng = np.random.default_rng(8)
+        verts = np.vstack([build_polyhedron(shape, c, spec.circumradius).vertices
+                           for c in cell_centers(spec, id_grid(3))])
+        near = verts + (rng.uniform(-1.0, 1.0, verts.shape) * spec.step
+                        * 10.0 ** rng.uniform(-10.0, -6.0, (len(verts), 1)))
+        pts = np.vstack([spec.sink + rng.uniform(-8.0, 8.0, (3000, 3)) * spec.circumradius,
+                         self.tie_points(spec, id_grid(3)), verts + 3 * np.spacing(verts),
+                         verts - 2 * np.spacing(verts), near])
+        _, flagged = lattice._decode(spec, (pts - spec.sink).T.copy())
+        sent = []
+        monkeypatch.setattr(lattice, "_oracle", lambda spec, rows: sent.append(rows[0].tolist())
+                            or np.zeros((1, 3), dtype=np.int64))
+        for p in pts:
+            assign_cell(spec, p)
+        assert sent == pts[flagged].tolist()
+        assert 0 < len(sent) < len(pts)
+
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_fast_path_runs(self, shape, monkeypatch):
         # random points never reach the oracle, points on cell boundaries
         # do, and the batch path is never taken
