@@ -29,7 +29,7 @@ from topocell import (
 spec = LatticeSpec(CellShape.TO, r_t=math.sqrt(17.0))  # lattice step = 1 m
 point = np.array([1.0, 0.2, 0.45])
 
-print(f"sink at {spec.sink}, transmission range {spec.r_t:.4f} m")
+print(f"sink at {np.array(spec.sink)}, transmission range {spec.r_t:.4f} m")
 print(f"sensor at {point}\n")
 
 d = 2.0 * spec.circumradius / math.sqrt(5.0)

@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import planner
 from .geometry import CellShape
 from .lattice import (
@@ -164,6 +162,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_assign(args) -> int:
+    import numpy as np
+
     if not 2 <= args.window <= MAX_WINDOW:
         raise ValueError(f"--window must be between 2 and {MAX_WINDOW}")
     spec = _spec(vars(args), args.shape)

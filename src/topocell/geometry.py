@@ -63,8 +63,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
@@ -99,6 +97,8 @@ VERTEX_COUNTS = {
 def as_point(p, what: str = "point") -> np.ndarray:
     """Validate and convert a 3D point to a float array of shape (3,); errors
     name the point ``what``."""
+    import numpy as np
+
     try:
         q = np.asarray(p, dtype=float)
     except (TypeError, ValueError):
@@ -121,7 +121,7 @@ class Polyhedron:
 
     def axis_extents(self) -> np.ndarray:
         """Half-widths of the axis-aligned bounding box about the center."""
-        return np.abs(self.vertices - self.center).max(axis=0)
+        return abs(self.vertices - self.center).max(axis=0)
 
     def face_equations(self) -> np.ndarray:
         """Outward face planes, rows (a, b, c, off) with a*x+b*y+c*z+off <= 0 inside.
@@ -130,6 +130,8 @@ class Polyhedron:
         bisector between the center c and the neighbor center c + v, with
         normal v/|v| and offset -(v.c)/|v| - |v|/2.
         """
+        import numpy as np
+
         v = center_offsets(self.shape, self.circumradius, _FACE_IDS[self.shape])
         length = np.sqrt((v ** 2).sum(axis=1, keepdims=True))
         normal = v / length
@@ -141,6 +143,8 @@ class Polyhedron:
         Accepts a single point or an (n, 3) array; returns a bool or a bool
         array accordingly. The tolerance is relative to the circumradius.
         """
+        import numpy as np
+
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
@@ -190,19 +194,26 @@ def cell_spacing(shape: CellShape, circumradius: float) -> tuple[float, ...]:
 
 # generator matrix M of each shape's lattice, rows indexed by x, y, z
 _BASES = {
-    CellShape.CB: np.eye(3),
-    CellShape.HP: np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-    CellShape.RD: np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]),
-    CellShape.TO: np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0]]),
+    CellShape.CB: ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    CellShape.HP: ((2, 1, 0), (0, 1, 0), (0, 0, 1)),
+    CellShape.RD: ((2, 0, 1), (0, 2, 1), (0, 0, 1)),
+    CellShape.TO: ((2, 0, 1), (0, 2, 1), (0, 0, 1)),
 }
 
+# M^-1, whose entries are exact binary fractions
+_INVERSES = {
+    CellShape.CB: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    CellShape.HP: ((0.5, -0.5, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    CellShape.RD: ((0.5, 0.0, -0.5), (0.0, 0.5, -0.5), (0.0, 0.0, 1.0)),
+    CellShape.TO: ((0.5, 0.0, -0.5), (0.0, 0.5, -0.5), (0.0, 0.0, 1.0)),
+}
 
 # per-axis period P of the rectangular lattice diag(P) Z^3 inside M Z^3
 _PERIODS = {
-    CellShape.CB: np.array([1.0, 1.0, 1.0]),
-    CellShape.HP: np.array([2.0, 2.0, 1.0]),
-    CellShape.RD: np.array([2.0, 2.0, 2.0]),
-    CellShape.TO: np.array([2.0, 2.0, 2.0]),
+    CellShape.CB: (1, 1, 1),
+    CellShape.HP: (2, 2, 1),
+    CellShape.RD: (2, 2, 2),
+    CellShape.TO: (2, 2, 2),
 }
 
 
@@ -212,41 +223,53 @@ def coset_period(shape: CellShape) -> np.ndarray:
     M Z^3 is diag(P) Z^3, plus its shift by 1 along every period-2 axis
     when there is one: see the module docstring.
     """
-    return _PERIODS[_as_shape(shape)]
+    import numpy as np
+
+    return np.array(_PERIODS[_as_shape(shape)], dtype=float)
 
 
-def lattice_basis(shape: CellShape, circumradius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generator matrix M (3, 3) and per-axis scale (3,): see the module docstring."""
-    shape = _as_shape(shape)
+def _scale(shape: CellShape, circumradius: float) -> tuple[float, float, float]:
+    """Per-axis scale of ``lattice_basis``, as Python floats."""
     spacing = cell_spacing(shape, circumradius)
     if shape is CellShape.HP:
         a, h = spacing
-        scale = (_SQRT3 * a / 2.0, 1.5 * a, h)
-    elif shape is CellShape.RD:
+        return (_SQRT3 * a / 2.0, 1.5 * a, h)
+    if shape is CellShape.RD:
         q, R = spacing
-        scale = (q, q, R)
-    else:
-        scale = spacing * 3  # (s, s, s) for CB, (d, d, d) for TO
-    return _BASES[shape], np.array(scale)
+        return (q, q, R)
+    return spacing * 3  # (s, s, s) for CB, (d, d, d) for TO
 
 
-# HP's axial id alpha = u - floor(v/2) undoes the half-step shift of odd rows
-_ROW_SHIFT = np.array([1, 0, 0])
+def lattice_basis(shape: CellShape, circumradius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Generator matrix M (3, 3) and per-axis scale (3,): see the module docstring.
+
+    Both are new float arrays on each call, built from the module's tuples.
+    """
+    import numpy as np
+
+    shape = _as_shape(shape)
+    return np.array(_BASES[shape], dtype=float), np.array(_scale(shape, circumradius))
 
 
 def to_basis_ids(shape: CellShape, ids) -> np.ndarray:
     """Basis ids of the public ids ``ids`` (integers, shape (..., 3))."""
+    import numpy as np
+
     ids = np.asarray(ids, dtype=np.int64)
     if _as_shape(shape) is CellShape.HP:
-        return ids - (ids[..., 1:2] >> 1) * _ROW_SHIFT
+        # the axial id alpha = u - floor(v/2) undoes the half-step shift of
+        # odd rows
+        return ids - (ids[..., 1:2] >> 1) * (1, 0, 0)
     return ids
 
 
 def to_public_ids(shape: CellShape, ids) -> np.ndarray:
     """Public ids of the basis ids ``ids``, the inverse of ``to_basis_ids``."""
+    import numpy as np
+
     ids = np.asarray(ids, dtype=np.int64)
     if _as_shape(shape) is CellShape.HP:
-        return ids + (ids[..., 1:2] >> 1) * _ROW_SHIFT
+        return ids + (ids[..., 1:2] >> 1) * (1, 0, 0)
     return ids
 
 
@@ -262,6 +285,8 @@ def build_polyhedron(shape: CellShape, center, circumradius: float) -> Polyhedro
     """Build the vertex list of a cell with the module's fixed orientations."""
     if not (math.isfinite(circumradius) and circumradius > 0):
         raise ValueError("circumradius must be positive and finite")
+    import numpy as np
+
     shape = _as_shape(shape)
     c = as_point(center)
     R = float(circumradius)
@@ -312,6 +337,8 @@ def max_vertex_pair_distance(a: Polyhedron, b: Polyhedron) -> float:
         raise ValueError("polyhedra must share the same shape")
     if not math.isclose(a.circumradius, b.circumradius, rel_tol=1e-12):
         raise ValueError("polyhedra must share the same circumradius")
+    import numpy as np
+
     diff = a.vertices[:, None, :] - b.vertices[None, :, :]
     return float(np.sqrt((diff ** 2).sum(axis=-1)).max())
 
@@ -367,8 +394,8 @@ _NEIGHBOR_CLASSES = _classes()
 
 # ids of the face-sharing neighbors of cell (0, 0, 0)
 _FACE_IDS = {
-    shape: np.array([off for cls in classes if cls.label.endswith("face")
-                     for off in cls.offset_generators])
+    shape: tuple(off for cls in classes if cls.label.endswith("face")
+                 for off in cls.offset_generators)
     for shape, classes in _NEIGHBOR_CLASSES.items()
 }
 
@@ -417,6 +444,8 @@ def cell_volume(shape: CellShape, circumradius: float) -> float:
 
 def sample_inside(poly: Polyhedron, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` points uniformly inside a cell by rejection from its bbox."""
+    import numpy as np
+
     lo = poly.vertices.min(axis=0)
     hi = poly.vertices.max(axis=0)
     out = []

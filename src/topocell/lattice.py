@@ -3,6 +3,9 @@
 Every cell is named by an integer triple (u, v, w), its public offset id.
 Cell centers are anchored at the information sink: center = sink +
 center_offsets(shape, R, (u, v, w)) with R = max_cell_radius(shape, r_t).
+``LatticeSpec`` holds the sink as a tuple of three Python floats, and a
+spec, its rule and the per-cell paths (``assign_cell`` off ties,
+``neighbors``) need no numpy; the array paths import it when called.
 The geometry module owns each lattice's generator basis and the one
 conversion between public and basis ids, which differ only on HP. The
 decoder, the oracle's candidate table and the neighbor table work in
@@ -62,18 +65,17 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-import numpy as np
-
 from .geometry import (
+    _INVERSES,
+    _PERIODS,
     CellShape,
+    _scale,
     as_point,
     cell_spacing,
     center_offsets,
-    coset_period,
     lattice_basis,
     max_cell_radius,
     neighbor_classes,
-    to_basis_ids,
     to_public_ids,
 )
 
@@ -91,7 +93,6 @@ _CHUNK = 1 << 16
 # rows the oracle scores at once, bounding its (candidates, rows) arrays; the
 # candidates it keeps are the centers within reach, however wide the window
 _ORACLE_ROWS = 1 << 13
-_FLOAT64 = np.dtype(np.float64)
 
 
 class CellId(NamedTuple):
@@ -121,35 +122,49 @@ class LatticeSpec:
 
     shape: CellShape
     r_t: float
-    sink: np.ndarray = (0.0, 0.0, 0.0)
+    # the sink as a tuple of three Python floats, validated like ``as_point``
+    sink: tuple[float, float, float] = (0.0, 0.0, 0.0)
     # derived once: the circumradius R at the maximum usable size for r_t,
     # the domain step of MAX_STEPS, and the one record of the nearest-point
     # rule's constants, which both decoders, the domain check and
-    # ``simulator.active_count`` read
+    # ``simulator.active_count`` read; all of it in Python numbers, so a
+    # spec is built without numpy
     circumradius: float = field(init=False)
     step: float = field(init=False)
     rule: _Rule = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", CellShape(self.shape))
+        shape = CellShape(self.shape)
+        object.__setattr__(self, "shape", shape)
         if not (math.isfinite(self.r_t) and self.r_t > 0):
             raise ValueError("transmission range must be positive and finite")
         object.__setattr__(self, "r_t", float(self.r_t))
-        object.__setattr__(self, "sink", as_point(self.sink, "sink"))
-        R = max_cell_radius(self.shape, self.r_t)
-        step = cell_spacing(self.shape, R)[0]
+        sink = _point_tuple(self.sink, "sink")
+        object.__setattr__(self, "sink", sink)
+        R = max_cell_radius(shape, self.r_t)
+        step = cell_spacing(shape, R)[0]
         object.__setattr__(self, "circumradius", R)
         object.__setattr__(self, "step", step)
-        basis, scale = lattice_basis(self.shape, R)
-        period = coset_period(self.shape)
+        scale, period = _scale(shape, R), _PERIODS[shape]
         # squared scale of the period-2 axes relative to axis 0, the
         # smallest: the metric in which the decoder compares its cosets, the
         # shifted one being nearer when weight @ a exceeds half its sum
-        weight = (period == 2) * (scale / scale[0]) ** 2
+        ratio = [s / scale[0] for s in scale]
+        weight = tuple(r * r if p == 2 else 0.0 for r, p in zip(ratio, period))
         object.__setattr__(self, "rule", _Rule(
-            tuple(self.sink.tolist()), tuple(scale.tolist()), tuple((scale * period).tolist()),
-            tuple(period.astype(int).tolist()), tuple(weight.tolist()), 0.5 * float(weight.sum()),
-            tuple(map(tuple, np.linalg.inv(basis).tolist())), MAX_STEPS * step))
+            sink, scale, tuple(s * p for s, p in zip(scale, period)), period, weight,
+            0.5 * (weight[0] + weight[1] + weight[2]), _INVERSES[shape], MAX_STEPS * step))
+
+
+def _point_tuple(p, what: str) -> tuple[float, float, float]:
+    """``as_point(p, what)`` as a tuple of Python floats, with its errors; a
+    tuple or list of three ints and floats is read without numpy."""
+    if type(p) in (tuple, list) and len(p) == 3 and all(type(x) in (float, int) for x in p):
+        xyz = tuple(map(float, p))
+        if not all(map(math.isfinite, xyz)):
+            raise ValueError(f"{what} coordinates must be finite")
+        return xyz
+    return tuple(as_point(p, what).tolist())
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
@@ -159,11 +174,15 @@ def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
 
 def cell_center(spec: LatticeSpec, cid) -> np.ndarray:
     """Center of a single cell."""
+    import numpy as np
+
     return cell_centers(spec, np.asarray(tuple(cid), dtype=np.int64))
 
 
 def _fractional_ids(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
     """Real-valued basis ids solving the center equations for rows of ``rel``."""
+    import numpy as np
+
     return (rel / np.array(spec.rule.scale)) @ np.array(spec.rule.inverse).T
 
 
@@ -174,6 +193,8 @@ def _decode(spec: LatticeSpec, rel: np.ndarray):
     of the points whose decision is within _TIE_TOL of a tie. ``assign_cell``
     is the same rule for one point, step for step.
     """
+    import numpy as np
+
     _, _, divisor, period, weight, threshold, inverse, _ = spec.rule
     period = np.array(period, dtype=float)[:, None]
     # near: the nearest point of diag(P) Z^3 to t = rel / scale, and
@@ -203,6 +224,8 @@ def _decode(spec: LatticeSpec, rel: np.ndarray):
 
 
 def _check_points(points) -> np.ndarray:
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -218,7 +241,7 @@ def _reach_error(spec: LatticeSpec) -> ValueError:
 
 def _check_reach(spec: LatticeSpec, rel: np.ndarray) -> None:
     """Reject offsets from the sink that are not finite or exceed MAX_STEPS."""
-    if not np.abs(rel).max(initial=0.0) <= spec.rule.reach:
+    if not abs(rel).max(initial=0.0) <= spec.rule.reach:
         raise _reach_error(spec)
 
 
@@ -231,6 +254,8 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     only points within a rounding tolerance of such a tie are settled by
     the exhaustive search.
     """
+    import numpy as np
+
     pts = _check_points(points)
     ids = np.empty((len(pts), 3), dtype=np.int64)
     for start in range(0, len(pts), _CHUNK):
@@ -245,12 +270,23 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     return to_public_ids(spec.shape, ids)
 
 
+# numpy's array type and float64 dtype, for the fast read of ``_coords``,
+# bound by its first call that takes the ``as_point`` path: no point is an
+# array before numpy is imported, and reading a global costs a sensor's call
+# far less than an ``import`` statement would
+_ndarray = _float64 = None
+
+
 def _coords(p) -> list[float]:
     """The coordinates of ``as_point(p)`` as Python floats, not yet checked to
     be finite: read without numpy from a float64 array of shape (3,),
     through ``as_point`` otherwise."""
-    if type(p) is np.ndarray and p.dtype is _FLOAT64 and p.shape == (3,):
+    global _ndarray, _float64
+    if type(p) is _ndarray and p.dtype is _float64 and p.shape == (3,):
         return p.tolist()
+    import numpy as np
+
+    _ndarray, _float64 = np.ndarray, np.dtype(np.float64)
     return as_point(p).tolist()
 
 
@@ -289,6 +325,8 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
         tie = abs(margin) <= _TIE_TOL
     if (tie or ax >= 0.5 * px - _TIE_TOL or ay >= 0.5 * py - _TIE_TOL
             or az >= 0.5 * pz - _TIE_TOL):
+        import numpy as np
+
         u, v, w = _oracle(spec, np.array([xyz]))[0].tolist()
     else:
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = inverse
@@ -301,6 +339,8 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.trunc(x + np.copysign(0.5, x))
 
 
@@ -313,6 +353,8 @@ def assign_cells_nearest_int(spec: LatticeSpec, points) -> np.ndarray:
     """
     if spec.shape is not CellShape.TO:
         raise ValueError("nearest-integer assignment is only defined for the TO lattice")
+    import numpy as np
+
     rel = _check_points(points) - spec.sink
     _check_reach(spec, rel)
     return _round_half_away(_fractional_ids(spec, rel)).astype(np.int64)
@@ -336,11 +378,13 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     only cost time and memory, so they are refused.
 
     Each chunk of points scores only the window's candidates within
-    max|q| + R of the rounded center, q = p - center(rounded id), with a
-    relative slack of 1e-9. The lattice's covering radius is the cell
+    max|q| + R of the rounded center, q = p - center(rounded id), widened
+    by a bound on the rounding of q and of the computed centers, which
+    grows with |sink| and max|p|. The lattice's covering radius is the cell
     circumradius R, so the nearest center is within R of p, and any
     candidate farther than |q| + R from the rounded center is farther than
-    R from p: it can neither win nor tie. The kept candidates are scored as
+    R from p: it can neither win nor tie. So the ids of a point do not
+    depend on which other points share its call. The kept candidates are scored as
     a floating-point filter with an exact fallback (Shewchuk, "Adaptive
     precision floating-point arithmetic and fast robust geometric
     predicates", DCG 18, 1997): float distances decide every point whose
@@ -357,6 +401,8 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
 
 def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
     """Basis ids of ``assign_cells_oracle`` for the rows of ``pts`` (n, 3)."""
+    import numpy as np
+
     # basis-id offsets in lexicographic order and their center displacements
     offs = np.indices((2 * window + 1,) * 3, dtype=np.int64).reshape(3, -1).T - window
     basis, scale = lattice_basis(spec.shape, spec.circumradius)
@@ -370,20 +416,15 @@ def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
 def _oracle_chunk(spec, pts, offs, doff):
     """``_oracle`` on one chunk: the float filter, then the exact re-score of
     the rows it flags."""
+    import numpy as np
+
     base = _round_half_away(_fractional_ids(spec, pts - spec.sink)).astype(np.int64)
     # candidate center = center(base) + doff[k]; distances as a (k, n) array
     # by the expansion |q - doff|^2 = |q|^2 - 2 doff.q + |doff|^2, with
     # q = p - center(base) as columns
     q = (pts - cell_centers(spec, to_public_ids(spec.shape, base))).T.copy()
     q2 = (q * q).sum(axis=0)
-    # the nearest center is within R of p, so a candidate with
-    # |doff| > |q| + R can neither win nor tie; the slack keeps exact ties
     doff2 = (doff * doff).sum(axis=1)
-    keep = doff2 <= ((math.sqrt(q2.max()) + spec.circumradius) * (1.0 + 1e-9)) ** 2
-    offs, doff, doff2 = offs[keep], doff[keep], doff2[keep]
-    d2 = (-2.0 * doff) @ q
-    d2 += q2
-    d2 += doff2[:, None]
     # Rounding error, with u = 2^-53, L = max|q| + max|doff| and
     # A = |sink| + max|p| (maxima over coordinates), so that every
     # coordinate of q - doff is within L and of a center or a center offset
@@ -391,14 +432,32 @@ def _oracle_chunk(spec, pts, offs, doff):
     # u(|sink| + 2|offset|) <= 3u(A + L) of sink + offset on each axis, q
     # within uL of p - center(base) and doff within uL of its offset, so
     # each coordinate of q - doff is within 8u(A + L) of the exact
-    # p - center, which moves d2 by at most 3 * 2L * 8u(A + L); evaluating
-    # the expansion (sums of three terms, each within 3L^2) adds at most
-    # 16uL^2. Every d2 is thus within e = 64uL(A + L) of its exact value.
-    # With tol = 4e, a row with no second candidate within tol of its
-    # minimum has one exact winner, which is also the argmin of any float
-    # evaluation within e; the others are flagged.
+    # p - center.
+    # The cut: the lattice point nearest p is within the covering radius R
+    # of p, and its center as computed within 3 sqrt3 u(A + L) of it, so
+    # the nearest center and every center tied with it are within
+    # R + 3 sqrt3 u(A + L) of p, and their q - doff within
+    # R + 11 sqrt3 u(A + L) < R + 2^-48 (A + L) in length. A candidate with
+    # |doff| > |q| + R + 2^-48 (A + L) can thus neither win nor tie, and the
+    # relative slack covers the rounding of the comparison itself. L here
+    # runs over the whole window.
+    far = max(map(abs, spec.sink)) + np.abs(pts).max()
     size = np.abs(q).max() + np.abs(doff).max()
-    tol = 2.0 ** -45 * size * (size + np.abs(spec.sink).max() + np.abs(pts).max())
+    reach = math.sqrt(q2.max()) + spec.circumradius + 2.0 ** -48 * (far + size)
+    keep = doff2 <= (reach * (1.0 + 1e-9)) ** 2
+    offs, doff, doff2 = offs[keep], doff[keep], doff2[keep]
+    d2 = (-2.0 * doff) @ q
+    d2 += q2
+    d2 += doff2[:, None]
+    # The filter, with L over the kept candidates: an error of 8u(A + L) on
+    # each coordinate of q - doff moves d2 by at most 3 * 2L * 8u(A + L);
+    # evaluating the expansion (sums of three terms, each within 3L^2) adds
+    # at most 16uL^2. Every d2 is thus within e = 64uL(A + L) of its exact
+    # value. With tol = 4e, a row with no second candidate within tol of
+    # its minimum has one exact winner, which is also the argmin of any
+    # float evaluation within e; the others are flagged.
+    size = np.abs(q).max() + np.abs(doff).max()
+    tol = 2.0 ** -45 * size * (size + far)
     close = d2 <= d2.min(axis=0) + tol
     # the first close candidate, on an unflagged row the only one
     ids = base + offs[close.argmax(axis=0)]
@@ -430,15 +489,14 @@ def assign_cell_oracle(spec: LatticeSpec, p, window: int = 3) -> CellId:
     return CellId(int(row[0]), int(row[1]), int(row[2]))
 
 
-# basis-id offsets of the first-tier neighbors of any cell, in the order of
-# the neighbor classes and their generators, and the same rows as int tuples
-# for the per-cell path of neighbors() and routing
+# basis-id offsets of the first-tier neighbors of any cell, as int tuples in
+# the order of the neighbor classes and their generators: the public offsets
+# of cell (0, 0, 0), whose HP axial id is du - (dv >> 1)
 _NEIGHBOR_OFFSETS = {
-    shape: to_basis_ids(shape, [off for cls in neighbor_classes(shape)
-                                for off in cls.offset_generators])
+    shape: tuple((du - (dv >> 1) if shape is CellShape.HP else du, dv, dw)
+                 for cls in neighbor_classes(shape) for du, dv, dw in cls.offset_generators)
     for shape in CellShape
 }
-_NEIGHBOR_STEPS = {s: tuple(map(tuple, offs.tolist())) for s, offs in _NEIGHBOR_OFFSETS.items()}
 
 
 def _neighbor_rows(shape: CellShape, cell) -> list[tuple[int, int, int]]:
@@ -454,8 +512,8 @@ def _neighbor_rows(shape: CellShape, cell) -> list[tuple[int, int, int]]:
     if shape is CellShape.HP:
         a = u - (v >> 1)
         return [(a + du + ((v + dv) >> 1), v + dv, w + dw)
-                for du, dv, dw in _NEIGHBOR_STEPS[shape]]
-    return [(u + du, v + dv, w + dw) for du, dv, dw in _NEIGHBOR_STEPS[shape]]
+                for du, dv, dw in _NEIGHBOR_OFFSETS[shape]]
+    return [(u + du, v + dv, w + dw) for du, dv, dw in _NEIGHBOR_OFFSETS[shape]]
 
 
 # CellId from a row without the Python-level constructor; routing makes one

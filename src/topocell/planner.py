@@ -17,8 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import (
     CellShape,
     NEIGHBOR_COUNTS,
@@ -278,6 +276,8 @@ def verify_coverage(spec: LatticeSpec, sensing_range: float, *,
     diameter = 2.0 * spec.circumradius
     ok = sensing_range >= diameter * (1.0 - rel_tol)
     if ok and samples > 0:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         poly = build_polyhedron(spec.shape, spec.sink, spec.circumradius)
         p = sample_inside(poly, samples, rng)

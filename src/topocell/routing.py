@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .lattice import CellId, LatticeSpec, _cell_id, _neighbor_rows, as_cell_id
 
 DELIVERED = "delivered"
@@ -81,7 +79,11 @@ def greedy_route(spec: LatticeSpec, src, dst,
         raise ValueError("destination cell is not alive")
     if tie_break not in ("lex", "random"):
         raise ValueError("tie_break must be 'lex' or 'random'")
-    rng = np.random.default_rng(seed) if tie_break == "random" else None
+    rng = None
+    if tie_break == "random":
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
 
     hops = [src]
     cur = src

@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import CellShape, as_point, build_polyhedron
 from .lattice import (
     LatticeSpec,
@@ -52,7 +50,7 @@ class Box:
 
     def __post_init__(self):
         lo, hi = as_point(self.lo, "box corner lo"), as_point(self.hi, "box corner hi")
-        if not np.all(hi > lo):
+        if not (hi > lo).all():
             raise ValueError("box must have positive volume")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -63,9 +61,11 @@ class Box:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.side_lengths))
+        return float(self.side_lengths.prod())
 
     def contains(self, points) -> np.ndarray:
+        import numpy as np
+
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return ((pts >= self.lo) & (pts <= self.hi)).all(axis=1)
 
@@ -117,6 +117,8 @@ class SimResult:
 
 
 def _uniform_points(config: DeploymentConfig) -> np.ndarray:
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     span = config.box.hi - config.box.lo
     return config.box.lo + rng.random((config.node_count, 3)) * span
@@ -142,6 +144,8 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
         raise ValueError("the accuracy experiment is defined for the TO lattice")
     if n < 1:
         raise ValueError("n must be at least 1")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     half = 5.0 * spec.r_t
     pts = spec.sink + rng.uniform(-half, half, size=(n, 3))
@@ -215,6 +219,8 @@ def _cell_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lattice domain bound (``lattice.MAX_STEPS``) keeps every key below
     2**61.
     """
+    import numpy as np
+
     lo = ids.min(axis=0)
     dims = tuple(ids.max(axis=0) - lo + 1)
     keys, counts = np.unique(np.ravel_multi_index(tuple((ids - lo).T), dims),

@@ -350,3 +350,39 @@ class TestDeterminism:
         args = ["route", "--shape", "to", "--rt", "1", "--src", "0,0,0",
                 "--dst", "0,0,5", "--format", "json"]
         assert run_cli(args) == run_cli(args)
+
+
+# the CLI with numpy blocked, so that importing it raises ImportError
+NO_NUMPY = ("import sys; sys.modules['numpy'] = None; from topocell.cli import main; "
+            "raise SystemExit(main(sys.argv[1:]))")
+
+
+class TestWithoutNumpy:
+    """``tables`` and ``route`` need only ``math`` and Python ints: they give
+    the same output and exit code with numpy blocked."""
+
+    def test_import_leaves_numpy_out(self):
+        code = "import sys, topocell; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("args", [
+        ["tables", "I"],
+        ["tables", "II", "--format", "csv"],
+        ["route", "--shape", "hp", "--rt", "2.5", "--sink", "1,-2,0.5",
+         "--src", "0,0,0", "--dst", "4,-3,5", "--format", "csv"],
+        ["route", "--shape", "to", "--rt", "1", "--src", "0,0,0", "--dst", "5,5,5",
+         "--dead-cells", "DEAD", "--format", "json"],
+    ], ids=["tables-I", "tables-II", "route", "route-dead-end"])
+    def test_same_output_without_numpy(self, args, tmp_path):
+        from topocell.lattice import LatticeSpec, neighbors
+        dead_file = tmp_path / "dead.txt"
+        dead_file.write_text("".join("{},{},{}\n".format(*nb)
+                                     for nb in neighbors(LatticeSpec("to", 1.0), (0, 0, 0))))
+        args = [str(dead_file) if a == "DEAD" else a for a in args]
+        blocked = subprocess.run([sys.executable, "-c", NO_NUMPY, *args],
+                                 capture_output=True, text=True)
+        code, out, _ = run_cli(args)
+        assert (blocked.returncode, blocked.stdout) == (code, out), blocked.stderr
+        assert code == (4 if "--dead-cells" in args else 0) and out

@@ -7,18 +7,21 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from topocell.geometry import (
+    _INVERSES,
     CellShape,
     NEIGHBOR_COUNTS,
     VERTEX_COUNTS,
     build_polyhedron,
     cell_volume,
+    coset_period,
+    lattice_basis,
     max_cell_radius,
     max_vertex_pair_distance,
     neighbor_classes,
     sample_inside,
     worst_neighbor_coeff,
 )
-from topocell.lattice import LatticeSpec, cell_center
+from topocell.lattice import LatticeSpec, assign_cells_oracle, cell_center, cell_centers
 
 SHAPES = list(CellShape)
 
@@ -246,3 +249,33 @@ class TestFacePlanes:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestBasisTables:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_inverse_table_is_exact(self, shape):
+        # M^-1 is held by hand as binary fractions: the products with M are
+        # exact in floats, and it is what LAPACK computes
+        basis = lattice_basis(shape, 1.0)[0]
+        inverse = np.array(_INVERSES[shape])
+        assert (inverse @ basis == np.eye(3)).all()
+        assert (basis @ inverse == np.eye(3)).all()
+        assert (inverse == np.linalg.inv(basis)).all()
+
+    def test_returned_arrays_are_fresh(self):
+        # writing to an array a call returned changes no later call, nor the
+        # oracle, which reads the basis
+        spec = LatticeSpec(CellShape.TO, 1.0)
+        ids = np.array([(0, 0, 0), (2, -1, 3)])
+        basis, scale = lattice_basis(CellShape.TO, 1.0)
+        period = coset_period(CellShape.TO)
+        saved = [a.copy() for a in (basis, scale, period)]
+        try:
+            basis[0, 0] = scale[0] = period[0] = 99.0
+            assert lattice_basis(CellShape.TO, 1.0)[0][0, 0] == 2.0
+            assert lattice_basis(CellShape.TO, 1.0)[1][0] == saved[1][0]
+            assert coset_period(CellShape.TO)[0] == 2.0
+            assert (assign_cells_oracle(spec, cell_centers(spec, ids)) == ids).all()
+        finally:  # a shared table would otherwise stay changed for later tests
+            for a, old in zip((basis, scale, period), saved):
+                a[...] = old

@@ -438,6 +438,36 @@ class TestOracle:
         spec = LatticeSpec(CellShape.TO, SQRT17)
         assert assign_cell_oracle(spec, (0.6, 0.6, 0.6), window=2) == CellId(0, 0, 1)
 
+    def test_rows_independent_with_far_sink(self):
+        # The candidate cut keeps every center that can win, whatever rows
+        # share the chunk, when the rounding of the centers (about
+        # ulp(|sink|)) outweighs a relative slack on the cut radius: one-row
+        # calls give the ids of one call on all rows. The points are the
+        # vertices of a 5^3 block, and those vertices moved by +-2 ulps.
+        spec = LatticeSpec(CellShape.RD, 1.0, sink=(1e8, 1e8, -1e8))
+        block = id_grid(2)
+        verts = [build_polyhedron(spec.shape, c, spec.circumradius).vertices
+                 for c in cell_centers(spec, block)]
+        owners = np.tile(np.repeat(block, [len(v) for v in verts], axis=0), (3, 1))
+        verts = np.vstack(verts)
+        up = np.nextafter(np.nextafter(verts, np.inf), np.inf)
+        down = np.nextafter(np.nextafter(verts, -np.inf), -np.inf)
+        pts = np.vstack([verts, up, down])
+        got = assign_cells_oracle(spec, pts)
+        one = np.vstack([assign_cells_oracle(spec, p[None, :]) for p in pts])
+        assert (one == got).all()
+        # the ids against fractions.Fraction, over the centers within 2R of
+        # each point's owner whose float distance is near the smallest
+        cand = owners[:, None, :] + id_grid(2)
+        centers = cell_centers(spec, cand)
+        d2 = ((pts[:, None, :] - centers) ** 2).sum(axis=2)
+        frac = functools.cache(Fraction)
+        for i, near in enumerate(d2 <= d2.min(axis=1, keepdims=True) + 1e-6):
+            p = [Fraction(x) for x in pts[i].tolist()]
+            exact = [sum((a - frac(b)) ** 2 for a, b in zip(p, c))
+                     for c in centers[i, near].tolist()]
+            assert tuple(got[i]) == min(zip(exact, map(tuple, cand[i, near].tolist())))[1]
+
     def test_window_validation(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
         with pytest.raises(ValueError):
@@ -703,6 +733,44 @@ class TestSpecValidation:
     def test_shape_coercion(self):
         spec = LatticeSpec("to", 1.0)
         assert spec.shape is CellShape.TO
+
+    def test_sink_is_a_tuple_of_floats(self):
+        # any point form as_point takes gives the same tuple of Python floats;
+        # a bad sink raises as_point's error
+        for sink in [(1, 2.5, -3), [1, 2.5, -3], np.array([1, 2.5, -3]),
+                     (np.float64(1.0), 2.5, -3), ("1", 2.5, -3)]:
+            spec = LatticeSpec(CellShape.TO, 1.0, sink=sink)
+            assert spec.sink == (1.0, 2.5, -3.0) == spec.rule.sink
+            assert all(type(x) is float for x in spec.sink)
+        for bad in [(0.0, math.inf, 0.0), [0, 0, math.nan], [0, 0], (1, 2, 3, 4), "abc",
+                    (0, "x", 0), [[1, 2, 3]], None]:
+            with pytest.raises(ValueError) as got:
+                LatticeSpec(CellShape.TO, 1.0, sink=bad)
+            with pytest.raises(ValueError) as want:
+                as_point(bad, "sink")
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rule_matches_numpy_derivation(self, shape):
+        # the rule, derived from the hand tables in Python floats, equals bit
+        # for bit its derivation from the arrays of lattice_basis and
+        # coset_period with np.linalg.inv, on fixed and random specs
+        rng = np.random.default_rng(29)
+        sinks = rng.uniform(-1.0, 1.0, (200, 3)) * 10.0 ** rng.uniform(-3.0, 9.0, (200, 1))
+        specs = [(0.1, (4.2e6, 1.2e6, 4.7e6)), (1.0, (1e8, 1e8, -1e8)), *RANDOM_SPECS,
+                 *zip(10.0 ** rng.uniform(-3.0, 4.0, 200), map(tuple, sinks))]
+        for r_t, sink in specs:
+            spec = LatticeSpec(shape, r_t, sink=sink)
+            basis, scale = lattice_basis(shape, spec.circumradius)
+            period = coset_period(shape)
+            weight = (period == 2) * (scale / scale[0]) ** 2
+            want = lattice._Rule(
+                tuple(as_point(sink).tolist()), tuple(scale.tolist()),
+                tuple((scale * period).tolist()), tuple(period.astype(int).tolist()),
+                tuple(weight.tolist()), 0.5 * float(weight.sum()),
+                tuple(map(tuple, np.linalg.inv(basis).tolist())),
+                MAX_STEPS * cell_spacing(shape, spec.circumradius)[0])
+            assert repr(spec.rule) == repr(want)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_circumradius(self, shape):
