@@ -156,15 +156,28 @@ class LatticeSpec:
             0.5 * (weight[0] + weight[1] + weight[2]), _INVERSES[shape], MAX_STEPS * step))
 
 
+_PLAIN = (float, int)
+
+
+def _plain_coords(p):
+    """The coordinates of a tuple or list of three Python ints and floats, as
+    a list of floats, read without numpy; None for any other ``p``."""
+    if (type(p) is tuple or type(p) is list) and len(p) == 3:
+        x, y, z = p
+        if type(x) in _PLAIN and type(y) in _PLAIN and type(z) in _PLAIN:
+            return [float(x), float(y), float(z)]
+    return None
+
+
 def _point_tuple(p, what: str) -> tuple[float, float, float]:
     """``as_point(p, what)`` as a tuple of Python floats, with its errors; a
     tuple or list of three ints and floats is read without numpy."""
-    if type(p) in (tuple, list) and len(p) == 3 and all(type(x) in (float, int) for x in p):
-        xyz = tuple(map(float, p))
-        if not all(map(math.isfinite, xyz)):
-            raise ValueError(f"{what} coordinates must be finite")
-        return xyz
-    return tuple(as_point(p, what).tolist())
+    xyz = _plain_coords(p)
+    if xyz is None:
+        return tuple(as_point(p, what).tolist())
+    if not all(map(math.isfinite, xyz)):
+        raise ValueError(f"{what} coordinates must be finite")
+    return tuple(xyz)
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
@@ -279,11 +292,15 @@ _ndarray = _float64 = None
 
 def _coords(p) -> list[float]:
     """The coordinates of ``as_point(p)`` as Python floats, not yet checked to
-    be finite: read without numpy from a float64 array of shape (3,),
-    through ``as_point`` otherwise."""
+    be finite: read without numpy from a float64 array of shape (3,) or a
+    tuple or list of three Python ints and floats, through ``as_point``
+    otherwise."""
     global _ndarray, _float64
     if type(p) is _ndarray and p.dtype is _float64 and p.shape == (3,):
         return p.tolist()
+    xyz = _plain_coords(p)
+    if xyz is not None:
+        return xyz
     import numpy as np
 
     _ndarray, _float64 = np.ndarray, np.dtype(np.float64)

@@ -20,15 +20,30 @@ Statistics are restricted to interior cells (cells lying entirely inside
 the deployment box) so box-boundary truncation does not skew them. All
 randomness flows through numpy's default PCG64 generator seeded from the
 experiment config, so identical seeds reproduce identical results.
+
+Both experiments stream: they draw, assign and tally ``lattice._CHUNK``
+points at a time and never hold an (n, 3) array, so their peak memory does
+not grow with n. PCG64 gives the same doubles in one call or in many, so
+the blocks are the rows of the one whole-array draw, and the results do not
+depend on the block size. The accuracy experiment adds each block's
+correct rows to two integer counters; the oracle's id of a point does not
+depend on the other points of its call. The lifetime simulation packs each
+id into an int64 key at the fixed offset ``MAX_STEPS + 2``, so a key names
+the same cell in every block, and merges each block's distinct keys and
+counts into running ones: O(``_CHUNK`` + cells) memory. Only ``deploy``
+returns whole arrays.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .geometry import CellShape, as_point, build_polyhedron
 from .lattice import (
+    _CHUNK,
+    MAX_STEPS,
     LatticeSpec,
     assign_cells,
     assign_cells_nearest_int,
@@ -39,6 +54,15 @@ from .lattice import (
 
 class EmptyRegionError(RuntimeError):
     """Raised when no populated interior cell exists in the deployment box."""
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int: ints and numpy integers pass, anything else
+    (a float, even a whole one, a string) raises ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +103,11 @@ class DeploymentConfig:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "node_count", _integer(self.node_count, "node_count"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.node_count < 1:
             raise ValueError("node_count must be at least 1")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
 
@@ -116,12 +142,15 @@ class SimResult:
     network_lifetime: int
 
 
-def _uniform_points(config: DeploymentConfig) -> np.ndarray:
+def _node_blocks(config: DeploymentConfig, rows: int):
+    """The deployment's node positions, uniform in the box from
+    ``default_rng(seed)``, as consecutive blocks of at most ``rows`` nodes."""
     import numpy as np
 
     rng = np.random.default_rng(config.seed)
-    span = config.box.hi - config.box.lo
-    return config.box.lo + rng.random((config.node_count, 3)) * span
+    lo, span = config.box.lo, config.box.hi - config.box.lo
+    for start in range(0, config.node_count, rows):
+        yield lo + rng.random((min(rows, config.node_count - start), 3)) * span
 
 
 def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +158,7 @@ def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.
 
     Returns the (n, 3) node positions and their (n, 3) integer cell ids.
     """
-    pts = _uniform_points(config)
+    (pts,) = _node_blocks(config, config.node_count)
     return pts, assign_cells(spec, pts)
 
 
@@ -139,24 +168,24 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
     Points are drawn uniformly from a cube of side 10*r_t centered on the
     sink; the correct fraction is a fixed geometric property of the
     tessellation, so the sampling region only matters up to boundary noise.
+    They are drawn and scored ``_CHUNK`` at a time.
     """
     if spec.shape is not CellShape.TO:
         raise ValueError("the accuracy experiment is defined for the TO lattice")
+    n, seed = _integer(n, "n"), _integer(seed, "seed")
     if n < 1:
         raise ValueError("n must be at least 1")
     import numpy as np
 
     rng = np.random.default_rng(seed)
     half = 5.0 * spec.r_t
-    pts = spec.sink + rng.uniform(-half, half, size=(n, 3))
-    truth = assign_cells_oracle(spec, pts, window=3)
-    exact = assign_cells(spec, pts)
-    nearest = assign_cells_nearest_int(spec, pts)
-    return AccuracyReport(
-        n=n,
-        correct_exact=int((exact == truth).all(axis=1).sum()),
-        correct_nearest_int=int((nearest == truth).all(axis=1).sum()),
-    )
+    exact = nearest = 0
+    for start in range(0, n, _CHUNK):
+        pts = spec.sink + rng.uniform(-half, half, size=(min(_CHUNK, n - start), 3))
+        truth = assign_cells_oracle(spec, pts, window=3)
+        exact += int((assign_cells(spec, pts) == truth).all(axis=1).sum())
+        nearest += int((assign_cells_nearest_int(spec, pts) == truth).all(axis=1).sum())
+    return AccuracyReport(n=n, correct_exact=exact, correct_nearest_int=nearest)
 
 
 def _first(pred, k: int) -> int:
@@ -212,20 +241,35 @@ def _cell_steps(n_nodes: int, unit_charges: int, k: int) -> int:
     return (n_nodes * unit_charges) // k
 
 
-def _cell_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct ids in lexicographic order, with the number of rows of each.
+# ids of the domain lie within MAX_STEPS + 2 of zero on each axis, so an id
+# plus _OFFSET indexes a cube of shape _DIMS, whose (2**20 + 5)**3 < 2**61
+# cells all have int64 keys
+_OFFSET = MAX_STEPS + 2
+_DIMS = (2 * _OFFSET + 1,) * 3
 
-    Each id packs into one int64 key relative to the smallest id; the
-    lattice domain bound (``lattice.MAX_STEPS``) keeps every key below
-    2**61.
+
+def _cell_counts(spec: LatticeSpec, config: DeploymentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct cell ids of the deployed nodes in lexicographic order, with
+    the number of nodes in each.
+
+    The nodes are ``deploy``'s, drawn and assigned ``_CHUNK`` at a time. Each
+    id packs into one int64 key at the fixed offset ``MAX_STEPS + 2``, not
+    relative to the block's smallest id, so a key names the same cell in
+    every block and keys sort as their ids do. Each block's distinct keys
+    and counts merge into the running ones, which hold one row per cell.
     """
     import numpy as np
 
-    lo = ids.min(axis=0)
-    dims = tuple(ids.max(axis=0) - lo + 1)
-    keys, counts = np.unique(np.ravel_multi_index(tuple((ids - lo).T), dims),
-                             return_counts=True)
-    return np.stack(np.unravel_index(keys, dims), axis=-1) + lo, counts
+    keys = counts = np.empty(0, dtype=np.int64)
+    for pts in _node_blocks(config, _CHUNK):
+        ids = assign_cells(spec, pts)
+        ids += _OFFSET
+        block, tally = np.unique(np.ravel_multi_index(tuple(ids.T), _DIMS), return_counts=True)
+        keys, inverse = np.unique(np.concatenate([keys, block]), return_inverse=True)
+        tally = np.concatenate([counts, tally])
+        counts = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(counts, inverse, tally)
+    return np.stack(np.unravel_index(keys, _DIMS), axis=-1) - _OFFSET, counts
 
 
 def lifetime_simulation(spec: LatticeSpec, config: DeploymentConfig,
@@ -236,12 +280,14 @@ def lifetime_simulation(spec: LatticeSpec, config: DeploymentConfig,
     interior cell can no longer field k live nodes. A node survives
     ceil(battery_capacity) active steps (one energy unit per step, dead at
     or below zero); sleeping costs nothing, and cells drain independently.
+    The nodes are those of ``deploy``, counted per cell ``_CHUNK`` at a time.
     """
     if not (math.isfinite(battery_capacity) and battery_capacity > 0):
         raise ValueError("battery_capacity must be positive and finite")
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError("k must be at least 1")
-    cells, counts = _cell_counts(assign_cells(spec, _uniform_points(config)))
+    cells, counts = _cell_counts(spec, config)
     centers = cell_centers(spec, cells)
     extents = build_polyhedron(spec.shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
     interior = (

@@ -1,6 +1,8 @@
 import functools
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +135,20 @@ class TestAssignCell:
         assert assign_cell(spec, p) == CellId(0, 0, 1)
         assert assign_cell_oracle(spec, p) == CellId(0, 0, 1)
         assert assign_cell_nearest_int(spec, p) == CellId(0, 0, 0)
+
+    def test_quick_start_without_numpy(self):
+        # the README's quick start: a tuple point is read in Python floats,
+        # so the call runs with numpy blocked
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "import math\n"
+                "from topocell import CellShape, LatticeSpec, assign_cell, greedy_route\n"
+                "spec = LatticeSpec(CellShape.TO, r_t=math.sqrt(17.0), sink=(0, 0, 0))\n"
+                "cell = assign_cell(spec, (1.0, 0.2, 0.45))\n"
+                "path = greedy_route(spec, (0, 0, 0), (4, -3, 5))\n"
+                "print(cell)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "CellId(u=0, v=0, w=1)"
 
     def test_rejects_non_finite(self):
         spec = LatticeSpec(CellShape.TO, 1.0)

@@ -1,18 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from topocell import lattice, simulator
 from topocell.geometry import CellShape, build_polyhedron
 from topocell.lattice import (
+    MAX_STEPS,
     LatticeSpec,
     assign_cell,
+    assign_cells,
+    assign_cells_nearest_int,
     assign_cells_oracle,
     cell_center,
     cell_centers,
 )
 from topocell.planner import cell_volume_coeff
 from topocell.simulator import (
+    AccuracyReport,
     Box,
     DeploymentConfig,
     EmptyRegionError,
@@ -88,6 +94,24 @@ class TestDeploy:
             DeploymentConfig(box=Box(lo=(0, 0, 0), hi=(1, 1, 1)), node_count=1, seed=-1)
 
 
+    @pytest.mark.parametrize("field,value", [("node_count", 10.5), ("node_count", 10.0),
+                                             ("node_count", "10"), ("seed", 1.5),
+                                             ("seed", None), ("seed", "7")])
+    def test_integer_fields(self, field, value):
+        args = {"box": Box(lo=(0, 0, 0), hi=(1, 1, 1)), "node_count": 10, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            DeploymentConfig(**args)
+
+    def test_numpy_integers_pass(self):
+        box = Box(lo=(0, 0, 0), hi=(3, 3, 3))
+        spec = LatticeSpec(CellShape.TO, 1.0)
+        cfg = DeploymentConfig(box=box, node_count=np.int64(500), seed=np.uint64(99))
+        assert (type(cfg.node_count), type(cfg.seed)) == (int, int)
+        ref = DeploymentConfig(box=box, node_count=500, seed=99)
+        for got, want in zip(deploy(cfg, spec), deploy(ref, spec)):
+            assert np.array_equal(got, want)
+
+
 class TestAccuracyExperiment:
     def test_exact_method_is_perfect(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
@@ -117,6 +141,18 @@ class TestAccuracyExperiment:
     def test_only_to(self):
         with pytest.raises(ValueError):
             accuracy_experiment(LatticeSpec(CellShape.RD, 1.0), 10, seed=0)
+
+    def test_integer_arguments(self):
+        spec = LatticeSpec(CellShape.TO, 1.0)
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            accuracy_experiment(spec, 10.5, 1)
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            accuracy_experiment(spec, 10.0, 1)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            accuracy_experiment(spec, 10, 1.5)
+        rep = accuracy_experiment(spec, np.int64(500), np.uint32(3))
+        assert rep == accuracy_experiment(spec, 500, 3)
+        assert type(rep.n) is int
 
 
 class TestLifetimeSimulation:
@@ -220,6 +256,104 @@ class TestLifetimeSimulation:
             lifetime_simulation(spec, cfg, battery_capacity=0.0, k=1)
         with pytest.raises(ValueError):
             lifetime_simulation(spec, cfg, battery_capacity=1.0, k=0)
+        for k in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match="^k must be an integer"):
+                lifetime_simulation(spec, cfg, battery_capacity=1.0, k=k)
+        assert (lifetime_simulation(spec, cfg, battery_capacity=4.0, k=np.int64(2)).network_lifetime
+                == lifetime_simulation(spec, cfg, battery_capacity=4.0, k=2).network_lifetime)
+
+
+def outcome(res):
+    """The fields of a SimResult, which compares by identity."""
+    return res.shape, res.cells_populated, res.mean_nodes_per_cell, res.network_lifetime
+
+
+def whole_array_lifetime(spec, cfg, capacity, k):
+    """Reference: every node drawn in one call, the cells counted by a
+    row-wise unique over all ids."""
+    rng = np.random.default_rng(cfg.seed)
+    pts = cfg.box.lo + rng.random((cfg.node_count, 3)) * (cfg.box.hi - cfg.box.lo)
+    cells, counts = np.unique(assign_cells(spec, pts), axis=0, return_counts=True)
+    centers = cell_centers(spec, cells)
+    ext = build_polyhedron(spec.shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
+    counts = counts[((centers >= cfg.box.lo + ext) & (centers <= cfg.box.hi - ext)).all(axis=1)]
+    fewest = int(counts.min())
+    lifetime = fewest * math.ceil(capacity) // k if fewest >= k else 0
+    return spec.shape, len(counts), float(counts.mean()), lifetime
+
+
+def whole_array_accuracy(spec, n, seed):
+    """Reference: all n points drawn and scored in one call each."""
+    rng = np.random.default_rng(seed)
+    half = 5.0 * spec.r_t
+    pts = spec.sink + rng.uniform(-half, half, size=(n, 3))
+    truth = assign_cells_oracle(spec, pts, window=3)
+    return AccuracyReport(n, int((assign_cells(spec, pts) == truth).all(axis=1).sum()),
+                          int((assign_cells_nearest_int(spec, pts) == truth).all(axis=1).sum()))
+
+
+class TestStreaming:
+    """The experiments draw and tally ``_CHUNK`` rows at a time: their results
+    do not depend on the block size, and their memory not on n."""
+
+    CHUNK = 997  # odd; no n below is a multiple of it or of the default
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_lifetime_chunk_invariant(self, shape, monkeypatch):
+        spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
+        box = Box(lo=(-1.1, -0.9, -1.0), hi=(1.0, 1.2, 0.95))
+        n = 70_001  # two default blocks
+        cfg = DeploymentConfig(box=box, node_count=n, seed=31)
+        # cells straddle the block boundaries: some cell has nodes in the
+        # first, the second and the last small block
+        ids = deploy(cfg, spec)[1]
+        blocks = [set(map(tuple, ids[i:i + self.CHUNK].tolist()))
+                  for i in (0, self.CHUNK, n - n % self.CHUNK)]
+        assert blocks[0] & blocks[1] & blocks[2]
+        default = outcome(lifetime_simulation(spec, cfg, 2.5, 2))
+        monkeypatch.setattr(simulator, "_CHUNK", self.CHUNK)
+        assert outcome(lifetime_simulation(spec, cfg, 2.5, 2)) == default
+        assert default == whole_array_lifetime(spec, cfg, 2.5, 2)
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_lifetime_ids_at_the_domain_edge(self, shape, monkeypatch):
+        # a box across the whole domain: ids near +-(MAX_STEPS + 2) pack
+        # into the same fixed-offset keys in every block
+        spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
+        reach = MAX_STEPS * spec.step * (1 - 1e-9)
+        box = Box(lo=np.array(spec.sink) - reach, hi=np.array(spec.sink) + reach)
+        cfg = DeploymentConfig(box=box, node_count=5_000, seed=2)
+        assert np.abs(deploy(cfg, spec)[1]).max() > MAX_STEPS // 2
+        monkeypatch.setattr(simulator, "_CHUNK", self.CHUNK)
+        assert outcome(lifetime_simulation(spec, cfg, 3.0, 1)) == whole_array_lifetime(spec, cfg,
+                                                                                       3.0, 1)
+
+    def test_accuracy_chunk_invariant(self, monkeypatch):
+        spec = LatticeSpec(CellShape.TO, 2.0, sink=(11.0, -4.0, 2.5))
+        default = accuracy_experiment(spec, 70_001, seed=12)
+        monkeypatch.setattr(simulator, "_CHUNK", self.CHUNK)
+        assert accuracy_experiment(spec, 70_001, seed=12) == default
+        assert default == whole_array_accuracy(spec, 70_001, 12)
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # one bound in terms of the block size, far below the 56 B per node
+        # and 168 B per point that whole-array draws of these n hold
+        bound = 512 * lattice._CHUNK
+        spec = LatticeSpec(CellShape.TO, 1.0)
+        cfg = DeploymentConfig(box=Box(lo=(-1.5,) * 3, hi=(1.5,) * 3), node_count=4_000_000,
+                               seed=11)
+        runs = {"lifetime_simulation n=4e6": lambda: lifetime_simulation(spec, cfg, 3.0),
+                "accuracy_experiment n=1e6": lambda: accuracy_experiment(spec, 1_000_000, 5)}
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print(f"{name}: tracemalloc peak {peak / 2 ** 20:.1f} MiB, "
+                  f"bound {bound / 2 ** 20:.0f} MiB")
+            assert peak < bound, name
 
 
 class TestActiveCount:
