@@ -121,7 +121,7 @@ def _spec(fields: dict, shape: str) -> LatticeSpec:
     if sqrt17_units:
         rt *= SQRT17
     return LatticeSpec(shape=CellShape(shape), r_t=rt,
-                       sink=fields.get("sink", (0.0, 0.0, 0.0)))
+                       sink=_point(fields.get("sink", (0.0, 0.0, 0.0)), "sink"))
 
 
 def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
@@ -220,6 +220,15 @@ def _number(value, field: str) -> float:
     raise ValueError(f"config field {field!r} must be a number, got {value!r}")
 
 
+def _point(value, field: str):
+    """A config point: each coordinate of a list must be a JSON number, as
+    ``_number`` reads it; any other value is left for the point's reader,
+    whose errors name it."""
+    if isinstance(value, list):
+        return [_number(x, f"{field}[{i}]") for i, x in enumerate(value)]
+    return value
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if args.kind == "accuracy":
@@ -242,7 +251,8 @@ def cmd_simulate(args) -> int:
             raise ValueError("config field 'shapes' must be a non-empty list of shapes")
         if not isinstance(cfg["box"], dict):
             raise ValueError(f"config field 'box' must be an object, got {cfg['box']!r}")
-        box = Box(lo=cfg["box"]["lo"], hi=cfg["box"]["hi"])
+        box = Box(lo=_point(cfg["box"]["lo"], "box.lo"),
+                  hi=_point(cfg["box"]["hi"], "box.hi"))
         config = DeploymentConfig(box=box, node_count=_whole(cfg["node_count"], "node_count"),
                                   seed=args.seed)
         capacity = _number(cfg["battery_capacity"], "battery_capacity")

@@ -35,7 +35,10 @@ Public ids are the paper's offset ids (u, v, w), equal to the basis ids
 except on HP, whose odd rows sit half a step further along x: its centers
 are at (sqrt(3)*a*(u + (v mod 2)/2), 1.5*a*v, h*w), and its basis ids are
 the axial ids (u - floor(v/2), v, w). ``to_basis_ids`` and
-``to_public_ids`` are the one place that converts.
+``to_public_ids`` convert arrays of ids. The lattice module's per-cell
+paths convert without them: ``assign_cell`` turns its one HP basis id into
+a public id with ``u += v >> 1``, and ``neighbors`` steps in public ids,
+with a table of its own for the steps from HP's odd rows.
 
 Vertex lists, for a cell centered at the origin:
 
@@ -81,7 +84,7 @@ def _as_shape(shape) -> CellShape:
     """``shape`` as a CellShape; an unknown shape raises ``ValueError``.
 
     A member is returned as it is, without the enum's metaclass call that
-    ``CellShape(member)`` costs (about 0.5 us, twice per routing hop).
+    ``CellShape(member)`` costs.
     """
     return shape if isinstance(shape, CellShape) else CellShape(shape)
 

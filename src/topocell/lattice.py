@@ -6,10 +6,13 @@ center_offsets(shape, R, (u, v, w)) with R = max_cell_radius(shape, r_t).
 ``LatticeSpec`` holds the sink as a tuple of three Python floats, and a
 spec, its rule and the per-cell paths (``assign_cell`` off ties,
 ``neighbors``) need no numpy; the array paths import it when called.
-The geometry module owns each lattice's generator basis and the one
-conversion between public and basis ids, which differ only on HP. The
-decoder, the oracle's candidate table and the neighbor table work in
-basis ids; the public functions take and return public ids.
+The geometry module owns each lattice's generator basis. Public and basis
+ids differ only on HP, and are converted in three places: arrays by
+geometry's pair ``to_basis_ids`` and ``to_public_ids``, which the decoder
+and the oracle, working in basis ids, call; one id by ``assign_cell``'s
+``u += v >> 1``; and neighbor steps by ``_NEIGHBOR_STEPS``, whose odd-row
+table lets ``neighbors`` and routing step in public ids. The public
+functions take and return public ids.
 
 A sensor at point p finds its cell without search. The four tessellations
 are the Voronoi cells of four classical lattices: CB is Z^3, RD the
@@ -61,6 +64,7 @@ that failure rate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -139,7 +143,9 @@ class LatticeSpec:
         if not (math.isfinite(self.r_t) and self.r_t > 0):
             raise ValueError("transmission range must be positive and finite")
         object.__setattr__(self, "r_t", float(self.r_t))
-        sink = _point_tuple(self.sink, "sink")
+        sink = tuple(_coords(self.sink, "sink"))
+        if not all(map(math.isfinite, sink)):
+            raise ValueError("sink coordinates must be finite")
         object.__setattr__(self, "sink", sink)
         R = max_cell_radius(shape, self.r_t)
         step = cell_spacing(shape, R)[0]
@@ -156,40 +162,16 @@ class LatticeSpec:
             0.5 * (weight[0] + weight[1] + weight[2]), _INVERSES[shape], MAX_STEPS * step))
 
 
-_PLAIN = (float, int)
-
-
-def _plain_coords(p):
-    """The coordinates of a tuple or list of three Python ints and floats, as
-    a list of floats, read without numpy; None for any other ``p``."""
-    if (type(p) is tuple or type(p) is list) and len(p) == 3:
-        x, y, z = p
-        if type(x) in _PLAIN and type(y) in _PLAIN and type(z) in _PLAIN:
-            return [float(x), float(y), float(z)]
-    return None
-
-
-def _point_tuple(p, what: str) -> tuple[float, float, float]:
-    """``as_point(p, what)`` as a tuple of Python floats, with its errors; a
-    tuple or list of three ints and floats is read without numpy."""
-    xyz = _plain_coords(p)
-    if xyz is None:
-        return tuple(as_point(p, what).tolist())
-    if not all(map(math.isfinite, xyz)):
-        raise ValueError(f"{what} coordinates must be finite")
-    return tuple(xyz)
-
-
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
     """Centers for an array of ids of shape (..., 3)."""
     return spec.sink + center_offsets(spec.shape, spec.circumradius, ids)
 
 
 def cell_center(spec: LatticeSpec, cid) -> np.ndarray:
-    """Center of a single cell."""
+    """Center of a single cell, its id checked by ``as_cell_id``."""
     import numpy as np
 
-    return cell_centers(spec, np.asarray(tuple(cid), dtype=np.int64))
+    return cell_centers(spec, np.array(as_cell_id(cid), dtype=np.int64))
 
 
 def _fractional_ids(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
@@ -283,6 +265,7 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     return to_public_ids(spec.shape, ids)
 
 
+_PLAIN = (float, int)
 # numpy's array type and float64 dtype, for the fast read of ``_coords``,
 # bound by its first call that takes the ``as_point`` path: no point is an
 # array before numpy is imported, and reading a global costs a sensor's call
@@ -290,21 +273,22 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
 _ndarray = _float64 = None
 
 
-def _coords(p) -> list[float]:
-    """The coordinates of ``as_point(p)`` as Python floats, not yet checked to
-    be finite: read without numpy from a float64 array of shape (3,) or a
-    tuple or list of three Python ints and floats, through ``as_point``
-    otherwise."""
+def _coords(p, what: str = "point") -> list[float]:
+    """The coordinates of ``as_point(p, what)`` as Python floats, not yet
+    checked to be finite: read without numpy from a float64 array of shape
+    (3,) or a tuple or list of three Python ints and floats, through
+    ``as_point``, with its errors, otherwise."""
     global _ndarray, _float64
     if type(p) is _ndarray and p.dtype is _float64 and p.shape == (3,):
         return p.tolist()
-    xyz = _plain_coords(p)
-    if xyz is not None:
-        return xyz
+    if (type(p) is tuple or type(p) is list) and len(p) == 3:
+        x, y, z = p
+        if type(x) in _PLAIN and type(y) in _PLAIN and type(z) in _PLAIN:
+            return [float(x), float(y), float(z)]
     import numpy as np
 
     _ndarray, _float64 = np.ndarray, np.dtype(np.float64)
-    return as_point(p).tolist()
+    return as_point(p, what).tolist()
 
 
 def assign_cell(spec: LatticeSpec, p) -> CellId:
@@ -506,31 +490,28 @@ def assign_cell_oracle(spec: LatticeSpec, p, window: int = 3) -> CellId:
     return CellId(int(row[0]), int(row[1]), int(row[2]))
 
 
-# basis-id offsets of the first-tier neighbors of any cell, as int tuples in
-# the order of the neighbor classes and their generators: the public offsets
-# of cell (0, 0, 0), whose HP axial id is du - (dv >> 1)
-_NEIGHBOR_OFFSETS = {
-    shape: tuple((du - (dv >> 1) if shape is CellShape.HP else du, dv, dw)
-                 for cls in neighbor_classes(shape) for du, dv, dw in cls.offset_generators)
-    for shape in CellShape
-}
+def _steps(shape: CellShape):
+    """Public-id steps to the first-tier neighbors, for cells of even and of
+    odd rows v: the neighbor-class generators, in order. HP's odd rows sit
+    half a step further along x than its even ones, so from an odd row a step
+    that changes the row by an odd dv lands one further along u."""
+    even = tuple(off for cls in neighbor_classes(shape) for off in cls.offset_generators)
+    if shape is not CellShape.HP:
+        return even, even
+    return even, tuple((du + (dv & 1), dv, dw) for du, dv, dw in even)
+
+
+# _NEIGHBOR_STEPS[shape][v & 1]: the steps from a cell of row v; v & 1 is
+# the parity of v, negative v included
+_NEIGHBOR_STEPS = {shape: _steps(shape) for shape in CellShape}
 
 
 def _neighbor_rows(shape: CellShape, cell) -> list[tuple[int, int, int]]:
     """Public ids of the first-tier neighbors of the public id ``cell``, as int
-    tuples in the order of ``_NEIGHBOR_OFFSETS``.
-
-    Python-int arithmetic only: HP's basis id is (a, v, w) with the axial
-    a = u - (v >> 1), and back u = a + (v >> 1), the per-cell form of
-    ``geometry.to_basis_ids`` and ``to_public_ids``; ``>>`` floors negative
-    ints as int64 does.
-    """
+    tuples in the order of the neighbor-class generators; Python-int
+    arithmetic only."""
     u, v, w = cell
-    if shape is CellShape.HP:
-        a = u - (v >> 1)
-        return [(a + du + ((v + dv) >> 1), v + dv, w + dw)
-                for du, dv, dw in _NEIGHBOR_OFFSETS[shape]]
-    return [(u + du, v + dv, w + dw) for du, dv, dw in _NEIGHBOR_OFFSETS[shape]]
+    return [(u + du, v + dv, w + dw) for du, dv, dw in _NEIGHBOR_STEPS[shape][v & 1]]
 
 
 # CellId from a row without the Python-level constructor; routing makes one
@@ -541,10 +522,15 @@ _cell_id = partial(tuple.__new__, CellId)
 def as_cell_id(cid, what: str = "cell id") -> CellId:
     """``cid`` as a CellId of Python ints, checked to be an id of the domain.
 
-    Ids of the supported domain have every coordinate within MAX_STEPS + 2
-    of zero; farther ones raise ``ValueError`` naming ``what``.
+    Each coordinate must be an integer (a Python or numpy int, read with
+    ``operator.index``), and ids of the supported domain have every
+    coordinate within MAX_STEPS + 2 of zero; other ids raise ``ValueError``
+    naming ``what``.
     """
-    u, v, w = map(int, cid)
+    try:
+        u, v, w = map(operator.index, cid)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be three integers, got {cid!r}") from None
     if max(abs(u), abs(v), abs(w)) > MAX_STEPS + 2:
         raise ValueError(f"{what} must lie within {MAX_STEPS + 2} of zero on each axis")
     return _cell_id((u, v, w))

@@ -236,6 +236,10 @@ class TestSimulate:
         ("accuracy", "rt_sqrt17_units", "false", "rt_sqrt17_units"),
         ("accuracy", "rt_sqrt17_units", "yes", "rt_sqrt17_units"),
         ("accuracy", "rt_sqrt17_units", 1, "rt_sqrt17_units"),
+        ("accuracy", "sink", ["0", "0", "1"], "sink"),
+        ("lifetime", "sink", [True, 0, 0], "sink"),
+        ("lifetime", "box", {"lo": ["-0.75", -0.75, -0.75], "hi": [1, 1, 1]}, "box.lo"),
+        ("lifetime", "box", {"lo": [-1, -1, -1], "hi": [1, False, 1]}, "box.hi"),
     ])
     def test_field_of_wrong_type_is_invalid_parameter(self, accuracy_config, lifetime_config,
                                                       kind, field, value, named, capsys):
@@ -330,6 +334,43 @@ class TestRoute:
                                 "--dead-cells", str(dead_file)])
         assert code == 5
         assert ":3:" in err
+
+
+# a run of each command whose csv columns the README freezes
+CSV_COMMANDS = {
+    "tables I": ["tables", "I"],
+    "tables II": ["tables", "II"],
+    "assign": ["assign", "--shape", "to", "--rt", "1", "--point", "0.1,0.2,0.3"],
+    "simulate accuracy": ["simulate", "accuracy", "--config", "{accuracy}", "--seed", "1"],
+    "simulate lifetime": ["simulate", "lifetime", "--config", "{lifetime}", "--seed", "1"],
+    "route": ["route", "--shape", "hp", "--rt", "1", "--src", "0,0,0", "--dst", "2,3,1"],
+}
+
+
+def readme_csv_columns():
+    """{command: columns} from the README's "Frozen CSV columns" list: each
+    bullet names a command and gives its columns as the first code span that
+    holds a comma."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Frozen CSV columns\n", 1)[1].split("\n#", 1)[0]
+    columns = {}
+    for bullet in section.split("\n- ")[1:]:
+        text = " ".join(bullet.split())
+        command, spans = re.match(r"`([^`]+)`:", text)[1], re.findall(r"`([^`]+)`", text)
+        columns[command] = next(span for span in spans if "," in span).split(", ")
+    return columns
+
+
+class TestFrozenCsvColumns:
+    def test_headers_match_readme(self, accuracy_config, lifetime_config, capsys):
+        columns = readme_csv_columns()
+        assert set(columns) == set(CSV_COMMANDS)
+        paths = {"accuracy": accuracy_config, "lifetime": lifetime_config}
+        for command, args in CSV_COMMANDS.items():
+            argv = [arg.format(**paths) for arg in args]
+            assert main([*argv, "--format", "csv"]) == 0, command
+            header = capsys.readouterr().out.split("\n", 1)[0]
+            assert header.split(",") == columns[command], command
 
 
 class TestDeterminism:

@@ -106,6 +106,12 @@ class TestMaxVertexPairDistance:
         with pytest.raises(ValueError):
             max_vertex_pair_distance(a, b)
 
+    def test_circumradius_mismatch_rejected(self):
+        a = build_polyhedron(CellShape.TO, (0, 0, 0), 1.0)
+        b = build_polyhedron(CellShape.TO, (0, 0, 0), 1.0 + 1e-9)
+        with pytest.raises(ValueError, match="same circumradius"):
+            max_vertex_pair_distance(a, b)
+
 
 class TestNeighborClasses:
     @pytest.mark.parametrize("shape,counts", [

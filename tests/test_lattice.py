@@ -26,7 +26,6 @@ from topocell.geometry import (
     to_public_ids,
 )
 from topocell.lattice import (
-    _NEIGHBOR_OFFSETS,
     MAX_STEPS,
     MAX_WINDOW,
     CellId,
@@ -60,6 +59,14 @@ TO_NEIGHBOR_OFFSETS = {
     (-1, 0, 1), (1, 0, -1), (0, -1, 1), (0, 1, -1),
     (-1, -1, 1), (1, 1, -1),
 }
+
+
+def basis_offsets(shape):
+    """int64 basis-id offsets of the first-tier neighbors, in the order of the
+    neighbor-class generators: the basis ids of the public ids of cell
+    (0, 0, 0)'s neighbors."""
+    return to_basis_ids(shape, [off for cls in neighbor_classes(shape)
+                                for off in cls.offset_generators])
 
 
 def id_grid(half_width):
@@ -112,6 +119,14 @@ class TestCellCenter:
     def test_sink_shift(self):
         spec = LatticeSpec(CellShape.CB, 2.0, sink=(10.0, -5.0, 1.0))
         assert np.allclose(cell_center(spec, (0, 0, 0)), (10.0, -5.0, 1.0))
+
+    def test_id_must_be_integers(self):
+        # a fractional id was truncated to a neighboring cell's
+        spec = LatticeSpec(CellShape.TO, SQRT17)
+        for cid in [(0.5, 0, 0), (1.0, 0, 0), np.array([0.5, 0.0, 0.0]), ("1", "2", "3")]:
+            with pytest.raises(ValueError, match="cell id must be three integers"):
+                cell_center(spec, cid)
+        assert (cell_center(spec, np.array([1, 0, 0])) == cell_center(spec, (1, 0, 0))).all()
 
 
 class TestAssignCell:
@@ -405,6 +420,13 @@ class TestDomain:
         assert np.abs(ids).max() <= MAX_STEPS + 2
         assert (ids == assign_cells_oracle(spec, pts)).all()
 
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 2, 3)])
+    def test_points_of_wrong_shape_rejected(self, shape):
+        spec = LatticeSpec(CellShape.TO, 1.0)
+        for assign in (assign_cells, assign_cells_oracle, assign_cells_nearest_int):
+            with pytest.raises(ValueError, match=r"expected points of shape \(n, 3\)"):
+                assign(spec, np.zeros(shape))
+
 
 class TestNearestInt:
     def test_exact_centers(self):
@@ -599,10 +621,10 @@ class TestNeighbors:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_int64_table_form(self, shape):
-        # the per-cell Python-int rows equal the offset table applied to int64
-        # basis ids, order included, across the domain and at its edges; HP
-        # cells with negative odd v check that >> floors Python ints as it
-        # floors int64
+        # the per-cell Python-int rows equal the basis-id offsets applied to
+        # int64 basis ids, order included, across the domain and at its
+        # edges; HP cells with negative odd v check that the odd-row steps
+        # agree with int64's floored v >> 1
         spec = LatticeSpec(shape, 1.0)
         edge = MAX_STEPS + 2
         rng = np.random.default_rng(41)
@@ -610,7 +632,7 @@ class TestNeighbors:
                  *itertools.product((-edge, 1 - edge, edge - 1, edge), repeat=3),
                  *itertools.product((-2, 0, 3), (-7, -5, -3, -1, 0, 1, 4), (-1, 2))]
         for cid in cells:
-            want = to_public_ids(shape, to_basis_ids(shape, cid) + _NEIGHBOR_OFFSETS[shape])
+            want = to_public_ids(shape, to_basis_ids(shape, cid) + basis_offsets(shape))
             got = neighbors(spec, cid)
             assert got == [CellId(*row) for row in want.tolist()]
             assert all(type(x) is int for nb in got for x in nb)
@@ -625,6 +647,21 @@ class TestNeighbors:
                     np.array([-2 ** 63, 0, 0])):
             with pytest.raises(ValueError, match="within"):
                 neighbors(spec, cid)
+
+    @pytest.mark.parametrize("cid", [(0.7, 0, 0), (1.0, 2, 3), ("1", "2", "3"),
+                                     np.array([0.5, 0.0, 0.0]), (1, 2), (1, 2, 3, 4), 5, None])
+    def test_ids_must_be_three_integers(self, cid):
+        # int() read (0.7, 0, 0) as cell (0, 0, 0) and ("1", "2", "3") as (1, 2, 3)
+        with pytest.raises(ValueError, match="cell id must be three integers"):
+            neighbors(LatticeSpec(CellShape.HP, 1.0), cid)
+
+    def test_numpy_integer_ids_pass(self):
+        spec = LatticeSpec(CellShape.HP, 1.0)
+        want = neighbors(spec, (1, -3, 2))
+        for cid in [np.array([1, -3, 2]), (np.int32(1), np.int64(-3), np.uint8(2))]:
+            got = neighbors(spec, cid)
+            assert got == want
+            assert all(type(x) is int for nb in got for x in nb)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_neighbors_touch(self, shape):

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from topocell.geometry import CellShape, to_basis_ids, to_public_ids
-from topocell.lattice import _NEIGHBOR_OFFSETS, MAX_STEPS, CellId, LatticeSpec, neighbors
+from topocell.geometry import CellShape, neighbor_classes, to_basis_ids, to_public_ids
+from topocell.lattice import MAX_STEPS, CellId, LatticeSpec, neighbors
 from topocell.routing import (
     DEAD_END,
     DELIVERED,
@@ -20,9 +20,12 @@ def metric(a, b):
 
 
 def table_neighbors(spec, cid):
-    """Neighbor ids by the int64 offset table, in table order."""
+    """Neighbor ids by int64 basis-id offsets, derived from the neighbor-class
+    generators, in generator order."""
     shape = spec.shape
-    rows = to_public_ids(shape, to_basis_ids(shape, cid) + _NEIGHBOR_OFFSETS[shape])
+    offsets = to_basis_ids(shape, [off for cls in neighbor_classes(shape)
+                                   for off in cls.offset_generators])
+    rows = to_public_ids(shape, to_basis_ids(shape, cid) + offsets)
     return [CellId(*row) for row in rows.tolist()]
 
 
@@ -186,6 +189,16 @@ class TestGreedyRoute:
                 neighbor_choice_count(SPEC, far, (0, 0, 0))
             with pytest.raises(ValueError, match="within"):
                 neighbor_choice_count(SPEC, (0, 0, 0), far)
+
+    def test_fractional_endpoints_rejected(self):
+        # int() read these as cells (0, 0, 0) and (2, 0, 0): "delivered"
+        with pytest.raises(ValueError, match="source cell id must be three integers"):
+            greedy_route(SPEC, (0.9, 0, 0), (2.2, 0, 0))
+        with pytest.raises(ValueError, match="destination cell id must be three integers"):
+            greedy_route(SPEC, (0, 0, 0), ("2", "0", "0"))
+        with pytest.raises(ValueError, match="current cell id must be three integers"):
+            neighbor_choice_count(SPEC, (0.5, 0, 0), (2, 0, 0))
+        assert greedy_route(SPEC, np.array([0, 0, 0]), (np.int64(2), 0, 0)).outcome == DELIVERED
 
 
 class TestNeighborChoiceCount:
