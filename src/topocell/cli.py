@@ -41,39 +41,6 @@ class MalformedFileError(Exception):
     """A readable input file whose contents do not parse."""
 
 
-TABLE_I_COLUMNS = [
-    "shape", "neighbor_count",
-    "max_radius_coeff", "max_radius_reference", "max_radius_deviation",
-    "min_sensing_coeff", "min_sensing_reference", "min_sensing_deviation",
-]
-
-TABLE_II_COLUMNS = [
-    "shape",
-    "active_node_ratio", "active_node_reference", "active_node_deviation",
-    "lifetime_fraction", "lifetime_reference", "lifetime_deviation",
-]
-
-ASSIGN_COLUMNS = [
-    "shape", "rt", "sink", "point", "method", "u", "v", "w",
-    "center_x", "center_y", "center_z", "distance",
-    "exact_u", "exact_v", "exact_w", "matches_exact",
-]
-
-ACCURACY_COLUMNS = [
-    "shape", "rt", "n", "seed",
-    "correct_exact", "correct_nearest_int",
-    "fraction_exact", "fraction_nearest_int",
-]
-
-LIFETIME_COLUMNS = [
-    "shape", "rt", "node_count", "seed", "battery_capacity", "k",
-    "cells_populated", "mean_nodes_per_cell", "network_lifetime",
-    "lifetime_vs_to",
-]
-
-ROUTE_COLUMNS = ["step", "u", "v", "w", "metric_to_destination", "outcome"]
-
-
 def _triple(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -124,16 +91,16 @@ def _spec(fields: dict, shape: str) -> LatticeSpec:
                        sink=_point(fields.get("sink", (0.0, 0.0, 0.0)), "sink"))
 
 
-def _render(rows: list[dict], columns: list[str], fmt: str) -> str:
+def _render(rows: list[dict], fmt: str) -> str:
+    """The report in ``fmt``; every row has the first row's columns, in order."""
     if fmt == "csv":
-        return planner.render_csv(rows, columns)
+        return planner.render_csv(rows)
     if fmt == "json":
         return planner.render_json(rows)
-    widths = {c: max(len(c), *(len(_cell_str(r.get(c, ""))) for r in rows)) for c in columns}
-    lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
-    for r in rows:
-        lines.append("  ".join(_cell_str(r.get(c, "")).ljust(widths[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+    lines = [list(rows[0]), *([_cell_str(v) for v in r.values()] for r in rows)]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n"
+                   for line in lines)
 
 
 def _cell_str(value) -> str:
@@ -152,12 +119,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_tables(args) -> int:
     if args.which == "I":
-        rows, columns = planner.radius_table(), TABLE_I_COLUMNS
-        ok = planner.radius_table_gates_ok()
+        rows, ok = planner.radius_table(), planner.radius_table_gates_ok()
     else:
-        rows, columns = planner.lifetime_table(), TABLE_II_COLUMNS
-        ok = planner.lifetime_table_gates_ok()
-    _emit(_render(rows, columns, args.format), args.out)
+        rows, ok = planner.lifetime_table(), planner.lifetime_table_gates_ok()
+    _emit(_render(rows, args.format), args.out)
     return 0 if ok else 1
 
 
@@ -192,7 +157,7 @@ def cmd_assign(args) -> int:
         exact = assign_cell(spec, point)
         row.update(exact_u=exact.u, exact_v=exact.v, exact_w=exact.w,
                    matches_exact=exact == cid)
-    _emit(_render([row], ASSIGN_COLUMNS, args.format), args.out)
+    _emit(_render([row], args.format), args.out)
     return 0
 
 
@@ -214,10 +179,14 @@ def _whole(value, field: str) -> int:
 
 
 def _number(value, field: str) -> float:
-    """A config quantity as a float: a JSON number, not a bool or a string."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A config quantity as a float: a JSON number, not a bool or a string,
+    and not an integer too large for a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"config field {field!r} must be a number, got {value!r}")
+    try:
         return float(value)
-    raise ValueError(f"config field {field!r} must be a number, got {value!r}")
+    except OverflowError:
+        raise ValueError(f"config field {field!r} is too large for a float") from None
 
 
 def _point(value, field: str):
@@ -244,7 +213,6 @@ def cmd_simulate(args) -> int:
             "fraction_exact": report.fraction_exact,
             "fraction_nearest_int": report.fraction_nearest_int,
         }]
-        columns = ACCURACY_COLUMNS
     else:
         shapes = cfg["shapes"] if "shapes" in cfg else [cfg["shape"]]
         if not isinstance(shapes, list) or not shapes:
@@ -278,12 +246,11 @@ def cmd_simulate(args) -> int:
                 "lifetime_vs_to": (res.network_lifetime / to_lifetime
                                    if to_lifetime else ""),
             })
-        columns = LIFETIME_COLUMNS
     if args.out is not None:
-        _emit(planner.render_csv(rows, columns), args.out + ".csv")
+        _emit(planner.render_csv(rows), args.out + ".csv")
         _emit(planner.render_json(rows), args.out + ".json")
     else:
-        sys.stdout.write(_render(rows, columns, args.format))
+        sys.stdout.write(_render(rows, args.format))
     return 0
 
 
@@ -316,7 +283,7 @@ def cmd_route(args) -> int:
             "metric_to_destination": metric,
             "outcome": path.outcome,
         })
-    _emit(_render(rows, ROUTE_COLUMNS, args.format), args.out)
+    _emit(_render(rows, args.format), args.out)
     return 0 if path.outcome != DEAD_END else 4
 
 

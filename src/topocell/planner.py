@@ -166,59 +166,51 @@ def all_reports() -> list[ShapeReport]:
     return [shape_report(s) for s in SHAPE_ORDER]
 
 
+# each table's comparisons in column order: value column, stem of its
+# reference and deviation columns, ShapeReport field, references
+_TABLE_I = (
+    ("max_radius_coeff", "max_radius", "max_radius_coeff", REFERENCE_RADIUS),
+    ("min_sensing_coeff", "min_sensing", "min_sensing_coeff", REFERENCE_SENSING),
+)
+_TABLE_II = (
+    ("active_node_ratio", "active_node", "active_node_ratio_vs_to", REFERENCE_ACTIVE_RATIO),
+    ("lifetime_fraction", "lifetime", "lifetime_fraction_vs_to", REFERENCE_LIFETIME),
+)
+
+
+def _compared(rep: ShapeReport, comparisons) -> dict:
+    """A table row's comparison columns: each value, its reference and their distance."""
+    row = {}
+    for column, stem, field, references in comparisons:
+        value, reference = getattr(rep, field), references[rep.shape].value
+        row.update({column: value, f"{stem}_reference": reference,
+                    f"{stem}_deviation": abs(value - reference)})
+    return row
+
+
+def _gates_ok(rows: list[dict], comparisons, base_tol: float) -> bool:
+    """True when every deviation of the table is within its reference's gate."""
+    return all(row[f"{stem}_deviation"] <= references[CellShape(row["shape"])].gate(base_tol)
+               for row in rows for _, stem, _, references in comparisons)
+
+
 def radius_table() -> list[dict]:
     """Rows of table I: radius and sensing-range coefficients with deviations."""
-    rows = []
-    for rep in all_reports():
-        r_ref = REFERENCE_RADIUS[rep.shape]
-        s_ref = REFERENCE_SENSING[rep.shape]
-        rows.append({
-            "shape": rep.shape.value,
-            "neighbor_count": rep.neighbor_count,
-            "max_radius_coeff": rep.max_radius_coeff,
-            "max_radius_reference": r_ref.value,
-            "max_radius_deviation": abs(rep.max_radius_coeff - r_ref.value),
-            "min_sensing_coeff": rep.min_sensing_coeff,
-            "min_sensing_reference": s_ref.value,
-            "min_sensing_deviation": abs(rep.min_sensing_coeff - s_ref.value),
-        })
-    return rows
+    return [{"shape": rep.shape.value, "neighbor_count": rep.neighbor_count,
+             **_compared(rep, _TABLE_I)} for rep in all_reports()]
 
 
 def lifetime_table() -> list[dict]:
     """Rows of table II: active-node and lifetime ratios with deviations."""
-    rows = []
-    for rep in all_reports():
-        a_ref = REFERENCE_ACTIVE_RATIO[rep.shape]
-        l_ref = REFERENCE_LIFETIME[rep.shape]
-        rows.append({
-            "shape": rep.shape.value,
-            "active_node_ratio": rep.active_node_ratio_vs_to,
-            "active_node_reference": a_ref.value,
-            "active_node_deviation": abs(rep.active_node_ratio_vs_to - a_ref.value),
-            "lifetime_fraction": rep.lifetime_fraction_vs_to,
-            "lifetime_reference": l_ref.value,
-            "lifetime_deviation": abs(rep.lifetime_fraction_vs_to - l_ref.value),
-        })
-    return rows
+    return [{"shape": rep.shape.value, **_compared(rep, _TABLE_II)} for rep in all_reports()]
 
 
 def radius_table_gates_ok(base_tol: float = 1e-6) -> bool:
-    for rep in all_reports():
-        if abs(rep.max_radius_coeff - REFERENCE_RADIUS[rep.shape].value) > REFERENCE_RADIUS[rep.shape].gate(base_tol):
-            return False
-        if abs(rep.min_sensing_coeff - REFERENCE_SENSING[rep.shape].value) > REFERENCE_SENSING[rep.shape].gate(base_tol):
-            return False
-    return True
+    return _gates_ok(radius_table(), _TABLE_I, base_tol)
 
 
 def lifetime_table_gates_ok(base_tol: float = 1e-5) -> bool:
-    for rep in all_reports():
-        if abs(rep.active_node_ratio_vs_to - REFERENCE_ACTIVE_RATIO[rep.shape].value) > REFERENCE_ACTIVE_RATIO[rep.shape].gate(base_tol):
-            return False
-        if abs(rep.lifetime_fraction_vs_to - REFERENCE_LIFETIME[rep.shape].value) > REFERENCE_LIFETIME[rep.shape].gate(base_tol):
-            return False
-    return True
+    return _gates_ok(lifetime_table(), _TABLE_II, base_tol)
 
 
 @dataclass(frozen=True)
@@ -287,13 +279,12 @@ def verify_coverage(spec: LatticeSpec, sensing_range: float, *,
     return ok
 
 
-def render_csv(rows: list[dict], columns: list[str] | None = None) -> str:
-    """Serialize report rows to CSV with a stable column order."""
+def render_csv(rows: list[dict]) -> str:
+    """Serialize report rows to CSV, in the column order of the first row's keys."""
     if not rows:
         return ""
-    cols = columns if columns is not None else list(rows[0].keys())
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()

@@ -65,6 +65,15 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _seed(value) -> int:
+    """An experiment seed as a Python int: an integer that fits an unsigned
+    64-bit integer, as the CLI's ``--seed <u64>`` documents."""
+    seed = _integer(value, "seed")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit an unsigned 64-bit integer")
+    return seed
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned region given by its min and max corners, in meters."""
@@ -104,11 +113,9 @@ class DeploymentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "node_count", _integer(self.node_count, "node_count"))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.node_count < 1:
             raise ValueError("node_count must be at least 1")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must fit an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,7 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
     """
     if spec.shape is not CellShape.TO:
         raise ValueError("the accuracy experiment is defined for the TO lattice")
-    n, seed = _integer(n, "n"), _integer(seed, "seed")
+    n, seed = _integer(n, "n"), _seed(seed)
     if n < 1:
         raise ValueError("n must be at least 1")
     import numpy as np

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from topocell import planner
 from topocell.cli import main
+from topocell.geometry import CellShape
 
 SQRT17 = math.sqrt(17.0)
 
@@ -62,6 +64,22 @@ class TestTables:
         assert cb["active_node_reference"] == "2.372239"
         assert cb["lifetime_reference"] == "0.42154"
         assert float(cb["active_node_deviation"]) <= 1e-5
+
+    @pytest.mark.parametrize("which,references,shape,value,code", [
+        ("I", planner.REFERENCE_RADIUS, CellShape.TO, 0.271165, 1),
+        ("I", planner.REFERENCE_RADIUS, CellShape.TO, 0.2711634, 0),
+        ("II", planner.REFERENCE_LIFETIME, CellShape.HP, 0.670, 1),
+        ("II", planner.REFERENCE_LIFETIME, CellShape.HP, 0.6694, 0),
+    ])
+    def test_deviation_beyond_gate_exits_1(self, monkeypatch, which, references, shape,
+                                           value, code, capsys):
+        decimals = references[shape].decimals
+        monkeypatch.setitem(references, shape, planner.Reference(value, decimals))
+        assert main(["tables", which, "--format", "csv"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and lines[0].startswith("shape,")
+        row = next(line for line in lines if line.startswith(f"{shape.value},"))
+        assert f",{value}," in row
 
     def test_table_i_deviations_within_print_precision(self, capsys):
         assert main(["tables", "I", "--format", "json"]) == 0
@@ -240,6 +258,12 @@ class TestSimulate:
         ("lifetime", "sink", [True, 0, 0], "sink"),
         ("lifetime", "box", {"lo": ["-0.75", -0.75, -0.75], "hi": [1, 1, 1]}, "box.lo"),
         ("lifetime", "box", {"lo": [-1, -1, -1], "hi": [1, False, 1]}, "box.hi"),
+        ("accuracy", "rt", 10 ** 400, "rt"),
+        ("lifetime", "rt", -10 ** 400, "rt"),
+        ("accuracy", "sink", [0, 10 ** 400, 0], "sink"),
+        ("lifetime", "box", {"lo": [-10 ** 400, -1, -1], "hi": [1, 1, 1]}, "box.lo"),
+        ("lifetime", "box", {"lo": [-1, -1, -1], "hi": [1, 1, 10 ** 400]}, "box.hi"),
+        ("lifetime", "battery_capacity", 10 ** 400, "battery_capacity"),
     ])
     def test_field_of_wrong_type_is_invalid_parameter(self, accuracy_config, lifetime_config,
                                                       kind, field, value, named, capsys):
@@ -247,6 +271,23 @@ class TestSimulate:
         path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
         assert main(["simulate", kind, "--config", str(path), "--seed", "3"]) == 3
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["accuracy", "lifetime"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "99999999999999999999999999"])
+    def test_seed_beyond_u64_is_invalid_parameter(self, accuracy_config, lifetime_config,
+                                                  kind, seed, capsys):
+        config = accuracy_config if kind == "accuracy" else lifetime_config
+        assert main(["simulate", kind, "--config", config, "--seed", seed]) == 3
+        assert "seed must fit an unsigned 64-bit integer" in capsys.readouterr().err
+
+    def test_lifetime_vs_to_empty_when_to_lifetime_is_zero(self, lifetime_config, capsys):
+        cfg = json.loads(Path(lifetime_config).read_text())
+        Path(lifetime_config).write_text(json.dumps({**cfg, "k": 1000000}))
+        assert main(["simulate", "lifetime", "--config", lifetime_config, "--seed", "3",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["shape"] for r in rows] == ["cb", "to"]
+        assert [(r["network_lifetime"], r["lifetime_vs_to"]) for r in rows] == [(0, "")] * 2
 
     def test_fractional_n_is_invalid_parameter(self, accuracy_config, capsys):
         cfg = json.loads(Path(accuracy_config).read_text())
@@ -371,6 +412,9 @@ class TestFrozenCsvColumns:
             assert main([*argv, "--format", "csv"]) == 0, command
             header = capsys.readouterr().out.split("\n", 1)[0]
             assert header.split(",") == columns[command], command
+            assert main([*argv, "--format", "pretty"]) == 0, command
+            header = capsys.readouterr().out.split("\n", 1)[0]
+            assert header.split() == columns[command], command
 
 
 class TestDeterminism:

@@ -105,6 +105,18 @@ class TestReferenceGates:
         assert radius_table_gates_ok()
         assert lifetime_table_gates_ok()
 
+    @pytest.mark.parametrize("references,gates_ok", [
+        (REFERENCE_RADIUS, radius_table_gates_ok),
+        (REFERENCE_SENSING, radius_table_gates_ok),
+        (REFERENCE_ACTIVE_RATIO, lifetime_table_gates_ok),
+        (REFERENCE_LIFETIME, lifetime_table_gates_ok),
+    ])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_each_reference_is_gated(self, monkeypatch, references, gates_ok, shape):
+        ref = references[shape]
+        monkeypatch.setitem(references, shape, Reference(ref.value + 1e-3, ref.decimals))
+        assert not gates_ok()
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_within_printed_precision(self, shape):
         rep = shape_report(shape)

@@ -154,6 +154,16 @@ class TestAccuracyExperiment:
         assert rep == accuracy_experiment(spec, 500, 3)
         assert type(rep.n) is int
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 99999999999999999999999999])
+    def test_seed_must_fit_u64(self, seed):
+        # the deployment's seed check, with its message
+        spec = LatticeSpec(CellShape.TO, 1.0)
+        with pytest.raises(ValueError, match="^seed must fit an unsigned 64-bit integer$"):
+            accuracy_experiment(spec, 10, seed)
+        with pytest.raises(ValueError, match="^seed must fit an unsigned 64-bit integer$"):
+            DeploymentConfig(box=Box(lo=(0, 0, 0), hi=(1, 1, 1)), node_count=10, seed=seed)
+        assert accuracy_experiment(spec, 10, 2 ** 64 - 1).n == 10
+
 
 class TestLifetimeSimulation:
     def test_serial_drain_single_cell(self):
