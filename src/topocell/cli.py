@@ -163,7 +163,12 @@ def cmd_assign(args) -> int:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            # invalid JSON, text that is not UTF-8, or an integer literal
+            # longer than Python's limit for int-string conversion
+            raise MalformedFileError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise MalformedFileError(f"{path}: expected a JSON object, got {type(cfg).__name__}")
     return cfg
@@ -338,9 +343,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed config: {exc}", file=sys.stderr)
-        return 5
     except MalformedFileError as exc:
         print(f"error: malformed file: {exc}", file=sys.stderr)
         return 5

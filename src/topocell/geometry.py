@@ -4,11 +4,11 @@ Four convex polyhedra are practical as virtual cells for dense 3D
 deployments because congruent copies of each tile space with no gaps:
 the cube (CB), the hexagonal prism with optimal height (HP), the rhombic
 dodecahedron (RD) and the truncated octahedron (TO). This module fixes one
-concrete orientation and lattice spacing per shape, builds explicit vertex
-lists, and derives the constants a deployment planner needs: circumradii,
-cell volumes, first-tier neighbor classes, and the worst-case distance
-between points of two neighboring cells (the quantity that bounds the usable
-cell size for a given transmission range).
+concrete orientation and lattice spacing per shape, derives each cell's
+vertices from its lattice, and gives the constants a deployment planner
+needs: circumradii, cell volumes, first-tier neighbor classes, and the
+worst-case distance between points of two neighboring cells (the quantity
+that bounds the usable cell size for a given transmission range).
 
 Each tessellation is the Voronoi tessellation of a lattice of cell centers,
 and each lattice has one generator basis (``lattice_basis``): an integer
@@ -40,19 +40,21 @@ paths convert without them: ``assign_cell`` turns its one HP basis id into
 a public id with ``u += v >> 1``, and ``neighbors`` steps in public ids,
 with a table of its own for the steps from HP's odd rows.
 
-Vertex lists, for a cell centered at the origin:
+Each cell is the Voronoi cell of its lattice (Conway & Sloane, IEEE Trans.
+IT 32(1), 1986): its faces are the bisectors between its center and its
+face-sharing neighbors', its vertices the points where three faces meet
+inside all the others. At import, Python ints give M^-1, P, the vertices and
+each class's ``max_pair_distance_coeff`` from M, the neighbor classes and
+``_METRIC``, the squared axis scales up to a common factor. The vertices of
+a cell centered at the origin are:
 
 * CB: (+-s/2, +-s/2, +-s/2).
-* HP: hexagon corners at angles 30, 90, ..., 330 degrees so a flat side
-  faces +x (in-plane neighbors along +-x); corner rings at z = +-h/2.
+* HP: (+-sqrt(3)*a/2, +-a/2, +-h/2) and (0, +-a, +-h/2), two hexagons
+  with a flat side facing +x (in-plane neighbors along +-x).
 * RD: six 4-edge vertices at (+-q, +-q, 0) and (0, 0, +-R), eight 3-edge
   vertices at (+-q, 0, +-R/2) and (0, +-q, +-R/2).
 * TO: 24 vertices following the pattern (+-d, +-d/2, 0) over all axis
   placements.
-
-A cell's faces are the bisector planes between its center and the centers
-of its face-sharing neighbors, so the face planes follow from the neighbor
-classes and the spacing alone.
 
 "Radius" always means circumradius, the largest center-to-vertex distance.
 For RD that is the distance to the six 4-edge vertices; the eight 3-edge
@@ -87,14 +89,6 @@ def _as_shape(shape) -> CellShape:
     ``CellShape(member)`` costs.
     """
     return shape if isinstance(shape, CellShape) else CellShape(shape)
-
-
-VERTEX_COUNTS = {
-    CellShape.CB: 8,
-    CellShape.HP: 12,
-    CellShape.RD: 14,
-    CellShape.TO: 24,
-}
 
 
 def as_point(p, what: str = "point") -> np.ndarray:
@@ -156,9 +150,6 @@ class Polyhedron:
         inside = (slack <= rel_tol * self.circumradius).all(axis=0)
         return bool(inside[0]) if single else inside
 
-    def volume(self) -> float:
-        return cell_volume(self.shape, self.circumradius)
-
 
 @dataclass(frozen=True)
 class NeighborClass:
@@ -172,9 +163,10 @@ class NeighborClass:
 
     shape: CellShape
     label: str
-    count: int
     offset_generators: tuple[tuple[int, int, int], ...]
     max_pair_distance_coeff: float
+
+    count = property(lambda self: len(self.offset_generators))
 
 
 def cell_spacing(shape: CellShape, circumradius: float) -> tuple[float, ...]:
@@ -203,20 +195,39 @@ _BASES = {
     CellShape.TO: ((2, 0, 1), (0, 2, 1), (0, 0, 1)),
 }
 
-# M^-1, whose entries are exact binary fractions
-_INVERSES = {
-    CellShape.CB: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-    CellShape.HP: ((0.5, -0.5, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-    CellShape.RD: ((0.5, 0.0, -0.5), (0.0, 0.5, -0.5), (0.0, 0.0, 1.0)),
-    CellShape.TO: ((0.5, 0.0, -0.5), (0.0, 0.5, -0.5), (0.0, 0.0, 1.0)),
+# squared per-axis scales of ``_scale`` up to a common factor: the exact
+# metric of the scaled coordinates y, |y * scale|^2 being proportional to
+# sum(W_i y_i^2)
+_METRIC = {
+    CellShape.CB: (1, 1, 1),
+    CellShape.HP: (3, 9, 8),
+    CellShape.RD: (1, 1, 2),
+    CellShape.TO: (1, 1, 1),
 }
 
-# per-axis period P of the rectangular lattice diag(P) Z^3 inside M Z^3
+
+def _adjugate(m):
+    """Adjugate and determinant of the 3x3 int matrix ``m``: adj @ m = det I."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+           (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+
+
+_ADJUGATES = {shape: _adjugate(basis) for shape, basis in _BASES.items()}
+
+# M^-1 = adj / det, whose entries are exact binary fractions (det is 1, 2 or 4)
+_INVERSES = {
+    shape: tuple(tuple(x / det for x in row) for row in adj)
+    for shape, (adj, det) in _ADJUGATES.items()
+}
+
+# per-axis period P of the rectangular lattice diag(P) Z^3 inside M Z^3: the
+# smallest p with p e_j in M Z^3, i.e. with p adj e_j / det integral
 _PERIODS = {
-    CellShape.CB: (1, 1, 1),
-    CellShape.HP: (2, 2, 1),
-    CellShape.RD: (2, 2, 2),
-    CellShape.TO: (2, 2, 2),
+    shape: tuple(det // math.gcd(det, *(row[j] for row in adj)) for j in range(3))
+    for shape, (adj, det) in _ADJUGATES.items()
 }
 
 
@@ -285,7 +296,7 @@ def center_offsets(shape: CellShape, circumradius: float, ids) -> np.ndarray:
 
 
 def build_polyhedron(shape: CellShape, center, circumradius: float) -> Polyhedron:
-    """Build the vertex list of a cell with the module's fixed orientations."""
+    """Build the vertex list of a cell: ``_VERTICES`` scaled by ``_scale``."""
     if not (math.isfinite(circumradius) and circumradius > 0):
         raise ValueError("circumradius must be positive and finite")
     import numpy as np
@@ -293,39 +304,8 @@ def build_polyhedron(shape: CellShape, center, circumradius: float) -> Polyhedro
     shape = _as_shape(shape)
     c = as_point(center)
     R = float(circumradius)
-
-    spacing = cell_spacing(shape, R)
-    if shape is CellShape.CB:
-        half = spacing[0] / 2.0
-        local = half * np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
-    elif shape is CellShape.HP:
-        a, h = spacing
-        angles = np.deg2rad(np.arange(30.0, 360.0, 60.0))
-        ring = np.column_stack([a * np.cos(angles), a * np.sin(angles)])
-        local = np.vstack([
-            np.column_stack([ring, np.full(6, h / 2.0)]),
-            np.column_stack([ring, np.full(6, -h / 2.0)]),
-        ])
-    elif shape is CellShape.RD:
-        q = spacing[0]
-        local = np.array([
-            (q, 0.0, R / 2), (q, 0.0, -R / 2), (q, q, 0.0), (q, -q, 0.0),
-            (-q, 0.0, R / 2), (-q, 0.0, -R / 2), (-q, q, 0.0), (-q, -q, 0.0),
-            (0.0, q, R / 2), (0.0, q, -R / 2), (0.0, -q, R / 2), (0.0, -q, -R / 2),
-            (0.0, 0.0, R), (0.0, 0.0, -R),
-        ])
-    else:  # TO
-        (d,) = spacing
-        e = d / 2.0
-        rows = []
-        for sd in (d, -d):
-            for se in (e, -e):
-                rows += [
-                    (sd, se, 0.0), (sd, 0.0, se), (se, sd, 0.0),
-                    (0.0, sd, se), (se, 0.0, sd), (0.0, se, sd),
-                ]
-        local = np.array(rows)
-
+    rows = np.array(_VERTICES[shape], dtype=float)
+    local = rows[:, :3] * _scale(shape, R) / rows[:, 3:]
     return Polyhedron(shape=shape, center=c, circumradius=R, vertices=c + local)
 
 
@@ -346,66 +326,108 @@ def max_vertex_pair_distance(a: Polyhedron, b: Polyhedron) -> float:
     return float(np.sqrt((diff ** 2).sum(axis=-1)).max())
 
 
-def _classes() -> dict[CellShape, tuple[NeighborClass, ...]]:
-    cb_face = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
-    cb_edge = tuple(
-        t for t in itertools.product((-1, 0, 1), repeat=3)
-        if sum(abs(x) for x in t) == 2
-    )
-    cb_vertex = tuple(itertools.product((-1, 1), repeat=3))
+_HP_SQUARE = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (-1, 1, 0), (-1, -1, 0))
 
-    hp_square = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (-1, 1, 0), (-1, -1, 0))
-    hp_hex = ((0, 0, 1), (0, 0, -1))
-    hp_edge = tuple((du, dv, dw) for (du, dv, _) in hp_square for dw in (1, -1))
-
-    rd_face = (
-        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-        (0, 0, 1), (-1, 0, 1), (0, -1, 1), (-1, -1, 1),
-        (0, 0, -1), (1, 0, -1), (0, 1, -1), (1, 1, -1),
-    )
-    rd_vertex = ((1, 1, 0), (-1, -1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 2), (1, 1, -2))
-
-    to_square = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (-1, -1, 2), (1, 1, -2))
-    to_hex = (
-        (0, 0, 1), (0, 0, -1), (-1, 0, 1), (1, 0, -1),
-        (0, -1, 1), (0, 1, -1), (-1, -1, 1), (1, 1, -1),
-    )
-
-    return {
-        CellShape.CB: (
-            NeighborClass(CellShape.CB, "shared-face", 6, cb_face, 2.0 * _SQRT2),
-            NeighborClass(CellShape.CB, "shared-edge", 12, cb_edge, 2.0 * _SQRT3),
-            NeighborClass(CellShape.CB, "shared-vertex", 8, cb_vertex, 4.0),
-        ),
-        CellShape.HP: (
-            NeighborClass(CellShape.HP, "shared-square-face", 6, hp_square, math.sqrt(10.0)),
-            NeighborClass(CellShape.HP, "shared-hexagonal-face", 2, hp_hex, math.sqrt(8.0)),
-            NeighborClass(CellShape.HP, "shared-edge", 12, hp_edge, math.sqrt(14.0)),
-        ),
-        CellShape.RD: (
-            NeighborClass(CellShape.RD, "shared-face", 12, rd_face, math.sqrt(10.0)),
-            NeighborClass(CellShape.RD, "shared-vertex", 6, rd_vertex, 4.0),
-        ),
-        CellShape.TO: (
-            NeighborClass(CellShape.TO, "shared-square-face", 6, to_square, 2.0 * math.sqrt(17.0) / _SQRT5),
-            NeighborClass(CellShape.TO, "shared-hexagonal-face", 8, to_hex, 2.0 * math.sqrt(14.0) / _SQRT5),
-        ),
-    }
-
-
-_NEIGHBOR_CLASSES = _classes()
+# each shape's neighbor classes: the label, and the public ids of the class's
+# neighbors of cell (0, 0, 0) in the order ``neighbors`` lists them
+_GENERATORS = {
+    CellShape.CB: (
+        ("shared-face", ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))),
+        ("shared-edge", tuple(t for t in itertools.product((-1, 0, 1), repeat=3)
+                              if sum(map(abs, t)) == 2)),
+        ("shared-vertex", tuple(itertools.product((-1, 1), repeat=3)))),
+    CellShape.HP: (
+        ("shared-square-face", _HP_SQUARE),
+        ("shared-hexagonal-face", ((0, 0, 1), (0, 0, -1))),
+        ("shared-edge", tuple((du, dv, dw) for du, dv, _ in _HP_SQUARE for dw in (1, -1)))),
+    CellShape.RD: (
+        ("shared-face", ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (-1, 0, 1),
+                         (0, -1, 1), (-1, -1, 1), (0, 0, -1), (1, 0, -1), (0, 1, -1), (1, 1, -1))),
+        ("shared-vertex", ((1, 1, 0), (-1, -1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 2),
+                           (1, 1, -2)))),
+    CellShape.TO: (
+        ("shared-square-face", ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (-1, -1, 2),
+                                (1, 1, -2))),
+        ("shared-hexagonal-face", ((0, 0, 1), (0, 0, -1), (-1, 0, 1), (1, 0, -1), (0, -1, 1),
+                                   (0, 1, -1), (-1, -1, 1), (1, 1, -1)))),
+}
 
 # ids of the face-sharing neighbors of cell (0, 0, 0)
-_FACE_IDS = {
-    shape: tuple(off for cls in classes if cls.label.endswith("face")
-                 for off in cls.offset_generators)
-    for shape, classes in _NEIGHBOR_CLASSES.items()
-}
+_FACE_IDS = {shape: tuple(off for label, gens in classes if label.endswith("face")
+                          for off in gens) for shape, classes in _GENERATORS.items()}
 
-NEIGHBOR_COUNTS = {
-    shape: sum(cls.count for cls in classes)
-    for shape, classes in _NEIGHBOR_CLASSES.items()
-}
+
+def _bisector(shape: CellShape, off) -> tuple[tuple[int, int, int], int]:
+    """(n, h) = (W c, c . W c), c = M b for the public id ``off``: cell 0 has n . 2y <= h."""
+    u, v, w = off
+    u -= (v >> 1) if shape is CellShape.HP else 0  # the basis id, from row 0
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = _BASES[shape]
+    x, y, z = a0 * u + a1 * v + a2 * w, b0 * u + b1 * v + b2 * w, c0 * u + c1 * v + c2 * w
+    w0, w1, w2 = _METRIC[shape]
+    return (w0 * x, w1 * y, w2 * z), w0 * x * x + w1 * y * y + w2 * z * z
+
+
+def _vertices(shape: CellShape) -> tuple[tuple[int, int, int, int], ...]:
+    """Vertices of cell 0 in scaled coordinates, int rows (x, y, z, den > 0)."""
+    # y = (x, y, z) / den, one den for all rows. The cell is bounded by the
+    # bisectors of its face neighbors. They come in opposite pairs c, -c, so
+    # with one n of each pair the cell is |n . 2y| <= h, and its vertices,
+    # where three planes meet inside all the others, come in opposite pairs.
+    planes = [(n, h) for n, h in (_bisector(shape, off) for off in _FACE_IDS[shape])
+              if n > (0, 0, 0)]
+    rows = set()
+    for (a, ha), (b, hb), (c, hc) in itertools.combinations(planes, 3):
+        adj, det = _adjugate((a, b, c))
+        if not det:
+            continue
+        (p0, q0, r0), (p1, q1, r1), (p2, q2, r2) = adj
+        for sb, sc in ((hb, hc), (hb, -hc), (-hb, hc), (-hb, -hc)):
+            # 2y = adj (ha, sb, sc) / det, and its opposite
+            x, y, z = (p0 * ha + q0 * sb + r0 * sc, p1 * ha + q1 * sb + r1 * sc,
+                       p2 * ha + q2 * sb + r2 * sc)
+            for (n0, n1, n2), h in planes:
+                if abs(n0 * x + n1 * y + n2 * z) > h * abs(det):
+                    break
+            else:
+                g = math.gcd(x, y, z, 2 * det) * (1 if det > 0 else -1)
+                rows.add((x // g, y // g, z // g, 2 * det // g))
+                rows.add((-x // g, -y // g, -z // g, 2 * det // g))
+    L = math.lcm(*(den for *_, den in rows))
+    return tuple(sorted((x * (L // d), y * (L // d), z * (L // d), L) for x, y, z, d in rows))
+
+
+_VERTICES = {shape: _vertices(shape) for shape in CellShape}
+
+VERTEX_COUNTS = {shape: len(rows) for shape, rows in _VERTICES.items()}
+
+
+def _classes(shape: CellShape) -> tuple[NeighborClass, ...]:
+    """The shape's neighbor classes, coefficients rounded once from exact ratios."""
+    # K being centrally symmetric, K - K = 2K: the points of K and of its
+    # neighbor c + K are farthest apart at c + 2v for a vertex v. In units of
+    # 1/L, L the vertices' denominator, the squared coefficient
+    # max |L c + 2 L v|^2 / max |L v|^2 in the metric W is a ratio of ints.
+    W = _METRIC[shape]
+    L = _VERTICES[shape][0][3]
+    # L v and |L v|^2, for one vertex v of each opposite pair
+    vs = [(x, y, z, W[0] * x * x + W[1] * y * y + W[2] * z * z)
+          for x, y, z, _ in _VERTICES[shape] if (x, y, z) > (0, 0, 0)]
+    r2 = max(v[3] for v in vs)  # (L R)^2
+    classes = []
+    for label, gens in _GENERATORS[shape]:
+        # max over c and +-v of |L c + 2 L v|^2 = L^2 |c|^2 + 4 (L |W c . L v| + |L v|^2)
+        far = max(L * L * c2 + 4 * max(L * abs(n0 * x + n1 * y + n2 * z) + q for x, y, z, q in vs)
+                  for (n0, n1, n2), c2 in (_bisector(shape, off) for off in gens))
+        g = math.gcd(far, r2)
+        classes.append(NeighborClass(shape, label, gens,
+                                     math.sqrt(far // g) / math.sqrt(r2 // g)))
+    return tuple(classes)
+
+
+_NEIGHBOR_CLASSES = {shape: _classes(shape) for shape in CellShape}
+
+NEIGHBOR_COUNTS = {shape: sum(len(gens) for _, gens in classes)
+                   for shape, classes in _GENERATORS.items()}
 
 
 def neighbor_classes(shape: CellShape) -> tuple[NeighborClass, ...]:
@@ -438,11 +460,9 @@ def cell_volume(shape: CellShape, circumradius: float) -> float:
     shape = _as_shape(shape)
     if shape is CellShape.CB:
         return 8.0 * R3 / (3.0 * _SQRT3)
-    if shape is CellShape.HP:
-        return 2.0 * R3
-    if shape is CellShape.RD:
-        return 2.0 * R3
-    return 32.0 * R3 / (5.0 * _SQRT5)
+    if shape is CellShape.TO:
+        return 32.0 * R3 / (5.0 * _SQRT5)
+    return 2.0 * R3  # HP and RD
 
 
 def sample_inside(poly: Polyhedron, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -40,7 +40,8 @@ numbers and flag the same points as ties.
 Every point p gets the id whose center, as ``cell_centers`` computes it,
 is nearest to p in exact arithmetic; among exactly equidistant centers, on
 cell boundaries, it gets the smallest (u, v, w). The rule settles every
-point whose decision is more than a small tolerance away from a tie; the
+point whose decision is more than ``rule.tol`` away from a tie, a bound on
+the rounding of p - sink and of the centers that grows with |sink|; the
 rare points within it go to ``assign_cells_oracle``, the brute-force search
 that is also the reference the decoder is tested against. The oracle
 shares nothing with the decoder. It enumerates an id window around the
@@ -71,6 +72,7 @@ from typing import NamedTuple
 
 from .geometry import (
     _INVERSES,
+    _METRIC,
     _PERIODS,
     CellShape,
     _scale,
@@ -90,8 +92,6 @@ from .geometry import (
 MAX_STEPS = 2 ** 19
 # largest oracle window: windows >= 2 all give the same ids, at (2w+1)^3 rows
 MAX_WINDOW = 8
-# decisions this close to a tie, in lattice units, go to the exhaustive search
-_TIE_TOL = 1e-8
 # rows decoded at once, bounding the decoder's temporaries
 _CHUNK = 1 << 16
 # rows the oracle scores at once, bounding its (candidates, rows) arrays; the
@@ -118,6 +118,7 @@ class _Rule(NamedTuple):
     threshold: float
     inverse: tuple[tuple[float, float, float], ...]  # rows of M^-1
     reach: float  # MAX_STEPS * step
+    tol: float  # decisions this close to a tie go to the exhaustive search
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,15 +152,33 @@ class LatticeSpec:
         step = cell_spacing(shape, R)[0]
         object.__setattr__(self, "circumradius", R)
         object.__setattr__(self, "step", step)
-        scale, period = _scale(shape, R), _PERIODS[shape]
-        # squared scale of the period-2 axes relative to axis 0, the
-        # smallest: the metric in which the decoder compares its cosets, the
-        # shifted one being nearer when weight @ a exceeds half its sum
-        ratio = [s / scale[0] for s in scale]
-        weight = tuple(r * r if p == 2 else 0.0 for r, p in zip(ratio, period))
+        scale, period, metric = _scale(shape, R), _PERIODS[shape], _METRIC[shape]
+        # the exact metric of the period-2 axes relative to axis 0, the
+        # smallest: the decoder compares its cosets in it, the shifted one
+        # being nearer when weight @ a exceeds half its sum
+        weight = tuple(m / metric[0] if p == 2 else 0.0 for m, p in zip(metric, period))
+        # The tie tolerance, in units of scale, from _oracle_chunk's bound
+        # with u = 2^-53. rel = fl(p - sink) is within u reach of p - sink,
+        # and the quotient rel / divisor adds u reach / scale to a. A center
+        # of cell_centers is within u(|sink| + 2|offset|) of sink + offset,
+        # and the two centers a decision compares on axis i have |offset|
+        # <= reach + 2 scale_i. So each position of p relative to a center,
+        # as the decoder measures it, is within
+        # e = u(|sink|inf + 4 reach) / min(scale) + 4u of the exact one.
+        # Rounding picks the nearer of two centers, at a and P - a, unless
+        # a >= P/2 - e. The coset margin weight @ a - sum(weight) / 2 is the
+        # difference of the squared distances to the two cosets' points, at
+        # a_i and 1 - a_i on the period-2 axes, over 2 scale_0^2: errors of
+        # e in those positions move it by at most sum(weight) (e + e^2/2),
+        # and its evaluation and the gap between weight and the squared
+        # ratios of the float scales by a few u sum(weight). As
+        # reach / min(scale) >= MAX_STEPS = 2^19, twice the first term of e
+        # covers the rest, for both tests.
+        tol = (2.0 ** -52 * (max(map(abs, sink)) + 4.0 * MAX_STEPS * step) / min(scale)
+               * max(1.0, sum(weight)))
         object.__setattr__(self, "rule", _Rule(
             sink, scale, tuple(s * p for s, p in zip(scale, period)), period, weight,
-            0.5 * (weight[0] + weight[1] + weight[2]), _INVERSES[shape], MAX_STEPS * step))
+            0.5 * (weight[0] + weight[1] + weight[2]), _INVERSES[shape], MAX_STEPS * step, tol))
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
@@ -185,12 +204,12 @@ def _decode(spec: LatticeSpec, rel: np.ndarray):
     """Nearest centers to the columns of ``rel`` (3, n), points relative to the sink.
 
     Returns their basis ids as a (3, n) float array of integers, and a mask
-    of the points whose decision is within _TIE_TOL of a tie. ``assign_cell``
-    is the same rule for one point, step for step.
+    of the points whose decision is within the rule's ``tol`` of a tie.
+    ``assign_cell`` is the same rule for one point, step for step.
     """
     import numpy as np
 
-    _, _, divisor, period, weight, threshold, inverse, _ = spec.rule
+    _, _, divisor, period, weight, threshold, inverse, _, tol = spec.rule
     period = np.array(period, dtype=float)[:, None]
     # near: the nearest point of diag(P) Z^3 to t = rel / scale, and
     # err = t - near, both exact; the arithmetic runs in place, as a chunk's
@@ -212,9 +231,9 @@ def _decode(spec: LatticeSpec, rel: np.ndarray):
         near += np.copysign(shift, err, out=err)
         a -= shift
         np.abs(a, out=a)
-        tie = np.abs(margin) <= _TIE_TOL
+        tie = np.abs(margin) <= tol
     # ties: two cosets equally near, or the chosen coset's rounding at a half
-    tie |= (a >= 0.5 * period - _TIE_TOL).any(axis=0)
+    tie |= (a >= 0.5 * period - tol).any(axis=0)
     return np.array(inverse) @ near, tie
 
 
@@ -296,11 +315,11 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
 
     ``_decode`` for one point, step for step in Python floats and ints with
     no numpy call: the few dozen operations a sensor needs to find its cell
-    from its own location. Only a point within _TIE_TOL of a tie goes to the
-    oracle. Invalid points raise the errors of ``as_point`` and of the
-    domain check.
+    from its own location. Only a point within the rule's ``tol`` of a tie
+    goes to the oracle. Invalid points raise the errors of ``as_point`` and
+    of the domain check.
     """
-    sink, _, divisor, period, weight, threshold, inverse, reach = spec.rule
+    sink, _, divisor, period, weight, threshold, inverse, reach, tol = spec.rule
     xyz = _coords(p)
     rx, ry, rz = xyz[0] - sink[0], xyz[1] - sink[1], xyz[2] - sink[2]
     if not (abs(rx) <= reach and abs(ry) <= reach and abs(rz) <= reach):
@@ -323,9 +342,8 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
             ny += sy if ey >= 0 else -sy
             nz += sz if ez >= 0 else -sz
             ax, ay, az = abs(ax - sx), abs(ay - sy), abs(az - sz)
-        tie = abs(margin) <= _TIE_TOL
-    if (tie or ax >= 0.5 * px - _TIE_TOL or ay >= 0.5 * py - _TIE_TOL
-            or az >= 0.5 * pz - _TIE_TOL):
+        tie = abs(margin) <= tol
+    if tie or ax >= 0.5 * px - tol or ay >= 0.5 * py - tol or az >= 0.5 * pz - tol:
         import numpy as np
 
         u, v, w = _oracle(spec, np.array([xyz]))[0].tolist()

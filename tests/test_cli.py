@@ -217,6 +217,16 @@ class TestSimulate:
         assert code == 5
 
     @pytest.mark.parametrize("kind", ["accuracy", "lifetime"])
+    def test_oversized_integer_is_malformed(self, tmp_path, kind):
+        # json.load refuses an integer literal beyond Python's int-string
+        # digit limit (4,300 digits) with a plain ValueError
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"shape": "to", "rt": ' + "9" * 5000 + "}")
+        code, _, err = run_cli(["simulate", kind, "--config", str(bad), "--seed", "1"])
+        assert code == 5
+        assert "huge.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["accuracy", "lifetime"])
     def test_config_not_an_object_is_malformed(self, tmp_path, kind):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2, 3]")

@@ -1,13 +1,18 @@
+import itertools
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
 from topocell.geometry import (
+    _ADJUGATES,
     _INVERSES,
+    _METRIC,
+    _VERTICES,
     CellShape,
     NEIGHBOR_COUNTS,
     VERTEX_COUNTS,
@@ -19,6 +24,7 @@ from topocell.geometry import (
     max_vertex_pair_distance,
     neighbor_classes,
     sample_inside,
+    to_basis_ids,
     worst_neighbor_coeff,
 )
 from topocell.lattice import LatticeSpec, assign_cells_oracle, cell_center, cell_centers
@@ -26,6 +32,10 @@ from topocell.lattice import LatticeSpec, assign_cells_oracle, cell_center, cell
 SHAPES = list(CellShape)
 
 FACE_COUNTS = {CellShape.CB: 6, CellShape.HP: 8, CellShape.RD: 12, CellShape.TO: 14}
+
+# the vertex counts of the cube, the hexagonal prism, the rhombic
+# dodecahedron and the truncated octahedron
+KNOWN_VERTEX_COUNTS = {CellShape.CB: 8, CellShape.HP: 12, CellShape.RD: 14, CellShape.TO: 24}
 
 
 def brute_class_coeff(shape, cls):
@@ -64,7 +74,7 @@ class TestBuildPolyhedron:
     @pytest.mark.parametrize("R", [1e-3, 0.37, 1.0, 42.0, 1e3])
     def test_vertex_count_and_radius_invariants(self, shape, R):
         poly = build_polyhedron(shape, (1.0, -2.0, 0.5), R)
-        assert len(poly.vertices) == VERTEX_COUNTS[shape]
+        assert len(poly.vertices) == VERTEX_COUNTS[shape] == KNOWN_VERTEX_COUNTS[shape]
         dists = np.linalg.norm(poly.vertices - poly.center, axis=1)
         assert np.max(dists) <= R * (1 + 1e-9)
         if shape is CellShape.RD:
@@ -144,6 +154,56 @@ class TestNeighborClasses:
         for cls in neighbor_classes(shape):
             brute = brute_class_coeff(shape, cls)
             assert brute == pytest.approx(cls.max_pair_distance_coeff, rel=1e-9)
+
+
+class TestDerivation:
+    """The hand-typed data the derivation rests on, checked against what it
+    stands for: _METRIC against the float scales, the neighbor classes
+    against the exact vertices, the volume formulas against det M."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_metric_matches_scale_ratios(self, shape):
+        W = _METRIC[shape]
+        for R in (1e-3, 0.25, 1.0, 3.7, 42.0):
+            scale = lattice_basis(shape, R)[1]
+            for s, w in zip(scale, W):
+                assert abs((s / scale[0]) ** 2 - w / W[0]) <= 1e-15 * w / W[0]
+
+    @staticmethod
+    def shared_vertices(shape, off):
+        """How many vertices cell 0 and the cell of public id ``off`` share,
+        in exact arithmetic on the scaled coordinates y."""
+        y = lattice_basis(shape, 1.0)[0] @ to_basis_ids(shape, off)
+        verts = {tuple(Fraction(int(x), den) for x in row) for *row, den in _VERTICES[shape]}
+        return len(verts & {tuple(v + int(c) for v, c in zip(vert, y)) for vert in verts})
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_classes_are_the_cells_that_share_a_vertex(self, shape):
+        # the first-tier neighbors are the cells of a window that share a
+        # vertex with cell 0; a class whose label names a face shares at
+        # least three vertices (a face), an edge class two and a vertex
+        # class one
+        window = [off for off in itertools.product(range(-2, 3), repeat=3) if any(off)]
+        shared = {off: self.shared_vertices(shape, off) for off in window}
+        touching = {off for off, k in shared.items() if k}
+        generators = [off for cls in neighbor_classes(shape) for off in cls.offset_generators]
+        assert len(generators) == len(set(generators)) == len(touching)
+        assert set(generators) == touching
+        for cls in neighbor_classes(shape):
+            counts = {shared[off] for off in cls.offset_generators}
+            if cls.label.endswith("face"):
+                assert min(counts) >= 3
+            else:
+                assert counts == {2 if cls.label.endswith("edge") else 1}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_volume_is_det_times_scales(self, shape):
+        # the closed forms stay, as |det M| * prod(scale) differs from them
+        # by a few ulps; the Voronoi cell's volume is the lattice determinant
+        det = abs(_ADJUGATES[shape][1])
+        for R in (1e-3, 0.25, 1.0, 3.7, 42.0):
+            assert cell_volume(shape, R) == pytest.approx(
+                det * np.prod(lattice_basis(shape, R)[1]), rel=2.0 ** -49, abs=0.0)
 
 
 class TestMaxCellRadius:
@@ -252,6 +312,14 @@ class TestFacePlanes:
 
     def test_import_leaves_scipy_out(self):
         code = "import sys, topocell; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_import_leaves_fractions_and_decimal_out(self):
+        # the import-time derivation of the cells runs in Python ints
+        code = ("import sys, topocell; "
+                "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

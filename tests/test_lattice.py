@@ -263,6 +263,25 @@ class TestAssignCell:
         assert calls
 
     @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("r_t,sink", [(0.1, (4.2e6, 1.2e6, 4.7e6)),
+                                          (1.0, (1e8, 1e8, -1e8))])
+    def test_far_sink_boundary_points(self, shape, r_t, sink):
+        # Far from the origin the rounding of p - sink and of the centers
+        # (about ulp(|sink|)) outweighs any fixed tie tolerance: both
+        # decoders give the oracle's ids on the vertices of a 3^3 block and
+        # on those vertices moved by +-2 ulps, all within that rounding of a
+        # tie, at an Earth-centred sink and at a sink of norm about 1.7e8
+        spec = LatticeSpec(shape, r_t, sink=sink)
+        verts = np.unique(np.vstack([build_polyhedron(shape, c, spec.circumradius).vertices
+                                     for c in cell_centers(spec, id_grid(1))]), axis=0)
+        up = np.nextafter(np.nextafter(verts, np.inf), np.inf)
+        down = np.nextafter(np.nextafter(verts, -np.inf), -np.inf)
+        pts = np.vstack([verts, up, down])
+        want = assign_cells_oracle(spec, pts)
+        assert (assign_cells(spec, pts) == want).all()
+        assert [assign_cell(spec, p) for p in pts] == list(map(tuple, want.tolist()))
+
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.filterwarnings("ignore:Casting complex values")
     def test_invalid_points_raise_batch_errors(self, shape):
         # every invalid point raises what the batch path raises for it,
@@ -805,9 +824,10 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rule_matches_numpy_derivation(self, shape):
-        # the rule, derived from the hand tables in Python floats, equals bit
-        # for bit its derivation from the arrays of lattice_basis and
-        # coset_period with np.linalg.inv, on fixed and random specs
+        # the rule, derived from M and the exact metric in Python numbers,
+        # equals bit for bit its derivation from the arrays of lattice_basis
+        # and coset_period with np.linalg.inv, on fixed and random specs; the
+        # squared scale ratios are integers, which the weights hold exactly
         rng = np.random.default_rng(29)
         sinks = rng.uniform(-1.0, 1.0, (200, 3)) * 10.0 ** rng.uniform(-3.0, 9.0, (200, 1))
         specs = [(0.1, (4.2e6, 1.2e6, 4.7e6)), (1.0, (1e8, 1e8, -1e8)), *RANDOM_SPECS,
@@ -816,13 +836,15 @@ class TestSpecValidation:
             spec = LatticeSpec(shape, r_t, sink=sink)
             basis, scale = lattice_basis(shape, spec.circumradius)
             period = coset_period(shape)
-            weight = (period == 2) * (scale / scale[0]) ** 2
+            weight = (period == 2) * np.round((scale / scale[0]) ** 2)
+            reach = MAX_STEPS * cell_spacing(shape, spec.circumradius)[0]
+            tol = (2.0 ** -52 * (np.abs(sink).max() + 4.0 * reach) / scale.min()
+                   * max(1.0, weight.sum()))
             want = lattice._Rule(
                 tuple(as_point(sink).tolist()), tuple(scale.tolist()),
                 tuple((scale * period).tolist()), tuple(period.astype(int).tolist()),
                 tuple(weight.tolist()), 0.5 * float(weight.sum()),
-                tuple(map(tuple, np.linalg.inv(basis).tolist())),
-                MAX_STEPS * cell_spacing(shape, spec.circumradius)[0])
+                tuple(map(tuple, np.linalg.inv(basis).tolist())), reach, float(tol))
             assert repr(spec.rule) == repr(want)
 
     @pytest.mark.parametrize("shape", SHAPES)
