@@ -262,14 +262,18 @@ def cmd_simulate(args) -> int:
 def _load_dead_cells(path: str) -> set[CellId]:
     dead = set()
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                dead.add(CellId(*_id_triple(line)))
-            except argparse.ArgumentTypeError as exc:
-                raise MalformedFileError(f"{path}:{lineno}: {exc}") from None
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:  # text that is not UTF-8
+            raise MalformedFileError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            dead.add(CellId(*_id_triple(line)))
+        except argparse.ArgumentTypeError as exc:
+            raise MalformedFileError(f"{path}:{lineno}: {exc}") from None
     return dead
 
 

@@ -22,16 +22,18 @@ randomness flows through numpy's default PCG64 generator seeded from the
 experiment config, so identical seeds reproduce identical results.
 
 Both experiments stream: they draw, assign and tally ``lattice._CHUNK``
-points at a time and never hold an (n, 3) array, so their peak memory does
-not grow with n. PCG64 gives the same doubles in one call or in many, so
-the blocks are the rows of the one whole-array draw, and the results do not
-depend on the block size. The accuracy experiment adds each block's
-correct rows to two integer counters; the oracle's id of a point does not
-depend on the other points of its call. The lifetime simulation packs each
-id into an int64 key at the fixed offset ``MAX_STEPS + 2``, so a key names
-the same cell in every block, and merges each block's distinct keys and
-counts into running ones: O(``_CHUNK`` + cells) memory. Only ``deploy``
-returns whole arrays.
+points at a time, the 8,192-row block that the decoder and the oracle also
+work in, and never hold an (n, 3) array, so their peak memory does not grow
+with n, and a block's arrays stay in cache. PCG64 gives the same doubles in
+one call or in many, so the blocks are the rows of the one whole-array
+draw, and the results do not depend on the block size. The accuracy
+experiment adds each block's correct rows to two integer counters; the
+oracle's id of a point does not depend on the other points of its call.
+The lifetime simulation draws every block into one buffer, packs each id
+into an int64 key at the fixed offset ``MAX_STEPS + 2``, so a key names the
+same cell in every block, and merges the blocks' distinct keys and counts
+into running ones: O(``_CHUNK`` + cells) memory. Only ``deploy`` returns
+whole arrays.
 """
 
 from __future__ import annotations
@@ -151,13 +153,22 @@ class SimResult:
 
 def _node_blocks(config: DeploymentConfig, rows: int):
     """The deployment's node positions, uniform in the box from
-    ``default_rng(seed)``, as consecutive blocks of at most ``rows`` nodes."""
+    ``default_rng(seed)``, as consecutive blocks of at most ``rows`` nodes.
+
+    Every block is drawn into one buffer, so each is valid only until the
+    next is drawn. lo + u * span is computed in place as (u * span) + lo,
+    the same doubles.
+    """
     import numpy as np
 
     rng = np.random.default_rng(config.seed)
     lo, span = config.box.lo, config.box.hi - config.box.lo
+    buf = np.empty((min(rows, config.node_count), 3))
     for start in range(0, config.node_count, rows):
-        yield lo + rng.random((min(rows, config.node_count - start), 3)) * span
+        block = rng.random(out=buf[:config.node_count - start])
+        block *= span
+        block += lo
+        yield block
 
 
 def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -262,21 +273,39 @@ def _cell_counts(spec: LatticeSpec, config: DeploymentConfig) -> tuple[np.ndarra
     The nodes are ``deploy``'s, drawn and assigned ``_CHUNK`` at a time. Each
     id packs into one int64 key at the fixed offset ``MAX_STEPS + 2``, not
     relative to the block's smallest id, so a key names the same cell in
-    every block and keys sort as their ids do. Each block's distinct keys
-    and counts merge into the running ones, which hold one row per cell.
+    every block and keys sort as their ids do. The blocks' distinct keys and
+    counts merge into the running ones, which hold one row per cell, once
+    they outnumber them: every key is then merged O(log n) times, however
+    many cells the nodes fill, and the blocks awaiting their merge hold no
+    more rows than the running keys plus one block.
     """
     import numpy as np
 
     keys = counts = np.empty(0, dtype=np.int64)
+    blocks, held = [], 0
     for pts in _node_blocks(config, _CHUNK):
         ids = assign_cells(spec, pts)
         ids += _OFFSET
-        block, tally = np.unique(np.ravel_multi_index(tuple(ids.T), _DIMS), return_counts=True)
-        keys, inverse = np.unique(np.concatenate([keys, block]), return_inverse=True)
-        tally = np.concatenate([counts, tally])
-        counts = np.zeros(len(keys), dtype=np.int64)
-        np.add.at(counts, inverse, tally)
+        blocks.append(np.unique(np.ravel_multi_index(tuple(ids.T), _DIMS), return_counts=True))
+        held += len(blocks[-1][0])
+        if held > len(keys):
+            keys, counts = _merged(keys, counts, blocks)
+            blocks, held = [], 0
+    keys, counts = _merged(keys, counts, blocks)
     return np.stack(np.unravel_index(keys, _DIMS), axis=-1) - _OFFSET, counts
+
+
+def _merged(keys: np.ndarray, counts: np.ndarray, blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys of ``keys`` and of the (keys, counts) pairs of
+    ``blocks``, with the counts of each key summed."""
+    import numpy as np
+
+    keys, inverse = np.unique(np.concatenate([keys, *(k for k, _ in blocks)]),
+                              return_inverse=True)
+    tally = np.concatenate([counts, *(c for _, c in blocks)])
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse, tally)
+    return keys, counts
 
 
 def lifetime_simulation(spec: LatticeSpec, config: DeploymentConfig,

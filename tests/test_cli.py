@@ -386,6 +386,16 @@ class TestRoute:
         assert code == 5
         assert ":3:" in err
 
+    def test_dead_cells_not_utf8_is_malformed(self, tmp_path):
+        dead_file = tmp_path / "dead.bin"
+        dead_file.write_bytes(b"4,4,4\n\xff\xfe\x00\x01binary\n")
+        code, out, err = run_cli(["route", "--shape", "to", "--rt", "1",
+                                  "--src", "0,0,0", "--dst", "5,5,5",
+                                  "--dead-cells", str(dead_file)])
+        assert code == 5
+        assert out == ""
+        assert "dead.bin" in err and "Traceback" not in err
+
 
 # a run of each command whose csv columns the README freezes
 CSV_COMMANDS = {

@@ -606,6 +606,27 @@ class TestOracle:
                 assert (assign_cells(spec, pts) == want).all()
 
 
+class TestBlockSize:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ids_do_not_depend_on_the_block_size(self, shape, monkeypatch):
+        # assign_cells and the oracle work lattice._CHUNK rows at a time; in
+        # blocks of an odd 997 rows, tie rows (the vertices and neighbor
+        # midpoints of a 7^3 block) sit on both sides of block edges
+        spec = LatticeSpec(shape, 3.7, sink=(1.25, -0.4, 2.83))
+        rng = np.random.default_rng(23)
+        pts = np.vstack([spec.sink + rng.uniform(-8.0, 8.0, (5_000, 3)) * spec.circumradius,
+                         TestAssignCell.tie_points(spec, id_grid(3))])
+        chunk = 997
+        edges = np.arange(chunk, len(pts), chunk)
+        tie = lattice._decode(spec, (pts - spec.sink).T.copy())[1]
+        assert (tie[edges - 1] & tie[edges]).any()
+        assert len(pts) % chunk and len(pts) % lattice._CHUNK and len(pts) > lattice._CHUNK
+        ids, truth = assign_cells(spec, pts), assign_cells_oracle(spec, pts)
+        monkeypatch.setattr(lattice, "_CHUNK", chunk)
+        assert (assign_cells(spec, pts) == ids).all()
+        assert (assign_cells_oracle(spec, pts) == truth).all()
+
+
 class TestNeighbors:
     def test_to_reference_list(self):
         spec = LatticeSpec(CellShape.TO, 1.0)

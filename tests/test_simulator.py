@@ -308,11 +308,17 @@ class TestStreaming:
 
     CHUNK = 997  # odd; no n below is a multiple of it or of the default
 
+    def small_blocks(self, monkeypatch):
+        """The experiments' blocks and the lattice's decoder and oracle
+        blocks, all of ``CHUNK`` rows."""
+        monkeypatch.setattr(simulator, "_CHUNK", self.CHUNK)
+        monkeypatch.setattr(lattice, "_CHUNK", self.CHUNK)
+
     @pytest.mark.parametrize("shape", list(CellShape))
     def test_lifetime_chunk_invariant(self, shape, monkeypatch):
         spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
         box = Box(lo=(-1.1, -0.9, -1.0), hi=(1.0, 1.2, 0.95))
-        n = 70_001  # two default blocks
+        n = 70_001  # nine default blocks, the last one partial
         cfg = DeploymentConfig(box=box, node_count=n, seed=31)
         # cells straddle the block boundaries: some cell has nodes in the
         # first, the second and the last small block
@@ -321,7 +327,7 @@ class TestStreaming:
                   for i in (0, self.CHUNK, n - n % self.CHUNK)]
         assert blocks[0] & blocks[1] & blocks[2]
         default = outcome(lifetime_simulation(spec, cfg, 2.5, 2))
-        monkeypatch.setattr(simulator, "_CHUNK", self.CHUNK)
+        self.small_blocks(monkeypatch)
         assert outcome(lifetime_simulation(spec, cfg, 2.5, 2)) == default
         assert default == whole_array_lifetime(spec, cfg, 2.5, 2)
 
@@ -334,14 +340,14 @@ class TestStreaming:
         box = Box(lo=np.array(spec.sink) - reach, hi=np.array(spec.sink) + reach)
         cfg = DeploymentConfig(box=box, node_count=5_000, seed=2)
         assert np.abs(deploy(cfg, spec)[1]).max() > MAX_STEPS // 2
-        monkeypatch.setattr(simulator, "_CHUNK", self.CHUNK)
+        self.small_blocks(monkeypatch)
         assert outcome(lifetime_simulation(spec, cfg, 3.0, 1)) == whole_array_lifetime(spec, cfg,
                                                                                        3.0, 1)
 
     def test_accuracy_chunk_invariant(self, monkeypatch):
         spec = LatticeSpec(CellShape.TO, 2.0, sink=(11.0, -4.0, 2.5))
         default = accuracy_experiment(spec, 70_001, seed=12)
-        monkeypatch.setattr(simulator, "_CHUNK", self.CHUNK)
+        self.small_blocks(monkeypatch)
         assert accuracy_experiment(spec, 70_001, seed=12) == default
         assert default == whole_array_accuracy(spec, 70_001, 12)
 
