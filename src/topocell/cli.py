@@ -20,10 +20,10 @@ from .lattice import (
     MAX_WINDOW,
     CellId,
     LatticeSpec,
+    _center,
     assign_cell,
     assign_cell_nearest_int,
     assign_cell_oracle,
-    cell_center,
 )
 from .routing import DEAD_END, greedy_route
 from .simulator import (
@@ -126,20 +126,39 @@ def cmd_tables(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_assign(args) -> int:
-    import numpy as np
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add does it: exact in
+    Python ints, every finite float being an integer over a power of two,
+    and int / int is correctly rounded."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        return a * b + c  # no rounding to fuse away
+    (na, da), (nb, db), (nc, dc) = (x.as_integer_ratio() for x in (a, b, c))
+    num = na * nb * dc + nc * da * db
+    try:
+        return num / (da * db * dc)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
+
+def _distance(p, q) -> float:
+    """|p - q| as the fused sum sqrt(z*z + (y*y + x*x)), each step one fused
+    multiply-add, so it is the same on every host."""
+    x, y, z = (a - b for a, b in zip(p, q))
+    return math.sqrt(_fma(z, z, _fma(y, y, x * x)))
+
+
+def cmd_assign(args) -> int:
     if not 2 <= args.window <= MAX_WINDOW:
         raise ValueError(f"--window must be between 2 and {MAX_WINDOW}")
     spec = _spec(vars(args), args.shape)
-    point = np.asarray(args.point)
+    point = args.point
     if args.method == "exact":
         cid = assign_cell(spec, point)
     elif args.method == "oracle":
         cid = assign_cell_oracle(spec, point, window=args.window)
     else:
         cid = assign_cell_nearest_int(spec, point)
-    center = cell_center(spec, cid)
+    center = _center(spec, cid)
     row = {
         "shape": spec.shape.value,
         "rt": spec.r_t,
@@ -147,10 +166,10 @@ def cmd_assign(args) -> int:
         "point": "{},{},{}".format(*point),
         "method": args.method,
         "u": cid.u, "v": cid.v, "w": cid.w,
-        "center_x": float(center[0]),
-        "center_y": float(center[1]),
-        "center_z": float(center[2]),
-        "distance": float(np.linalg.norm(point - center)),
+        "center_x": center[0],
+        "center_y": center[1],
+        "center_z": center[2],
+        "distance": _distance(point, center),
         "exact_u": "", "exact_v": "", "exact_w": "", "matches_exact": "",
     }
     if args.method == "nearest_int":

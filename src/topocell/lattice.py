@@ -5,7 +5,8 @@ Cell centers are anchored at the information sink: center = sink +
 center_offsets(shape, R, (u, v, w)) with R = max_cell_radius(shape, r_t).
 ``LatticeSpec`` holds the sink as a tuple of three Python floats, and a
 spec, its rule and the per-cell paths (``assign_cell`` off ties,
-``neighbors``) need no numpy; the array paths import it when called.
+``assign_cell_nearest_int``, one cell's center and ``neighbors``) need no
+numpy; the array paths, the oracle among them, import it when called.
 The geometry module owns each lattice's generator basis. Public and basis
 ids differ only on HP, and are converted in three places: arrays by
 geometry's pair ``to_basis_ids`` and ``to_public_ids``, which the decoder
@@ -71,6 +72,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .geometry import (
+    _BASES,
     _INVERSES,
     _METRIC,
     _PERIODS,
@@ -188,11 +190,24 @@ def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
     return spec.sink + center_offsets(spec.shape, spec.circumradius, ids)
 
 
+def _center(spec: LatticeSpec, cid) -> tuple[float, float, float]:
+    """Center of the public id ``cid`` in Python floats, the doubles that
+    ``cell_centers`` gives: the basis ids times M are small integers, exact
+    in float, so sink + that * scale takes the same two roundings."""
+    u, v, w = cid
+    if spec.shape is CellShape.HP:
+        u -= v >> 1
+    sink, scale = spec.sink, spec.rule.scale
+    return tuple(s + float(m0 * u + m1 * v + m2 * w) * k
+                 for s, (m0, m1, m2), k in zip(sink, _BASES[spec.shape], scale))
+
+
 def cell_center(spec: LatticeSpec, cid) -> np.ndarray:
-    """Center of a single cell, its id checked by ``as_cell_id``."""
+    """Center of a single cell as a float array (3,), its id checked by
+    ``as_cell_id``; computed without numpy, as ``cell_centers`` would."""
     import numpy as np
 
-    return cell_centers(spec, np.array(as_cell_id(cid), dtype=np.int64))
+    return np.array(_center(spec, as_cell_id(cid)))
 
 
 def _fractional_ids(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
@@ -374,8 +389,7 @@ def assign_cells_nearest_int(spec: LatticeSpec, points) -> np.ndarray:
     misassigns 3/8 of uniformly random points, so callers wanting the true
     cell should use ``assign_cells``.
     """
-    if spec.shape is not CellShape.TO:
-        raise ValueError("nearest-integer assignment is only defined for the TO lattice")
+    _check_to(spec)
     import numpy as np
 
     rel = _check_points(points) - spec.sink
@@ -383,9 +397,32 @@ def assign_cells_nearest_int(spec: LatticeSpec, points) -> np.ndarray:
     return _round_half_away(_fractional_ids(spec, rel)).astype(np.int64)
 
 
+def _check_to(spec: LatticeSpec) -> None:
+    if spec.shape is not CellShape.TO:
+        raise ValueError("nearest-integer assignment is only defined for the TO lattice")
+
+
 def assign_cell_nearest_int(spec: LatticeSpec, p) -> CellId:
-    row = assign_cells_nearest_int(spec, as_point(p)[None, :])[0]
-    return CellId(int(row[0]), int(row[1]), int(row[2]))
+    """The id ``assign_cells_nearest_int`` gives one point, in Python floats
+    with no numpy call, and with its errors: those of ``as_point``, of the
+    shape and of the domain check, in that order.
+
+    TO's rows of M^-1 hold at most two nonzero binary fractions, so each
+    real id f is one rounding of its exact value in any order of the sums,
+    and halves go away from zero as in ``_round_half_away``, not to even as
+    with ``round``.
+    """
+    xyz = _coords(p)
+    if not all(map(math.isfinite, xyz)):
+        as_point(p)  # raises for coordinates that are not finite
+    _check_to(spec)
+    sink, scale, _, _, _, _, inverse, reach, _ = spec.rule
+    rel = [c - s for c, s in zip(xyz, sink)]
+    if not max(map(abs, rel)) <= reach:
+        raise _reach_error(spec)
+    tx, ty, tz = (r / k for r, k in zip(rel, scale))
+    f = (m0 * tx + m1 * ty + m2 * tz for m0, m1, m2 in inverse)
+    return _cell_id(tuple(math.trunc(x + math.copysign(0.5, x)) for x in f))
 
 
 def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarray:

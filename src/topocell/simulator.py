@@ -29,11 +29,11 @@ one call or in many, so the blocks are the rows of the one whole-array
 draw, and the results do not depend on the block size. The accuracy
 experiment adds each block's correct rows to two integer counters; the
 oracle's id of a point does not depend on the other points of its call.
-The lifetime simulation draws every block into one buffer, packs each id
-into an int64 key at the fixed offset ``MAX_STEPS + 2``, so a key names the
-same cell in every block, and merges the blocks' distinct keys and counts
-into running ones: O(``_CHUNK`` + cells) memory. Only ``deploy`` returns
-whole arrays.
+Both draw every block into one reused buffer. The lifetime simulation
+packs each id into an int64 key at the fixed offset ``MAX_STEPS + 2``, so a
+key names the same cell in every block, and merges the blocks' distinct
+keys and counts into running ones: O(``_CHUNK`` + cells) memory. Only
+``deploy`` returns whole arrays.
 """
 
 from __future__ import annotations
@@ -151,24 +151,32 @@ class SimResult:
     network_lifetime: int
 
 
-def _node_blocks(config: DeploymentConfig, rows: int):
-    """The deployment's node positions, uniform in the box from
-    ``default_rng(seed)``, as consecutive blocks of at most ``rows`` nodes.
+def _uniform_blocks(seed: int, n: int, rows: int, span, lo):
+    """n uniform points lo + u * span, u from ``default_rng(seed).random``,
+    as consecutive blocks of at most ``rows``.
 
     Every block is drawn into one buffer, so each is valid only until the
     next is drawn. lo + u * span is computed in place as (u * span) + lo,
-    the same doubles.
+    the same doubles; with lo = -h and span = 2h they are also those of
+    ``rng.uniform(-h, h)``, which computes -h + 2h * u.
     """
     import numpy as np
 
-    rng = np.random.default_rng(config.seed)
-    lo, span = config.box.lo, config.box.hi - config.box.lo
-    buf = np.empty((min(rows, config.node_count), 3))
-    for start in range(0, config.node_count, rows):
-        block = rng.random(out=buf[:config.node_count - start])
+    rng = np.random.default_rng(seed)
+    buf = np.empty((min(rows, n), 3))
+    for start in range(0, n, rows):
+        block = rng.random(out=buf[:n - start])
         block *= span
         block += lo
         yield block
+
+
+def _node_blocks(config: DeploymentConfig, rows: int):
+    """The deployment's node positions, uniform in the box from
+    ``default_rng(seed)``, as consecutive blocks of at most ``rows`` nodes
+    that share one buffer."""
+    box = config.box
+    return _uniform_blocks(config.seed, config.node_count, rows, box.hi - box.lo, box.lo)
 
 
 def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -193,13 +201,11 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
     n, seed = _integer(n, "n"), _seed(seed)
     if n < 1:
         raise ValueError("n must be at least 1")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
     half = 5.0 * spec.r_t
     exact = nearest = 0
-    for start in range(0, n, _CHUNK):
-        pts = spec.sink + rng.uniform(-half, half, size=(min(_CHUNK, n - start), 3))
+    # the doubles of spec.sink + rng.uniform(-half, half, (n, 3)), a block at a time
+    for pts in _uniform_blocks(seed, n, _CHUNK, 2.0 * half, -half):
+        pts += spec.sink
         truth = assign_cells_oracle(spec, pts, window=3)
         exact += int((assign_cells(spec, pts) == truth).all(axis=1).sum())
         nearest += int((assign_cells_nearest_int(spec, pts) == truth).all(axis=1).sum())

@@ -1,8 +1,10 @@
 import json
 import math
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,45 @@ class TestAssign:
         assert code == 3
         assert out == ""
         assert "window" in err
+
+    @staticmethod
+    def fused_terms(p, c):
+        """Reference for the distance column, with the offset p - c: sqrt(z*z
+        + (y*y + x*x)), each sum of a product rounded once, in ``Fraction``
+        arithmetic."""
+        x, y, z = offset = tuple(a - b for a, b in zip(p, c))
+        s = x * x
+        for d in (y, z):
+            s = float(Fraction(d) * Fraction(d) + Fraction(s))
+        return math.sqrt(s), offset
+
+    @pytest.mark.parametrize("method", ["exact", "nearest_int", "oracle"])
+    def test_distance_is_the_exact_fused_sum(self, method, capsys):
+        # at the first point the plain sum and math.hypot are an ulp off, so
+        # either one in place of the fused sum fails here
+        points = [(1.83, 0.07, 0.12), (0.74, 0.52, -1.83), (12.5, -3.25, 0.1),
+                  (-1e-9, 2.5e-7, 7.0)]
+        for p in points:
+            assert main(["assign", "--shape", "to", "--rt", "1", "--rt-sqrt17-units",
+                         "--point={},{},{}".format(*p), "--method", method,
+                         "--format", "json"]) == 0
+            row = json.loads(capsys.readouterr().out)[0]
+            want, (x, y, z) = self.fused_terms(p, (row["center_x"], row["center_y"],
+                                                   row["center_z"]))
+            assert row["distance"] == want, p
+            if p == points[0]:
+                assert want not in (math.sqrt(x * x + y * y + z * z), math.hypot(x, y, z))
+
+    def test_fma_rounds_once(self):
+        from topocell.cli import _fma
+        rng = random.Random(4)
+        for _ in range(2000):
+            a, b, c = (rng.uniform(-1, 1) * 2.0 ** rng.randint(-60, 60) for _ in range(3))
+            assert _fma(a, b, c) == float(Fraction(a) * Fraction(b) + Fraction(c)), (a, b, c)
+        # beyond the largest float, and with an infinite addend, as IEEE fma
+        assert _fma(1e200, 1e200, 1.0) == math.inf and _fma(-1e200, 1e200, 1.0) == -math.inf
+        assert _fma(2.0, 3.0, math.inf) == math.inf
+        assert _fma(1e-200, 1e-200, 0.0) == 0.0 and _fma(1.0, 1.0, -1.0) == 0.0
 
     def test_malformed_point_is_usage_error(self):
         code, _, _ = run_cli(["assign", "--shape", "to", "--rt", "1",
@@ -462,9 +503,17 @@ NO_NUMPY = ("import sys; sys.modules['numpy'] = None; from topocell.cli import m
             "raise SystemExit(main(sys.argv[1:]))")
 
 
+# assign on a point off every cell boundary, at a sink off the origin
+ASSIGN = ["assign", "--shape", "to", "--rt", "1", "--sink", "1.25,-0.4,2.83",
+          "--point", "1.9,0.3,3.1"]
+ASSIGN_RUNS = [(method, fmt) for method in ("exact", "nearest_int")
+               for fmt in ("csv", "json", "pretty")]
+
+
 class TestWithoutNumpy:
-    """``tables`` and ``route`` need only ``math`` and Python ints: they give
-    the same output and exit code with numpy blocked."""
+    """``tables``, ``route`` and ``assign`` (but ``--method oracle`` and
+    points on a cell boundary) need only ``math`` and Python ints and
+    floats: they give the same output and exit code with numpy blocked."""
 
     def test_import_leaves_numpy_out(self):
         code = "import sys, topocell; print('numpy' in sys.modules)"
@@ -479,7 +528,9 @@ class TestWithoutNumpy:
          "--src", "0,0,0", "--dst", "4,-3,5", "--format", "csv"],
         ["route", "--shape", "to", "--rt", "1", "--src", "0,0,0", "--dst", "5,5,5",
          "--dead-cells", "DEAD", "--format", "json"],
-    ], ids=["tables-I", "tables-II", "route", "route-dead-end"])
+        *(ASSIGN + ["--method", method, "--format", fmt] for method, fmt in ASSIGN_RUNS),
+    ], ids=["tables-I", "tables-II", "route", "route-dead-end",
+            *(f"assign-{method}-{fmt}" for method, fmt in ASSIGN_RUNS)])
     def test_same_output_without_numpy(self, args, tmp_path):
         from topocell.lattice import LatticeSpec, neighbors
         dead_file = tmp_path / "dead.txt"
@@ -491,3 +542,16 @@ class TestWithoutNumpy:
         code, out, _ = run_cli(args)
         assert (blocked.returncode, blocked.stdout) == (code, out), blocked.stderr
         assert code == (4 if "--dead-cells" in args else 0) and out
+
+    @pytest.mark.parametrize("method", ["exact", "nearest_int"])
+    def test_assign_leaves_numpy_out(self, method):
+        # python -m topocell assign, with numpy installed: it is not imported
+        code = ("import runpy, sys\n"
+                "try:\n"
+                "    runpy.run_module('topocell', run_name='__main__')\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, *ASSIGN, "--method", method],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"

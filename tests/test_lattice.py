@@ -128,6 +128,21 @@ class TestCellCenter:
                 cell_center(spec, cid)
         assert (cell_center(spec, np.array([1, 0, 0])) == cell_center(spec, (1, 0, 0))).all()
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("r_t,sink", [(0.1, (4.2e6, 1.2e6, 4.7e6)), *RANDOM_SPECS[:2]])
+    def test_python_center_matches_cell_centers_bit_for_bit(self, shape, r_t, sink):
+        # one cell's center in Python floats, as the CLI prints it, against
+        # the array path, on ids anywhere in the domain and at its corners
+        spec = LatticeSpec(shape, r_t, sink=sink)
+        edge = MAX_STEPS + 2
+        ids = np.vstack([np.random.default_rng(17).integers(-edge, edge + 1, (2000, 3)),
+                         np.array(list(itertools.product((-edge, -1, 0, 1, edge), repeat=3)))])
+        want = cell_centers(spec, ids)
+        got = np.array([lattice._center(spec, cid) for cid in ids.tolist()])
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+        one = np.array([cell_center(spec, cid) for cid in ids[:50].tolist()])
+        assert (one.view(np.int64) == want[:50].view(np.int64)).all()
+
 
 class TestAssignCell:
     def test_exact_center(self):
@@ -457,6 +472,52 @@ class TestNearestInt:
         spec = LatticeSpec(CellShape.CB, 1.0)
         with pytest.raises(ValueError):
             assign_cell_nearest_int(spec, (0.1, 0.2, 0.3))
+
+    @staticmethod
+    def batch_row(spec, p):
+        """One point through the array path, read with ``as_point`` first."""
+        return CellId(*assign_cells_nearest_int(spec, as_point(p)[None, :])[0].tolist())
+
+    @pytest.mark.parametrize("r_t,sink", [(SQRT17, (0.0, 0.0, 0.0)), *RANDOM_SPECS,
+                                          (0.1, (4.2e6, 1.2e6, 4.7e6))])
+    def test_one_point_matches_batch(self, r_t, sink):
+        spec = LatticeSpec(CellShape.TO, r_t, sink=sink)
+        rng = np.random.default_rng(23)
+        reach = MAX_STEPS * spec.step
+        pts = [*(spec.sink + rng.uniform(-3, 3, (3000, 3)) * spec.circumradius),
+               *(spec.sink + rng.uniform(-reach, reach, (300, 3)))]
+        for p in pts:
+            assert assign_cell_nearest_int(spec, p) == self.batch_row(spec, p), p.tolist()
+
+    def test_halves_round_away_from_zero(self):
+        # step 1 and sink 0: t = p and f = (p0/2 - p2/2, p1/2 - p2/2, p2),
+        # exact, so each point puts the real ids f where it says
+        spec = LatticeSpec(CellShape.TO, SQRT17)
+        below = 0.49999999999999994  # 1/2 - 2^-54: f + 1/2 rounds up to 1
+        cases = {
+            (1.0, -1.0, 0.0): (1, -1, 0),  # f = (1/2, -1/2, 0)
+            (0.0, 3.0, -0.5): (0, 2, -1),  # f = (1/4, 7/4, -1/2)
+            (2 * below, -2 * below, 0.0): (1, -1, 0),  # round() gives (0, 0, 0)
+            (0.0, 0.0, below): (0, 0, 1),
+            (0.0, 0.0, -below): (0, 0, -1),
+            (-0.0, -0.0, -0.0): (0, 0, 0),
+            (-0.0, 0.0, -0.0): (0, 0, 0),
+        }
+        for p, want in cases.items():
+            assert assign_cell_nearest_int(spec, p) == want == self.batch_row(spec, p), p
+        assert round(below) == 0 and round(0.5) == 0
+
+    @pytest.mark.parametrize("shape", [CellShape.TO, CellShape.CB])
+    def test_errors_match_batch(self, shape):
+        # type and message of each error, and the order of the checks: the
+        # point's form and finiteness, then the shape, then the domain
+        spec = LatticeSpec(shape, 1.0, sink=(5.0, 0.0, 0.0))
+        points = [(math.nan, 0.0, 0.0), [0.0, math.inf, 0.0], np.array([0.0, 0.0, -math.inf]),
+                  (1e20, 0.0, 0.0), (5.0, -1e7, 0.0), (1.0, 2.0), "abc", np.zeros((1, 3)),
+                  (1, 2, 3), np.array([0.1, 0.2, 0.3], dtype=np.float32)]
+        for p in points:
+            assert (TestAssignCell.outcome(assign_cell_nearest_int, spec, p)
+                    == TestAssignCell.outcome(self.batch_row, spec, p)), p
 
     def test_agrees_with_exact_where_rounding_is_safe(self):
         # points well inside the rounding cube of their own cell

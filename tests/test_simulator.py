@@ -351,6 +351,25 @@ class TestStreaming:
         assert accuracy_experiment(spec, 70_001, seed=12) == default
         assert default == whole_array_accuracy(spec, 70_001, 12)
 
+    def test_accuracy_draws_are_the_uniform_doubles(self, monkeypatch):
+        # each block drawn into the reused buffer holds the rows of the one
+        # whole-array sink + rng.uniform(-half, half) draw, the short last
+        # block included
+        spec = LatticeSpec(CellShape.TO, 2.0, sink=(11.0, -4.0, 2.5))
+        blocks = []
+
+        def oracle(spec, pts, window):
+            blocks.append(pts.copy())
+            return assign_cells_oracle(spec, pts, window=window)
+
+        monkeypatch.setattr(simulator, "assign_cells_oracle", oracle)
+        self.small_blocks(monkeypatch)
+        n = 3 * self.CHUNK + 10
+        accuracy_experiment(spec, n, seed=12)
+        assert [len(b) for b in blocks] == [self.CHUNK] * 3 + [10]
+        want = spec.sink + np.random.default_rng(12).uniform(-10.0, 10.0, (n, 3))
+        assert (np.vstack(blocks).view(np.int64) == want.view(np.int64)).all()
+
     def test_peak_memory_does_not_grow_with_n(self):
         # one bound in terms of the block size, far below the 56 B per node
         # and 168 B per point that whole-array draws of these n hold
