@@ -34,11 +34,13 @@ along every axis of period 2 (``coset_period``):
 Public ids are the paper's offset ids (u, v, w), equal to the basis ids
 except on HP, whose odd rows sit half a step further along x: its centers
 are at (sqrt(3)*a*(u + (v mod 2)/2), 1.5*a*v, h*w), and its basis ids are
-the axial ids (u - floor(v/2), v, w). ``to_basis_ids`` and
-``to_public_ids`` convert arrays of ids. The lattice module's per-cell
-paths convert without them: ``assign_cell`` turns its one HP basis id into
-a public id with ``u += v >> 1``, and ``neighbors`` steps in public ids,
-with a table of its own for the steps from HP's odd rows.
+the axial ids (u - floor(v/2), v, w). They are converted in six places:
+arrays of ids by ``to_basis_ids`` and ``to_public_ids``; one id each by
+``_bisector`` (a face neighbor's basis id), by ``lattice._center`` (one
+cell's center) and by ``lattice.assign_cell``, which turns its basis id
+into a public id with ``u += v >> 1``; and neighbor steps by
+``lattice._NEIGHBOR_STEPS``, a table of the steps from HP's odd rows, so
+that ``neighbors`` and routing step in public ids.
 
 Each cell is the Voronoi cell of its lattice (Conway & Sloane, IEEE Trans.
 IT 32(1), 1986): its faces are the bisectors between its center and its

@@ -8,12 +8,13 @@ spec, its rule and the per-cell paths (``assign_cell`` off ties,
 ``assign_cell_nearest_int``, one cell's center and ``neighbors``) need no
 numpy; the array paths, the oracle among them, import it when called.
 The geometry module owns each lattice's generator basis. Public and basis
-ids differ only on HP, and are converted in three places: arrays by
+ids differ only on HP, and are converted in six places: arrays by
 geometry's pair ``to_basis_ids`` and ``to_public_ids``, which the decoder
-and the oracle, working in basis ids, call; one id by ``assign_cell``'s
-``u += v >> 1``; and neighbor steps by ``_NEIGHBOR_STEPS``, whose odd-row
-table lets ``neighbors`` and routing step in public ids. The public
-functions take and return public ids.
+and the oracle, working in basis ids, call; one id each by
+``geometry._bisector`` (a face neighbor's basis id), by ``_center`` (one
+cell's center) and by ``assign_cell``'s ``u += v >> 1``; and neighbor steps
+by ``_NEIGHBOR_STEPS``, whose odd-row table lets ``neighbors`` and routing
+step in public ids. The public functions take and return public ids.
 
 A sensor at point p finds its cell without search. The four tessellations
 are the Voronoi cells of four classical lattices: CB is Z^3, RD the
@@ -50,12 +51,16 @@ rounded solution but scores only the candidates that can still win: the
 covering radius of each lattice is the cell circumradius R (every point
 lies within R of its nearest center), so the nearest center and every
 center tied with it lie within |p - c| + R of the window's middle center
-c, and a candidate beyond that can neither win nor tie. Float distances
-decide every point whose runner-up is farther than a rigorous bound on
-their rounding error; the rest are re-scored exactly in integers, so the
-result, ties included, is that of the full window and of exact
-arithmetic. Points farther than ``MAX_STEPS`` lattice steps from the sink
-along any axis are rejected with ``ValueError``.
+c, and a candidate beyond that can neither win nor tie. |p - c| is at most
+the longest half-diagonal of the rounding box M [-1/2, 1/2]^3 in scaled
+units, so the kept candidates come from the spec, and so does the rigorous
+bound on the rounding error of their float distances: those distances
+decide every point whose runner-up is farther than the bound, and the rest
+are re-scored exactly in integers, so the result, ties included, is that
+of the full window and of exact arithmetic. Points farther than
+``MAX_STEPS`` lattice steps from the sink along any axis are rejected with
+``ValueError``, and so are specs outside ``MAX_MAGNITUDE``, whose squares
+could overflow or underflow.
 
 The cheaper nearest-integer shortcut rounds each coordinate of the TO
 solution independently; it is wrong for 3/8 of random points (the rounding
@@ -92,6 +97,12 @@ from .geometry import (
 # TO d, HP hexagon side a). Ids then stay within MAX_STEPS + 2 of zero, exact
 # in float arithmetic, and an id triple packs into one int64 key.
 MAX_STEPS = 2 ** 19
+# Supported magnitudes: a spec's step is at least 1 / MAX_MAGNITUDE and its
+# |sink|inf + MAX_STEPS steps at most MAX_MAGNITUDE = 2^500 m. Every square
+# and product that the oracle and the CLI's distance column form then stays
+# below 2^1000, so none overflows, and the oracle's filter tolerance stays
+# above 2^-1027, far above the 2^-1074 an underflow can move a square by.
+MAX_MAGNITUDE = 2.0 ** 500
 # largest oracle window: windows >= 2 all give the same ids, at (2w+1)^3 rows
 MAX_WINDOW = 8
 # rows that every bulk loop (the decoder, the oracle, the experiments' draws
@@ -154,6 +165,10 @@ class LatticeSpec:
         object.__setattr__(self, "sink", sink)
         R = max_cell_radius(shape, self.r_t)
         step = cell_spacing(shape, R)[0]
+        extent = max(map(abs, sink)) + MAX_STEPS * step
+        if not (1.0 / MAX_MAGNITUDE <= step and extent <= MAX_MAGNITUDE):
+            raise ValueError(f"the lattice step ({step:.6g} m) must be at least 2^-500 m and "
+                             f"|sink|inf + {MAX_STEPS} steps ({extent:.6g} m) at most 2^500 m")
         object.__setattr__(self, "circumradius", R)
         object.__setattr__(self, "step", step)
         scale, period, metric = _scale(shape, R), _PERIODS[shape], _METRIC[shape]
@@ -161,7 +176,7 @@ class LatticeSpec:
         # smallest: the decoder compares its cosets in it, the shifted one
         # being nearer when weight @ a exceeds half its sum
         weight = tuple(m / metric[0] if p == 2 else 0.0 for m, p in zip(metric, period))
-        # The tie tolerance, in units of scale, from _oracle_chunk's bound
+        # The tie tolerance, in units of scale, from _oracle's bound
         # with u = 2^-53. rel = fl(p - sink) is within u reach of p - sink,
         # and the quotient rel / divisor adds u reach / scale to a. A center
         # of cell_centers is within u(|sink| + 2|offset|) of sink + offset,
@@ -437,15 +452,18 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     in effect; the default of 3 leaves margin, and windows above MAX_WINDOW
     only cost time and memory, so they are refused.
 
-    Each chunk of points scores only the window's candidates within
-    max|q| + R of the rounded center, q = p - center(rounded id), widened
-    by a bound on the rounding of q and of the computed centers, which
-    grows with |sink| and max|p|. The lattice's covering radius is the cell
-    circumradius R, so the nearest center is within R of p, and any
-    candidate farther than |q| + R from the rounded center is farther than
-    R from p: it can neither win nor tie. So the ids of a point do not
-    depend on which other points share its call. The kept candidates are scored as
-    a floating-point filter with an exact fallback (Shewchuk, "Adaptive
+    Each call scores only the window's candidates within H + R of the
+    rounded center, H being the longest half-diagonal of the rounding box
+    M [-1/2, 1/2]^3 in scaled units, which bounds |q| for
+    q = p - center(rounded id), widened by a bound on the rounding of q and
+    of the computed centers, which grows with |sink| and the domain's
+    reach. The lattice's covering radius is the cell circumradius R, so the
+    nearest center is within R of p, and any candidate farther than
+    |q| + R from the rounded center is farther than R from p: it can
+    neither win nor tie. The cut and the float filter's tolerance come from
+    the spec alone, so a point's id depends on the spec and the point, not
+    on the other points of its call. The kept candidates are scored as a
+    floating-point filter with an exact fallback (Shewchuk, "Adaptive
     precision floating-point arithmetic and fast robust geometric
     predicates", DCG 18, 1997): float distances decide every point whose
     runner-up is farther than a rigorous bound on their rounding error, and
@@ -460,94 +478,92 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
 
 
 def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
-    """Basis ids of ``assign_cells_oracle`` for the rows of ``pts`` (n, 3)."""
+    """Basis ids of ``assign_cells_oracle`` for the rows of ``pts`` (n, 3):
+    in each block, the float filter, then the exact re-score of the rows it
+    flags. The kept candidates and the filter's tolerance come from the
+    spec alone."""
     import numpy as np
 
     # basis-id offsets in lexicographic order and their center displacements
     offs = np.indices((2 * window + 1,) * 3, dtype=np.int64).reshape(3, -1).T - window
     basis, scale = lattice_basis(spec.shape, spec.circumradius)
     doff = (offs @ basis.T) * scale
-    out = np.empty((len(pts), 3), dtype=np.int64)
-    for i in range(0, len(pts), _CHUNK):
-        out[i:i + _CHUNK] = _oracle_chunk(spec, pts[i:i + _CHUNK], offs, doff)
-    return out
-
-
-def _oracle_chunk(spec, pts, offs, doff):
-    """``_oracle`` on one chunk: the float filter, then the exact re-score of
-    the rows it flags."""
-    import numpy as np
-
-    base = _round_half_away(_fractional_ids(spec, pts - spec.sink)).astype(np.int64)
-    # candidate center = center(base) + doff[k]; distances as a (k, n) array
-    # by the expansion |q - doff|^2 = |q|^2 - 2 doff.q + |doff|^2, with
-    # q = p - center(base) as columns
-    q = (pts - cell_centers(spec, to_public_ids(spec.shape, base))).T.copy()
-    q2 = (q * q).sum(axis=0)
     doff2 = (doff * doff).sum(axis=1)
-    # Rounding error, with u = 2^-53, L = max|q| + max|doff| and
-    # A = |sink| + max|p| (maxima over coordinates), so that every
-    # coordinate of q - doff is within L and of a center or a center offset
-    # within A + L: a center from cell_centers is within
-    # u(|sink| + 2|offset|) <= 3u(A + L) of sink + offset on each axis, q
-    # within uL of p - center(base) and doff within uL of its offset, so
-    # each coordinate of q - doff is within 8u(A + L) of the exact
-    # p - center.
+    # A candidate center is center(base) + doff, base being the rounded real
+    # solution, and the squared distances d2 form a (candidates, rows) array
+    # by the expansion |q - doff|^2 = |q|^2 - 2 doff.q + |doff|^2, with
+    # q = p - center(base) as columns.
+    # Rounding error, with u = 2^-53, from the spec alone: on every axis
+    # |sink| + |p| <= A = 2|sink|inf + reach (the domain check), every
+    # coordinate of q and of a kept doff is within L, and of a center offset
+    # within A + L, where L < 2^-10 A as A >= reach = 2^19 steps. A center
+    # from cell_centers is within u(|sink| + 2|offset|) <= 3u(A + L) of
+    # sink + offset on each axis, q within uL of p - center(base) and doff
+    # within uL of its offset, so each coordinate of q - doff is within
+    # 8u(A + L) of the exact p - center.
+    # |q|: the real solution, its coordinates below 2^20, is within a few
+    # roundings of 2^-33, under 2^-30, of its float, and base within
+    # 1/2 + 2^-33 of that, so the exact q is scale * M delta with
+    # |delta|inf <= 1/2 + 2^-29: at most (1 + 2^-28) H, H the longest
+    # half-diagonal of M [-1/2, 1/2]^3 in scaled units (2^-27 also covers
+    # the rounding of H). The computed q adds 4 sqrt3 u(A + L) < 2^-49 A.
+    far = 2.0 * max(map(abs, spec.sink)) + spec.rule.reach
+    corners = (np.indices((2, 2, 2)).reshape(3, -1).T - 0.5) @ basis.T * scale
+    size = math.sqrt((corners * corners).sum(axis=1).max()) * (1.0 + 2.0 ** -27) + 2.0 ** -48 * far
     # The cut: the lattice point nearest p is within the covering radius R
     # of p, and its center as computed within 3 sqrt3 u(A + L) of it, so
     # the nearest center and every center tied with it are within
     # R + 3 sqrt3 u(A + L) of p, and their q - doff within
-    # R + 11 sqrt3 u(A + L) < R + 2^-48 (A + L) in length. A candidate with
-    # |doff| > |q| + R + 2^-48 (A + L) can thus neither win nor tie, and the
-    # relative slack covers the rounding of the comparison itself. L here
-    # runs over the whole window.
-    far = max(map(abs, spec.sink)) + np.abs(pts).max()
-    size = np.abs(q).max() + np.abs(doff).max()
-    reach = math.sqrt(q2.max()) + spec.circumradius + 2.0 ** -48 * (far + size)
-    keep = doff2 <= (reach * (1.0 + 1e-9)) ** 2
-    offs, doff, doff2 = offs[keep], doff[keep], doff2[keep]
-    d2 = (-2.0 * doff) @ q
-    d2 += q2
-    d2 += doff2[:, None]
-    # The filter, with L over the kept candidates: an error of 8u(A + L) on
-    # each coordinate of q - doff moves d2 by at most 3 * 2L * 8u(A + L);
-    # evaluating the expansion (sums of three terms, each within 3L^2) adds
-    # at most 16uL^2. Every d2 is thus within e = 64uL(A + L) of its exact
-    # value. With tol = 4e, a row with no second candidate within tol of
-    # its minimum has one exact winner, which is also the argmin of any
-    # float evaluation within e; the others are flagged.
-    size = np.abs(q).max() + np.abs(doff).max()
+    # R + 11 sqrt3 u(A + L) < R + 2^-47 A in length. A candidate with
+    # |doff| > |q| + R + 2^-47 A can thus neither win nor tie, and the
+    # relative slack covers the rounding of the comparison itself.
+    keep = doff2 <= ((size + spec.circumradius + 2.0 ** -47 * far) * (1.0 + 1e-9)) ** 2
+    size += np.abs(doff[keep]).max()
+    offs, doff, doff2 = offs[keep], -2.0 * doff[keep], doff2[keep, None]
+    # The filter, with L = max|q| + max|doff|inf over the kept candidates: an
+    # error of 8u(A + L) on each coordinate of q - doff moves d2 by at most
+    # 3 * 2L * 8u(A + L); evaluating the expansion (sums of three terms, each
+    # within 3L^2) adds at most 16uL^2. Every d2 is thus within
+    # e = 64uL(A + L) of its exact value. With tol = 4e, a row with no second
+    # candidate within tol of its minimum has one exact winner, which is also
+    # the argmin of any float evaluation within e; the others are flagged.
     tol = 2.0 ** -45 * size * (size + far)
-    # every (k, n) array is reduced over k row by row, as a running minimum,
-    # count or maximum, which reads memory in order
-    cut = d2.min(axis=0)
-    cut += tol
-    close = d2 <= cut
     # the last close candidate, on an unflagged row the only one; the at most
     # (2 MAX_WINDOW + 1)^3 = 4913 candidates are counted and indexed in int16
     index = np.arange(len(offs), dtype=np.int16)[:, None]
-    ids = base + offs[np.multiply(close, index).max(axis=0)]
-    flagged = np.flatnonzero(close.sum(axis=0, dtype=np.int16) > 1)
-    if not len(flagged):
-        return ids
-    # the flagged rows' close candidates, scored exactly: every float is
-    # m 2^e with an integer m of 53 bits, so the coordinates become Python
-    # ints in units of the smallest 2^e among them, and so do the squared
-    # distances
-    pair, k = np.nonzero(close[:, flagged].T)
-    cand = base[flagged[pair]] + offs[k]
-    pub = to_public_ids(spec.shape, cand)
-    m, e = np.frexp(np.vstack([pts[flagged], cell_centers(spec, pub)]))
-    x = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - e.min()).astype(object)
-    diff = x[pair] - x[len(flagged):]
-    d2 = (diff * diff).sum(axis=1)
-    # the nearest center wins, and among exactly equidistant ones the
-    # smallest public id; pair runs over every flagged row in order
-    rows = np.arange(len(flagged))
-    win = np.flatnonzero(d2 == np.minimum.reduceat(d2, np.searchsorted(pair, rows))[pair])
-    win = win[np.lexsort((*pub[win].T[::-1], pair[win]))]
-    ids[flagged] = cand[win[np.searchsorted(pair[win], rows)]]
-    return ids
+    out = np.empty((len(pts), 3), dtype=np.int64)
+    for i in range(0, len(pts), _CHUNK):
+        p, ids = pts[i:i + _CHUNK], out[i:i + _CHUNK]
+        base = _round_half_away(_fractional_ids(spec, p - spec.sink)).astype(np.int64)
+        q = (p - cell_centers(spec, to_public_ids(spec.shape, base))).T.copy()
+        d2 = doff @ q
+        d2 += (q * q).sum(axis=0)
+        d2 += doff2
+        # every (k, n) array is reduced over k row by row, as a running
+        # minimum, count or maximum, which reads memory in order
+        close = d2 <= d2.min(axis=0) + tol
+        ids[...] = base + offs[np.multiply(close, index).max(axis=0)]
+        flagged = np.flatnonzero(close.sum(axis=0, dtype=np.int16) > 1)
+        if not len(flagged):
+            continue
+        # the flagged rows' close candidates, scored exactly: every float is
+        # m 2^e with an integer m of 53 bits, so the coordinates become
+        # Python ints in units of the smallest 2^e among them, and so do the
+        # squared distances
+        pair, k = np.nonzero(close[:, flagged].T)
+        cand = base[flagged[pair]] + offs[k]
+        pub = to_public_ids(spec.shape, cand)
+        m, e = np.frexp(np.vstack([p[flagged], cell_centers(spec, pub)]))
+        x = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - e.min()).astype(object)
+        diff = x[pair] - x[len(flagged):]
+        d2 = (diff * diff).sum(axis=1)
+        # the nearest center wins, and among exactly equidistant ones the
+        # smallest public id; pair runs over every flagged row in order
+        rows = np.arange(len(flagged))
+        win = np.flatnonzero(d2 == np.minimum.reduceat(d2, np.searchsorted(pair, rows))[pair])
+        win = win[np.lexsort((*pub[win].T[::-1], pair[win]))]
+        ids[flagged] = cand[win[np.searchsorted(pair[win], rows)]]
+    return out
 
 
 def assign_cell_oracle(spec: LatticeSpec, p, window: int = 3) -> CellId:

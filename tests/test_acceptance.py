@@ -116,11 +116,15 @@ def test_criterion_2_neighbor_distances():
 
 def test_criterion_3_sensing_ranges():
     ok = True
+    coeffs, deviations = {}, {}
     for shape in SHAPES:
         coeff = min_sensing_range(shape, 1.0)
         ref = REFERENCE_SENSING[shape]
         ok &= abs(coeff - ref.value) <= ref.gate(1e-6)
-    assert report(3, "sensing ranges", ok)
+        coeffs[shape.value] = f"{coeff:.6f}"
+        deviations[shape.value] = f"{abs(coeff - ref.value):.1e}"
+    measured = f"sensing/r_t={coeffs}, deviation={deviations}"
+    assert report(3, "sensing ranges", ok, measured), measured
 
 
 def test_criterion_4_table_ii():
@@ -296,8 +300,12 @@ def test_criterion_10_cli_determinism(tmp_path):
          "--dst", "3,0,0", "--format", "json"],
     ]
     ok = True
+    sizes = {}
     for args in commands:
         first = run(args)
         second = run(args)
         ok &= first == second and first[0] == 0
-    assert report(10, "CLI byte determinism", ok)
+        sizes[" ".join(a for a in args[:2] if not a.startswith("-"))] = (
+            len(first[1]), len(second[1]))
+    measured = f"commands={len(commands)}, stdout bytes per run={sizes}"
+    assert report(10, "CLI byte determinism", ok, measured), measured

@@ -126,6 +126,23 @@ class TestAssign:
         assert out == ""
         assert "lattice steps" in err
 
+    @pytest.mark.parametrize("args", [
+        # the oracle's squares of about 1e320 m^2 would overflow
+        ["--shape", "to", "--rt", "1e160", "--point", "3e159,1e159,-2e159",
+         "--method", "oracle"],
+        # MAX_STEPS steps of about 3e305 m overflow to inf
+        ["--shape", "cb", "--rt", "1e306", "--sink=-1.7e308,0,0", "--point", "1.7e308,0,0"],
+        # the oracle's squares of about 1e-320 m^2 would underflow
+        ["--shape", "rd", "--rt", "1e-160", "--point", "0,0,0", "--method", "oracle"],
+        # the smallest float r_t gives a step of 0 m, which the tie band divides by
+        ["--shape", "to", "--rt", "5e-324", "--point", "0,0,0"],
+    ])
+    def test_spec_outside_magnitudes_is_invalid_parameter(self, args, capsys):
+        assert main(["assign", *args]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the lattice step") and "2^500 m" in err
+
     @pytest.mark.parametrize("method", ["exact", "oracle", "nearest_int"])
     @pytest.mark.parametrize("point,message", [
         ("nan,0,0", "point coordinates must be finite"),
@@ -339,6 +356,13 @@ class TestSimulate:
         rows = json.loads(capsys.readouterr().out)
         assert [r["shape"] for r in rows] == ["cb", "to"]
         assert [(r["network_lifetime"], r["lifetime_vs_to"]) for r in rows] == [(0, "")] * 2
+
+    def test_zero_n_is_invalid_parameter(self, accuracy_config, capsys):
+        cfg = json.loads(Path(accuracy_config).read_text())
+        Path(accuracy_config).write_text(json.dumps({**cfg, "n": 0}))
+        assert main(["simulate", "accuracy", "--config", accuracy_config, "--seed", "7"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: n must be at least 1\n"
 
     def test_fractional_n_is_invalid_parameter(self, accuracy_config, capsys):
         cfg = json.loads(Path(accuracy_config).read_text())

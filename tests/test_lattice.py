@@ -26,6 +26,7 @@ from topocell.geometry import (
     to_public_ids,
 )
 from topocell.lattice import (
+    MAX_MAGNITUDE,
     MAX_STEPS,
     MAX_WINDOW,
     CellId,
@@ -460,6 +461,80 @@ class TestDomain:
         for assign in (assign_cells, assign_cells_oracle, assign_cells_nearest_int):
             with pytest.raises(ValueError, match=r"expected points of shape \(n, 3\)"):
                 assign(spec, np.zeros(shape))
+
+
+def accepts(shape, r_t, sink=(0.0, 0.0, 0.0)):
+    """Whether ``LatticeSpec`` takes the spec; a refusal must name the bounds."""
+    try:
+        LatticeSpec(shape, r_t, sink=sink)
+    except ValueError as exc:
+        assert "2^-500 m" in str(exc) and "2^500 m" in str(exc)
+        return False
+    return True
+
+
+def edge_rt(shape, step, toward):
+    """The accepted r_t next to a refused one on the side of ``toward`` (inf
+    or 0), within a few floats of the r_t whose lattice step is ``step``."""
+    r_t = step / LatticeSpec(shape, 1.0).step
+    for _ in range(64):
+        inside = accepts(shape, r_t)
+        if inside and not accepts(shape, math.nextafter(r_t, toward)):
+            return r_t
+        r_t = math.nextafter(r_t, toward if inside else 1.0)
+    raise AssertionError(f"no edge of the domain near r_t = {r_t!r}")
+
+
+# the largest and the smallest accepted r_t: the step and the r_t to walk to
+EDGES = pytest.mark.parametrize("step,toward", [(MAX_MAGNITUDE / MAX_STEPS, math.inf),
+                                                (1.0 / MAX_MAGNITUDE, 0.0)],
+                                ids=["largest", "smallest"])
+
+
+class TestMagnitudes:
+    # a spec's lattice step must be at least 2^-500 m, and its largest sink
+    # coordinate plus MAX_STEPS steps at most MAX_MAGNITUDE = 2^500 m
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @EDGES
+    def test_rt_just_inside_and_outside(self, shape, step, toward):
+        r_t = edge_rt(shape, step, toward)
+        spec = LatticeSpec(shape, r_t)
+        assert 2.0 ** -500 <= spec.step and spec.rule.reach <= MAX_MAGNITUDE
+        assert not accepts(shape, math.nextafter(r_t, toward))
+        for r_t in (1e160, 1e306, 1e-160, 1e-300):
+            assert not accepts(shape, r_t)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sink_just_inside_and_outside(self, shape):
+        # at r_t = 1 the reach of about 1e5 m is far below the ulp of 2^500
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                sink = [0.0, 0.0, 0.0]
+                sink[axis] = sign * MAX_MAGNITUDE
+                assert accepts(shape, 1.0, sink)
+                sink[axis] = sign * math.nextafter(MAX_MAGNITUDE, math.inf)
+                assert not accepts(shape, 1.0, sink)
+        assert not accepts(shape, 1e306, (-1.7e308, 0.0, 0.0))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @EDGES
+    def test_extreme_rt_matches_exact_search(self, shape, step, toward):
+        # At the largest r_t the oracle's squares reach about 2^962 and the
+        # product in its tolerance about 2^984; at the smallest its squares
+        # fall to about 2^-1000 and its tolerance to about 2^-1023. All
+        # three assignments still give the exact nearest center, smallest id
+        # among ties, on a 3^3 block's vertices
+        spec = LatticeSpec(shape, edge_rt(shape, step, toward))
+        cells = id_grid(1)
+        verts = [build_polyhedron(shape, c, spec.circumradius).vertices
+                 for c in cell_centers(spec, cells)]
+        owners = np.repeat(cells, [len(v) for v in verts], axis=0)
+        pts = np.vstack(verts)
+        want = exact_nearest(spec, pts, owners)[0]
+        assert (assign_cells_oracle(spec, pts) == want).all()
+        assert (assign_cells(spec, pts) == want).all()
+        assert [assign_cell(spec, p) for p in pts] == list(map(tuple, want.tolist()))
 
 
 class TestNearestInt:

@@ -208,3 +208,14 @@ class TestSerialization:
         rep = shape_report(CellShape.TO)
         assert rep.max_radius_expr == "sqrt(5)/(2*sqrt(17))"
         assert rep.cell_volume_expr == "4/(17*sqrt(17))"
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_expressions_evaluate_to_their_values(self, shape):
+        # each hand-typed closed form, evaluated with math.sqrt and nothing
+        # else, is the float it annotates
+        rep = shape_report(shape)
+        for expr, value in [(rep.max_radius_expr, rep.max_radius_coeff),
+                            (rep.cell_volume_expr, rep.cell_volume_coeff),
+                            (rep.active_node_ratio_expr, rep.active_node_ratio_vs_to)]:
+            got = eval(expr, {"__builtins__": {}}, {"sqrt": math.sqrt})
+            assert got == pytest.approx(value, rel=1e-12, abs=0.0), expr

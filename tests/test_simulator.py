@@ -154,6 +154,11 @@ class TestAccuracyExperiment:
         assert rep == accuracy_experiment(spec, 500, 3)
         assert type(rep.n) is int
 
+    @pytest.mark.parametrize("n", [0, -1, np.int64(0)])
+    def test_n_must_be_positive(self, n):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            accuracy_experiment(LatticeSpec(CellShape.TO, 1.0), n, 1)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 99999999999999999999999999])
     def test_seed_must_fit_u64(self, seed):
         # the deployment's seed check, with its message
@@ -391,7 +396,46 @@ class TestStreaming:
             assert peak < bound, name
 
 
+class TestFirst:
+    @pytest.mark.parametrize("guess", [-10 ** 9, -5, 41, 42, 43, 10 ** 9])
+    def test_finds_the_threshold_from_any_guess(self, guess):
+        # guesses far below and far above gallop out, then bisect
+        calls = []
+
+        def pred(j):
+            calls.append(j)
+            return j >= 42
+
+        assert simulator._first(pred, guess) == 42
+        assert len(calls) <= 4 * math.log2(abs(guess - 42) + 2)
+
+
 class TestActiveCount:
+    def test_estimate_off_by_many_steps(self, monkeypatch):
+        # With the sink at x = 1e17, centers there are 16 m apart in float
+        # and the CB step is 0.29 m, so the per-axis estimate misses the
+        # first and the last counted id by dozens of steps and _first
+        # bisects to them; the count still equals that of the centers
+        # cell_centers computes, over ids that cover the box with room to
+        # spare, all well within the domain
+        spec = LatticeSpec(CellShape.CB, 1.0, sink=(1e17, 0.0, 0.0))
+        box = Box(lo=(1e17, -0.2, -0.2), hi=(1e17 + 300, 0.2, 0.2))
+        misses, first = [], simulator._first
+
+        def spy(pred, k):
+            j = first(pred, k)
+            misses.append(abs(j - k))
+            return j
+
+        monkeypatch.setattr(simulator, "_first", spy)
+        ks = np.arange(-3000, 4000)
+        ids = np.stack(np.meshgrid(ks, [-1, 0, 1], [-1, 0, 1], indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        inside = box.contains(cell_centers(spec, ids))
+        assert ks[0] < ids[inside, 0].min() and ids[inside, 0].max() < ks[-1]
+        assert active_count(spec, box) == inside.sum() == 1108
+        assert max(misses) > 1
+
     def test_tiny_box_around_center(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
         c = cell_center(spec, (2, -1, 3))
