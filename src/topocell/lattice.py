@@ -54,10 +54,12 @@ center tied with it lie within |p - c| + R of the window's middle center
 c, and a candidate beyond that can neither win nor tie. |p - c| is at most
 the longest half-diagonal of the rounding box M [-1/2, 1/2]^3 in scaled
 units, so the kept candidates come from the spec, and so does the rigorous
-bound on the rounding error of their float distances: those distances
-decide every point whose runner-up is farther than the bound, and the rest
-are re-scored exactly in integers, so the result, ties included, is that
-of the full window and of exact arithmetic. Points farther than
+bound on the rounding error of their float distances; both are built once
+per spec and window and cached. Those distances decide every point whose
+runner-up is farther than the bound, and the rest are re-scored exactly in
+integers, so the result, ties included, is that of the full window and of
+exact arithmetic. Like the decoder, the oracle works on (3, rows) columns
+of coordinates, a block at a time. Points farther than
 ``MAX_STEPS`` lattice steps from the sink along any axis are rejected with
 ``ValueError``, and so are specs outside ``MAX_MAGNITUDE``, whose squares
 could overflow or underflow.
@@ -73,7 +75,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .geometry import (
@@ -226,10 +228,15 @@ def cell_center(spec: LatticeSpec, cid) -> np.ndarray:
 
 
 def _fractional_ids(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
-    """Real-valued basis ids solving the center equations for rows of ``rel``."""
+    """Real-valued basis ids M^-1 (rel / scale) solving the center equations
+    for the columns of ``rel`` (3, n), which is divided by scale in place,
+    as a new (3, n) array. Each row of M^-1 holds at most two nonzero binary
+    fractions, so each id is one rounding of its exact value, whatever the
+    order of the sums."""
     import numpy as np
 
-    return (rel / np.array(spec.rule.scale)) @ np.array(spec.rule.inverse).T
+    rel /= np.array(spec.rule.scale)[:, None]
+    return np.array(spec.rule.inverse) @ rel
 
 
 def _decode(spec: LatticeSpec, rel: np.ndarray):
@@ -392,9 +399,11 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
+    """``x`` rounded in place to the nearest integers, halves away from zero."""
     import numpy as np
 
-    return np.trunc(x + np.copysign(0.5, x))
+    x += np.copysign(0.5, x)
+    return np.trunc(x, out=x)
 
 
 def assign_cells_nearest_int(spec: LatticeSpec, points) -> np.ndarray:
@@ -407,9 +416,10 @@ def assign_cells_nearest_int(spec: LatticeSpec, points) -> np.ndarray:
     _check_to(spec)
     import numpy as np
 
-    rel = _check_points(points) - spec.sink
+    pts = _check_points(points)
+    rel = np.subtract(pts.T, np.array(spec.sink)[:, None], out=np.empty((3, len(pts))))
     _check_reach(spec, rel)
-    return _round_half_away(_fractional_ids(spec, rel)).astype(np.int64)
+    return np.ascontiguousarray(_round_half_away(_fractional_ids(spec, rel)).T, dtype=np.int64)
 
 
 def _check_to(spec: LatticeSpec) -> None:
@@ -461,27 +471,36 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     nearest center is within R of p, and any candidate farther than
     |q| + R from the rounded center is farther than R from p: it can
     neither win nor tie. The cut and the float filter's tolerance come from
-    the spec alone, so a point's id depends on the spec and the point, not
-    on the other points of its call. The kept candidates are scored as a
-    floating-point filter with an exact fallback (Shewchuk, "Adaptive
-    precision floating-point arithmetic and fast robust geometric
-    predicates", DCG 18, 1997): float distances decide every point whose
-    runner-up is farther than a rigorous bound on their rounding error, and
-    the points within it are re-scored exactly in integers, every float
-    being an integer times a power of two.
+    the spec alone, built once per spec and window, so a point's id depends
+    on the spec and the point, not on the other points of its call. The
+    kept candidates are scored as a floating-point filter with an exact
+    fallback (Shewchuk, "Adaptive precision floating-point arithmetic and
+    fast robust geometric predicates", DCG 18, 1997): float distances
+    decide every point whose runner-up is farther than a rigorous bound on
+    their rounding error, and the points within it are re-scored exactly in
+    integers, every float being an integer times a power of two.
     """
     if not 2 <= window <= MAX_WINDOW:
         raise ValueError(f"oracle window must be between 2 and {MAX_WINDOW}")
-    pts = _check_points(points)
-    _check_reach(spec, pts - spec.sink)
-    return to_public_ids(spec.shape, _oracle(spec, pts, window))
+    return to_public_ids(spec.shape, _oracle(spec, _check_points(points), window))
 
 
-def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
-    """Basis ids of ``assign_cells_oracle`` for the rows of ``pts`` (n, 3):
-    in each block, the float filter, then the exact re-score of the rows it
-    flags. The kept candidates and the filter's tolerance come from the
-    spec alone."""
+class _OracleTable(NamedTuple):
+    """The oracle's kept candidates of one spec and window, read-only."""
+
+    offs: np.ndarray  # (3, k) int64 basis-id offsets, columns in lexicographic order
+    doff: np.ndarray  # (k, 3) -2 times their center displacements
+    doff2: np.ndarray  # (k, 1) squared lengths of the displacements
+    tol: float  # the float filter's bound on the rounding error of d2
+    index: np.ndarray  # (k, 1) int16 candidate numbers 0 .. k - 1
+
+
+# A spec is frozen and hashes by identity, so each spec and window has one
+# table; the cache holds the most recent ones, and their specs, alive.
+@lru_cache(maxsize=32)
+def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
+    """The candidates ``_oracle`` scores for ``spec`` and ``window``, and the
+    float filter's tolerance: computed from the spec alone, once."""
     import numpy as np
 
     # basis-id offsets in lexicographic order and their center displacements
@@ -492,7 +511,8 @@ def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
     # A candidate center is center(base) + doff, base being the rounded real
     # solution, and the squared distances d2 form a (candidates, rows) array
     # by the expansion |q - doff|^2 = |q|^2 - 2 doff.q + |doff|^2, with
-    # q = p - center(base) as columns.
+    # q = p - center(base) as columns and center(base) computed by the
+    # operations of cell_centers, to the same doubles.
     # Rounding error, with u = 2^-53, from the spec alone: on every axis
     # |sink| + |p| <= A = 2|sink|inf + reach (the domain check), every
     # coordinate of q and of a kept doff is within L, and of a center offset
@@ -519,7 +539,6 @@ def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
     # relative slack covers the rounding of the comparison itself.
     keep = doff2 <= ((size + spec.circumradius + 2.0 ** -47 * far) * (1.0 + 1e-9)) ** 2
     size += np.abs(doff[keep]).max()
-    offs, doff, doff2 = offs[keep], -2.0 * doff[keep], doff2[keep, None]
     # The filter, with L = max|q| + max|doff|inf over the kept candidates: an
     # error of 8u(A + L) on each coordinate of q - doff moves d2 by at most
     # 3 * 2L * 8u(A + L); evaluating the expansion (sums of three terms, each
@@ -528,21 +547,54 @@ def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
     # candidate within tol of its minimum has one exact winner, which is also
     # the argmin of any float evaluation within e; the others are flagged.
     tol = 2.0 ** -45 * size * (size + far)
-    # the last close candidate, on an unflagged row the only one; the at most
-    # (2 MAX_WINDOW + 1)^3 = 4913 candidates are counted and indexed in int16
-    index = np.arange(len(offs), dtype=np.int16)[:, None]
+    # the at most (2 MAX_WINDOW + 1)^3 = 4913 candidates are counted and
+    # indexed in int16
+    table = _OracleTable(np.ascontiguousarray(offs[keep].T), -2.0 * doff[keep],
+                         doff2[keep, None], tol, np.arange(keep.sum(), dtype=np.int16)[:, None])
+    for array in (table.offs, table.doff, table.doff2, table.index):
+        array.flags.writeable = False
+    return table
+
+
+def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
+    """Basis ids of ``assign_cells_oracle`` for the rows of ``pts`` (n, 3),
+    each checked to be within the domain: in each block, the float filter
+    over the spec's candidate table, then the exact re-score of the rows it
+    flags. A block works in columns, (3, rows) arrays, from p - sink to the
+    winner's ids."""
+    import numpy as np
+
+    offs, doff, doff2, tol, index = _oracle_table(spec, window)
+    basis, scale = lattice_basis(spec.shape, spec.circumradius)
+    scale, sink = scale[:, None], np.array(spec.sink)[:, None]
     out = np.empty((len(pts), 3), dtype=np.int64)
     for i in range(0, len(pts), _CHUNK):
         p, ids = pts[i:i + _CHUNK], out[i:i + _CHUNK]
-        base = _round_half_away(_fractional_ids(spec, p - spec.sink)).astype(np.int64)
-        q = (p - cell_centers(spec, to_public_ids(spec.shape, base))).T.copy()
+        rel = np.subtract(p.T, sink, out=np.empty((3, len(p))))
+        _check_reach(spec, rel)
+        base = _round_half_away(_fractional_ids(spec, rel))
+        base += 0.0  # -0.0 becomes 0.0, the float of the integer id
+        # q = p - center(base), the center computed as cell_centers does:
+        # sink + (M base) scale, M base being exact; in rel's memory
+        q = np.matmul(basis, base, out=rel)
+        q *= scale
+        q += sink
+        np.subtract(p.T, q, out=q)
+        base = base.astype(np.int64)
         d2 = doff @ q
         d2 += (q * q).sum(axis=0)
         d2 += doff2
         # every (k, n) array is reduced over k row by row, as a running
         # minimum, count or maximum, which reads memory in order
         close = d2 <= d2.min(axis=0) + tol
-        ids[...] = base + offs[np.multiply(close, index).max(axis=0)]
+        # freed before the next arrays, which then reuse its memory: the
+        # block's peak stays low enough that the allocator keeps the memory
+        # for the next block rather than returning it and faulting it back
+        del d2
+        # the last close candidate, on an unflagged row the only one
+        last = np.multiply(close, index).max(axis=0).astype(np.intp)
+        for axis in range(3):
+            np.add(base[axis], offs[axis].take(last), out=ids[:, axis])
         flagged = np.flatnonzero(close.sum(axis=0, dtype=np.int16) > 1)
         if not len(flagged):
             continue
@@ -551,7 +603,7 @@ def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
         # Python ints in units of the smallest 2^e among them, and so do the
         # squared distances
         pair, k = np.nonzero(close[:, flagged].T)
-        cand = base[flagged[pair]] + offs[k]
+        cand = base.T[flagged[pair]] + offs.T[k]
         pub = to_public_ids(spec.shape, cand)
         m, e = np.frexp(np.vstack([p[flagged], cell_centers(spec, pub)]))
         x = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - e.min()).astype(object)

@@ -47,6 +47,7 @@ from .lattice import (
     _CHUNK,
     MAX_STEPS,
     LatticeSpec,
+    _reach_error,
     assign_cells,
     assign_cells_nearest_int,
     assign_cells_oracle,
@@ -207,9 +208,21 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
     for pts in _uniform_blocks(seed, n, _CHUNK, 2.0 * half, -half):
         pts += spec.sink
         truth = assign_cells_oracle(spec, pts, window=3)
-        exact += int((assign_cells(spec, pts) == truth).all(axis=1).sum())
-        nearest += int((assign_cells_nearest_int(spec, pts) == truth).all(axis=1).sum())
+        exact += _matches(assign_cells(spec, pts), truth)
+        nearest += _matches(assign_cells_nearest_int(spec, pts), truth)
     return AccuracyReport(n=n, correct_exact=exact, correct_nearest_int=nearest)
+
+
+def _matches(ids: np.ndarray, truth: np.ndarray) -> int:
+    """Number of rows on which two (n, 3) id arrays agree, compared column
+    by column: a reduction along rows of three would cost more than the
+    comparisons."""
+    import numpy as np
+
+    same = ids[:, 0] == truth[:, 0]
+    same &= ids[:, 1] == truth[:, 1]
+    same &= ids[:, 2] == truth[:, 2]
+    return int(np.count_nonzero(same))
 
 
 def _first(pred, k: int) -> int:
@@ -244,14 +257,21 @@ def active_count(spec: LatticeSpec, box: Box) -> int:
     With one node active per cell, the number of simultaneously active
     nodes in a region equals the number of cells whose center falls in it.
     The centers are those ``cell_centers`` computes, so a box whose faces
-    pass through centers counts them exactly as ``Box.contains`` does.
+    pass through centers counts them exactly as ``Box.contains`` does. A box
+    with a corner coordinate more than ``MAX_STEPS`` lattice steps from the
+    sink raises the ``ValueError`` that ``assign_cells`` raises for such a
+    point.
     """
+    rule = spec.rule
+    rel = [c - s for corner in (box.lo.tolist(), box.hi.tolist())
+           for c, s in zip(corner, rule.sink)]
+    if not max(map(abs, rel)) <= rule.reach:
+        raise _reach_error(spec)
     # In scaled coordinates y = b @ M.T the centers are diag(P) Z^3 and, if
     # some period P_i is 2, its shift by P - 1; on each coset the count is a
     # product of per-axis counts. Axis i of a center is computed as
     # sink_i + y_i * scale_i, monotone in y_i, so each range boundary is
     # settled in that same float arithmetic from its real-valued estimate.
-    rule = spec.rule
     shifts = [[0, 0, 0]] if max(rule.period) == 1 else [[0, 0, 0], [p - 1 for p in rule.period]]
     axes = list(zip(box.lo.tolist(), box.hi.tolist(), rule.sink, rule.scale, rule.period))
     return sum(math.prod(_axis_count(*axis, o) for axis, o in zip(axes, shift))

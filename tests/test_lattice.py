@@ -661,6 +661,31 @@ class TestOracle:
                      for c in centers[i, near].tolist()]
             assert tuple(got[i]) == min(zip(exact, map(tuple, cand[i, near].tolist())))[1]
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_candidate_table_per_spec_and_window(self, shape):
+        # The kept candidates are built once per spec and window and cached:
+        # specs of one shape at different r_t and sinks, alternating with
+        # windows 2, 3 and 8, give the ids of tables built afresh, on random
+        # points and on the vertices of a 3^3 block (the exact re-score)
+        specs = [LatticeSpec(shape, r_t, sink=sink) for r_t, sink in
+                 [(3.7, (1.25, -0.4, 2.83)), (0.1, (4.2e6, 1.2e6, 4.7e6)),
+                  (1.0, (1e8, 1e8, -1e8))]]
+        rng = np.random.default_rng(6)
+        pts = {spec: np.vstack([
+            spec.sink + rng.uniform(-6.0, 6.0, (2_000, 3)) * spec.circumradius,
+            *(build_polyhedron(shape, c, spec.circumradius).vertices
+              for c in cell_centers(spec, id_grid(1)))]) for spec in specs}
+        runs = [(spec, window) for window in (2, 3, MAX_WINDOW) for spec in specs] * 2
+        cached = [assign_cells_oracle(spec, pts[spec], window) for spec, window in runs]
+        for (spec, window), got in zip(runs, cached):
+            lattice._oracle_table.cache_clear()
+            assert (assign_cells_oracle(spec, pts[spec], window) == got).all()
+        table = lattice._oracle_table(specs[0], 3)
+        assert lattice._oracle_table(specs[0], 3) is table
+        for array in (table.offs, table.doff, table.doff2, table.index):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
     def test_window_validation(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
         with pytest.raises(ValueError):
@@ -761,6 +786,32 @@ class TestBlockSize:
         monkeypatch.setattr(lattice, "_CHUNK", chunk)
         assert (assign_cells(spec, pts) == ids).all()
         assert (assign_cells_oracle(spec, pts) == truth).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ids_do_not_depend_on_the_layout(self, shape, monkeypatch):
+        # the bulk paths read points in columns: a Fortran-ordered array and
+        # strided views give the ids of the C-contiguous copy, over random
+        # points and tie points of HP's odd rows among others, in blocks of
+        # 997 rows whose last one is partial
+        spec = LatticeSpec(shape, 3.7, sink=(1.25, -0.4, 2.83))
+        rng = np.random.default_rng(29)
+        cells = np.array([(0, 0, 0), (2, -3, 1), (-1, -1, 2), (3, 5, -2)])
+        pts = np.vstack([spec.sink + rng.uniform(-8.0, 8.0, (2_500, 3)) * spec.circumradius,
+                         TestAssignCell.tie_points(spec, cells)])
+        wide = np.zeros((len(pts), 9))
+        wide[:, 1::3] = pts
+        tall = np.zeros((2 * len(pts), 3))
+        tall[::2] = pts
+        layouts = [np.asfortranarray(pts), wide[:, 1::3], tall[::2]]
+        assert not any(p.flags.c_contiguous for p in layouts)
+        monkeypatch.setattr(lattice, "_CHUNK", 997)
+        methods = [assign_cells_oracle, assign_cells]
+        if shape is CellShape.TO:
+            methods.append(assign_cells_nearest_int)
+        for method in methods:
+            want = method(spec, pts)
+            for p in layouts:
+                assert (method(spec, p) == want).all(), method.__name__
 
 
 class TestNeighbors:

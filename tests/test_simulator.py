@@ -436,6 +436,29 @@ class TestActiveCount:
         assert active_count(spec, box) == inside.sum() == 1108
         assert max(misses) > 1
 
+    def test_box_beyond_the_domain_is_refused(self):
+        # ids of a box at x = 1e17 m around the origin sink are near 3.5e17,
+        # where they are no longer exact in float: active_count refuses the
+        # box, as assign_cells refuses its points, with the same error
+        spec = LatticeSpec(CellShape.CB, 1.0)
+        box = Box(lo=(1e17, -0.2, -0.2), hi=(1e17 + 300, 0.2, 0.2))
+        with pytest.raises(ValueError, match="lattice steps") as refused:
+            active_count(spec, box)
+        with pytest.raises(ValueError) as error:
+            assign_cells(spec, box.lo)
+        assert str(refused.value) == str(error.value)
+        # the bound is the one of assign_cells on each corner coordinate
+        reach = spec.rule.reach
+        edge = Box(lo=(-reach, -1.0, -1.0), hi=(reach - 1.0, 1.0, reach))
+        assert active_count(spec, edge) > 0
+        assert len(assign_cells(spec, [edge.lo, edge.hi])) == 2
+        for lo, hi in [((np.nextafter(-reach, -np.inf), -1.0, -1.0), edge.hi),
+                       (edge.lo, (reach - 1.0, 1.0, np.nextafter(reach, np.inf)))]:
+            with pytest.raises(ValueError, match="lattice steps"):
+                active_count(spec, Box(lo=lo, hi=hi))
+            with pytest.raises(ValueError, match="lattice steps"):
+                assign_cells(spec, [lo, hi])
+
     def test_tiny_box_around_center(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
         c = cell_center(spec, (2, -1, 3))
