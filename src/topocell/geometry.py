@@ -34,8 +34,9 @@ along every axis of period 2 (``coset_period``):
 Public ids are the paper's offset ids (u, v, w), equal to the basis ids
 except on HP, whose odd rows sit half a step further along x: its centers
 are at (sqrt(3)*a*(u + (v mod 2)/2), 1.5*a*v, h*w), and its basis ids are
-the axial ids (u - floor(v/2), v, w). They are converted in six places:
-arrays of ids by ``to_basis_ids`` and ``to_public_ids``; one id each by
+the axial ids (u - floor(v/2), v, w). They are converted in seven places:
+arrays of ids by ``to_basis_ids`` and ``to_public_ids``; each block of the
+bulk assigners by ``lattice._blocks``, with ``u += v >> 1``; one id each by
 ``_bisector`` (a face neighbor's basis id), by ``lattice._center`` (one
 cell's center) and by ``lattice.assign_cell``, which turns its basis id
 into a public id with ``u += v >> 1``; and neighbor steps by

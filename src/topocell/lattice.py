@@ -8,12 +8,14 @@ spec, its rule and the per-cell paths (``assign_cell`` off ties,
 ``assign_cell_nearest_int``, one cell's center and ``neighbors``) need no
 numpy; the array paths, the oracle among them, import it when called.
 The geometry module owns each lattice's generator basis. Public and basis
-ids differ only on HP, and are converted in six places: arrays by
-geometry's pair ``to_basis_ids`` and ``to_public_ids``, which the decoder
-and the oracle, working in basis ids, call; one id each by
-``geometry._bisector`` (a face neighbor's basis id), by ``_center`` (one
-cell's center) and by ``assign_cell``'s ``u += v >> 1``; and neighbor steps
-by ``_NEIGHBOR_STEPS``, whose odd-row table lets ``neighbors`` and routing
+ids differ only on HP, and are converted in seven places: arrays by
+geometry's pair ``to_basis_ids`` (through ``cell_centers``) and
+``to_public_ids`` (the oracle's candidates for its exact re-score); each
+block of the bulk paths by ``_blocks``, whose scorers work in basis ids,
+with ``u += v >> 1``; one id each by ``geometry._bisector`` (a face
+neighbor's basis id), by ``_center`` (one cell's center) and by
+``assign_cell``'s ``u += v >> 1``; and neighbor steps by
+``_NEIGHBOR_STEPS``, whose odd-row table lets ``neighbors`` and routing
 step in public ids. The public functions take and return public ids.
 
 A sensor at point p finds its cell without search. The four tessellations
@@ -58,16 +60,23 @@ bound on the rounding error of their float distances; both are built once
 per spec and window and cached. Those distances decide every point whose
 runner-up is farther than the bound, and the rest are re-scored exactly in
 integers, so the result, ties included, is that of the full window and of
-exact arithmetic. Like the decoder, the oracle works on (3, rows) columns
-of coordinates, a block at a time. Points farther than
-``MAX_STEPS`` lattice steps from the sink along any axis are rejected with
-``ValueError``, and so are specs outside ``MAX_MAGNITUDE``, whose squares
-could overflow or underflow.
+exact arithmetic.
 
 The cheaper nearest-integer shortcut rounds each coordinate of the TO
 solution independently; it is wrong for 3/8 of random points (the rounding
 box and the cell disagree on that much volume) and is kept only to quantify
 that failure rate.
+
+The three bulk paths, ``assign_cells``, ``assign_cells_oracle`` and
+``assign_cells_nearest_int``, share one block driver, ``_blocks``: it forms
+p - sink as (3, rows) columns ``_CHUNK`` rows at a time, checks the domain,
+hands the block to the path's scorer (``_decoded``, ``_oracle`` or
+``_nearest_int``), which returns basis ids, and stores them as public ids;
+it chooses no id itself. Points farther than ``MAX_STEPS`` lattice steps
+from the sink along any axis are rejected with ``ValueError``, and so are
+specs outside ``MAX_MAGNITUDE``, whose squares could overflow or
+underflow, and specs whose step the floats near the sink cannot resolve
+(``MAX_TOL``).
 """
 
 from __future__ import annotations
@@ -105,14 +114,21 @@ MAX_STEPS = 2 ** 19
 # below 2^1000, so none overflows, and the oracle's filter tolerance stays
 # above 2^-1027, far above the 2^-1074 an underflow can move a square by.
 MAX_MAGNITUDE = 2.0 ** 500
+# Supported resolution: a spec's tie tolerance ``rule.tol``, which grows as
+# the float spacing at the sink over the lattice step, is at most MAX_TOL.
+# The decoder flags about 3 to 6 tol of random points for the oracle, so at
+# most a few per million; a tol near 1 means the step is near that spacing,
+# where centers round onto each other and ids depend on the oracle's window
+MAX_TOL = 2.0 ** -20
 # largest oracle window: windows >= 2 all give the same ids, at (2w+1)^3 rows
 MAX_WINDOW = 8
-# rows that every bulk loop (the decoder, the oracle, the experiments' draws
-# and tallies) handles at once. A block's arrays, 192 KiB per (3, rows)
-# float array and about 2 MiB for the oracle's (candidates, rows) distances,
-# stay in cache, and the allocator reuses their memory for the next block
-# instead of returning it to the system and faulting it back in; of 4,096
-# to 65,536 rows, 8,192 ran the accuracy experiment fastest
+# rows that every bulk loop (the block driver of the three bulk assigners,
+# the experiments' draws and tallies) handles at once. A block's arrays,
+# 192 KiB per (3, rows) float array and about 2 MiB for the oracle's
+# (candidates, rows) distances, stay in cache, and the allocator reuses
+# their memory for the next block instead of returning it to the system and
+# faulting it back in; of 4,096 to 65,536 rows, 8,192 ran the accuracy
+# experiment fastest
 _CHUNK = 1 << 13
 
 
@@ -197,6 +213,9 @@ class LatticeSpec:
         # covers the rest, for both tests.
         tol = (2.0 ** -52 * (max(map(abs, sink)) + 4.0 * MAX_STEPS * step) / min(scale)
                * max(1.0, sum(weight)))
+        if tol > MAX_TOL:
+            raise ValueError(f"the lattice step ({step:.6g} m) is too fine for the floats at "
+                             f"the sink: its tie tolerance ({tol:.3g}) must be at most 2^-20")
         object.__setattr__(self, "rule", _Rule(
             sink, scale, tuple(s * p for s, p in zip(scale, period)), period, weight,
             0.5 * (weight[0] + weight[1] + weight[2]), _INVERSES[shape], MAX_STEPS * step, tol))
@@ -227,16 +246,20 @@ def cell_center(spec: LatticeSpec, cid) -> np.ndarray:
     return np.array(_center(spec, as_cell_id(cid)))
 
 
-def _fractional_ids(spec: LatticeSpec, rel: np.ndarray) -> np.ndarray:
-    """Real-valued basis ids M^-1 (rel / scale) solving the center equations
-    for the columns of ``rel`` (3, n), which is divided by scale in place,
-    as a new (3, n) array. Each row of M^-1 holds at most two nonzero binary
-    fractions, so each id is one rounding of its exact value, whatever the
-    order of the sums."""
+def _nearest_int(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """The nearest-integer rule, a scorer of ``_blocks``: the real-valued
+    basis ids M^-1 (rel / scale) that solve the center equations for the
+    columns of ``rel`` (3, rows), each rounded to the nearest integer,
+    halves away from zero, as a new (3, rows) float array. ``rel`` is
+    divided by scale in place; the rows ``p`` are not read. Each row of
+    M^-1 holds at most two nonzero binary fractions, so each real id is one
+    rounding of its exact value, whatever the order of the sums."""
     import numpy as np
 
     rel /= np.array(spec.rule.scale)[:, None]
-    return np.array(spec.rule.inverse) @ rel
+    ids = np.array(spec.rule.inverse) @ rel
+    ids += np.copysign(0.5, ids)
+    return np.trunc(ids, out=ids)
 
 
 def _decode(spec: LatticeSpec, rel: np.ndarray):
@@ -276,26 +299,54 @@ def _decode(spec: LatticeSpec, rel: np.ndarray):
     return np.array(inverse) @ near, tie
 
 
-def _check_points(points) -> np.ndarray:
-    import numpy as np
-
-    pts = np.asarray(points, dtype=float)
-    pts = np.atleast_2d(pts)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
-    return pts
-
-
 def _reach_error(spec: LatticeSpec) -> ValueError:
     return ValueError(
         f"point coordinates must be finite and within {MAX_STEPS} lattice steps "
         f"({spec.rule.reach:.6g} m) of the sink along each axis")
 
 
-def _check_reach(spec: LatticeSpec, rel: np.ndarray) -> None:
-    """Reject offsets from the sink that are not finite or exceed MAX_STEPS."""
-    if not abs(rel).max(initial=0.0) <= spec.rule.reach:
-        raise _reach_error(spec)
+def _blocks(spec: LatticeSpec, points, score) -> np.ndarray:
+    """Public ids of the rows of ``points`` as an (n, 3) int64 array, from
+    the scorer ``score``, ``_CHUNK`` rows at a time.
+
+    The points are read as floats and must have shape (n, 3). Each block's
+    p - sink, formed as (3, rows) columns in one buffer and checked to be
+    within the domain, goes with the block's rows p to
+    ``score(spec, p, rel)``, which returns their basis ids as (3, rows)
+    columns and may overwrite ``rel``. They are stored as the block's int64
+    rows, and on HP become public ids there, u + floor(v / 2).
+    """
+    import numpy as np
+
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
+    out = np.empty((len(pts), 3), dtype=np.int64)
+    sink = np.array(spec.sink)[:, None]
+    buf = np.empty((3, min(len(pts), _CHUNK)))
+    for start in range(0, len(pts), _CHUNK):
+        p = pts[start:start + _CHUNK]
+        rel = np.subtract(p.T, sink, out=buf[:, :len(p)])
+        # offsets from the sink that are not finite or exceed MAX_STEPS steps
+        if not abs(rel).max(initial=0.0) <= spec.rule.reach:
+            raise _reach_error(spec)
+        ids = out[start:start + _CHUNK]
+        # column by column: numpy's transposed copy of a block costs 3 times as much
+        for axis, column in enumerate(score(spec, p, rel)):
+            ids[:, axis] = column
+        if spec.shape is CellShape.HP:
+            ids[:, 0] += ids[:, 1] >> 1
+    return out
+
+
+def _decoded(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """``assign_cells``' scorer: the basis ids of ``_decode``, the columns
+    it flags as ties taken from the oracle."""
+    ids, tie = _decode(spec, rel)
+    if tie.any():
+        # rel[:, tie] is a copy, so the oracle may overwrite it
+        ids[:, tie] = _oracle(spec, p[tie], rel[:, tie])
+    return ids
 
 
 def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
@@ -307,22 +358,7 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     only points within a rounding tolerance of such a tie are settled by
     the exhaustive search.
     """
-    import numpy as np
-
-    pts = _check_points(points)
-    ids = np.empty((len(pts), 3), dtype=np.int64)
-    sink = np.array(spec.sink)[:, None]
-    buf = np.empty((3, min(len(pts), _CHUNK)))
-    for start in range(0, len(pts), _CHUNK):
-        chunk = pts[start:start + _CHUNK]
-        rel = np.subtract(chunk.T, sink, out=buf[:, :len(chunk)])
-        _check_reach(spec, rel)
-        block, tie = _decode(spec, rel)
-        out = ids[start:start + _CHUNK]
-        out[...] = block.T
-        if tie.any():
-            out[tie] = _oracle(spec, chunk[tie])
-    return to_public_ids(spec.shape, ids)
+    return _blocks(spec, points, _decoded)
 
 
 _PLAIN = (float, int)
@@ -387,7 +423,7 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
     if tie or ax >= 0.5 * px - tol or ay >= 0.5 * py - tol or az >= 0.5 * pz - tol:
         import numpy as np
 
-        u, v, w = _oracle(spec, np.array([xyz]))[0].tolist()
+        u, v, w = _oracle(spec, np.array([xyz]), np.array([[rx], [ry], [rz]]))[:, 0].tolist()
     else:
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = inverse
         u = int(m00 * nx + m01 * ny + m02 * nz)
@@ -398,28 +434,17 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
     return _cell_id((u, v, w))
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    """``x`` rounded in place to the nearest integers, halves away from zero."""
-    import numpy as np
-
-    x += np.copysign(0.5, x)
-    return np.trunc(x, out=x)
-
-
 def assign_cells_nearest_int(spec: LatticeSpec, points) -> np.ndarray:
     """Nearest-integer shortcut (TO only): round u, v, w independently.
 
     Halves round away from zero. Kept as the documented approximation; it
     misassigns 3/8 of uniformly random points, so callers wanting the true
-    cell should use ``assign_cells``.
+    cell should use ``assign_cells``. Like the other bulk paths it works a
+    block of ``_CHUNK`` rows at a time, so beside its (n, 3) result it
+    holds only one block's arrays.
     """
     _check_to(spec)
-    import numpy as np
-
-    pts = _check_points(points)
-    rel = np.subtract(pts.T, np.array(spec.sink)[:, None], out=np.empty((3, len(pts))))
-    _check_reach(spec, rel)
-    return np.ascontiguousarray(_round_half_away(_fractional_ids(spec, rel)).T, dtype=np.int64)
+    return _blocks(spec, points, _nearest_int)
 
 
 def _check_to(spec: LatticeSpec) -> None:
@@ -434,7 +459,7 @@ def assign_cell_nearest_int(spec: LatticeSpec, p) -> CellId:
 
     TO's rows of M^-1 hold at most two nonzero binary fractions, so each
     real id f is one rounding of its exact value in any order of the sums,
-    and halves go away from zero as in ``_round_half_away``, not to even as
+    and halves go away from zero as in ``_nearest_int``, not to even as
     with ``round``.
     """
     xyz = _coords(p)
@@ -482,7 +507,7 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     """
     if not 2 <= window <= MAX_WINDOW:
         raise ValueError(f"oracle window must be between 2 and {MAX_WINDOW}")
-    return to_public_ids(spec.shape, _oracle(spec, _check_points(points), window))
+    return _blocks(spec, points, partial(_oracle, window=window))
 
 
 class _OracleTable(NamedTuple):
@@ -556,66 +581,60 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     return table
 
 
-def _oracle(spec: LatticeSpec, pts: np.ndarray, window: int = 3) -> np.ndarray:
-    """Basis ids of ``assign_cells_oracle`` for the rows of ``pts`` (n, 3),
-    each checked to be within the domain: in each block, the float filter
-    over the spec's candidate table, then the exact re-score of the rows it
-    flags. A block works in columns, (3, rows) arrays, from p - sink to the
-    winner's ids."""
+def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, window: int = 3) -> np.ndarray:
+    """The oracle, a scorer of ``_blocks``: basis ids of
+    ``assign_cells_oracle`` for the rows ``p`` (rows, 3), given their
+    p - sink columns ``rel`` (3, rows), which it overwrites, as (3, rows)
+    int64 columns. The float filter over the spec's candidate table, then
+    the exact re-score of the rows it flags; ``assign_cell`` calls it on
+    its one row."""
     import numpy as np
 
     offs, doff, doff2, tol, index = _oracle_table(spec, window)
     basis, scale = lattice_basis(spec.shape, spec.circumradius)
-    scale, sink = scale[:, None], np.array(spec.sink)[:, None]
-    out = np.empty((len(pts), 3), dtype=np.int64)
-    for i in range(0, len(pts), _CHUNK):
-        p, ids = pts[i:i + _CHUNK], out[i:i + _CHUNK]
-        rel = np.subtract(p.T, sink, out=np.empty((3, len(p))))
-        _check_reach(spec, rel)
-        base = _round_half_away(_fractional_ids(spec, rel))
-        base += 0.0  # -0.0 becomes 0.0, the float of the integer id
-        # q = p - center(base), the center computed as cell_centers does:
-        # sink + (M base) scale, M base being exact; in rel's memory
-        q = np.matmul(basis, base, out=rel)
-        q *= scale
-        q += sink
-        np.subtract(p.T, q, out=q)
-        base = base.astype(np.int64)
-        d2 = doff @ q
-        d2 += (q * q).sum(axis=0)
-        d2 += doff2
-        # every (k, n) array is reduced over k row by row, as a running
-        # minimum, count or maximum, which reads memory in order
-        close = d2 <= d2.min(axis=0) + tol
-        # freed before the next arrays, which then reuse its memory: the
-        # block's peak stays low enough that the allocator keeps the memory
-        # for the next block rather than returning it and faulting it back
-        del d2
-        # the last close candidate, on an unflagged row the only one
-        last = np.multiply(close, index).max(axis=0).astype(np.intp)
-        for axis in range(3):
-            np.add(base[axis], offs[axis].take(last), out=ids[:, axis])
-        flagged = np.flatnonzero(close.sum(axis=0, dtype=np.int16) > 1)
-        if not len(flagged):
-            continue
-        # the flagged rows' close candidates, scored exactly: every float is
-        # m 2^e with an integer m of 53 bits, so the coordinates become
-        # Python ints in units of the smallest 2^e among them, and so do the
-        # squared distances
-        pair, k = np.nonzero(close[:, flagged].T)
-        cand = base.T[flagged[pair]] + offs.T[k]
-        pub = to_public_ids(spec.shape, cand)
-        m, e = np.frexp(np.vstack([p[flagged], cell_centers(spec, pub)]))
-        x = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - e.min()).astype(object)
-        diff = x[pair] - x[len(flagged):]
-        d2 = (diff * diff).sum(axis=1)
-        # the nearest center wins, and among exactly equidistant ones the
-        # smallest public id; pair runs over every flagged row in order
-        rows = np.arange(len(flagged))
-        win = np.flatnonzero(d2 == np.minimum.reduceat(d2, np.searchsorted(pair, rows))[pair])
-        win = win[np.lexsort((*pub[win].T[::-1], pair[win]))]
-        ids[flagged] = cand[win[np.searchsorted(pair[win], rows)]]
-    return out
+    base = _nearest_int(spec, p, rel)
+    base += 0.0  # -0.0 becomes 0.0, the float of the integer id
+    # q = p - center(base), the center computed as cell_centers does:
+    # sink + (M base) scale, M base being exact; in rel's memory
+    q = np.matmul(basis, base, out=rel)
+    q *= scale[:, None]
+    q += np.array(spec.sink)[:, None]
+    np.subtract(p.T, q, out=q)
+    base = base.astype(np.int64)
+    d2 = doff @ q
+    d2 += (q * q).sum(axis=0)
+    d2 += doff2
+    # every (k, n) array is reduced over k row by row, as a running
+    # minimum, count or maximum, which reads memory in order
+    close = d2 <= d2.min(axis=0) + tol
+    # freed before the next arrays, which then reuse its memory: the
+    # block's peak stays low enough that the allocator keeps the memory
+    # for the next block rather than returning it and faulting it back
+    del d2
+    # the last close candidate, on an unflagged row the only one
+    ids = offs.take(np.multiply(close, index).max(axis=0).astype(np.intp), axis=1)
+    ids += base
+    flagged = np.flatnonzero(close.sum(axis=0, dtype=np.int16) > 1)
+    if not len(flagged):
+        return ids
+    # the flagged rows' close candidates, scored exactly: every float is
+    # m 2^e with an integer m of 53 bits, so the coordinates become
+    # Python ints in units of the smallest 2^e among them, and so do the
+    # squared distances
+    pair, k = np.nonzero(close[:, flagged].T)
+    cand = base.T[flagged[pair]] + offs.T[k]
+    pub = to_public_ids(spec.shape, cand)
+    m, e = np.frexp(np.vstack([p[flagged], cell_centers(spec, pub)]))
+    x = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - e.min()).astype(object)
+    diff = x[pair] - x[len(flagged):]
+    d2 = (diff * diff).sum(axis=1)
+    # the nearest center wins, and among exactly equidistant ones the
+    # smallest public id; pair runs over every flagged row in order
+    rows = np.arange(len(flagged))
+    win = np.flatnonzero(d2 == np.minimum.reduceat(d2, np.searchsorted(pair, rows))[pair])
+    win = win[np.lexsort((*pub[win].T[::-1], pair[win]))]
+    ids[:, flagged] = cand[win[np.searchsorted(pair[win], rows)]].T
+    return ids
 
 
 def assign_cell_oracle(spec: LatticeSpec, p, window: int = 3) -> CellId:

@@ -22,11 +22,12 @@ randomness flows through numpy's default PCG64 generator seeded from the
 experiment config, so identical seeds reproduce identical results.
 
 Both experiments stream: they draw, assign and tally ``lattice._CHUNK``
-points at a time, the 8,192-row block that the decoder and the oracle also
-work in, and never hold an (n, 3) array, so their peak memory does not grow
-with n, and a block's arrays stay in cache. PCG64 gives the same doubles in
-one call or in many, so the blocks are the rows of the one whole-array
-draw, and the results do not depend on the block size. The accuracy
+points at a time, the 8,192-row block of the lattice's one block driver,
+through which all three bulk assigners run, and never hold an (n, 3)
+array, so their peak memory does not grow with n, and a block's arrays
+stay in cache. PCG64 gives the same doubles in one call or in many, so the
+blocks are the rows of the one whole-array draw, and the results do not
+depend on the block size. The accuracy
 experiment adds each block's correct rows to two integer counters; the
 oracle's id of a point does not depend on the other points of its call.
 Both draw every block into one reused buffer. The lifetime simulation

@@ -233,6 +233,27 @@ def test_criterion_8_lifetime_ratios():
     assert report(8, "simulated lifetime ratios", ok, measured), measured
 
 
+def test_hp_lifetime_ratio():
+    # criterion 8's box, node count, seeds and 10 % tolerance for the shape
+    # it leaves out: the simulated HP/TO lifetime against REFERENCE_LIFETIME
+    side = 1.5
+    lo = np.array([0.0317, -0.7411, 0.2293]) - side / 2
+    box = Box(lo=lo, hi=lo + side)
+    from topocell.planner import cell_volume_coeff
+    n = round(1500 * box.volume / cell_volume_coeff(CellShape.TO))
+    ratios = []
+    for seed in range(10):
+        cfg = DeploymentConfig(box=box, node_count=n, seed=seed)
+        hp, to = (lifetime_simulation(LatticeSpec(shape, 1.0), cfg, battery_capacity=8.0,
+                                      k=1).network_lifetime
+                  for shape in (CellShape.HP, CellShape.TO))
+        ratios.append(hp / to)
+    mean = float(np.mean(ratios))
+    ref = REFERENCE_LIFETIME[CellShape.HP].value
+    print(f"hp/to lifetime ratio {mean:.4f}, reference {ref}")
+    assert abs(mean - ref) <= 0.1 * ref
+
+
 def test_criterion_9_routing_delivery():
     t0 = time.time()
     spec = LatticeSpec(CellShape.TO, 1.0)

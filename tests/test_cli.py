@@ -143,6 +143,19 @@ class TestAssign:
         assert out == ""
         assert err.startswith("error: the lattice step") and "2^500 m" in err
 
+    @pytest.mark.parametrize("shape", ["cb", "hp", "rd", "to"])
+    @pytest.mark.parametrize("rt", ["1e-5", "1e-8", "1e-10"])
+    def test_spec_too_fine_for_its_sink_is_invalid_parameter(self, shape, rt, capsys):
+        # at a sink of (1e8, 1e8, -1e8), whose floats are 1.5e-8 m apart,
+        # steps of about 2e-6 m and below leave ids to the tie search or to
+        # the oracle's window
+        code = main(["assign", "--shape", shape, "--rt", rt, "--sink=1e8,1e8,-1e8",
+                     "--point", "1e8,1e8,-1e8"])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the lattice step") and "2^-20" in err
+
     @pytest.mark.parametrize("method", ["exact", "oracle", "nearest_int"])
     @pytest.mark.parametrize("point,message", [
         ("nan,0,0", "point coordinates must be finite"),

@@ -3,6 +3,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from topocell.geometry import (
 from topocell.lattice import (
     MAX_MAGNITUDE,
     MAX_STEPS,
+    MAX_TOL,
     MAX_WINDOW,
     CellId,
     LatticeSpec,
@@ -250,8 +252,8 @@ class TestAssignCell:
                          verts - 2 * np.spacing(verts), near])
         _, flagged = lattice._decode(spec, (pts - spec.sink).T.copy())
         sent = []
-        monkeypatch.setattr(lattice, "_oracle", lambda spec, rows: sent.append(rows[0].tolist())
-                            or np.zeros((1, 3), dtype=np.int64))
+        monkeypatch.setattr(lattice, "_oracle", lambda spec, rows, rel:
+                            sent.append(rows[0].tolist()) or np.zeros((3, 1), dtype=np.int64))
         for p in pts:
             assign_cell(spec, p)
         assert sent == pts[flagged].tolist()
@@ -463,26 +465,46 @@ class TestDomain:
                 assign(spec, np.zeros(shape))
 
 
-def accepts(shape, r_t, sink=(0.0, 0.0, 0.0)):
-    """Whether ``LatticeSpec`` takes the spec; a refusal must name the bounds."""
+# the words a refusal by each bound of ``LatticeSpec`` must contain
+MAGNITUDE = ("2^-500 m", "2^500 m")
+TIE_BOUND = ("2^-20",)
+
+
+def accepts(shape, r_t, sink=(0.0, 0.0, 0.0), bounds=MAGNITUDE):
+    """Whether ``LatticeSpec`` takes the spec; a refusal must name ``bounds``."""
     try:
         LatticeSpec(shape, r_t, sink=sink)
     except ValueError as exc:
-        assert "2^-500 m" in str(exc) and "2^500 m" in str(exc)
+        assert all(bound in str(exc) for bound in bounds), str(exc)
         return False
     return True
 
 
-def edge_rt(shape, step, toward):
+def walk_edge(accepted, x, toward):
+    """The accepted float next to a refused one on the side of ``toward``,
+    found by walking at most 64 floats from ``x``."""
+    away = math.copysign(math.inf, x - toward)
+    for _ in range(64):
+        inside = accepted(x)
+        if inside and not accepted(math.nextafter(x, toward)):
+            return x
+        x = math.nextafter(x, toward if inside else away)
+    raise AssertionError(f"no edge of the domain near {x!r}")
+
+
+def edge_rt(shape, step, toward, sink=(0.0, 0.0, 0.0), bounds=MAGNITUDE):
     """The accepted r_t next to a refused one on the side of ``toward`` (inf
     or 0), within a few floats of the r_t whose lattice step is ``step``."""
-    r_t = step / LatticeSpec(shape, 1.0).step
-    for _ in range(64):
-        inside = accepts(shape, r_t)
-        if inside and not accepts(shape, math.nextafter(r_t, toward)):
-            return r_t
-        r_t = math.nextafter(r_t, toward if inside else 1.0)
-    raise AssertionError(f"no edge of the domain near r_t = {r_t!r}")
+    return walk_edge(lambda r_t: accepts(shape, r_t, sink, bounds),
+                     step / LatticeSpec(shape, 1.0).step, toward)
+
+
+def finest_step(shape, far):
+    """The lattice step whose tie tolerance is MAX_TOL at |sink|inf = ``far``:
+    tol is 2^-52 (far + 4 MAX_STEPS step) K / step for a constant K of the
+    shape, which the spec at the origin sink gives."""
+    tol = LatticeSpec(shape, 1.0).rule.tol
+    return 2.0 ** -21 * far * tol / (MAX_TOL - tol)
 
 
 # the largest and the smallest accepted r_t: the step and the r_t to walk to
@@ -492,8 +514,9 @@ EDGES = pytest.mark.parametrize("step,toward", [(MAX_MAGNITUDE / MAX_STEPS, math
 
 
 class TestMagnitudes:
-    # a spec's lattice step must be at least 2^-500 m, and its largest sink
-    # coordinate plus MAX_STEPS steps at most MAX_MAGNITUDE = 2^500 m
+    # a spec's lattice step must be at least 2^-500 m, its largest sink
+    # coordinate plus MAX_STEPS steps at most MAX_MAGNITUDE = 2^500 m, and
+    # its tie tolerance at most MAX_TOL = 2^-20
 
     @pytest.mark.parametrize("shape", SHAPES)
     @EDGES
@@ -507,15 +530,61 @@ class TestMagnitudes:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_sink_just_inside_and_outside(self, shape):
-        # at r_t = 1 the reach of about 1e5 m is far below the ulp of 2^500
+        # A sink just below 2^500 m takes the finest step the tie bound
+        # allows there, about 2^-32 of |sink|, and no finer one. At twice
+        # that step the largest sink along each axis is the one whose
+        # |sink|inf + MAX_STEPS steps is within 2^500 m. At r_t = 1 a sink of
+        # 2^500 m, where floats are 2^448 m apart, is refused.
+        far = MAX_MAGNITUDE * (1.0 - 2.0 ** -8)
         for axis in range(3):
             for sign in (1.0, -1.0):
                 sink = [0.0, 0.0, 0.0]
+                sink[axis] = sign * far
+                r_t = edge_rt(shape, finest_step(shape, far), 0.0, sink, TIE_BOUND)
+                assert LatticeSpec(shape, r_t, sink=sink).rule.tol <= MAX_TOL
+                reach = LatticeSpec(shape, 2.0 * r_t).rule.reach
+
+                def takes(s):
+                    sink[axis] = s
+                    return accepts(shape, 2.0 * r_t, sink)
+
+                edge = walk_edge(takes, sign * (MAX_MAGNITUDE - reach), sign * math.inf)
+                assert abs(edge) + reach <= MAX_MAGNITUDE
                 sink[axis] = sign * MAX_MAGNITUDE
-                assert accepts(shape, 1.0, sink)
-                sink[axis] = sign * math.nextafter(MAX_MAGNITUDE, math.inf)
-                assert not accepts(shape, 1.0, sink)
+                assert not accepts(shape, 1.0, sink, TIE_BOUND)
         assert not accepts(shape, 1e306, (-1.7e308, 0.0, 0.0))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("r_t", [1e-5, 1e-8, 1e-10])
+    def test_step_below_float_resolution_is_refused(self, shape, r_t):
+        # at a sink of (1e8, 1e8, -1e8), where floats are 1.5e-8 m apart,
+        # the decoder flagged 5 to 15 % of points at r_t 1e-5, and at 1e-8
+        # and below ids depended on the oracle's window
+        with pytest.raises(ValueError, match=r"tie tolerance .* at most 2\^-20"):
+            LatticeSpec(shape, r_t, sink=(1e8, 1e8, -1e8))
+        assert accepts(shape, 1.0, (1e8, 1e8, -1e8))
+        assert accepts(shape, 0.1, (4.2e6, 1.2e6, 4.7e6))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_finest_step_at_far_sink_matches_the_oracle(self, shape):
+        # the finest step the tie bound allows at a sink of (1e8, 1e8, -1e8):
+        # oracle windows 2 and 8 agree, and so do assign_cells and
+        # assign_cell, on random points, a 3^3 block's vertices and those
+        # vertices moved by 2 ulps
+        sink = (1e8, 1e8, -1e8)
+        spec = LatticeSpec(shape, edge_rt(shape, finest_step(shape, 1e8), 0.0, sink, TIE_BOUND),
+                           sink=sink)
+        assert spec.rule.tol > MAX_TOL / 2
+        verts = np.vstack([build_polyhedron(shape, c, spec.circumradius).vertices
+                           for c in cell_centers(spec, id_grid(1))])
+        rng = np.random.default_rng(31)
+        pts = np.vstack([spec.sink + rng.uniform(-5.0, 5.0, (3000, 3)) * spec.circumradius, verts,
+                         np.nextafter(np.nextafter(verts, np.inf), np.inf),
+                         np.nextafter(np.nextafter(verts, -np.inf), -np.inf)])
+        want = assign_cells_oracle(spec, pts, window=2)
+        assert (assign_cells_oracle(spec, pts, window=MAX_WINDOW) == want).all()
+        assert (assign_cells(spec, pts) == want).all()
+        assert [assign_cell(spec, p) for p in pts] == list(map(tuple, want.tolist()))
 
     @pytest.mark.parametrize("shape", SHAPES)
     @EDGES
@@ -814,6 +883,25 @@ class TestBlockSize:
                 assert (method(spec, p) == want).all(), method.__name__
 
 
+class TestBulkMemory:
+    def test_peak_is_the_result_and_one_block(self):
+        # the three bulk paths form p - sink, score and convert one block at
+        # a time: on 1e6 points they hold little beyond their 22.9 MiB result
+        spec = LatticeSpec(CellShape.TO, 1.0)
+        pts = np.random.default_rng(37).uniform(-20.0, 20.0, (1_000_000, 3))
+        for method in (assign_cells_nearest_int, assign_cells, assign_cells_oracle):
+            tracemalloc.start()
+            try:
+                ids = method(spec, pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print(f"{method.__name__}: tracemalloc peak {peak / 2 ** 20:.1f} MiB, "
+                  f"result {ids.nbytes / 2 ** 20:.1f} MiB")
+            assert peak <= ids.nbytes + 4 * 2 ** 20, method.__name__
+            del ids
+
+
 class TestNeighbors:
     def test_to_reference_list(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
@@ -1035,25 +1123,34 @@ class TestSpecValidation:
         # the rule, derived from M and the exact metric in Python numbers,
         # equals bit for bit its derivation from the arrays of lattice_basis
         # and coset_period with np.linalg.inv, on fixed and random specs; the
-        # squared scale ratios are integers, which the weights hold exactly
+        # squared scale ratios are integers, which the weights hold exactly.
+        # The random specs whose tolerance so derived exceeds MAX_TOL are
+        # refused, naming that bound
         rng = np.random.default_rng(29)
         sinks = rng.uniform(-1.0, 1.0, (200, 3)) * 10.0 ** rng.uniform(-3.0, 9.0, (200, 1))
         specs = [(0.1, (4.2e6, 1.2e6, 4.7e6)), (1.0, (1e8, 1e8, -1e8)), *RANDOM_SPECS,
                  *zip(10.0 ** rng.uniform(-3.0, 4.0, 200), map(tuple, sinks))]
+        refused = 0
         for r_t, sink in specs:
-            spec = LatticeSpec(shape, r_t, sink=sink)
-            basis, scale = lattice_basis(shape, spec.circumradius)
+            R = max_cell_radius(shape, r_t)
+            basis, scale = lattice_basis(shape, R)
             period = coset_period(shape)
             weight = (period == 2) * np.round((scale / scale[0]) ** 2)
-            reach = MAX_STEPS * cell_spacing(shape, spec.circumradius)[0]
+            reach = MAX_STEPS * cell_spacing(shape, R)[0]
             tol = (2.0 ** -52 * (np.abs(sink).max() + 4.0 * reach) / scale.min()
                    * max(1.0, weight.sum()))
+            if tol > MAX_TOL:
+                assert not accepts(shape, r_t, sink, TIE_BOUND)
+                refused += 1
+                continue
+            spec = LatticeSpec(shape, r_t, sink=sink)
             want = lattice._Rule(
                 tuple(as_point(sink).tolist()), tuple(scale.tolist()),
                 tuple((scale * period).tolist()), tuple(period.astype(int).tolist()),
                 tuple(weight.tolist()), 0.5 * float(weight.sum()),
                 tuple(map(tuple, np.linalg.inv(basis).tolist())), reach, float(tol))
             assert repr(spec.rule) == repr(want)
+        assert 0 < refused < len(specs) / 4
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_circumradius(self, shape):

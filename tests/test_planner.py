@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +100,35 @@ class TestRatios:
             assert to.max_radius_coeff > rep.max_radius_coeff
             assert to.min_sensing_coeff > rep.min_sensing_coeff
             assert to.cell_volume_coeff > rep.cell_volume_coeff
+
+
+class TestPaperAbstract:
+    # Every number in PAPER.md's abstract, and the reference entry that holds
+    # it. The abstract names its active-node ratios for "cube, hexagonal prism
+    # and rhombic dodecahedron" as 2.372239, 1.82615 and 1.49468; this repo's
+    # geometry gives HP 1.4947 and RD 1.8262, so the two sit the other way
+    # round (README, Deviations from the paper)
+    HOLDERS = {
+        "0.542326": [(REFERENCE_SENSING, CellShape.TO)],
+        "0.5": [(REFERENCE_SENSING, CellShape.CB), (REFERENCE_SENSING, CellShape.RD)],
+        "0.53452": [(REFERENCE_SENSING, CellShape.HP)],
+        "2.372239": [(REFERENCE_ACTIVE_RATIO, CellShape.CB)],
+        "1.82615": [(REFERENCE_ACTIVE_RATIO, CellShape.RD)],
+        "1.49468": [(REFERENCE_ACTIVE_RATIO, CellShape.HP)],
+    }
+
+    def test_every_number_is_a_reference_entry(self):
+        text = (Path(__file__).resolve().parents[1] / "PAPER.md").read_text()
+        numbers = re.findall(r"\d+\.\d+", text)
+        assert sorted(numbers) == sorted(["0.542326", "0.5", "0.53452", "0.5", "2.372239",
+                                          "1.82615", "1.49468"])
+        assert set(numbers) == set(self.HOLDERS)
+        for number, holders in self.HOLDERS.items():
+            for table, shape in holders:
+                assert table[shape].value == float(number), (number, shape)
+        # the lifetime references are the inverse ratios, on the same shapes
+        assert REFERENCE_LIFETIME[CellShape.RD].value == round(1 / 1.82615, 4)
+        assert REFERENCE_LIFETIME[CellShape.HP].value == round(1 / 1.49468, 3)
 
 
 class TestReferenceGates:

@@ -411,15 +411,19 @@ class TestFirst:
 
 
 class TestActiveCount:
-    def test_estimate_off_by_many_steps(self, monkeypatch):
-        # With the sink at x = 1e17, centers there are 16 m apart in float
-        # and the CB step is 0.29 m, so the per-axis estimate misses the
-        # first and the last counted id by dozens of steps and _first
-        # bisects to them; the count still equals that of the centers
-        # cell_centers computes, over ids that cover the box with room to
-        # spare, all well within the domain
-        spec = LatticeSpec(CellShape.CB, 1.0, sink=(1e17, 0.0, 0.0))
-        box = Box(lo=(1e17, -0.2, -0.2), hi=(1e17 + 300, 0.2, 0.2))
+    def test_estimate_at_the_finest_step_of_a_far_sink(self, monkeypatch):
+        # A CB step of 0.29 m at a sink of x = 1e17 m, where centers are 16 m
+        # apart in float, is refused. At x = 1e8 m with about the finest step
+        # that the tie bound allows there, 2.35 cm, the per-axis estimates
+        # miss the first and the last counted id by at most one, and the
+        # count equals that of the centers cell_centers computes, over ids
+        # that cover the box with room to spare; a box face passes through
+        # the centers of row 0
+        with pytest.raises(ValueError, match=r"2\^-20"):
+            LatticeSpec(CellShape.CB, 1.0, sink=(1e17, 0.0, 0.0))
+        spec = LatticeSpec(CellShape.CB, 0.0815, sink=(1e8, 0.0, 0.0))
+        assert spec.rule.tol > 0.9 * lattice.MAX_TOL
+        box = Box(lo=(1e8, -0.03, -0.03), hi=(1e8 + 7.0, 0.03, 0.03))
         misses, first = [], simulator._first
 
         def spy(pred, k):
@@ -428,13 +432,13 @@ class TestActiveCount:
             return j
 
         monkeypatch.setattr(simulator, "_first", spy)
-        ks = np.arange(-3000, 4000)
-        ids = np.stack(np.meshgrid(ks, [-1, 0, 1], [-1, 0, 1], indexing="ij"),
+        ks = np.arange(-100, 400)
+        ids = np.stack(np.meshgrid(ks, [-2, -1, 0, 1, 2], [-2, -1, 0, 1, 2], indexing="ij"),
                        axis=-1).reshape(-1, 3)
         inside = box.contains(cell_centers(spec, ids))
-        assert ks[0] < ids[inside, 0].min() and ids[inside, 0].max() < ks[-1]
-        assert active_count(spec, box) == inside.sum() == 1108
-        assert max(misses) > 1
+        assert ks[0] < ids[inside, 0].min() == 0 and ids[inside, 0].max() < ks[-1]
+        assert active_count(spec, box) == inside.sum() == 2682
+        assert misses and max(misses) <= 1
 
     def test_box_beyond_the_domain_is_refused(self):
         # ids of a box at x = 1e17 m around the origin sink are near 3.5e17,
