@@ -34,14 +34,21 @@ along every axis of period 2 (``coset_period``):
 Public ids are the paper's offset ids (u, v, w), equal to the basis ids
 except on HP, whose odd rows sit half a step further along x: its centers
 are at (sqrt(3)*a*(u + (v mod 2)/2), 1.5*a*v, h*w), and its basis ids are
-the axial ids (u - floor(v/2), v, w). They are converted in seven places:
-arrays of ids by ``to_basis_ids`` and ``to_public_ids``; each block of the
-bulk assigners by ``lattice._blocks``, with ``u += v >> 1``; one id each by
-``_bisector`` (a face neighbor's basis id), by ``lattice._center`` (one
-cell's center) and by ``lattice.assign_cell``, which turns its basis id
-into a public id with ``u += v >> 1``; and neighbor steps by
-``lattice._NEIGHBOR_STEPS``, a table of the steps from HP's odd rows, so
-that ``neighbors`` and routing step in public ids.
+the axial ids (u - floor(v/2), v, w). They are converted in eight places,
+listed here and nowhere else:
+
+* arrays of ids by ``to_basis_ids`` (for ``lattice.cell_centers``) and
+  ``to_public_ids`` (the oracle's candidates for its exact re-score), both
+  on one copy of the ids;
+* each block of the bulk assigners by ``lattice._blocks``, whose scorers
+  work in basis ids, with ``u += v >> 1``;
+* one id each by ``_bisector`` (a face neighbor's basis id), by
+  ``lattice._center`` (one cell's center), by ``lattice.assign_cell``,
+  which turns its basis id into a public id with ``u += v >> 1``, and by
+  ``lattice._settle``, whose tie-break orders its tied candidates by public
+  id, u + floor(v/2);
+* neighbor steps by ``lattice._NEIGHBOR_STEPS``, a table of the steps from
+  HP's odd rows, so that ``neighbors`` and routing step in public ids.
 
 Each cell is the Voronoi cell of its lattice (Conway & Sloane, IEEE Trans.
 IT 32(1), 1986): its faces are the bisectors between its center and its
@@ -270,24 +277,24 @@ def lattice_basis(shape: CellShape, circumradius: float) -> tuple[np.ndarray, np
 
 def to_basis_ids(shape: CellShape, ids) -> np.ndarray:
     """Basis ids of the public ids ``ids`` (integers, shape (..., 3))."""
-    import numpy as np
-
-    ids = np.asarray(ids, dtype=np.int64)
-    if _as_shape(shape) is CellShape.HP:
-        # the axial id alpha = u - floor(v/2) undoes the half-step shift of
-        # odd rows
-        return ids - (ids[..., 1:2] >> 1) * (1, 0, 0)
-    return ids
+    return _half_steps(shape, ids, -1)
 
 
 def to_public_ids(shape: CellShape, ids) -> np.ndarray:
     """Public ids of the basis ids ``ids``, the inverse of ``to_basis_ids``."""
+    return _half_steps(shape, ids, 1)
+
+
+def _half_steps(shape: CellShape, ids, sign: int) -> np.ndarray:
+    """``ids`` as int64, with sign * floor(v / 2) added to u on HP, in one
+    copy: the axial id alpha = u - floor(v/2) undoes the half-step shift of
+    odd rows."""
     import numpy as np
 
-    ids = np.asarray(ids, dtype=np.int64)
     if _as_shape(shape) is CellShape.HP:
-        return ids + (ids[..., 1:2] >> 1) * (1, 0, 0)
-    return ids
+        ids = np.array(ids, dtype=np.int64)
+        ids[..., 0] += sign * (ids[..., 1] >> 1)
+    return np.asarray(ids, dtype=np.int64)
 
 
 def center_offsets(shape: CellShape, circumradius: float, ids) -> np.ndarray:

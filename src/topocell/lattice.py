@@ -4,19 +4,12 @@ Every cell is named by an integer triple (u, v, w), its public offset id.
 Cell centers are anchored at the information sink: center = sink +
 center_offsets(shape, R, (u, v, w)) with R = max_cell_radius(shape, r_t).
 ``LatticeSpec`` holds the sink as a tuple of three Python floats, and a
-spec, its rule and the per-cell paths (``assign_cell`` off ties,
+spec, its rule and the per-cell paths (``assign_cell``,
 ``assign_cell_nearest_int``, one cell's center and ``neighbors``) need no
 numpy; the array paths, the oracle among them, import it when called.
 The geometry module owns each lattice's generator basis. Public and basis
-ids differ only on HP, and are converted in seven places: arrays by
-geometry's pair ``to_basis_ids`` (through ``cell_centers``) and
-``to_public_ids`` (the oracle's candidates for its exact re-score); each
-block of the bulk paths by ``_blocks``, whose scorers work in basis ids,
-with ``u += v >> 1``; one id each by ``geometry._bisector`` (a face
-neighbor's basis id), by ``_center`` (one cell's center) and by
-``assign_cell``'s ``u += v >> 1``; and neighbor steps by
-``_NEIGHBOR_STEPS``, whose odd-row table lets ``neighbors`` and routing
-step in public ids. The public functions take and return public ids.
+ids differ only on HP; the geometry module's docstring lists the places
+that convert them. The public functions take and return public ids.
 
 A sensor at point p finds its cell without search. The four tessellations
 are the Voronoi cells of four classical lattices: CB is Z^3, RD the
@@ -45,10 +38,15 @@ Every point p gets the id whose center, as ``cell_centers`` computes it,
 is nearest to p in exact arithmetic; among exactly equidistant centers, on
 cell boundaries, it gets the smallest (u, v, w). The rule settles every
 point whose decision is more than ``rule.tol`` away from a tie, a bound on
-the rounding of p - sink and of the centers that grows with |sink|; the
-rare points within it go to ``assign_cells_oracle``, the brute-force search
-that is also the reference the decoder is tested against. The oracle
-shares nothing with the decoder. It enumerates an id window around the
+the rounding of p - sink and of the centers that grows with |sink|. Both
+decoders hand the rare points within it to one exact tie step,
+``_settle``: the coset rule again, keeping on each axis of each coset the
+two nearest coordinates instead of one, and scoring those at most 16
+candidates in exact integer arithmetic.
+
+``assign_cells_oracle``, the brute-force search, is the reference the
+decoders are tested against; no decoder calls it, and it shares nothing
+with them. It enumerates an id window around the
 rounded solution but scores only the candidates that can still win: the
 covering radius of each lattice is the cell circumradius R (every point
 lies within R of its nearest center), so the nearest center and every
@@ -70,7 +68,7 @@ that failure rate.
 The three bulk paths, ``assign_cells``, ``assign_cells_oracle`` and
 ``assign_cells_nearest_int``, share one block driver, ``_blocks``: it forms
 p - sink as (3, rows) columns ``_CHUNK`` rows at a time, checks the domain,
-hands the block to the path's scorer (``_decoded``, ``_oracle`` or
+hands the block to the path's scorer (``_decode``, ``_oracle`` or
 ``_nearest_int``), which returns basis ids, and stores them as public ids;
 it chooses no id itself. Points farther than ``MAX_STEPS`` lattice steps
 from the sink along any axis are rejected with ``ValueError``, and so are
@@ -81,6 +79,7 @@ underflow, and specs whose step the floats near the sink cannot resolve
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -116,9 +115,10 @@ MAX_STEPS = 2 ** 19
 MAX_MAGNITUDE = 2.0 ** 500
 # Supported resolution: a spec's tie tolerance ``rule.tol``, which grows as
 # the float spacing at the sink over the lattice step, is at most MAX_TOL.
-# The decoder flags about 3 to 6 tol of random points for the oracle, so at
-# most a few per million; a tol near 1 means the step is near that spacing,
-# where centers round onto each other and ids depend on the oracle's window
+# The decoder flags about 3 to 6 tol of random points for the exact tie
+# step, so at most a few per million; a tol near 1 means the step is near
+# that spacing, where centers round onto each other and ids depend on the
+# oracle's window
 MAX_TOL = 2.0 ** -20
 # largest oracle window: windows >= 2 all give the same ids, at (2w+1)^3 rows
 MAX_WINDOW = 8
@@ -151,7 +151,7 @@ class _Rule(NamedTuple):
     threshold: float
     inverse: tuple[tuple[float, float, float], ...]  # rows of M^-1
     reach: float  # MAX_STEPS * step
-    tol: float  # decisions this close to a tie go to the exhaustive search
+    tol: float  # decisions this close to a tie go to the exact tie step
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,12 +262,14 @@ def _nearest_int(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarra
     return np.trunc(ids, out=ids)
 
 
-def _decode(spec: LatticeSpec, rel: np.ndarray):
-    """Nearest centers to the columns of ``rel`` (3, n), points relative to the sink.
+def _decode(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """The decoder, ``assign_cells``' scorer of ``_blocks``: basis ids of the
+    nearest centers to the rows ``p`` (rows, 3), given their p - sink columns
+    ``rel`` (3, rows), as (3, rows) float columns of integers.
 
-    Returns their basis ids as a (3, n) float array of integers, and a mask
-    of the points whose decision is within the rule's ``tol`` of a tie.
-    ``assign_cell`` is the same rule for one point, step for step.
+    The columns whose decision is within the rule's ``tol`` of a tie are
+    settled by ``_settle``. ``assign_cell`` is the same rule for one point,
+    step for step.
     """
     import numpy as np
 
@@ -296,7 +298,52 @@ def _decode(spec: LatticeSpec, rel: np.ndarray):
         tie = np.abs(margin) <= tol
     # ties: two cosets equally near, or the chosen coset's rounding at a half
     tie |= (a >= 0.5 * period - tol).any(axis=0)
-    return np.array(inverse) @ near, tie
+    for i in np.flatnonzero(tie).tolist():
+        near[:, i] = _settle(spec, p[i].tolist(), rel[:, i].tolist())
+    return np.array(inverse) @ near
+
+
+def _settle(spec: LatticeSpec, xyz, rel) -> tuple[int, int, int]:
+    """The tie step of both decoders: for a point they flag, the lattice
+    point y, in the scaled coordinates of ``_decode``'s ``near``, whose
+    basis id M^-1 y is the one ``assign_cells_oracle`` gives the point.
+    ``xyz`` is the point and ``rel`` its p - sink, three Python floats
+    each; Python ints and floats only.
+
+    The nearest point of each coset to t = rel / scale has, on each axis,
+    the floor or the ceiling of (t - s) / P, times P, plus s, the coset's
+    shift there; the decoders keep the nearer of the two. The floats put t
+    within ``rule.tol`` of its exact value, far less than a step, so the
+    nearest center and every center tied with it are among these at most 16
+    candidates, however the floats round t. Their centers are
+    sink + y * scale, the doubles of ``_center``; they and the point, every
+    coordinate an integer multiple of 2^-1074, give exact squared
+    distances, and the smallest (squared distance, public id) wins.
+    """
+    sink, scale, _, period, _, threshold, inverse, _, _ = spec.rule
+    cands = []
+    for shift in (0, 1) if threshold else (0,):
+        axes = [{s + P * math.floor((r / k - s) / P), s + P * math.ceil((r / k - s) / P)}
+                for r, k, P, s in zip(rel, scale, period, [shift * (P - 1) for P in period])]
+        cands += itertools.product(*axes)
+    # exact squared distances along each axis, once per distinct value
+    sq = [{y: (x - _units(o + y * k)) ** 2 for y in set(ys)}
+          for x, o, k, ys in zip(map(_units, xyz), sink, scale, zip(*cands))]
+    d2 = [sq[0][y0] + sq[1][y1] + sq[2][y2] for y0, y1, y2 in cands]
+    low = min(d2)
+
+    def public(y):  # the public id of the basis id M^-1 y, for the tie-break
+        u, v, w = (m0 * y[0] + m1 * y[1] + m2 * y[2] for m0, m1, m2 in inverse)
+        return u + v // 2 * (spec.shape is CellShape.HP), v, w
+
+    return min((y for y, d in zip(cands, d2) if d == low), key=public)
+
+
+def _units(x: float) -> int:
+    """The float ``x`` as an integer multiple of 2^-1074, the spacing of the
+    smallest floats, which divides every float."""
+    n, d = x.as_integer_ratio()
+    return n << 1075 - d.bit_length()
 
 
 def _reach_error(spec: LatticeSpec) -> ValueError:
@@ -339,26 +386,14 @@ def _blocks(spec: LatticeSpec, points, score) -> np.ndarray:
     return out
 
 
-def _decoded(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """``assign_cells``' scorer: the basis ids of ``_decode``, the columns
-    it flags as ties taken from the oracle."""
-    ids, tie = _decode(spec, rel)
-    if tie.any():
-        # rel[:, tie] is a copy, so the oracle may overwrite it
-        ids[:, tie] = _oracle(spec, p[tie], rel[:, tie])
-    return ids
-
-
 def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     """Cell ids for an (n, 3) array of points, as an (n, 3) integer array.
 
     Constant work per point: the closed-form nearest-point rule of the
     shape's lattice. The ids are those of ``assign_cells_oracle``: points
-    equidistant from several centers go to the smallest (u, v, w), and
-    only points within a rounding tolerance of such a tie are settled by
-    the exhaustive search.
+    equidistant from several centers go to the smallest (u, v, w).
     """
-    return _blocks(spec, points, _decoded)
+    return _blocks(spec, points, _decode)
 
 
 _PLAIN = (float, int)
@@ -392,9 +427,9 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
 
     ``_decode`` for one point, step for step in Python floats and ints with
     no numpy call: the few dozen operations a sensor needs to find its cell
-    from its own location. Only a point within the rule's ``tol`` of a tie
-    goes to the oracle. Invalid points raise the errors of ``as_point`` and
-    of the domain check.
+    from its own location, and ``_settle``'s exact tie step for a point
+    within the rule's ``tol`` of a tie. Invalid points raise the errors of
+    ``as_point`` and of the domain check.
     """
     sink, _, divisor, period, weight, threshold, inverse, reach, tol = spec.rule
     xyz = _coords(p)
@@ -421,14 +456,11 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
             ax, ay, az = abs(ax - sx), abs(ay - sy), abs(az - sz)
         tie = abs(margin) <= tol
     if tie or ax >= 0.5 * px - tol or ay >= 0.5 * py - tol or az >= 0.5 * pz - tol:
-        import numpy as np
-
-        u, v, w = _oracle(spec, np.array([xyz]), np.array([[rx], [ry], [rz]]))[:, 0].tolist()
-    else:
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = inverse
-        u = int(m00 * nx + m01 * ny + m02 * nz)
-        v = int(m10 * nx + m11 * ny + m12 * nz)
-        w = int(m20 * nx + m21 * ny + m22 * nz)
+        nx, ny, nz = _settle(spec, xyz, (rx, ry, rz))
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = inverse
+    u = int(m00 * nx + m01 * ny + m02 * nz)
+    v = int(m10 * nx + m11 * ny + m12 * nz)
+    w = int(m20 * nx + m21 * ny + m22 * nz)
     if spec.shape is CellShape.HP:
         u += v >> 1
     return _cell_id((u, v, w))
@@ -581,13 +613,12 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     return table
 
 
-def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, window: int = 3) -> np.ndarray:
+def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, window: int) -> np.ndarray:
     """The oracle, a scorer of ``_blocks``: basis ids of
     ``assign_cells_oracle`` for the rows ``p`` (rows, 3), given their
     p - sink columns ``rel`` (3, rows), which it overwrites, as (3, rows)
     int64 columns. The float filter over the spec's candidate table, then
-    the exact re-score of the rows it flags; ``assign_cell`` calls it on
-    its one row."""
+    the exact re-score of the rows it flags."""
     import numpy as np
 
     offs, doff, doff2, tol, index = _oracle_table(spec, window)

@@ -545,12 +545,16 @@ ASSIGN = ["assign", "--shape", "to", "--rt", "1", "--sink", "1.25,-0.4,2.83",
           "--point", "1.9,0.3,3.1"]
 ASSIGN_RUNS = [(method, fmt) for method in ("exact", "nearest_int")
                for fmt in ("csv", "json", "pretty")]
+# assign on a vertex of TO cell (0, 0, 0), where four cells tie: the exact
+# tie step settles it
+ASSIGN_VERTEX = ["assign", "--shape", "to", "--rt", "1", "--rt-sqrt17-units",
+                 "--point", "1,0.5,0"]
 
 
 class TestWithoutNumpy:
-    """``tables``, ``route`` and ``assign`` (but ``--method oracle`` and
-    points on a cell boundary) need only ``math`` and Python ints and
-    floats: they give the same output and exit code with numpy blocked."""
+    """``tables``, ``route`` and ``assign`` (but ``--method oracle``) need
+    only ``math`` and Python ints and floats: they give the same output and
+    exit code with numpy blocked."""
 
     def test_import_leaves_numpy_out(self):
         code = "import sys, topocell; print('numpy' in sys.modules)"
@@ -566,8 +570,11 @@ class TestWithoutNumpy:
         ["route", "--shape", "to", "--rt", "1", "--src", "0,0,0", "--dst", "5,5,5",
          "--dead-cells", "DEAD", "--format", "json"],
         *(ASSIGN + ["--method", method, "--format", fmt] for method, fmt in ASSIGN_RUNS),
+        *(ASSIGN_VERTEX + ["--method", method, "--format", "csv"]
+          for method in ("exact", "nearest_int")),
     ], ids=["tables-I", "tables-II", "route", "route-dead-end",
-            *(f"assign-{method}-{fmt}" for method, fmt in ASSIGN_RUNS)])
+            *(f"assign-{method}-{fmt}" for method, fmt in ASSIGN_RUNS),
+            "assign-vertex-exact", "assign-vertex-nearest_int"])
     def test_same_output_without_numpy(self, args, tmp_path):
         from topocell.lattice import LatticeSpec, neighbors
         dead_file = tmp_path / "dead.txt"
@@ -580,15 +587,19 @@ class TestWithoutNumpy:
         assert (blocked.returncode, blocked.stdout) == (code, out), blocked.stderr
         assert code == (4 if "--dead-cells" in args else 0) and out
 
-    @pytest.mark.parametrize("method", ["exact", "nearest_int"])
-    def test_assign_leaves_numpy_out(self, method):
-        # python -m topocell assign, with numpy installed: it is not imported
+    @pytest.mark.parametrize("method,point", [
+        ("exact", ASSIGN), ("nearest_int", ASSIGN),
+        ("exact", ASSIGN_VERTEX), ("nearest_int", ASSIGN_VERTEX),
+    ], ids=["exact", "nearest_int", "vertex-exact", "vertex-nearest_int"])
+    def test_assign_leaves_numpy_out(self, method, point):
+        # python -m topocell assign, with numpy installed: it is not
+        # imported, on a point off every cell boundary or on a cell vertex
         code = ("import runpy, sys\n"
                 "try:\n"
                 "    runpy.run_module('topocell', run_name='__main__')\n"
                 "except SystemExit as exc:\n"
                 "    print(exc.code, 'numpy' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code, *ASSIGN, "--method", method],
+        proc = subprocess.run([sys.executable, "-c", code, *point, "--method", method],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"

@@ -237,10 +237,11 @@ class TestAssignCell:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("r_t,sink", [(1.0, (0.0, 0.0, 0.0)), (3.7, (1.25, -0.4, 2.83))])
     def test_decoders_flag_the_same_rows(self, shape, r_t, sink, monkeypatch):
-        # assign_cell sends to the oracle exactly the points whose rows
-        # _decode flags: random points, the vertices and neighbor midpoints
-        # of a 7^3 block, those vertices moved by a few ulps, and points
-        # 1e-10 to 1e-6 steps from them, on both sides of the tie tolerance
+        # assign_cell sends to the tie step exactly the points, and their
+        # p - sink, that assign_cells sends there, in the same order: random
+        # points, the vertices and neighbor midpoints of a 7^3 block, those
+        # vertices moved by a few ulps, and points 1e-10 to 1e-6 steps from
+        # them, on both sides of the tie tolerance
         spec = LatticeSpec(shape, r_t, sink=sink)
         rng = np.random.default_rng(8)
         verts = np.vstack([build_polyhedron(shape, c, spec.circumradius).vertices
@@ -250,34 +251,45 @@ class TestAssignCell:
         pts = np.vstack([spec.sink + rng.uniform(-8.0, 8.0, (3000, 3)) * spec.circumradius,
                          self.tie_points(spec, id_grid(3)), verts + 3 * np.spacing(verts),
                          verts - 2 * np.spacing(verts), near])
-        _, flagged = lattice._decode(spec, (pts - spec.sink).T.copy())
         sent = []
-        monkeypatch.setattr(lattice, "_oracle", lambda spec, rows, rel:
-                            sent.append(rows[0].tolist()) or np.zeros((3, 1), dtype=np.int64))
+        monkeypatch.setattr(lattice, "_settle", lambda spec, xyz, rel:
+                            sent.append((list(xyz), list(rel))) or (0, 0, 0))
+        assign_cells(spec, pts)
+        bulk = sent[:]
+        sent.clear()
         for p in pts:
             assign_cell(spec, p)
-        assert sent == pts[flagged].tolist()
+        assert sent == bulk
         assert 0 < len(sent) < len(pts)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_fast_path_runs(self, shape, monkeypatch):
-        # random points never reach the oracle, points on cell boundaries
-        # do, and the batch path is never taken
+        # random points never reach the tie step and points on cell
+        # boundaries do, where it gives the oracle's ids; neither decoder
+        # calls the oracle, and assign_cell never takes the batch path
         spec = LatticeSpec(shape, 3.7, sink=(1.25, -0.4, 2.83))
-        calls = []
-        oracle = lattice._oracle
-        monkeypatch.setattr(lattice, "_oracle", lambda *a: calls.append(1) or oracle(*a))
-
-        def no_batch(*args):
-            raise AssertionError("assign_cell took the batch path")
-
-        monkeypatch.setattr(lattice, "assign_cells", no_batch)
         rng = np.random.default_rng(4)
-        for p in spec.sink + rng.uniform(-20.0, 20.0, (10_000, 3)):
+        pts = spec.sink + rng.uniform(-20.0, 20.0, (10_000, 3))
+        ties = self.tie_points(spec, np.array([(0, 0, 0), (1, -2, 1)]))
+        want = assign_cells_oracle(spec, ties)
+        calls = []
+        settle = lattice._settle
+        monkeypatch.setattr(lattice, "_settle", lambda *a: calls.append(1) or settle(*a))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a decoder called the oracle, or assign_cell the batch path")
+
+        monkeypatch.setattr(lattice, "_oracle", forbidden)
+        assign_cells(spec, pts)
+        assert not calls
+        assert (assign_cells(spec, ties) == want).all()
+        assert calls
+        calls.clear()
+        monkeypatch.setattr(lattice, "assign_cells", forbidden)
+        for p in pts:
             assign_cell(spec, p)
         assert not calls
-        for p in self.tie_points(spec, np.array([(0, 0, 0), (1, -2, 1)])):
-            assign_cell(spec, p)
+        assert [assign_cell(spec, p) for p in ties] == list(map(tuple, want.tolist()))
         assert calls
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -848,10 +860,13 @@ class TestBlockSize:
                          TestAssignCell.tie_points(spec, id_grid(3))])
         chunk = 997
         edges = np.arange(chunk, len(pts), chunk)
-        tie = lattice._decode(spec, (pts - spec.sink).T.copy())[1]
+        settled, settle = set(), lattice._settle
+        monkeypatch.setattr(lattice, "_settle", lambda spec, xyz, rel:
+                            settled.add(tuple(xyz)) or settle(spec, xyz, rel))
+        ids, truth = assign_cells(spec, pts), assign_cells_oracle(spec, pts)
+        tie = np.array([p in settled for p in map(tuple, pts.tolist())])
         assert (tie[edges - 1] & tie[edges]).any()
         assert len(pts) % chunk and len(pts) % lattice._CHUNK and len(pts) > lattice._CHUNK
-        ids, truth = assign_cells(spec, pts), assign_cells_oracle(spec, pts)
         monkeypatch.setattr(lattice, "_CHUNK", chunk)
         assert (assign_cells(spec, pts) == ids).all()
         assert (assign_cells_oracle(spec, pts) == truth).all()
