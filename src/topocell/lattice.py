@@ -92,6 +92,7 @@ from .geometry import (
     _METRIC,
     _PERIODS,
     CellShape,
+    _per_axis,
     _scale,
     as_point,
     cell_spacing,
@@ -222,8 +223,9 @@ class LatticeSpec:
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
-    """Centers for an array of ids of shape (..., 3)."""
-    return spec.sink + center_offsets(spec.shape, spec.circumradius, ids)
+    """Centers for an array of ids of shape (..., 3): the sink plus
+    ``center_offsets``, added column by column (``geometry._per_axis``)."""
+    return _per_axis(center_offsets(spec.shape, spec.circumradius, ids), shift=spec.sink)
 
 
 def _center(spec: LatticeSpec, cid) -> tuple[float, float, float]:
@@ -316,9 +318,10 @@ def _settle(spec: LatticeSpec, xyz, rel) -> tuple[int, int, int]:
     within ``rule.tol`` of its exact value, far less than a step, so the
     nearest center and every center tied with it are among these at most 16
     candidates, however the floats round t. Their centers are
-    sink + y * scale, the doubles of ``_center``; they and the point, every
-    coordinate an integer multiple of 2^-1074, give exact squared
-    distances, and the smallest (squared distance, public id) wins.
+    sink + y * scale, the doubles of ``_center``. Each float is n / d with
+    d a power of two, so in units of 1 / D, D the largest d among the point
+    and the centers, every coordinate is an integer, and the squared
+    distances are exact; the smallest (squared distance, public id) wins.
     """
     sink, scale, _, period, _, threshold, inverse, _, _ = spec.rule
     cands = []
@@ -326,9 +329,15 @@ def _settle(spec: LatticeSpec, xyz, rel) -> tuple[int, int, int]:
         axes = [{s + P * math.floor((r / k - s) / P), s + P * math.ceil((r / k - s) / P)}
                 for r, k, P, s in zip(rel, scale, period, [shift * (P - 1) for P in period])]
         cands += itertools.product(*axes)
-    # exact squared distances along each axis, once per distinct value
-    sq = [{y: (x - _units(o + y * k)) ** 2 for y in set(ys)}
-          for x, o, k, ys in zip(map(_units, xyz), sink, scale, zip(*cands))]
+    # exact squared distances along each axis, once per distinct value: in
+    # units of 1 / D the integers span only the floats' exponents, some 55
+    # bits for coordinates of like magnitude, not the 1,075 of units of 2^-1074
+    point = [x.as_integer_ratio() for x in xyz]
+    centers = [{y: (o + y * k).as_integer_ratio() for y in set(ys)}
+               for o, k, ys in zip(sink, scale, zip(*cands))]
+    bits = max(d for _, d in itertools.chain(point, *(c.values() for c in centers))).bit_length()
+    sq = [{y: ((n << bits - d.bit_length()) - (m << bits - e.bit_length())) ** 2
+           for y, (m, e) in cs.items()} for (n, d), cs in zip(point, centers)]
     d2 = [sq[0][y0] + sq[1][y1] + sq[2][y2] for y0, y1, y2 in cands]
     low = min(d2)
 
@@ -337,13 +346,6 @@ def _settle(spec: LatticeSpec, xyz, rel) -> tuple[int, int, int]:
         return u + v // 2 * (spec.shape is CellShape.HP), v, w
 
     return min((y for y, d in zip(cands, d2) if d == low), key=public)
-
-
-def _units(x: float) -> int:
-    """The float ``x`` as an integer multiple of 2^-1074, the spacing of the
-    smallest floats, which divides every float."""
-    n, d = x.as_integer_ratio()
-    return n << 1075 - d.bit_length()
 
 
 def _reach_error(spec: LatticeSpec) -> ValueError:
@@ -374,8 +376,9 @@ def _blocks(spec: LatticeSpec, points, score) -> np.ndarray:
     for start in range(0, len(pts), _CHUNK):
         p = pts[start:start + _CHUNK]
         rel = np.subtract(p.T, sink, out=buf[:, :len(p)])
-        # offsets from the sink that are not finite or exceed MAX_STEPS steps
-        if not abs(rel).max(initial=0.0) <= spec.rule.reach:
+        # offsets from the sink that are not finite or exceed MAX_STEPS steps,
+        # found with no temporary array: a NaN makes the minimum NaN
+        if not -spec.rule.reach <= rel.min() <= rel.max() <= spec.rule.reach:
             raise _reach_error(spec)
         ids = out[start:start + _CHUNK]
         # column by column: numpy's transposed copy of a block costs 3 times as much

@@ -30,7 +30,9 @@ blocks are the rows of the one whole-array draw, and the results do not
 depend on the block size. The accuracy
 experiment adds each block's correct rows to two integer counters; the
 oracle's id of a point does not depend on the other points of its call.
-Both draw every block into one reused buffer. The lifetime simulation
+Both draw every block into one reused buffer and scale and shift it there;
+per-axis constants, the box's sides and corner and the sink, go one column
+at a time, which ``geometry._per_axis`` explains. The lifetime simulation
 packs each id into an int64 key at the fixed offset ``MAX_STEPS + 2``, so a
 key names the same cell in every block, and merges the blocks' distinct
 keys and counts into running ones: O(``_CHUNK`` + cells) memory. Only
@@ -43,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .geometry import CellShape, as_point, build_polyhedron
+from .geometry import CellShape, _per_axis, as_point, build_polyhedron
 from .lattice import (
     _CHUNK,
     MAX_STEPS,
@@ -153,32 +155,33 @@ class SimResult:
     network_lifetime: int
 
 
-def _uniform_blocks(seed: int, n: int, rows: int, span, lo):
-    """n uniform points lo + u * span, u from ``default_rng(seed).random``,
-    as consecutive blocks of at most ``rows``.
+def _uniform_blocks(seed: int, n: int, rows: int):
+    """The doubles of ``default_rng(seed).random((n, 3))`` as consecutive
+    blocks of at most ``rows`` rows.
 
     Every block is drawn into one buffer, so each is valid only until the
-    next is drawn. lo + u * span is computed in place as (u * span) + lo,
-    the same doubles; with lo = -h and span = 2h they are also those of
-    ``rng.uniform(-h, h)``, which computes -h + 2h * u.
+    next is drawn, and its caller may scale and shift it in place.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     buf = np.empty((min(rows, n), 3))
     for start in range(0, n, rows):
-        block = rng.random(out=buf[:n - start])
-        block *= span
-        block += lo
-        yield block
+        yield rng.random(out=buf[:n - start])
 
 
 def _node_blocks(config: DeploymentConfig, rows: int):
     """The deployment's node positions, uniform in the box from
     ``default_rng(seed)``, as consecutive blocks of at most ``rows`` nodes
-    that share one buffer."""
+    that share one buffer.
+
+    Each is lo + u * (hi - lo) for the uniform doubles u, computed in place
+    as (u * (hi - lo)) + lo, the same doubles, one column at a time.
+    """
     box = config.box
-    return _uniform_blocks(config.seed, config.node_count, rows, box.hi - box.lo, box.lo)
+    span = box.hi - box.lo
+    return (_per_axis(block, span, box.lo)
+            for block in _uniform_blocks(config.seed, config.node_count, rows))
 
 
 def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -205,9 +208,13 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
         raise ValueError("n must be at least 1")
     half = 5.0 * spec.r_t
     exact = nearest = 0
-    # the doubles of spec.sink + rng.uniform(-half, half, (n, 3)), a block at a time
-    for pts in _uniform_blocks(seed, n, _CHUNK, 2.0 * half, -half):
-        pts += spec.sink
+    # the doubles of spec.sink + rng.uniform(-half, half, (n, 3)), a block at
+    # a time: uniform computes -half + 2 half u, and the scalar constants go
+    # over the whole block, the sink's per-axis ones column by column
+    for pts in _uniform_blocks(seed, n, _CHUNK):
+        pts *= 2.0 * half
+        pts += -half
+        _per_axis(pts, shift=spec.sink)
         truth = assign_cells_oracle(spec, pts, window=3)
         exact += _matches(assign_cells(spec, pts), truth)
         nearest += _matches(assign_cells_nearest_int(spec, pts), truth)

@@ -469,6 +469,27 @@ class TestDomain:
         assert np.abs(ids).max() <= MAX_STEPS + 2
         assert (ids == assign_cells_oracle(spec, pts)).all()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "far", "-far"])
+    @pytest.mark.parametrize("assign", [assign_cells, assign_cells_oracle,
+                                        assign_cells_nearest_int],
+                             ids=["exact", "oracle", "nearest_int"])
+    def test_one_bad_row_anywhere_in_a_block(self, assign, bad, monkeypatch):
+        # 13 valid rows in blocks of 5, 5 and 3; each call puts the bad
+        # coordinate on one axis of one row: the first, a middle or the last
+        # row of the first block, of the second full block or of the short
+        # last block
+        monkeypatch.setattr(lattice, "_CHUNK", 5)
+        spec = LatticeSpec(CellShape.TO, 1.0, sink=(0.5, -0.25, 2.0))
+        value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                 "far": 1.01 * spec.rule.reach, "-far": -1.01 * spec.rule.reach}[bad]
+        good = spec.sink + np.random.default_rng(3).uniform(-2.0, 2.0, (13, 3))
+        assert len(assign(spec, good)) == 13
+        for k, row in enumerate((0, 2, 4, 5, 7, 9, 10, 11, 12)):
+            pts = good.copy()
+            pts[row, k % 3] = spec.sink[k % 3] + value
+            with pytest.raises(ValueError, match="lattice steps"):
+                assign(spec, pts)
+
     @pytest.mark.parametrize("shape", [(4, 2), (2, 2, 3)])
     def test_points_of_wrong_shape_rejected(self, shape):
         spec = LatticeSpec(CellShape.TO, 1.0)

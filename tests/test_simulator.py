@@ -375,6 +375,28 @@ class TestStreaming:
         want = spec.sink + np.random.default_rng(12).uniform(-10.0, 10.0, (n, 3))
         assert (np.vstack(blocks).view(np.int64) == want.view(np.int64)).all()
 
+    def test_lifetime_draws_are_the_uniform_doubles(self, monkeypatch):
+        # each block that the lifetime run assigns holds the rows of the one
+        # whole-array lo + u * (hi - lo) draw, the short last block included;
+        # the box's three sides differ and so do its corner's coordinates,
+        # so a constant taken from the wrong axis or applied in the wrong
+        # order changes the doubles
+        spec = LatticeSpec(CellShape.RD, 1.0, sink=(0.11, -0.07, 0.23))
+        box = Box(lo=(-1.1, 0.3, -2.7), hi=(1.0, 1.2, 0.95))
+        blocks = []
+
+        def assign(spec, pts):
+            blocks.append(pts.copy())
+            return assign_cells(spec, pts)
+
+        monkeypatch.setattr(simulator, "assign_cells", assign)
+        self.small_blocks(monkeypatch)
+        n = 3 * self.CHUNK + 10
+        lifetime_simulation(spec, DeploymentConfig(box=box, node_count=n, seed=21), 2.0)
+        assert [len(b) for b in blocks] == [self.CHUNK] * 3 + [10]
+        want = box.lo + np.random.default_rng(21).random((n, 3)) * (box.hi - box.lo)
+        assert (np.vstack(blocks).view(np.int64) == want.view(np.int64)).all()
+
     def test_peak_memory_does_not_grow_with_n(self):
         # one bound in terms of the block size, far below the 56 B per node
         # and 168 B per point that whole-array draws of these n hold
