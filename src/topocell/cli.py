@@ -41,24 +41,22 @@ class MalformedFileError(Exception):
     """A readable input file whose contents do not parse."""
 
 
-def _triple(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected x,y,z - got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad coordinate triple {text!r}") from exc
+def _triple_of(convert, form: str, bad: str):
+    """An argparse type: three comma-separated values, each read by
+    ``convert``; errors show the expected ``form`` or call the text ``bad``."""
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError(f"expected {form} - got {text!r}")
+        try:
+            return tuple(convert(p) for p in parts)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{bad} {text!r}") from exc
+    return parse
 
 
-def _id_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected u,v,w - got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad cell id {text!r}") from exc
+_triple = _triple_of(float, "x,y,z", "bad coordinate triple")
+_id_triple = _triple_of(int, "u,v,w", "bad cell id")
 
 
 def _add_output_flags(p: argparse.ArgumentParser):
@@ -369,13 +367,10 @@ def main(argv=None) -> int:
     except MalformedFileError as exc:
         print(f"error: malformed file: {exc}", file=sys.stderr)
         return 5
-    except EmptyRegionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except KeyError as exc:
         print(f"error: missing config key {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (EmptyRegionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -101,15 +101,26 @@ def _as_shape(shape) -> CellShape:
     return shape if isinstance(shape, CellShape) else CellShape(shape)
 
 
+def _floats(x) -> np.ndarray:
+    """``x`` as a float array, read as ``np.asarray(x, dtype=float)`` reads
+    it, except that complex numbers raise ``ValueError`` rather than lose
+    their imaginary parts."""
+    import numpy as np
+
+    if np.iscomplexobj(x):
+        raise ValueError("coordinates must be real numbers, not complex")
+    return np.asarray(x, dtype=float)
+
+
 def as_point(p, what: str = "point") -> np.ndarray:
     """Validate and convert a 3D point to a float array of shape (3,); errors
     name the point ``what``."""
     import numpy as np
 
     try:
-        q = np.asarray(p, dtype=float)
+        q = _floats(p)
     except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a 3D point of numbers, got {p!r}") from None
+        raise ValueError(f"{what} must be a 3D point of real numbers, got {p!r}") from None
     if q.shape != (3,):
         raise ValueError(f"{what} must be a 3D point, got array of shape {q.shape}")
     if not np.all(np.isfinite(q)):
@@ -152,7 +163,7 @@ class Polyhedron:
         """
         import numpy as np
 
-        pts = np.asarray(points, dtype=float)
+        pts = _floats(points)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         eqs = self.face_equations()

@@ -53,10 +53,14 @@ lies within R of its nearest center), so the nearest center and every
 center tied with it lie within |p - c| + R of the window's middle center
 c, and a candidate beyond that can neither win nor tie. |p - c| is at most
 the longest half-diagonal of the rounding box M [-1/2, 1/2]^3 in scaled
-units, so the kept candidates come from the spec, and so does the rigorous
-bound on the rounding error of their float distances; both are built once
-per spec and window and cached. Those distances decide every point whose
-runner-up is farther than the bound, and the rest are re-scored exactly in
+units, so the kept candidates come from the spec. It ranks them by the
+score |c|^2 - 2 c.q, c being a candidate's offset from the middle center
+and q = p - that center, in one matrix product per block: the squared
+distance |q - c|^2 less |q|^2, which the point's candidates share and
+which is left out. The rigorous bound on the rounding error of the float
+scores comes from the spec too; candidates and bound are built once per
+spec and window and cached. The scores decide every point whose runner-up
+is farther than the bound, and the rest are re-scored exactly in
 integers, so the result, ties included, is that of the full window and of
 exact arithmetic.
 
@@ -92,6 +96,7 @@ from .geometry import (
     _METRIC,
     _PERIODS,
     CellShape,
+    _floats,
     _per_axis,
     _scale,
     as_point,
@@ -126,7 +131,7 @@ MAX_WINDOW = 8
 # rows that every bulk loop (the block driver of the three bulk assigners,
 # the experiments' draws and tallies) handles at once. A block's arrays,
 # 192 KiB per (3, rows) float array and about 2 MiB for the oracle's
-# (candidates, rows) distances, stay in cache, and the allocator reuses
+# (candidates, rows) scores, stay in cache, and the allocator reuses
 # their memory for the next block instead of returning it to the system and
 # faulting it back in; of 4,096 to 65,536 rows, 8,192 ran the accuracy
 # experiment fastest
@@ -224,7 +229,18 @@ class LatticeSpec:
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
     """Centers for an array of ids of shape (..., 3): the sink plus
-    ``center_offsets``, added column by column (``geometry._per_axis``)."""
+    ``center_offsets``, added column by column (``geometry._per_axis``).
+
+    The ids must be an integer array within MAX_STEPS + 2 of zero on each
+    axis, as ``as_cell_id`` requires of one id; others raise ``ValueError``.
+    """
+    import numpy as np
+
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"cell ids must be integers, got an array of {ids.dtype}")
+    if ids.size and not -(MAX_STEPS + 2) <= ids.min() <= ids.max() <= MAX_STEPS + 2:
+        raise ValueError(f"cell ids must lie within {MAX_STEPS + 2} of zero on each axis")
     return _per_axis(center_offsets(spec.shape, spec.circumradius, ids), shift=spec.sink)
 
 
@@ -358,16 +374,16 @@ def _blocks(spec: LatticeSpec, points, score) -> np.ndarray:
     """Public ids of the rows of ``points`` as an (n, 3) int64 array, from
     the scorer ``score``, ``_CHUNK`` rows at a time.
 
-    The points are read as floats and must have shape (n, 3). Each block's
-    p - sink, formed as (3, rows) columns in one buffer and checked to be
-    within the domain, goes with the block's rows p to
-    ``score(spec, p, rel)``, which returns their basis ids as (3, rows)
+    The points are read as real floats (``geometry._floats``) and must have
+    shape (n, 3). Each block's p - sink, formed as (3, rows) columns in one
+    buffer and checked to be within the domain, goes with the block's rows
+    p to ``score(spec, p, rel)``, which returns their basis ids as (3, rows)
     columns and may overwrite ``rel``. They are stored as the block's int64
     rows, and on HP become public ids there, u + floor(v / 2).
     """
     import numpy as np
 
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(_floats(points))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
     out = np.empty((len(pts), 3), dtype=np.int64)
@@ -533,12 +549,15 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     neither win nor tie. The cut and the float filter's tolerance come from
     the spec alone, built once per spec and window, so a point's id depends
     on the spec and the point, not on the other points of its call. The
-    kept candidates are scored as a floating-point filter with an exact
-    fallback (Shewchuk, "Adaptive precision floating-point arithmetic and
-    fast robust geometric predicates", DCG 18, 1997): float distances
-    decide every point whose runner-up is farther than a rigorous bound on
-    their rounding error, and the points within it are re-scored exactly in
-    integers, every float being an integer times a power of two.
+    kept candidates, at offsets c from the rounded center, are ranked by
+    the score |c|^2 - 2 c.q, all of a block's in one matrix product: their
+    squared distance |q - c|^2 less the point's own |q|^2, which they all
+    share. The scores are a floating-point filter with an exact fallback
+    (Shewchuk, "Adaptive precision floating-point arithmetic and fast
+    robust geometric predicates", DCG 18, 1997): they decide every point
+    whose runner-up is farther than a rigorous bound on their rounding
+    error, and the points within it are re-scored exactly in integers,
+    every float being an integer times a power of two.
     """
     if not 2 <= window <= MAX_WINDOW:
         raise ValueError(f"oracle window must be between 2 and {MAX_WINDOW}")
@@ -549,9 +568,8 @@ class _OracleTable(NamedTuple):
     """The oracle's kept candidates of one spec and window, read-only."""
 
     offs: np.ndarray  # (3, k) int64 basis-id offsets, columns in lexicographic order
-    doff: np.ndarray  # (k, 3) -2 times their center displacements
-    doff2: np.ndarray  # (k, 1) squared lengths of the displacements
-    tol: float  # the float filter's bound on the rounding error of d2
+    score: np.ndarray  # (k, 4) rows [-2 doff | |doff|^2] of their center displacements doff
+    tol: float  # the float filter's bound on the rounding error of the scores
     index: np.ndarray  # (k, 1) int16 candidate numbers 0 .. k - 1
 
 
@@ -567,12 +585,14 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     offs = np.indices((2 * window + 1,) * 3, dtype=np.int64).reshape(3, -1).T - window
     basis, scale = lattice_basis(spec.shape, spec.circumradius)
     doff = (offs @ basis.T) * scale
-    doff2 = (doff * doff).sum(axis=1)
+    # each candidate's row [-2 doff | |doff|^2]
+    score = np.hstack([-2.0 * doff, (doff * doff).sum(axis=1, keepdims=True)])
     # A candidate center is center(base) + doff, base being the rounded real
-    # solution, and the squared distances d2 form a (candidates, rows) array
-    # by the expansion |q - doff|^2 = |q|^2 - 2 doff.q + |doff|^2, with
-    # q = p - center(base) as columns and center(base) computed by the
-    # operations of cell_centers, to the same doubles.
+    # solution, and its squared distance is |q - doff|^2 = |q|^2 + s with
+    # the score s = |doff|^2 - 2 doff.q, q = p - center(base) and
+    # center(base) computed by the operations of cell_centers, to the same
+    # doubles. |q|^2 is the same for every candidate of a point, so the
+    # scores rank them as the distances do, and differ as they do.
     # Rounding error, with u = 2^-53, from the spec alone: on every axis
     # |sink| + |p| <= A = 2|sink|inf + reach (the domain check), every
     # coordinate of q and of a kept doff is within L, and of a center offset
@@ -597,21 +617,34 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     # R + 11 sqrt3 u(A + L) < R + 2^-47 A in length. A candidate with
     # |doff| > |q| + R + 2^-47 A can thus neither win nor tie, and the
     # relative slack covers the rounding of the comparison itself.
-    keep = doff2 <= ((size + spec.circumradius + 2.0 ** -47 * far) * (1.0 + 1e-9)) ** 2
+    keep = score[:, 3] <= ((size + spec.circumradius + 2.0 ** -47 * far) * (1.0 + 1e-9)) ** 2
     size += np.abs(doff[keep]).max()
-    # The filter, with L = max|q| + max|doff|inf over the kept candidates: an
-    # error of 8u(A + L) on each coordinate of q - doff moves d2 by at most
-    # 3 * 2L * 8u(A + L); evaluating the expansion (sums of three terms, each
-    # within 3L^2) adds at most 16uL^2. Every d2 is thus within
-    # e = 64uL(A + L) of its exact value. With tol = 4e, a row with no second
-    # candidate within tol of its minimum has one exact winner, which is also
-    # the argmin of any float evaluation within e; the others are flagged.
+    # The filter, with L = max|q| + m, m = max|doff|inf over the kept
+    # candidates. In exact arithmetic on the floats q and doff, the score
+    # plus |q|^2 is |q - doff|^2, which the error of 8u(A + L) on each
+    # coordinate of q - doff, itself within L, moves from the exact
+    # distance by at most 3 (2L + 8u(A + L)) 8u(A + L) < 49uL(A + L), as
+    # MAX_TOL keeps A below 2^34 L. Evaluating the score: the stored
+    # |doff|^2, a sum of three squares, is within g3 |doff|^2 <= 3 g3 m^2
+    # of its exact value (gn = nu / (1 - nu)); the product score @ [q; 1]
+    # is a 4-term inner product, and in any order of its sums, with or
+    # without fused multiply-adds, its error is at most
+    # g4 (2 sum|doff_i q_i| + |doff|^2) <= g4 (2 sqrt3 m (L - m) + 3.01 m^2)
+    # <= 3.01 g4 L^2 (Higham, Accuracy and Stability of Numerical
+    # Algorithms, ch. 3). So every score is within
+    # e = 49uL(A + L) + 22uL^2 < 64uL(A + L) of the exact squared distance
+    # minus the float |q|^2, a shift shared by the point's candidates. With
+    # tol = 4e, a row with no second candidate within tol of its minimum
+    # has one exact winner, which is also the argmin of any float
+    # evaluation within e; the others are flagged, every exact winner among
+    # their close candidates. Rounding min + tol moves it by u(4L^2 + tol)
+    # at most, well inside the factor 2 of slack.
     tol = 2.0 ** -45 * size * (size + far)
     # the at most (2 MAX_WINDOW + 1)^3 = 4913 candidates are counted and
     # indexed in int16
-    table = _OracleTable(np.ascontiguousarray(offs[keep].T), -2.0 * doff[keep],
-                         doff2[keep, None], tol, np.arange(keep.sum(), dtype=np.int16)[:, None])
-    for array in (table.offs, table.doff, table.doff2, table.index):
+    table = _OracleTable(np.ascontiguousarray(offs[keep].T), score[keep], tol,
+                         np.arange(keep.sum(), dtype=np.int16)[:, None])
+    for array in (table.offs, table.score, table.index):
         array.flags.writeable = False
     return table
 
@@ -624,27 +657,26 @@ def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, window: int) -> n
     the exact re-score of the rows it flags."""
     import numpy as np
 
-    offs, doff, doff2, tol, index = _oracle_table(spec, window)
-    basis, scale = lattice_basis(spec.shape, spec.circumradius)
+    offs, score, tol, index = _oracle_table(spec, window)
     base = _nearest_int(spec, p, rel)
-    base += 0.0  # -0.0 becomes 0.0, the float of the integer id
     # q = p - center(base), the center computed as cell_centers does:
-    # sink + (M base) scale, M base being exact; in rel's memory
-    q = np.matmul(basis, base, out=rel)
-    q *= scale[:, None]
-    q += np.array(spec.sink)[:, None]
+    # sink + (M base) scale, M base being exact, one axis at a time; in rows
+    # 0 to 2 of q1, whose row 3 is ones, so that score @ q1 gives every
+    # candidate's score in one product
+    q1 = np.empty((4, len(p)))
+    q1[3] = 1.0
+    basis = lattice_basis(spec.shape, spec.circumradius)[0]
+    q = _per_axis(np.matmul(basis, base, out=q1[:3]).T, spec.rule.scale, spec.sink).T
     np.subtract(p.T, q, out=q)
     base = base.astype(np.int64)
-    d2 = doff @ q
-    d2 += (q * q).sum(axis=0)
-    d2 += doff2
+    scores = score @ q1
     # every (k, n) array is reduced over k row by row, as a running
     # minimum, count or maximum, which reads memory in order
-    close = d2 <= d2.min(axis=0) + tol
+    close = scores <= scores.min(axis=0) + tol
     # freed before the next arrays, which then reuse its memory: the
     # block's peak stays low enough that the allocator keeps the memory
     # for the next block rather than returning it and faulting it back
-    del d2
+    del scores
     # the last close candidate, on an unflagged row the only one
     ids = offs.take(np.multiply(close, index).max(axis=0).astype(np.intp), axis=1)
     ids += base
@@ -672,8 +704,7 @@ def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, window: int) -> n
 
 
 def assign_cell_oracle(spec: LatticeSpec, p, window: int = 3) -> CellId:
-    row = assign_cells_oracle(spec, as_point(p)[None, :], window=window)[0]
-    return CellId(int(row[0]), int(row[1]), int(row[2]))
+    return _cell_id(assign_cells_oracle(spec, as_point(p)[None, :], window)[0].tolist())
 
 
 def _steps(shape: CellShape):

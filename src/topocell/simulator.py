@@ -45,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .geometry import CellShape, _per_axis, as_point, build_polyhedron
+from .geometry import CellShape, _floats, _per_axis, as_point, build_polyhedron
 from .lattice import (
     _CHUNK,
     MAX_STEPS,
@@ -105,7 +105,7 @@ class Box:
     def contains(self, points) -> np.ndarray:
         import numpy as np
 
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(_floats(points))
         return ((pts >= self.lo) & (pts <= self.hi)).all(axis=1)
 
 

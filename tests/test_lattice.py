@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,7 @@ from topocell.lattice import (
     cell_centers,
     neighbors,
 )
+from topocell.simulator import Box
 
 SHAPES = list(CellShape)
 SQRT17 = math.sqrt(17.0)
@@ -130,6 +132,26 @@ class TestCellCenter:
             with pytest.raises(ValueError, match="cell id must be three integers"):
                 cell_center(spec, cid)
         assert (cell_center(spec, np.array([1, 0, 0])) == cell_center(spec, (1, 0, 0))).all()
+
+    def test_bulk_ids_must_be_integers_of_the_domain(self):
+        # ids were cast to int64: 1.7 gave cell 1's center, "1" was read as
+        # 1, NaN gave a garbage center and 2^62 one far outside the domain
+        spec = LatticeSpec(CellShape.HP, 3.7, sink=(1.25, -0.4, 2.83))
+        for ids in ([[1.7, 0, 0]], np.array([[1.0, 0.0, 0.0]]), [["1", "0", "0"]],
+                    np.array([[math.nan, 0.0, 0.0]]), np.array([[True, False, False]]),
+                    np.array([[1, 0, 0]], dtype=object), []):
+            with pytest.raises(ValueError, match="cell ids must be integers"):
+                cell_centers(spec, ids)
+        edge = MAX_STEPS + 2
+        for ids in ([[2 ** 62, 0, 0]], [[0, 0, -edge - 1]], np.array([[0, edge + 1, 0]], np.uint64),
+                    np.array([[0, 0, 0], [edge + 1, 0, 0]], np.int32)):
+            with pytest.raises(ValueError, match=f"within {edge} of zero on each axis"):
+                cell_centers(spec, ids)
+        ids = [[edge, -edge, 0], [1, 2, 3]]
+        want = np.array([cell_center(spec, cid) for cid in ids])
+        for same in (ids, np.array(ids, np.int32), np.array(ids[1:], np.uint64)):
+            assert (cell_centers(spec, same) == want[-len(same):]).all()
+        assert cell_centers(spec, np.empty((0, 3), np.int64)).shape == (0, 3)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("r_t,sink", [(0.1, (4.2e6, 1.2e6, 4.7e6)), *RANDOM_SPECS[:2]])
@@ -312,7 +334,6 @@ class TestAssignCell:
         assert [assign_cell(spec, p) for p in pts] == list(map(tuple, want.tolist()))
 
     @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.filterwarnings("ignore:Casting complex values")
     def test_invalid_points_raise_batch_errors(self, shape):
         # every invalid point raises what the batch path raises for it,
         # type and message; valid but unusual forms give its id
@@ -489,6 +510,31 @@ class TestDomain:
             pts[row, k % 3] = spec.sink[k % 3] + value
             with pytest.raises(ValueError, match="lattice steps"):
                 assign(spec, pts)
+
+    def test_complex_points_rejected(self):
+        # complex coordinates lost their imaginary parts with only a
+        # ComplexWarning: [[1 + 1j, 0, 0]] got the id of (1, 0, 0)
+        spec = LatticeSpec(CellShape.TO, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pts in ([[1 + 1j, 0, 0]], np.array([[1 + 0j, 0, 0]]),
+                        np.zeros((9, 3), np.complex64)):
+                for assign in (assign_cells, assign_cells_oracle, assign_cells_nearest_int):
+                    with pytest.raises(ValueError, match="real numbers"):
+                        assign(spec, pts)
+            one = [functools.partial(f, spec)
+                   for f in (assign_cell, assign_cell_nearest_int, assign_cell_oracle)]
+            for p in ([1 + 1j, 0, 0], np.array([1 + 1j, 0, 0]), (np.complex128(0.5), 0.0, 0.0)):
+                for f in [*one, as_point]:
+                    with pytest.raises(ValueError, match="3D point of real numbers"):
+                        f(p)
+            with pytest.raises(ValueError, match="sink must be a 3D point of real numbers"):
+                LatticeSpec(CellShape.TO, 1.0, sink=np.array([0j, 0, 0]))
+            # the membership tests of a cell and of a box read points alike
+            for contains in (build_polyhedron(spec.shape, (0, 0, 0), 1.0).contains,
+                             Box(lo=(0, 0, 0), hi=(1, 1, 1)).contains):
+                with pytest.raises(ValueError, match="real numbers"):
+                    contains(np.array([[0.5 + 5j, 0.5, 0.5]]))
 
     @pytest.mark.parametrize("shape", [(4, 2), (2, 2, 3)])
     def test_points_of_wrong_shape_rejected(self, shape):
@@ -733,14 +779,14 @@ class TestOracle:
         spec = LatticeSpec(CellShape.TO, SQRT17)
         assert assign_cell_oracle(spec, (0.6, 0.6, 0.6), window=2) == CellId(0, 0, 1)
 
-    def test_rows_independent_with_far_sink(self):
-        # The candidate cut keeps every center that can win, whatever rows
-        # share the chunk, when the rounding of the centers (about
-        # ulp(|sink|)) outweighs a relative slack on the cut radius: one-row
-        # calls give the ids of one call on all rows. The points are the
-        # vertices of a 5^3 block, and those vertices moved by +-2 ulps.
-        spec = LatticeSpec(CellShape.RD, 1.0, sink=(1e8, 1e8, -1e8))
-        block = id_grid(2)
+    @staticmethod
+    def check_far_sink_vertices(shape, half):
+        """One-row oracle calls give the ids of one call on all rows, and
+        those are the ids of fractions.Fraction, on the vertices of the
+        (2 half + 1)^3 block of cells at the sink (1e8, 1e8, -1e8) and those
+        vertices moved by +-2 ulps."""
+        spec = LatticeSpec(shape, 1.0, sink=(1e8, 1e8, -1e8))
+        block = id_grid(half)
         verts = [build_polyhedron(spec.shape, c, spec.circumradius).vertices
                  for c in cell_centers(spec, block)]
         owners = np.tile(np.repeat(block, [len(v) for v in verts], axis=0), (3, 1))
@@ -763,6 +809,19 @@ class TestOracle:
                      for c in centers[i, near].tolist()]
             assert tuple(got[i]) == min(zip(exact, map(tuple, cand[i, near].tolist())))[1]
 
+    def test_rows_independent_with_far_sink(self):
+        # The candidate cut keeps every center that can win, whatever rows
+        # share the chunk, when the rounding of the centers (about
+        # ulp(|sink|)) outweighs a relative slack on the cut radius, and the
+        # float filter's bound holds there: RD over a 5^3 block
+        self.check_far_sink_vertices(CellShape.RD, 2)
+
+    @pytest.mark.parametrize("shape", [CellShape.CB, CellShape.HP, CellShape.TO])
+    def test_far_sink_vertices_match_fractions(self, shape):
+        # the same check on the other shapes, whose candidate tables and
+        # scores differ, over a 3^3 block
+        self.check_far_sink_vertices(shape, 1)
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_candidate_table_per_spec_and_window(self, shape):
         # The kept candidates are built once per spec and window and cached:
@@ -784,7 +843,10 @@ class TestOracle:
             assert (assign_cells_oracle(spec, pts[spec], window) == got).all()
         table = lattice._oracle_table(specs[0], 3)
         assert lattice._oracle_table(specs[0], 3) is table
-        for array in (table.offs, table.doff, table.doff2, table.index):
+        # every array of the table, whatever its fields, is read-only
+        arrays = [field for field in table if isinstance(field, np.ndarray)]
+        assert len(arrays) == len(table) - 1  # all but the float tol
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
