@@ -299,10 +299,15 @@ def to_public_ids(shape: CellShape, ids) -> np.ndarray:
 def _half_steps(shape: CellShape, ids, sign: int) -> np.ndarray:
     """``ids`` as int64, with sign * floor(v / 2) added to u on HP, in one
     copy: the axial id alpha = u - floor(v/2) undoes the half-step shift of
-    odd rows."""
+    odd rows. Ids of a non-integer dtype raise ``ValueError``, rather than
+    be truncated or cast."""
     import numpy as np
 
-    if _as_shape(shape) is CellShape.HP:
+    hp = _as_shape(shape) is CellShape.HP
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"cell ids must be integers, got an array of {ids.dtype}")
+    if hp:
         ids = np.array(ids, dtype=np.int64)
         ids[..., 0] += sign * (ids[..., 1] >> 1)
     return np.asarray(ids, dtype=np.int64)
@@ -496,7 +501,7 @@ def max_cell_radius(shape: CellShape, r_t: float) -> float:
     """
     if not (math.isfinite(r_t) and r_t > 0):
         raise ValueError("transmission range must be positive and finite")
-    return r_t / worst_neighbor_coeff(shape)
+    return float(r_t) / worst_neighbor_coeff(shape)
 
 
 def cell_volume(shape: CellShape, circumradius: float) -> float:

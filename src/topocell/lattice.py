@@ -180,14 +180,12 @@ class LatticeSpec:
     def __post_init__(self):
         shape = CellShape(self.shape)
         object.__setattr__(self, "shape", shape)
-        if not (math.isfinite(self.r_t) and self.r_t > 0):
-            raise ValueError("transmission range must be positive and finite")
+        R = max_cell_radius(shape, self.r_t)  # refuses an r_t that is not positive and finite
         object.__setattr__(self, "r_t", float(self.r_t))
         sink = tuple(_coords(self.sink, "sink"))
         if not all(map(math.isfinite, sink)):
             raise ValueError("sink coordinates must be finite")
         object.__setattr__(self, "sink", sink)
-        R = max_cell_radius(shape, self.r_t)
         step = cell_spacing(shape, R)[0]
         extent = max(map(abs, sink)) + MAX_STEPS * step
         if not (1.0 / MAX_MAGNITUDE <= step and extent <= MAX_MAGNITUDE):
@@ -236,12 +234,13 @@ def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
     """
     import numpy as np
 
+    # center_offsets refuses ids of a non-integer dtype, before the range
+    # check compares them
+    offsets = center_offsets(spec.shape, spec.circumradius, ids)
     ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"cell ids must be integers, got an array of {ids.dtype}")
     if ids.size and not -(MAX_STEPS + 2) <= ids.min() <= ids.max() <= MAX_STEPS + 2:
         raise ValueError(f"cell ids must lie within {MAX_STEPS + 2} of zero on each axis")
-    return _per_axis(center_offsets(spec.shape, spec.circumradius, ids), shift=spec.sink)
+    return _per_axis(offsets, shift=spec.sink)
 
 
 def _center(spec: LatticeSpec, cid) -> tuple[float, float, float]:
@@ -283,7 +282,8 @@ def _nearest_int(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarra
 def _decode(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarray:
     """The decoder, ``assign_cells``' scorer of ``_blocks``: basis ids of the
     nearest centers to the rows ``p`` (rows, 3), given their p - sink columns
-    ``rel`` (3, rows), as (3, rows) float columns of integers.
+    ``rel`` (3, rows), which it overwrites, as (3, rows) float columns of
+    integers.
 
     The columns whose decision is within the rule's ``tol`` of a tie are
     settled by ``_settle``. ``assign_cell`` is the same rule for one point,
@@ -294,9 +294,11 @@ def _decode(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarray:
     _, _, divisor, period, weight, threshold, inverse, _, tol = spec.rule
     period = np.array(period, dtype=float)[:, None]
     # near: the nearest point of diag(P) Z^3 to t = rel / scale, and
-    # err = t - near, both exact; the arithmetic runs in place, as a chunk's
-    # temporaries cost more than the arithmetic itself
-    err = rel / np.array(divisor)[:, None]
+    # err = t - near, both exact; the arithmetic runs in place, in the
+    # driver's buffer too, as a chunk's temporaries cost more than the
+    # arithmetic itself
+    err = rel
+    err /= np.array(divisor)[:, None]
     near = np.rint(err)
     err -= near
     err *= period
@@ -317,33 +319,34 @@ def _decode(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarray:
     # ties: two cosets equally near, or the chosen coset's rounding at a half
     tie |= (a >= 0.5 * period - tol).any(axis=0)
     for i in np.flatnonzero(tie).tolist():
-        near[:, i] = _settle(spec, p[i].tolist(), rel[:, i].tolist())
+        near[:, i] = _settle(spec, p[i].tolist())
     return np.array(inverse) @ near
 
 
-def _settle(spec: LatticeSpec, xyz, rel) -> tuple[int, int, int]:
+def _settle(spec: LatticeSpec, xyz) -> tuple[int, int, int]:
     """The tie step of both decoders: for a point they flag, the lattice
     point y, in the scaled coordinates of ``_decode``'s ``near``, whose
     basis id M^-1 y is the one ``assign_cells_oracle`` gives the point.
-    ``xyz`` is the point and ``rel`` its p - sink, three Python floats
-    each; Python ints and floats only.
+    ``xyz`` is the point, three Python floats, whose p - sink is formed as
+    both decoders form it, the same doubles; Python ints and floats only.
 
-    The nearest point of each coset to t = rel / scale has, on each axis,
-    the floor or the ceiling of (t - s) / P, times P, plus s, the coset's
-    shift there; the decoders keep the nearer of the two. The floats put t
-    within ``rule.tol`` of its exact value, far less than a step, so the
-    nearest center and every center tied with it are among these at most 16
-    candidates, however the floats round t. Their centers are
+    The nearest point of each coset to t = (p - sink) / scale has, on each
+    axis, the floor or the ceiling of (t - s) / P, times P, plus s, the
+    coset's shift there; the decoders keep the nearer of the two. The
+    floats put t within ``rule.tol`` of its exact value, far less than a
+    step, so the nearest center and every center tied with it are among
+    these at most 16 candidates, however the floats round t. Their centers are
     sink + y * scale, the doubles of ``_center``. Each float is n / d with
     d a power of two, so in units of 1 / D, D the largest d among the point
     and the centers, every coordinate is an integer, and the squared
     distances are exact; the smallest (squared distance, public id) wins.
     """
     sink, scale, _, period, _, threshold, inverse, _, _ = spec.rule
+    t = [(x - o) / k for x, o, k in zip(xyz, sink, scale)]
     cands = []
     for shift in (0, 1) if threshold else (0,):
-        axes = [{s + P * math.floor((r / k - s) / P), s + P * math.ceil((r / k - s) / P)}
-                for r, k, P, s in zip(rel, scale, period, [shift * (P - 1) for P in period])]
+        axes = [{s + P * math.floor((r - s) / P), s + P * math.ceil((r - s) / P)}
+                for r, P, s in zip(t, period, [shift * (P - 1) for P in period])]
         cands += itertools.product(*axes)
     # exact squared distances along each axis, once per distinct value: in
     # units of 1 / D the integers span only the floats' exponents, some 55
@@ -475,7 +478,7 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
             ax, ay, az = abs(ax - sx), abs(ay - sy), abs(az - sz)
         tie = abs(margin) <= tol
     if tie or ax >= 0.5 * px - tol or ay >= 0.5 * py - tol or az >= 0.5 * pz - tol:
-        nx, ny, nz = _settle(spec, xyz, (rx, ry, rz))
+        nx, ny, nz = _settle(spec, xyz)
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = inverse
     u = int(m00 * nx + m01 * ny + m02 * nz)
     v = int(m10 * nx + m11 * ny + m12 * nz)

@@ -22,9 +22,7 @@ from .geometry import (
     NEIGHBOR_COUNTS,
     build_polyhedron,
     cell_volume,
-    center_offsets,
     max_cell_radius,
-    max_vertex_pair_distance,
     neighbor_classes,
     sample_inside,
 )
@@ -227,22 +225,18 @@ def verify_connectivity(spec: LatticeSpec, circumradius: float | None = None,
                         rel_tol: float = 1e-9) -> ConnectivityReport:
     """Check that any two points of any two neighboring cells are within r_t.
 
-    The optimum sits exactly on the constraint, so the check allows a
-    relative slack of ``rel_tol``. Pass ``circumradius`` to probe a cell
-    size other than the derived maximum (useful to show oversized cells
-    break connectivity).
+    Each class's worst pair distance is its ``max_pair_distance_coeff``,
+    which ``geometry.neighbor_classes`` derives exactly from the Voronoi
+    cell, times the circumradius: the distance scales with R. The optimum
+    sits exactly on the constraint, so the check allows a relative slack of
+    ``rel_tol``. Pass ``circumradius`` to probe a cell size other than the
+    derived maximum (useful to show oversized cells break connectivity).
     """
     R = spec.circumradius if circumradius is None else float(circumradius)
-    base = build_polyhedron(spec.shape, (0.0, 0.0, 0.0), R)
-    per_class: dict[str, float] = {}
-    for cls in neighbor_classes(spec.shape):
-        worst = 0.0
-        for off in cls.offset_generators:
-            # the neighbor on the lattice of radius-R cells
-            center = center_offsets(spec.shape, R, off)
-            other = build_polyhedron(spec.shape, center, R)
-            worst = max(worst, max_vertex_pair_distance(base, other))
-        per_class[cls.label] = worst
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError("circumradius must be positive and finite")
+    per_class = {cls.label: cls.max_pair_distance_coeff * R
+                 for cls in neighbor_classes(spec.shape)}
     binding = max(per_class, key=per_class.get)
     max_dist = per_class[binding]
     return ConnectivityReport(

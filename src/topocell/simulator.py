@@ -233,30 +233,26 @@ def _matches(ids: np.ndarray, truth: np.ndarray) -> int:
     return int(np.count_nonzero(same))
 
 
-def _first(pred, k: int) -> int:
-    """Smallest integer j with pred(j), for a predicate false below some
-    integer and true from it on: gallops out from the guess k, then bisects."""
-    lo, hi, step = k - 1, k, 1
-    while pred(lo):
-        lo, hi, step = lo - step, lo, 2 * step
-    while not pred(hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
-    return hi
+def _span(lo: float, hi: float, sink: float, scale: float) -> tuple[int, int]:
+    """First and last integer y with lo <= sink + y * scale <= hi, the center
+    coordinate of ``cell_centers``, in float arithmetic; last < first when
+    there is none.
 
-
-def _axis_count(lo: float, hi: float, sink: float, scale: float, period: int,
-                shift: int) -> int:
-    """Number of integers k with lo <= sink + (period * k + shift) * scale <= hi,
-    evaluated in float arithmetic."""
-    def center(k):
-        return sink + (period * k + shift) * scale
-    first = _first(lambda k: center(k) >= lo, math.ceil(((lo - sink) / scale - shift) / period))
-    beyond = _first(lambda k: center(k) > hi,
-                    math.floor(((hi - sink) / scale - shift) / period) + 1)
-    return max(0, beyond - first)
+    The float center is monotone in y, so each end starts from the ceiling
+    or floor of its real-valued estimate and steps while the float center
+    says so: correct for any error of the estimate, and at most one step
+    inside the domain.
+    """
+    first, last = math.ceil((lo - sink) / scale), math.floor((hi - sink) / scale)
+    while sink + (first - 1) * scale >= lo:
+        first -= 1
+    while sink + first * scale < lo:
+        first += 1
+    while sink + (last + 1) * scale <= hi:
+        last += 1
+    while sink + last * scale > hi:
+        last -= 1
+    return first, last
 
 
 def active_count(spec: LatticeSpec, box: Box) -> int:
@@ -276,13 +272,13 @@ def active_count(spec: LatticeSpec, box: Box) -> int:
     if not max(map(abs, rel)) <= rule.reach:
         raise _reach_error(spec)
     # In scaled coordinates y = b @ M.T the centers are diag(P) Z^3 and, if
-    # some period P_i is 2, its shift by P - 1; on each coset the count is a
-    # product of per-axis counts. Axis i of a center is computed as
-    # sink_i + y_i * scale_i, monotone in y_i, so each range boundary is
-    # settled in that same float arithmetic from its real-valued estimate.
+    # some period P_i is 2, its shift by o = P - 1; on each coset the count
+    # is the product over the axes of the number of y = o (mod P) in the
+    # axis's span, each axis of a center being sink_i + y_i * scale_i
+    spans = [_span(*axis) for axis in zip(box.lo.tolist(), box.hi.tolist(), rule.sink, rule.scale)]
     shifts = [[0, 0, 0]] if max(rule.period) == 1 else [[0, 0, 0], [p - 1 for p in rule.period]]
-    axes = list(zip(box.lo.tolist(), box.hi.tolist(), rule.sink, rule.scale, rule.period))
-    return sum(math.prod(_axis_count(*axis, o) for axis, o in zip(axes, shift))
+    return sum(math.prod(max(0, (last - o) // P - (first - o - 1) // P)
+                         for (first, last), P, o in zip(spans, rule.period, shift))
                for shift in shifts)
 
 

@@ -259,11 +259,11 @@ class TestAssignCell:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("r_t,sink", [(1.0, (0.0, 0.0, 0.0)), (3.7, (1.25, -0.4, 2.83))])
     def test_decoders_flag_the_same_rows(self, shape, r_t, sink, monkeypatch):
-        # assign_cell sends to the tie step exactly the points, and their
-        # p - sink, that assign_cells sends there, in the same order: random
-        # points, the vertices and neighbor midpoints of a 7^3 block, those
-        # vertices moved by a few ulps, and points 1e-10 to 1e-6 steps from
-        # them, on both sides of the tie tolerance
+        # assign_cell sends to the tie step exactly the points that
+        # assign_cells sends there, in the same order: random points, the
+        # vertices and neighbor midpoints of a 7^3 block, those vertices
+        # moved by a few ulps, and points 1e-10 to 1e-6 steps from them, on
+        # both sides of the tie tolerance
         spec = LatticeSpec(shape, r_t, sink=sink)
         rng = np.random.default_rng(8)
         verts = np.vstack([build_polyhedron(shape, c, spec.circumradius).vertices
@@ -274,8 +274,8 @@ class TestAssignCell:
                          self.tie_points(spec, id_grid(3)), verts + 3 * np.spacing(verts),
                          verts - 2 * np.spacing(verts), near])
         sent = []
-        monkeypatch.setattr(lattice, "_settle", lambda spec, xyz, rel:
-                            sent.append((list(xyz), list(rel))) or (0, 0, 0))
+        monkeypatch.setattr(lattice, "_settle", lambda spec, xyz:
+                            sent.append(list(xyz)) or (0, 0, 0))
         assign_cells(spec, pts)
         bulk = sent[:]
         sent.clear()
@@ -944,8 +944,8 @@ class TestBlockSize:
         chunk = 997
         edges = np.arange(chunk, len(pts), chunk)
         settled, settle = set(), lattice._settle
-        monkeypatch.setattr(lattice, "_settle", lambda spec, xyz, rel:
-                            settled.add(tuple(xyz)) or settle(spec, xyz, rel))
+        monkeypatch.setattr(lattice, "_settle", lambda spec, xyz:
+                            settled.add(tuple(xyz)) or settle(spec, xyz))
         ids, truth = assign_cells(spec, pts), assign_cells_oracle(spec, pts)
         tie = np.array([p in settled for p in map(tuple, pts.tolist())])
         assert (tie[edges - 1] & tie[edges]).any()
@@ -1141,6 +1141,22 @@ class TestBasis:
         for convert in (to_basis_ids, to_public_ids):
             with pytest.raises(ValueError):
                 convert("xx", ids)
+
+    def test_geometry_ids_must_be_integers(self):
+        # the geometry conversions cast ids to int64: 1.7 gave cell (1, 0, 0)'s
+        # offset, (1.9, 3.2, 0) HP's basis id (0, 3, 0) and (True, 2.5, 0)
+        # CB's id (1, 2, 0)
+        convert = [functools.partial(center_offsets, CellShape.TO, 1.0),
+                   functools.partial(to_basis_ids, CellShape.HP),
+                   functools.partial(to_public_ids, CellShape.CB)]
+        for ids in ([1.7, 0, 0], [1.9, 3.2, 0], [True, 2.5, 0], [True, False, False],
+                    [["1", "0", "0"]], np.array([1.0, 0.0, 0.0])):
+            for call in convert:
+                with pytest.raises(ValueError, match="cell ids must be integers"):
+                    call(ids)
+        for ids in ([1, 2, 0], np.array([1, 2, 0], np.int32), np.array([1, 2, 0], np.uint8)):
+            assert (to_basis_ids(CellShape.HP, ids) == [0, 2, 0]).all()
+            assert (to_public_ids(CellShape.CB, ids) == [1, 2, 0]).all()
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_coset_table(self, shape):

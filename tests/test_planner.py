@@ -5,7 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from topocell.geometry import CellShape, build_polyhedron, max_vertex_pair_distance
+from topocell.geometry import (
+    CellShape,
+    build_polyhedron,
+    center_offsets,
+    max_vertex_pair_distance,
+    neighbor_classes,
+)
 from topocell.lattice import LatticeSpec
 from topocell.planner import (
     REFERENCE_ACTIVE_RATIO,
@@ -189,6 +195,34 @@ class TestVerifyConnectivity:
         rep = verify_connectivity(LatticeSpec(shape, 3.0))
         assert rep.ok
         assert rep.max_neighbor_distance == pytest.approx(3.0, rel=1e-9)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("factor", [0.99, 1.0, 1.01])
+    def test_matches_the_vertex_pair_brute_force(self, shape, factor):
+        # each class's worst pair distance, the derived coefficient times R,
+        # against the largest vertex-pair distance between the cell and each
+        # neighbor of the class, both built as polyhedra on the lattice of
+        # radius-R cells
+        spec = LatticeSpec(shape, 1.7)
+        R = factor * spec.circumradius
+        rep = verify_connectivity(spec, circumradius=R)
+        base = build_polyhedron(shape, (0.0, 0.0, 0.0), R)
+        brute = {cls.label: max(max_vertex_pair_distance(
+                     base, build_polyhedron(shape, center_offsets(shape, R, off), R))
+                     for off in cls.offset_generators)
+                 for cls in neighbor_classes(shape)}
+        assert rep.per_class.keys() == brute.keys()
+        for label, dist in brute.items():
+            assert rep.per_class[label] == pytest.approx(dist, rel=1e-12)
+        binding = max(brute, key=brute.get)
+        assert rep.binding_class == binding
+        assert rep.ok == (brute[binding] <= spec.r_t * (1.0 + 1e-9)) == (factor <= 1.0)
+
+    def test_circumradius_must_be_positive_and_finite(self):
+        spec = LatticeSpec(CellShape.TO, 1.0)
+        for R in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="circumradius must be positive and finite"):
+                verify_connectivity(spec, circumradius=R)
 
 
 class TestVerifyCoverage:

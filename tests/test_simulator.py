@@ -418,49 +418,64 @@ class TestStreaming:
             assert peak < bound, name
 
 
-class TestFirst:
-    @pytest.mark.parametrize("guess", [-10 ** 9, -5, 41, 42, 43, 10 ** 9])
-    def test_finds_the_threshold_from_any_guess(self, guess):
-        # guesses far below and far above gallop out, then bisect
-        calls = []
-
-        def pred(j):
-            calls.append(j)
-            return j >= 42
-
-        assert simulator._first(pred, guess) == 42
-        assert len(calls) <= 4 * math.log2(abs(guess - 42) + 2)
-
-
 class TestActiveCount:
     def test_estimate_at_the_finest_step_of_a_far_sink(self, monkeypatch):
         # A CB step of 0.29 m at a sink of x = 1e17 m, where centers are 16 m
         # apart in float, is refused. At x = 1e8 m with about the finest step
-        # that the tie bound allows there, 2.35 cm, the per-axis estimates
-        # miss the first and the last counted id by at most one, and the
-        # count equals that of the centers cell_centers computes, over ids
-        # that cover the box with room to spare; a box face passes through
-        # the centers of row 0
+        # that the tie bound allows there for each shape (2.35 cm for CB),
+        # each end of an axis's span is at most one step from its estimate,
+        # and the count equals that of the centers cell_centers computes,
+        # over ids that cover the box with room to spare; a box face passes
+        # through the centers of row 0
         with pytest.raises(ValueError, match=r"2\^-20"):
             LatticeSpec(CellShape.CB, 1.0, sink=(1e17, 0.0, 0.0))
-        spec = LatticeSpec(CellShape.CB, 0.0815, sink=(1e8, 0.0, 0.0))
-        assert spec.rule.tol > 0.9 * lattice.MAX_TOL
-        box = Box(lo=(1e8, -0.03, -0.03), hi=(1e8 + 7.0, 0.03, 0.03))
-        misses, first = [], simulator._first
+        misses, span = [], simulator._span
 
-        def spy(pred, k):
-            j = first(pred, k)
-            misses.append(abs(j - k))
-            return j
+        def spy(lo, hi, sink, scale):
+            first, last = span(lo, hi, sink, scale)
+            misses.extend([abs(first - math.ceil((lo - sink) / scale)),
+                           abs(last - math.floor((hi - sink) / scale))])
+            return first, last
 
-        monkeypatch.setattr(simulator, "_first", spy)
-        ks = np.arange(-100, 400)
-        ids = np.stack(np.meshgrid(ks, [-2, -1, 0, 1, 2], [-2, -1, 0, 1, 2], indexing="ij"),
-                       axis=-1).reshape(-1, 3)
-        inside = box.contains(cell_centers(spec, ids))
-        assert ks[0] < ids[inside, 0].min() == 0 and ids[inside, 0].max() < ks[-1]
-        assert active_count(spec, box) == inside.sum() == 2682
-        assert misses and max(misses) <= 1
+        monkeypatch.setattr(simulator, "_span", spy)
+        ks, rows = np.arange(-100, 400), np.arange(-4, 5)
+        ids = np.stack(np.meshgrid(ks, rows, rows, indexing="ij"), axis=-1).reshape(-1, 3)
+        for shape, r_t, half, length, count in [
+                (CellShape.CB, 0.0815, 0.03, 7.0, 2682), (CellShape.HP, 0.4944, 0.24, 32.0, 1542),
+                (CellShape.RD, 0.5284, 0.2, 28.0, 1050), (CellShape.TO, 0.2887, 0.15, 21.0, 1950)]:
+            spec = LatticeSpec(shape, r_t, sink=(1e8, 0.0, 0.0))
+            assert spec.rule.tol > 0.9 * lattice.MAX_TOL
+            box = Box(lo=(1e8, -half, -half), hi=(1e8 + length, half, half))
+            centers = cell_centers(spec, ids)
+            inside = box.contains(centers)
+            assert ks[0] < ids[inside, 0].min() <= 0 and ids[inside, 0].max() < ks[-1]
+            assert np.abs(ids[inside, 1:]).max() < rows[-1]
+            assert (centers[inside, 0] == box.lo[0]).any()
+            misses.clear()
+            assert active_count(spec, box) == inside.sum() == count
+            assert len(misses) == 6 and max(misses) <= 1
+
+    def test_span_ends_are_those_of_the_float_centers(self):
+        # lo and hi on a float center sink + y * scale or one ulp beside it:
+        # the span's ends are the first and last y whose center lies in
+        # [lo, hi], whether the estimate of an end is one step low, right
+        # or one step high; a span with no center has last < first
+        rng = np.random.default_rng(5)
+        moves = set()
+        for _ in range(3000):
+            sink, scale = float(rng.uniform(-1e4, 1e4)), float(10 ** rng.uniform(-2, 1))
+            y0, y1 = sorted(rng.integers(-1000, 1000, 2).tolist())
+            lo, hi = (float(np.nextafter(c, c + k * math.inf)) if k else c
+                      for c, k in ((sink + y0 * scale, rng.integers(-1, 2)),
+                                   (sink + y1 * scale, rng.integers(-1, 2))))
+            first, last = simulator._span(lo, hi, sink, scale)
+            ys = [y for y in range(y0 - 3, y1 + 4) if lo <= sink + y * scale <= hi]
+            assert (first, last) == (ys[0], ys[-1])
+            moves.add((first - math.ceil((lo - sink) / scale),
+                       last - math.floor((hi - sink) / scale)))
+        assert {first for first, _ in moves} == {last for _, last in moves} == {-1, 0, 1}
+        first, last = simulator._span(0.25, 0.75, 0.0, 1.0)
+        assert last < first
 
     def test_box_beyond_the_domain_is_refused(self):
         # ids of a box at x = 1e17 m around the origin sink are near 3.5e17,
