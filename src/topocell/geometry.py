@@ -81,6 +81,11 @@ from enum import Enum
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
+# Supported domain of ``lattice``: every coordinate of p - sink within
+# MAX_STEPS lattice steps, the step being the shape's first spacing constant
+# (CB s, RD R/sqrt2, TO d, HP hexagon side a). Ids then stay within
+# MAX_STEPS + 2 of zero, exact in float arithmetic and in int64.
+MAX_STEPS = 2 ** 19
 
 
 class CellShape(str, Enum):
@@ -299,14 +304,18 @@ def to_public_ids(shape: CellShape, ids) -> np.ndarray:
 def _half_steps(shape: CellShape, ids, sign: int) -> np.ndarray:
     """``ids`` as int64, with sign * floor(v / 2) added to u on HP, in one
     copy: the axial id alpha = u - floor(v/2) undoes the half-step shift of
-    odd rows. Ids of a non-integer dtype raise ``ValueError``, rather than
-    be truncated or cast."""
+    odd rows. Ids of a non-integer dtype, and unsigned ids beyond the
+    domain (more than MAX_STEPS + 2), raise ``ValueError``, rather than be
+    truncated or cast."""
     import numpy as np
 
     hp = _as_shape(shape) is CellShape.HP
     ids = np.asarray(ids)
     if ids.dtype.kind not in "iu":
         raise ValueError(f"cell ids must be integers, got an array of {ids.dtype}")
+    # an unsigned id of 2^63 or more would wrap to a negative int64
+    if ids.dtype.kind == "u" and ids.size and ids.max() > MAX_STEPS + 2:
+        raise ValueError(f"cell ids must lie within {MAX_STEPS + 2} of zero on each axis")
     if hp:
         ids = np.array(ids, dtype=np.int64)
         ids[..., 0] += sign * (ids[..., 1] >> 1)

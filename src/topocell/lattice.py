@@ -74,7 +74,12 @@ The three bulk paths, ``assign_cells``, ``assign_cells_oracle`` and
 p - sink as (3, rows) columns ``_CHUNK`` rows at a time, checks the domain,
 hands the block to the path's scorer (``_decode``, ``_oracle`` or
 ``_nearest_int``), which returns basis ids, and stores them as public ids;
-it chooses no id itself. Points farther than ``MAX_STEPS`` lattice steps
+it chooses no id itself. Its p - sink buffer and the decoder's scratch
+(``_work``) are allocated once per call, not per block. The decoder is
+``_lattice_points``, the nearest lattice point y, then M^-1 y; the
+lifetime simulation runs the same p - sink step (``_relative``) and
+``_lattice_points`` on its blocks, with buffers of its own, and counts y.
+Points farther than ``MAX_STEPS`` lattice steps
 from the sink along any axis are rejected with ``ValueError``, and so are
 specs outside ``MAX_MAGNITUDE``, whose squares could overflow or
 underflow, and specs whose step the floats near the sink cannot resolve
@@ -91,6 +96,7 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .geometry import (
+    MAX_STEPS,
     _BASES,
     _INVERSES,
     _METRIC,
@@ -109,10 +115,7 @@ from .geometry import (
 )
 
 # Supported domain: every coordinate of p - sink within MAX_STEPS lattice
-# steps, the step being the shape's first spacing constant (CB s, RD R/sqrt2,
-# TO d, HP hexagon side a). Ids then stay within MAX_STEPS + 2 of zero, exact
-# in float arithmetic, and an id triple packs into one int64 key.
-MAX_STEPS = 2 ** 19
+# steps (``geometry.MAX_STEPS``, whose id conversions check unsigned ids).
 # Supported magnitudes: a spec's step is at least 1 / MAX_MAGNITUDE and its
 # |sink|inf + MAX_STEPS steps at most MAX_MAGNITUDE = 2^500 m. Every square
 # and product that the oracle and the CLI's distance column form then stays
@@ -129,12 +132,16 @@ MAX_TOL = 2.0 ** -20
 # largest oracle window: windows >= 2 all give the same ids, at (2w+1)^3 rows
 MAX_WINDOW = 8
 # rows that every bulk loop (the block driver of the three bulk assigners,
-# the experiments' draws and tallies) handles at once. A block's arrays,
-# 192 KiB per (3, rows) float array and about 2 MiB for the oracle's
-# (candidates, rows) scores, stay in cache, and the allocator reuses
-# their memory for the next block instead of returning it to the system and
-# faulting it back in; of 4,096 to 65,536 rows, 8,192 ran the accuracy
-# experiment fastest
+# the experiments' draws and tallies) handles at once; of 4,096 to 65,536
+# rows, 8,192 ran the accuracy experiment fastest. A block's arrays, 192 KiB
+# per (3, rows) float array and about 2 MiB for the oracle's
+# (candidates, rows) scores, stay in cache. The allocator need not keep
+# them for the next block: glibc maps arrays of that size, or trims them
+# off the heap's top, when they are freed, so one made afresh in every
+# block can be faulted in again in every block. The driver's p - sink
+# buffer and the decoder's scratch (``_work``) are made once per call and
+# fault in once; the oracle, a reference only, still makes its arrays in
+# every block
 _CHUNK = 1 << 13
 
 
@@ -279,11 +286,22 @@ def _nearest_int(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarra
     return np.trunc(ids, out=ids)
 
 
-def _decode(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarray:
-    """The decoder, ``assign_cells``' scorer of ``_blocks``: basis ids of the
-    nearest centers to the rows ``p`` (rows, 3), given their p - sink columns
-    ``rel`` (3, rows), which it overwrites, as (3, rows) float columns of
-    integers.
+def _work(rows: int) -> list:
+    """The decoder's scratch for one call, sliced to each block's rows: its
+    lattice points y and distances a, (3, rows) floats, the coset margin,
+    (rows,) floats, and (rows,) and (3, rows) bools for the ties."""
+    import numpy as np
+
+    flags = np.empty((4, rows), dtype=bool)
+    return [*np.empty((2, 3, rows)), np.empty(rows), flags[0], flags[1:]]
+
+
+def _lattice_points(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, work: list) -> np.ndarray:
+    """The decoder's lattice points y, nearest to the rows ``p`` (rows, 3)
+    in the scaled coordinates of ``geometry.lattice_basis``, given their
+    p - sink columns ``rel`` (3, rows), which it overwrites, and the call's
+    scratch ``work`` (``_work``): (3, rows) float columns of integers, in
+    ``work``, whose basis ids are M^-1 y.
 
     The columns whose decision is within the rule's ``tol`` of a tie are
     settled by ``_settle``. ``assign_cell`` is the same rule for one point,
@@ -291,36 +309,45 @@ def _decode(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    _, _, divisor, period, weight, threshold, inverse, _, tol = spec.rule
+    _, _, divisor, period, weight, threshold, _, _, tol = spec.rule
     period = np.array(period, dtype=float)[:, None]
+    near, a, margin, tie, over = (w[..., :rel.shape[1]] for w in work)
     # near: the nearest point of diag(P) Z^3 to t = rel / scale, and
-    # err = t - near, both exact; the arithmetic runs in place, in the
-    # driver's buffer too, as a chunk's temporaries cost more than the
-    # arithmetic itself
+    # err = t - near, both exact; every temporary is written into rel or
+    # the scratch, as a chunk's fresh arrays cost more than the arithmetic
     err = rel
     err /= np.array(divisor)[:, None]
-    near = np.rint(err)
+    np.rint(err, out=near)
     err -= near
     err *= period
     near *= period
-    a = np.abs(err)
-    tie = False
+    np.abs(err, out=a)
     if threshold:  # a second coset, shifted on the period-2 axes; CB has none
         # its nearest point is near + sign(err) on the period-2 axes, 1 - a
         # away there instead of a: it is the nearer point when the weighted
         # sum of a - 1/2 over those axes is positive
-        margin = np.array(weight) @ a
+        np.matmul(np.array(weight), a, out=margin)
         margin -= threshold
-        shift = (margin > 0) * (period - 1.0)
-        near += np.copysign(shift, err, out=err)
-        a -= shift
+        # the step sign(err) (P - 1) of the columns that take it, in err
+        step = np.copysign(period - 1.0, err, out=err)
+        near += np.multiply(step, np.greater(margin, 0, out=tie), out=step)
+        a -= np.abs(step, out=step)
         np.abs(a, out=a)
-        tie = np.abs(margin) <= tol
-    # ties: two cosets equally near, or the chosen coset's rounding at a half
-    tie |= (a >= 0.5 * period - tol).any(axis=0)
+    # ties: the chosen coset's rounding at a half, or two cosets equally near
+    np.any(np.greater_equal(a, 0.5 * period - tol, out=over), axis=0, out=tie)
+    if threshold:
+        tie |= np.less_equal(np.abs(margin, out=margin), tol, out=over[0])
     for i in np.flatnonzero(tie).tolist():
         near[:, i] = _settle(spec, p[i].tolist())
-    return np.array(inverse) @ near
+    return near
+
+
+def _decode(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, work: list) -> np.ndarray:
+    """The decoder, ``assign_cells``' scorer of ``_blocks``: the basis ids
+    M^-1 y of ``_lattice_points``, as (3, rows) float columns in ``rel``."""
+    import numpy as np
+
+    return np.matmul(np.array(spec.rule.inverse), _lattice_points(spec, p, rel, work), out=rel)
 
 
 def _settle(spec: LatticeSpec, xyz) -> tuple[int, int, int]:
@@ -373,16 +400,30 @@ def _reach_error(spec: LatticeSpec) -> ValueError:
         f"({spec.rule.reach:.6g} m) of the sink along each axis")
 
 
+def _relative(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """p - sink of the rows ``p`` (rows, 3), formed as (3, rows) columns in
+    ``buf`` and checked to be within the domain."""
+    import numpy as np
+
+    rel = np.subtract(p.T, np.array(spec.sink)[:, None], out=buf[:, :len(p)])
+    # offsets from the sink that are not finite or exceed MAX_STEPS steps,
+    # found with no temporary array: a NaN makes the minimum NaN
+    if not -spec.rule.reach <= rel.min() <= rel.max() <= spec.rule.reach:
+        raise _reach_error(spec)
+    return rel
+
+
 def _blocks(spec: LatticeSpec, points, score) -> np.ndarray:
     """Public ids of the rows of ``points`` as an (n, 3) int64 array, from
     the scorer ``score``, ``_CHUNK`` rows at a time.
 
     The points are read as real floats (``geometry._floats``) and must have
-    shape (n, 3). Each block's p - sink, formed as (3, rows) columns in one
-    buffer and checked to be within the domain, goes with the block's rows
-    p to ``score(spec, p, rel)``, which returns their basis ids as (3, rows)
-    columns and may overwrite ``rel``. They are stored as the block's int64
-    rows, and on HP become public ids there, u + floor(v / 2).
+    shape (n, 3). Each block's p - sink (``_relative``), in one buffer per
+    call, goes with the block's rows p to ``score(spec, p, rel)``, which
+    returns their basis ids as (3, rows) columns and may overwrite ``rel``;
+    the decoder also gets its scratch (``_work``), allocated once per call.
+    The ids are stored as the block's int64 rows, and on HP become public
+    ids there, u + floor(v / 2).
     """
     import numpy as np
 
@@ -390,18 +431,13 @@ def _blocks(spec: LatticeSpec, points, score) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
     out = np.empty((len(pts), 3), dtype=np.int64)
-    sink = np.array(spec.sink)[:, None]
     buf = np.empty((3, min(len(pts), _CHUNK)))
+    score = partial(_decode, work=_work(buf.shape[1])) if score is _decode else score
     for start in range(0, len(pts), _CHUNK):
         p = pts[start:start + _CHUNK]
-        rel = np.subtract(p.T, sink, out=buf[:, :len(p)])
-        # offsets from the sink that are not finite or exceed MAX_STEPS steps,
-        # found with no temporary array: a NaN makes the minimum NaN
-        if not -spec.rule.reach <= rel.min() <= rel.max() <= spec.rule.reach:
-            raise _reach_error(spec)
         ids = out[start:start + _CHUNK]
         # column by column: numpy's transposed copy of a block costs 3 times as much
-        for axis, column in enumerate(score(spec, p, rel)):
+        for axis, column in enumerate(score(spec, p, _relative(spec, p, buf))):
             ids[:, axis] = column
         if spec.shape is CellShape.HP:
             ids[:, 0] += ids[:, 1] >> 1
@@ -676,9 +712,11 @@ def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, window: int) -> n
     # every (k, n) array is reduced over k row by row, as a running
     # minimum, count or maximum, which reads memory in order
     close = scores <= scores.min(axis=0) + tol
-    # freed before the next arrays, which then reuse its memory: the
-    # block's peak stays low enough that the allocator keeps the memory
-    # for the next block rather than returning it and faulting it back
+    # freed before the next arrays, to keep the block's peak low. The
+    # oracle's arrays are made afresh in every block, and whether the
+    # allocator returns their memory and faults it back in for the next
+    # block depends on the process's heap history; unlike the decoder's
+    # scratch, they are not kept for the call
     del scores
     # the last close candidate, on an unflagged row the only one
     ids = offs.take(np.multiply(close, index).max(axis=0).astype(np.intp), axis=1)

@@ -21,22 +21,25 @@ the deployment box) so box-boundary truncation does not skew them. All
 randomness flows through numpy's default PCG64 generator seeded from the
 experiment config, so identical seeds reproduce identical results.
 
-Both experiments stream: they draw, assign and tally ``lattice._CHUNK``
-points at a time, the 8,192-row block of the lattice's one block driver,
-through which all three bulk assigners run, and never hold an (n, 3)
-array, so their peak memory does not grow with n, and a block's arrays
-stay in cache. PCG64 gives the same doubles in one call or in many, so the
-blocks are the rows of the one whole-array draw, and the results do not
-depend on the block size. The accuracy
-experiment adds each block's correct rows to two integer counters; the
-oracle's id of a point does not depend on the other points of its call.
-Both draw every block into one reused buffer and scale and shift it there;
-per-axis constants, the box's sides and corner and the sink, go one column
-at a time, which ``geometry._per_axis`` explains. The lifetime simulation
-packs each id into an int64 key at the fixed offset ``MAX_STEPS + 2``, so a
-key names the same cell in every block, and merges the blocks' distinct
-keys and counts into running ones: O(``_CHUNK`` + cells) memory. Only
-``deploy`` returns whole arrays.
+Both experiments stream: they draw and score ``lattice._CHUNK`` points at
+a time, the 8,192-row block of the lattice's one block driver, through
+which all three bulk assigners run, and never hold an (n, 3) array, so
+their peak memory does not grow with n, and a block's arrays stay in cache.
+PCG64 gives the same doubles in one call or in many, so the blocks are the
+rows of the one whole-array draw, and the results do not depend on the
+block size. The accuracy experiment adds each block's correct rows to two
+integer counters; the oracle's id of a point does not depend on the other
+points of its call. Both draw every block into one reused buffer and scale
+and shift it there; per-axis constants, the box's sides and corner and the
+sink, go one column at a time, which ``geometry._per_axis`` explains. The
+lifetime simulation forms no ids: the lattice's decoder gives each node
+its lattice point y, through the block driver's p - sink step, and a
+closed form gives the interior cell, if any, whose slot counts the node
+(``_interior_counts``): no centers, and no sort unless the box holds few
+nodes for its size.
+Its buffers, for p - sink and the decoder's temporaries, are allocated
+once per call, so its blocks allocate no (3, rows) array. Only ``deploy``
+returns whole arrays.
 """
 
 from __future__ import annotations
@@ -48,13 +51,13 @@ from dataclasses import dataclass
 from .geometry import CellShape, _floats, _per_axis, as_point, build_polyhedron
 from .lattice import (
     _CHUNK,
-    MAX_STEPS,
     LatticeSpec,
-    _reach_error,
+    _lattice_points,
+    _relative,
+    _work,
     assign_cells,
     assign_cells_nearest_int,
     assign_cells_oracle,
-    cell_centers,
 )
 
 
@@ -266,11 +269,11 @@ def active_count(spec: LatticeSpec, box: Box) -> int:
     sink raises the ``ValueError`` that ``assign_cells`` raises for such a
     point.
     """
+    import numpy as np
+
     rule = spec.rule
-    rel = [c - s for corner in (box.lo.tolist(), box.hi.tolist())
-           for c, s in zip(corner, rule.sink)]
-    if not max(map(abs, rel)) <= rule.reach:
-        raise _reach_error(spec)
+    # the block driver's domain check, on the box's two corners
+    _relative(spec, np.array([box.lo, box.hi]), np.empty((3, 2)))
     # In scaled coordinates y = b @ M.T the centers are diag(P) Z^3 and, if
     # some period P_i is 2, its shift by o = P - 1; on each coset the count
     # is the product over the axes of the number of y = o (mod P) in the
@@ -282,60 +285,68 @@ def active_count(spec: LatticeSpec, box: Box) -> int:
                for shift in shifts)
 
 
-def _cell_steps(n_nodes: int, unit_charges: int, k: int) -> int:
-    """Steps a cell lasts: balanced rotation of k active among n equal nodes."""
-    if n_nodes < k:
-        return 0
-    return (n_nodes * unit_charges) // k
+# the dense count's grid holds at most this many slots per node; a box of
+# sparser nodes sorts their slots instead
+_SLOTS_PER_NODE = 4
 
 
-# ids of the domain lie within MAX_STEPS + 2 of zero on each axis, so an id
-# plus _OFFSET indexes a cube of shape _DIMS, whose (2**20 + 5)**3 < 2**61
-# cells all have int64 keys
-_OFFSET = MAX_STEPS + 2
-_DIMS = (2 * _OFFSET + 1,) * 3
+def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
+    """Node counts of the populated interior cells, in no particular order.
 
+    The nodes are ``deploy``'s, drawn and decoded ``_CHUNK`` at a time to
+    their lattice points y, the scaled coordinates of
+    ``geometry.lattice_basis`` (``lattice._lattice_points``). A cell is
+    interior when its center, sink + y * scale on each axis as
+    ``cell_centers`` computes it, lies in [lo + e, hi - e], e being the
+    cell's axis extents: on each axis a span of d values of y from f
+    (``_span``). A node's offsets y - f, each moved to d when outside
+    [0, d), name its slot in a grid of d + 1 values per axis, and the slots
+    with no offset at d are the interior ones: 1 (CB), 2 (HP) or 4 (RD, TO)
+    slots per interior cell, the others naming no lattice point.
 
-def _cell_counts(spec: LatticeSpec, config: DeploymentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct cell ids of the deployed nodes in lexicographic order, with
-    the number of nodes in each.
-
-    The nodes are ``deploy``'s, drawn and assigned ``_CHUNK`` at a time. Each
-    id packs into one int64 key at the fixed offset ``MAX_STEPS + 2``, not
-    relative to the block's smallest id, so a key names the same cell in
-    every block and keys sort as their ids do. The blocks' distinct keys and
-    counts merge into the running ones, which hold one row per cell, once
-    they outnumber them: every key is then merged O(log n) times, however
-    many cells the nodes fill, and the blocks awaiting their merge hold no
-    more rows than the running keys plus one block.
+    While the grid holds at most ``_SLOTS_PER_NODE`` slots per node, each
+    block adds its nodes into one count per slot. A sparser box, with fewer
+    nodes than a quarter of its slots, keeps each block's interior slots and
+    counts them with one sort at the end; its nodes mostly fall in distinct
+    cells, so merging each block's distinct slots as they come would save
+    little. Either way the memory is O(``_CHUNK`` + min(n, slots)).
     """
     import numpy as np
 
-    keys = counts = np.empty(0, dtype=np.int64)
-    blocks, held = [], 0
-    for pts in _node_blocks(config, _CHUNK):
-        ids = assign_cells(spec, pts)
-        ids += _OFFSET
-        blocks.append(np.unique(np.ravel_multi_index(tuple(ids.T), _DIMS), return_counts=True))
-        held += len(blocks[-1][0])
-        if held > len(keys):
-            keys, counts = _merged(keys, counts, blocks)
-            blocks, held = [], 0
-    keys, counts = _merged(keys, counts, blocks)
-    return np.stack(np.unravel_index(keys, _DIMS), axis=-1) - _OFFSET, counts
-
-
-def _merged(keys: np.ndarray, counts: np.ndarray, blocks: list) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct keys of ``keys`` and of the (keys, counts) pairs of
-    ``blocks``, with the counts of each key summed."""
-    import numpy as np
-
-    keys, inverse = np.unique(np.concatenate([keys, *(k for k, _ in blocks)]),
-                              return_inverse=True)
-    tally = np.concatenate([counts, *(c for _, c in blocks)])
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, inverse, tally)
-    return keys, counts
+    extents = build_polyhedron(spec.shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
+    # the limits, clamped to reach + 3 scale of the sink: beyond every center
+    # that a point of the domain decodes to, so that the grid, however far
+    # the box reaches, holds fewer than 2^61 slots
+    far = spec.rule.reach + 3.0 * np.array(spec.rule.scale)
+    lo, hi = (np.clip(x, spec.rule.sink - far, spec.rule.sink + far).tolist()
+              for x in (config.box.lo + extents, config.box.hi - extents))
+    spans = [_span(*axis) for axis in zip(lo, hi, spec.rule.sink, spec.rule.scale)]
+    first = np.array(spans, dtype=float)[:, :1]
+    dims = [max(0, last - start + 1) for start, last in spans]
+    bound = np.array(dims, dtype=np.uint64)[:, None]
+    rows = min(config.node_count, _CHUNK)
+    buf, work = np.empty((3, rows)), _work(rows)
+    dense = math.prod(d + 1 for d in dims) <= _SLOTS_PER_NODE * config.node_count
+    counts, kept = np.zeros([d + 1 for d in dims] if dense else 0, dtype=np.int64), []
+    for p in _node_blocks(config, rows):
+        y = _lattice_points(spec, p, _relative(spec, p, buf), work)
+        # the offsets, exact integers, in the spent p - sink buffer; as
+        # unsigned integers those outside [0, d) exceed d, and become d
+        off = np.subtract(y, first, out=buf.view(np.int64)[:, :len(p)], casting="unsafe")
+        np.minimum(off.view(np.uint64), bound, out=off.view(np.uint64))
+        # the slot, (off0 (d1 + 1) + off1) (d2 + 1) + off2, in y's spent row 0
+        slot = np.multiply(off[0], dims[1] + 1, out=y[0].view(np.int64))
+        slot += off[1]
+        slot *= dims[2] + 1
+        slot += off[2]
+        if dense:
+            np.add.at(counts.reshape(-1), slot, 1)
+        else:
+            kept.append(slot[(off.view(np.uint64) < bound).all(axis=0)])
+    if not dense:
+        return np.unique(np.concatenate(kept), return_counts=True)[1]
+    counts = counts[:-1, :-1, :-1]
+    return counts[counts > 0]
 
 
 def lifetime_simulation(spec: LatticeSpec, config: DeploymentConfig,
@@ -353,17 +364,13 @@ def lifetime_simulation(spec: LatticeSpec, config: DeploymentConfig,
     k = _integer(k, "k")
     if k < 1:
         raise ValueError("k must be at least 1")
-    cells, counts = _cell_counts(spec, config)
-    centers = cell_centers(spec, cells)
-    extents = build_polyhedron(spec.shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
-    interior = (
-        (centers >= config.box.lo + extents) & (centers <= config.box.hi - extents)
-    ).all(axis=1)
-    counts = counts[interior]
+    counts = _interior_counts(spec, config)
     if len(counts) == 0:
         raise EmptyRegionError("no populated cell lies entirely inside the box")
-    # a cell's steps grow with its node count, so the sparsest cell decides
-    lifetime = _cell_steps(int(counts.min()), math.ceil(battery_capacity), k)
+    # a cell lasts n ceil(capacity) // k steps, k of its n nodes active at a
+    # time in a balanced rotation; it grows with n, so the sparsest cell decides
+    fewest = int(counts.min())
+    lifetime = fewest * math.ceil(battery_capacity) // k if fewest >= k else 0
     return SimResult(
         shape=spec.shape,
         cells_populated=len(counts),

@@ -1158,6 +1158,24 @@ class TestBasis:
             assert (to_basis_ids(CellShape.HP, ids) == [0, 2, 0]).all()
             assert (to_public_ids(CellShape.CB, ids) == [1, 2, 0]).all()
 
+    def test_geometry_unsigned_ids_must_lie_in_the_domain(self):
+        # the geometry conversions cast unsigned ids to int64: 2^64 - 1 gave
+        # cell (-1, 0, 0)'s offset and 2^63 + 5 the id -2^63 + 5
+        edge = MAX_STEPS + 2
+        convert = [functools.partial(center_offsets, CellShape.TO, 1.0),
+                   functools.partial(to_basis_ids, CellShape.CB),
+                   functools.partial(to_public_ids, CellShape.HP)]
+        for ids in ([2 ** 64 - 1, 0, 0], [2 ** 63 + 5, 0, 0], [0, 0, edge + 1]):
+            for call in convert:
+                with pytest.raises(ValueError, match=f"within {edge} of zero on each axis"):
+                    call(np.array(ids, np.uint64))
+        for dtype in (np.uint64, np.uint32):
+            ids = np.array([[edge, edge - 1, 0]], dtype)
+            assert (to_basis_ids(CellShape.HP, ids) == [[edge - (edge - 1) // 2, edge - 1, 0]]).all()
+            assert (center_offsets(CellShape.TO, 1.0, ids)
+                    == center_offsets(CellShape.TO, 1.0, ids.astype(np.int64))).all()
+        assert to_public_ids(CellShape.RD, np.empty((0, 3), np.uint64)).shape == (0, 3)
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_coset_table(self, shape):
         # y is a point of M Z^3 (M^-1 y integral) exactly when y is in

@@ -338,8 +338,8 @@ class TestStreaming:
 
     @pytest.mark.parametrize("shape", list(CellShape))
     def test_lifetime_ids_at_the_domain_edge(self, shape, monkeypatch):
-        # a box across the whole domain: ids near +-(MAX_STEPS + 2) pack
-        # into the same fixed-offset keys in every block
+        # a box across the whole domain: ids near +-(MAX_STEPS + 2), and
+        # about 2^60 slots, which the run counts by sorting
         spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
         reach = MAX_STEPS * spec.step * (1 - 1e-9)
         box = Box(lo=np.array(spec.sink) - reach, hi=np.array(spec.sink) + reach)
@@ -376,20 +376,20 @@ class TestStreaming:
         assert (np.vstack(blocks).view(np.int64) == want.view(np.int64)).all()
 
     def test_lifetime_draws_are_the_uniform_doubles(self, monkeypatch):
-        # each block that the lifetime run assigns holds the rows of the one
+        # each block that the lifetime run decodes holds the rows of the one
         # whole-array lo + u * (hi - lo) draw, the short last block included;
         # the box's three sides differ and so do its corner's coordinates,
         # so a constant taken from the wrong axis or applied in the wrong
         # order changes the doubles
         spec = LatticeSpec(CellShape.RD, 1.0, sink=(0.11, -0.07, 0.23))
         box = Box(lo=(-1.1, 0.3, -2.7), hi=(1.0, 1.2, 0.95))
-        blocks = []
+        blocks, decode = [], simulator._lattice_points
 
-        def assign(spec, pts):
+        def spy(spec, pts, rel, work):
             blocks.append(pts.copy())
-            return assign_cells(spec, pts)
+            return decode(spec, pts, rel, work)
 
-        monkeypatch.setattr(simulator, "assign_cells", assign)
+        monkeypatch.setattr(simulator, "_lattice_points", spy)
         self.small_blocks(monkeypatch)
         n = 3 * self.CHUNK + 10
         lifetime_simulation(spec, DeploymentConfig(box=box, node_count=n, seed=21), 2.0)
@@ -416,6 +416,160 @@ class TestStreaming:
             print(f"{name}: tracemalloc peak {peak / 2 ** 20:.1f} MiB, "
                   f"bound {bound / 2 ** 20:.0f} MiB")
             assert peak < bound, name
+
+
+# (r_t, sink) pairs with near and far sinks, the Earth-centred one included
+BOUNDARY_SPECS = [(1.0, (0.0, 0.0, 0.0)), (3.7, (1.25, -0.4, 2.83)),
+                  (0.1, (4.2e6, 1.2e6, 4.7e6)), (1.0, (1e8, 1e8, -1e8))]
+
+
+def corner_through(limit, extent, sign):
+    """A box corner coordinate x whose interior limit x + sign * extent, as
+    the float filter computes it, is ``limit``, when some x within a few
+    ulps of limit - sign * extent gives it; otherwise the nearest found."""
+    x = limit - sign * extent
+    for _ in range(8):
+        got = x + sign * extent
+        if got == limit:
+            break
+        x = float(np.nextafter(x, math.inf if got < limit else -math.inf))
+    return x
+
+
+def boundary_boxes(spec, count, rng):
+    """Boxes whose interior limits lo + e and hi - e each pass through a
+    center coordinate sink + y * scale of ``cell_centers``, or one ulp
+    beside it, on every axis, with their deployments."""
+    ext = build_polyhedron(spec.shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
+    volume = cell_volume_coeff(spec.shape) * spec.r_t ** 3
+    for _ in range(count):
+        lo, hi = [], []
+        for sink, scale, e in zip(spec.sink, spec.rule.scale, ext.tolist()):
+            y0 = int(rng.integers(-3, 3))
+            y1 = y0 + int(rng.integers(1, 4))
+            limits = [sink + y * scale for y in (y0, y1)]
+            limits = [float(np.nextafter(c, c + k * math.inf)) if k else c
+                      for c, k in zip(limits, rng.integers(-1, 2, 2).tolist())]
+            lo.append(corner_through(limits[0], e, 1.0))
+            hi.append(corner_through(limits[1], e, -1.0))
+        box = Box(lo=lo, hi=hi)
+        yield DeploymentConfig(box=box, node_count=int(25 * box.volume / volume) + 20,
+                               seed=int(rng.integers(2 ** 32)))
+
+
+def lifetime_or_empty(run, spec, cfg):
+    """The outcome of ``run``, or "empty" when no populated cell is
+    interior: ``lifetime_simulation`` raises EmptyRegionError, and
+    ``whole_array_lifetime`` a ValueError for the minimum of no counts."""
+    try:
+        res = run(spec, cfg, 3.0, 1)
+    except (EmptyRegionError, ValueError) as err:
+        assert isinstance(err, EmptyRegionError) or "zero-size" in str(err)
+        return "empty"
+    return res if isinstance(res, tuple) else outcome(res)
+
+
+class TestInteriorSlots:
+    """The lifetime run counts nodes per interior cell by slots of its
+    lattice points, not by their centers: the counts are those of the
+    centers' float filter, on either counting path."""
+
+    PATHS = {"dense": math.inf, "sort": 0}  # values of _SLOTS_PER_NODE
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_boundary_boxes_match_the_float_filter(self, shape):
+        # 500 boxes per shape whose limits pass through centers or one ulp
+        # beside them: a center on a limit is interior, one an ulp outside
+        # is not, as the reference's float filter decides
+        rng = np.random.default_rng(list(CellShape).index(shape))
+        hits = {"on": 0, "beside": 0, "empty": 0}
+        for r_t, sink in BOUNDARY_SPECS:
+            spec = LatticeSpec(shape, r_t, sink=sink)
+            ext = build_polyhedron(shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
+            for cfg in boundary_boxes(spec, 125, rng):
+                want = lifetime_or_empty(whole_array_lifetime, spec, cfg)
+                assert lifetime_or_empty(lifetime_simulation, spec, cfg) == want
+                # populated cells that the limits take in or leave out by
+                # no more than an ulp
+                lo, hi = cfg.box.lo + ext, cfg.box.hi - ext
+                centers = cell_centers(spec, np.unique(deploy(cfg, spec)[1], axis=0))
+                inside = ((centers >= lo) & (centers <= hi)).all(axis=1)
+                within_ulp = ((centers >= np.nextafter(lo, -math.inf))
+                              & (centers <= np.nextafter(hi, math.inf))).all(axis=1)
+                hits["on"] += (inside & ((centers == lo) | (centers == hi)).any(axis=1)).any()
+                hits["beside"] += (within_ulp & ~inside).any()
+                hits["empty"] += want == "empty"
+        assert hits["on"] > 250 and hits["beside"] > 100 and hits["empty"] < 100, hits
+
+    def outcomes(self, monkeypatch, spec, cfg, paths=PATHS):
+        """The outcome of the lifetime run on each counting path, or the
+        type and message of the error it raises."""
+        got = []
+        for factor in paths.values():
+            monkeypatch.setattr(simulator, "_SLOTS_PER_NODE", factor)
+            try:
+                got.append(outcome(lifetime_simulation(spec, cfg, 3.0, 1)))
+            except (EmptyRegionError, ValueError) as err:
+                got.append((type(err), str(err)))
+        return got
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_paths_agree(self, shape, monkeypatch):
+        spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
+        box = Box(lo=(-1.1, -0.9, -1.0), hi=(1.0, 1.2, 0.95))
+        cfg = DeploymentConfig(box=box, node_count=70_001, seed=31)
+        want = whole_array_lifetime(spec, cfg, 3.0, 1)
+        assert self.outcomes(monkeypatch, spec, cfg) == [want, want]
+        monkeypatch.setattr(simulator, "_CHUNK", TestStreaming.CHUNK)
+        monkeypatch.setattr(lattice, "_CHUNK", TestStreaming.CHUNK)
+        assert self.outcomes(monkeypatch, spec, cfg) == [want, want]
+        # the box of one cell's extents around the sink at the origin: only
+        # that cell, whose center lies on all six limits, is interior
+        spec = LatticeSpec(shape, 1.0)
+        ext = build_polyhedron(shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
+        cfg = DeploymentConfig(box=Box(lo=-ext, hi=ext), node_count=500, seed=3)
+        one = self.outcomes(monkeypatch, spec, cfg)
+        assert one[0] == one[1] == whole_array_lifetime(spec, cfg, 3.0, 1)
+        assert one[0][1] == 1
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_whole_domain_box_sorts(self, shape, monkeypatch):
+        # about 2^60 slots, which no dense count could hold: the default
+        # run, which completes, sorts, as the forced sort does, and both
+        # give the reference's outcome
+        spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
+        reach = MAX_STEPS * spec.step * (1 - 1e-9)
+        box = Box(lo=np.array(spec.sink) - reach, hi=np.array(spec.sink) + reach)
+        cfg = DeploymentConfig(box=box, node_count=5_000, seed=2)
+        want = whole_array_lifetime(spec, cfg, 3.0, 1)
+        assert outcome(lifetime_simulation(spec, cfg, 3.0, 1)) == want
+        assert self.outcomes(monkeypatch, spec, cfg, {"sort": 0}) == [want]
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_paths_raise_alike(self, shape, monkeypatch):
+        # the errors of the float filter's run: no populated interior cell,
+        # and nodes beyond the domain, which a box may reach past as long
+        # as its nodes do not, however far it reaches
+        spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
+        reach = spec.rule.reach
+        sink = np.array(spec.sink)
+        empty = (EmptyRegionError, "no populated cell lies entirely inside the box")
+        beyond = (ValueError, str(lattice._reach_error(spec)))
+        past = (sink - (0.1, 0.0, 0.0), sink + (1.9 * reach, 4.0, 4.0))
+        for lo, hi, n, seed, want in [
+                ((0.05, 0.05, 0.05), (0.08, 0.08, 0.08), 10, 5, empty),
+                (sink + 2 * reach, sink + 3 * reach, 3, 5, beyond),
+                ((-1e300, 0.0, 0.0), (1e300, 1.0, 1.0), 3, 5, beyond),
+                (*past, 2, 1, beyond),  # the second node is beyond the domain
+                (*past, 1, 1, None),  # these nodes are within it
+                (*past, 3, 2, None)]:
+            cfg = DeploymentConfig(box=Box(lo=lo, hi=hi), node_count=n, seed=seed)
+            got = self.outcomes(monkeypatch, spec, cfg)
+            assert got[0] == got[1]
+            if want is None:
+                want = lifetime_or_empty(whole_array_lifetime, spec, cfg)
+                want = empty if want == "empty" else want
+            assert got[0] == want
 
 
 class TestActiveCount:
