@@ -22,24 +22,27 @@ randomness flows through numpy's default PCG64 generator seeded from the
 experiment config, so identical seeds reproduce identical results.
 
 Both experiments stream: they draw and score ``lattice._CHUNK`` points at
-a time, the 8,192-row block of the lattice's one block driver, through
-which all three bulk assigners run, and never hold an (n, 3) array, so
-their peak memory does not grow with n, and a block's arrays stay in cache.
-PCG64 gives the same doubles in one call or in many, so the blocks are the
-rows of the one whole-array draw, and the results do not depend on the
-block size. The accuracy experiment adds each block's correct rows to two
-integer counters; the oracle's id of a point does not depend on the other
-points of its call. Both draw every block into one reused buffer and scale
-and shift it there; per-axis constants, the box's sides and corner and the
-sink, go one column at a time, which ``geometry._per_axis`` explains. The
-lifetime simulation forms no ids: the lattice's decoder gives each node
-its lattice point y, through the block driver's p - sink step, and a
-closed form gives the interior cell, if any, whose slot counts the node
-(``_interior_counts``): no centers, and no sort unless the box holds few
-nodes for its size.
-Its buffers, for p - sink and the decoder's temporaries, are allocated
-once per call, so its blocks allocate no (3, rows) array. Only ``deploy``
-returns whole arrays.
+a time, the 8,192-row block of the lattice's block driver, and never hold
+an (n, 3) array, so their peak memory does not grow with n, and a block's
+arrays stay in cache. PCG64 gives the same doubles in one call or in many,
+so the blocks are the rows of the one whole-array draw, and the results do
+not depend on the block size. Both draw every block into one reused buffer
+and scale and shift it there; per-axis constants, the box's sides and
+corner and the sink, go one column at a time, which ``geometry._per_axis``
+explains. Neither calls a bulk assigner: each runs the block driver's
+p - sink step (``lattice._relative``) once per block and hands the result
+to the lattice's scorers, with buffers allocated once per call.
+
+The accuracy experiment scores a block in one pass (``_tally``): the
+decoder gets a copy of p - sink, and the shortcut's rounding of it is also
+the oracle's base, so the oracle shares the block's p - sink and rounding
+but not the decoder's ids. Each block's correct rows add to two integer
+counters; the oracle's id of a point does not depend on the other points
+of its call. The lifetime simulation forms no ids: the decoder gives each
+node its lattice point y, and a closed form gives the interior cell, if
+any, whose slot counts the node (``_interior_counts``): no centers, and no
+sort unless the box holds few nodes for its size. Only ``deploy`` returns
+whole arrays.
 """
 
 from __future__ import annotations
@@ -52,12 +55,13 @@ from .geometry import CellShape, _floats, _per_axis, as_point, build_polyhedron
 from .lattice import (
     _CHUNK,
     LatticeSpec,
+    _decode,
     _lattice_points,
+    _nearest_int,
+    _oracle_at,
     _relative,
     _work,
     assign_cells,
-    assign_cells_nearest_int,
-    assign_cells_oracle,
 )
 
 
@@ -202,14 +206,18 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
     Points are drawn uniformly from a cube of side 10*r_t centered on the
     sink; the correct fraction is a fixed geometric property of the
     tessellation, so the sampling region only matters up to boundary noise.
-    They are drawn and scored ``_CHUNK`` at a time.
+    They are drawn and scored ``_CHUNK`` at a time (``_tally``).
     """
+    import numpy as np
+
     if spec.shape is not CellShape.TO:
         raise ValueError("the accuracy experiment is defined for the TO lattice")
     n, seed = _integer(n, "n"), _seed(seed)
     if n < 1:
         raise ValueError("n must be at least 1")
     half = 5.0 * spec.r_t
+    rows = min(n, _CHUNK)
+    buf, work = np.empty((2, 3, rows)), _work(rows)
     exact = nearest = 0
     # the doubles of spec.sink + rng.uniform(-half, half, (n, 3)), a block at
     # a time: uniform computes -half + 2 half u, and the scalar constants go
@@ -218,22 +226,34 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
         pts *= 2.0 * half
         pts += -half
         _per_axis(pts, shift=spec.sink)
-        truth = assign_cells_oracle(spec, pts, window=3)
-        exact += _matches(assign_cells(spec, pts), truth)
-        nearest += _matches(assign_cells_nearest_int(spec, pts), truth)
+        block_exact, block_nearest = _tally(spec, pts, buf, work)
+        exact += block_exact
+        nearest += block_nearest
     return AccuracyReport(n=n, correct_exact=exact, correct_nearest_int=nearest)
 
 
-def _matches(ids: np.ndarray, truth: np.ndarray) -> int:
-    """Number of rows on which two (n, 3) id arrays agree, compared column
-    by column: a reduction along rows of three would cost more than the
-    comparisons."""
+def _tally(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray, work: list) -> tuple[int, int]:
+    """Numbers of the TO rows ``p`` (rows, 3) to which ``assign_cells`` and
+    ``assign_cells_nearest_int`` give the id of ``assign_cells_oracle``
+    (window 3), in one pass over the block's columns, with the call's
+    buffers: ``buf`` (2, 3, rows) and the decoder's scratch ``work``.
+
+    p - sink is formed once, in ``buf[0]``, and copied to ``buf[1]`` for the
+    decoder, which overwrites its input. The shortcut's rounding of the real
+    ids is also the oracle's base, the window's middle id, so it is formed
+    once; the oracle does not read the decoder's ids. On TO public ids are
+    basis ids, so the (3, rows) columns are compared as they are.
+    """
     import numpy as np
 
-    same = ids[:, 0] == truth[:, 0]
-    same &= ids[:, 1] == truth[:, 1]
-    same &= ids[:, 2] == truth[:, 2]
-    return int(np.count_nonzero(same))
+    rel = _relative(spec, p, buf[0])
+    copy = buf[1, :, :len(p)]
+    copy[...] = rel
+    ids = _decode(spec, p, copy, work)
+    base = _nearest_int(spec, p, rel)
+    truth = _oracle_at(spec, p, base, window=3)
+    return (int(np.count_nonzero((ids == truth).all(axis=0))),
+            int(np.count_nonzero((base == truth).all(axis=0))))
 
 
 def _span(lo: float, hi: float, sink: float, scale: float) -> tuple[int, int]:

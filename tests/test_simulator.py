@@ -15,6 +15,7 @@ from topocell.lattice import (
     assign_cells_oracle,
     cell_center,
     cell_centers,
+    neighbors,
 )
 from topocell.planner import cell_volume_coeff
 from topocell.simulator import (
@@ -307,6 +308,10 @@ def whole_array_accuracy(spec, n, seed):
                           int((assign_cells_nearest_int(spec, pts) == truth).all(axis=1).sum()))
 
 
+# an Earth-centred sink, far from the origin: p - sink and the centers round
+FAR_SINK = (4.2e6, 1.2e6, 4.7e6)
+
+
 class TestStreaming:
     """The experiments draw and tally ``_CHUNK`` rows at a time: their results
     do not depend on the block size, and their memory not on n."""
@@ -361,19 +366,68 @@ class TestStreaming:
         # whole-array sink + rng.uniform(-half, half) draw, the short last
         # block included
         spec = LatticeSpec(CellShape.TO, 2.0, sink=(11.0, -4.0, 2.5))
-        blocks = []
+        blocks, tally = [], simulator._tally
 
-        def oracle(spec, pts, window):
+        def spy(spec, pts, buf, work):
             blocks.append(pts.copy())
-            return assign_cells_oracle(spec, pts, window=window)
+            return tally(spec, pts, buf, work)
 
-        monkeypatch.setattr(simulator, "assign_cells_oracle", oracle)
+        monkeypatch.setattr(simulator, "_tally", spy)
         self.small_blocks(monkeypatch)
         n = 3 * self.CHUNK + 10
         accuracy_experiment(spec, n, seed=12)
         assert [len(b) for b in blocks] == [self.CHUNK] * 3 + [10]
         want = spec.sink + np.random.default_rng(12).uniform(-10.0, 10.0, (n, 3))
         assert (np.vstack(blocks).view(np.int64) == want.view(np.int64)).all()
+
+    @pytest.mark.parametrize("n", [1, lattice._CHUNK - 1, lattice._CHUNK, lattice._CHUNK + 1])
+    def test_accuracy_at_block_edges(self, n):
+        spec = LatticeSpec(CellShape.TO, 0.1, sink=FAR_SINK)
+        assert accuracy_experiment(spec, n, seed=4) == whole_array_accuracy(spec, n, 4)
+
+    @staticmethod
+    def tallies(spec, pts):
+        """``simulator._tally`` over ``pts`` in blocks of ``_CHUNK`` rows
+        that share one set of buffers, as the accuracy run's blocks do."""
+        rows = lattice._CHUNK
+        buf, work = np.empty((2, 3, rows)), lattice._work(rows)
+        return np.sum([simulator._tally(spec, pts[i:i + rows], buf, work)
+                       for i in range(0, len(pts), rows)], axis=0).tolist()
+
+    @pytest.mark.parametrize("r_t,sink", [(3.7, (1.25, -0.4, 2.83)), (0.1, FAR_SINK)])
+    def test_tallies_on_cell_boundaries(self, r_t, sink, monkeypatch):
+        # random draws never fall on a tie; these points do, or an ulp
+        # beside one: the centers, vertices and neighbor midpoints of a 5^3
+        # block and their +-1-ulp copies. Each tally counts the rows on
+        # which the public path it stands for gives the oracle's id
+        spec = LatticeSpec(CellShape.TO, r_t, sink=sink)
+        grid = np.indices((5, 5, 5)).reshape(3, -1).T - 2
+        centers = cell_centers(spec, grid)
+        points = np.vstack(
+            [centers]
+            + [build_polyhedron(spec.shape, c, spec.circumradius).vertices for c in centers]
+            + [(c + cell_centers(spec, np.array(neighbors(spec, tuple(cell))))) / 2.0
+               for c, cell in zip(centers, grid)])
+        pts = np.vstack([points, np.nextafter(points, math.inf), np.nextafter(points, -math.inf)])
+        assert len(pts) > lattice._CHUNK
+        truth = assign_cells_oracle(spec, pts, window=3)
+        exact, nearest = assign_cells(spec, pts), assign_cells_nearest_int(spec, pts)
+        count = [int((ids == truth).all(axis=1).sum()) for ids in (exact, nearest)]
+        assert self.tallies(spec, pts) == count
+        assert 0 < count[1] < count[0] == len(pts)
+        # a decoder that errs on the points east of the sink shows in the
+        # exact tally alone: the shortcut is scored against the oracle, not
+        # against the decoder
+        decode = simulator._decode
+
+        def wrong(spec, p, rel, work):
+            ids = decode(spec, p, rel, work)
+            ids[0, p[:, 0] > spec.sink[0]] += 1.0
+            return ids
+
+        monkeypatch.setattr(simulator, "_decode", wrong)
+        exact[pts[:, 0] > spec.sink[0], 0] += 1
+        assert self.tallies(spec, pts) == [int((exact == truth).all(axis=1).sum()), count[1]]
 
     def test_lifetime_draws_are_the_uniform_doubles(self, monkeypatch):
         # each block that the lifetime run decodes holds the rows of the one
