@@ -146,36 +146,6 @@ class Polyhedron:
         """Half-widths of the axis-aligned bounding box about the center."""
         return abs(self.vertices - self.center).max(axis=0)
 
-    def face_equations(self) -> np.ndarray:
-        """Outward face planes, rows (a, b, c, off) with a*x+b*y+c*z+off <= 0 inside.
-
-        One plane per face-sharing neighbor (6 CB, 8 HP, 12 RD, 14 TO): the
-        bisector between the center c and the neighbor center c + v, with
-        normal v/|v| and offset -(v.c)/|v| - |v|/2.
-        """
-        import numpy as np
-
-        v = center_offsets(self.shape, self.circumradius, _FACE_IDS[self.shape])
-        length = np.sqrt((v ** 2).sum(axis=1, keepdims=True))
-        normal = v / length
-        return np.hstack([normal, -(normal @ self.center)[:, None] - length / 2.0])
-
-    def contains(self, points, rel_tol: float = 1e-9):
-        """Half-space membership test against the face planes.
-
-        Accepts a single point or an (n, 3) array; returns a bool or a bool
-        array accordingly. The tolerance is relative to the circumradius.
-        """
-        import numpy as np
-
-        pts = _floats(points)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        eqs = self.face_equations()
-        slack = eqs[:, :3] @ pts.T + eqs[:, 3:4]
-        inside = (slack <= rel_tol * self.circumradius).all(axis=0)
-        return bool(inside[0]) if single else inside
-
 
 @dataclass(frozen=True)
 class NeighborClass:
@@ -525,18 +495,3 @@ def cell_volume(shape: CellShape, circumradius: float) -> float:
         return 32.0 * R3 / (5.0 * _SQRT5)
     return 2.0 * R3  # HP and RD
 
-
-def sample_inside(poly: Polyhedron, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` points uniformly inside a cell by rejection from its bbox."""
-    import numpy as np
-
-    lo = poly.vertices.min(axis=0)
-    hi = poly.vertices.max(axis=0)
-    out = []
-    have = 0
-    while have < n:
-        cand = rng.uniform(lo, hi, size=(max(2 * (n - have), 64), 3))
-        keep = cand[poly.contains(cand)]
-        out.append(keep)
-        have += len(keep)
-    return np.vstack(out)[:n]

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from .geometry import (
     CellShape,
     NEIGHBOR_COUNTS,
-    build_polyhedron,
     cell_volume,
     max_cell_radius,
     neighbor_classes,
-    sample_inside,
 )
 from .lattice import LatticeSpec
 
@@ -248,29 +246,17 @@ def verify_connectivity(spec: LatticeSpec, circumradius: float | None = None,
 
 
 def verify_coverage(spec: LatticeSpec, sensing_range: float, *,
-                    samples: int = 0, seed: int | None = None,
                     rel_tol: float = 1e-6) -> bool:
     """True when the sensing range covers the whole cell from anywhere in it.
 
-    The requirement is the cell diameter 2R. The default tolerance is
-    relative 1e-6 so sensing ranges quoted to six decimals validate. With
-    ``samples`` > 0 the claim is additionally probed with random point
-    pairs inside one cell; a sampled pair beyond the sensing range rejects.
+    The requirement is the cell diameter 2R, in closed form: two points of
+    a cell are at most 2R apart, and two opposite vertices are exactly 2R
+    apart. The default tolerance is relative 1e-6 so sensing ranges quoted
+    to six decimals validate.
     """
     if not (math.isfinite(sensing_range) and sensing_range > 0):
         raise ValueError("sensing range must be positive and finite")
-    diameter = 2.0 * spec.circumradius
-    ok = sensing_range >= diameter * (1.0 - rel_tol)
-    if ok and samples > 0:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
-        poly = build_polyhedron(spec.shape, spec.sink, spec.circumradius)
-        p = sample_inside(poly, samples, rng)
-        q = sample_inside(poly, samples, rng)
-        worst = float(np.sqrt(((p - q) ** 2).sum(axis=1)).max())
-        ok = worst <= sensing_range * (1.0 + rel_tol)
-    return ok
+    return sensing_range >= 2.0 * spec.circumradius * (1.0 - rel_tol)
 
 
 def render_csv(rows: list[dict]) -> str:

@@ -251,7 +251,10 @@ def _tally(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray, work: list) -> tup
     copy[...] = rel
     ids = _decode(spec, p, copy, work)
     base = _nearest_int(spec, p, rel)
-    truth = _oracle_at(spec, p, base, window=3)
+    # the oracle's int64 ids as floats, exact, in the spent p - sink
+    # columns, so that both comparisons are float64 ones
+    truth = rel
+    np.copyto(truth, _oracle_at(spec, p, base, window=3))
     return (int(np.count_nonzero((ids == truth).all(axis=0))),
             int(np.count_nonzero((base == truth).all(axis=0))))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+import topocell
 from topocell.geometry import (
     _ADJUGATES,
     _INVERSES,
@@ -18,16 +19,22 @@ from topocell.geometry import (
     VERTEX_COUNTS,
     build_polyhedron,
     cell_volume,
+    center_offsets,
     coset_period,
     lattice_basis,
     max_cell_radius,
     max_vertex_pair_distance,
     neighbor_classes,
-    sample_inside,
     to_basis_ids,
     worst_neighbor_coeff,
 )
-from topocell.lattice import LatticeSpec, assign_cells_oracle, cell_center, cell_centers
+from topocell.lattice import (
+    LatticeSpec,
+    assign_cells,
+    assign_cells_oracle,
+    cell_center,
+    cell_centers,
+)
 
 SHAPES = list(CellShape)
 
@@ -248,27 +255,57 @@ class TestCellVolume:
             cell_volume(CellShape.RD, -2.0)
 
 
+def draw_in_box(polys, n, rng, widen=0.0):
+    """n points uniform in the bounding box of the vertices of ``polys``,
+    widened by ``widen`` R on every side."""
+    vertices = np.vstack([poly.vertices for poly in polys])
+    pad = widen * polys[0].circumradius
+    return rng.uniform(vertices.min(axis=0) - pad, vertices.max(axis=0) + pad, size=(n, 3))
+
+
+def in_cell(spec, pts, cid):
+    """Whether the decoder assigns each row of ``pts`` to the cell ``cid``:
+    exact membership, ties going to the smallest id."""
+    return (assign_cells(spec, pts) == cid).all(axis=1)
+
+
+def farthest(p, q):
+    """Largest distance between a row of ``p`` and a row of ``q``: it is
+    attained at vertices of their convex hulls."""
+    p, q = p[ConvexHull(p).vertices], q[ConvexHull(q).vertices]
+    return float(np.sqrt(((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=-1)).max())
+
+
 class TestConvexityWitness:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_sampled_pairs_within_vertex_bound(self, shape):
-        # random interior point pairs can never exceed the vertex-pair maximum
+        # points the decoder puts in cell 0 and in a face neighbor, drawn in
+        # the two cells' bounding box: no pair lies farther apart than the
+        # vertex-pair maximum, and the farthest pairs come close to it
         rng = np.random.default_rng(7)
-        spec = LatticeSpec(shape, worst_neighbor_coeff(shape))  # R = 1
-        a = build_polyhedron(shape, (0.0, 0.0, 0.0), 1.0)
-        cls = neighbor_classes(shape)[0]
-        b = build_polyhedron(shape, cell_center(spec, cls.offset_generators[0]), 1.0)
-        bound = max_vertex_pair_distance(a, b)
-        pa = sample_inside(a, 1000, rng)
-        pb = sample_inside(b, 1000, rng)
-        dists = np.linalg.norm(pa - pb, axis=1)
-        assert dists.max() <= bound * (1 + 1e-12)
+        spec = LatticeSpec(shape, worst_neighbor_coeff(shape), sink=(0.4, -1.1, 2.6))
+        R = spec.circumradius
+        off = neighbor_classes(shape)[0].offset_generators[0]
+        a = build_polyhedron(shape, spec.sink, R)
+        b = build_polyhedron(shape, cell_center(spec, off), R)
+        pts = draw_in_box([a, b], 20_000, rng)
+        pa, pb = pts[in_cell(spec, pts, (0, 0, 0))], pts[in_cell(spec, pts, off)]
+        assert min(len(pa), len(pb)) > 2_000
+        for p, q, x, y in ((pa, pa, a, a), (pa, pb, a, b)):
+            bound = max_vertex_pair_distance(x, y)
+            assert 0.95 * bound <= farthest(p, q) <= bound * (1 + 1e-12)
 
-    def test_contains_rejects_outside_points(self):
-        poly = build_polyhedron(CellShape.TO, (0, 0, 0), 1.0)
-        assert poly.contains((0.0, 0.0, 0.0))
-        assert not poly.contains((0.0, 0.0, 1.001))
-        flags = poly.contains(np.array([[0, 0, 0], [2, 2, 2]], dtype=float))
-        assert list(flags) == [True, False]
+
+def bisector_planes(poly):
+    """Outward face planes of ``poly``, rows (a, b, c, off) with
+    a*x + b*y + c*z + off <= 0 inside: the bisector between its center c and
+    each face neighbor's center c + v, normal v/|v|, offset -(v.c)/|v| - |v|/2."""
+    faces = [off for cls in neighbor_classes(poly.shape) if cls.label.endswith("face")
+             for off in cls.offset_generators]
+    v = center_offsets(poly.shape, poly.circumradius, faces)
+    length = np.linalg.norm(v, axis=1, keepdims=True)
+    normal = v / length
+    return np.hstack([normal, -(normal @ poly.center)[:, None] - length / 2.0])
 
 
 def assert_same_planes(planes, reference, scale):
@@ -285,10 +322,10 @@ class TestFacePlanes:
     @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (1.5, -2.25, 7.0), (-310.7, 45.2, 0.013)])
     @pytest.mark.parametrize("R", [1e-3, 0.37, 1.0, 42.0])
     def test_match_convex_hull_faces(self, shape, center, R):
+        # the hull of the vertex list is bounded by the face-neighbor bisectors
         poly = build_polyhedron(shape, center, R)
-        planes = poly.face_equations()
+        planes = bisector_planes(poly)
         assert planes.shape == (FACE_COUNTS[shape], 4)
-        assert np.allclose(np.linalg.norm(planes[:, :3], axis=1), 1.0, rtol=0, atol=1e-15)
         # one plane per face: the hull's triangulated duplicates collapse onto them
         assert len(np.unique(np.round(planes[:, :3], 6), axis=0)) == len(planes)
         scale = R + np.abs(center).max()
@@ -298,18 +335,24 @@ class TestFacePlanes:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_contains_matches_hull_membership(self, shape):
+        # the cell the decoder assigns is the convex hull of the vertex list,
+        # on every point more than 1e-9 R from the hull's planes
         rng = np.random.default_rng(11)
-        R = 0.8
-        poly = build_polyhedron(shape, (0.4, -1.1, 2.6), R)
-        lo = poly.vertices.min(axis=0) - 0.1 * R
-        hi = poly.vertices.max(axis=0) + 0.1 * R
-        pts = rng.uniform(lo, hi, size=(10_000, 3))
+        spec = LatticeSpec(shape, 0.8 * worst_neighbor_coeff(shape), sink=(0.4, -1.1, 2.6))
+        R = spec.circumradius
+        poly = build_polyhedron(shape, spec.sink, R)
+        pts = draw_in_box([poly], 10_000, rng, widen=0.1)
         eqs = ConvexHull(poly.vertices).equations
-        in_hull = (pts @ eqs[:, :3].T + eqs[:, 3] <= 0.0).all(axis=1)
-        assert 0 < in_hull.sum() < len(pts)
-        assert np.array_equal(poly.contains(pts), in_hull)
-        assert poly.contains(pts[0]) == in_hull[0]
+        slack = pts @ eqs[:, :3].T + eqs[:, 3]
+        clear = (np.abs(slack) > 1e-9 * R).all(axis=1)
+        in_hull = (slack <= 0.0).all(axis=1)
+        inside = in_cell(spec, pts, (0, 0, 0))
+        assert clear.sum() > 0.99 * len(pts)
+        assert 0 < inside.sum() < len(pts)
+        assert np.array_equal(inside[clear], in_hull[clear])
 
+
+class TestImports:
     def test_import_leaves_scipy_out(self):
         code = "import sys, topocell; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -323,6 +366,14 @@ class TestFacePlanes:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_public_names_resolve_sorted_and_unique(self):
+        names = topocell.__all__
+        assert [name for name in names if not hasattr(topocell, name)] == []
+        assert names == sorted(set(names))
+        # removed with the float polyhedron toolkit
+        assert "sample_inside" not in names
+        assert not hasattr(topocell, "sample_inside")
 
 
 class TestBasisTables:

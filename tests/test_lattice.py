@@ -530,11 +530,9 @@ class TestDomain:
                         f(p)
             with pytest.raises(ValueError, match="sink must be a 3D point of real numbers"):
                 LatticeSpec(CellShape.TO, 1.0, sink=np.array([0j, 0, 0]))
-            # the membership tests of a cell and of a box read points alike
-            for contains in (build_polyhedron(spec.shape, (0, 0, 0), 1.0).contains,
-                             Box(lo=(0, 0, 0), hi=(1, 1, 1)).contains):
-                with pytest.raises(ValueError, match="real numbers"):
-                    contains(np.array([[0.5 + 5j, 0.5, 0.5]]))
+            # a box's membership test reads points alike
+            with pytest.raises(ValueError, match="real numbers"):
+                Box(lo=(0, 0, 0), hi=(1, 1, 1)).contains(np.array([[0.5 + 5j, 0.5, 0.5]]))
 
     @pytest.mark.parametrize("shape", [(4, 2), (2, 2, 3)])
     def test_points_of_wrong_shape_rejected(self, shape):

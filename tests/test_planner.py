@@ -231,23 +231,6 @@ class TestVerifyCoverage:
         assert verify_coverage(spec, 0.542326)
         assert not verify_coverage(spec, 0.5)
 
-    def test_sampled_diameter_below_bound(self):
-        spec = LatticeSpec(CellShape.TO, 1.0)
-        assert verify_coverage(spec, 0.542326, samples=2000, seed=1)
-
-    def test_sampled_pairs_approach_diameter(self):
-        import numpy as np
-        from topocell.geometry import sample_inside
-        spec = LatticeSpec(CellShape.TO, 1.0)
-        poly = build_polyhedron(spec.shape, spec.sink, spec.circumradius)
-        rng = np.random.default_rng(2)
-        p = sample_inside(poly, 4000, rng)
-        q = sample_inside(poly, 4000, rng)
-        worst = np.linalg.norm(p - q, axis=1).max()
-        diameter = 2 * spec.circumradius
-        assert worst <= diameter
-        assert worst >= 0.9 * diameter
-
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             verify_coverage(LatticeSpec(CellShape.TO, 1.0), 0.0)
