@@ -5,108 +5,46 @@ rhombic dodecahedron, truncated octahedron), assigns sensors to cells in
 constant time from their coordinates, quantifies connectivity, coverage,
 active-node counts and network lifetime per shape, and routes greedily
 over cell ids.
+
+``import topocell`` loads none of its submodules: each public name, and
+each submodule, is imported on first access (PEP 562), so a program, and
+each CLI command, loads only the modules it uses.
 """
 
-from .geometry import (
-    CellShape,
-    NeighborClass,
-    Polyhedron,
-    VERTEX_COUNTS,
-    NEIGHBOR_COUNTS,
-    build_polyhedron,
-    cell_volume,
-    max_cell_radius,
-    max_vertex_pair_distance,
-    neighbor_classes,
-)
-from .lattice import (
-    CellId,
-    LatticeSpec,
-    assign_cell,
-    assign_cell_nearest_int,
-    assign_cell_oracle,
-    assign_cells,
-    assign_cells_nearest_int,
-    assign_cells_oracle,
-    cell_center,
-    cell_centers,
-    neighbors,
-)
-from .planner import (
-    ConnectivityReport,
-    ShapeReport,
-    active_node_ratio,
-    all_reports,
-    cell_volume_coeff,
-    lifetime_fraction,
-    lifetime_table,
-    min_sensing_range,
-    radius_table,
-    shape_report,
-    verify_connectivity,
-    verify_coverage,
-)
-from .routing import DEAD_END, DELIVERED, RoutePath, greedy_route, neighbor_choice_count
-from .simulator import (
-    AccuracyReport,
-    Box,
-    DeploymentConfig,
-    EmptyRegionError,
-    SimResult,
-    accuracy_experiment,
-    active_count,
-    deploy,
-    lifetime_simulation,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyReport",
-    "Box",
-    "CellId",
-    "CellShape",
-    "ConnectivityReport",
-    "DEAD_END",
-    "DELIVERED",
-    "DeploymentConfig",
-    "EmptyRegionError",
-    "LatticeSpec",
-    "NEIGHBOR_COUNTS",
-    "NeighborClass",
-    "Polyhedron",
-    "RoutePath",
-    "ShapeReport",
-    "SimResult",
-    "VERTEX_COUNTS",
-    "accuracy_experiment",
-    "active_count",
-    "active_node_ratio",
-    "all_reports",
-    "assign_cell",
-    "assign_cell_nearest_int",
-    "assign_cell_oracle",
-    "assign_cells",
-    "assign_cells_nearest_int",
-    "assign_cells_oracle",
-    "build_polyhedron",
-    "cell_center",
-    "cell_centers",
-    "cell_volume",
-    "cell_volume_coeff",
-    "deploy",
-    "greedy_route",
-    "lifetime_fraction",
-    "lifetime_simulation",
-    "lifetime_table",
-    "max_cell_radius",
-    "max_vertex_pair_distance",
-    "min_sensing_range",
-    "neighbor_choice_count",
-    "neighbor_classes",
-    "neighbors",
-    "radius_table",
-    "shape_report",
-    "verify_connectivity",
-    "verify_coverage",
-]
+# the public names of each submodule
+_EXPORTS = {
+    "geometry": """CellShape NeighborClass Polyhedron VERTEX_COUNTS NEIGHBOR_COUNTS
+        build_polyhedron cell_volume max_cell_radius max_vertex_pair_distance
+        neighbor_classes""",
+    "lattice": """CellId LatticeSpec assign_cell assign_cell_nearest_int assign_cell_oracle
+        assign_cells assign_cells_nearest_int assign_cells_oracle cell_center cell_centers
+        neighbors""",
+    "planner": """ConnectivityReport ShapeReport active_node_ratio all_reports
+        cell_volume_coeff lifetime_fraction lifetime_table min_sensing_range radius_table
+        shape_report verify_connectivity verify_coverage""",
+    "routing": "DEAD_END DELIVERED RoutePath greedy_route neighbor_choice_count",
+    "simulator": """AccuracyReport Box DeploymentConfig EmptyRegionError SimResult
+        accuracy_experiment active_count deploy lifetime_simulation""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = ("cli", *_EXPORTS)
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

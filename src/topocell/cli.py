@@ -2,37 +2,25 @@
 experiments and greedy routing.
 
 Exit codes: 0 success, 1 table deviation gate failed, 2 usage error,
-3 invalid parameter, 4 routing dead end, 5 unreadable or malformed
-config/file. Output in csv and json modes is byte-stable for identical
-flags and seed.
+3 invalid parameter (including a lifetime run whose box holds no populated
+interior cell), 4 routing dead end, 5 unreadable or malformed config/file.
+Output in csv and json modes is byte-stable for identical flags and seed.
+
+Each command imports the modules it runs when it runs, so a process loads
+no more of the package than its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from . import planner
-from .geometry import CellShape
-from .lattice import (
-    MAX_WINDOW,
-    CellId,
-    LatticeSpec,
-    _center,
-    assign_cell,
-    assign_cell_nearest_int,
-    assign_cell_oracle,
-)
-from .routing import DEAD_END, greedy_route
-from .simulator import (
-    Box,
-    DeploymentConfig,
-    EmptyRegionError,
-    accuracy_experiment,
-    lifetime_simulation,
-)
+from .geometry import MAX_WINDOW, CellShape
+
+if TYPE_CHECKING:
+    from .lattice import CellId, LatticeSpec
 
 SQRT17 = math.sqrt(17.0)
 
@@ -85,12 +73,16 @@ def _spec(fields: dict, shape: str) -> LatticeSpec:
             f"config field 'rt_sqrt17_units' must be true or false, got {sqrt17_units!r}")
     if sqrt17_units:
         rt *= SQRT17
+    from .lattice import LatticeSpec
+
     return LatticeSpec(shape=CellShape(shape), r_t=rt,
                        sink=_point(fields.get("sink", (0.0, 0.0, 0.0)), "sink"))
 
 
 def _render(rows: list[dict], fmt: str) -> str:
     """The report in ``fmt``; every row has the first row's columns, in order."""
+    from . import planner
+
     if fmt == "csv":
         return planner.render_csv(rows)
     if fmt == "json":
@@ -116,6 +108,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_tables(args) -> int:
+    from . import planner
+
     if args.which == "I":
         rows, ok = planner.radius_table(), planner.radius_table_gates_ok()
     else:
@@ -148,6 +142,8 @@ def _distance(p, q) -> float:
 def cmd_assign(args) -> int:
     if not 2 <= args.window <= MAX_WINDOW:
         raise ValueError(f"--window must be between 2 and {MAX_WINDOW}")
+    from .lattice import _center, assign_cell, assign_cell_nearest_int, assign_cell_oracle
+
     spec = _spec(vars(args), args.shape)
     point = args.point
     if args.method == "exact":
@@ -179,6 +175,8 @@ def cmd_assign(args) -> int:
 
 
 def _load_config(path: str) -> dict:
+    import json
+
     with open(path) as fh:
         try:
             cfg = json.load(fh)
@@ -221,6 +219,8 @@ def _point(value, field: str):
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import Box, DeploymentConfig, accuracy_experiment, lifetime_simulation
+
     cfg = _load_config(args.config)
     if args.kind == "accuracy":
         spec = _spec(cfg, cfg["shape"])
@@ -269,6 +269,8 @@ def cmd_simulate(args) -> int:
                                    if to_lifetime else ""),
             })
     if args.out is not None:
+        from . import planner
+
         _emit(planner.render_csv(rows), args.out + ".csv")
         _emit(planner.render_json(rows), args.out + ".json")
     else:
@@ -277,6 +279,8 @@ def cmd_simulate(args) -> int:
 
 
 def _load_dead_cells(path: str) -> set[CellId]:
+    from .lattice import CellId
+
     dead = set()
     with open(path) as fh:
         try:
@@ -295,6 +299,9 @@ def _load_dead_cells(path: str) -> set[CellId]:
 
 
 def cmd_route(args) -> int:
+    from .lattice import CellId
+    from .routing import DEAD_END, greedy_route
+
     spec = _spec(vars(args), args.shape)
     dead = _load_dead_cells(args.dead_cells) if args.dead_cells else set()
     alive = (lambda cid: cid not in dead) if dead else None
@@ -360,6 +367,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _empty_region_error() -> type[Exception]:
+    """``simulator.EmptyRegionError`` once a command has loaded the
+    simulator; before that nothing can raise it, and ``ValueError`` stands
+    in for it."""
+    simulator = sys.modules.get(f"{__package__}.simulator")
+    return ValueError if simulator is None else simulator.EmptyRegionError
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -370,7 +385,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing config key {exc}", file=sys.stderr)
         return 3
-    except (EmptyRegionError, ValueError) as exc:
+    except (_empty_region_error(), ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

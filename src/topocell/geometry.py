@@ -75,8 +75,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -86,6 +86,9 @@ _SQRT5 = math.sqrt(5.0)
 # (CB s, RD R/sqrt2, TO d, HP hexagon side a). Ids then stay within
 # MAX_STEPS + 2 of zero, exact in float arithmetic and in int64.
 MAX_STEPS = 2 ** 19
+# largest oracle window of ``lattice``: windows >= 2 all give the same ids,
+# at (2w+1)^3 rows
+MAX_WINDOW = 8
 
 
 class CellShape(str, Enum):
@@ -133,22 +136,50 @@ def as_point(p, what: str = "point") -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True, eq=False)
-class Polyhedron:
-    """A concrete cell instance: shape, center, circumradius, vertex list."""
+class _Frozen:
+    """Base of the records that hold arrays or validate their fields: slots
+    set once in ``__init__`` by ``_set``, refusing assignment afterwards,
+    compared and hashed by identity, and shown as ``Name(field=value, ...)``
+    over the ``__init__`` arguments ``_fields``."""
 
-    shape: CellShape
-    center: np.ndarray
-    circumradius: float
-    vertices: np.ndarray  # (n, 3), one row per vertex
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: the default slot state
+        # would be restored through the refused __setattr__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Polyhedron(_Frozen):
+    """A concrete cell instance: shape, center, circumradius, vertex list
+    (n, 3), one row per vertex."""
+
+    __slots__ = _fields = ("shape", "center", "circumradius", "vertices")
+
+    def __init__(self, shape: CellShape, center: np.ndarray, circumradius: float,
+                 vertices: np.ndarray):
+        self._set(shape=shape, center=center, circumradius=circumradius, vertices=vertices)
 
     def axis_extents(self) -> np.ndarray:
         """Half-widths of the axis-aligned bounding box about the center."""
         return abs(self.vertices - self.center).max(axis=0)
 
 
-@dataclass(frozen=True)
-class NeighborClass:
+class NeighborClass(NamedTuple):
     """One class of first-tier neighbors (cells sharing a face, edge or vertex).
 
     ``offset_generators`` are the public ids of the class's neighbors of

@@ -94,18 +94,19 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .geometry import (
     MAX_STEPS,
+    MAX_WINDOW,
     _BASES,
     _INVERSES,
     _METRIC,
     _PERIODS,
     CellShape,
     _floats,
+    _Frozen,
     _per_axis,
     _scale,
     as_point,
@@ -132,8 +133,6 @@ MAX_MAGNITUDE = 2.0 ** 500
 # that spacing, where centers round onto each other and ids depend on the
 # oracle's window
 MAX_TOL = 2.0 ** -20
-# largest oracle window: windows >= 2 all give the same ids, at (2w+1)^3 rows
-MAX_WINDOW = 8
 # rows that every bulk loop (the block driver of the three bulk assigners,
 # the experiments' draws and tallies) handles at once; of 4,096 to 65,536
 # rows, 8,192 ran the accuracy experiment fastest. A block's arrays, 192 KiB
@@ -172,39 +171,32 @@ class _Rule(NamedTuple):
     tol: float  # decisions this close to a tie go to the exact tie step
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeSpec:
-    """Complete tessellation description: shape, transmission range, sink."""
+class LatticeSpec(_Frozen):
+    """Complete tessellation description: shape, transmission range, sink.
 
-    shape: CellShape
-    r_t: float
-    # the sink as a tuple of three Python floats, validated like ``as_point``
-    sink: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    # derived once: the circumradius R at the maximum usable size for r_t,
-    # the domain step of MAX_STEPS, and the one record of the nearest-point
-    # rule's constants, which both decoders, the domain check and
-    # ``simulator.active_count`` read; all of it in Python numbers, so a
-    # spec is built without numpy
-    circumradius: float = field(init=False)
-    step: float = field(init=False)
-    rule: _Rule = field(init=False, repr=False)
+    ``sink`` is kept as a tuple of three Python floats, validated like
+    ``as_point``. Derived once: the circumradius R at the maximum usable
+    size for r_t, the domain ``step`` of MAX_STEPS, and ``rule``, the one
+    record of the nearest-point rule's constants, which both decoders, the
+    domain check and ``simulator.active_count`` read; all of it in Python
+    numbers, so a spec is built without numpy.
+    """
 
-    def __post_init__(self):
-        shape = CellShape(self.shape)
-        object.__setattr__(self, "shape", shape)
-        R = max_cell_radius(shape, self.r_t)  # refuses an r_t that is not positive and finite
-        object.__setattr__(self, "r_t", float(self.r_t))
-        sink = tuple(_coords(self.sink, "sink"))
+    __slots__ = ("shape", "r_t", "sink", "circumradius", "step", "rule")
+    _fields = ("shape", "r_t", "sink")
+
+    def __init__(self, shape: CellShape, r_t: float,
+                 sink: tuple[float, float, float] = (0.0, 0.0, 0.0)):
+        shape = CellShape(shape)
+        R = max_cell_radius(shape, r_t)  # refuses an r_t that is not positive and finite
+        sink = tuple(_coords(sink, "sink"))
         if not all(map(math.isfinite, sink)):
             raise ValueError("sink coordinates must be finite")
-        object.__setattr__(self, "sink", sink)
         step = cell_spacing(shape, R)[0]
         extent = max(map(abs, sink)) + MAX_STEPS * step
         if not (1.0 / MAX_MAGNITUDE <= step and extent <= MAX_MAGNITUDE):
             raise ValueError(f"the lattice step ({step:.6g} m) must be at least 2^-500 m and "
                              f"|sink|inf + {MAX_STEPS} steps ({extent:.6g} m) at most 2^500 m")
-        object.__setattr__(self, "circumradius", R)
-        object.__setattr__(self, "step", step)
         scale, period, metric = _scale(shape, R), _PERIODS[shape], _METRIC[shape]
         # the exact metric of the period-2 axes relative to axis 0, the
         # smallest: the decoder compares its cosets in it, the shifted one
@@ -232,9 +224,10 @@ class LatticeSpec:
         if tol > MAX_TOL:
             raise ValueError(f"the lattice step ({step:.6g} m) is too fine for the floats at "
                              f"the sink: its tie tolerance ({tol:.3g}) must be at most 2^-20")
-        object.__setattr__(self, "rule", _Rule(
-            sink, scale, tuple(s * p for s, p in zip(scale, period)), period, weight,
-            0.5 * (weight[0] + weight[1] + weight[2]), _INVERSES[shape], MAX_STEPS * step, tol))
+        self._set(shape=shape, r_t=float(r_t), sink=sink, circumradius=R, step=step,
+                  rule=_Rule(sink, scale, tuple(s * p for s, p in zip(scale, period)), period,
+                             weight, 0.5 * (weight[0] + weight[1] + weight[2]),
+                             _INVERSES[shape], MAX_STEPS * step, tol))
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:

@@ -11,11 +11,8 @@ reports can flag regressions without fighting rounding noise.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import (
     CellShape,
@@ -24,13 +21,14 @@ from .geometry import (
     max_cell_radius,
     neighbor_classes,
 )
-from .lattice import LatticeSpec
+
+if TYPE_CHECKING:
+    from .lattice import LatticeSpec
 
 SHAPE_ORDER = (CellShape.CB, CellShape.HP, CellShape.RD, CellShape.TO)
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(NamedTuple):
     """A rounded reference constant and the number of decimals it was printed with."""
 
     value: float
@@ -106,8 +104,7 @@ _RATIO_EXPR = {
 }
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     """Per-shape planning constants, all normalized by the transmission range."""
 
     shape: CellShape
@@ -209,8 +206,7 @@ def lifetime_table_gates_ok(base_tol: float = 1e-5) -> bool:
     return _gates_ok(lifetime_table(), _TABLE_II, base_tol)
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     """Worst-case distance between two points of neighboring cells, vs r_t."""
 
     max_neighbor_distance: float
@@ -263,6 +259,9 @@ def render_csv(rows: list[dict]) -> str:
     """Serialize report rows to CSV, in the column order of the first row's keys."""
     if not rows:
         return ""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
@@ -272,4 +271,6 @@ def render_csv(rows: list[dict]) -> str:
 
 def render_json(payload) -> str:
     """Serialize a report payload to deterministic JSON."""
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

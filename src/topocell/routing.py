@@ -20,8 +20,7 @@ progress, so it must be a side-effect-free membership test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .lattice import CellId, LatticeSpec, _cell_id, _neighbor_rows, as_cell_id
 
@@ -29,8 +28,7 @@ DELIVERED = "delivered"
 DEAD_END = "dead_end"
 
 
-@dataclass(frozen=True)
-class RoutePath:
+class RoutePath(NamedTuple):
     """Hop sequence from source to where forwarding stopped."""
 
     hops: list[CellId]

@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .geometry import CellShape, _floats, _per_axis, as_point, build_polyhedron
+from .geometry import CellShape, _floats, _Frozen, _per_axis, as_point, build_polyhedron
 from .lattice import (
     _CHUNK,
     LatticeSpec,
@@ -87,19 +87,16 @@ def _seed(value) -> int:
     return seed
 
 
-@dataclass(frozen=True, eq=False)
-class Box:
+class Box(_Frozen):
     """Axis-aligned region given by its min and max corners, in meters."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        lo, hi = as_point(self.lo, "box corner lo"), as_point(self.hi, "box corner hi")
+    def __init__(self, lo, hi):
+        lo, hi = as_point(lo, "box corner lo"), as_point(hi, "box corner hi")
         if not (hi > lo).all():
             raise ValueError("box must have positive volume")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._set(lo=lo, hi=hi)
 
     @property
     def side_lengths(self) -> np.ndarray:
@@ -116,23 +113,30 @@ class Box:
         return ((pts >= self.lo) & (pts <= self.hi)).all(axis=1)
 
 
-@dataclass(frozen=True)
-class DeploymentConfig:
-    """Uniform random deployment: region, node count and RNG seed."""
+class DeploymentConfig(_Frozen):
+    """Uniform random deployment: region, node count and RNG seed.
 
-    box: Box
-    node_count: int
-    seed: int
+    Two configs are equal when they hold the same box and the same numbers.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "node_count", _integer(self.node_count, "node_count"))
-        object.__setattr__(self, "seed", _seed(self.seed))
-        if self.node_count < 1:
+    __slots__ = _fields = ("box", "node_count", "seed")
+
+    def __init__(self, box: Box, node_count: int, seed: int):
+        node_count, seed = _integer(node_count, "node_count"), _seed(seed)
+        if node_count < 1:
             raise ValueError("node_count must be at least 1")
+        self._set(box=box, node_count=node_count, seed=seed)
+
+    def __eq__(self, other):
+        if type(other) is not DeploymentConfig:
+            return NotImplemented
+        return (self.box, self.node_count, self.seed) == (other.box, other.node_count, other.seed)
+
+    def __hash__(self):
+        return hash((self.box, self.node_count, self.seed))
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
+class AccuracyReport(NamedTuple):
     """Cell-id prediction scores against exhaustive search."""
 
     n: int
@@ -148,8 +152,7 @@ class AccuracyReport:
         return self.correct_nearest_int / self.n
 
 
-@dataclass(frozen=True, eq=False)
-class SimResult:
+class SimResult(NamedTuple):
     """Aggregate outcome of one lifetime simulation run.
 
     Until ``network_lifetime`` every populated interior cell fields k

@@ -11,7 +11,7 @@ import pytest
 
 from topocell import planner
 from topocell.cli import main
-from topocell.geometry import CellShape
+from topocell.geometry import MAX_WINDOW, CellShape
 
 SQRT17 = math.sqrt(17.0)
 
@@ -180,6 +180,12 @@ class TestAssign:
         assert out == ""
         assert "window" in err
 
+    def test_window_help_names_the_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["assign", "--help"])
+        assert exc.value.code == 0
+        assert f"2 to {MAX_WINDOW}" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("method", ["exact", "nearest_int"])
     def test_window_checked_for_every_method(self, method):
         code, out, err = run_cli(["assign", "--shape", "to", "--rt", "1",
@@ -263,6 +269,16 @@ class TestSimulate:
         json_rows = json.loads((tmp_path / "report.json").read_text())
         assert csv_text.splitlines()[0].startswith("shape,")
         assert json_rows[0]["correct_exact"] == 2000
+
+    def test_box_without_interior_cell_is_invalid_parameter(self, lifetime_config):
+        # EmptyRegionError, in a fresh process as the CLI runs it
+        cfg = json.loads(Path(lifetime_config).read_text())
+        box = {"lo": [0.0, 0.0, 0.0], "hi": [0.1, 0.1, 0.1]}  # smaller than one cell
+        Path(lifetime_config).write_text(json.dumps({**cfg, "box": box}))
+        code, out, err = run_cli(["simulate", "lifetime", "--config", lifetime_config,
+                                  "--seed", "3"])
+        assert (code, out) == (3, "")
+        assert err == "error: no populated cell lies entirely inside the box\n"
 
     def test_missing_config_is_io_error(self):
         code, _, err = run_cli(["simulate", "accuracy", "--config", "/nope.json",
@@ -557,7 +573,11 @@ class TestWithoutNumpy:
     exit code with numpy blocked."""
 
     def test_import_leaves_numpy_out(self):
-        code = "import sys, topocell; print('numpy' in sys.modules)"
+        # every public name and submodule loaded first: a bare import of the
+        # lazy package would load none of them
+        code = ("import sys\nfrom topocell import *\n"
+                "import topocell.cli, topocell.routing, topocell.simulator\n"
+                "print('numpy' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -603,3 +623,43 @@ class TestWithoutNumpy:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+# python -m topocell in a fresh interpreter; prints the exit code, then the
+# imported modules
+LOADED_BY = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('topocell', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, *sorted(sys.modules))")
+ROUTE = ["route", "--shape", "to", "--rt", "1", "--src", "0,0,0", "--dst", "4,-2,3"]
+
+
+class TestModulesPerCommand:
+    """Each command loads the modules it runs and not the others."""
+
+    @pytest.mark.parametrize("args,runs,absent", [
+        (["tables", "I", "--format", "csv"], "topocell.planner",
+         {"topocell.lattice", "topocell.routing", "topocell.simulator"}),
+        (ASSIGN + ["--format", "csv"], "topocell.lattice", {"topocell.simulator"}),
+        (ROUTE + ["--format", "csv"], "topocell.routing", {"topocell.simulator"}),
+    ], ids=["tables", "assign", "route"])
+    def test_light_commands(self, args, runs, absent):
+        loaded = self.loaded(args)
+        assert runs in loaded
+        assert loaded.isdisjoint({*absent, "dataclasses", "json", "numpy"})
+
+    def test_simulate(self, lifetime_config):
+        loaded = self.loaded(["simulate", "lifetime", "--config", lifetime_config,
+                              "--seed", "3", "--format", "csv"])
+        assert "topocell.simulator" in loaded
+        assert loaded.isdisjoint({"topocell.routing", "dataclasses"})
+
+    @staticmethod
+    def loaded(args) -> set[str]:
+        proc = subprocess.run([sys.executable, "-c", LOADED_BY, *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, *modules = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        return set(modules)

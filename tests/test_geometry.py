@@ -352,28 +352,57 @@ class TestFacePlanes:
         assert np.array_equal(inside[clear], in_hull[clear])
 
 
+SUBMODULES = ("cli", "geometry", "lattice", "planner", "routing", "simulator")
+# loads every public name and every submodule of the package, which
+# ``import topocell`` alone does not
+LOAD_ALL = ("import sys\nfrom topocell import *\n"
+            + "".join(f"import topocell.{name}\n" for name in SUBMODULES))
+
+
+def loaded(modules: str) -> str:
+    """stdout of a fresh interpreter that loads the whole package and prints
+    which of ``modules`` (an expression over ``m`` in ``sys.modules``) it
+    has imported."""
+    code = LOAD_ALL + f"print(sorted(m for m in sys.modules if {modules}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestImports:
     def test_import_leaves_scipy_out(self):
-        code = "import sys, topocell; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert loaded("m.split('.')[0] == 'scipy'") == "[]"
 
     def test_import_leaves_fractions_and_decimal_out(self):
         # the import-time derivation of the cells runs in Python ints
-        code = ("import sys, topocell; "
-                "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
+        assert loaded("m in ('fractions', 'decimal')") == "[]"
+
+    def test_import_leaves_dataclasses_out(self):
+        assert loaded("m == 'dataclasses'") == "[]"
+
+    def test_the_whole_package_is_loaded(self):
+        # the checks above see every module
+        assert loaded("m.startswith('topocell.')") == str(
+            sorted(f"topocell.{name}" for name in SUBMODULES))
+
+    def test_bare_import_loads_no_submodule(self):
+        code = ("import sys, topocell\n"
+                "print(sorted(m for m in sys.modules if m.startswith('topocell.')))\n"
+                "print(topocell.lattice.__name__, topocell.greedy_route.__module__)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines() == ["[]", "topocell.lattice topocell.routing"]
 
     def test_public_names_resolve_sorted_and_unique(self):
         names = topocell.__all__
         assert [name for name in names if not hasattr(topocell, name)] == []
         assert names == sorted(set(names))
+        assert {*names, *SUBMODULES} <= set(dir(topocell))
         # removed with the float polyhedron toolkit
         assert "sample_inside" not in names
         assert not hasattr(topocell, "sample_inside")
+        with pytest.raises(AttributeError, match="no attribute 'sample_inside'"):
+            topocell.sample_inside
 
 
 class TestBasisTables:
