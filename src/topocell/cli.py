@@ -367,14 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _empty_region_error() -> type[Exception]:
-    """``simulator.EmptyRegionError`` once a command has loaded the
-    simulator; before that nothing can raise it, and ``ValueError`` stands
-    in for it."""
-    simulator = sys.modules.get(f"{__package__}.simulator")
-    return ValueError if simulator is None else simulator.EmptyRegionError
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -385,7 +377,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing config key {exc}", file=sys.stderr)
         return 3
-    except (_empty_region_error(), ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -38,8 +38,8 @@ the axial ids (u - floor(v/2), v, w). They are converted in eight places,
 listed here and nowhere else:
 
 * arrays of ids by ``to_basis_ids`` (for ``lattice.cell_centers``) and
-  ``to_public_ids`` (the oracle's candidates for its exact re-score), both
-  on one copy of the ids;
+  ``to_public_ids`` (the tie-break key of the oracle's exact re-score),
+  both on one copy of the ids;
 * each block of the bulk assigners by ``lattice._blocks``, whose scorers
   work in basis ids, with ``u += v >> 1``;
 * one id each by ``_bisector`` (a face neighbor's basis id), by
@@ -118,6 +118,15 @@ def _floats(x) -> np.ndarray:
     if np.iscomplexobj(x):
         raise ValueError("coordinates must be real numbers, not complex")
     return np.asarray(x, dtype=float)
+
+
+def _rows(points) -> np.ndarray:
+    """``points`` as an (n, 3) float array (``_floats``), one point of shape
+    (3,) as one row; any other shape raises ``ValueError``."""
+    pts = _floats(points)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
+        raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
+    return pts.reshape(-1, 3)
 
 
 def as_point(p, what: str = "point") -> np.ndarray:

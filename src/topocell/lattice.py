@@ -59,10 +59,10 @@ and q = p - that center, in one matrix product per block: the squared
 distance |q - c|^2 less |q|^2, which the point's candidates share and
 which is left out. The rigorous bound on the rounding error of the float
 scores comes from the spec too; candidates and bound are built once per
-spec and window and cached. The scores decide every point whose runner-up
-is farther than the bound, and the rest are re-scored exactly in
-integers, so the result, ties included, is that of the full window and of
-exact arithmetic.
+call, from the spec and window alone. The scores decide every point whose
+runner-up is farther than the bound, and the rest are re-scored exactly
+in integers, so the result, ties included, is that of the full window and
+of exact arithmetic.
 
 The cheaper nearest-integer shortcut rounds each coordinate of the TO
 solution independently; it is wrong for 3/8 of random points (the rounding
@@ -73,9 +73,12 @@ The three bulk paths, ``assign_cells``, ``assign_cells_oracle`` and
 ``assign_cells_nearest_int``, share one block driver, ``_blocks``: it forms
 p - sink as (3, rows) columns ``_CHUNK`` rows at a time, checks the domain,
 hands the block to the path's scorer (``_decode``, ``_oracle`` or
-``_nearest_int``), which returns basis ids, and stores them as public ids;
-it chooses no id itself. Its p - sink buffer and the decoder's scratch
-(``_work``) are allocated once per call, not per block. The decoder is
+``_nearest_int``), and stores the ids it returns as public ids; it chooses
+no id itself. Every scorer is called as ``score(spec, p, rel)`` and
+returns (3, rows) float columns of basis ids; the entry point binds any
+state of its call once: the decoder's scratch (``_work``), the oracle's
+candidate table (``_oracle_table``). The p - sink buffer is allocated once
+per call too, not per block. The decoder is
 ``_lattice_points``, the nearest lattice point y, then M^-1 y; the oracle
 is ``_nearest_int``, then ``_oracle_at`` that rounding. The experiments
 run the same p - sink step (``_relative``) on their blocks, with buffers
@@ -94,7 +97,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple
 
 from .geometry import (
@@ -105,9 +108,9 @@ from .geometry import (
     _METRIC,
     _PERIODS,
     CellShape,
-    _floats,
     _Frozen,
     _per_axis,
+    _rows,
     _scale,
     as_point,
     cell_spacing,
@@ -411,26 +414,20 @@ def _relative(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return rel
 
 
-def _blocks(spec: LatticeSpec, points, score) -> np.ndarray:
-    """Public ids of the rows of ``points`` as an (n, 3) int64 array, from
-    the scorer ``score``, ``_CHUNK`` rows at a time.
+def _blocks(spec: LatticeSpec, pts: np.ndarray, score) -> np.ndarray:
+    """Public ids of the rows ``pts`` (``geometry._rows``) as an (n, 3)
+    int64 array, from the scorer ``score``, ``_CHUNK`` rows at a time.
 
-    The points are read as real floats (``geometry._floats``) and must have
-    shape (n, 3). Each block's p - sink (``_relative``), in one buffer per
-    call, goes with the block's rows p to ``score(spec, p, rel)``, which
-    returns their basis ids as (3, rows) columns and may overwrite ``rel``;
-    the decoder also gets its scratch (``_work``), allocated once per call.
-    The ids are stored as the block's int64 rows, and on HP become public
-    ids there, u + floor(v / 2).
+    Each block's p - sink (``_relative``), in one buffer per call, goes with
+    the block's rows p to ``score(spec, p, rel)``, which returns their basis
+    ids as (3, rows) float columns and may overwrite ``rel``. The ids are
+    stored as the block's int64 rows, and on HP become public ids there,
+    u + floor(v / 2).
     """
     import numpy as np
 
-    pts = np.atleast_2d(_floats(points))
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
     out = np.empty((len(pts), 3), dtype=np.int64)
     buf = np.empty((3, min(len(pts), _CHUNK)))
-    score = partial(_decode, work=_work(buf.shape[1])) if score is _decode else score
     for start in range(0, len(pts), _CHUNK):
         p = pts[start:start + _CHUNK]
         ids = out[start:start + _CHUNK]
@@ -449,7 +446,8 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     shape's lattice. The ids are those of ``assign_cells_oracle``: points
     equidistant from several centers go to the smallest (u, v, w).
     """
-    return _blocks(spec, points, _decode)
+    pts = _rows(points)
+    return _blocks(spec, pts, partial(_decode, work=_work(min(len(pts), _CHUNK))))
 
 
 _PLAIN = (float, int)
@@ -532,7 +530,7 @@ def assign_cells_nearest_int(spec: LatticeSpec, points) -> np.ndarray:
     holds only one block's arrays.
     """
     _check_to(spec)
-    return _blocks(spec, points, _nearest_int)
+    return _blocks(spec, _rows(points), _nearest_int)
 
 
 def _check_to(spec: LatticeSpec) -> None:
@@ -584,12 +582,12 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     nearest center is within R of p, and any candidate farther than
     |q| + R from the rounded center is farther than R from p: it can
     neither win nor tie. The cut and the float filter's tolerance come from
-    the spec alone, built once per spec and window, so a point's id depends
-    on the spec and the point, not on the other points of its call. The
-    kept candidates, at offsets c from the rounded center, are ranked by
-    the score |c|^2 - 2 c.q, all of a block's in one matrix product: their
-    squared distance |q - c|^2 less the point's own |q|^2, which they all
-    share. The scores are a floating-point filter with an exact fallback
+    the spec and window alone, built once per call, so a point's id
+    depends on the spec and the point, not on the other points of its
+    call. The kept candidates, at offsets c from the rounded center, are
+    ranked by the score |c|^2 - 2 c.q, all of a block's in one matrix
+    product: their squared distance |q - c|^2 less the point's own |q|^2,
+    which they all share. The scores are a floating-point filter with an exact fallback
     (Shewchuk, "Adaptive precision floating-point arithmetic and fast
     robust geometric predicates", DCG 18, 1997): they decide every point
     whose runner-up is farther than a rigorous bound on their rounding
@@ -598,28 +596,26 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     """
     if not 2 <= window <= MAX_WINDOW:
         raise ValueError(f"oracle window must be between 2 and {MAX_WINDOW}")
-    return _blocks(spec, points, partial(_oracle, window=window))
+    return _blocks(spec, _rows(points), partial(_oracle, table=_oracle_table(spec, window)))
 
 
 class _OracleTable(NamedTuple):
-    """The oracle's kept candidates of one spec and window, read-only."""
+    """The oracle's kept candidates of one spec and window."""
 
-    offs: np.ndarray  # (3, k) int64 basis-id offsets, columns in lexicographic order
+    offs: np.ndarray  # (3, k) float basis-id offsets, columns in lexicographic order
     score: np.ndarray  # (k, 4) rows [-2 doff | |doff|^2] of their center displacements doff
     tol: float  # the float filter's bound on the rounding error of the scores
     index: np.ndarray  # (k, 1) int16 candidate numbers 0 .. k - 1
 
 
-# A spec is frozen and hashes by identity, so each spec and window has one
-# table; the cache holds the most recent ones, and their specs, alive.
-@lru_cache(maxsize=32)
 def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     """The candidates ``_oracle`` scores for ``spec`` and ``window``, and the
-    float filter's tolerance: computed from the spec alone, once."""
+    float filter's tolerance: computed from the spec alone, once per call
+    of the oracle's entry points."""
     import numpy as np
 
     # basis-id offsets in lexicographic order and their center displacements
-    offs = np.indices((2 * window + 1,) * 3, dtype=np.int64).reshape(3, -1).T - window
+    offs = np.indices((2 * window + 1,) * 3, dtype=float).reshape(3, -1).T - window
     basis, scale = lattice_basis(spec.shape, spec.circumradius)
     doff = (offs @ basis.T) * scale
     # each candidate's row [-2 doff | |doff|^2]
@@ -679,29 +675,27 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     tol = 2.0 ** -45 * size * (size + far)
     # the at most (2 MAX_WINDOW + 1)^3 = 4913 candidates are counted and
     # indexed in int16
-    table = _OracleTable(np.ascontiguousarray(offs[keep].T), score[keep], tol,
-                         np.arange(keep.sum(), dtype=np.int16)[:, None])
-    for array in (table.offs, table.score, table.index):
-        array.flags.writeable = False
-    return table
+    return _OracleTable(np.ascontiguousarray(offs[keep].T), score[keep], tol,
+                        np.arange(keep.sum(), dtype=np.int16)[:, None])
 
 
-def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, window: int) -> np.ndarray:
+def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, table: _OracleTable) -> np.ndarray:
     """The oracle, a scorer of ``_blocks``: basis ids of
     ``assign_cells_oracle`` for the rows ``p`` (rows, 3), given their
     p - sink columns ``rel`` (3, rows), which it overwrites, as (3, rows)
-    int64 columns: ``_oracle_at`` the rounded real solution."""
-    return _oracle_at(spec, p, _nearest_int(spec, p, rel), window)
+    float columns: ``_oracle_at`` the rounded real solution."""
+    return _oracle_at(spec, p, _nearest_int(spec, p, rel), table)
 
 
-def _oracle_at(spec: LatticeSpec, p: np.ndarray, base: np.ndarray, window: int) -> np.ndarray:
+def _oracle_at(spec: LatticeSpec, p: np.ndarray, base: np.ndarray,
+               table: _OracleTable) -> np.ndarray:
     """The oracle's ids for the rows ``p`` from ``base``, their rounded real
-    solution (``_nearest_int``), which it only reads: the float filter over
-    the spec's candidate table around base, then the exact re-score of the
-    rows it flags."""
+    solution (``_nearest_int``), which it only reads, as (3, rows) float
+    columns: the float filter over the candidate ``table`` around base,
+    then the exact re-score of the rows it flags."""
     import numpy as np
 
-    offs, score, tol, index = _oracle_table(spec, window)
+    offs, score, tol, index = table
     # q = p - center(base), the center computed as cell_centers does:
     # sink + (M base) scale, M base being exact, one axis at a time; in rows
     # 0 to 2 of q1, whose row 3 is ones, so that score @ q1 gives every
@@ -711,7 +705,6 @@ def _oracle_at(spec: LatticeSpec, p: np.ndarray, base: np.ndarray, window: int) 
     basis = lattice_basis(spec.shape, spec.circumradius)[0]
     q = _per_axis(np.matmul(basis, base, out=q1[:3]).T, spec.rule.scale, spec.sink).T
     np.subtract(p.T, q, out=q)
-    base = base.astype(np.int64)
     scores = score @ q1
     # every (k, n) array is reduced over k row by row, as a running
     # minimum, count or maximum, which reads memory in order
@@ -728,14 +721,15 @@ def _oracle_at(spec: LatticeSpec, p: np.ndarray, base: np.ndarray, window: int) 
     flagged = np.flatnonzero(close.sum(axis=0, dtype=np.int16) > 1)
     if not len(flagged):
         return ids
-    # the flagged rows' close candidates, scored exactly: every float is
-    # m 2^e with an integer m of 53 bits, so the coordinates become
-    # Python ints in units of the smallest 2^e among them, and so do the
-    # squared distances
+    # the flagged rows' close candidates, their centers sink + (M b) scale
+    # as cell_centers computes them, scored exactly: every float is m 2^e
+    # with an integer m of 53 bits, so the coordinates become Python ints
+    # in units of the smallest 2^e among them, and so do the squared
+    # distances
     pair, k = np.nonzero(close[:, flagged].T)
     cand = base.T[flagged[pair]] + offs.T[k]
-    pub = to_public_ids(spec.shape, cand)
-    m, e = np.frexp(np.vstack([p[flagged], cell_centers(spec, pub)]))
+    centers = _per_axis(cand @ basis.T, spec.rule.scale, spec.sink)
+    m, e = np.frexp(np.vstack([p[flagged], centers]))
     x = np.ldexp(m, 53).astype(np.int64).astype(object) << (e - e.min()).astype(object)
     diff = x[pair] - x[len(flagged):]
     d2 = (diff * diff).sum(axis=1)
@@ -743,7 +737,8 @@ def _oracle_at(spec: LatticeSpec, p: np.ndarray, base: np.ndarray, window: int) 
     # smallest public id; pair runs over every flagged row in order
     rows = np.arange(len(flagged))
     win = np.flatnonzero(d2 == np.minimum.reduceat(d2, np.searchsorted(pair, rows))[pair])
-    win = win[np.lexsort((*pub[win].T[::-1], pair[win]))]
+    pub = to_public_ids(spec.shape, cand[win].astype(np.int64))
+    win = win[np.lexsort((*pub.T[::-1], pair[win]))]
     ids[:, flagged] = cand[win[np.searchsorted(pair[win], rows)]].T
     return ids
 

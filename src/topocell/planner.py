@@ -26,6 +26,12 @@ if TYPE_CHECKING:
     from .lattice import LatticeSpec
 
 SHAPE_ORDER = (CellShape.CB, CellShape.HP, CellShape.RD, CellShape.TO)
+# the base tolerances of the two tables' gates (``Reference.gate``)
+RADIUS_GATE_TOL = 1e-6
+LIFETIME_GATE_TOL = 1e-5
+# the relative slack of ``verify_connectivity`` and of ``verify_coverage``
+CONNECTIVITY_REL_TOL = 1e-9
+COVERAGE_REL_TOL = 1e-6
 
 
 class Reference(NamedTuple):
@@ -198,12 +204,12 @@ def lifetime_table() -> list[dict]:
     return [{"shape": rep.shape.value, **_compared(rep, _TABLE_II)} for rep in all_reports()]
 
 
-def radius_table_gates_ok(base_tol: float = 1e-6) -> bool:
-    return _gates_ok(radius_table(), _TABLE_I, base_tol)
+def radius_table_gates_ok() -> bool:
+    return _gates_ok(radius_table(), _TABLE_I, RADIUS_GATE_TOL)
 
 
-def lifetime_table_gates_ok(base_tol: float = 1e-5) -> bool:
-    return _gates_ok(lifetime_table(), _TABLE_II, base_tol)
+def lifetime_table_gates_ok() -> bool:
+    return _gates_ok(lifetime_table(), _TABLE_II, LIFETIME_GATE_TOL)
 
 
 class ConnectivityReport(NamedTuple):
@@ -215,16 +221,17 @@ class ConnectivityReport(NamedTuple):
     per_class: dict[str, float]
 
 
-def verify_connectivity(spec: LatticeSpec, circumradius: float | None = None,
-                        rel_tol: float = 1e-9) -> ConnectivityReport:
+def verify_connectivity(spec: LatticeSpec,
+                        circumradius: float | None = None) -> ConnectivityReport:
     """Check that any two points of any two neighboring cells are within r_t.
 
     Each class's worst pair distance is its ``max_pair_distance_coeff``,
     which ``geometry.neighbor_classes`` derives exactly from the Voronoi
     cell, times the circumradius: the distance scales with R. The optimum
     sits exactly on the constraint, so the check allows a relative slack of
-    ``rel_tol``. Pass ``circumradius`` to probe a cell size other than the
-    derived maximum (useful to show oversized cells break connectivity).
+    ``CONNECTIVITY_REL_TOL``. Pass ``circumradius`` to probe a cell size
+    other than the derived maximum (useful to show oversized cells break
+    connectivity).
     """
     R = spec.circumradius if circumradius is None else float(circumradius)
     if not (math.isfinite(R) and R > 0):
@@ -235,24 +242,23 @@ def verify_connectivity(spec: LatticeSpec, circumradius: float | None = None,
     max_dist = per_class[binding]
     return ConnectivityReport(
         max_neighbor_distance=max_dist,
-        ok=max_dist <= spec.r_t * (1.0 + rel_tol),
+        ok=max_dist <= spec.r_t * (1.0 + CONNECTIVITY_REL_TOL),
         binding_class=binding,
         per_class=per_class,
     )
 
 
-def verify_coverage(spec: LatticeSpec, sensing_range: float, *,
-                    rel_tol: float = 1e-6) -> bool:
+def verify_coverage(spec: LatticeSpec, sensing_range: float) -> bool:
     """True when the sensing range covers the whole cell from anywhere in it.
 
     The requirement is the cell diameter 2R, in closed form: two points of
     a cell are at most 2R apart, and two opposite vertices are exactly 2R
-    apart. The default tolerance is relative 1e-6 so sensing ranges quoted
-    to six decimals validate.
+    apart. The tolerance, ``COVERAGE_REL_TOL``, is relative 1e-6 so sensing
+    ranges quoted to six decimals validate.
     """
     if not (math.isfinite(sensing_range) and sensing_range > 0):
         raise ValueError("sensing range must be positive and finite")
-    return sensing_range >= 2.0 * spec.circumradius * (1.0 - rel_tol)
+    return sensing_range >= 2.0 * spec.circumradius * (1.0 - COVERAGE_REL_TOL)
 
 
 def render_csv(rows: list[dict]) -> str:

@@ -31,7 +31,8 @@ and scale and shift it there; per-axis constants, the box's sides and
 corner and the sink, go one column at a time, which ``geometry._per_axis``
 explains. Neither calls a bulk assigner: each runs the block driver's
 p - sink step (``lattice._relative``) once per block and hands the result
-to the lattice's scorers, with buffers allocated once per call.
+to the lattice's scorers, with buffers, and the accuracy run's oracle
+candidate table (``lattice._oracle_table``), made once per call.
 
 The accuracy experiment scores a block in one pass (``_tally``): the
 decoder gets a copy of p - sink, and the shortcut's rounding of it is also
@@ -51,7 +52,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .geometry import CellShape, _floats, _Frozen, _per_axis, as_point, build_polyhedron
+from .geometry import CellShape, _Frozen, _per_axis, _rows, as_point, build_polyhedron
 from .lattice import (
     _CHUNK,
     LatticeSpec,
@@ -59,14 +60,18 @@ from .lattice import (
     _lattice_points,
     _nearest_int,
     _oracle_at,
+    _oracle_table,
     _relative,
     _work,
     assign_cells,
 )
 
 
-class EmptyRegionError(RuntimeError):
-    """Raised when no populated interior cell exists in the deployment box."""
+class EmptyRegionError(RuntimeError, ValueError):
+    """Raised when no populated interior cell exists in the deployment box.
+
+    A ``ValueError`` too, as a box is a parameter of the run.
+    """
 
 
 def _integer(value, what: str) -> int:
@@ -107,9 +112,9 @@ class Box(_Frozen):
         return float(self.side_lengths.prod())
 
     def contains(self, points) -> np.ndarray:
-        import numpy as np
-
-        pts = np.atleast_2d(_floats(points))
+        """Which of the points, one of shape (3,) or an (n, 3) array, lie in
+        the closed box."""
+        pts = _rows(points)
         return ((pts >= self.lo) & (pts <= self.hi)).all(axis=1)
 
 
@@ -122,6 +127,8 @@ class DeploymentConfig(_Frozen):
     __slots__ = _fields = ("box", "node_count", "seed")
 
     def __init__(self, box: Box, node_count: int, seed: int):
+        if not isinstance(box, Box):
+            raise ValueError(f"box must be a Box, got {box!r}")
         node_count, seed = _integer(node_count, "node_count"), _seed(seed)
         if node_count < 1:
             raise ValueError("node_count must be at least 1")
@@ -220,8 +227,8 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
         raise ValueError("n must be at least 1")
     half = 5.0 * spec.r_t
     rows = min(n, _CHUNK)
-    buf, work = np.empty((2, 3, rows)), _work(rows)
-    exact = nearest = 0
+    buf, work, table = np.empty((2, 3, rows)), _work(rows), _oracle_table(spec, 3)
+    counts = np.zeros(2, dtype=np.int64)  # correct_exact, correct_nearest_int
     # the doubles of spec.sink + rng.uniform(-half, half, (n, 3)), a block at
     # a time: uniform computes -half + 2 half u, and the scalar constants go
     # over the whole block, the sink's per-axis ones column by column
@@ -229,23 +236,24 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
         pts *= 2.0 * half
         pts += -half
         _per_axis(pts, shift=spec.sink)
-        block_exact, block_nearest = _tally(spec, pts, buf, work)
-        exact += block_exact
-        nearest += block_nearest
-    return AccuracyReport(n=n, correct_exact=exact, correct_nearest_int=nearest)
+        counts += _tally(spec, pts, buf, work, table)
+    return AccuracyReport(n, *counts.tolist())
 
 
-def _tally(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray, work: list) -> tuple[int, int]:
+def _tally(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray, work: list,
+           table: _OracleTable) -> tuple[int, int]:
     """Numbers of the TO rows ``p`` (rows, 3) to which ``assign_cells`` and
     ``assign_cells_nearest_int`` give the id of ``assign_cells_oracle``
     (window 3), in one pass over the block's columns, with the call's
-    buffers: ``buf`` (2, 3, rows) and the decoder's scratch ``work``.
+    buffers, ``buf`` (2, 3, rows) and the decoder's scratch ``work``, and
+    the oracle's candidate ``table`` (``lattice._oracle_table``).
 
     p - sink is formed once, in ``buf[0]``, and copied to ``buf[1]`` for the
     decoder, which overwrites its input. The shortcut's rounding of the real
     ids is also the oracle's base, the window's middle id, so it is formed
     once; the oracle does not read the decoder's ids. On TO public ids are
-    basis ids, so the (3, rows) columns are compared as they are.
+    basis ids, so the three scorers' (3, rows) float columns are compared as
+    they are.
     """
     import numpy as np
 
@@ -254,10 +262,7 @@ def _tally(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray, work: list) -> tup
     copy[...] = rel
     ids = _decode(spec, p, copy, work)
     base = _nearest_int(spec, p, rel)
-    # the oracle's int64 ids as floats, exact, in the spent p - sink
-    # columns, so that both comparisons are float64 ones
-    truth = rel
-    np.copyto(truth, _oracle_at(spec, p, base, window=3))
+    truth = _oracle_at(spec, p, base, table)
     return (int(np.count_nonzero((ids == truth).all(axis=0))),
             int(np.count_nonzero((base == truth).all(axis=0))))
 

@@ -95,6 +95,22 @@ class TestDeploy:
             DeploymentConfig(box=Box(lo=(0, 0, 0), hi=(1, 1, 1)), node_count=1, seed=-1)
 
 
+    def test_config_box_must_be_a_box(self):
+        with pytest.raises(ValueError, match="^box must be a Box"):
+            DeploymentConfig(((0, 0, 0), (1, 1, 1)), 100, 1)
+
+    @pytest.mark.parametrize("rows", [[[0.5], [2.0]], [[0.5, 0.5, 0.5, 0.5]],
+                                      [[[0.5, 0.5, 0.5]]], [0.5, 0.5]])
+    def test_box_contains_refuses_other_shapes(self, rows):
+        box = Box(lo=(0, 0, 0), hi=(1, 1, 1))
+        with pytest.raises(ValueError, match=r"^expected points of shape \(n, 3\)"):
+            box.contains(np.array(rows))
+
+    def test_box_contains_one_point_or_rows(self):
+        box = Box(lo=(0, 0, 0), hi=(1, 1, 1))
+        assert box.contains((0.5, 0.5, 1.0)).tolist() == [True]
+        assert box.contains([[0.5, 0.5, 0.5], [0.5, 2.0, 0.5]]).tolist() == [True, False]
+
     @pytest.mark.parametrize("field,value", [("node_count", 10.5), ("node_count", 10.0),
                                              ("node_count", "10"), ("seed", 1.5),
                                              ("seed", None), ("seed", "7")])
@@ -266,6 +282,12 @@ class TestLifetimeSimulation:
         with pytest.raises(EmptyRegionError):
             lifetime_simulation(spec, cfg, battery_capacity=1.0, k=1)
 
+    def test_empty_region_error_is_a_value_error(self):
+        # a RuntimeError as before, and a ValueError like every other refused
+        # parameter
+        assert issubclass(EmptyRegionError, RuntimeError)
+        assert issubclass(EmptyRegionError, ValueError)
+
     def test_validation(self):
         spec, cfg = cb_single_cell_setup(3)
         with pytest.raises(ValueError):
@@ -368,9 +390,9 @@ class TestStreaming:
         spec = LatticeSpec(CellShape.TO, 2.0, sink=(11.0, -4.0, 2.5))
         blocks, tally = [], simulator._tally
 
-        def spy(spec, pts, buf, work):
+        def spy(spec, pts, buf, work, table):
             blocks.append(pts.copy())
-            return tally(spec, pts, buf, work)
+            return tally(spec, pts, buf, work, table)
 
         monkeypatch.setattr(simulator, "_tally", spy)
         self.small_blocks(monkeypatch)
@@ -379,6 +401,25 @@ class TestStreaming:
         assert [len(b) for b in blocks] == [self.CHUNK] * 3 + [10]
         want = spec.sink + np.random.default_rng(12).uniform(-10.0, 10.0, (n, 3))
         assert (np.vstack(blocks).view(np.int64) == want.view(np.int64)).all()
+
+    def test_one_oracle_table_per_call(self, monkeypatch):
+        # the oracle's candidate table is built once per call of
+        # assign_cells_oracle and of the accuracy run, not once per block
+        spec = LatticeSpec(CellShape.TO, 2.0, sink=(11.0, -4.0, 2.5))
+        builds, build = [], lattice._oracle_table
+
+        def spy(spec, window):
+            builds.append(window)
+            return build(spec, window)
+
+        monkeypatch.setattr(lattice, "_oracle_table", spy)
+        monkeypatch.setattr(simulator, "_oracle_table", spy)
+        n = 2 * lattice._CHUNK + 1
+        pts = spec.sink + np.random.default_rng(3).uniform(-10.0, 10.0, (n, 3))
+        assert len(assign_cells_oracle(spec, pts, window=2)) == n
+        assert builds == [2]
+        assert accuracy_experiment(spec, n, seed=12).n == n
+        assert builds == [2, 3]
 
     @pytest.mark.parametrize("n", [1, lattice._CHUNK - 1, lattice._CHUNK, lattice._CHUNK + 1])
     def test_accuracy_at_block_edges(self, n):
@@ -391,7 +432,8 @@ class TestStreaming:
         that share one set of buffers, as the accuracy run's blocks do."""
         rows = lattice._CHUNK
         buf, work = np.empty((2, 3, rows)), lattice._work(rows)
-        return np.sum([simulator._tally(spec, pts[i:i + rows], buf, work)
+        table = lattice._oracle_table(spec, 3)
+        return np.sum([simulator._tally(spec, pts[i:i + rows], buf, work, table)
                        for i in range(0, len(pts), rows)], axis=0).tolist()
 
     @pytest.mark.parametrize("r_t,sink", [(3.7, (1.25, -0.4, 2.83)), (0.1, FAR_SINK)])
