@@ -11,8 +11,8 @@ worst-case distance between points of two neighboring cells (the quantity
 that bounds the usable cell size for a given transmission range).
 
 Each tessellation is the Voronoi tessellation of a lattice of cell centers,
-and each lattice has one generator basis (``lattice_basis``): an integer
-matrix M and a per-axis scale, the cell with basis ids b sitting at
+and each lattice has one generator basis: an integer matrix M (``_BASES``)
+and a per-axis scale (``_scale``), the cell with basis ids b sitting at
 (b @ M.T) * scale from cell (0, 0, 0). With ``cell_spacing``'s constants for
 circumradius R:
 
@@ -25,7 +25,7 @@ circumradius R:
 
 In the scaled coordinates y = b @ M.T, every one of these lattices is the
 rectangular lattice diag(P) Z^3 or the union of it and its shift by 1
-along every axis of period 2 (``coset_period``):
+along every axis of period 2 (``_PERIODS``):
 
 * CB, P = (1, 1, 1): one coset.
 * HP, P = (2, 2, 1): shift (1, 1, 0) = M (0, 1, 0).
@@ -34,21 +34,9 @@ along every axis of period 2 (``coset_period``):
 Public ids are the paper's offset ids (u, v, w), equal to the basis ids
 except on HP, whose odd rows sit half a step further along x: its centers
 are at (sqrt(3)*a*(u + (v mod 2)/2), 1.5*a*v, h*w), and its basis ids are
-the axial ids (u - floor(v/2), v, w). They are converted in eight places,
-listed here and nowhere else:
-
-* arrays of ids by ``to_basis_ids`` (for ``lattice.cell_centers``) and
-  ``to_public_ids`` (the tie-break key of the oracle's exact re-score),
-  both on one copy of the ids;
-* each block of the bulk assigners by ``lattice._blocks``, whose scorers
-  work in basis ids, with ``u += v >> 1``;
-* one id each by ``_bisector`` (a face neighbor's basis id), by
-  ``lattice._center`` (one cell's center), by ``lattice.assign_cell``,
-  which turns its basis id into a public id with ``u += v >> 1``, and by
-  ``lattice._settle``, whose tie-break orders its tied candidates by public
-  id, u + floor(v/2);
-* neighbor steps by ``lattice._NEIGHBOR_STEPS``, a table of the steps from
-  HP's odd rows, so that ``neighbors`` and routing step in public ids.
+the axial ids (u - floor(v/2), v, w). This module converts one id, in
+``_bisector``; ``lattice``, which turns ids into centers, converts the rest
+and lists where.
 
 Each cell is the Voronoi cell of its lattice (Conway & Sloane, IEEE Trans.
 IT 32(1), 1986): its faces are the bisectors between its center and its
@@ -75,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -118,6 +107,16 @@ def _floats(x) -> np.ndarray:
     if np.iscomplexobj(x):
         raise ValueError("coordinates must be real numbers, not complex")
     return np.asarray(x, dtype=float)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int: ints and numpy integers pass, anything else
+    (a float, even a whole one, a string) raises ``ValueError`` naming
+    ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _rows(points) -> np.ndarray:
@@ -267,19 +266,9 @@ _PERIODS = {
 }
 
 
-def coset_period(shape: CellShape) -> np.ndarray:
-    """Per-axis period P (3,) of the cosets of ``lattice_basis``'s M Z^3.
-
-    M Z^3 is diag(P) Z^3, plus its shift by 1 along every period-2 axis
-    when there is one: see the module docstring.
-    """
-    import numpy as np
-
-    return np.array(_PERIODS[_as_shape(shape)], dtype=float)
-
-
 def _scale(shape: CellShape, circumradius: float) -> tuple[float, float, float]:
-    """Per-axis scale of ``lattice_basis``, as Python floats."""
+    """Per-axis scale of the generator basis, as Python floats: see the
+    module docstring."""
     spacing = cell_spacing(shape, circumradius)
     if shape is CellShape.HP:
         a, h = spacing
@@ -288,48 +277,6 @@ def _scale(shape: CellShape, circumradius: float) -> tuple[float, float, float]:
         q, R = spacing
         return (q, q, R)
     return spacing * 3  # (s, s, s) for CB, (d, d, d) for TO
-
-
-def lattice_basis(shape: CellShape, circumradius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generator matrix M (3, 3) and per-axis scale (3,): see the module docstring.
-
-    Both are new float arrays on each call, built from the module's tuples.
-    """
-    import numpy as np
-
-    shape = _as_shape(shape)
-    return np.array(_BASES[shape], dtype=float), np.array(_scale(shape, circumradius))
-
-
-def to_basis_ids(shape: CellShape, ids) -> np.ndarray:
-    """Basis ids of the public ids ``ids`` (integers, shape (..., 3))."""
-    return _half_steps(shape, ids, -1)
-
-
-def to_public_ids(shape: CellShape, ids) -> np.ndarray:
-    """Public ids of the basis ids ``ids``, the inverse of ``to_basis_ids``."""
-    return _half_steps(shape, ids, 1)
-
-
-def _half_steps(shape: CellShape, ids, sign: int) -> np.ndarray:
-    """``ids`` as int64, with sign * floor(v / 2) added to u on HP, in one
-    copy: the axial id alpha = u - floor(v/2) undoes the half-step shift of
-    odd rows. Ids of a non-integer dtype, and unsigned ids beyond the
-    domain (more than MAX_STEPS + 2), raise ``ValueError``, rather than be
-    truncated or cast."""
-    import numpy as np
-
-    hp = _as_shape(shape) is CellShape.HP
-    ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"cell ids must be integers, got an array of {ids.dtype}")
-    # an unsigned id of 2^63 or more would wrap to a negative int64
-    if ids.dtype.kind == "u" and ids.size and ids.max() > MAX_STEPS + 2:
-        raise ValueError(f"cell ids must lie within {MAX_STEPS + 2} of zero on each axis")
-    if hp:
-        ids = np.array(ids, dtype=np.int64)
-        ids[..., 0] += sign * (ids[..., 1] >> 1)
-    return np.asarray(ids, dtype=np.int64)
 
 
 def _per_axis(a: np.ndarray, scale=None, shift=None) -> np.ndarray:
@@ -352,18 +299,6 @@ def _per_axis(a: np.ndarray, scale=None, shift=None) -> np.ndarray:
         if shift is not None:
             column += shift[axis]
     return a
-
-
-def center_offsets(shape: CellShape, circumradius: float, ids) -> np.ndarray:
-    """Centers of the cells ``ids`` (shape (..., 3)) relative to cell (0, 0, 0).
-
-    The basis ids times M.T, then times the per-axis scale, which goes
-    column by column (``_per_axis``).
-    """
-    basis, scale = lattice_basis(shape, circumradius)
-    # float products and sums of small integers are exact, and BLAS has no
-    # integer matmul
-    return _per_axis(to_basis_ids(shape, ids).astype(float) @ basis.T, scale)
 
 
 def build_polyhedron(shape: CellShape, center, circumradius: float) -> Polyhedron:

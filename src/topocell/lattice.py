@@ -1,31 +1,46 @@
 """Integer cell addressing for the four space-filling tessellations.
 
 Every cell is named by an integer triple (u, v, w), its public offset id.
-Cell centers are anchored at the information sink: center = sink +
-center_offsets(shape, R, (u, v, w)) with R = max_cell_radius(shape, r_t).
+Cell centers are anchored at the information sink: the cell with basis ids
+b sits at center = sink + (b @ M.T) * scale, with the generator basis M and
+per-axis scale of the geometry module for R = max_cell_radius(shape, r_t);
+this module alone turns ids into centers (``cell_centers``, ``_center``).
 ``LatticeSpec`` holds the sink as a tuple of three Python floats, and a
 spec, its rule and the per-cell paths (``assign_cell``,
 ``assign_cell_nearest_int``, one cell's center and ``neighbors``) need no
 numpy; the array paths, the oracle among them, import it when called.
-The geometry module owns each lattice's generator basis. Public and basis
-ids differ only on HP; the geometry module's docstring lists the places
-that convert them. The public functions take and return public ids.
+The public functions take and return public ids.
+
+Public and basis ids differ only on HP, whose basis ids are the axial ids
+(u - floor(v/2), v, w). Besides ``geometry._bisector``'s one id, they are
+converted in these places and nowhere else:
+
+* arrays of ids by ``cell_centers``, on one copy of the ids, and by the
+  tie-break key of ``_oracle_at``'s exact re-score, with ``u += v >> 1``;
+* each block of the bulk assigners by ``_blocks``, whose scorers work in
+  basis ids, with ``u += v >> 1``;
+* one id each by ``_center`` (one cell's center), by ``assign_cell``,
+  which turns its basis id into a public id with ``u += v >> 1``, and by
+  ``_settle``, whose tie-break orders its tied candidates by public id,
+  u + floor(v/2);
+* neighbor steps by ``_NEIGHBOR_STEPS``, a table of the steps from HP's
+  odd rows, so that ``neighbors`` and routing step in public ids.
 
 A sensor at point p finds its cell without search. The four tessellations
 are the Voronoi cells of four classical lattices: CB is Z^3, RD the
 face-centered cubic D3, TO the body-centered cubic D3* and HP the
-hexagonal lattice times Z. In the scaled coordinates y = (p - sink) / scale
-of ``geometry.lattice_basis``, each is the rectangular lattice diag(P) Z^3
-or the union of it and its shift by 1 along every axis of period 2
-(``geometry.coset_period``). The nearest point of such a union takes one
-rounding per coset and a comparison (Conway & Sloane, "Fast quantizing and
-decoding algorithms for lattice quantizers and codes", IEEE Trans. IT 28(2),
-1982), and one rule serves all four shapes: round y to the nearest point
-of diag(P) Z^3, at distance a_i along axis i; the nearest point of the
-shifted coset is one step toward y on each period-2 axis, at 1 - a_i there,
-so it is the nearer point when the sum of w_i (a_i - 1/2) over those axes
-is positive, w_i being the squared scale of axis i. CB, with one coset, is
-plain rounding. The basis ids are M^-1 times the chosen point.
+hexagonal lattice times Z. In the scaled coordinates y = (p - sink) / scale,
+each is the rectangular lattice diag(P) Z^3 or the union of it and its
+shift by 1 along every axis of period 2 (P being ``geometry._PERIODS``).
+The nearest point of such a union takes one rounding per coset and a
+comparison (Conway & Sloane, "Fast quantizing and decoding algorithms for
+lattice quantizers and codes", IEEE Trans. IT 28(2), 1982), and one rule
+serves all four shapes: round y to the nearest point of diag(P) Z^3, at
+distance a_i along axis i; the nearest point of the shifted coset is one
+step toward y on each period-2 axis, at 1 - a_i there, so it is the
+nearer point when the sum of w_i (a_i - 1/2) over those axes is positive,
+w_i being the squared scale of axis i. CB, with one coset, is plain
+rounding. The basis ids are M^-1 times the chosen point.
 ``assign_cells`` runs this rule on arrays of points (``_decode``);
 ``assign_cell``, the call of one sensor, runs it for one point step for
 step in Python floats, with no numpy call, and gives the same ids. Both
@@ -109,16 +124,14 @@ from .geometry import (
     _PERIODS,
     CellShape,
     _Frozen,
+    _integer,
     _per_axis,
     _rows,
     _scale,
     as_point,
     cell_spacing,
-    center_offsets,
-    lattice_basis,
     max_cell_radius,
     neighbor_classes,
-    to_public_ids,
 )
 
 # Supported domain: every coordinate of p - sink within MAX_STEPS lattice
@@ -164,9 +177,9 @@ class _Rule(NamedTuple):
     """The nearest-point rule's constants of one spec, as Python numbers."""
 
     sink: tuple[float, float, float]
-    scale: tuple[float, float, float]  # per-axis scale of ``geometry.lattice_basis``
+    scale: tuple[float, float, float]  # per-axis scale of the generator basis M
     divisor: tuple[float, float, float]  # scale * period
-    period: tuple[int, int, int]  # ``geometry.coset_period``
+    period: tuple[int, int, int]  # per-axis coset period P, ``geometry._PERIODS``
     weight: tuple[float, float, float]
     threshold: float
     inverse: tuple[tuple[float, float, float], ...]  # rows of M^-1
@@ -234,21 +247,32 @@ class LatticeSpec(_Frozen):
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
-    """Centers for an array of ids of shape (..., 3): the sink plus
-    ``center_offsets``, added column by column (``geometry._per_axis``).
+    """Centers for an array of ids of shape (..., 3): their basis ids b,
+    sink + (b @ M.T) * scale, the scale and sink going column by column
+    (``geometry._per_axis``).
 
     The ids must be an integer array within MAX_STEPS + 2 of zero on each
-    axis, as ``as_cell_id`` requires of one id; others raise ``ValueError``.
+    axis, as ``as_cell_id`` requires of one id; others raise ``ValueError``,
+    rather than be truncated, cast or broadcast.
     """
     import numpy as np
 
-    # center_offsets refuses ids of a non-integer dtype, before the range
-    # check compares them
-    offsets = center_offsets(spec.shape, spec.circumradius, ids)
     ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"cell ids must be integers, got an array of {ids.dtype}")
+    if ids.ndim == 0 or ids.shape[-1] != 3:
+        raise ValueError(f"expected cell ids of shape (..., 3), got {ids.shape}")
+    # checked before any cast: an unsigned id of 2^63 or more would wrap to
+    # a negative int64
     if ids.size and not -(MAX_STEPS + 2) <= ids.min() <= ids.max() <= MAX_STEPS + 2:
         raise ValueError(f"cell ids must lie within {MAX_STEPS + 2} of zero on each axis")
-    return _per_axis(offsets, shift=spec.sink)
+    # basis ids in one float copy: the axial u - floor(v / 2) on HP. Float
+    # products and sums of these small integers are exact, and BLAS has no
+    # integer matmul
+    b = ids.astype(float)
+    if spec.shape is CellShape.HP:
+        b[..., 0] -= ids[..., 1] >> 1
+    return _per_axis(b @ np.array(_BASES[spec.shape], dtype=float).T, spec.rule.scale, spec.sink)
 
 
 def _center(spec: LatticeSpec, cid) -> tuple[float, float, float]:
@@ -299,7 +323,7 @@ def _work(rows: int) -> list:
 
 def _lattice_points(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, work: list) -> np.ndarray:
     """The decoder's lattice points y, nearest to the rows ``p`` (rows, 3)
-    in the scaled coordinates of ``geometry.lattice_basis``, given their
+    in the scaled coordinates y = (p - sink) / scale, given their
     p - sink columns ``rel`` (3, rows), which it overwrites, and the call's
     scratch ``work`` (``_work``): (3, rows) float columns of integers, in
     ``work``, whose basis ids are M^-1 y.
@@ -593,7 +617,11 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     whose runner-up is farther than a rigorous bound on their rounding
     error, and the points within it are re-scored exactly in integers,
     every float being an integer times a power of two.
+
+    ``window`` must be an integer (a Python or numpy int, read with
+    ``operator.index``); others raise ``ValueError``.
     """
+    window = _integer(window, "oracle window")
     if not 2 <= window <= MAX_WINDOW:
         raise ValueError(f"oracle window must be between 2 and {MAX_WINDOW}")
     return _blocks(spec, _rows(points), partial(_oracle, table=_oracle_table(spec, window)))
@@ -602,6 +630,7 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
 class _OracleTable(NamedTuple):
     """The oracle's kept candidates of one spec and window."""
 
+    basis: np.ndarray  # (3, 3) float generator matrix M
     offs: np.ndarray  # (3, k) float basis-id offsets, columns in lexicographic order
     score: np.ndarray  # (k, 4) rows [-2 doff | |doff|^2] of their center displacements doff
     tol: float  # the float filter's bound on the rounding error of the scores
@@ -616,7 +645,7 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
 
     # basis-id offsets in lexicographic order and their center displacements
     offs = np.indices((2 * window + 1,) * 3, dtype=float).reshape(3, -1).T - window
-    basis, scale = lattice_basis(spec.shape, spec.circumradius)
+    basis, scale = np.array(_BASES[spec.shape], dtype=float), spec.rule.scale
     doff = (offs @ basis.T) * scale
     # each candidate's row [-2 doff | |doff|^2]
     score = np.hstack([-2.0 * doff, (doff * doff).sum(axis=1, keepdims=True)])
@@ -675,7 +704,7 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     tol = 2.0 ** -45 * size * (size + far)
     # the at most (2 MAX_WINDOW + 1)^3 = 4913 candidates are counted and
     # indexed in int16
-    return _OracleTable(np.ascontiguousarray(offs[keep].T), score[keep], tol,
+    return _OracleTable(basis, np.ascontiguousarray(offs[keep].T), score[keep], tol,
                         np.arange(keep.sum(), dtype=np.int16)[:, None])
 
 
@@ -695,14 +724,13 @@ def _oracle_at(spec: LatticeSpec, p: np.ndarray, base: np.ndarray,
     then the exact re-score of the rows it flags."""
     import numpy as np
 
-    offs, score, tol, index = table
+    basis, offs, score, tol, index = table
     # q = p - center(base), the center computed as cell_centers does:
     # sink + (M base) scale, M base being exact, one axis at a time; in rows
     # 0 to 2 of q1, whose row 3 is ones, so that score @ q1 gives every
     # candidate's score in one product
     q1 = np.empty((4, len(p)))
     q1[3] = 1.0
-    basis = lattice_basis(spec.shape, spec.circumradius)[0]
     q = _per_axis(np.matmul(basis, base, out=q1[:3]).T, spec.rule.scale, spec.sink).T
     np.subtract(p.T, q, out=q)
     scores = score @ q1
@@ -734,10 +762,13 @@ def _oracle_at(spec: LatticeSpec, p: np.ndarray, base: np.ndarray,
     diff = x[pair] - x[len(flagged):]
     d2 = (diff * diff).sum(axis=1)
     # the nearest center wins, and among exactly equidistant ones the
-    # smallest public id; pair runs over every flagged row in order
+    # smallest public id, u + floor(v / 2) on HP; pair runs over every
+    # flagged row in order
     rows = np.arange(len(flagged))
     win = np.flatnonzero(d2 == np.minimum.reduceat(d2, np.searchsorted(pair, rows))[pair])
-    pub = to_public_ids(spec.shape, cand[win].astype(np.int64))
+    pub = cand[win].astype(np.int64)
+    if spec.shape is CellShape.HP:
+        pub[:, 0] += pub[:, 1] >> 1
     win = win[np.lexsort((*pub.T[::-1], pair[win]))]
     ids[:, flagged] = cand[win[np.searchsorted(pair[win], rows)]].T
     return ids

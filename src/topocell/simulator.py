@@ -49,10 +49,9 @@ whole arrays.
 from __future__ import annotations
 
 import math
-import operator
 from typing import NamedTuple
 
-from .geometry import CellShape, _Frozen, _per_axis, _rows, as_point, build_polyhedron
+from .geometry import _VERTICES, CellShape, _Frozen, _integer, _per_axis, _rows, as_point
 from .lattice import (
     _CHUNK,
     LatticeSpec,
@@ -72,15 +71,6 @@ class EmptyRegionError(RuntimeError, ValueError):
 
     A ``ValueError`` too, as a box is a parameter of the run.
     """
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as a Python int: ints and numpy integers pass, anything else
-    (a float, even a whole one, a string) raises ``ValueError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _seed(value) -> int:
@@ -325,11 +315,12 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     """Node counts of the populated interior cells, in no particular order.
 
     The nodes are ``deploy``'s, drawn and decoded ``_CHUNK`` at a time to
-    their lattice points y, the scaled coordinates of
-    ``geometry.lattice_basis`` (``lattice._lattice_points``). A cell is
-    interior when its center, sink + y * scale on each axis as
-    ``cell_centers`` computes it, lies in [lo + e, hi - e], e being the
-    cell's axis extents: on each axis a span of d values of y from f
+    their lattice points y, the scaled coordinates y = b @ M.T of their
+    basis ids b (``lattice._lattice_points``). A cell is interior when its
+    center, sink + y * scale on each axis as ``cell_centers`` computes it,
+    lies in [lo + e, hi - e], e being the cell's axis extents, the largest
+    |x_i| scale_i / L over its integer vertex rows (x_0, x_1, x_2, L) of
+    ``geometry._VERTICES``: on each axis a span of d values of y from f
     (``_span``). A node's offsets y - f, each moved to d when outside
     [0, d), name its slot in a grid of d + 1 values per axis, and the slots
     with no offset at d are the interior ones: 1 (CB), 2 (HP) or 4 (RD, TO)
@@ -344,7 +335,9 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     """
     import numpy as np
 
-    extents = build_polyhedron(spec.shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
+    rows = _VERTICES[spec.shape]
+    extents = [max(abs(row[i]) for row in rows) * k / rows[0][3]
+               for i, k in enumerate(spec.rule.scale)]
     # the limits, clamped to reach + 3 scale of the sink: beyond every center
     # that a point of the domain decodes to, so that the grid, however far
     # the box reaches, holds fewer than 2^61 slots

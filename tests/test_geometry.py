@@ -1,8 +1,11 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,30 +14,22 @@ from scipy.spatial import ConvexHull
 import topocell
 from topocell.geometry import (
     _ADJUGATES,
+    _BASES,
     _INVERSES,
     _METRIC,
     _VERTICES,
     CellShape,
     NEIGHBOR_COUNTS,
     VERTEX_COUNTS,
+    _scale,
     build_polyhedron,
     cell_volume,
-    center_offsets,
-    coset_period,
-    lattice_basis,
     max_cell_radius,
     max_vertex_pair_distance,
     neighbor_classes,
-    to_basis_ids,
     worst_neighbor_coeff,
 )
-from topocell.lattice import (
-    LatticeSpec,
-    assign_cells,
-    assign_cells_oracle,
-    cell_center,
-    cell_centers,
-)
+from topocell.lattice import LatticeSpec, assign_cells, cell_center
 
 SHAPES = list(CellShape)
 
@@ -43,6 +38,21 @@ FACE_COUNTS = {CellShape.CB: 6, CellShape.HP: 8, CellShape.RD: 12, CellShape.TO:
 # the vertex counts of the cube, the hexagonal prism, the rhombic
 # dodecahedron and the truncated octahedron
 KNOWN_VERTEX_COUNTS = {CellShape.CB: 8, CellShape.HP: 12, CellShape.RD: 14, CellShape.TO: 24}
+
+
+def basis_ids(shape, ids):
+    """int64 basis ids of the public ids ``ids``: the axial
+    (u - floor(v/2), v, w) on HP."""
+    b = np.array(ids, dtype=np.int64)
+    if shape is CellShape.HP:
+        b[..., 0] -= b[..., 1] >> 1
+    return b
+
+
+def center_offsets(shape, R, ids):
+    """Centers of the public ids ``ids`` relative to cell (0, 0, 0), for
+    cells of radius R: their basis ids times M.T, times the per-axis scale."""
+    return basis_ids(shape, ids) @ np.array(_BASES[shape]).T * _scale(shape, R)
 
 
 def brute_class_coeff(shape, cls):
@@ -172,7 +182,7 @@ class TestDerivation:
     def test_metric_matches_scale_ratios(self, shape):
         W = _METRIC[shape]
         for R in (1e-3, 0.25, 1.0, 3.7, 42.0):
-            scale = lattice_basis(shape, R)[1]
+            scale = _scale(shape, R)
             for s, w in zip(scale, W):
                 assert abs((s / scale[0]) ** 2 - w / W[0]) <= 1e-15 * w / W[0]
 
@@ -180,7 +190,7 @@ class TestDerivation:
     def shared_vertices(shape, off):
         """How many vertices cell 0 and the cell of public id ``off`` share,
         in exact arithmetic on the scaled coordinates y."""
-        y = lattice_basis(shape, 1.0)[0] @ to_basis_ids(shape, off)
+        y = np.array(_BASES[shape]) @ basis_ids(shape, off)
         verts = {tuple(Fraction(int(x), den) for x in row) for *row, den in _VERTICES[shape]}
         return len(verts & {tuple(v + int(c) for v, c in zip(vert, y)) for vert in verts})
 
@@ -210,7 +220,7 @@ class TestDerivation:
         det = abs(_ADJUGATES[shape][1])
         for R in (1e-3, 0.25, 1.0, 3.7, 42.0):
             assert cell_volume(shape, R) == pytest.approx(
-                det * np.prod(lattice_basis(shape, R)[1]), rel=2.0 ** -49, abs=0.0)
+                det * math.prod(_scale(shape, R)), rel=2.0 ** -49, abs=0.0)
 
 
 class TestMaxCellRadius:
@@ -405,31 +415,42 @@ class TestImports:
             topocell.sample_inside
 
 
+class TestReadme:
+    def test_library_tour_names_resolve(self):
+        # every backticked name in a row of the README's "Library tour"
+        # table is defined in that row's module; a shorthand such as
+        # `cell_center(s)` stands for both names, and remarks in parentheses
+        # name other things
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("## Library tour", 1)[1].split("\n\n", 2)[1]
+        rows = re.findall(r"^\| `topocell\.(\w+)` *\| (.*) \|$", table, re.M)
+        assert [module for module, _ in rows] == ["geometry", "lattice", "planner", "simulator",
+                                                  "routing"]
+        missing = []
+        for module, contents in rows:
+            names = re.findall(r"`([^`]+)`", re.sub(r" \([^()]*\)", "", contents))
+            missing += [(module, full) for name in names
+                        for full in {name.replace("(s)", ""), name.replace("(s)", "s")}
+                        if not hasattr(import_module(f"topocell.{module}"), full)]
+        assert missing == []
+
+    def test_removed_names_stay_removed(self):
+        # lattice alone turns ids into centers (README, Removed public API)
+        geometry = import_module("topocell.geometry")
+        for name in ("lattice_basis", "coset_period", "to_basis_ids", "to_public_ids",
+                     "center_offsets", "_half_steps"):
+            assert not hasattr(geometry, name), name
+        # the lifetime run reads its cell extents off the integer vertex rows
+        assert not hasattr(import_module("topocell.simulator"), "build_polyhedron")
+
+
 class TestBasisTables:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_inverse_table_is_exact(self, shape):
         # M^-1 is held by hand as binary fractions: the products with M are
         # exact in floats, and it is what LAPACK computes
-        basis = lattice_basis(shape, 1.0)[0]
+        basis = np.array(_BASES[shape], dtype=float)
         inverse = np.array(_INVERSES[shape])
         assert (inverse @ basis == np.eye(3)).all()
         assert (basis @ inverse == np.eye(3)).all()
         assert (inverse == np.linalg.inv(basis)).all()
-
-    def test_returned_arrays_are_fresh(self):
-        # writing to an array a call returned changes no later call, nor the
-        # oracle, which reads the basis
-        spec = LatticeSpec(CellShape.TO, 1.0)
-        ids = np.array([(0, 0, 0), (2, -1, 3)])
-        basis, scale = lattice_basis(CellShape.TO, 1.0)
-        period = coset_period(CellShape.TO)
-        saved = [a.copy() for a in (basis, scale, period)]
-        try:
-            basis[0, 0] = scale[0] = period[0] = 99.0
-            assert lattice_basis(CellShape.TO, 1.0)[0][0, 0] == 2.0
-            assert lattice_basis(CellShape.TO, 1.0)[1][0] == saved[1][0]
-            assert coset_period(CellShape.TO)[0] == 2.0
-            assert (assign_cells_oracle(spec, cell_centers(spec, ids)) == ids).all()
-        finally:  # a shared table would otherwise stay changed for later tests
-            for a, old in zip((basis, scale, period), saved):
-                a[...] = old

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,17 +16,15 @@ from scipy.spatial import cKDTree
 
 from topocell import lattice
 from topocell.geometry import (
+    _BASES,
+    _PERIODS,
     CellShape,
+    _scale,
     as_point,
     build_polyhedron,
     cell_spacing,
-    center_offsets,
-    coset_period,
-    lattice_basis,
     max_cell_radius,
     neighbor_classes,
-    to_basis_ids,
-    to_public_ids,
 )
 from topocell.lattice import (
     MAX_MAGNITUDE,
@@ -66,12 +65,22 @@ TO_NEIGHBOR_OFFSETS = {
 }
 
 
+def half_steps(shape, ids, sign):
+    """``ids`` as int64, with sign * floor(v / 2) added to u on HP: sign -1
+    turns public ids into basis ids, the axial (u - floor(v/2), v, w), and
+    sign 1 back."""
+    ids = np.array(ids, dtype=np.int64)
+    if shape is CellShape.HP:
+        ids[..., 0] += sign * (ids[..., 1] >> 1)
+    return ids
+
+
 def basis_offsets(shape):
     """int64 basis-id offsets of the first-tier neighbors, in the order of the
     neighbor-class generators: the basis ids of the public ids of cell
     (0, 0, 0)'s neighbors."""
-    return to_basis_ids(shape, [off for cls in neighbor_classes(shape)
-                                for off in cls.offset_generators])
+    return half_steps(shape, [off for cls in neighbor_classes(shape)
+                              for off in cls.offset_generators], -1)
 
 
 def id_grid(half_width):
@@ -152,6 +161,24 @@ class TestCellCenter:
         for same in (ids, np.array(ids, np.int32), np.array(ids[1:], np.uint64)):
             assert (cell_centers(spec, same) == want[-len(same):]).all()
         assert cell_centers(spec, np.empty((0, 3), np.int64)).shape == (0, 3)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("ids", [np.zeros(4, np.int64), np.zeros((2, 2), np.int64),
+                                     np.zeros(0, np.int64), np.int64(0), np.zeros((3, 0), np.int64),
+                                     np.zeros((2, 3, 4), np.int64)],
+                             ids=["(4,)", "(2, 2)", "(0,)", "()", "(3, 0)", "(2, 3, 4)"])
+    def test_bulk_ids_must_have_three_columns(self, shape, ids):
+        # ids of another last axis raised numpy's matmul error, or on HP an
+        # IndexError for a 0-d id or one of shape (0,)
+        spec = LatticeSpec(shape, 1.0)
+        with pytest.raises(ValueError, match=r"expected cell ids of shape \(\.\.\., 3\), got "
+                                             + re.escape(str(ids.shape))):
+            cell_centers(spec, ids)
+        # any leading shape passes, one id of shape (3,) among them
+        for cid in (np.array([1, -3, 2]), np.zeros((2, 4, 3), np.int32),
+                    np.zeros((0, 0, 3), np.uint8)):
+            want = np.array([cell_center(spec, c) for c in cid.reshape(-1, 3)]).reshape(cid.shape)
+            assert (cell_centers(spec, cid) == want).all()
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("r_t,sink", [(0.1, (4.2e6, 1.2e6, 4.7e6)), *RANDOM_SPECS[:2]])
@@ -847,6 +874,16 @@ class TestOracle:
         with pytest.raises(ValueError, match="window"):
             assign_cell_oracle(spec, (0, 0, 0), window=MAX_WINDOW + 1)
         assert assign_cell_oracle(spec, (0, 0, 0), window=MAX_WINDOW) == CellId(0, 0, 0)
+        # a window that is not an integer passed the range check and then
+        # raised np.indices' TypeError; numpy integers pass
+        for window in (3.0, 2.5, np.float64(3.0), "3", None):
+            for call in (assign_cell_oracle, assign_cells_oracle):
+                with pytest.raises(ValueError, match=f"oracle window must be an integer, "
+                                                     f"got {re.escape(repr(window))}"):
+                    call(spec, (0.0, 0.0, 0.0), window=window)
+        for window in (np.int64(3), np.uint8(2), np.int32(MAX_WINDOW)):
+            assert assign_cell_oracle(spec, (0, 0, 0), window=window) == CellId(0, 0, 0)
+            assert (assign_cells_oracle(spec, [(0, 0, 0)], window=window) == [[0, 0, 0]]).all()
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("r_t,sink", RANDOM_SPECS[:2])
@@ -1035,7 +1072,7 @@ class TestNeighbors:
                  *itertools.product((-edge, 1 - edge, edge - 1, edge), repeat=3),
                  *itertools.product((-2, 0, 3), (-7, -5, -3, -1, 0, 1, 4), (-1, 2))]
         for cid in cells:
-            want = to_public_ids(shape, to_basis_ids(shape, cid) + basis_offsets(shape))
+            want = half_steps(shape, half_steps(shape, cid, -1) + basis_offsets(shape), 1)
             got = neighbors(spec, cid)
             assert got == [CellId(*row) for row in want.tolist()]
             assert all(type(x) is int for nb in got for x in nb)
@@ -1112,66 +1149,45 @@ class TestBasis:
         spec = LatticeSpec(shape, r_t, sink=sink)
         ids = self.random_ids(41)
         want = self.offset_centers(shape, spec.circumradius, ids)
-        got = center_offsets(shape, spec.circumradius, ids)
-        assert (got.view(np.int64) == want.view(np.int64)).all()
         assert (cell_centers(spec, ids).view(np.int64)
                 == (spec.sink + want).view(np.int64)).all()
 
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_public_basis_roundtrip(self, shape):
-        ids = self.random_ids(42)
-        basis = to_basis_ids(shape, ids)
-        assert (to_public_ids(shape, basis) == ids).all()
-        assert (to_basis_ids(shape, to_public_ids(shape, ids)) == ids).all()
-        if shape is not CellShape.HP:
-            assert (basis == ids).all()
-        # a shape's string value converts alike; an unknown shape is refused
-        assert (to_basis_ids(shape.value, ids) == basis).all()
-        assert (to_public_ids(shape.value, basis) == ids).all()
-        for convert in (to_basis_ids, to_public_ids):
-            with pytest.raises(ValueError):
-                convert("xx", ids)
-
     def test_geometry_ids_must_be_integers(self):
-        # the geometry conversions cast ids to int64: 1.7 gave cell (1, 0, 0)'s
-        # offset, (1.9, 3.2, 0) HP's basis id (0, 3, 0) and (True, 2.5, 0)
-        # CB's id (1, 2, 0)
-        convert = [functools.partial(center_offsets, CellShape.TO, 1.0),
-                   functools.partial(to_basis_ids, CellShape.HP),
-                   functools.partial(to_public_ids, CellShape.CB)]
-        for ids in ([1.7, 0, 0], [1.9, 3.2, 0], [True, 2.5, 0], [True, False, False],
-                    [["1", "0", "0"]], np.array([1.0, 0.0, 0.0])):
-            for call in convert:
+        # geometry's id conversions, now gone, cast ids to int64: 1.7 gave
+        # cell (1, 0, 0)'s offset, (1.9, 3.2, 0) HP's basis id (0, 3, 0) and
+        # (True, 2.5, 0) CB's id (1, 2, 0). cell_centers, which took their
+        # place, refuses such ids on every shape, and reads int32 and uint8
+        # ids as it reads int64 ones
+        for shape in SHAPES:
+            spec = LatticeSpec(shape, 1.0)
+            for ids in ([1.7, 0, 0], [1.9, 3.2, 0], [True, 2.5, 0], [True, False, False],
+                        [["1", "0", "0"]], np.array([1.0, 0.0, 0.0])):
                 with pytest.raises(ValueError, match="cell ids must be integers"):
-                    call(ids)
-        for ids in ([1, 2, 0], np.array([1, 2, 0], np.int32), np.array([1, 2, 0], np.uint8)):
-            assert (to_basis_ids(CellShape.HP, ids) == [0, 2, 0]).all()
-            assert (to_public_ids(CellShape.CB, ids) == [1, 2, 0]).all()
+                    cell_centers(spec, ids)
+            for ids in (np.array([1, 2, 0], np.int32), np.array([1, 2, 0], np.uint8)):
+                assert (cell_centers(spec, ids) == cell_center(spec, (1, 2, 0))).all()
 
     def test_geometry_unsigned_ids_must_lie_in_the_domain(self):
-        # the geometry conversions cast unsigned ids to int64: 2^64 - 1 gave
-        # cell (-1, 0, 0)'s offset and 2^63 + 5 the id -2^63 + 5
+        # geometry's id conversions, now gone, cast unsigned ids to int64:
+        # 2^64 - 1 gave cell (-1, 0, 0)'s offset and 2^63 + 5 the id
+        # -2^63 + 5. cell_centers checks the range before any cast
         edge = MAX_STEPS + 2
-        convert = [functools.partial(center_offsets, CellShape.TO, 1.0),
-                   functools.partial(to_basis_ids, CellShape.CB),
-                   functools.partial(to_public_ids, CellShape.HP)]
-        for ids in ([2 ** 64 - 1, 0, 0], [2 ** 63 + 5, 0, 0], [0, 0, edge + 1]):
-            for call in convert:
+        for shape in SHAPES:
+            spec = LatticeSpec(shape, 1.0)
+            for ids in ([2 ** 64 - 1, 0, 0], [2 ** 63 + 5, 0, 0], [0, 0, edge + 1]):
                 with pytest.raises(ValueError, match=f"within {edge} of zero on each axis"):
-                    call(np.array(ids, np.uint64))
-        for dtype in (np.uint64, np.uint32):
-            ids = np.array([[edge, edge - 1, 0]], dtype)
-            assert (to_basis_ids(CellShape.HP, ids) == [[edge - (edge - 1) // 2, edge - 1, 0]]).all()
-            assert (center_offsets(CellShape.TO, 1.0, ids)
-                    == center_offsets(CellShape.TO, 1.0, ids.astype(np.int64))).all()
-        assert to_public_ids(CellShape.RD, np.empty((0, 3), np.uint64)).shape == (0, 3)
+                    cell_centers(spec, np.array(ids, np.uint64))
+            for dtype in (np.uint64, np.uint32):
+                ids = np.array([[edge, edge - 1, 0]], dtype)
+                assert (cell_centers(spec, ids) == cell_center(spec, (edge, edge - 1, 0))).all()
+            assert cell_centers(spec, np.empty((0, 3), np.uint64)).shape == (0, 3)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_coset_table(self, shape):
         # y is a point of M Z^3 (M^-1 y integral) exactly when y is in
         # diag(P) Z^3, or in its shift by 1 along every period-2 axis
-        basis, _ = lattice_basis(shape, 1.0)
-        period = coset_period(shape).astype(int)
+        basis = np.array(_BASES[shape], dtype=float)
+        period = np.array(_PERIODS[shape])
         y = id_grid(4)
         in_lattice = (y @ np.linalg.inv(basis).T % 1.0 == 0.0).all(axis=1)
         in_cosets = (y % period == 0).all(axis=1)
@@ -1243,8 +1259,8 @@ class TestSpecValidation:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rule_matches_numpy_derivation(self, shape):
         # the rule, derived from M and the exact metric in Python numbers,
-        # equals bit for bit its derivation from the arrays of lattice_basis
-        # and coset_period with np.linalg.inv, on fixed and random specs; the
+        # equals bit for bit its derivation from arrays of M, the scale and
+        # the periods with np.linalg.inv, on fixed and random specs; the
         # squared scale ratios are integers, which the weights hold exactly.
         # The random specs whose tolerance so derived exceeds MAX_TOL are
         # refused, naming that bound
@@ -1255,8 +1271,8 @@ class TestSpecValidation:
         refused = 0
         for r_t, sink in specs:
             R = max_cell_radius(shape, r_t)
-            basis, scale = lattice_basis(shape, R)
-            period = coset_period(shape)
+            basis, scale = np.array(_BASES[shape], dtype=float), np.array(_scale(shape, R))
+            period = np.array(_PERIODS[shape], dtype=float)
             weight = (period == 2) * np.round((scale / scale[0]) ** 2)
             reach = MAX_STEPS * cell_spacing(shape, R)[0]
             tol = (2.0 ** -52 * (np.abs(sink).max() + 4.0 * reach) / scale.min()

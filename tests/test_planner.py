@@ -8,11 +8,11 @@ import pytest
 from topocell.geometry import (
     CellShape,
     build_polyhedron,
-    center_offsets,
     max_vertex_pair_distance,
     neighbor_classes,
+    worst_neighbor_coeff,
 )
-from topocell.lattice import LatticeSpec
+from topocell.lattice import LatticeSpec, cell_center
 from topocell.planner import (
     REFERENCE_ACTIVE_RATIO,
     REFERENCE_LIFETIME,
@@ -202,13 +202,14 @@ class TestVerifyConnectivity:
         # each class's worst pair distance, the derived coefficient times R,
         # against the largest vertex-pair distance between the cell and each
         # neighbor of the class, both built as polyhedra on the lattice of
-        # radius-R cells
+        # radius-R cells (to an ulp of R)
         spec = LatticeSpec(shape, 1.7)
         R = factor * spec.circumradius
         rep = verify_connectivity(spec, circumradius=R)
+        cells = LatticeSpec(shape, R * worst_neighbor_coeff(shape))
         base = build_polyhedron(shape, (0.0, 0.0, 0.0), R)
         brute = {cls.label: max(max_vertex_pair_distance(
-                     base, build_polyhedron(shape, center_offsets(shape, R, off), R))
+                     base, build_polyhedron(shape, cell_center(cells, off), R))
                      for off in cls.offset_generators)
                  for cls in neighbor_classes(shape)}
         assert rep.per_class.keys() == brute.keys()

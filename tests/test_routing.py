@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from topocell.geometry import CellShape, neighbor_classes, to_basis_ids, to_public_ids
+from topocell.geometry import CellShape, neighbor_classes
 from topocell.lattice import MAX_STEPS, CellId, LatticeSpec, neighbors
 from topocell.routing import (
     DEAD_END,
@@ -19,13 +19,23 @@ def metric(a, b):
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2
 
 
+def half_steps(shape, ids, sign):
+    """``ids`` as int64, with sign * floor(v / 2) added to u on HP: sign -1
+    turns public ids into basis ids, the axial (u - floor(v/2), v, w), and
+    sign 1 back."""
+    ids = np.array(ids, dtype=np.int64)
+    if shape is CellShape.HP:
+        ids[..., 0] += sign * (ids[..., 1] >> 1)
+    return ids
+
+
 def table_neighbors(spec, cid):
     """Neighbor ids by int64 basis-id offsets, derived from the neighbor-class
     generators, in generator order."""
     shape = spec.shape
-    offsets = to_basis_ids(shape, [off for cls in neighbor_classes(shape)
-                                   for off in cls.offset_generators])
-    rows = to_public_ids(shape, to_basis_ids(shape, cid) + offsets)
+    offsets = half_steps(shape, [off for cls in neighbor_classes(shape)
+                                 for off in cls.offset_generators], -1)
+    rows = half_steps(shape, half_steps(shape, cid, -1) + offsets, 1)
     return [CellId(*row) for row in rows.tolist()]
 
 
