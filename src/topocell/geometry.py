@@ -119,6 +119,38 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _count(value, what: str) -> int:
+    """``value`` as a Python int of at least 1: ``_integer``'s, and a smaller
+    one raises ``ValueError`` naming ``what``."""
+    count = _integer(value, what)
+    if count < 1:
+        raise ValueError(f"{what} must be at least 1")
+    return count
+
+
+def _seed(value) -> int:
+    """A random seed as a Python int: an integer that fits an unsigned
+    64-bit integer, as the CLI's ``--seed <u64>`` documents."""
+    seed = _integer(value, "seed")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit an unsigned 64-bit integer")
+    return seed
+
+
+def _positive(value, what: str) -> float:
+    """``value`` as a Python float, finite and above 0: ints, floats and
+    numpy scalars of either pass, anything else (a string, None, a number
+    with an imaginary part, an int too large for a float) raises
+    ``ValueError`` naming ``what``. The one reader of the library's positive
+    quantities: r_t, a circumradius, a sensing range, a battery capacity."""
+    try:
+        if not getattr(value, "imag", 0) and math.isfinite(value) and value > 0:
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be positive and finite")
+
+
 def _rows(points) -> np.ndarray:
     """``points`` as an (n, 3) float array (``_floats``), one point of shape
     (3,) as one row; any other shape raises ``ValueError``."""
@@ -208,10 +240,16 @@ def cell_spacing(shape: CellShape, circumradius: float) -> tuple[float, ...]:
     """Center-spacing constants of the tessellation by cells of radius R.
 
     CB (s,), RD (q, R), TO (d,) and HP (a, h), as in the module docstring.
-    The first constant is the shape's lattice step.
+    The first constant is the shape's lattice step. A circumradius that is
+    not positive and finite raises ``ValueError``.
     """
-    shape = _as_shape(shape)
-    R = float(circumradius)
+    return _spacing(_as_shape(shape), _positive(circumradius, "circumradius"))
+
+
+def _spacing(shape: CellShape, R: float) -> tuple[float, ...]:
+    """``cell_spacing`` of a CellShape and a float R, unchecked: a
+    ``LatticeSpec`` whose R underflows to 0 refuses its lattice step
+    itself."""
     if shape is CellShape.CB:
         return (2.0 * R / _SQRT3,)
     if shape is CellShape.RD:
@@ -269,7 +307,7 @@ _PERIODS = {
 def _scale(shape: CellShape, circumradius: float) -> tuple[float, float, float]:
     """Per-axis scale of the generator basis, as Python floats: see the
     module docstring."""
-    spacing = cell_spacing(shape, circumradius)
+    spacing = _spacing(shape, circumradius)
     if shape is CellShape.HP:
         a, h = spacing
         return (_SQRT3 * a / 2.0, 1.5 * a, h)
@@ -303,13 +341,11 @@ def _per_axis(a: np.ndarray, scale=None, shift=None) -> np.ndarray:
 
 def build_polyhedron(shape: CellShape, center, circumradius: float) -> Polyhedron:
     """Build the vertex list of a cell: ``_VERTICES`` scaled by ``_scale``."""
-    if not (math.isfinite(circumradius) and circumradius > 0):
-        raise ValueError("circumradius must be positive and finite")
+    R = _positive(circumradius, "circumradius")
     import numpy as np
 
     shape = _as_shape(shape)
     c = as_point(center)
-    R = float(circumradius)
     rows = np.array(_VERTICES[shape], dtype=float)
     local = rows[:, :3] * _scale(shape, R) / rows[:, 3:]
     return Polyhedron(shape=shape, center=c, circumradius=R, vertices=c + local)
@@ -453,16 +489,12 @@ def max_cell_radius(shape: CellShape, r_t: float) -> float:
     cells are still within ``r_t`` of each other: r_t/4 for CB and RD,
     r_t/sqrt(14) for HP, r_t*sqrt(5)/(2*sqrt(17)) for TO.
     """
-    if not (math.isfinite(r_t) and r_t > 0):
-        raise ValueError("transmission range must be positive and finite")
-    return float(r_t) / worst_neighbor_coeff(shape)
+    return _positive(r_t, "transmission range") / worst_neighbor_coeff(shape)
 
 
 def cell_volume(shape: CellShape, circumradius: float) -> float:
     """Volume of a cell with the given circumradius."""
-    if not (math.isfinite(circumradius) and circumradius > 0):
-        raise ValueError("circumradius must be positive and finite")
-    R3 = float(circumradius) ** 3
+    R3 = _positive(circumradius, "circumradius") ** 3
     shape = _as_shape(shape)
     if shape is CellShape.CB:
         return 8.0 * R3 / (3.0 * _SQRT3)

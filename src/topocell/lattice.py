@@ -128,8 +128,8 @@ from .geometry import (
     _per_axis,
     _rows,
     _scale,
+    _spacing,
     as_point,
-    cell_spacing,
     max_cell_radius,
     neighbor_classes,
 )
@@ -208,7 +208,7 @@ class LatticeSpec(_Frozen):
         sink = tuple(_coords(sink, "sink"))
         if not all(map(math.isfinite, sink)):
             raise ValueError("sink coordinates must be finite")
-        step = cell_spacing(shape, R)[0]
+        step = _spacing(shape, R)[0]
         extent = max(map(abs, sink)) + MAX_STEPS * step
         if not (1.0 / MAX_MAGNITUDE <= step and extent <= MAX_MAGNITUDE):
             raise ValueError(f"the lattice step ({step:.6g} m) must be at least 2^-500 m and "

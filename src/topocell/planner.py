@@ -11,12 +11,12 @@ reports can flag regressions without fighting rounding noise.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import (
     CellShape,
     NEIGHBOR_COUNTS,
+    _positive,
     cell_volume,
     max_cell_radius,
     neighbor_classes,
@@ -233,9 +233,7 @@ def verify_connectivity(spec: LatticeSpec,
     other than the derived maximum (useful to show oversized cells break
     connectivity).
     """
-    R = spec.circumradius if circumradius is None else float(circumradius)
-    if not (math.isfinite(R) and R > 0):
-        raise ValueError("circumradius must be positive and finite")
+    R = _positive(spec.circumradius if circumradius is None else circumradius, "circumradius")
     per_class = {cls.label: cls.max_pair_distance_coeff * R
                  for cls in neighbor_classes(spec.shape)}
     binding = max(per_class, key=per_class.get)
@@ -256,9 +254,8 @@ def verify_coverage(spec: LatticeSpec, sensing_range: float) -> bool:
     apart. The tolerance, ``COVERAGE_REL_TOL``, is relative 1e-6 so sensing
     ranges quoted to six decimals validate.
     """
-    if not (math.isfinite(sensing_range) and sensing_range > 0):
-        raise ValueError("sensing range must be positive and finite")
-    return sensing_range >= 2.0 * spec.circumradius * (1.0 - COVERAGE_REL_TOL)
+    return (_positive(sensing_range, "sensing range")
+            >= 2.0 * spec.circumradius * (1.0 - COVERAGE_REL_TOL))
 
 
 def render_csv(rows: list[dict]) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from .geometry import _seed
 from .lattice import CellId, LatticeSpec, _cell_id, _neighbor_rows, as_cell_id
 
 DELIVERED = "delivered"
@@ -67,7 +68,8 @@ def greedy_route(spec: LatticeSpec, src, dst,
     forwarder takes the neighbor with the smallest metric, breaking ties by
     smallest (u, v, w) for reproducible routes; ``tie_break="random"``
     instead picks uniformly among all qualifying neighbors using the given
-    seed.
+    seed, an integer that fits an unsigned 64-bit integer, or fresh OS
+    entropy when it is None.
     """
     src = as_cell_id(src, "source cell id")
     dst = as_cell_id(dst, "destination cell id")
@@ -81,7 +83,7 @@ def greedy_route(spec: LatticeSpec, src, dst,
     if tie_break == "random":
         import numpy as np
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(None if seed is None else _seed(seed))
 
     hops = [src]
     cur = src

@@ -51,7 +51,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .geometry import _VERTICES, CellShape, _Frozen, _integer, _per_axis, _rows, as_point
+from .geometry import (_VERTICES, CellShape, _count, _Frozen, _per_axis, _positive, _rows,
+                       _seed, as_point)
 from .lattice import (
     _CHUNK,
     LatticeSpec,
@@ -71,15 +72,6 @@ class EmptyRegionError(RuntimeError, ValueError):
 
     A ``ValueError`` too, as a box is a parameter of the run.
     """
-
-
-def _seed(value) -> int:
-    """An experiment seed as a Python int: an integer that fits an unsigned
-    64-bit integer, as the CLI's ``--seed <u64>`` documents."""
-    seed = _integer(value, "seed")
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("seed must fit an unsigned 64-bit integer")
-    return seed
 
 
 class Box(_Frozen):
@@ -119,10 +111,7 @@ class DeploymentConfig(_Frozen):
     def __init__(self, box: Box, node_count: int, seed: int):
         if not isinstance(box, Box):
             raise ValueError(f"box must be a Box, got {box!r}")
-        node_count, seed = _integer(node_count, "node_count"), _seed(seed)
-        if node_count < 1:
-            raise ValueError("node_count must be at least 1")
-        self._set(box=box, node_count=node_count, seed=seed)
+        self._set(box=box, node_count=_count(node_count, "node_count"), seed=_seed(seed))
 
     def __eq__(self, other):
         if type(other) is not DeploymentConfig:
@@ -212,9 +201,7 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
 
     if spec.shape is not CellShape.TO:
         raise ValueError("the accuracy experiment is defined for the TO lattice")
-    n, seed = _integer(n, "n"), _seed(seed)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n, seed = _count(n, "n"), _seed(seed)
     half = 5.0 * spec.r_t
     rows = min(n, _CHUNK)
     buf, work, table = np.empty((2, 3, rows)), _work(rows), _oracle_table(spec, 3)
@@ -383,18 +370,14 @@ def lifetime_simulation(spec: LatticeSpec, config: DeploymentConfig,
     or below zero); sleeping costs nothing, and cells drain independently.
     The nodes are those of ``deploy``, counted per cell ``_CHUNK`` at a time.
     """
-    if not (math.isfinite(battery_capacity) and battery_capacity > 0):
-        raise ValueError("battery_capacity must be positive and finite")
-    k = _integer(k, "k")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    capacity, k = _positive(battery_capacity, "battery_capacity"), _count(k, "k")
     counts = _interior_counts(spec, config)
     if len(counts) == 0:
         raise EmptyRegionError("no populated cell lies entirely inside the box")
     # a cell lasts n ceil(capacity) // k steps, k of its n nodes active at a
     # time in a balanced rotation; it grows with n, so the sparsest cell decides
     fewest = int(counts.min())
-    lifetime = fewest * math.ceil(battery_capacity) // k if fewest >= k else 0
+    lifetime = fewest * math.ceil(capacity) // k if fewest >= k else 0
     return SimResult(
         shape=spec.shape,
         cells_populated=len(counts),

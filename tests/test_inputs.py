@@ -1,0 +1,131 @@
+"""The scalar inputs of every entry point: positive quantities, counts and
+seeds.
+
+Each kind has one reader in ``geometry``: ``_positive`` for r_t, a
+circumradius, a sensing range and a battery capacity, ``_count`` for
+node_count, n and k, and ``_seed``. A value outside its kind raises
+``ValueError`` with the entry point's message, never ``TypeError`` and
+never a silently wrong result; numpy scalars pass as Python numbers do.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from topocell.cli import main
+from topocell.geometry import build_polyhedron, cell_spacing, cell_volume, max_cell_radius
+from topocell.lattice import LatticeSpec
+from topocell.planner import verify_connectivity, verify_coverage
+from topocell.routing import greedy_route
+from topocell.simulator import Box, DeploymentConfig, accuracy_experiment, lifetime_simulation
+
+SPEC = LatticeSpec("to", 1.0)
+BOX = Box(lo=(0.0, 0.0, 0.0), hi=(3.0, 3.0, 3.0))
+CONFIG = DeploymentConfig(BOX, 500, 1)
+
+BAD = ["1", None, math.nan, math.inf, -math.inf, 0, -1, 1j, np.complex64(2 + 5j)]
+
+# entry point: (call with the value, name of the value in the message)
+POSITIVE = {
+    "max_cell_radius": (lambda x: max_cell_radius("to", x), "transmission range"),
+    "LatticeSpec": (lambda x: LatticeSpec("to", x), "transmission range"),
+    "cell_spacing": (lambda x: cell_spacing("hp", x), "circumradius"),
+    "cell_volume": (lambda x: cell_volume("to", x), "circumradius"),
+    "build_polyhedron": (lambda x: build_polyhedron("to", (0.0, 0.0, 0.0), x), "circumradius"),
+    "verify_connectivity": (lambda x: verify_connectivity(SPEC, x), "circumradius"),
+    "verify_coverage": (lambda x: verify_coverage(SPEC, x), "sensing range"),
+    "lifetime_simulation": (lambda x: lifetime_simulation(SPEC, CONFIG, x), "battery_capacity"),
+}
+COUNTS = {
+    "lifetime_simulation": (lambda x: lifetime_simulation(SPEC, CONFIG, 4.0, x), "k"),
+    "DeploymentConfig": (lambda x: DeploymentConfig(BOX, x, 1), "node_count"),
+    "accuracy_experiment": (lambda x: accuracy_experiment(SPEC, x, 1), "n"),
+}
+SEEDS = {
+    "greedy_route": lambda x: greedy_route(SPEC, (0, 0, 0), (3, 0, 0), tie_break="random",
+                                           seed=x),
+    "DeploymentConfig": lambda x: DeploymentConfig(BOX, 500, x),
+    "accuracy_experiment": lambda x: accuracy_experiment(SPEC, 3, x),
+}
+
+
+def raises_exactly(call, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+# verify_connectivity reads None as the spec's own circumradius
+@pytest.mark.parametrize("entry,value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r}") for entry in POSITIVE for value in BAD
+    if (entry, value) != ("verify_connectivity", None)])
+def test_positive_quantity_refused(entry, value):
+    call, what = POSITIVE[entry]
+    raises_exactly(call, value, f"{what} must be positive and finite")
+
+
+@pytest.mark.parametrize("value", BAD, ids=repr)
+@pytest.mark.parametrize("entry", COUNTS)
+def test_count_refused(entry, value):
+    call, what = COUNTS[entry]
+    whole = isinstance(value, int)
+    raises_exactly(call, value, f"{what} must be at least 1" if whole
+                   else f"{what} must be an integer, got {value!r}")
+
+
+@pytest.mark.parametrize("value,message", [
+    (2 ** 64, "seed must fit an unsigned 64-bit integer"),
+    (-1, "seed must fit an unsigned 64-bit integer"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+], ids=repr)
+@pytest.mark.parametrize("entry", SEEDS)
+def test_seed_refused(entry, value, message):
+    raises_exactly(SEEDS[entry], value, message)
+
+
+@pytest.mark.parametrize("entry", POSITIVE)
+def test_numpy_quantities_pass(entry):
+    call, _ = POSITIVE[entry]
+    assert repr(call(np.float64(2.0))) == repr(call(2.0))
+    assert repr(call(np.int64(3))) == repr(call(3.0))
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_numpy_counts_pass(entry):
+    call, _ = COUNTS[entry]
+    assert repr(call(np.int64(3))) == repr(call(3))
+
+
+@pytest.mark.parametrize("entry", SEEDS)
+def test_numpy_seeds_pass(entry):
+    assert repr(SEEDS[entry](np.int64(3))) == repr(SEEDS[entry](3))
+
+
+def test_underflowing_radius_keeps_the_step_message():
+    # r_t = 5e-324 gives R = 0: the spec refuses its lattice step, as the
+    # CLI's exit 3 for specs outside the magnitudes documents
+    with pytest.raises(ValueError, match=r"^the lattice step \(0 m\) must be at least 2\^-500"):
+        LatticeSpec("to", 5e-324)
+
+
+class TestRouteSeed:
+    ARGS = ["route", "--shape", "to", "--rt", "1", "--src", "0,0,0", "--dst", "3,0,0",
+            "--tie-break", "random", "--format", "csv"]
+
+    @pytest.mark.parametrize("flag", ["--seed=18446744073709551616", "--seed=-1"])
+    def test_seed_outside_u64_is_invalid_parameter(self, flag, capsys):
+        assert main([*self.ARGS, flag]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must fit an unsigned 64-bit integer\n"
+
+    def test_seed_bounds_route(self, capsys):
+        for seed in ("0", str(2 ** 64 - 1)):
+            assert main([*self.ARGS, "--seed", seed]) == 0
+        assert capsys.readouterr().out.count("delivered") > 0
+
+    def test_no_seed_routes(self, capsys):
+        # fresh OS entropy: any greedy route to (3, 0, 0) delivers
+        assert main(self.ARGS) == 0
+        assert capsys.readouterr().out.endswith(",delivered\n")
