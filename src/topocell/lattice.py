@@ -64,13 +64,16 @@ decoders are tested against; no decoder calls it, and it shares nothing
 with them. It enumerates an id window around the
 rounded solution but scores only the candidates that can still win: the
 covering radius of each lattice is the cell circumradius R (every point
-lies within R of its nearest center), so the nearest center and every
-center tied with it lie within |p - c| + R of the window's middle center
-c, and a candidate beyond that can neither win nor tie. |p - c| is at most
-the longest half-diagonal of the rounding box M [-1/2, 1/2]^3 in scaled
-units, so the kept candidates come from the spec. It ranks them by the
-score |c|^2 - 2 c.q, c being a candidate's offset from the middle center
-and q = p - that center, in one matrix product per block: the squared
+lies within R of its nearest center), and p - c, c the window's middle
+center, lies in the rounding box M [-1/2, 1/2]^3 in scaled units, so the
+nearest center and every center tied with it lie within R of that box
+around c, and a candidate farther can neither win nor tie. The support
+function of the box, h(n) = sum_j |n.(scale M e_j)| / 2, bounds a
+candidate's distance from it below by |d| - h(d / |d|), d its offset from
+c, so the kept candidates come from the spec: CB 27, HP 21, RD 17 and
+TO 15, at every window. It ranks them by the score |c|^2 - 2 c.q, c
+being a candidate's offset from the middle center and
+q = p - that center, in one matrix product per block: the squared
 distance |q - c|^2 less |q|^2, which the point's candidates share and
 which is left out. The rigorous bound on the rounding error of the float
 scores comes from the spec too; candidates and bound are built once per
@@ -152,16 +155,16 @@ MAX_TOL = 2.0 ** -20
 # rows that every bulk loop (the block driver of the three bulk assigners,
 # the experiments' draws and tallies) handles at once; of 4,096 to 65,536
 # rows, 8,192 ran the accuracy experiment fastest. A block's arrays, 192 KiB
-# per (3, rows) float array and about 2 MiB for the oracle's
-# (candidates, rows) scores, stay in cache. The allocator need not keep
-# them for the next block: glibc maps arrays of that size, or trims them
-# off the heap's top, when they are freed, so one made afresh in every
-# block can be faulted in again in every block. The p - sink buffers and
-# the decoder's scratch (``_work``) of the driver and of both experiments
-# are made once per call and fault in once; the oracle, a reference only,
-# still makes its arrays in every block: held for the call, its (27, rows)
-# scores, mask and index product lifted the accuracy run's tracemalloc
-# peak at 1e6 points from 3.6 to 4.0-4.4 MiB and gained no time
+# per (3, rows) float array and under 1 MiB for the oracle's (15, rows)
+# scores on TO, stay in cache. The allocator need not keep them for the
+# next block: glibc maps arrays of that size, or trims them off the heap's
+# top, when they are freed, so one made afresh in every block can be
+# faulted in again in every block. The p - sink buffers and the decoder's
+# scratch (``_work``) of the driver and of both experiments are made once
+# per call and fault in once; the oracle, a reference only, still makes its
+# arrays in every block: held for the call, its TO scores, mask and index
+# product lifted the accuracy run's tracemalloc peak at 1e6 points from
+# 2.6 to 3.0 MiB for no time gain that paired runs could resolve
 _CHUNK = 1 << 13
 
 
@@ -597,16 +600,19 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     in effect; the default of 3 leaves margin, and windows above MAX_WINDOW
     only cost time and memory, so they are refused.
 
-    Each call scores only the window's candidates within H + R of the
-    rounded center, H being the longest half-diagonal of the rounding box
-    M [-1/2, 1/2]^3 in scaled units, which bounds |q| for
-    q = p - center(rounded id), widened by a bound on the rounding of q and
-    of the computed centers, which grows with |sink| and the domain's
-    reach. The lattice's covering radius is the cell circumradius R, so the
-    nearest center is within R of p, and any candidate farther than
-    |q| + R from the rounded center is farther than R from p: it can
-    neither win nor tie. The cut and the float filter's tolerance come from
-    the spec and window alone, built once per call, so a point's id
+    Each call scores only the window's candidates within R of the
+    rounding box M [-1/2, 1/2]^3 in scaled units, which holds
+    q = p - center(rounded id): those at an offset d from the rounded
+    center with |d| - h(d / |d|) <= R, h being the box's support function
+    h(n) = sum_j |n.(scale M e_j)| / 2, widened by a bound on the rounding
+    of q and of the computed centers, which grows with |sink| and the
+    domain's reach. The lattice's covering radius is the cell circumradius
+    R, so the nearest center is within R of p, and as n.q <= h(n) for
+    n = d / |d|, |p - (center + d)| = |q - d| >= |d| - h(n): a candidate
+    cut is farther than R from p and can neither win nor tie. That keeps
+    CB 27, HP 21, RD 17 and TO 15 candidates at every window. The cut and
+    the float filter's tolerance come from the spec and window alone,
+    built once per call, so a point's id
     depends on the spec and the point, not on the other points of its
     call. The kept candidates, at offsets c from the rounded center, are
     ranked by the score |c|^2 - 2 c.q, all of a block's in one matrix
@@ -634,7 +640,7 @@ class _OracleTable(NamedTuple):
     offs: np.ndarray  # (3, k) float basis-id offsets, columns in lexicographic order
     score: np.ndarray  # (k, 4) rows [-2 doff | |doff|^2] of their center displacements doff
     tol: float  # the float filter's bound on the rounding error of the scores
-    index: np.ndarray  # (k, 1) int16 candidate numbers 0 .. k - 1
+    index: np.ndarray  # (k, 1) int8 candidate numbers 0 .. k - 1
 
 
 def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
@@ -676,10 +682,21 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     # of p, and its center as computed within 3 sqrt3 u(A + L) of it, so
     # the nearest center and every center tied with it are within
     # R + 3 sqrt3 u(A + L) of p, and their q - doff within
-    # R + 11 sqrt3 u(A + L) < R + 2^-47 A in length. A candidate with
-    # |doff| > |q| + R + 2^-47 A can thus neither win nor tie, and the
-    # relative slack covers the rounding of the comparison itself.
-    keep = score[:, 3] <= ((size + spec.circumradius + 2.0 ** -47 * far) * (1.0 + 1e-9)) ** 2
+    # R + 11 sqrt3 u(A + L) < R + 2^-47 A in length. The exact q lies in
+    # the rounding box scaled by 1 + 2^-28, whose support function is
+    # h(n) = sum_j |n.(scale M e_j)| / 2, and the computed q within
+    # 2^-49 A of it, so for n = doff / |doff| (a separating plane)
+    # |q - doff| >= n.(doff - q) >= |doff| - (1 + 2^-28) h(n) - 2^-49 A.
+    # A candidate with |doff| - (1 + 2^-27) h(n) - 2^-48 A > R + 2^-47 A
+    # can thus neither win nor tie; 2^-27 covers the rounding of h, and the
+    # relative slack that of the comparison. The test is taken times
+    # |doff|, with |doff| h(n) = h(doff), so the middle candidate, doff = 0,
+    # is always kept. This keeps CB 27, HP 21, RD 17 and TO 15 candidates
+    # at every window, those within R of the box, where a ball of radius
+    # H + R around the middle center kept 27, 23, 43 and 27.
+    support = np.abs(doff @ (basis * np.array(scale)[:, None])).sum(axis=1) / 2.0
+    slack = (spec.circumradius + 2.0 ** -47 * far) * (1.0 + 1e-9) + 2.0 ** -48 * far
+    keep = score[:, 3] - (1.0 + 2.0 ** -27) * support <= slack * np.sqrt(score[:, 3])
     size += np.abs(doff[keep]).max()
     # The filter, with L = max|q| + m, m = max|doff|inf over the kept
     # candidates. In exact arithmetic on the floats q and doff, the score
@@ -702,10 +719,9 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     # their close candidates. Rounding min + tol moves it by u(4L^2 + tol)
     # at most, well inside the factor 2 of slack.
     tol = 2.0 ** -45 * size * (size + far)
-    # the at most (2 MAX_WINDOW + 1)^3 = 4913 candidates are counted and
-    # indexed in int16
+    # the at most 27 kept candidates are counted and indexed in int8
     return _OracleTable(basis, np.ascontiguousarray(offs[keep].T), score[keep], tol,
-                        np.arange(keep.sum(), dtype=np.int16)[:, None])
+                        np.arange(keep.sum(), dtype=np.int8)[:, None])
 
 
 def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, table: _OracleTable) -> np.ndarray:
@@ -746,7 +762,7 @@ def _oracle_at(spec: LatticeSpec, p: np.ndarray, base: np.ndarray,
     # the last close candidate, on an unflagged row the only one
     ids = offs.take(np.multiply(close, index).max(axis=0).astype(np.intp), axis=1)
     ids += base
-    flagged = np.flatnonzero(close.sum(axis=0, dtype=np.int16) > 1)
+    flagged = np.flatnonzero(close.sum(axis=0, dtype=np.int8) > 1)
     if not len(flagged):
         return ids
     # the flagged rows' close candidates, their centers sink + (M b) scale

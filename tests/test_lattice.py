@@ -867,6 +867,60 @@ class TestOracle:
         for spec, window in runs:
             assert (got[spec, window] == got[spec, 2]).all()
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_kept_candidates_per_shape(self, shape):
+        # The cut keeps the window's candidates within R of the rounding box
+        # M [-1/2, 1/2]^3 (by its support function), the same count at
+        # every window and spec; a ball around the middle center, or a
+        # looser support function, keeps more
+        want = {CellShape.CB: 27, CellShape.HP: 21, CellShape.RD: 17, CellShape.TO: 15}[shape]
+        for r_t, sink in [(3.7, (1.25, -0.4, 2.83)), (0.1, (4.2e6, 1.2e6, 4.7e6)),
+                          (1.0, (1e8, 1e8, -1e8))]:
+            spec = LatticeSpec(shape, r_t, sink=sink)
+            for window in (2, 3, MAX_WINDOW):
+                table = lattice._oracle_table(spec, window)
+                assert table.offs.shape == (3, want) and table.score.shape == (want, 4)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_cut_on_the_rounding_box_boundary(self, shape):
+        # The candidate cut is rigorous where it is tight: points
+        # center + scale M f, f on the vertices, edge midpoints and face
+        # centers of [-1/2, 1/2]^3, the boundary of the rounding box around
+        # the middle center, and those points 1 ulp up and down, get at
+        # windows 2 and 3 the ids of an exact search without the cut: every
+        # center of a public id grid within 1.001 R of the point (the
+        # nearest is within R), scored in fractions.Fraction, the smallest
+        # id winning exact ties. The sinks far from the origin make the
+        # centers' rounding the cut's slack must cover; the first spec of CB
+        # and TO makes every coordinate a binary fraction, so that vertex
+        # ties are exact
+        binary = {CellShape.CB: 2 * math.sqrt(3.0), CellShape.TO: SQRT17}.get(shape, 2.7)
+        cells = np.array([(0, 0, 0), (2, -3, 1), (1, 1, 1), (-2, 1, -1), (3, 4, 2)])
+        f = np.indices((3, 3, 3)).reshape(3, -1).T / 2.0 - 0.5
+        f = f[np.abs(f).max(axis=1) == 0.5]  # 8 vertices, 12 edge midpoints, 6 face centers
+        grid = id_grid(4)
+        for r_t, sink in [(binary, (0.5, -1.25, 2.0)), (3.7, (1.25, -0.4, 2.83)),
+                          (0.1, (4.2e6, 1.2e6, 4.7e6)), (1.0, (1e8, 1e8, -1e8))]:
+            spec = LatticeSpec(shape, r_t, sink=sink)
+            R = spec.circumradius
+            box = f @ (np.array(_BASES[shape], dtype=float) * spec.rule.scale).T
+            pts = (cell_centers(spec, cells)[:, None, :] + box).reshape(-1, 3)
+            pts = np.vstack([pts, np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf)])
+            owners = np.tile(np.repeat(cells, len(f), axis=0), (3, 1))
+            cand = owners[:, None, :] + grid
+            centers = cell_centers(spec, cand)
+            near = ((pts[:, None, :] - centers) ** 2).sum(axis=2) <= (1.001 * R) ** 2
+            want = np.empty_like(owners)
+            frac = functools.cache(Fraction)
+            for i, row in enumerate(near):
+                assert row.any() and (np.abs(grid[row]) < 4).all()  # the grid covers them
+                p = [Fraction(x) for x in pts[i].tolist()]
+                exact = [sum((a - frac(b)) ** 2 for a, b in zip(p, c))
+                         for c in centers[i, row].tolist()]
+                want[i] = min(zip(exact, map(tuple, cand[i, row].tolist())))[1]
+            for window in (2, 3):
+                assert (assign_cells_oracle(spec, pts, window) == want).all(), (r_t, window)
+
     def test_window_validation(self):
         spec = LatticeSpec(CellShape.TO, 1.0)
         with pytest.raises(ValueError):
