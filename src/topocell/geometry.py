@@ -111,12 +111,14 @@ def _floats(x) -> np.ndarray:
 
 def _integer(value, what: str) -> int:
     """``value`` as a Python int: ints and numpy integers pass, anything else
-    (a float, even a whole one, a string) raises ``ValueError`` naming
-    ``what``."""
+    (a bool, a float, even a whole one, a string) raises ``ValueError``
+    naming ``what``."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):  # numpy's bool has no __index__
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _count(value, what: str) -> int:
@@ -139,12 +141,14 @@ def _seed(value) -> int:
 
 def _positive(value, what: str) -> float:
     """``value`` as a Python float, finite and above 0: ints, floats and
-    numpy scalars of either pass, anything else (a string, None, a number
-    with an imaginary part, an int too large for a float) raises
-    ``ValueError`` naming ``what``. The one reader of the library's positive
-    quantities: r_t, a circumradius, a sensing range, a battery capacity."""
+    numpy scalars of either pass, anything else (a bool, Python's or
+    numpy's, a string, None, a number with an imaginary part, an int too
+    large for a float) raises ``ValueError`` naming ``what``. The one reader
+    of the library's positive quantities: r_t, a circumradius, a sensing
+    range, a battery capacity."""
     try:
-        if not getattr(value, "imag", 0) and math.isfinite(value) and value > 0:
+        if (not isinstance(value, bool) and getattr(value, "dtype", None) != bool
+                and not getattr(value, "imag", 0) and math.isfinite(value) and value > 0):
             return float(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -328,7 +332,10 @@ def _per_axis(a: np.ndarray, scale=None, shift=None) -> np.ndarray:
     multiply on the three columns 23 us, and an add on contiguous (3, rows)
     columns 8 us (timeit, 2-core Xeon, numpy 2.4). So a per-axis constant
     goes column by column, and a scalar one, which needs no broadcast of a
-    row, stays a whole-array operation.
+    row, stays a whole-array operation. The accuracy run's draw and the
+    centers use it; the lifetime run, whose nodes go on as (3, rows)
+    columns, instead forms them from its draw u in one transposing multiply
+    by a (3, 1) column and a contiguous add (``simulator._node_blocks``).
     """
     for axis in range(3):
         column = a[..., axis]

@@ -94,13 +94,15 @@ hands the block to the path's scorer (``_decode``, ``_oracle`` or
 ``_nearest_int``), and stores the ids it returns as public ids; it chooses
 no id itself. Every scorer is called as ``score(spec, p, rel)`` and
 returns (3, rows) float columns of basis ids; the entry point binds any
-state of its call once: the decoder's scratch (``_work``), the oracle's
-candidate table (``_oracle_table``). The p - sink buffer is allocated once
-per call too, not per block. The decoder is
+state of its call once: the decoder's constants and scratch (``_work``),
+the oracle's candidate table (``_oracle_table``). The p - sink buffer is
+allocated once per call too, not per block. The decoder is
 ``_lattice_points``, the nearest lattice point y, then M^-1 y; the oracle
 is ``_nearest_int``, then ``_oracle_at`` that rounding. The experiments
 run the same p - sink step (``_relative``) on their blocks, with buffers
-of their own: the lifetime simulation counts ``_lattice_points``' y, and
+of their own: the lifetime simulation hands ``_relative`` and
+``_lattice_points`` the transpose of its (3, rows) node columns as the
+rows p, so p - sink is a contiguous subtract, and counts the y, and
 the accuracy experiment hands one p - sink to ``_decode`` and
 ``_nearest_int``, and that rounding to ``_oracle_at``.
 Points farther than ``MAX_STEPS`` lattice steps
@@ -160,9 +162,10 @@ MAX_TOL = 2.0 ** -20
 # next block: glibc maps arrays of that size, or trims them off the heap's
 # top, when they are freed, so one made afresh in every block can be
 # faulted in again in every block. The p - sink buffers and the decoder's
-# scratch (``_work``) of the driver and of both experiments are made once
-# per call and fault in once; the oracle, a reference only, still makes its
-# arrays in every block: held for the call, its TO scores, mask and index
+# constants and scratch (``_work``) of the driver and of both experiments,
+# and the lifetime run's node columns, are made once per call and fault in
+# once; the oracle, a reference only, still makes its arrays in every
+# block: held for the call, its TO scores, mask and index
 # product lifted the accuracy run's tracemalloc peak at 1e6 points from
 # 2.6 to 3.0 MiB for no time gain that paired runs could resolve
 _CHUNK = 1 << 13
@@ -314,22 +317,30 @@ def _nearest_int(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarra
     return np.trunc(ids, out=ids)
 
 
-def _work(rows: int) -> list:
-    """The decoder's scratch for one call, sliced to each block's rows: its
-    lattice points y and distances a, (3, rows) floats, the coset margin,
-    (rows,) floats, and (rows,) and (3, rows) bools for the ties."""
+def _work(spec: LatticeSpec, rows: int) -> list:
+    """The decoder's state for one call: the rule's per-axis constants as
+    (3, 1) columns, its divisor, period, 0.5 period - tol and period - 1,
+    and its weights, made once per call rather than per block, then its
+    scratch, sliced to each block's rows: its lattice points y and
+    distances a, (3, rows) floats, the coset margin, (rows,) floats, and
+    (rows,) and (3, rows) bools for the ties."""
     import numpy as np
 
+    _, _, divisor, period, weight, _, _, _, tol = spec.rule
+    period = np.array(period, dtype=float)
     flags = np.empty((4, rows), dtype=bool)
-    return [*np.empty((2, 3, rows)), np.empty(rows), flags[0], flags[1:]]
+    return [*np.array([divisor, period, 0.5 * period - tol, period - 1.0])[:, :, None],
+            np.array(weight), *np.empty((2, 3, rows)), np.empty(rows), flags[0], flags[1:]]
 
 
 def _lattice_points(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, work: list) -> np.ndarray:
     """The decoder's lattice points y, nearest to the rows ``p`` (rows, 3)
     in the scaled coordinates y = (p - sink) / scale, given their
     p - sink columns ``rel`` (3, rows), which it overwrites, and the call's
-    scratch ``work`` (``_work``): (3, rows) float columns of integers, in
-    ``work``, whose basis ids are M^-1 y.
+    state ``work`` (``_work(spec, rows)``): (3, rows) float columns of
+    integers, in ``work``, whose basis ids are M^-1 y. ``p`` may be any
+    (rows, 3) view, the transpose of (3, rows) columns too: only the rows
+    of ties are read.
 
     The columns whose decision is within the rule's ``tol`` of a tie are
     settled by ``_settle``. ``assign_cell`` is the same rule for one point,
@@ -337,14 +348,14 @@ def _lattice_points(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, work: lis
     """
     import numpy as np
 
-    _, _, divisor, period, weight, threshold, _, _, tol = spec.rule
-    period = np.array(period, dtype=float)[:, None]
-    near, a, margin, tie, over = (w[..., :rel.shape[1]] for w in work)
+    threshold = spec.rule.threshold
+    divisor, period, half, odd, weight, *scratch = work
+    near, a, margin, tie, over = (w[..., :rel.shape[1]] for w in scratch)
     # near: the nearest point of diag(P) Z^3 to t = rel / scale, and
     # err = t - near, both exact; every temporary is written into rel or
     # the scratch, as a chunk's fresh arrays cost more than the arithmetic
     err = rel
-    err /= np.array(divisor)[:, None]
+    err /= divisor
     np.rint(err, out=near)
     err -= near
     err *= period
@@ -354,17 +365,17 @@ def _lattice_points(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, work: lis
         # its nearest point is near + sign(err) on the period-2 axes, 1 - a
         # away there instead of a: it is the nearer point when the weighted
         # sum of a - 1/2 over those axes is positive
-        np.matmul(np.array(weight), a, out=margin)
+        np.matmul(weight, a, out=margin)
         margin -= threshold
         # the step sign(err) (P - 1) of the columns that take it, in err
-        step = np.copysign(period - 1.0, err, out=err)
+        step = np.copysign(odd, err, out=err)
         near += np.multiply(step, np.greater(margin, 0, out=tie), out=step)
         a -= np.abs(step, out=step)
         np.abs(a, out=a)
     # ties: the chosen coset's rounding at a half, or two cosets equally near
-    np.any(np.greater_equal(a, 0.5 * period - tol, out=over), axis=0, out=tie)
+    np.any(np.greater_equal(a, half, out=over), axis=0, out=tie)
     if threshold:
-        tie |= np.less_equal(np.abs(margin, out=margin), tol, out=over[0])
+        tie |= np.less_equal(np.abs(margin, out=margin), spec.rule.tol, out=over[0])
     for i in np.flatnonzero(tie).tolist():
         near[:, i] = _settle(spec, p[i].tolist())
     return near
@@ -474,7 +485,7 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     equidistant from several centers go to the smallest (u, v, w).
     """
     pts = _rows(points)
-    return _blocks(spec, pts, partial(_decode, work=_work(min(len(pts), _CHUNK))))
+    return _blocks(spec, pts, partial(_decode, work=_work(spec, min(len(pts), _CHUNK))))
 
 
 _PLAIN = (float, int)

@@ -26,13 +26,19 @@ a time, the 8,192-row block of the lattice's block driver, and never hold
 an (n, 3) array, so their peak memory does not grow with n, and a block's
 arrays stay in cache. PCG64 gives the same doubles in one call or in many,
 so the blocks are the rows of the one whole-array draw, and the results do
-not depend on the block size. Both draw every block into one reused buffer
-and scale and shift it there; per-axis constants, the box's sides and
-corner and the sink, go one column at a time, which ``geometry._per_axis``
-explains. Neither calls a bulk assigner: each runs the block driver's
-p - sink step (``lattice._relative``) once per block and hands the result
-to the lattice's scorers, with buffers, and the accuracy run's oracle
-candidate table (``lattice._oracle_table``), made once per call.
+not depend on the block size. Both draw every block into one reused
+(rows, 3) buffer. The accuracy run scales and shifts it there, the sink,
+a per-axis constant, one column at a time (``geometry._per_axis``). The
+lifetime run keeps each block as (3, rows) columns, one per axis, from the
+draw to the count: one transposing multiply by the box's sides and one
+contiguous add of its corner form the node columns in a second buffer
+(``_node_blocks``), and p - sink is one contiguous subtract from them
+into the spent draw's buffer. Neither calls a bulk assigner: each runs
+the block driver's p - sink step (``lattice._relative``) once per block
+and hands the result to the lattice's scorers, with buffers, the
+decoder's constants and scratch (``lattice._work``) and the accuracy
+run's oracle candidate table (``lattice._oracle_table``), made once per
+call.
 
 The accuracy experiment scores a block in one pass (``_tally``): the
 decoder gets a copy of p - sink, and the shortcut's rounding of it is also
@@ -41,9 +47,11 @@ but not the decoder's ids. Each block's correct rows add to two integer
 counters; the oracle's id of a point does not depend on the other points
 of its call. The lifetime simulation forms no ids: the decoder gives each
 node its lattice point y, and a closed form gives the interior cell, if
-any, whose slot counts the node (``_interior_counts``): no centers, and no
-sort unless the box holds few nodes for its size. Only ``deploy`` returns
-whole arrays.
+any, whose slot counts the node (``_interior_counts``): the slot of a grid
+of the interior cells' lattice points and a ring of one more value on
+either side of each axis, one product of y's clipped offsets with the
+grid's strides. It makes no centers, and sorts only when the box holds
+few nodes for its size. Only ``deploy`` returns whole arrays.
 """
 
 from __future__ import annotations
@@ -168,16 +176,23 @@ def _uniform_blocks(seed: int, n: int, rows: int):
 
 def _node_blocks(config: DeploymentConfig, rows: int):
     """The deployment's node positions, uniform in the box from
-    ``default_rng(seed)``, as consecutive blocks of at most ``rows`` nodes
-    that share one buffer.
+    ``default_rng(seed)``, as consecutive blocks of at most ``rows`` nodes:
+    each the nodes' (3, rows) columns P, one per axis, and a (3, rows) view
+    of the spent draw, free for the caller until the next block, so that
+    the blocks take two buffers in all.
 
-    Each is lo + u * (hi - lo) for the uniform doubles u, computed in place
-    as (u * (hi - lo)) + lo, the same doubles, one column at a time.
+    P is u.T * (hi - lo) + lo for the uniform doubles u: one transposing
+    multiply and one contiguous add, the doubles of lo + u * (hi - lo).
     """
+    import numpy as np
+
     box = config.box
-    span = box.hi - box.lo
-    return (_per_axis(block, span, box.lo)
-            for block in _uniform_blocks(config.seed, config.node_count, rows))
+    span, lo = (box.hi - box.lo)[:, None], box.lo[:, None]
+    buf = np.empty((3, min(rows, config.node_count)))
+    for u in _uniform_blocks(config.seed, config.node_count, rows):
+        cols = np.multiply(u.T, span, out=buf[:, :len(u)])
+        cols += lo
+        yield cols, u.reshape(3, len(u))
 
 
 def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -185,8 +200,8 @@ def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.
 
     Returns the (n, 3) node positions and their (n, 3) integer cell ids.
     """
-    (pts,) = _node_blocks(config, config.node_count)
-    return pts, assign_cells(spec, pts)
+    ((cols, _),) = _node_blocks(config, config.node_count)
+    return cols.T, assign_cells(spec, cols.T)
 
 
 def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
@@ -204,7 +219,7 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
     n, seed = _count(n, "n"), _seed(seed)
     half = 5.0 * spec.r_t
     rows = min(n, _CHUNK)
-    buf, work, table = np.empty((2, 3, rows)), _work(rows), _oracle_table(spec, 3)
+    buf, work, table = np.empty((2, 3, rows)), _work(spec, rows), _oracle_table(spec, 3)
     counts = np.zeros(2, dtype=np.int64)  # correct_exact, correct_nearest_int
     # the doubles of spec.sink + rng.uniform(-half, half, (n, 3)), a block at
     # a time: uniform computes -half + 2 half u, and the scalar constants go
@@ -308,17 +323,25 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     lies in [lo + e, hi - e], e being the cell's axis extents, the largest
     |x_i| scale_i / L over its integer vertex rows (x_0, x_1, x_2, L) of
     ``geometry._VERTICES``: on each axis a span of d values of y from f
-    (``_span``). A node's offsets y - f, each moved to d when outside
-    [0, d), name its slot in a grid of d + 1 values per axis, and the slots
-    with no offset at d are the interior ones: 1 (CB), 2 (HP) or 4 (RD, TO)
-    slots per interior cell, the others naming no lattice point.
+    (``_span``). The grid adds a ring of one value on either side, f - 1
+    and f + d, so a node's offsets y - (f - 1), each clipped into
+    [0, d + 1], name its slot, the offsets' product with the strides of the
+    (d_0 + 2, d_1 + 2, d_2 + 2) grid: the ring's slots hold every node
+    outside the span on some axis, and the grid's inner block holds the
+    interior slots, 1 (CB), 2 (HP) or 4 (RD, TO) per interior cell, the
+    others naming no lattice point. The nodes come as (3, rows) columns
+    (``_node_blocks``), and their offsets and slots stay in that layout.
 
     While the grid holds at most ``_SLOTS_PER_NODE`` slots per node, each
-    block adds its nodes into one count per slot. A sparser box, with fewer
-    nodes than a quarter of its slots, keeps each block's interior slots and
-    counts them with one sort at the end; its nodes mostly fall in distinct
-    cells, so merging each block's distinct slots as they come would save
-    little. Either way the memory is O(``_CHUNK`` + min(n, slots)).
+    block adds its nodes into one count per slot, the slot a float product:
+    exact, as the offsets are formed before it and the grid, of at most
+    ``_SLOTS_PER_NODE`` n slots, holds far fewer than 2^53. A sparser box,
+    with fewer nodes than a quarter of its slots, keeps each block's
+    interior slots, as int64 products, since its grid may hold some 2^60
+    slots (the whole domain's), and counts them with one sort at the end;
+    its nodes mostly fall in distinct cells, so merging each block's
+    distinct slots as they come would save little.
+    Either way the memory is O(``_CHUNK`` + min(n, slots)).
     """
     import numpy as np
 
@@ -332,31 +355,34 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     lo, hi = (np.clip(x, spec.rule.sink - far, spec.rule.sink + far).tolist()
               for x in (config.box.lo + extents, config.box.hi - extents))
     spans = [_span(*axis) for axis in zip(lo, hi, spec.rule.sink, spec.rule.scale)]
-    first = np.array(spans, dtype=float)[:, :1]
-    dims = [max(0, last - start + 1) for start, last in spans]
-    bound = np.array(dims, dtype=np.uint64)[:, None]
-    rows = min(config.node_count, _CHUNK)
-    buf, work = np.empty((3, rows)), _work(rows)
-    dense = math.prod(d + 1 for d in dims) <= _SLOTS_PER_NODE * config.node_count
-    counts, kept = np.zeros([d + 1 for d in dims] if dense else 0, dtype=np.int64), []
-    for p in _node_blocks(config, rows):
-        y = _lattice_points(spec, p, _relative(spec, p, buf), work)
-        # the offsets, exact integers, in the spent p - sink buffer; as
-        # unsigned integers those outside [0, d) exceed d, and become d
-        off = np.subtract(y, first, out=buf.view(np.int64)[:, :len(p)], casting="unsafe")
-        np.minimum(off.view(np.uint64), bound, out=off.view(np.uint64))
-        # the slot, (off0 (d1 + 1) + off1) (d2 + 1) + off2, in y's spent row 0
-        slot = np.multiply(off[0], dims[1] + 1, out=y[0].view(np.int64))
-        slot += off[1]
-        slot *= dims[2] + 1
-        slot += off[2]
+    # the grid: on each axis the span's d values of y and one ring value
+    # on either side, first - 1 and last + 1
+    shape = [max(2, last - first + 3) for first, last in spans]
+    ring = np.array([first - 1 for first, _ in spans], dtype=float)[:, None]
+    top = np.array(shape, dtype=float)[:, None] - 1.0
+    work = _work(spec, min(config.node_count, _CHUNK))
+    dense = math.prod(shape) <= _SLOTS_PER_NODE * config.node_count
+    strides = np.array([shape[1] * shape[2], shape[2], 1], dtype=float if dense else np.int64)
+    counts, kept = np.zeros(shape if dense else 0, dtype=np.int64), []
+    for cols, spare in _node_blocks(config, _CHUNK):
+        y = _lattice_points(spec, cols.T, _relative(spec, cols.T, spare), work)
+        # the offsets y - (first - 1), exact integers, clipped into the ring
+        y -= ring
+        np.clip(y, 0.0, top, out=y)
         if dense:
-            np.add.at(counts.reshape(-1), slot, 1)
+            # the slot from one product with the strides, exact in floats
+            # below 2^53, and its int64 index, in the spent p - sink rows,
+            # not in a temporary of every block
+            slot = np.matmul(strides, y, out=spare[0])
+            np.copyto(spare[1].view(np.int64), slot, casting="unsafe")
+            np.add.at(counts.reshape(-1), spare[1].view(np.int64), 1)
         else:
-            kept.append(slot[(off.view(np.uint64) < bound).all(axis=0)])
+            # the interior offsets' slots, in int64: the grid may exceed 2^53
+            inner = y[:, ((y > 0.0) & (y < top)).all(axis=0)].astype(np.int64)
+            kept.append(strides @ inner)
     if not dense:
         return np.unique(np.concatenate(kept), return_counts=True)[1]
-    counts = counts[:-1, :-1, :-1]
+    counts = counts[1:-1, 1:-1, 1:-1]
     return counts[counts > 0]
 
 

@@ -85,6 +85,31 @@ def test_seed_refused(entry, value, message):
     raises_exactly(SEEDS[entry], value, message)
 
 
+# a bool is an int to Python and a number to numpy, but no scalar reader's
+# kind: True is not a radius of 1 m, a count of 1 or the seed 1
+BOOLS = [True, False, np.True_, np.False_]
+
+
+@pytest.mark.parametrize("value", BOOLS, ids=repr)
+@pytest.mark.parametrize("entry", POSITIVE)
+def test_positive_quantity_refuses_bools(entry, value):
+    call, what = POSITIVE[entry]
+    raises_exactly(call, value, f"{what} must be positive and finite")
+
+
+@pytest.mark.parametrize("value", BOOLS, ids=repr)
+@pytest.mark.parametrize("entry", COUNTS)
+def test_count_refuses_bools(entry, value):
+    call, what = COUNTS[entry]
+    raises_exactly(call, value, f"{what} must be an integer, got {value!r}")
+
+
+@pytest.mark.parametrize("value", BOOLS, ids=repr)
+@pytest.mark.parametrize("entry", SEEDS)
+def test_seed_refuses_bools(entry, value):
+    raises_exactly(SEEDS[entry], value, f"seed must be an integer, got {value!r}")
+
+
 @pytest.mark.parametrize("entry", POSITIVE)
 def test_numpy_quantities_pass(entry):
     call, _ = POSITIVE[entry]

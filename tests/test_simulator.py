@@ -431,7 +431,7 @@ class TestStreaming:
         """``simulator._tally`` over ``pts`` in blocks of ``_CHUNK`` rows
         that share one set of buffers, as the accuracy run's blocks do."""
         rows = lattice._CHUNK
-        buf, work = np.empty((2, 3, rows)), lattice._work(rows)
+        buf, work = np.empty((2, 3, rows)), lattice._work(spec, rows)
         table = lattice._oracle_table(spec, 3)
         return np.sum([simulator._tally(spec, pts[i:i + rows], buf, work, table)
                        for i in range(0, len(pts), rows)], axis=0).tolist()
@@ -640,6 +640,64 @@ class TestInteriorSlots:
         want = whole_array_lifetime(spec, cfg, 3.0, 1)
         assert outcome(lifetime_simulation(spec, cfg, 3.0, 1)) == want
         assert self.outcomes(monkeypatch, spec, cfg, {"sort": 0}) == [want]
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_whole_domain_slots_are_exact(self, shape, monkeypatch):
+        # the whole-domain grid holds about 2^60 slots, where doubles are
+        # 2^7 apart: nodes moved into pairs of cells one lattice step apart
+        # on the last axis, whose slots differ by at most 2, still count
+        # as two cells, as the reference's count of their centers says
+        spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
+        reach = MAX_STEPS * spec.step * (1 - 1e-9)
+        box = Box(lo=np.array(spec.sink) - reach, hi=np.array(spec.sink) + reach)
+        cfg = DeploymentConfig(box=box, node_count=3_000, seed=2)
+        step = np.array([[0.0], [0.0], [spec.rule.period[2]]])
+        points, decode = [], simulator._lattice_points
+
+        def pairs(spec, p, rel, work):
+            y = decode(spec, p, rel, work)
+            y[:, 1::2] = y[:, :y.shape[1] // 2 * 2:2] + step
+            points.append(y.copy())
+            return y
+
+        monkeypatch.setattr(simulator, "_lattice_points", pairs)
+        monkeypatch.setattr(simulator, "_CHUNK", TestStreaming.CHUNK)
+        got = self.outcomes(monkeypatch, spec, cfg, {"sort": 0})
+        ys = np.hstack(points).T
+        ext = build_polyhedron(shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
+        centers = ys * spec.rule.scale + spec.sink
+        inside = ((centers >= box.lo + ext) & (centers <= box.hi - ext)).all(axis=1)
+        counts = np.unique(ys[inside], axis=0, return_counts=True)[1]
+        assert math.prod(np.ptp(ys, axis=0) + 1) > 2 ** 59 and len(counts) > 0.9 * len(ys)
+        assert got == [(shape, len(counts), float(counts.mean()), 3 * int(counts.min()))]
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_every_node_through_the_tie_step(self, shape, monkeypatch):
+        # a tie tolerance of 0.49 sends nearly every node to the exact tie
+        # step, which must give each node the lattice point that the
+        # decoder gives it, on either counting path
+        spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
+        ties = LatticeSpec(shape, 1.0, sink=spec.sink)
+        object.__setattr__(ties, "rule", spec.rule._replace(tol=0.49))
+        box = Box(lo=(-1.1, -0.9, -1.0), hi=(1.0, 1.2, 0.95))
+        cfg = DeploymentConfig(box=box, node_count=3_000, seed=31)
+        points, decode = {}, simulator._lattice_points
+
+        def spy(spec, p, rel, work):
+            y = decode(spec, p, rel, work)
+            points.setdefault(spec.rule.tol, []).append(y.copy())
+            return y
+
+        monkeypatch.setattr(simulator, "_lattice_points", spy)
+        settled, settle = [], lattice._settle
+        monkeypatch.setattr(lattice, "_settle", lambda *a: settled.append(1) or settle(*a))
+        want = self.outcomes(monkeypatch, spec, cfg)
+        assert len(settled) == 0 and want[0] == want[1]
+        assert self.outcomes(monkeypatch, ties, cfg) == want
+        assert len(settled) > cfg.node_count
+        assert len(points) == 2
+        for y, z in zip(*points.values()):
+            assert (y == z).all()
 
     @pytest.mark.parametrize("shape", list(CellShape))
     def test_paths_raise_alike(self, shape, monkeypatch):
