@@ -22,7 +22,7 @@ converted in these places and nowhere else:
 * one id each by ``_center`` (one cell's center), by ``assign_cell``,
   which turns its basis id into a public id with ``u += v >> 1``, and by
   ``_settle``, whose tie-break orders its tied candidates by public id,
-  u + floor(v/2);
+  u + (v >> 1);
 * neighbor steps by ``_NEIGHBOR_STEPS``, a table of the steps from HP's
   odd rows, so that ``neighbors`` and routing step in public ids.
 
@@ -43,11 +43,15 @@ w_i being the squared scale of axis i. CB, with one coset, is plain
 rounding. The basis ids are M^-1 times the chosen point.
 ``assign_cells`` runs this rule on arrays of points (``_decode``);
 ``assign_cell``, the call of one sensor, runs it for one point step for
-step in Python floats, with no numpy call, and gives the same ids. Both
-read the rule's constants (the sink, scale, period, weights, threshold,
-M^-1 and the domain bound) from one record of Python numbers that
-``LatticeSpec`` derives once, ``LatticeSpec.rule``, so they use the same
-numbers and flag the same points as ties.
+step in Python floats, with no numpy call, and gives the same ids, its
+basis ids (adj y) // det in Python ints, adj being M's integer adjugate
+and det its determinant. Both read the rule's constants from one record of
+Python numbers that ``LatticeSpec`` derives once, ``LatticeSpec.rule``:
+the sink, scale, divisor scale * P, period, coset weights and threshold,
+M^-1, the domain bound, the tie tolerance tol, the per-axis tie
+thresholds 0.5 P - tol, the coset steps P - 1, and adj and det, so the
+two use the same numbers and flag the same points as ties, and a
+sensor's call does no arithmetic that the spec alone fixes.
 
 Every point p gets the id whose center, as ``cell_centers`` computes it,
 is nearest to p in exact arithmetic; among exactly equidistant centers, on
@@ -123,6 +127,7 @@ from typing import NamedTuple
 from .geometry import (
     MAX_STEPS,
     MAX_WINDOW,
+    _ADJUGATES,
     _BASES,
     _INVERSES,
     _METRIC,
@@ -171,6 +176,11 @@ MAX_TOL = 2.0 ** -20
 _CHUNK = 1 << 13
 
 
+# the enum member itself: reading ``CellShape.HP`` goes through the enum's
+# metaclass, some 0.1 us, which a sensor's call need not pay
+_HP = CellShape.HP
+
+
 class CellId(NamedTuple):
     """Integer lattice coordinates naming one cell."""
 
@@ -191,6 +201,10 @@ class _Rule(NamedTuple):
     inverse: tuple[tuple[float, float, float], ...]  # rows of M^-1
     reach: float  # MAX_STEPS * step
     tol: float  # decisions this close to a tie go to the exact tie step
+    half: tuple[float, float, float]  # 0.5 * period - tol: a rounding this far out is a tie
+    odd: tuple[int, int, int]  # period - 1, the shifted coset's step on each axis
+    adjugate: tuple[tuple[int, int, int], ...]  # rows of det * M^-1, ``geometry._ADJUGATES``
+    det: int  # det M: the basis ids of a lattice point y are (adjugate @ y) // det
 
 
 class LatticeSpec(_Frozen):
@@ -249,7 +263,9 @@ class LatticeSpec(_Frozen):
         self._set(shape=shape, r_t=float(r_t), sink=sink, circumradius=R, step=step,
                   rule=_Rule(sink, scale, tuple(s * p for s, p in zip(scale, period)), period,
                              weight, 0.5 * (weight[0] + weight[1] + weight[2]),
-                             _INVERSES[shape], MAX_STEPS * step, tol))
+                             _INVERSES[shape], MAX_STEPS * step, tol,
+                             tuple(0.5 * p - tol for p in period), tuple(p - 1 for p in period),
+                             *_ADJUGATES[shape]))
 
 
 def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
@@ -286,7 +302,7 @@ def _center(spec: LatticeSpec, cid) -> tuple[float, float, float]:
     ``cell_centers`` gives: the basis ids times M are small integers, exact
     in float, so sink + that * scale takes the same two roundings."""
     u, v, w = cid
-    if spec.shape is CellShape.HP:
+    if spec.shape is _HP:
         u -= v >> 1
     sink, scale = spec.sink, spec.rule.scale
     return tuple(s + float(m0 * u + m1 * v + m2 * w) * k
@@ -319,18 +335,17 @@ def _nearest_int(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarra
 
 def _work(spec: LatticeSpec, rows: int) -> list:
     """The decoder's state for one call: the rule's per-axis constants as
-    (3, 1) columns, its divisor, period, 0.5 period - tol and period - 1,
-    and its weights, made once per call rather than per block, then its
-    scratch, sliced to each block's rows: its lattice points y and
-    distances a, (3, rows) floats, the coset margin, (rows,) floats, and
-    (rows,) and (3, rows) bools for the ties."""
+    (3, 1) float columns, its divisor, period, ``half`` and ``odd``, and its
+    weights, made once per call rather than per block, then its scratch,
+    sliced to each block's rows: its lattice points y and distances a,
+    (3, rows) floats, the coset margin, (rows,) floats, and (rows,) and
+    (3, rows) bools for the ties."""
     import numpy as np
 
-    _, _, divisor, period, weight, _, _, _, tol = spec.rule
-    period = np.array(period, dtype=float)
+    rule = spec.rule
     flags = np.empty((4, rows), dtype=bool)
-    return [*np.array([divisor, period, 0.5 * period - tol, period - 1.0])[:, :, None],
-            np.array(weight), *np.empty((2, 3, rows)), np.empty(rows), flags[0], flags[1:]]
+    return [*np.array([rule.divisor, rule.period, rule.half, rule.odd], dtype=float)[:, :, None],
+            np.array(rule.weight), *np.empty((2, 3, rows)), np.empty(rows), flags[0], flags[1:]]
 
 
 def _lattice_points(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, work: list) -> np.ndarray:
@@ -407,12 +422,12 @@ def _settle(spec: LatticeSpec, xyz) -> tuple[int, int, int]:
     and the centers, every coordinate is an integer, and the squared
     distances are exact; the smallest (squared distance, public id) wins.
     """
-    sink, scale, _, period, _, threshold, inverse, _, _ = spec.rule
+    sink, scale, _, period, _, threshold, _, _, _, _, odd, adjugate, det = spec.rule
     t = [(x - o) / k for x, o, k in zip(xyz, sink, scale)]
     cands = []
     for shift in (0, 1) if threshold else (0,):
         axes = [{s + P * math.floor((r - s) / P), s + P * math.ceil((r - s) / P)}
-                for r, P, s in zip(t, period, [shift * (P - 1) for P in period])]
+                for r, P, s in zip(t, period, [shift * o for o in odd])]
         cands += itertools.product(*axes)
     # exact squared distances along each axis, once per distinct value: in
     # units of 1 / D the integers span only the floats' exponents, some 55
@@ -427,8 +442,8 @@ def _settle(spec: LatticeSpec, xyz) -> tuple[int, int, int]:
     low = min(d2)
 
     def public(y):  # the public id of the basis id M^-1 y, for the tie-break
-        u, v, w = (m0 * y[0] + m1 * y[1] + m2 * y[2] for m0, m1, m2 in inverse)
-        return u + v // 2 * (spec.shape is CellShape.HP), v, w
+        u, v, w = ((a0 * y[0] + a1 * y[1] + a2 * y[2]) // det for a0, a1, a2 in adjugate)
+        return u + (v >> 1 if spec.shape is _HP else 0), v, w
 
     return min((y for y, d in zip(cands, d2) if d == low), key=public)
 
@@ -520,40 +535,41 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
     ``_decode`` for one point, step for step in Python floats and ints with
     no numpy call: the few dozen operations a sensor needs to find its cell
     from its own location, and ``_settle``'s exact tie step for a point
-    within the rule's ``tol`` of a tie. Invalid points raise the errors of
-    ``as_point`` and of the domain check.
+    within the rule's ``tol`` of a tie. Every constant comes ready from
+    ``spec.rule``, and the basis ids are (adjugate @ y) // det in Python
+    ints. Invalid points raise the errors of ``as_point`` and of the domain
+    check.
     """
-    sink, _, divisor, period, weight, threshold, inverse, reach, tol = spec.rule
-    xyz = _coords(p)
-    rx, ry, rz = xyz[0] - sink[0], xyz[1] - sink[1], xyz[2] - sink[2]
-    if not (abs(rx) <= reach and abs(ry) <= reach and abs(rz) <= reach):
+    ((ox, oy, oz), _, (dx, dy, dz), (px, py, pz), (wx, wy, wz), threshold, _, reach, tol,
+     (hx, hy, hz), (sx, sy, sz), ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)),
+     det) = spec.rule
+    x, y, z = xyz = _coords(p)
+    rx, ry, rz = x - ox, y - oy, z - oz
+    if not (-reach <= rx <= reach and -reach <= ry <= reach and -reach <= rz <= reach):
         as_point(p)  # raises for coordinates that are not finite
         raise _reach_error(spec)
     # n: the nearest point of diag(P) Z^3 to t = rel / scale, and e = t - n,
     # both exact; round, like np.rint, takes halves to even
-    px, py, pz = period
-    tx, ty, tz = rx / divisor[0], ry / divisor[1], rz / divisor[2]
+    tx, ty, tz = rx / dx, ry / dy, rz / dz
     nx, ny, nz = round(tx), round(ty), round(tz)
     ex, ey, ez = (tx - nx) * px, (ty - ny) * py, (tz - nz) * pz
     nx, ny, nz = nx * px, ny * py, nz * pz
     ax, ay, az = abs(ex), abs(ey), abs(ez)
     tie = False
     if threshold:  # a second coset, shifted on the period-2 axes; CB has none
-        margin = weight[0] * ax + weight[1] * ay + weight[2] * az - threshold
+        margin = wx * ax + wy * ay + wz * az - threshold
         if margin > 0:
-            sx, sy, sz = px - 1, py - 1, pz - 1
             nx += sx if ex >= 0 else -sx
             ny += sy if ey >= 0 else -sy
             nz += sz if ez >= 0 else -sz
             ax, ay, az = abs(ax - sx), abs(ay - sy), abs(az - sz)
-        tie = abs(margin) <= tol
-    if tie or ax >= 0.5 * px - tol or ay >= 0.5 * py - tol or az >= 0.5 * pz - tol:
+        tie = -tol <= margin <= tol
+    if tie or ax >= hx or ay >= hy or az >= hz:
         nx, ny, nz = _settle(spec, xyz)
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = inverse
-    u = int(m00 * nx + m01 * ny + m02 * nz)
-    v = int(m10 * nx + m11 * ny + m12 * nz)
-    w = int(m20 * nx + m21 * ny + m22 * nz)
-    if spec.shape is CellShape.HP:
+    u = (a00 * nx + a01 * ny + a02 * nz) // det
+    v = (a10 * nx + a11 * ny + a12 * nz) // det
+    w = (a20 * nx + a21 * ny + a22 * nz) // det
+    if spec.shape is _HP:
         u += v >> 1
     return _cell_id((u, v, w))
 
@@ -590,7 +606,7 @@ def assign_cell_nearest_int(spec: LatticeSpec, p) -> CellId:
     if not all(map(math.isfinite, xyz)):
         as_point(p)  # raises for coordinates that are not finite
     _check_to(spec)
-    sink, scale, _, _, _, _, inverse, reach, _ = spec.rule
+    sink, scale, _, _, _, _, inverse, reach, *_ = spec.rule
     rel = [c - s for c, s in zip(xyz, sink)]
     if not max(map(abs, rel)) <= reach:
         raise _reach_error(spec)

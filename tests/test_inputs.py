@@ -1,11 +1,12 @@
 """The scalar inputs of every entry point: positive quantities, counts and
-seeds.
+seeds, and the coordinates of points.
 
 Each kind has one reader in ``geometry``: ``_positive`` for r_t, a
 circumradius, a sensing range and a battery capacity, ``_count`` for
-node_count, n and k, and ``_seed``. A value outside its kind raises
-``ValueError`` with the entry point's message, never ``TypeError`` and
-never a silently wrong result; numpy scalars pass as Python numbers do.
+node_count, n and k, ``_seed``, and ``as_point`` for one point, ``_floats``
+for arrays of them. A value outside its kind raises ``ValueError`` with the
+entry point's message, never ``TypeError`` and never a silently wrong
+result; numpy scalars pass as Python numbers do.
 """
 
 import math
@@ -15,8 +16,11 @@ import numpy as np
 import pytest
 
 from topocell.cli import main
-from topocell.geometry import build_polyhedron, cell_spacing, cell_volume, max_cell_radius
-from topocell.lattice import LatticeSpec
+from topocell.geometry import (as_point, build_polyhedron, cell_spacing, cell_volume,
+                               max_cell_radius)
+from topocell.lattice import (LatticeSpec, assign_cell, assign_cell_nearest_int,
+                              assign_cell_oracle, assign_cells, assign_cells_nearest_int,
+                              assign_cells_oracle)
 from topocell.planner import verify_connectivity, verify_coverage
 from topocell.routing import greedy_route
 from topocell.simulator import Box, DeploymentConfig, accuracy_experiment, lifetime_simulation
@@ -126,6 +130,51 @@ def test_numpy_counts_pass(entry):
 @pytest.mark.parametrize("entry", SEEDS)
 def test_numpy_seeds_pass(entry):
     assert repr(SEEDS[entry](np.int64(3))) == repr(SEEDS[entry](3))
+
+
+# a bool among a point's coordinates is no coordinate either: (True, 0, 0)
+# is not the point (1, 0, 0)
+BOOL_POINTS = [(True, 0, 0), [0.5, np.False_, 1.0], (1.0, 2.0, np.array(True)),
+               [True, True, False], np.array([True, False, True]), np.array([1, 0, 0]) == 1]
+# entry point: (call with the point, name of the point in the message)
+POINTS = {
+    "as_point": (as_point, "point"),
+    "assign_cell": (lambda p: assign_cell(SPEC, p), "point"),
+    "assign_cell_nearest_int": (lambda p: assign_cell_nearest_int(SPEC, p), "point"),
+    "assign_cell_oracle": (lambda p: assign_cell_oracle(SPEC, p), "point"),
+    "LatticeSpec": (lambda p: LatticeSpec("to", 1.0, sink=p), "sink"),
+    "Box": (lambda p: Box(lo=(-1.0, -1.0, -1.0), hi=p), "box corner hi"),
+    "build_polyhedron": (lambda p: build_polyhedron("to", p, 1.0), "point"),
+}
+# the bulk entry points refuse arrays of bools
+ROWS = {
+    "assign_cells": lambda p: assign_cells(SPEC, p),
+    "assign_cells_nearest_int": lambda p: assign_cells_nearest_int(SPEC, p),
+    "assign_cells_oracle": lambda p: assign_cells_oracle(SPEC, p),
+    "Box.contains": BOX.contains,
+}
+
+
+@pytest.mark.parametrize("point", BOOL_POINTS, ids=repr)
+@pytest.mark.parametrize("entry", POINTS)
+def test_point_refuses_bools(entry, point):
+    call, what = POINTS[entry]
+    raises_exactly(call, point, f"{what} must be a 3D point of real numbers, got {point!r}")
+
+
+@pytest.mark.parametrize("points", [np.ones((4, 3), dtype=bool), [[True, False, True]],
+                                    np.array([True, False, True])], ids=repr)
+@pytest.mark.parametrize("entry", ROWS)
+def test_rows_refuse_bools(entry, points):
+    raises_exactly(ROWS[entry], points,
+                   "coordinates must be real numbers, not complex numbers or bools")
+
+
+@pytest.mark.parametrize("entry", POINTS)
+def test_points_of_ints_pass(entry):
+    call, _ = POINTS[entry]
+    for point in [(1, 0, 2), [np.int64(1), 0.0, 2], np.array([1, 0, 2])]:
+        assert repr(call(point)) == repr(call((1.0, 0.0, 2.0)))
 
 
 def test_underflowing_radius_keeps_the_step_message():

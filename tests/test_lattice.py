@@ -312,6 +312,23 @@ class TestAssignCell:
         assert 0 < len(sent) < len(pts)
 
     @pytest.mark.parametrize("shape", SHAPES)
+    def test_ids_are_python_ints(self, shape):
+        # a float id equals the int one, so only the types tell them apart:
+        # every scalar path returns a CellId of Python ints, on random points
+        # and on cell boundaries, where assign_cell takes the tie step;
+        # nearest-integer assignment exists on TO alone
+        spec = LatticeSpec(shape, 3.7, sink=(1.25, -0.4, 2.83))
+        rng = np.random.default_rng(35)
+        pts = np.vstack([spec.sink + rng.uniform(-20.0, 20.0, (100, 3)),
+                         self.tie_points(spec, np.array([(0, 0, 0), (1, -2, 1)]))])
+        calls = [assign_cell, assign_cell_oracle]
+        calls += [assign_cell_nearest_int] * (shape is CellShape.TO)
+        for p in [*pts, *map(tuple, pts.tolist())]:
+            for call in calls:
+                cid = call(spec, p)
+                assert type(cid) is CellId and all(type(x) is int for x in cid), (call, p, cid)
+
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_fast_path_runs(self, shape, monkeypatch):
         # random points never reach the tie step and points on cell
         # boundaries do, where it gives the oracle's ids; neither decoder
@@ -1317,7 +1334,12 @@ class TestSpecValidation:
         # the periods with np.linalg.inv, on fixed and random specs; the
         # squared scale ratios are integers, which the weights hold exactly.
         # The random specs whose tolerance so derived exceeds MAX_TOL are
-        # refused, naming that bound
+        # refused, naming that bound. The integer M^-1 is det M^-1 rounded,
+        # and is the adjugate: it times M is det I
+        basis = np.array(_BASES[shape], dtype=float)
+        det = round(np.linalg.det(basis))
+        adj = np.round(det * np.linalg.inv(basis)).astype(int)
+        assert (adj @ _BASES[shape] == det * np.eye(3, dtype=int)).all()
         rng = np.random.default_rng(29)
         sinks = rng.uniform(-1.0, 1.0, (200, 3)) * 10.0 ** rng.uniform(-3.0, 9.0, (200, 1))
         specs = [(0.1, (4.2e6, 1.2e6, 4.7e6)), (1.0, (1e8, 1e8, -1e8)), *RANDOM_SPECS,
@@ -1325,7 +1347,7 @@ class TestSpecValidation:
         refused = 0
         for r_t, sink in specs:
             R = max_cell_radius(shape, r_t)
-            basis, scale = np.array(_BASES[shape], dtype=float), np.array(_scale(shape, R))
+            scale = np.array(_scale(shape, R))
             period = np.array(_PERIODS[shape], dtype=float)
             weight = (period == 2) * np.round((scale / scale[0]) ** 2)
             reach = MAX_STEPS * cell_spacing(shape, R)[0]
@@ -1340,7 +1362,9 @@ class TestSpecValidation:
                 tuple(as_point(sink).tolist()), tuple(scale.tolist()),
                 tuple((scale * period).tolist()), tuple(period.astype(int).tolist()),
                 tuple(weight.tolist()), 0.5 * float(weight.sum()),
-                tuple(map(tuple, np.linalg.inv(basis).tolist())), reach, float(tol))
+                tuple(map(tuple, np.linalg.inv(basis).tolist())), reach, float(tol),
+                tuple((0.5 * period - tol).tolist()), tuple((period - 1).astype(int).tolist()),
+                tuple(map(tuple, adj.tolist())), det)
             assert repr(spec.rule) == repr(want)
         assert 0 < refused < len(specs) / 4
 

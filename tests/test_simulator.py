@@ -678,7 +678,8 @@ class TestInteriorSlots:
         # decoder gives it, on either counting path
         spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
         ties = LatticeSpec(shape, 1.0, sink=spec.sink)
-        object.__setattr__(ties, "rule", spec.rule._replace(tol=0.49))
+        object.__setattr__(ties, "rule", spec.rule._replace(
+            tol=0.49, half=tuple(0.5 * P - 0.49 for P in spec.rule.period)))
         box = Box(lo=(-1.1, -0.9, -1.0), hi=(1.0, 1.2, 0.95))
         cfg = DeploymentConfig(box=box, node_count=3_000, seed=31)
         points, decode = {}, simulator._lattice_points
