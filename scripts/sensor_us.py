@@ -1,14 +1,14 @@
 """Time one sensor's call, ``assign_cell``, per shape on three point sets.
 
-    python scripts/sensor_us.py [--points N] [--repeat R] [--seed S]
+    python scripts/sensor_us.py [--points N] [--repeat R]
 
 prints, for each shape, the median over the points of the microseconds one
 ``assign_cell`` call takes, each point's time being its best of R rounds
 (default 5) of a timed loop of a few calls, each round timing every set in
 turn, on:
 
-* ``random``: N random points (default 4,096), uniform within 5 r_t of the
-  sink on each axis, which the closed-form rule settles;
+* ``random``: N random points (default 4,096, seed ``SEED``), uniform within
+  5 r_t of the sink on each axis, which the closed-form rule settles;
 * ``vertex``: the vertices of cell (1, 1, -1), which sit on cell
   boundaries and go to the exact tie step;
 * ``ulp``: those vertices moved by one ulp up and by one ulp down on every
@@ -35,6 +35,7 @@ from topocell import (  # noqa: E402
 R_T = 3.7
 SINK = (1.25, -0.4, 2.83)
 CELL = (1, 1, -1)
+SEED = 0  # of the random points
 CALLS = 4  # calls per timed loop
 
 
@@ -63,12 +64,11 @@ def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--points", type=int, default=4096, help="random points per shape")
     parser.add_argument("--repeat", type=int, default=5, help="timed rounds over every set")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the random points")
     args = parser.parse_args(argv)
     runs = []  # (shape, spec, points, best times), the sets in the header's order
     for shape in CellShape:
         spec = LatticeSpec(shape, R_T, sink=SINK)
-        for pts in point_sets(spec, args.points, args.seed).values():
+        for pts in point_sets(spec, args.points, SEED).values():
             points = list(map(tuple, pts.tolist()))
             runs.append((shape, spec, points, [float("inf")] * len(points)))
     # each round times every set once, so that a burst of load on the host

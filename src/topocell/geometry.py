@@ -101,11 +101,14 @@ def _as_shape(shape) -> CellShape:
 def _floats(x) -> np.ndarray:
     """``x`` as a float array, read as ``np.asarray(x, dtype=float)`` reads
     it, except that complex numbers raise ``ValueError`` rather than lose
-    their imaginary parts, and so do bools (an array of them, or ``x``
-    read as one) rather than become 0 and 1."""
+    their imaginary parts, and so do bools (an array of them, ``x`` read as
+    one, or a Python or numpy bool among the three coordinates of one
+    point) rather than become 0 and 1."""
     import numpy as np
 
-    if np.asarray(x).dtype.kind in "cb":
+    a = np.asarray(x)
+    if a.dtype.kind in "cb" or (a.shape == (3,) and type(x) is not np.ndarray
+                                and any(np.asarray(c).dtype == bool for c in x)):
         raise ValueError("coordinates must be real numbers, not complex numbers or bools")
     return np.asarray(x, dtype=float)
 
@@ -168,14 +171,12 @@ def _rows(points) -> np.ndarray:
 def as_point(p, what: str = "point") -> np.ndarray:
     """Validate and convert a 3D point to a float array of shape (3,); errors
     name the point ``what``. A bool among its coordinates, Python's or
-    numpy's, raises ``ValueError`` like a complex one: (True, 0, 0) is not
-    the point (1, 0, 0)."""
+    numpy's, raises ``ValueError`` like a complex one (``_floats``):
+    (True, 0, 0) is not the point (1, 0, 0)."""
     import numpy as np
 
     try:
         q = _floats(p)
-        if q.shape == (3,) and any(np.asarray(c).dtype == bool for c in p):
-            raise ValueError
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a 3D point of real numbers, got {p!r}") from None
     if q.shape != (3,):

@@ -146,7 +146,8 @@ POINTS = {
     "Box": (lambda p: Box(lo=(-1.0, -1.0, -1.0), hi=p), "box corner hi"),
     "build_polyhedron": (lambda p: build_polyhedron("to", p, 1.0), "point"),
 }
-# the bulk entry points refuse arrays of bools
+# the bulk entry points refuse arrays of bools, and one point with a bool
+# among its coordinates, as the one-point readers do
 ROWS = {
     "assign_cells": lambda p: assign_cells(SPEC, p),
     "assign_cells_nearest_int": lambda p: assign_cells_nearest_int(SPEC, p),
@@ -163,7 +164,9 @@ def test_point_refuses_bools(entry, point):
 
 
 @pytest.mark.parametrize("points", [np.ones((4, 3), dtype=bool), [[True, False, True]],
-                                    np.array([True, False, True])], ids=repr)
+                                    np.array([True, False, True]), (True, 0, 0),
+                                    [0.5, np.False_, 1.0], (1.0, 2.0, np.array(True))],
+                         ids=repr)
 @pytest.mark.parametrize("entry", ROWS)
 def test_rows_refuse_bools(entry, points):
     raises_exactly(ROWS[entry], points,
