@@ -102,15 +102,21 @@ def _floats(x) -> np.ndarray:
     """``x`` as a float array, read as ``np.asarray(x, dtype=float)`` reads
     it, except that complex numbers raise ``ValueError`` rather than lose
     their imaginary parts, and so do bools (an array of them, ``x`` read as
-    one, or a Python or numpy bool among the three coordinates of one
-    point) rather than become 0 and 1."""
+    one, or a Python or numpy bool, or an array of bools, among the
+    coordinates of one point or of the rows of a list or tuple) rather than
+    become 0 and 1. An array ``x`` is read by its dtype alone."""
     import numpy as np
 
     a = np.asarray(x)
-    if a.dtype.kind in "cb" or (a.shape == (3,) and type(x) is not np.ndarray
-                                and any(np.asarray(c).dtype == bool for c in x)):
+    # numpy reads a list or tuple that mixes bools and numbers as numbers:
+    # the types of its coordinates show the bools, and the dtypes of those
+    # that are arrays
+    rows = [x] if a.shape == (3,) else x if a.ndim == 2 else ()
+    kinds = () if type(x) is np.ndarray else set(map(type, itertools.chain.from_iterable(rows)))
+    if a.dtype.kind in "cb" or bool in kinds or np.bool_ in kinds or np.ndarray in kinds and any(
+            np.asarray(c).dtype == bool for c in itertools.chain.from_iterable(rows)):
         raise ValueError("coordinates must be real numbers, not complex numbers or bools")
-    return np.asarray(x, dtype=float)
+    return np.asarray(a, dtype=float)  # x read once: a list's second read cost more than its check
 
 
 def _integer(value, what: str) -> int:
@@ -339,9 +345,10 @@ def _per_axis(a: np.ndarray, scale=None, shift=None) -> np.ndarray:
     columns 8 us (timeit, 2-core Xeon, numpy 2.4). So a per-axis constant
     goes column by column, and a scalar one, which needs no broadcast of a
     row, stays a whole-array operation. The accuracy run's draw and the
-    centers use it; the lifetime run, whose nodes go on as (3, rows)
-    columns, instead forms them from its draw u in one transposing multiply
-    by a (3, 1) column and a contiguous add (``simulator._node_blocks``).
+    centers use it; the lifetime run, whose blocks go on as (3, rows)
+    columns, instead forms its decoder's input from its draw u in one
+    transposing multiply by a (3, 1) column and a contiguous add
+    (``simulator._interior_counts``), and ``deploy`` its nodes the same way.
     """
     for axis in range(3):
         column = a[..., axis]

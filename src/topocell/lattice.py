@@ -51,7 +51,13 @@ the sink, scale, divisor scale * P, period, coset weights and threshold,
 M^-1, the domain bound, the tie tolerance tol, the per-axis tie
 thresholds 0.5 P - tol, the coset steps P - 1, and adj and det, so the
 two use the same numbers and flag the same points as ties, and a
-sensor's call does no arithmetic that the spec alone fixes.
+sensor's call does no arithmetic that the spec alone fixes. The bulk
+decoder compares in units of P: it rounds t / P = (p - sink) / divisor
+to Z^3, and its weights weight * P and thresholds (0.5 P - tol) / P
+(``_work``) differ from ``assign_cell``'s by powers of two only, so each
+comparison, of products and differences that are exact up to that
+scaling, has the same outcome; a row that takes the coset step is tested
+on 1/2 less its smallest distance, the largest of the stepped ones.
 
 Every point p gets the id whose center, as ``cell_centers`` computes it,
 is nearest to p in exact arithmetic; among exactly equidistant centers, on
@@ -101,14 +107,14 @@ returns (3, rows) float columns of basis ids; the entry point binds any
 state of its call once: the decoder's constants and scratch (``_work``),
 the oracle's candidate table (``_oracle_table``). The p - sink buffer is
 allocated once per call too, not per block. The decoder is
-``_lattice_points``, the nearest lattice point y, then M^-1 y; the oracle
-is ``_nearest_int``, then ``_oracle_at`` that rounding. The experiments
-run the same p - sink step (``_relative``) on their blocks, with buffers
-of their own: the lifetime simulation hands ``_relative`` and
-``_lattice_points`` the transpose of its (3, rows) node columns as the
-rows p, so p - sink is a contiguous subtract, and counts the y, and
-the accuracy experiment hands one p - sink to ``_decode`` and
-``_nearest_int``, and that rounding to ``_oracle_at``.
+``_lattice_points`` of (p - sink) / divisor, the nearest lattice point y,
+then M^-1 y; the oracle is ``_nearest_int``, then ``_oracle_at`` that
+rounding. The accuracy experiment runs the same p - sink step
+(``_relative``) on its blocks, with buffers of its own, and hands one
+p - sink to ``_decode`` and ``_nearest_int``, and that rounding to
+``_oracle_at``; the lifetime simulation forms (p - sink) / divisor from
+its draw and hands it to ``_lattice_points``, with a tol of its own
+where its prologue's rounding needs one, and counts the y.
 Points farther than ``MAX_STEPS`` lattice steps
 from the sink along any axis are rejected with ``ValueError``, and so are
 specs outside ``MAX_MAGNITUDE``, whose squares could overflow or
@@ -168,7 +174,7 @@ MAX_TOL = 2.0 ** -20
 # top, when they are freed, so one made afresh in every block can be
 # faulted in again in every block. The p - sink buffers and the decoder's
 # constants and scratch (``_work``) of the driver and of both experiments,
-# and the lifetime run's node columns, are made once per call and fault in
+# and the lifetime run's t / P columns, are made once per call and fault in
 # once; the oracle, a reference only, still makes its arrays in every
 # block: held for the call, its TO scores, mask and index
 # product lifted the accuracy run's tracemalloc peak at 1e6 points from
@@ -255,6 +261,19 @@ class LatticeSpec(_Frozen):
         # ratios of the float scales by a few u sum(weight). As
         # reach / min(scale) >= MAX_STEPS = 2^19, twice the first term of e
         # covers the rest, for both tests.
+        # The lifetime run (simulator._interior_counts) forms t / P of its
+        # node p = fl(lo + fl(x span)), x the node's draw, without p: as
+        # fl(fl(x A) + B), A = fl(span / divisor), B = fl(fl(lo - sink) /
+        # divisor), divisor = scale P exactly. Against the exact
+        # (p - sink) / divisor, x span carries the roundings of A, of x A,
+        # of the sum and of p's x span, lo - sink those of its difference,
+        # of B and of the sum, and p that of p's sum, so the error times
+        # divisor is at most u(4 span + 3|lo - sink| + |p|), plus terms in
+        # u^2 that the factor 2 covers. In units of scale it takes the place
+        # of the 2u reach / scale of rel and the quotient: this tol holds
+        # for a box whose 4 span + 3|lo - sink| + max|p| is at most 2 reach
+        # on every axis, and the run takes for any other box the tol of this
+        # formula with 2 reach plus the largest of those sums for 4 reach.
         tol = (2.0 ** -52 * (max(map(abs, sink)) + 4.0 * MAX_STEPS * step) / min(scale)
                * max(1.0, sum(weight)))
         if tol > MAX_TOL:
@@ -333,75 +352,99 @@ def _nearest_int(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarra
     return np.trunc(ids, out=ids)
 
 
-def _work(spec: LatticeSpec, rows: int) -> list:
-    """The decoder's state for one call: the rule's per-axis constants as
-    (3, 1) float columns, its divisor, period, ``half`` and ``odd``, and its
-    weights, made once per call rather than per block, then its scratch,
-    sliced to each block's rows: its lattice points y and distances a,
-    (3, rows) floats, the coset margin, (rows,) floats, and (rows,) and
-    (3, rows) bools for the ties."""
+def _work(spec: LatticeSpec, rows: int, tol: float) -> list:
+    """The decoder's state for one call, made once per call rather than per
+    block: the rule's divisor as a (3, 1) float column, its coset weights in
+    units of P, weight * P, the tie tolerance ``tol`` (``rule.tol``, or the
+    lifetime run's own) and the tie thresholds in units of P,
+    (0.5 P - tol) / P, of axis 0 and of axis 2 (which differ on HP alone);
+    then its buffers, sliced to each block's rows: the caller's, (3, rows)
+    floats for the decoder's input, and the scratch, the lattice points y
+    and distances a, (3, rows) floats, one (rows,) float for their maxima,
+    the coset margin and their minima in turn, and four (rows,) bools. The
+    three (3, rows) arrays are one block: glibc trims the heap's top once
+    its free space passes twice the largest block freed, so a call whose
+    largest block is not most of its buffers frees them to be faulted in
+    again by the next call."""
     import numpy as np
 
     rule = spec.rule
-    flags = np.empty((4, rows), dtype=bool)
-    return [*np.array([rule.divisor, rule.period, rule.half, rule.odd], dtype=float)[:, :, None],
-            np.array(rule.weight), *np.empty((2, 3, rows)), np.empty(rows), flags[0], flags[1:]]
+    # at rule.tol the thresholds are rule.half / P, the same doubles
+    return [np.array(rule.divisor)[:, None], np.multiply(rule.weight, rule.period), tol,
+            *[(0.5 * P - tol) / P for P in rule.period[::2]],
+            *np.empty((3, 3, rows)), np.empty(rows), *np.empty((4, rows), dtype=bool)]
 
 
-def _lattice_points(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, work: list) -> np.ndarray:
-    """The decoder's lattice points y, nearest to the rows ``p`` (rows, 3)
-    in the scaled coordinates y = (p - sink) / scale, given their
-    p - sink columns ``rel`` (3, rows), which it overwrites, and the call's
-    state ``work`` (``_work(spec, rows)``): (3, rows) float columns of
-    integers, in ``work``, whose basis ids are M^-1 y. ``p`` may be any
-    (rows, 3) view, the transpose of (3, rows) columns too: only the rows
-    of ties are read.
+def _lattice_points(spec: LatticeSpec, t: np.ndarray, work: list, point) -> np.ndarray:
+    """The decoder's lattice points y, nearest to the points whose
+    t / P = (p - sink) / divisor are the columns ``t`` (3, rows), which it
+    overwrites, in the scaled coordinates y = (p - sink) / scale, given the
+    call's state ``work`` (``_work``): (3, rows) float columns
+    of integers, in ``work``, whose basis ids are M^-1 y. ``point(i)`` gives
+    the point p of column i as three Python floats; only the ties' are
+    asked for.
 
-    The columns whose decision is within the rule's ``tol`` of a tie are
-    settled by ``_settle``. ``assign_cell`` is the same rule for one point,
-    step for step.
+    It works in units of P, where the rounding of every axis is to Z: the
+    weights are weight * P and the thresholds half / P, so each comparison
+    is ``assign_cell``'s, in units of scale, divided by a power of two, and
+    both decoders flag the same points. The columns whose decision is
+    within the call's tol of a tie are settled by ``_settle``.
     """
     import numpy as np
 
     threshold = spec.rule.threshold
-    divisor, period, half, odd, weight, *scratch = work
-    near, a, margin, tie, over = (w[..., :rel.shape[1]] for w in scratch)
-    # near: the nearest point of diag(P) Z^3 to t = rel / scale, and
-    # err = t - near, both exact; every temporary is written into rel or
-    # the scratch, as a chunk's fresh arrays cost more than the arithmetic
-    err = rel
-    err /= divisor
-    np.rint(err, out=near)
-    err -= near
-    err *= period
-    near *= period
-    np.abs(err, out=a)
+    _, weight, tol, half, half2, _, *scratch = work
+    near, a, m, tie, step, flag, even = (w[..., :t.shape[1]] for w in scratch)
+    # near: the nearest point of Z^3 to t / P, and e = t / P - near, both
+    # exact, |e| <= 1/2; every temporary is written into t or the scratch,
+    # as a chunk's fresh arrays cost more than the arithmetic
+    np.rint(t, out=near)
+    t -= near
+    np.abs(t, out=a)
+    # ties: the chosen coset's rounding at a half, or two cosets equally
+    # near; a rounding is tested on the largest a of the axes of axis 0's
+    # period, all three or HP's two of period 2, and HP's axis 2 apart
+    lead = slice(0, 2) if spec.shape is _HP else slice(None)
+    np.greater_equal(np.maximum.reduce(a[lead], out=m), half, out=tie)
     if threshold:  # a second coset, shifted on the period-2 axes; CB has none
-        # its nearest point is near + sign(err) on the period-2 axes, 1 - a
-        # away there instead of a: it is the nearer point when the weighted
-        # sum of a - 1/2 over those axes is positive
-        np.matmul(weight, a, out=margin)
-        margin -= threshold
-        # the step sign(err) (P - 1) of the columns that take it, in err
-        step = np.copysign(odd, err, out=err)
-        near += np.multiply(step, np.greater(margin, 0, out=tie), out=step)
-        a -= np.abs(step, out=step)
-        np.abs(a, out=a)
-    # ties: the chosen coset's rounding at a half, or two cosets equally near
-    np.any(np.greater_equal(a, half, out=over), axis=0, out=tie)
-    if threshold:
-        tie |= np.less_equal(np.abs(margin, out=margin), spec.rule.tol, out=over[0])
+        # its nearest point is one step of sign(e) from near * P on the
+        # period-2 axes, 1/2 - a away there in units of P instead of a: it
+        # is the nearer point when the margin, the weighted sum of a - 1/4
+        # over those axes, is positive
+        np.matmul(weight, a, out=m)
+        m -= threshold
+        np.greater(m, 0, out=step)
+        np.less_equal(np.abs(m, out=m), tol, out=even)
+        # a row that takes the step is 1/2 - a from its point on each
+        # period-2 axis, so it is tested on 1/2 less its smallest a; bool
+        # operations put that test on those rows, as a masked copy of
+        # floats costs four times as much
+        np.subtract(0.5, np.minimum.reduce(a[lead], out=m), out=m)
+        np.greater_equal(m, half, out=flag)
+        flag ^= tie
+        flag &= step
+        tie ^= flag
+        tie |= even
+        near[lead] *= 2.0
+        near[lead] += np.copysign(step, t[lead], out=t[lead])
+    if spec.shape is _HP:
+        tie |= np.greater_equal(a[2], half2, out=flag)
     for i in np.flatnonzero(tie).tolist():
-        near[:, i] = _settle(spec, p[i].tolist())
+        near[:, i] = _settle(spec, point(i))
     return near
 
 
 def _decode(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, work: list) -> np.ndarray:
     """The decoder, ``assign_cells``' scorer of ``_blocks``: the basis ids
-    M^-1 y of ``_lattice_points``, as (3, rows) float columns in ``rel``."""
+    M^-1 y of ``_lattice_points`` for the rows ``p`` (rows, 3), given their
+    p - sink columns ``rel`` (3, rows), as (3, rows) float columns in
+    ``rel``. ``p`` may be any (rows, 3) view: only the rows of ties are
+    read."""
     import numpy as np
 
-    return np.matmul(np.array(spec.rule.inverse), _lattice_points(spec, p, rel, work), out=rel)
+    rel /= work[0]
+    y = _lattice_points(spec, rel, work, lambda i: p[i].tolist())
+    return np.matmul(np.array(spec.rule.inverse), y, out=rel)
 
 
 def _settle(spec: LatticeSpec, xyz) -> tuple[int, int, int]:
@@ -499,8 +542,8 @@ def assign_cells(spec: LatticeSpec, points) -> np.ndarray:
     shape's lattice. The ids are those of ``assign_cells_oracle``: points
     equidistant from several centers go to the smallest (u, v, w).
     """
-    pts = _rows(points)
-    return _blocks(spec, pts, partial(_decode, work=_work(spec, min(len(pts), _CHUNK))))
+    pts, tol = _rows(points), spec.rule.tol
+    return _blocks(spec, pts, partial(_decode, work=_work(spec, min(len(pts), _CHUNK), tol)))
 
 
 _PLAIN = (float, int)

@@ -28,17 +28,18 @@ arrays stay in cache. PCG64 gives the same doubles in one call or in many,
 so the blocks are the rows of the one whole-array draw, and the results do
 not depend on the block size. Both draw every block into one reused
 (rows, 3) buffer. The accuracy run scales and shifts it there, the sink,
-a per-axis constant, one column at a time (``geometry._per_axis``). The
+a per-axis constant, one column at a time (``geometry._per_axis``), and
+runs the block driver's p - sink step (``lattice._relative``) on it. The
 lifetime run keeps each block as (3, rows) columns, one per axis, from the
-draw to the count: one transposing multiply by the box's sides and one
-contiguous add of its corner form the node columns in a second buffer
-(``_node_blocks``), and p - sink is one contiguous subtract from them
-into the spent draw's buffer. Neither calls a bulk assigner: each runs
-the block driver's p - sink step (``lattice._relative``) once per block
-and hands the result to the lattice's scorers, with buffers, the
-decoder's constants and scratch (``lattice._work``) and the accuracy
-run's oracle candidate table (``lattice._oracle_table``), made once per
-call.
+draw to the count, and forms no node: the decoder's input, t / P =
+(p - sink) / divisor, is one transposing multiply of the draw by
+span / divisor and one contiguous add of (lo - sink) / divisor, into a
+second buffer; the domain is checked once per call, on the box's first
+and last node, and a tie rebuilds its node from its draw row. Neither
+calls a bulk assigner: each hands its blocks to the lattice's scorers,
+with buffers, the decoder's constants and scratch (``lattice._work``) and
+the accuracy run's oracle candidate table (``lattice._oracle_table``),
+made once per call.
 
 The accuracy experiment scores a block in one pass (``_tally``): the
 decoder gets a copy of p - sink, and the shortcut's rounding of it is also
@@ -174,33 +175,19 @@ def _uniform_blocks(seed: int, n: int, rows: int):
         yield rng.random(out=buf[:n - start])
 
 
-def _node_blocks(config: DeploymentConfig, rows: int):
-    """The deployment's node positions, uniform in the box from
-    ``default_rng(seed)``, as consecutive blocks of at most ``rows`` nodes:
-    each the nodes' (3, rows) columns P, one per axis, and a (3, rows) view
-    of the spent draw, free for the caller until the next block, so that
-    the blocks take two buffers in all.
+def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter nodes uniformly in the box and assign each to its cell.
 
-    P is u.T * (hi - lo) + lo for the uniform doubles u: one transposing
-    multiply and one contiguous add, the doubles of lo + u * (hi - lo).
+    Returns the (n, 3) node positions and their (n, 3) integer cell ids:
+    lo + u * (hi - lo) for the uniform doubles u of ``default_rng(seed)``,
+    formed as (3, n) columns, one transposing multiply and one add.
     """
     import numpy as np
 
     box = config.box
-    span, lo = (box.hi - box.lo)[:, None], box.lo[:, None]
-    buf = np.empty((3, min(rows, config.node_count)))
-    for u in _uniform_blocks(config.seed, config.node_count, rows):
-        cols = np.multiply(u.T, span, out=buf[:, :len(u)])
-        cols += lo
-        yield cols, u.reshape(3, len(u))
-
-
-def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter nodes uniformly in the box and assign each to its cell.
-
-    Returns the (n, 3) node positions and their (n, 3) integer cell ids.
-    """
-    ((cols, _),) = _node_blocks(config, config.node_count)
+    u = np.random.default_rng(config.seed).random((config.node_count, 3))
+    cols = np.multiply(u.T, (box.hi - box.lo)[:, None])
+    cols += box.lo[:, None]
     return cols.T, assign_cells(spec, cols.T)
 
 
@@ -217,9 +204,9 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
     if spec.shape is not CellShape.TO:
         raise ValueError("the accuracy experiment is defined for the TO lattice")
     n, seed = _count(n, "n"), _seed(seed)
-    half = 5.0 * spec.r_t
-    rows = min(n, _CHUNK)
-    buf, work, table = np.empty((2, 3, rows)), _work(spec, rows), _oracle_table(spec, 3)
+    half, rows = 5.0 * spec.r_t, min(n, _CHUNK)
+    buf, work = np.empty((3, rows)), _work(spec, rows, spec.rule.tol)
+    table = _oracle_table(spec, 3)
     counts = np.zeros(2, dtype=np.int64)  # correct_exact, correct_nearest_int
     # the doubles of spec.sink + rng.uniform(-half, half, (n, 3)), a block at
     # a time: uniform computes -half + 2 half u, and the scalar constants go
@@ -237,20 +224,21 @@ def _tally(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray, work: list,
     """Numbers of the TO rows ``p`` (rows, 3) to which ``assign_cells`` and
     ``assign_cells_nearest_int`` give the id of ``assign_cells_oracle``
     (window 3), in one pass over the block's columns, with the call's
-    buffers, ``buf`` (2, 3, rows) and the decoder's scratch ``work``, and
-    the oracle's candidate ``table`` (``lattice._oracle_table``).
+    buffers, ``buf`` (3, rows) and the decoder's buffers and scratch
+    ``work``, and the oracle's candidate ``table``
+    (``lattice._oracle_table``).
 
-    p - sink is formed once, in ``buf[0]``, and copied to ``buf[1]`` for the
-    decoder, which overwrites its input. The shortcut's rounding of the real
-    ids is also the oracle's base, the window's middle id, so it is formed
-    once; the oracle does not read the decoder's ids. On TO public ids are
-    basis ids, so the three scorers' (3, rows) float columns are compared as
-    they are.
+    p - sink is formed once, in ``buf``, and copied to the decoder's input
+    buffer, as the decoder overwrites its input. The shortcut's rounding of
+    the real ids is also the oracle's base, the window's middle id, so it is
+    formed once; the oracle does not read the decoder's ids. On TO public
+    ids are basis ids, so the three scorers' (3, rows) float columns are
+    compared as they are.
     """
     import numpy as np
 
-    rel = _relative(spec, p, buf[0])
-    copy = buf[1, :, :len(p)]
+    rel = _relative(spec, p, buf)
+    copy = work[5][:, :len(p)]
     copy[...] = rel
     ids = _decode(spec, p, copy, work)
     base = _nearest_int(spec, p, rel)
@@ -329,8 +317,21 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     (d_0 + 2, d_1 + 2, d_2 + 2) grid: the ring's slots hold every node
     outside the span on some axis, and the grid's inner block holds the
     interior slots, 1 (CB), 2 (HP) or 4 (RD, TO) per interior cell, the
-    others naming no lattice point. The nodes come as (3, rows) columns
-    (``_node_blocks``), and their offsets and slots stay in that layout.
+    others naming no lattice point. Each block stays in (3, rows) columns,
+    one per axis, from the draw to the slots.
+
+    The decoder takes each node's t / P = (p - sink) / divisor straight
+    from its draw x, as x (span / divisor) + (lo - sink) / divisor: one
+    transposing multiply and one add, with no node, no p - sink and no
+    divide. The nodes lie between the box's first and last node, lo and
+    the node of the largest draw, so the domain is checked once, on those
+    two, and a tie rebuilds its node from its draw row in Python floats,
+    the doubles of ``deploy``. The fused sums round differently from
+    p - sink, by a bound derived beside ``rule.tol``'s in ``LatticeSpec``:
+    a box within its budget decodes with ``rule.tol``, and any other with
+    the tol of the same formula widened by the box's excess. A box that
+    reaches past the domain, whose nodes must each be checked, forms each
+    block's nodes and their p - sink as ``assign_cells`` does instead.
 
     While the grid holds at most ``_SLOTS_PER_NODE`` slots per node, each
     block adds its nodes into one count per slot, the slot a float product:
@@ -345,8 +346,8 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     """
     import numpy as np
 
-    rows = _VERTICES[spec.shape]
-    extents = [max(abs(row[i]) for row in rows) * k / rows[0][3]
+    verts = _VERTICES[spec.shape]
+    extents = [max(abs(row[i]) for row in verts) * k / verts[0][3]
                for i, k in enumerate(spec.rule.scale)]
     # the limits, clamped to reach + 3 scale of the sink: beyond every center
     # that a point of the domain decodes to, so that the grid, however far
@@ -360,22 +361,46 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     shape = [max(2, last - first + 3) for first, last in spans]
     ring = np.array([first - 1 for first, _ in spans], dtype=float)[:, None]
     top = np.array(shape, dtype=float)[:, None] - 1.0
-    work = _work(spec, min(config.node_count, _CHUNK))
     dense = math.prod(shape) <= _SLOTS_PER_NODE * config.node_count
     strides = np.array([shape[1] * shape[2], shape[2], 1], dtype=float if dense else np.int64)
     counts, kept = np.zeros(shape if dense else 0, dtype=np.int64), []
-    for cols, spare in _node_blocks(config, _CHUNK):
-        y = _lattice_points(spec, cols.T, _relative(spec, cols.T, spare), work)
+    # deploy's nodes are lo + x span for the draws x in [0, 1 - 2^-53], so
+    # on each axis they lie between lo and the node of the largest draw
+    rule, sink, reach = spec.rule, spec.rule.sink, spec.rule.reach
+    corner, span = config.box.lo.tolist(), (config.box.hi - config.box.lo).tolist()
+    last = [x + (1.0 - 2.0 ** -53) * k for x, k in zip(corner, span)]
+    inside = all(-reach <= x - o <= reach for ends in (corner, last) for x, o in zip(ends, sink))
+    # the fused prologue's tolerance, derived beside rule.tol's
+    extra = max(4.0 * k + 3.0 * abs(x - o) + max(abs(x), abs(z))
+                for x, k, z, o in zip(corner, span, last, sink))
+    tol = max(rule.tol, 2.0 ** -52 * (max(map(abs, sink)) + 2.0 * reach + extra)
+              / min(rule.scale) * max(1.0, sum(rule.weight))) if inside else rule.tol
+    rows = min(config.node_count, _CHUNK)
+    work = _work(spec, rows, tol)
+    # t / P = x gain + offset: gain = span / divisor, offset = (lo - sink) / divisor
+    gain, offset = np.array([span, np.subtract(corner, sink)])[:, :, None] / work[0]
+    for u in _uniform_blocks(config.seed, config.node_count, _CHUNK):
+        t = work[5][:, :len(u)]  # the decoder's input buffer (``_work``)
+        if inside:  # one transposing multiply and one add
+            np.multiply(u.T, gain, out=t)
+            t += offset
+        else:
+            # a box that reaches past the domain: deploy's nodes, checked
+            # and divided as ``assign_cells`` does, within rule.tol
+            np.divide(_relative(spec, u * span + config.box.lo, t), work[0], out=t)
+        # a tie rebuilds its node from its draw, the doubles of deploy
+        y = _lattice_points(spec, t, work,
+                            lambda i: [x + v * k for x, v, k in zip(corner, u[i].tolist(), span)])
         # the offsets y - (first - 1), exact integers, clipped into the ring
         y -= ring
         np.clip(y, 0.0, top, out=y)
         if dense:
             # the slot from one product with the strides, exact in floats
-            # below 2^53, and its int64 index, in the spent p - sink rows,
-            # not in a temporary of every block
-            slot = np.matmul(strides, y, out=spare[0])
-            np.copyto(spare[1].view(np.int64), slot, casting="unsafe")
-            np.add.at(counts.reshape(-1), spare[1].view(np.int64), 1)
+            # below 2^53, and its int64 index, in the spent rows of t, not
+            # in a temporary of every block
+            slot = np.matmul(strides, y, out=t[0])
+            np.copyto(t[1].view(np.int64), slot, casting="unsafe")
+            np.add.at(counts.reshape(-1), t[1].view(np.int64), 1)
         else:
             # the interior offsets' slots, in int64: the grid may exceed 2^53
             inner = y[:, ((y > 0.0) & (y < top)).all(axis=0)].astype(np.int64)

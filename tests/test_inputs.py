@@ -165,12 +165,26 @@ def test_point_refuses_bools(entry, point):
 
 @pytest.mark.parametrize("points", [np.ones((4, 3), dtype=bool), [[True, False, True]],
                                     np.array([True, False, True]), (True, 0, 0),
-                                    [0.5, np.False_, 1.0], (1.0, 2.0, np.array(True))],
+                                    [0.5, np.False_, 1.0], (1.0, 2.0, np.array(True)),
+                                    # rows that numpy reads as numbers
+                                    [[True, 0, 0]], [[1.0, 0, 0], [0, False, 0]],
+                                    ((1.0, 2.0, 3.0), (np.True_, 0.0, 0.0)),
+                                    [[1.0, np.array(False), 0.0]],
+                                    [np.array([True, False, True]), [1.0, 2.0, 3.0]]],
                          ids=repr)
 @pytest.mark.parametrize("entry", ROWS)
 def test_rows_refuse_bools(entry, points):
     raises_exactly(ROWS[entry], points,
                    "coordinates must be real numbers, not complex numbers or bools")
+
+
+@pytest.mark.parametrize("entry", ROWS)
+def test_rows_of_ints_pass(entry):
+    # ints, numpy's among them, in lists, tuples and rows of arrays are numbers
+    want = ROWS[entry](np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0]]))
+    for points in [[[1, 0, 2], [0, 3, 1]], ((np.int64(1), 0.0, 2), (0, 3.0, 1)),
+                   [np.array([1, 0, 2]), [0, 3, np.int32(1)]]]:
+        assert repr(ROWS[entry](points)) == repr(want)
 
 
 @pytest.mark.parametrize("entry", POINTS)

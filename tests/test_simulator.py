@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -431,7 +432,7 @@ class TestStreaming:
         """``simulator._tally`` over ``pts`` in blocks of ``_CHUNK`` rows
         that share one set of buffers, as the accuracy run's blocks do."""
         rows = lattice._CHUNK
-        buf, work = np.empty((2, 3, rows)), lattice._work(spec, rows)
+        buf, work = np.empty((3, rows)), lattice._work(spec, rows, spec.rule.tol)
         table = lattice._oracle_table(spec, 3)
         return np.sum([simulator._tally(spec, pts[i:i + rows], buf, work, table)
                        for i in range(0, len(pts), rows)], axis=0).tolist()
@@ -472,26 +473,42 @@ class TestStreaming:
         assert self.tallies(spec, pts) == [int((exact == truth).all(axis=1).sum()), count[1]]
 
     def test_lifetime_draws_are_the_uniform_doubles(self, monkeypatch):
-        # each block that the lifetime run decodes holds the rows of the one
-        # whole-array lo + u * (hi - lo) draw, the short last block included;
-        # the box's three sides differ and so do its corner's coordinates,
-        # so a constant taken from the wrong axis or applied in the wrong
-        # order changes the doubles
+        # each block that the lifetime run decodes comes from the rows of the
+        # one whole-array lo + u * (hi - lo) draw, the short last block
+        # included: the node a tie rebuilds from its draw is that row's
+        # doubles, and the block's t / P is within the fused prologue's bound
+        # of that row's exact (p - sink) / divisor. The box's three sides
+        # differ and so do its corner's coordinates, so a constant taken
+        # from the wrong axis or applied in the wrong order changes the
+        # doubles, or moves t / P by far more than the bound
         spec = LatticeSpec(CellShape.RD, 1.0, sink=(0.11, -0.07, 0.23))
         box = Box(lo=(-1.1, 0.3, -2.7), hi=(1.0, 1.2, 0.95))
-        blocks, decode = [], simulator._lattice_points
+        nodes, quotients, decode = [], [], simulator._lattice_points
 
-        def spy(spec, pts, rel, work):
-            blocks.append(pts.copy())
-            return decode(spec, pts, rel, work)
+        def spy(spec, t, work, point):
+            nodes.append([point(i) for i in range(t.shape[1])])
+            quotients.append(t.T.copy())
+            return decode(spec, t, work, point)
 
         monkeypatch.setattr(simulator, "_lattice_points", spy)
         self.small_blocks(monkeypatch)
         n = 3 * self.CHUNK + 10
         lifetime_simulation(spec, DeploymentConfig(box=box, node_count=n, seed=21), 2.0)
-        assert [len(b) for b in blocks] == [self.CHUNK] * 3 + [10]
-        want = box.lo + np.random.default_rng(21).random((n, 3)) * (box.hi - box.lo)
-        assert (np.vstack(blocks).view(np.int64) == want.view(np.int64)).all()
+        assert [len(b) for b in nodes] == [self.CHUNK] * 3 + [10]
+        span = box.hi - box.lo
+        want = box.lo + np.random.default_rng(21).random((n, 3)) * span
+        assert (np.array(sum(nodes, [])).view(np.int64) == want.view(np.int64)).all()
+        # the error, in exact rationals, against u (4 span + 3 |lo - sink| + |p|)
+        got = np.vstack(quotients)
+        divisor, sink = spec.rule.divisor, spec.sink
+        worst = 0.0
+        for row, p in zip(got.tolist(), want.tolist()):
+            for i in range(3):
+                err = abs(Fraction(row[i]) * Fraction(divisor[i]) - Fraction(p[i])
+                          + Fraction(sink[i]))
+                bound = 2.0 ** -53 * (4 * span[i] + 3 * abs(box.lo[i] - sink[i]) + abs(p[i]))
+                worst = max(worst, float(err) / bound)
+        assert 0.0 < worst <= 1.0
 
     def test_peak_memory_does_not_grow_with_n(self):
         # one bound in terms of the block size, far below the 56 B per node
@@ -654,8 +671,8 @@ class TestInteriorSlots:
         step = np.array([[0.0], [0.0], [spec.rule.period[2]]])
         points, decode = [], simulator._lattice_points
 
-        def pairs(spec, p, rel, work):
-            y = decode(spec, p, rel, work)
+        def pairs(spec, t, work, point):
+            y = decode(spec, t, work, point)
             y[:, 1::2] = y[:, :y.shape[1] // 2 * 2:2] + step
             points.append(y.copy())
             return y
@@ -684,8 +701,8 @@ class TestInteriorSlots:
         cfg = DeploymentConfig(box=box, node_count=3_000, seed=31)
         points, decode = {}, simulator._lattice_points
 
-        def spy(spec, p, rel, work):
-            y = decode(spec, p, rel, work)
+        def spy(spec, t, work, point):
+            y = decode(spec, t, work, point)
             points.setdefault(spec.rule.tol, []).append(y.copy())
             return y
 
@@ -725,6 +742,53 @@ class TestInteriorSlots:
                 want = lifetime_or_empty(whole_array_lifetime, spec, cfg)
                 want = empty if want == "empty" else want
             assert got[0] == want
+
+
+class TestFusedPrologue:
+    """The lifetime run forms each node's t / P from its draw, without the
+    node: its counts are those of ``assign_cells`` on ``deploy``'s nodes
+    where the prologue's bound fits the spec's tol, where it takes a wider
+    tol of its own, and for a box that reaches past the domain, whose
+    nodes it forms and checks as ``assign_cells`` does."""
+
+    @staticmethod
+    def run(monkeypatch, spec, cfg):
+        """The lifetime run's outcome on both counting paths, the tie
+        tolerances it decoded with, and its calls of ``_relative``."""
+        tols, checks, work, relative = [], [], simulator._work, simulator._relative
+        monkeypatch.setattr(simulator, "_work", lambda spec, rows, tol:
+                            tols.append(tol) or work(spec, rows, tol))
+        monkeypatch.setattr(simulator, "_relative", lambda *a: checks.append(1) or relative(*a))
+        got = TestInteriorSlots().outcomes(monkeypatch, spec, cfg)
+        assert got[0] == got[1] == whole_array_lifetime(spec, cfg, 3.0, 1)
+        assert len(set(tols)) == 1
+        return tols[0], len(checks)
+
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_counts_match_assign_cells(self, shape, monkeypatch):
+        # beside an Earth-centred sink the rounding of deploy's nodes, some
+        # 2^-31 m, exceeds the budget of rel and the quotient, 2u reach
+        spec = LatticeSpec(shape, 0.1, sink=FAR_SINK)
+        sink = np.array(spec.sink)
+        box = Box(lo=sink - (0.3, 0.2, 0.25), hi=sink + (0.35, 0.3, 0.2))
+        tol, checks = self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7))
+        assert spec.rule.tol < tol < 4.0 * spec.rule.tol and checks == 0
+        # near the sink the run decodes with the spec's tol
+        spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
+        sink, reach = np.array(spec.sink), spec.rule.reach
+        box = Box(lo=(-1.1, -0.9, -1.0), hi=(1.0, 1.2, 0.95))
+        tol, checks = self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7))
+        assert tol == spec.rule.tol and checks == 0
+        # a box at the domain's edge: |lo - sink| and |p| near reach
+        edge = sink + reach * (1.0 - 1e-9)
+        box = Box(lo=edge - (3.0, 2.0, 4.0), hi=edge)
+        tol, checks = self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7))
+        assert 1.5 * spec.rule.tol < tol < 4.0 * spec.rule.tol and checks == 0
+        # a box past the domain by far less than one node's share of it:
+        # every node is checked, in each block, and within the domain
+        box = Box(lo=edge - (3.0, 2.0, 4.0), hi=sink + reach + (1e-9, 0.0, 0.0))
+        tol, checks = self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7))
+        assert tol == spec.rule.tol and checks == 2 * math.ceil(20_000 / lattice._CHUNK)
 
 
 class TestActiveCount:
