@@ -98,23 +98,32 @@ def _as_shape(shape) -> CellShape:
     return shape if isinstance(shape, CellShape) else CellShape(shape)
 
 
+def _holds_bool(x, a: np.ndarray) -> bool:
+    """Whether ``x``, which numpy reads as the array ``a`` of numbers, holds
+    a bool among its innermost items (the coordinates of its rows): a
+    Python or numpy bool, or an array of bools. numpy reads a list or tuple
+    that mixes bools and numbers as numbers, so only the items' types, and
+    the dtypes of those that are arrays, show the bools; an array ``x`` is
+    read by its dtype alone, and holds none."""
+    import numpy as np
+
+    items = () if type(x) is np.ndarray else [x]
+    for _ in range(a.ndim):
+        items = list(itertools.chain.from_iterable(items))
+    kinds = set(map(type, items))
+    return bool in kinds or np.bool_ in kinds or np.ndarray in kinds and any(
+        np.asarray(c).dtype == bool for c in items)
+
+
 def _floats(x) -> np.ndarray:
     """``x`` as a float array, read as ``np.asarray(x, dtype=float)`` reads
     it, except that complex numbers raise ``ValueError`` rather than lose
-    their imaginary parts, and so do bools (an array of them, ``x`` read as
-    one, or a Python or numpy bool, or an array of bools, among the
-    coordinates of one point or of the rows of a list or tuple) rather than
-    become 0 and 1. An array ``x`` is read by its dtype alone."""
+    their imaginary parts, and so do bools (``_holds_bool``) rather than
+    become 0 and 1."""
     import numpy as np
 
     a = np.asarray(x)
-    # numpy reads a list or tuple that mixes bools and numbers as numbers:
-    # the types of its coordinates show the bools, and the dtypes of those
-    # that are arrays
-    rows = [x] if a.shape == (3,) else x if a.ndim == 2 else ()
-    kinds = () if type(x) is np.ndarray else set(map(type, itertools.chain.from_iterable(rows)))
-    if a.dtype.kind in "cb" or bool in kinds or np.bool_ in kinds or np.ndarray in kinds and any(
-            np.asarray(c).dtype == bool for c in itertools.chain.from_iterable(rows)):
+    if a.dtype.kind in "cb" or _holds_bool(x, a):
         raise ValueError("coordinates must be real numbers, not complex numbers or bools")
     return np.asarray(a, dtype=float)  # x read once: a list's second read cost more than its check
 

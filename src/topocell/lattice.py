@@ -113,8 +113,8 @@ rounding. The accuracy experiment runs the same p - sink step
 (``_relative``) on its blocks, with buffers of its own, and hands one
 p - sink to ``_decode`` and ``_nearest_int``, and that rounding to
 ``_oracle_at``; the lifetime simulation forms (p - sink) / divisor from
-its draw and hands it to ``_lattice_points``, with a tol of its own
-where its prologue's rounding needs one, and counts the y.
+its draw and hands it to ``_lattice_points``, with a tol of 4 rule.tol
+that covers its prologue's rounding, and counts the y.
 Points farther than ``MAX_STEPS`` lattice steps
 from the sink along any axis are rejected with ``ValueError``, and so are
 specs outside ``MAX_MAGNITUDE``, whose squares could overflow or
@@ -140,6 +140,7 @@ from .geometry import (
     _PERIODS,
     CellShape,
     _Frozen,
+    _holds_bool,
     _integer,
     _per_axis,
     _rows,
@@ -270,10 +271,13 @@ class LatticeSpec(_Frozen):
         # of B and of the sum, and p that of p's sum, so the error times
         # divisor is at most u(4 span + 3|lo - sink| + |p|), plus terms in
         # u^2 that the factor 2 covers. In units of scale it takes the place
-        # of the 2u reach / scale of rel and the quotient: this tol holds
-        # for a box whose 4 span + 3|lo - sink| + max|p| is at most 2 reach
-        # on every axis, and the run takes for any other box the tol of this
-        # formula with 2 reach plus the largest of those sums for 4 reach.
+        # of the 2u reach / scale of rel and the quotient. The run refuses a
+        # box whose nodes may lie past the domain, so span <= 2 reach,
+        # |lo - sink| <= reach and |p| <= |sink|inf + reach on every axis,
+        # and that sum is at most 12 reach + |sink|inf: the fused sums' tol,
+        # 2^-52 (2|sink|inf + 14 reach) / min(scale) max(1, sum(weight)), is
+        # at most 3.5 times this one, and the run decodes at 4 tol. A wider
+        # tol only sends more rows to the exact tie step, so no id moves.
         tol = (2.0 ** -52 * (max(map(abs, sink)) + 4.0 * MAX_STEPS * step) / min(scale)
                * max(1.0, sum(weight)))
         if tol > MAX_TOL:
@@ -292,15 +296,19 @@ def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
     sink + (b @ M.T) * scale, the scale and sink going column by column
     (``geometry._per_axis``).
 
-    The ids must be an integer array within MAX_STEPS + 2 of zero on each
-    axis, as ``as_cell_id`` requires of one id; others raise ``ValueError``,
-    rather than be truncated, cast or broadcast.
+    The ids must be an integer array, holding no bool (``_holds_bool``),
+    within MAX_STEPS + 2 of zero on each axis, as ``as_cell_id`` requires
+    of one id; others raise ``ValueError``, rather than be truncated, cast
+    or broadcast.
     """
     import numpy as np
 
-    ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
-        raise ValueError(f"cell ids must be integers, got an array of {ids.dtype}")
+    given, ids = ids, np.asarray(ids)
+    # numpy reads a list that mixes bools and ints as ints: True is not 1
+    bools = _holds_bool(given, ids)
+    if bools or ids.dtype.kind not in "iu":
+        raise ValueError(f"cell ids must be integers, got an array of "
+                         f"{'bool' if bools else ids.dtype}")
     if ids.ndim == 0 or ids.shape[-1] != 3:
         raise ValueError(f"expected cell ids of shape (..., 3), got {ids.shape}")
     # checked before any cast: an unsigned id of 2^63 or more would wrap to
@@ -355,8 +363,8 @@ def _nearest_int(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarra
 def _work(spec: LatticeSpec, rows: int, tol: float) -> list:
     """The decoder's state for one call, made once per call rather than per
     block: the rule's divisor as a (3, 1) float column, its coset weights in
-    units of P, weight * P, the tie tolerance ``tol`` (``rule.tol``, or the
-    lifetime run's own) and the tie thresholds in units of P,
+    units of P, weight * P, the tie tolerance ``tol`` (``rule.tol``, or
+    4 ``rule.tol`` in the lifetime run) and the tie thresholds in units of P,
     (0.5 P - tol) / P, of axis 0 and of axis 2 (which differ on HP alone);
     then its buffers, sliced to each block's rows: the caller's, (3, rows)
     floats for the decoder's input, and the scratch, the lattice points y
@@ -897,12 +905,13 @@ def as_cell_id(cid, what: str = "cell id") -> CellId:
     """``cid`` as a CellId of Python ints, checked to be an id of the domain.
 
     Each coordinate must be an integer (a Python or numpy int, read with
-    ``operator.index``), and ids of the supported domain have every
-    coordinate within MAX_STEPS + 2 of zero; other ids raise ``ValueError``
-    naming ``what``.
+    ``operator.index``, not a bool), and ids of the supported domain have
+    every coordinate within MAX_STEPS + 2 of zero; other ids raise
+    ``ValueError`` naming ``what``.
     """
     try:
-        u, v, w = map(operator.index, cid)
+        # a bool is an int to operator.index, and None is not
+        u, v, w = (operator.index(None if type(c) is bool else c) for c in cid)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be three integers, got {cid!r}") from None
     if max(abs(u), abs(v), abs(w)) > MAX_STEPS + 2:

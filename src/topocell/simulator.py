@@ -34,12 +34,14 @@ lifetime run keeps each block as (3, rows) columns, one per axis, from the
 draw to the count, and forms no node: the decoder's input, t / P =
 (p - sink) / divisor, is one transposing multiply of the draw by
 span / divisor and one contiguous add of (lo - sink) / divisor, into a
-second buffer; the domain is checked once per call, on the box's first
-and last node, and a tie rebuilds its node from its draw row. Neither
-calls a bulk assigner: each hands its blocks to the lattice's scorers,
-with buffers, the decoder's constants and scratch (``lattice._work``) and
-the accuracy run's oracle candidate table (``lattice._oracle_table``),
-made once per call.
+second buffer, decoded with a tie tolerance of 4 ``rule.tol``; the
+domain is checked once per call, before any draw, on the box's first and
+last node, so a box whose nodes may lie past it is refused whatever the
+seed, and a tie rebuilds its node from its draw row. Neither calls a
+bulk assigner: each hands its blocks to the lattice's scorers, with
+buffers, the decoder's constants and scratch (``lattice._work``) and the
+accuracy run's oracle candidate table (``lattice._oracle_table``), made
+once per call.
 
 The accuracy experiment scores a block in one pass (``_tally``): the
 decoder gets a copy of p - sink, and the shortcut's rounding of it is also
@@ -325,13 +327,12 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     transposing multiply and one add, with no node, no p - sink and no
     divide. The nodes lie between the box's first and last node, lo and
     the node of the largest draw, so the domain is checked once, on those
-    two, and a tie rebuilds its node from its draw row in Python floats,
-    the doubles of ``deploy``. The fused sums round differently from
-    p - sink, by a bound derived beside ``rule.tol``'s in ``LatticeSpec``:
-    a box within its budget decodes with ``rule.tol``, and any other with
-    the tol of the same formula widened by the box's excess. A box that
-    reaches past the domain, whose nodes must each be checked, forms each
-    block's nodes and their p - sink as ``assign_cells`` does instead.
+    two, before any draw: a box whose nodes may lie past the domain raises
+    the ``ValueError`` of ``assign_cells``, whatever the seed. A tie
+    rebuilds its node from its draw row in Python floats, the doubles of
+    ``deploy``. Inside the domain the fused sums round differently from
+    p - sink by less than 4 ``rule.tol``, a bound derived beside
+    ``rule.tol``'s in ``LatticeSpec``, so every box decodes with that tol.
 
     While the grid holds at most ``_SLOTS_PER_NODE`` slots per node, each
     block adds its nodes into one count per slot, the slot a float product:
@@ -346,48 +347,35 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     """
     import numpy as np
 
+    rule, sink = spec.rule, spec.rule.sink
+    # deploy's nodes are lo + x span for the draws x in [0, 1 - 2^-53], so
+    # on each axis they lie between lo and the node of the largest draw:
+    # the block driver's domain check, on those two, before any draw
+    corner, span = config.box.lo.tolist(), (config.box.hi - config.box.lo).tolist()
+    last = [x + (1.0 - 2.0 ** -53) * k for x, k in zip(corner, span)]
+    _relative(spec, np.array([corner, last]), np.empty((3, 2)))
     verts = _VERTICES[spec.shape]
     extents = [max(abs(row[i]) for row in verts) * k / verts[0][3]
-               for i, k in enumerate(spec.rule.scale)]
-    # the limits, clamped to reach + 3 scale of the sink: beyond every center
-    # that a point of the domain decodes to, so that the grid, however far
-    # the box reaches, holds fewer than 2^61 slots
-    far = spec.rule.reach + 3.0 * np.array(spec.rule.scale)
-    lo, hi = (np.clip(x, spec.rule.sink - far, spec.rule.sink + far).tolist()
-              for x in (config.box.lo + extents, config.box.hi - extents))
-    spans = [_span(*axis) for axis in zip(lo, hi, spec.rule.sink, spec.rule.scale)]
+               for i, k in enumerate(rule.scale)]
+    spans = [_span(*axis) for axis in zip((config.box.lo + extents).tolist(),
+                                          (config.box.hi - extents).tolist(), sink, rule.scale)]
     # the grid: on each axis the span's d values of y and one ring value
-    # on either side, first - 1 and last + 1
+    # on either side, first - 1 and last + 1; as the box lies in the domain,
+    # it holds fewer than 2^61 slots
     shape = [max(2, last - first + 3) for first, last in spans]
     ring = np.array([first - 1 for first, _ in spans], dtype=float)[:, None]
     top = np.array(shape, dtype=float)[:, None] - 1.0
     dense = math.prod(shape) <= _SLOTS_PER_NODE * config.node_count
     strides = np.array([shape[1] * shape[2], shape[2], 1], dtype=float if dense else np.int64)
     counts, kept = np.zeros(shape if dense else 0, dtype=np.int64), []
-    # deploy's nodes are lo + x span for the draws x in [0, 1 - 2^-53], so
-    # on each axis they lie between lo and the node of the largest draw
-    rule, sink, reach = spec.rule, spec.rule.sink, spec.rule.reach
-    corner, span = config.box.lo.tolist(), (config.box.hi - config.box.lo).tolist()
-    last = [x + (1.0 - 2.0 ** -53) * k for x, k in zip(corner, span)]
-    inside = all(-reach <= x - o <= reach for ends in (corner, last) for x, o in zip(ends, sink))
-    # the fused prologue's tolerance, derived beside rule.tol's
-    extra = max(4.0 * k + 3.0 * abs(x - o) + max(abs(x), abs(z))
-                for x, k, z, o in zip(corner, span, last, sink))
-    tol = max(rule.tol, 2.0 ** -52 * (max(map(abs, sink)) + 2.0 * reach + extra)
-              / min(rule.scale) * max(1.0, sum(rule.weight))) if inside else rule.tol
-    rows = min(config.node_count, _CHUNK)
-    work = _work(spec, rows, tol)
+    # the fused prologue's rounding is within 4 rule.tol (``LatticeSpec``)
+    work = _work(spec, min(config.node_count, _CHUNK), 4.0 * rule.tol)
     # t / P = x gain + offset: gain = span / divisor, offset = (lo - sink) / divisor
     gain, offset = np.array([span, np.subtract(corner, sink)])[:, :, None] / work[0]
     for u in _uniform_blocks(config.seed, config.node_count, _CHUNK):
         t = work[5][:, :len(u)]  # the decoder's input buffer (``_work``)
-        if inside:  # one transposing multiply and one add
-            np.multiply(u.T, gain, out=t)
-            t += offset
-        else:
-            # a box that reaches past the domain: deploy's nodes, checked
-            # and divided as ``assign_cells`` does, within rule.tol
-            np.divide(_relative(spec, u * span + config.box.lo, t), work[0], out=t)
+        np.multiply(u.T, gain, out=t)  # one transposing multiply and one add
+        t += offset
         # a tie rebuilds its node from its draw, the doubles of deploy
         y = _lattice_points(spec, t, work,
                             lambda i: [x + v * k for x, v, k in zip(corner, u[i].tolist(), span)])
@@ -420,6 +408,9 @@ def lifetime_simulation(spec: LatticeSpec, config: DeploymentConfig,
     ceil(battery_capacity) active steps (one energy unit per step, dead at
     or below zero); sleeping costs nothing, and cells drain independently.
     The nodes are those of ``deploy``, counted per cell ``_CHUNK`` at a time.
+    A box whose first node or node of its largest draw lies more than
+    ``MAX_STEPS`` lattice steps from the sink raises, before any draw, the
+    ``ValueError`` that ``assign_cells`` raises for such a point.
     """
     capacity, k = _positive(battery_capacity, "battery_capacity"), _count(k, "k")
     counts = _interior_counts(spec, config)

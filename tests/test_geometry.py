@@ -418,21 +418,24 @@ class TestImports:
 class TestReadme:
     def test_library_tour_names_resolve(self):
         # every backticked name in a row of the README's "Library tour"
-        # table is defined in that row's module; a shorthand such as
-        # `cell_center(s)` stands for both names, and remarks in parentheses
-        # name other things
+        # table is defined in that row's module, and every name that
+        # topocell exports from the module is in its row; a shorthand such
+        # as `cell_center(s)` stands for both names, and remarks in
+        # parentheses name other things
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         table = readme.split("## Library tour", 1)[1].split("\n\n", 2)[1]
         rows = re.findall(r"^\| `topocell\.(\w+)` *\| (.*) \|$", table, re.M)
         assert [module for module, _ in rows] == ["geometry", "lattice", "planner", "simulator",
                                                   "routing"]
-        missing = []
+        missing, unlisted = [], []
         for module, contents in rows:
-            names = re.findall(r"`([^`]+)`", re.sub(r" \([^()]*\)", "", contents))
-            missing += [(module, full) for name in names
-                        for full in {name.replace("(s)", ""), name.replace("(s)", "s")}
-                        if not hasattr(import_module(f"topocell.{module}"), full)]
-        assert missing == []
+            names = {full for name in re.findall(r"`([^`]+)`", re.sub(r" \([^()]*\)", "", contents))
+                     for full in (name.replace("(s)", ""), name.replace("(s)", "s"))}
+            missing += [(module, name) for name in sorted(names)
+                        if not hasattr(import_module(f"topocell.{module}"), name)]
+            unlisted += [(module, name) for name in topocell._EXPORTS[module].split()
+                         if name not in names]
+        assert missing == [] and unlisted == []
 
     def test_removed_names_stay_removed(self):
         # lattice alone turns ids into centers (README, Removed public API)

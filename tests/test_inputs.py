@@ -1,5 +1,5 @@
 """The scalar inputs of every entry point: positive quantities, counts and
-seeds, and the coordinates of points.
+seeds, the coordinates of points, and cell ids.
 
 Each kind has one reader in ``geometry``: ``_positive`` for r_t, a
 circumradius, a sensing range and a battery capacity, ``_count`` for
@@ -18,11 +18,11 @@ import pytest
 from topocell.cli import main
 from topocell.geometry import (as_point, build_polyhedron, cell_spacing, cell_volume,
                                max_cell_radius)
-from topocell.lattice import (LatticeSpec, assign_cell, assign_cell_nearest_int,
+from topocell.lattice import (LatticeSpec, as_cell_id, assign_cell, assign_cell_nearest_int,
                               assign_cell_oracle, assign_cells, assign_cells_nearest_int,
-                              assign_cells_oracle)
+                              assign_cells_oracle, cell_center, cell_centers, neighbors)
 from topocell.planner import verify_connectivity, verify_coverage
-from topocell.routing import greedy_route
+from topocell.routing import greedy_route, neighbor_choice_count
 from topocell.simulator import Box, DeploymentConfig, accuracy_experiment, lifetime_simulation
 
 SPEC = LatticeSpec("to", 1.0)
@@ -192,6 +192,47 @@ def test_points_of_ints_pass(entry):
     call, _ = POINTS[entry]
     for point in [(1, 0, 2), [np.int64(1), 0.0, 2], np.array([1, 0, 2])]:
         assert repr(call(point)) == repr(call((1.0, 0.0, 2.0)))
+
+
+# nor is a bool a coordinate of a cell id: (True, 0, 0) is not the cell
+# (1, 0, 0), whether one id's reader gets it or numpy reads it among ints
+BOOL_IDS = [(True, 0, 0), [0, np.False_, 1], (1, 2, np.True_)]
+# entry point: (call with the id, name of the id in the message)
+IDS = {
+    "as_cell_id": (as_cell_id, "cell id"),
+    "cell_center": (lambda c: cell_center(SPEC, c), "cell id"),
+    "neighbors": (lambda c: neighbors(SPEC, c), "cell id"),
+    "greedy_route source": (lambda c: greedy_route(SPEC, c, (2, 0, 0)), "source cell id"),
+    "greedy_route destination": (lambda c: greedy_route(SPEC, (0, 0, 0), c),
+                                 "destination cell id"),
+    "neighbor_choice_count": (lambda c: neighbor_choice_count(SPEC, c, (2, 0, 0)),
+                              "current cell id"),
+}
+
+
+@pytest.mark.parametrize("cid", BOOL_IDS, ids=repr)
+@pytest.mark.parametrize("entry", IDS)
+def test_cell_id_refuses_bools(entry, cid):
+    call, what = IDS[entry]
+    raises_exactly(call, cid, f"{what} must be three integers, got {cid!r}")
+
+
+@pytest.mark.parametrize("ids", [[[True, 5, 0]], [[np.True_, 5, 0]], [[1, 5, 0], (0, 0, False)],
+                                 [np.array([1, 5, 0]), [0, np.False_, 0]],
+                                 [[[1, 5, 0], [0, 0, True]]], np.ones((2, 3), dtype=bool)],
+                         ids=repr)
+def test_cell_ids_refuse_bools(ids):
+    raises_exactly(lambda c: cell_centers(SPEC, c), ids,
+                   "cell ids must be integers, got an array of bool")
+
+
+def test_cell_ids_of_ints_pass():
+    want = cell_centers(SPEC, np.array([[1, 5, 0], [0, 0, 1]]))
+    for ids in [[[1, 5, 0], [0, 0, 1]], ((np.int64(1), 5, 0), (0, 0, np.int32(1))),
+                [np.array([1, 5, 0]), [0, 0, 1]]]:
+        assert repr(cell_centers(SPEC, ids)) == repr(want)
+    for cid in [(1, 5, 0), [np.int64(1), 5, np.uint8(0)], np.array([1, 5, 0])]:
+        assert repr(cell_center(SPEC, cid)) == repr(want[0])
 
 
 def test_underflowing_radius_keeps_the_step_message():

@@ -244,6 +244,7 @@ class TestSerialization:
         assert len(lines) == 5  # header + four shapes
         assert lines[0].startswith("shape,")
         assert lines[1].startswith("cb,")
+        assert render_csv([]) == ""  # no rows, no header
 
     def test_json_roundtrip(self):
         rows = lifetime_table()

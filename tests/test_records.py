@@ -131,6 +131,9 @@ class TestCopiesAndComparison:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != DeploymentConfig(box, 10, 2)
         assert a != DeploymentConfig(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 10, 1)
+        # a config is equal to no other kind of value, not even its own fields
+        for other in [(box, 10, 1), box, None]:
+            assert not a == other and a != other
 
     def test_validation_runs_on_keywords_and_defaults(self):
         spec = LatticeSpec(shape="cb", r_t=2)

@@ -720,49 +720,57 @@ class TestInteriorSlots:
     @pytest.mark.parametrize("shape", list(CellShape))
     def test_paths_raise_alike(self, shape, monkeypatch):
         # the errors of the float filter's run: no populated interior cell,
-        # and nodes beyond the domain, which a box may reach past as long
-        # as its nodes do not, however far it reaches
+        # and a box whose first node or node of its largest draw lies beyond
+        # the domain, refused before any draw whatever the seed, with the
+        # error that assign_cells raises for such a node
         spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
         reach = spec.rule.reach
         sink = np.array(spec.sink)
         empty = (EmptyRegionError, "no populated cell lies entirely inside the box")
-        beyond = (ValueError, str(lattice._reach_error(spec)))
+        with pytest.raises(ValueError) as error:
+            assign_cells(spec, sink + (1.9 * reach, 0.0, 0.0))
+        beyond = (ValueError, str(error.value))
+        draws, uniform = [], simulator._uniform_blocks
+        monkeypatch.setattr(simulator, "_uniform_blocks",
+                            lambda *a: draws.append(1) or uniform(*a))
         past = (sink - (0.1, 0.0, 0.0), sink + (1.9 * reach, 4.0, 4.0))
         for lo, hi, n, seed, want in [
                 ((0.05, 0.05, 0.05), (0.08, 0.08, 0.08), 10, 5, empty),
                 (sink + 2 * reach, sink + 3 * reach, 3, 5, beyond),
                 ((-1e300, 0.0, 0.0), (1e300, 1.0, 1.0), 3, 5, beyond),
                 (*past, 2, 1, beyond),  # the second node is beyond the domain
-                (*past, 1, 1, None),  # these nodes are within it
-                (*past, 3, 2, None)]:
+                (*past, 1, 1, beyond),  # these nodes lie within it, the box not
+                (*past, 3, 2, beyond)]:
             cfg = DeploymentConfig(box=Box(lo=lo, hi=hi), node_count=n, seed=seed)
+            draws.clear()
             got = self.outcomes(monkeypatch, spec, cfg)
-            assert got[0] == got[1]
-            if want is None:
-                want = lifetime_or_empty(whole_array_lifetime, spec, cfg)
-                want = empty if want == "empty" else want
-            assert got[0] == want
+            assert got == [want, want]
+            assert (len(draws) == 0) == (want == beyond)
+        # the last two boxes' nodes lie within the domain: the run refuses
+        # the box, not its nodes
+        for n, seed in [(1, 1), (3, 2)]:
+            cfg = DeploymentConfig(box=Box(*past), node_count=n, seed=seed)
+            assert lifetime_or_empty(whole_array_lifetime, spec, cfg) != beyond
 
 
 class TestFusedPrologue:
     """The lifetime run forms each node's t / P from its draw, without the
-    node: its counts are those of ``assign_cells`` on ``deploy``'s nodes
-    where the prologue's bound fits the spec's tol, where it takes a wider
-    tol of its own, and for a box that reaches past the domain, whose
-    nodes it forms and checks as ``assign_cells`` does."""
+    node, and decodes it at 4 ``rule.tol``: its counts are those of
+    ``assign_cells`` on ``deploy``'s nodes for every box inside the domain,
+    beside a far sink and at the domain's edge, and a box whose nodes may
+    lie past the domain is refused before any draw."""
 
     @staticmethod
     def run(monkeypatch, spec, cfg):
-        """The lifetime run's outcome on both counting paths, the tie
-        tolerances it decoded with, and its calls of ``_relative``."""
-        tols, checks, work, relative = [], [], simulator._work, simulator._relative
+        """The lifetime run's outcome on both counting paths, checked against
+        the reference's, and the tie tolerance it decoded with."""
+        tols, work = [], simulator._work
         monkeypatch.setattr(simulator, "_work", lambda spec, rows, tol:
                             tols.append(tol) or work(spec, rows, tol))
-        monkeypatch.setattr(simulator, "_relative", lambda *a: checks.append(1) or relative(*a))
         got = TestInteriorSlots().outcomes(monkeypatch, spec, cfg)
         assert got[0] == got[1] == whole_array_lifetime(spec, cfg, 3.0, 1)
         assert len(set(tols)) == 1
-        return tols[0], len(checks)
+        return tols[0]
 
     @pytest.mark.parametrize("shape", list(CellShape))
     def test_counts_match_assign_cells(self, shape, monkeypatch):
@@ -771,24 +779,29 @@ class TestFusedPrologue:
         spec = LatticeSpec(shape, 0.1, sink=FAR_SINK)
         sink = np.array(spec.sink)
         box = Box(lo=sink - (0.3, 0.2, 0.25), hi=sink + (0.35, 0.3, 0.2))
-        tol, checks = self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7))
-        assert spec.rule.tol < tol < 4.0 * spec.rule.tol and checks == 0
-        # near the sink the run decodes with the spec's tol
+        assert self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7)) == 4 * spec.rule.tol
+        # near the sink
         spec = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
         sink, reach = np.array(spec.sink), spec.rule.reach
         box = Box(lo=(-1.1, -0.9, -1.0), hi=(1.0, 1.2, 0.95))
-        tol, checks = self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7))
-        assert tol == spec.rule.tol and checks == 0
+        assert self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7)) == 4 * spec.rule.tol
         # a box at the domain's edge: |lo - sink| and |p| near reach
         edge = sink + reach * (1.0 - 1e-9)
         box = Box(lo=edge - (3.0, 2.0, 4.0), hi=edge)
-        tol, checks = self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7))
-        assert 1.5 * spec.rule.tol < tol < 4.0 * spec.rule.tol and checks == 0
-        # a box past the domain by far less than one node's share of it:
-        # every node is checked, in each block, and within the domain
+        assert self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7)) == 4 * spec.rule.tol
+        # a box 1e-9 m past the domain, far less than one node's share of
+        # it: refused before any draw, with the error of assign_cells on its
+        # node of the largest draw, whatever the seed
         box = Box(lo=edge - (3.0, 2.0, 4.0), hi=sink + reach + (1e-9, 0.0, 0.0))
-        tol, checks = self.run(monkeypatch, spec, DeploymentConfig(box, 20_000, 7))
-        assert tol == spec.rule.tol and checks == 2 * math.ceil(20_000 / lattice._CHUNK)
+        with pytest.raises(ValueError) as error:
+            assign_cells(spec, box.lo + (1.0 - 2.0 ** -53) * (box.hi - box.lo))
+        draws = []
+        monkeypatch.setattr(simulator, "_uniform_blocks", lambda *a: draws.append(1))
+        for seed in (7, 8):
+            with pytest.raises(ValueError) as refused:
+                lifetime_simulation(spec, DeploymentConfig(box, 20_000, seed), 3.0)
+            assert str(refused.value) == str(error.value)
+        assert draws == []
 
 
 class TestActiveCount:
