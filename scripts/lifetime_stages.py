@@ -9,7 +9,7 @@ shape (default 50), each round running every shape in turn, so that a
 burst of load on the host spoils one round rather than every sample of a
 shape. For each shape it prints the microseconds one full block of
 ``_CHUNK`` nodes spends in each stage, the mean over the run's full
-blocks, best of the R rounds:
+blocks, best of the R rounds, and then the whole call:
 
 * ``draw``: the block's uniform doubles (``simulator._uniform_blocks``),
   the generator's seeding spread over the run's blocks;
@@ -17,11 +17,16 @@ blocks, best of the R rounds:
   from the draw for the decoder;
 * ``points``: the decoder's lattice points (``simulator._lattice_points``),
   with the exact tie step of the rows it flags;
-* ``slots``: from the decoder's return to the next draw, the slots of the
-  nodes and their counts.
+* ``slots``: from the decoder's return to the next draw, each node's slot,
+  one product of its lattice point with the strides of a count grid that
+  holds every node, and its count;
+* ``call``: one whole ``lifetime_simulation`` call, unwrapped, best of the
+  R rounds: beside the blocks' stages it shows the fixed cost of a call,
+  its checks, grid and buffers, and the part block that ends most runs.
 
 The stages are timed at the calls that bound them, by wrapping those two
-functions of the ``simulator`` module, so the run itself is the library's.
+functions of the ``simulator`` module, so the run itself is the library's;
+the whole call is timed with them unwrapped.
 The script times the ``topocell`` of its own checkout (``src`` beside
 ``scripts``), so running it in two trees compares them; the ``N`` option
 is there for the smoke test's tiny runs.
@@ -41,6 +46,7 @@ CENTER = (0.0317, -0.7411, 0.2293)
 SIDE = 1.5
 SEED = 0  # of the deployment
 STAGES = ("draw", "prologue", "points", "slots")
+COLUMNS = (*STAGES, "call")
 
 
 class Stages:
@@ -101,14 +107,19 @@ def main(argv: list[str]) -> None:
         parser.error(f"--nodes must be at least one block, {lattice._CHUNK}")
     config = simulator.DeploymentConfig(box, args.nodes, SEED)
     stages = Stages()
-    best = {shape: dict.fromkeys(STAGES, float("inf")) for shape in CellShape}
+    best = {shape: dict.fromkeys(COLUMNS, float("inf")) for shape in CellShape}
     for _ in range(args.rounds):
         for shape in CellShape:
-            for stage, us in stages.run(LatticeSpec(shape, 1.0), config).items():
-                best[shape][stage] = min(best[shape][stage], us)
-    print(f"{'shape':<6}" + "".join(f" {stage + '_us':>12}" for stage in STAGES))
+            spec = LatticeSpec(shape, 1.0)
+            got = stages.run(spec, config)
+            start = time.perf_counter()
+            simulator.lifetime_simulation(spec, config, 8.0)
+            got["call"] = (time.perf_counter() - start) * 1e6
+            for column, us in got.items():
+                best[shape][column] = min(best[shape][column], us)
+    print(f"{'shape':<6}" + "".join(f" {column + '_us':>12}" for column in COLUMNS))
     for shape in CellShape:
-        print(f"{shape.value:<6}" + "".join(f" {best[shape][s]:>12.1f}" for s in STAGES))
+        print(f"{shape.value:<6}" + "".join(f" {best[shape][c]:>12.1f}" for c in COLUMNS))
 
 
 if __name__ == "__main__":

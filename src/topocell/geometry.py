@@ -469,6 +469,11 @@ def _vertices(shape: CellShape) -> tuple[tuple[int, int, int, int], ...]:
 
 _VERTICES = {shape: _vertices(shape) for shape in CellShape}
 
+# each cell's axis extents as a vertex row: the largest |x_i| over its rows
+# and their den L, so extent_i = x_i scale_i / L, the doubles of ``axis_extents``
+_EXTENTS = {shape: (*(max(abs(row[i]) for row in rows) for i in range(3)), rows[0][3])
+            for shape, rows in _VERTICES.items()}
+
 VERTEX_COUNTS = {shape: len(rows) for shape, rows in _VERTICES.items()}
 
 

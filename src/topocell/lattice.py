@@ -410,10 +410,17 @@ def _lattice_points(spec: LatticeSpec, t: np.ndarray, work: list, point) -> np.n
     t -= near
     np.abs(t, out=a)
     # ties: the chosen coset's rounding at a half, or two cosets equally
-    # near; a rounding is tested on the largest a of the axes of axis 0's
-    # period, all three or HP's two of period 2, and HP's axis 2 apart
-    lead = slice(0, 2) if spec.shape is _HP else slice(None)
-    np.greater_equal(np.maximum.reduce(a[lead], out=m), half, out=tie)
+    # near; a rounding is tested on the largest a of the lead axes, those
+    # of axis 0's period, all three or HP's two of period 2, and HP's axis
+    # 2 apart
+    hp = spec.shape is _HP
+    lead = slice(0, 2) if hp else slice(None)
+
+    def extreme(ufunc):  # the lead axes' largest or smallest a, pairwise, in m
+        ufunc(a[0], a[1], out=m)
+        return m if hp else ufunc(m, a[2], out=m)
+
+    np.greater_equal(extreme(np.maximum), half, out=tie)
     if threshold:  # a second coset, shifted on the period-2 axes; CB has none
         # its nearest point is one step of sign(e) from near * P on the
         # period-2 axes, 1/2 - a away there in units of P instead of a: it
@@ -427,7 +434,7 @@ def _lattice_points(spec: LatticeSpec, t: np.ndarray, work: list, point) -> np.n
         # period-2 axis, so it is tested on 1/2 less its smallest a; bool
         # operations put that test on those rows, as a masked copy of
         # floats costs four times as much
-        np.subtract(0.5, np.minimum.reduce(a[lead], out=m), out=m)
+        np.subtract(0.5, extreme(np.minimum), out=m)
         np.greater_equal(m, half, out=flag)
         flag ^= tie
         flag &= step
@@ -435,10 +442,11 @@ def _lattice_points(spec: LatticeSpec, t: np.ndarray, work: list, point) -> np.n
         tie |= even
         near[lead] *= 2.0
         near[lead] += np.copysign(step, t[lead], out=t[lead])
-    if spec.shape is _HP:
+    if hp:
         tie |= np.greater_equal(a[2], half2, out=flag)
-    for i in np.flatnonzero(tie).tolist():
-        near[:, i] = _settle(spec, point(i))
+    if tie.any():
+        for i in np.flatnonzero(tie).tolist():
+            near[:, i] = _settle(spec, point(i))
     return near
 
 

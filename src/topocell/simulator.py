@@ -49,12 +49,11 @@ the oracle's base, so the oracle shares the block's p - sink and rounding
 but not the decoder's ids. Each block's correct rows add to two integer
 counters; the oracle's id of a point does not depend on the other points
 of its call. The lifetime simulation forms no ids: the decoder gives each
-node its lattice point y, and a closed form gives the interior cell, if
-any, whose slot counts the node (``_interior_counts``): the slot of a grid
-of the interior cells' lattice points and a ring of one more value on
-either side of each axis, one product of y's clipped offsets with the
-grid's strides. It makes no centers, and sorts only when the box holds
-few nodes for its size. Only ``deploy`` returns whole arrays.
+node its lattice point y, whose slot in a grid that holds every node's
+lattice point is one product of y with the grid's strides, and the counts
+are the grid's block of interior cells (``_interior_counts``). It makes no
+centers, and sorts only when the box holds few nodes for its size. Only
+``deploy`` returns whole arrays.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .geometry import (_VERTICES, CellShape, _count, _Frozen, _per_axis, _positive, _rows,
+from .geometry import (_EXTENTS, CellShape, _count, _Frozen, _per_axis, _positive, _rows,
                        _seed, as_point)
 from .lattice import (
     _CHUNK,
@@ -298,9 +297,21 @@ def active_count(spec: LatticeSpec, box: Box) -> int:
                for shift in shifts)
 
 
-# the dense count's grid holds at most this many slots per node; a box of
-# sparser nodes sorts their slots instead
+# the dense count's grid, one slot per value of y that a node of the box
+# may take, holds at most this many slots per node; a box of sparser nodes
+# sorts its interior nodes' slots instead
 _SLOTS_PER_NODE = 4
+
+
+def _grid(spec: LatticeSpec, box: Box) -> tuple[list, list]:
+    """The first and last y on each axis (``_span``) of the lifetime run's
+    count grid, whose centers lie in [lo - e - scale, hi + e + scale], and
+    of its interior cells, whose centers lie in [lo + e, hi - e], e being
+    the cell's axis extents (``geometry._EXTENTS``)."""
+    *top, L = _EXTENTS[spec.shape]
+    axes = list(zip(box.lo.tolist(), box.hi.tolist(), top, spec.rule.sink, spec.rule.scale))
+    return ([_span(lo - x * k / L - k, hi + x * k / L + k, o, k) for lo, hi, x, o, k in axes],
+            [_span(lo + x * k / L, hi - x * k / L, o, k) for lo, hi, x, o, k in axes])
 
 
 def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
@@ -310,17 +321,29 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     their lattice points y, the scaled coordinates y = b @ M.T of their
     basis ids b (``lattice._lattice_points``). A cell is interior when its
     center, sink + y * scale on each axis as ``cell_centers`` computes it,
-    lies in [lo + e, hi - e], e being the cell's axis extents, the largest
-    |x_i| scale_i / L over its integer vertex rows (x_0, x_1, x_2, L) of
-    ``geometry._VERTICES``: on each axis a span of d values of y from f
-    (``_span``). The grid adds a ring of one value on either side, f - 1
-    and f + d, so a node's offsets y - (f - 1), each clipped into
-    [0, d + 1], name its slot, the offsets' product with the strides of the
-    (d_0 + 2, d_1 + 2, d_2 + 2) grid: the ring's slots hold every node
-    outside the span on some axis, and the grid's inner block holds the
-    interior slots, 1 (CB), 2 (HP) or 4 (RD, TO) per interior cell, the
-    others naming no lattice point. Each block stays in (3, rows) columns,
-    one per axis, from the draw to the slots.
+    lies in [lo + e, hi - e], e being the cell's axis extents: on each axis
+    a span of values of y (``_grid``). The count grid holds every value of
+    y that a node of the box may take: on each axis the span of the centers
+    in [lo - e - scale, hi + e + scale], which holds the interior span. A
+    node's slot is one product with the grid's strides, strides @ y - base,
+    base the slot product of the grid's first point, and the counts are the
+    grid's interior block, 1 (CB), 2 (HP) or 4 (RD, TO) slots per interior
+    cell, the others naming no lattice point. Each block stays in
+    (3, rows) columns, one per axis, from the draw to the slots.
+
+    The grid holds every node's y. A node p lies in the cell of its
+    nearest center, the decoder's y, so on each axis the exact center lies
+    within the cell's exact extent of p, and p lies in [lo, hi] up to its
+    rounding. As the box lies in the domain, the floats of e, of the center
+    sink + y * scale, of the grid's limits and of p are each within
+    4u(|sink|inf + reach + 3 scale) of their exact values, u = 2^-53, and
+    ``rule.tol`` <= 2^-20 bounds u(|sink|inf + 4 reach) by 2^-21 min(scale):
+    together less than 2^-16 scale, far inside the grid's step of margin,
+    so y's float center lies within the grid's limits, and ``_span``, as
+    the float centers are monotone in y, puts y in the grid's span. On axis
+    i the grid holds at most 2 reach / scale_i + 6 values, and the product
+    of step / scale_i over the axes is at most 1, so it holds fewer than
+    2^61 slots, and every |y| is below 2^20.
 
     The decoder takes each node's t / P = (p - sink) / divisor straight
     from its draw x, as x (span / divisor) + (lo - sink) / divisor: one
@@ -334,16 +357,18 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     p - sink by less than 4 ``rule.tol``, a bound derived beside
     ``rule.tol``'s in ``LatticeSpec``, so every box decodes with that tol.
 
-    While the grid holds at most ``_SLOTS_PER_NODE`` slots per node, each
-    block adds its nodes into one count per slot, the slot a float product:
-    exact, as the offsets are formed before it and the grid, of at most
-    ``_SLOTS_PER_NODE`` n slots, holds far fewer than 2^53. A sparser box,
-    with fewer nodes than a quarter of its slots, keeps each block's
-    interior slots, as int64 products, since its grid may hold some 2^60
-    slots (the whole domain's), and counts them with one sort at the end;
-    its nodes mostly fall in distinct cells, so merging each block's
-    distinct slots as they come would save little.
-    Either way the memory is O(``_CHUNK`` + min(n, slots)).
+    While the grid holds at most ``_SLOTS_PER_NODE`` slots per node, and
+    its G slots times the largest |y| of its spans, M, is below 2^53, each
+    block adds its nodes into one count per slot, the slot a float product,
+    exact: every y lies in the grid, so every product and partial sum of
+    strides @ y and of base is an integer of magnitude at most
+    (s_0 + s_1 + 1) M < G M, as each axis holds at least two values, and
+    the difference, in [0, G), is exact too. Any other box keeps each
+    block's interior nodes, those within the interior span on every axis,
+    with their grid slots as int64 products, below 2^61, and counts them
+    with one sort at the end; a sparse box's nodes mostly fall in distinct
+    cells, so merging each block's distinct slots as they come would save
+    little. Either way the memory is O(``_CHUNK`` + min(n, slots)).
     """
     import numpy as np
 
@@ -354,19 +379,17 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     corner, span = config.box.lo.tolist(), (config.box.hi - config.box.lo).tolist()
     last = [x + (1.0 - 2.0 ** -53) * k for x, k in zip(corner, span)]
     _relative(spec, np.array([corner, last]), np.empty((3, 2)))
-    verts = _VERTICES[spec.shape]
-    extents = [max(abs(row[i]) for row in verts) * k / verts[0][3]
-               for i, k in enumerate(rule.scale)]
-    spans = [_span(*axis) for axis in zip((config.box.lo + extents).tolist(),
-                                          (config.box.hi - extents).tolist(), sink, rule.scale)]
-    # the grid: on each axis the span's d values of y and one ring value
-    # on either side, first - 1 and last + 1; as the box lies in the domain,
-    # it holds fewer than 2^61 slots
-    shape = [max(2, last - first + 3) for first, last in spans]
-    ring = np.array([first - 1 for first, _ in spans], dtype=float)[:, None]
-    top = np.array(shape, dtype=float)[:, None] - 1.0
-    dense = math.prod(shape) <= _SLOTS_PER_NODE * config.node_count
+    grid, inner = _grid(spec, config.box)
+    shape = [b - a + 1 for a, b in grid]
+    size = math.prod(shape)
+    # the dense slots' float products are exact while size max|y| < 2^53
+    dense = (size <= _SLOTS_PER_NODE * config.node_count
+             and size * max(abs(y) for ends in grid for y in ends) < 2 ** 53)
     strides = np.array([shape[1] * shape[2], shape[2], 1], dtype=float if dense else np.int64)
+    # the interior spans and the grid's first point, as (3, 1) columns, and
+    # the dense slots' base, the first point's product with the strides
+    lower, upper, origin = np.array([*zip(*inner), [a for a, _ in grid]], dtype=float)[:, :, None]
+    base = strides @ origin
     counts, kept = np.zeros(shape if dense else 0, dtype=np.int64), []
     # the fused prologue's rounding is within 4 rule.tol (``LatticeSpec``)
     work = _work(spec, min(config.node_count, _CHUNK), 4.0 * rule.tol)
@@ -379,23 +402,19 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
         # a tie rebuilds its node from its draw, the doubles of deploy
         y = _lattice_points(spec, t, work,
                             lambda i: [x + v * k for x, v, k in zip(corner, u[i].tolist(), span)])
-        # the offsets y - (first - 1), exact integers, clipped into the ring
-        y -= ring
-        np.clip(y, 0.0, top, out=y)
         if dense:
-            # the slot from one product with the strides, exact in floats
-            # below 2^53, and its int64 index, in the spent rows of t, not
-            # in a temporary of every block
+            # the slot strides @ y - base and its int64 index, in the spent
+            # rows of t, not in a temporary of every block
             slot = np.matmul(strides, y, out=t[0])
-            np.copyto(t[1].view(np.int64), slot, casting="unsafe")
-            np.add.at(counts.reshape(-1), t[1].view(np.int64), 1)
+            index = np.subtract(slot, base, out=t[1].view(np.int64), casting="unsafe")
+            np.add.at(counts.reshape(-1), index, 1)
         else:
-            # the interior offsets' slots, in int64: the grid may exceed 2^53
-            inner = y[:, ((y > 0.0) & (y < top)).all(axis=0)].astype(np.int64)
-            kept.append(strides @ inner)
+            # the interior nodes' grid slots, in int64: the grid may exceed 2^53
+            y = y[:, ((y >= lower) & (y <= upper)).all(axis=0)]
+            kept.append(strides @ (y - origin).astype(np.int64))
     if not dense:
         return np.unique(np.concatenate(kept), return_counts=True)[1]
-    counts = counts[1:-1, 1:-1, 1:-1]
+    counts = counts[tuple(slice(f - a, l - a + 1) for (a, _), (f, l) in zip(grid, inner))]
     return counts[counts > 0]
 
 

@@ -1,5 +1,6 @@
-"""``scripts/lifetime_stages.py`` prints every stage figure it names, each
-above 0: a timing that goes missing or reads 0 would otherwise pass unseen."""
+"""``scripts/lifetime_stages.py`` prints every stage figure it names and the
+whole call's, each above 0: a timing that goes missing or reads 0 would
+otherwise pass unseen."""
 
 import importlib.util
 from pathlib import Path
@@ -17,11 +18,12 @@ spec.loader.exec_module(lifetime_stages)
 def test_prints_every_figure_above_zero(capsys):
     lifetime_stages.main(["--nodes", str(lattice._CHUNK + 100), "--rounds", "1"])
     header, *lines = capsys.readouterr().out.splitlines()
-    assert header.split() == ["shape", "draw_us", "prologue_us", "points_us", "slots_us"]
+    assert header.split() == ["shape", "draw_us", "prologue_us", "points_us", "slots_us",
+                              "call_us"]
     rows = [line.split() for line in lines]
     assert [row[0] for row in rows] == [shape.value for shape in CellShape]
     for row in rows:
-        assert len(row) == 5 and all(float(x) > 0 for x in row[1:]), row
+        assert len(row) == 6 and all(float(x) > 0 for x in row[1:]), row
 
 
 def test_refuses_a_run_without_a_full_block():

@@ -646,6 +646,52 @@ class TestInteriorSlots:
         assert one[0][1] == 1
 
     @pytest.mark.parametrize("shape", list(CellShape))
+    def test_grid_holds_every_node(self, shape, monkeypatch):
+        # the dense count takes a node's slot from its lattice point y with
+        # no check, so a y outside the grid would alias another slot: every
+        # y lies in the run's grid, which holds every y whose exact center
+        # lies within e of the box and all but 2^-10 of a step more on each
+        # side, its margin for the floats' rounding
+        runs, grid, decode = [], simulator._grid, simulator._lattice_points
+        monkeypatch.setattr(simulator, "_grid", lambda *a: runs.append((grid(*a), [])) or
+                            runs[-1][0])
+
+        def spy(spec, t, work, point):
+            y = decode(spec, t, work, point)
+            runs[-1][1].append(y.copy())
+            return y
+
+        monkeypatch.setattr(simulator, "_lattice_points", spy)
+        near = LatticeSpec(shape, 1.0, sink=(0.11, -0.07, 0.23))
+        far = LatticeSpec(shape, 0.1, sink=FAR_SINK)
+        origin = LatticeSpec(shape, 1.0)
+        edge = np.array(near.sink) + near.rule.reach * (1.0 - 1e-9)
+        ext = build_polyhedron(shape, (0.0, 0.0, 0.0), origin.circumradius).axis_extents()
+        cases = [(origin, Box(lo=(-1.1, -0.9, -1.0), hi=(1.0, 1.2, 0.95)), 20_000),
+                 (far, Box(lo=np.array(FAR_SINK) - (0.3, 0.2, 0.25),
+                           hi=np.array(FAR_SINK) + (0.35, 0.3, 0.2)), 20_000),
+                 (near, Box(lo=edge - (3.0, 2.0, 4.0), hi=edge), 20_000),
+                 (origin, Box(lo=-ext, hi=ext), 500)]
+        for spec, box, n in cases:
+            cfg = DeploymentConfig(box, n, 7)
+            runs.clear()
+            want = whole_array_lifetime(spec, cfg, 3.0, 1)
+            assert self.outcomes(monkeypatch, spec, cfg) == [want, want]
+            (ends, _), ys = runs[0][0], np.hstack(runs[0][1])
+            assert runs[1][0] == runs[0][0] and (np.hstack(runs[1][1]) == ys).all()
+            ext = build_polyhedron(shape, (0.0, 0.0, 0.0), spec.circumradius).axis_extents()
+            margin = ext + (1 - 2.0 ** -10) * np.array(spec.rule.scale)
+            for axis, (first, last) in enumerate(ends):
+                assert first <= ys[axis].min() and ys[axis].max() <= last
+                o, k = Fraction(spec.sink[axis]), Fraction(spec.rule.scale[axis])
+                e = Fraction(margin[axis])
+                assert first <= math.ceil((Fraction(box.lo[axis]) - e - o) / k)
+                assert last >= math.floor((Fraction(box.hi[axis]) + e - o) / k)
+            # the forced dense path runs, its floats exact
+            size = math.prod(last - first + 1 for first, last in ends)
+            assert size * np.abs(ends).max() < 2 ** 53
+
+    @pytest.mark.parametrize("shape", list(CellShape))
     def test_whole_domain_box_sorts(self, shape, monkeypatch):
         # about 2^60 slots, which no dense count could hold: the default
         # run, which completes, sorts, as the forced sort does, and both
