@@ -17,7 +17,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .geometry import MAX_WINDOW, CellShape
+from .geometry import MAX_WINDOW, CellShape, _positive
 
 if TYPE_CHECKING:
     from .lattice import CellId, LatticeSpec
@@ -65,8 +65,10 @@ def _spec(fields: dict, shape: str) -> LatticeSpec:
     """Lattice spec from the spec flags (as ``vars(args)``) or a JSON config.
 
     Both name the fields alike: ``rt``, ``rt_sqrt17_units`` and ``sink``.
+    The library reads them, as it reads every config value but the counts'
+    whole floats (``_whole``), and its errors name the field.
     """
-    rt = _number(fields["rt"], "rt")
+    rt = _positive(fields["rt"], "rt")
     sqrt17_units = fields.get("rt_sqrt17_units", False)
     if not isinstance(sqrt17_units, bool):
         raise ValueError(
@@ -75,8 +77,7 @@ def _spec(fields: dict, shape: str) -> LatticeSpec:
         rt *= SQRT17
     from .lattice import LatticeSpec
 
-    return LatticeSpec(shape=CellShape(shape), r_t=rt,
-                       sink=_point(fields.get("sink", (0.0, 0.0, 0.0)), "sink"))
+    return LatticeSpec(shape, rt, sink=fields.get("sink", (0.0, 0.0, 0.0)))
 
 
 def _render(rows: list[dict], fmt: str) -> str:
@@ -189,33 +190,11 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _whole(value, field: str) -> int:
-    """A config count as an int: a JSON number with a whole value, so 1e5 is one."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"config field {field!r} must be a whole number, got {value!r}")
-
-
-def _number(value, field: str) -> float:
-    """A config quantity as a float: a JSON number, not a bool or a string,
-    and not an integer too large for a float."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"config field {field!r} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"config field {field!r} is too large for a float") from None
-
-
-def _point(value, field: str):
-    """A config point: each coordinate of a list must be a JSON number, as
-    ``_number`` reads it; any other value is left for the point's reader,
-    whose errors name it."""
-    if isinstance(value, list):
-        return [_number(x, f"{field}[{i}]") for i, x in enumerate(value)]
-    return value
+def _whole(value):
+    """A config count: a JSON number with a whole value, so 1e5 is the int
+    100000. Any other value goes as it is to the library's count reader
+    (``geometry._count``), whose errors name the field."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def cmd_simulate(args) -> int:
@@ -224,7 +203,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if args.kind == "accuracy":
         spec = _spec(cfg, cfg["shape"])
-        report = accuracy_experiment(spec, _whole(cfg["n"], "n"), args.seed)
+        report = accuracy_experiment(spec, _whole(cfg["n"]), args.seed)
         rows = [{
             "shape": spec.shape.value,
             "rt": spec.r_t,
@@ -241,12 +220,11 @@ def cmd_simulate(args) -> int:
             raise ValueError("config field 'shapes' must be a non-empty list of shapes")
         if not isinstance(cfg["box"], dict):
             raise ValueError(f"config field 'box' must be an object, got {cfg['box']!r}")
-        box = Box(lo=_point(cfg["box"]["lo"], "box.lo"),
-                  hi=_point(cfg["box"]["hi"], "box.hi"))
-        config = DeploymentConfig(box=box, node_count=_whole(cfg["node_count"], "node_count"),
-                                  seed=args.seed)
-        capacity = _number(cfg["battery_capacity"], "battery_capacity")
-        k = _whole(cfg.get("k", 1), "k")
+        box = Box(lo=cfg["box"]["lo"], hi=cfg["box"]["hi"])
+        config = DeploymentConfig(box=box, node_count=_whole(cfg["node_count"]), seed=args.seed)
+        # a float, as the report prints it
+        capacity = _positive(cfg["battery_capacity"], "battery_capacity")
+        k = _whole(cfg.get("k", 1))
         results = {}
         for shape in shapes:
             spec = _spec(cfg, shape)

@@ -75,8 +75,8 @@ _SQRT5 = math.sqrt(5.0)
 # (CB s, RD R/sqrt2, TO d, HP hexagon side a). Ids then stay within
 # MAX_STEPS + 2 of zero, exact in float arithmetic and in int64.
 MAX_STEPS = 2 ** 19
-# largest oracle window of ``lattice``: windows >= 2 all give the same ids,
-# at (2w+1)^3 rows
+# largest oracle window of ``lattice``: windows >= 2 all give the same ids
+# from the same candidates; only the table build enumerates (2w+1)^3 offsets
 MAX_WINDOW = 8
 
 
@@ -98,33 +98,45 @@ def _as_shape(shape) -> CellShape:
     return shape if isinstance(shape, CellShape) else CellShape(shape)
 
 
-def _holds_bool(x, a: np.ndarray) -> bool:
-    """Whether ``x``, which numpy reads as the array ``a`` of numbers, holds
-    a bool among its innermost items (the coordinates of its rows): a
-    Python or numpy bool, or an array of bools. numpy reads a list or tuple
-    that mixes bools and numbers as numbers, so only the items' types, and
-    the dtypes of those that are arrays, show the bools; an array ``x`` is
-    read by its dtype alone, and holds none."""
+def _kinds(x, a: np.ndarray) -> set[str]:
+    """The dtype kinds of what ``x``, which numpy reads as the array ``a``,
+    holds: ``a``'s own, and those of the innermost items of ``x`` (the
+    coordinates of its rows) and of the arrays among them. numpy reads a
+    list or tuple that mixes bools and numbers as numbers, and one that
+    holds an int too large for int64 as objects, strings among them; only
+    the items' types show them. An array ``x`` of objects is read by its
+    items, any other array by its dtype alone."""
     import numpy as np
 
-    items = () if type(x) is np.ndarray else [x]
-    for _ in range(a.ndim):
-        items = list(itertools.chain.from_iterable(items))
-    kinds = set(map(type, items))
-    return bool in kinds or np.bool_ in kinds or np.ndarray in kinds and any(
-        np.asarray(c).dtype == bool for c in items)
+    if type(x) is np.ndarray:
+        items = list(a.flat) if a.dtype.kind == "O" else ()
+    else:
+        items = [x]
+        for _ in range(a.ndim):
+            items = list(itertools.chain.from_iterable(items))
+    types = set(map(type, items))
+    kinds = {a.dtype.kind, *(np.dtype(t).kind for t in types)}
+    if np.ndarray in types:
+        kinds.update(c.dtype.kind for c in items if type(c) is np.ndarray)
+    return kinds
 
 
 def _floats(x) -> np.ndarray:
     """``x`` as a float array, read as ``np.asarray(x, dtype=float)`` reads
-    it, except that complex numbers raise ``ValueError`` rather than lose
-    their imaginary parts, and so do bools (``_holds_bool``) rather than
-    become 0 and 1."""
+    it, except that what it would misread raises ``ValueError``: complex
+    numbers, rather than lose their imaginary parts, bools, rather than
+    become 0 and 1, and strings and bytes, rather than be parsed as
+    numbers, wherever ``_kinds`` finds them. An int too large for a float
+    raises ``OverflowError``, which ``_rows`` and ``as_point`` turn into
+    their ``ValueError``."""
     import numpy as np
 
     a = np.asarray(x)
-    if a.dtype.kind in "cb" or _holds_bool(x, a):
+    kinds = _kinds(x, a)
+    if not kinds.isdisjoint("cb"):
         raise ValueError("coordinates must be real numbers, not complex numbers or bools")
+    if not kinds.isdisjoint("SU"):
+        raise ValueError("coordinates must be real numbers, not strings or bytes")
     return np.asarray(a, dtype=float)  # x read once: a list's second read cost more than its check
 
 
@@ -176,8 +188,12 @@ def _positive(value, what: str) -> float:
 
 def _rows(points) -> np.ndarray:
     """``points`` as an (n, 3) float array (``_floats``), one point of shape
-    (3,) as one row; any other shape raises ``ValueError``."""
-    pts = _floats(points)
+    (3,) as one row; any other shape, and an int too large for a float,
+    raises ``ValueError``."""
+    try:
+        pts = _floats(points)
+    except OverflowError:
+        raise ValueError("coordinates must be within the float range") from None
     if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
         raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
     return pts.reshape(-1, 3)
@@ -186,12 +202,15 @@ def _rows(points) -> np.ndarray:
 def as_point(p, what: str = "point") -> np.ndarray:
     """Validate and convert a 3D point to a float array of shape (3,); errors
     name the point ``what``. A bool among its coordinates, Python's or
-    numpy's, raises ``ValueError`` like a complex one (``_floats``):
-    (True, 0, 0) is not the point (1, 0, 0)."""
+    numpy's, raises ``ValueError`` like a complex one or a string
+    (``_floats``): (True, 0, 0) is not the point (1, 0, 0), nor is
+    ("1", 0, 0). So does an int too large for a float."""
     import numpy as np
 
     try:
         q = _floats(p)
+    except OverflowError:
+        raise ValueError(f"{what} coordinates must be within the float range") from None
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be a 3D point of real numbers, got {p!r}") from None
     if q.shape != (3,):

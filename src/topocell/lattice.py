@@ -140,8 +140,8 @@ from .geometry import (
     _PERIODS,
     CellShape,
     _Frozen,
-    _holds_bool,
     _integer,
+    _kinds,
     _per_axis,
     _rows,
     _scale,
@@ -296,7 +296,7 @@ def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
     sink + (b @ M.T) * scale, the scale and sink going column by column
     (``geometry._per_axis``).
 
-    The ids must be an integer array, holding no bool (``_holds_bool``),
+    The ids must be an integer array, holding no bool (``_kinds``),
     within MAX_STEPS + 2 of zero on each axis, as ``as_cell_id`` requires
     of one id; others raise ``ValueError``, rather than be truncated, cast
     or broadcast.
@@ -305,7 +305,7 @@ def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
 
     given, ids = ids, np.asarray(ids)
     # numpy reads a list that mixes bools and ints as ints: True is not 1
-    bools = _holds_bool(given, ids)
+    bools = "b" in _kinds(given, ids)
     if bools or ids.dtype.kind not in "iu":
         raise ValueError(f"cell ids must be integers, got an array of "
                          f"{'bool' if bools else ids.dtype}")
@@ -574,14 +574,19 @@ def _coords(p, what: str = "point") -> list[float]:
     """The coordinates of ``as_point(p, what)`` as Python floats, not yet
     checked to be finite: read without numpy from a float64 array of shape
     (3,) or a tuple or list of three Python ints and floats, through
-    ``as_point``, with its errors, otherwise."""
+    ``as_point``, with its errors, otherwise; so too a list holding an int
+    too large for a float, which ``as_point`` refuses with ``ValueError``
+    where ``float`` raises ``OverflowError``."""
     global _ndarray, _float64
     if type(p) is _ndarray and p.dtype is _float64 and p.shape == (3,):
         return p.tolist()
     if (type(p) is tuple or type(p) is list) and len(p) == 3:
         x, y, z = p
         if type(x) in _PLAIN and type(y) in _PLAIN and type(z) in _PLAIN:
-            return [float(x), float(y), float(z)]
+            try:
+                return [float(x), float(y), float(z)]
+            except OverflowError:
+                pass
     import numpy as np
 
     _ndarray, _float64 = np.ndarray, np.dtype(np.float64)

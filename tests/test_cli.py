@@ -11,7 +11,7 @@ import pytest
 
 from topocell import planner
 from topocell.cli import main
-from topocell.geometry import MAX_WINDOW, CellShape
+from topocell.geometry import MAX_WINDOW, CellShape, as_point
 
 SQRT17 = math.sqrt(17.0)
 
@@ -353,13 +353,13 @@ class TestSimulate:
         ("accuracy", "rt_sqrt17_units", 1, "rt_sqrt17_units"),
         ("accuracy", "sink", ["0", "0", "1"], "sink"),
         ("lifetime", "sink", [True, 0, 0], "sink"),
-        ("lifetime", "box", {"lo": ["-0.75", -0.75, -0.75], "hi": [1, 1, 1]}, "box.lo"),
-        ("lifetime", "box", {"lo": [-1, -1, -1], "hi": [1, False, 1]}, "box.hi"),
+        ("lifetime", "box", {"lo": ["-0.75", -0.75, -0.75], "hi": [1, 1, 1]}, "box corner lo"),
+        ("lifetime", "box", {"lo": [-1, -1, -1], "hi": [1, False, 1]}, "box corner hi"),
         ("accuracy", "rt", 10 ** 400, "rt"),
         ("lifetime", "rt", -10 ** 400, "rt"),
         ("accuracy", "sink", [0, 10 ** 400, 0], "sink"),
-        ("lifetime", "box", {"lo": [-10 ** 400, -1, -1], "hi": [1, 1, 1]}, "box.lo"),
-        ("lifetime", "box", {"lo": [-1, -1, -1], "hi": [1, 1, 10 ** 400]}, "box.hi"),
+        ("lifetime", "box", {"lo": [-10 ** 400, -1, -1], "hi": [1, 1, 1]}, "box corner lo"),
+        ("lifetime", "box", {"lo": [-1, -1, -1], "hi": [1, 1, 10 ** 400]}, "box corner hi"),
         ("lifetime", "battery_capacity", 10 ** 400, "battery_capacity"),
     ])
     def test_field_of_wrong_type_is_invalid_parameter(self, accuracy_config, lifetime_config,
@@ -368,6 +368,33 @@ class TestSimulate:
         path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
         assert main(["simulate", kind, "--config", str(path), "--seed", "3"]) == 3
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,name,valid", [
+        ("sink", "sink", [[0, 0, 0], [0.25, -0.5, 1.0]]),
+        ("lo", "box corner lo", [[-0.75, -0.75, -0.75], [-1, -0.8, -0.75]]),
+        ("hi", "box corner hi", [[0.75, 0.75, 0.75], [1, 0.8, 0.75]]),
+    ])
+    def test_config_point_refused_exactly_when_as_point_refuses(self, lifetime_config, field,
+                                                                name, valid, capsys):
+        # one reader: the CLI reads a sink or box corner with the library's
+        # as_point and no reader of its own, so the two cannot disagree
+        cfg = json.loads(Path(lifetime_config).read_text())
+        for value in [*valid, ["0", 0, 0], ["a", 0, 0], [True, 0, 0], [0, None, 0],
+                      [{}, 0, 0], [0, 10 ** 400, 0], [0, 0, math.nan], [0, -math.inf, 0],
+                      [0, 0], [0, 0, 0, 0], [[0, 0, 0]], "0,0,0", {"x": 0}, None]:
+            box = {**cfg["box"], field: value} if field != "sink" else cfg["box"]
+            sink = value if field == "sink" else cfg["sink"]
+            Path(lifetime_config).write_text(json.dumps({**cfg, "box": box, "sink": sink,
+                                                         "node_count": 3000}))
+            code = main(["simulate", "lifetime", "--config", lifetime_config, "--seed", "3",
+                         "--format", "csv"])
+            err = capsys.readouterr().err
+            try:
+                as_point(value)
+            except ValueError:
+                assert (code, err.startswith(f"error: {name} ")) == (3, True), value
+            else:
+                assert (code, err) == (0, ""), value
 
     @pytest.mark.parametrize("kind", ["accuracy", "lifetime"])
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "99999999999999999999999999"])
@@ -397,7 +424,7 @@ class TestSimulate:
         cfg = json.loads(Path(accuracy_config).read_text())
         Path(accuracy_config).write_text(json.dumps({**cfg, "n": 1.5}))
         assert main(["simulate", "accuracy", "--config", accuracy_config, "--seed", "7"]) == 3
-        assert "'n'" in capsys.readouterr().err
+        assert "n must be an integer" in capsys.readouterr().err
 
     def test_integral_float_counts_accepted(self, accuracy_config, lifetime_config, capsys):
         assert main(["simulate", "accuracy", "--config", accuracy_config, "--seed", "7",

@@ -4,9 +4,10 @@ seeds, the coordinates of points, and cell ids.
 Each kind has one reader in ``geometry``: ``_positive`` for r_t, a
 circumradius, a sensing range and a battery capacity, ``_count`` for
 node_count, n and k, ``_seed``, and ``as_point`` for one point, ``_floats``
-for arrays of them. A value outside its kind raises ``ValueError`` with the
-entry point's message, never ``TypeError`` and never a silently wrong
-result; numpy scalars pass as Python numbers do.
+for arrays of them; the CLI reads its config values with the same readers.
+A value outside its kind raises ``ValueError`` with the entry point's
+message, never ``TypeError`` and never a silently wrong result; numpy
+scalars pass as Python numbers do.
 """
 
 import math
@@ -176,6 +177,43 @@ def test_point_refuses_bools(entry, point):
 def test_rows_refuse_bools(entry, points):
     raises_exactly(ROWS[entry], points,
                    "coordinates must be real numbers, not complex numbers or bools")
+
+
+# nor is a string: numpy would parse "1" as 1.0, in a tuple, as bytes, or
+# as an object array's item; and an int too large for a float is no float,
+# where numpy would raise OverflowError
+TEXT_POINTS = [("1", "2", "3"), (b"1", 0, 0), np.array([1, "2", 3], dtype=object)]
+HUGE_POINTS = [(10 ** 400, 0, 0), [0.5, -10 ** 400, 1], np.array([1, 0, 10 ** 400], dtype=object)]
+HUGE_IDS = ["tuple", "list", "object array"]
+
+
+@pytest.mark.parametrize("point", TEXT_POINTS, ids=repr)
+@pytest.mark.parametrize("entry", POINTS)
+def test_point_refuses_strings(entry, point):
+    call, what = POINTS[entry]
+    raises_exactly(call, point, f"{what} must be a 3D point of real numbers, got {point!r}")
+
+
+@pytest.mark.parametrize("point", HUGE_POINTS, ids=HUGE_IDS)
+@pytest.mark.parametrize("entry", POINTS)
+def test_point_refuses_ints_too_large_for_a_float(entry, point):
+    call, what = POINTS[entry]
+    raises_exactly(call, point, f"{what} coordinates must be within the float range")
+
+
+@pytest.mark.parametrize("points", [*TEXT_POINTS, [[1.0, 0, 0], ["1", 0, 0]],
+                                    [[10 ** 400, "2", 3]], np.array([["1", "2", "3"]])],
+                         ids=repr)
+@pytest.mark.parametrize("entry", ROWS)
+def test_rows_refuse_strings(entry, points):
+    raises_exactly(ROWS[entry], points, "coordinates must be real numbers, not strings or bytes")
+
+
+@pytest.mark.parametrize("points", [*HUGE_POINTS, [[1.0, 0, 0], [0, 0, -10 ** 400]]],
+                         ids=[*HUGE_IDS, "rows"])
+@pytest.mark.parametrize("entry", ROWS)
+def test_rows_refuse_ints_too_large_for_a_float(entry, points):
+    raises_exactly(ROWS[entry], points, "coordinates must be within the float range")
 
 
 @pytest.mark.parametrize("entry", ROWS)

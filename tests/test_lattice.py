@@ -1313,14 +1313,15 @@ class TestSpecValidation:
 
     def test_sink_is_a_tuple_of_floats(self):
         # any point form as_point takes gives the same tuple of Python floats;
-        # a bad sink raises as_point's error
+        # a bad sink, a string or an int too large for a float among them,
+        # raises as_point's error
         for sink in [(1, 2.5, -3), [1, 2.5, -3], np.array([1, 2.5, -3]),
-                     (np.float64(1.0), 2.5, -3), ("1", 2.5, -3)]:
+                     (np.float64(1.0), 2.5, -3)]:
             spec = LatticeSpec(CellShape.TO, 1.0, sink=sink)
             assert spec.sink == (1.0, 2.5, -3.0) == spec.rule.sink
             assert all(type(x) is float for x in spec.sink)
         for bad in [(0.0, math.inf, 0.0), [0, 0, math.nan], [0, 0], (1, 2, 3, 4), "abc",
-                    (0, "x", 0), [[1, 2, 3]], None]:
+                    (0, "x", 0), ("1", 2.5, -3), [0, 10 ** 400, 0], [[1, 2, 3]], None]:
             with pytest.raises(ValueError) as got:
                 LatticeSpec(CellShape.TO, 1.0, sink=bad)
             with pytest.raises(ValueError) as want:
