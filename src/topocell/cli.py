@@ -65,8 +65,8 @@ def _spec(fields: dict, shape: str) -> LatticeSpec:
     """Lattice spec from the spec flags (as ``vars(args)``) or a JSON config.
 
     Both name the fields alike: ``rt``, ``rt_sqrt17_units`` and ``sink``.
-    The library reads them, as it reads every config value but the counts'
-    whole floats (``_whole``), and its errors name the field.
+    ``rt`` and ``sink`` are read by the library's readers, whose errors
+    name the field.
     """
     rt = _positive(fields["rt"], "rt")
     sqrt17_units = fields.get("rt_sqrt17_units", False)
