@@ -225,14 +225,10 @@ def cmd_simulate(args) -> int:
         # a float, as the report prints it
         capacity = _positive(cfg["battery_capacity"], "battery_capacity")
         k = _whole(cfg.get("k", 1))
-        results = {}
-        for shape in shapes:
-            spec = _spec(cfg, shape)
-            results[shape] = (spec, lifetime_simulation(spec, config, capacity, k))
-        to_lifetime = results["to"][1].network_lifetime if "to" in results else None
         rows = []
         for shape in shapes:
-            spec, res = results[shape]
+            spec = _spec(cfg, shape)
+            res = lifetime_simulation(spec, config, capacity, k)
             rows.append({
                 "shape": shape,
                 "rt": spec.r_t,
@@ -243,9 +239,12 @@ def cmd_simulate(args) -> int:
                 "cells_populated": res.cells_populated,
                 "mean_nodes_per_cell": res.mean_nodes_per_cell,
                 "network_lifetime": res.network_lifetime,
-                "lifetime_vs_to": (res.network_lifetime / to_lifetime
-                                   if to_lifetime else ""),
+                "lifetime_vs_to": "",  # filled in once the TO row exists
             })
+        to = next((row["network_lifetime"] for row in rows if row["shape"] == "to"), 0)
+        if to:
+            for row in rows:
+                row["lifetime_vs_to"] = row["network_lifetime"] / to
     if args.out is not None:
         from . import planner
 

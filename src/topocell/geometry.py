@@ -41,10 +41,10 @@ and lists where.
 Each cell is the Voronoi cell of its lattice (Conway & Sloane, IEEE Trans.
 IT 32(1), 1986): its faces are the bisectors between its center and its
 face-sharing neighbors', its vertices the points where three faces meet
-inside all the others. At import, Python ints give M^-1, P, the vertices and
-each class's ``max_pair_distance_coeff`` from M, the neighbor classes and
-``_METRIC``, the squared axis scales up to a common factor. The vertices of
-a cell centered at the origin are:
+inside all the others. At import, Python ints give M^-1 as its adjugate and
+determinant, P, the vertices and each class's ``max_pair_distance_coeff``
+from M, the neighbor classes and ``_METRIC``, the squared axis scales up to
+a common factor. The vertices of a cell centered at the origin are:
 
 * CB: (+-s/2, +-s/2, +-s/2).
 * HP: (+-sqrt(3)*a/2, +-a/2, +-h/2) and (0, +-a, +-h/2), two hexagons
@@ -188,12 +188,15 @@ def _positive(value, what: str) -> float:
 
 def _rows(points) -> np.ndarray:
     """``points`` as an (n, 3) float array (``_floats``), one point of shape
-    (3,) as one row; any other shape, and an int too large for a float,
-    raises ``ValueError``."""
+    (3,) as one row; any other shape, an int too large for a float, and an
+    item that numpy cannot make a float, such as a dict, raise
+    ``ValueError``."""
     try:
         pts = _floats(points)
     except OverflowError:
         raise ValueError("coordinates must be within the float range") from None
+    except TypeError:
+        raise ValueError("coordinates must be real numbers") from None
     if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
         raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
     return pts.reshape(-1, 3)
@@ -332,13 +335,8 @@ def _adjugate(m):
     return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
 
 
-_ADJUGATES = {shape: _adjugate(basis) for shape, basis in _BASES.items()}
-
 # M^-1 = adj / det, whose entries are exact binary fractions (det is 1, 2 or 4)
-_INVERSES = {
-    shape: tuple(tuple(x / det for x in row) for row in adj)
-    for shape, (adj, det) in _ADJUGATES.items()
-}
+_ADJUGATES = {shape: _adjugate(basis) for shape, basis in _BASES.items()}
 
 # per-axis period P of the rectangular lattice diag(P) Z^3 inside M Z^3: the
 # smallest p with p e_j in M Z^3, i.e. with p adj e_j / det integral

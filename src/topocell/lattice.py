@@ -45,13 +45,15 @@ rounding. The basis ids are M^-1 times the chosen point.
 ``assign_cell``, the call of one sensor, runs it for one point step for
 step in Python floats, with no numpy call, and gives the same ids, its
 basis ids (adj y) // det in Python ints, adj being M's integer adjugate
-and det its determinant. Both read the rule's constants from one record of
-Python numbers that ``LatticeSpec`` derives once, ``LatticeSpec.rule``:
-the sink, scale, divisor scale * P, period, coset weights and threshold,
-M^-1, the domain bound, the tie tolerance tol, the per-axis tie
-thresholds 0.5 P - tol, the coset steps P - 1, and adj and det, so the
-two use the same numbers and flag the same points as ties, and a
-sensor's call does no arithmetic that the spec alone fixes. The bulk
+and det its determinant; M^-1 is kept only as adj and det, and the float
+paths form it as adj / det, exact binary fractions, as det is 1, 2 or 4.
+Both read the rule's constants from one record of Python numbers that
+``LatticeSpec`` derives once, ``LatticeSpec.rule``: the sink, scale,
+divisor scale * P, period, coset weights and threshold, the domain bound,
+the tie tolerance tol, the per-axis tie thresholds 0.5 P - tol, the coset
+steps P - 1, and adj and det, so the two use the same numbers and flag the
+same points as ties, and a sensor's call does no arithmetic that the spec
+alone fixes. The bulk
 decoder compares in units of P: it rounds t / P = (p - sink) / divisor
 to Z^3, and its weights weight * P and thresholds (0.5 P - tol) / P
 (``_work``) differ from ``assign_cell``'s by powers of two only, so each
@@ -101,25 +103,27 @@ The three bulk paths, ``assign_cells``, ``assign_cells_oracle`` and
 ``assign_cells_nearest_int``, share one block driver, ``_blocks``: it forms
 p - sink as (3, rows) columns ``_CHUNK`` rows at a time, checks the domain,
 hands the block to the path's scorer (``_decode``, ``_oracle`` or
-``_nearest_int``), and stores the ids it returns as public ids; it chooses
-no id itself. Every scorer is called as ``score(spec, p, rel)`` and
-returns (3, rows) float columns of basis ids; the entry point binds any
-state of its call once: the decoder's constants and scratch (``_work``),
-the oracle's candidate table (``_oracle_table``). The p - sink buffer is
-allocated once per call too, not per block. The decoder is
-``_lattice_points`` of (p - sink) / divisor, the nearest lattice point y,
-then M^-1 y; the oracle is ``_nearest_int``, then ``_oracle_at`` that
-rounding. The accuracy experiment runs the same p - sink step
-(``_relative``) on its blocks, with buffers of its own, and hands one
-p - sink to ``_decode`` and ``_nearest_int``, and that rounding to
-``_oracle_at``; the lifetime simulation forms (p - sink) / divisor from
-its draw and hands it to ``_lattice_points``, with a tol of 4 rule.tol
-that covers its prologue's rounding, and counts the y.
-Points farther than ``MAX_STEPS`` lattice steps
-from the sink along any axis are rejected with ``ValueError``, and so are
-specs outside ``MAX_MAGNITUDE``, whose squares could overflow or
-underflow, and specs whose step the floats near the sink cannot resolve
-(``MAX_TOL``).
+``_nearest_int``), and stores the ids it returns as public ids before the
+next block; it chooses no id itself. Every scorer is called as
+``score(spec, p, rel)`` and returns (3, rows) float columns of basis ids;
+the entry point binds any state of its call once: the decoder's constants,
+input buffer and scratch (``_work``), the oracle's candidate table
+(``_oracle_table``). The p - sink buffer is allocated once per call too,
+not per block. The decoder only reads p - sink: it writes
+(p - sink) / divisor into its input buffer, takes ``_lattice_points``
+there, the nearest lattice point y, and returns M^-1 y in that buffer;
+the oracle is ``_nearest_int``, which divides p - sink in place, then
+``_oracle_at`` that rounding. The accuracy experiment runs the same
+p - sink step (``_relative``) on its blocks, with buffers of its own, and
+hands one p - sink to ``_decode`` and then to ``_nearest_int``, with no
+copy, and that rounding to ``_oracle_at``; the lifetime simulation forms
+(p - sink) / divisor from its draw in the decoder's input buffer and hands
+it to ``_lattice_points``, with a tol of 4 rule.tol that covers its
+prologue's rounding, and counts the y. Points farther than ``MAX_STEPS``
+lattice steps from the sink along any axis are rejected with
+``ValueError``, and so are specs outside ``MAX_MAGNITUDE``, whose squares
+could overflow or underflow, and specs whose step the floats near the
+sink cannot resolve (``MAX_TOL``).
 """
 
 from __future__ import annotations
@@ -135,7 +139,6 @@ from .geometry import (
     MAX_WINDOW,
     _ADJUGATES,
     _BASES,
-    _INVERSES,
     _METRIC,
     _PERIODS,
     CellShape,
@@ -205,13 +208,15 @@ class _Rule(NamedTuple):
     period: tuple[int, int, int]  # per-axis coset period P, ``geometry._PERIODS``
     weight: tuple[float, float, float]
     threshold: float
-    inverse: tuple[tuple[float, float, float], ...]  # rows of M^-1
     reach: float  # MAX_STEPS * step
     tol: float  # decisions this close to a tie go to the exact tie step
     half: tuple[float, float, float]  # 0.5 * period - tol: a rounding this far out is a tie
     odd: tuple[int, int, int]  # period - 1, the shifted coset's step on each axis
+    # M^-1 = adjugate / det, whose entries are exact binary fractions; the
+    # float paths form it so, and the basis ids of a lattice point y are
+    # (adjugate @ y) // det
     adjugate: tuple[tuple[int, int, int], ...]  # rows of det * M^-1, ``geometry._ADJUGATES``
-    det: int  # det M: the basis ids of a lattice point y are (adjugate @ y) // det
+    det: int  # det M: 1, 2 or 4
 
 
 class LatticeSpec(_Frozen):
@@ -286,7 +291,7 @@ class LatticeSpec(_Frozen):
         self._set(shape=shape, r_t=float(r_t), sink=sink, circumradius=R, step=step,
                   rule=_Rule(sink, scale, tuple(s * p for s, p in zip(scale, period)), period,
                              weight, 0.5 * (weight[0] + weight[1] + weight[2]),
-                             _INVERSES[shape], MAX_STEPS * step, tol,
+                             MAX_STEPS * step, tol,
                              tuple(0.5 * p - tol for p in period), tuple(p - 1 for p in period),
                              *_ADJUGATES[shape]))
 
@@ -349,13 +354,14 @@ def _nearest_int(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray) -> np.ndarra
     basis ids M^-1 (rel / scale) that solve the center equations for the
     columns of ``rel`` (3, rows), each rounded to the nearest integer,
     halves away from zero, as a new (3, rows) float array. ``rel`` is
-    divided by scale in place; the rows ``p`` are not read. Each row of
-    M^-1 holds at most two nonzero binary fractions, so each real id is one
-    rounding of its exact value, whatever the order of the sums."""
+    divided by scale in place; the rows ``p`` are not read. M^-1 is
+    adjugate / det, exact binary fractions as det is 1, 2 or 4, and each of
+    its rows holds at most two nonzero ones, so each real id is one rounding
+    of its exact value, whatever the order of the sums."""
     import numpy as np
 
     rel /= np.array(spec.rule.scale)[:, None]
-    ids = np.array(spec.rule.inverse) @ rel
+    ids = np.divide(spec.rule.adjugate, spec.rule.det) @ rel
     ids += np.copysign(0.5, ids)
     return np.trunc(ids, out=ids)
 
@@ -366,14 +372,16 @@ def _work(spec: LatticeSpec, rows: int, tol: float) -> list:
     units of P, weight * P, the tie tolerance ``tol`` (``rule.tol``, or
     4 ``rule.tol`` in the lifetime run) and the tie thresholds in units of P,
     (0.5 P - tol) / P, of axis 0 and of axis 2 (which differ on HP alone);
-    then its buffers, sliced to each block's rows: the caller's, (3, rows)
-    floats for the decoder's input, and the scratch, the lattice points y
-    and distances a, (3, rows) floats, one (rows,) float for their maxima,
-    the coset margin and their minima in turn, and four (rows,) bools. The
-    three (3, rows) arrays are one block: glibc trims the heap's top once
-    its free space passes twice the largest block freed, so a call whose
-    largest block is not most of its buffers frees them to be faulted in
-    again by the next call."""
+    then its buffers, sliced to each block's rows: the decoder's input,
+    (3, rows) floats, which ``_decode`` fills with the quotient
+    (p - sink) / divisor and the lifetime run with its t / P straight from
+    its draw, and the scratch, the lattice points y and distances a,
+    (3, rows) floats, one (rows,) float for their maxima, the coset margin
+    and their minima in turn, and four (rows,) bools. The three (3, rows)
+    arrays are one block: glibc trims the heap's top once its free space
+    passes twice the largest block freed, so a call whose largest block is
+    not most of its buffers frees them to be faulted in again by the next
+    call."""
     import numpy as np
 
     rule = spec.rule
@@ -453,14 +461,16 @@ def _lattice_points(spec: LatticeSpec, t: np.ndarray, work: list, point) -> np.n
 def _decode(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, work: list) -> np.ndarray:
     """The decoder, ``assign_cells``' scorer of ``_blocks``: the basis ids
     M^-1 y of ``_lattice_points`` for the rows ``p`` (rows, 3), given their
-    p - sink columns ``rel`` (3, rows), as (3, rows) float columns in
-    ``rel``. ``p`` may be any (rows, 3) view: only the rows of ties are
-    read."""
+    p - sink columns ``rel`` (3, rows), which it only reads. The quotient
+    rel / divisor goes into the input buffer of ``work`` (``_work``), is
+    decoded there, and the ids come back in it as (3, rows) float columns,
+    valid until the next call with ``work``. ``p`` may be any (rows, 3)
+    view: only the rows of ties are read."""
     import numpy as np
 
-    rel /= work[0]
-    y = _lattice_points(spec, rel, work, lambda i: p[i].tolist())
-    return np.matmul(np.array(spec.rule.inverse), y, out=rel)
+    t = np.divide(rel, work[0], out=work[5][:, :len(p)])
+    y = _lattice_points(spec, t, work, lambda i: p[i].tolist())
+    return np.matmul(np.divide(spec.rule.adjugate, spec.rule.det), y, out=t)
 
 
 def _settle(spec: LatticeSpec, xyz) -> tuple[int, int, int]:
@@ -481,19 +491,19 @@ def _settle(spec: LatticeSpec, xyz) -> tuple[int, int, int]:
     and the centers, every coordinate is an integer, and the squared
     distances are exact; the smallest (squared distance, public id) wins.
     """
-    sink, scale, _, period, _, threshold, _, _, _, _, odd, adjugate, det = spec.rule
-    t = [(x - o) / k for x, o, k in zip(xyz, sink, scale)]
+    rule = spec.rule
+    t = [(x - o) / k for x, o, k in zip(xyz, rule.sink, rule.scale)]
     cands = []
-    for shift in (0, 1) if threshold else (0,):
+    for shift in (0, 1) if rule.threshold else (0,):
         axes = [{s + P * math.floor((r - s) / P), s + P * math.ceil((r - s) / P)}
-                for r, P, s in zip(t, period, [shift * o for o in odd])]
+                for r, P, s in zip(t, rule.period, [shift * o for o in rule.odd])]
         cands += itertools.product(*axes)
     # exact squared distances along each axis, once per distinct value: in
     # units of 1 / D the integers span only the floats' exponents, some 55
     # bits for coordinates of like magnitude, not the 1,075 of units of 2^-1074
     point = [x.as_integer_ratio() for x in xyz]
     centers = [{y: (o + y * k).as_integer_ratio() for y in set(ys)}
-               for o, k, ys in zip(sink, scale, zip(*cands))]
+               for o, k, ys in zip(rule.sink, rule.scale, zip(*cands))]
     bits = max(d for _, d in itertools.chain(point, *(c.values() for c in centers))).bit_length()
     sq = [{y: ((n << bits - d.bit_length()) - (m << bits - e.bit_length())) ** 2
            for y, (m, e) in cs.items()} for (n, d), cs in zip(point, centers)]
@@ -501,7 +511,8 @@ def _settle(spec: LatticeSpec, xyz) -> tuple[int, int, int]:
     low = min(d2)
 
     def public(y):  # the public id of the basis id M^-1 y, for the tie-break
-        u, v, w = ((a0 * y[0] + a1 * y[1] + a2 * y[2]) // det for a0, a1, a2 in adjugate)
+        u, v, w = ((a0 * y[0] + a1 * y[1] + a2 * y[2]) // rule.det
+                   for a0, a1, a2 in rule.adjugate)
         return u + (v >> 1 if spec.shape is _HP else 0), v, w
 
     return min((y for y, d in zip(cands, d2) if d == low), key=public)
@@ -532,9 +543,9 @@ def _blocks(spec: LatticeSpec, pts: np.ndarray, score) -> np.ndarray:
 
     Each block's p - sink (``_relative``), in one buffer per call, goes with
     the block's rows p to ``score(spec, p, rel)``, which returns their basis
-    ids as (3, rows) float columns and may overwrite ``rel``. The ids are
-    stored as the block's int64 rows, and on HP become public ids there,
-    u + floor(v / 2).
+    ids as (3, rows) float columns, which may be a buffer of the call's,
+    and may overwrite ``rel``. The ids are stored as the block's int64 rows
+    before the next block, and on HP become public ids there, u + floor(v / 2).
     """
     import numpy as np
 
@@ -604,7 +615,7 @@ def assign_cell(spec: LatticeSpec, p) -> CellId:
     ints. Invalid points raise the errors of ``as_point`` and of the domain
     check.
     """
-    ((ox, oy, oz), _, (dx, dy, dz), (px, py, pz), (wx, wy, wz), threshold, _, reach, tol,
+    ((ox, oy, oz), _, (dx, dy, dz), (px, py, pz), (wx, wy, wz), threshold, reach, tol,
      (hx, hy, hz), (sx, sy, sz), ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)),
      det) = spec.rule
     x, y, z = xyz = _coords(p)
@@ -661,21 +672,22 @@ def assign_cell_nearest_int(spec: LatticeSpec, p) -> CellId:
     with no numpy call, and with its errors: those of ``as_point``, of the
     shape and of the domain check, in that order.
 
-    TO's rows of M^-1 hold at most two nonzero binary fractions, so each
-    real id f is one rounding of its exact value in any order of the sums,
-    and halves go away from zero as in ``_nearest_int``, not to even as
-    with ``round``.
+    Each entry of M^-1 is formed as a / det, a of the adjugate, the double
+    of ``_nearest_int``'s. TO's rows of M^-1 hold at most two nonzero binary
+    fractions, so each real id f is one rounding of its exact value in any
+    order of the sums, and halves go away from zero as in ``_nearest_int``,
+    not to even as with ``round``.
     """
     xyz = _coords(p)
     if not all(map(math.isfinite, xyz)):
         as_point(p)  # raises for coordinates that are not finite
     _check_to(spec)
-    sink, scale, _, _, _, _, inverse, reach, *_ = spec.rule
-    rel = [c - s for c, s in zip(xyz, sink)]
-    if not max(map(abs, rel)) <= reach:
+    rule, det = spec.rule, spec.rule.det
+    rel = [c - s for c, s in zip(xyz, rule.sink)]
+    if not max(map(abs, rel)) <= rule.reach:
         raise _reach_error(spec)
-    tx, ty, tz = (r / k for r, k in zip(rel, scale))
-    f = (m0 * tx + m1 * ty + m2 * tz for m0, m1, m2 in inverse)
+    tx, ty, tz = (r / k for r, k in zip(rel, rule.scale))
+    f = (a0 / det * tx + a1 / det * ty + a2 / det * tz for a0, a1, a2 in rule.adjugate)
     return _cell_id(tuple(math.trunc(x + math.copysign(0.5, x)) for x in f))
 
 

@@ -44,16 +44,16 @@ accuracy run's oracle candidate table (``lattice._oracle_table``), made
 once per call.
 
 The accuracy experiment scores a block in one pass (``_tally``): the
-decoder gets a copy of p - sink, and the shortcut's rounding of it is also
-the oracle's base, so the oracle shares the block's p - sink and rounding
-but not the decoder's ids. Each block's correct rows add to two integer
-counters; the oracle's id of a point does not depend on the other points
-of its call. The lifetime simulation forms no ids: the decoder gives each
-node its lattice point y, whose slot in a grid that holds every node's
-lattice point is one product of y with the grid's strides, and the counts
-are the grid's block of interior cells (``_interior_counts``). It makes no
-centers, and sorts only when the box holds few nodes for its size. Only
-``deploy`` returns whole arrays.
+decoder only reads p - sink, and the shortcut, which then divides it in
+place, rounds it to the oracle's base too, so the oracle shares the
+block's p - sink and rounding but not the decoder's ids. Each block's
+correct rows add to two integer counters; the oracle's id of a point does
+not depend on the other points of its call. The lifetime simulation forms
+no ids: the decoder gives each node its lattice point y, whose slot in a
+grid that holds every node's lattice point is one product of y with the
+grid's strides, and the counts are the grid's block of interior cells
+(``_interior_counts``). It makes no centers, and sorts only when the box
+holds few nodes for its size. Only ``deploy`` returns whole arrays.
 """
 
 from __future__ import annotations
@@ -105,8 +105,11 @@ class Box(_Frozen):
 
     def contains(self, points) -> np.ndarray:
         """Which of the points, one of shape (3,) or an (n, 3) array, lie in
-        the closed box."""
+        the closed box. A coordinate that is not finite, None (which numpy
+        reads as NaN) among them, raises ``ValueError``, as in ``as_point``."""
         pts = _rows(points)
+        if not (abs(pts) < math.inf).all():
+            raise ValueError("point coordinates must be finite")
         return ((pts >= self.lo) & (pts <= self.hi)).all(axis=1)
 
 
@@ -229,23 +232,20 @@ def _tally(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray, work: list,
     ``work``, and the oracle's candidate ``table``
     (``lattice._oracle_table``).
 
-    p - sink is formed once, in ``buf``, and copied to the decoder's input
-    buffer, as the decoder overwrites its input. The shortcut's rounding of
-    the real ids is also the oracle's base, the window's middle id, so it is
-    formed once; the oracle does not read the decoder's ids. On TO public
-    ids are basis ids, so the three scorers' (3, rows) float columns are
-    compared as they are.
+    p - sink is formed once, in ``buf``, and handed to the decoder, which
+    only reads it, and then to the shortcut, which divides it in place. The
+    shortcut's rounding of the real ids is also the oracle's base, the
+    window's middle id, so it is formed once; the oracle does not read the
+    decoder's ids. On TO public ids are basis ids, so the three scorers'
+    (3, rows) float columns are compared as they are.
     """
     import numpy as np
 
     rel = _relative(spec, p, buf)
-    copy = work[5][:, :len(p)]
-    copy[...] = rel
-    ids = _decode(spec, p, copy, work)
+    ids = _decode(spec, p, rel, work)
     base = _nearest_int(spec, p, rel)
     truth = _oracle_at(spec, p, base, table)
-    return (int(np.count_nonzero((ids == truth).all(axis=0))),
-            int(np.count_nonzero((base == truth).all(axis=0))))
+    return tuple(int(np.count_nonzero((x == truth).all(axis=0))) for x in (ids, base))
 
 
 def _span(lo: float, hi: float, sink: float, scale: float) -> tuple[int, int]:

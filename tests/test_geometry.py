@@ -15,7 +15,6 @@ import topocell
 from topocell.geometry import (
     _ADJUGATES,
     _BASES,
-    _INVERSES,
     _METRIC,
     _VERTICES,
     CellShape,
@@ -441,7 +440,7 @@ class TestReadme:
         # lattice alone turns ids into centers (README, Removed public API)
         geometry = import_module("topocell.geometry")
         for name in ("lattice_basis", "coset_period", "to_basis_ids", "to_public_ids",
-                     "center_offsets", "_half_steps"):
+                     "center_offsets", "_half_steps", "_INVERSES"):
             assert not hasattr(geometry, name), name
         # the lifetime run reads its cell extents off the integer vertex rows
         assert not hasattr(import_module("topocell.simulator"), "build_polyhedron")
@@ -450,10 +449,11 @@ class TestReadme:
 class TestBasisTables:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_inverse_table_is_exact(self, shape):
-        # M^-1 is held by hand as binary fractions: the products with M are
-        # exact in floats, and it is what LAPACK computes
+        # M^-1 is formed as adj / det, binary fractions: the products with M
+        # are exact in floats, and it is what LAPACK computes
         basis = np.array(_BASES[shape], dtype=float)
-        inverse = np.array(_INVERSES[shape])
+        adj, det = _ADJUGATES[shape]
+        inverse = np.divide(adj, det)
         assert (inverse @ basis == np.eye(3)).all()
         assert (basis @ inverse == np.eye(3)).all()
         assert (inverse == np.linalg.inv(basis)).all()

@@ -5,10 +5,10 @@ Ids are defined exactly: each point gets the center nearest to it in exact
 arithmetic, and ties go to the smallest (u, v, w). Every input comes from
 PCG64 doubles and elementwise IEEE operations, so a digest does not depend
 on the host. The id categories check the decoders against the oracle in the
-same pass, so a digest never pins an answer that nothing checked. A digest
-may change only with a CHANGES.md entry that names the category, says why
-its values change, and shows that the new values were checked against the
-oracle.
+same pass, and the route category ``greedy_route`` against a plain router,
+so a digest never pins an answer that nothing checked. A digest may change
+only with a CHANGES.md entry that names the category, says why its values
+change, and shows that the new values were checked against the oracle.
 
 ``python tests/test_golden.py`` prints this checkout's digests in the
 format of ``golden.json``.
@@ -36,6 +36,7 @@ from topocell.lattice import (
     cell_centers,
     neighbors,
 )
+from topocell.routing import greedy_route
 from topocell.simulator import (
     Box,
     DeploymentConfig,
@@ -181,6 +182,46 @@ def active_count_digest():
     return digest(found)
 
 
+def plain_route(spec, src, dst, dead):
+    """The lex greedy route from ``src`` to ``dst`` with the cells ``dead``
+    dead, as (hops, outcome): at each hop the alive neighbor of
+    ``neighbors`` with the smallest (squared id distance to dst, id), if it
+    is closer to dst than the current cell."""
+    def metric(cell):
+        return sum((a - b) ** 2 for a, b in zip(cell, dst))
+
+    hops = [src]
+    while hops[-1] != dst:
+        best = min(((metric(n), tuple(n)) for n in neighbors(spec, hops[-1])
+                    if tuple(n) not in dead), default=None)
+        if best is None or best[0] >= metric(hops[-1]):
+            return hops, "dead_end"
+        hops.append(best[1])
+    return hops, "delivered"
+
+
+def greedy_route_digest():
+    """Lex routes on every shape between seeded endpoints, around a seeded
+    set of dead cells, about half of the ids within 4 of zero; each route
+    is checked against ``plain_route``, and on every shape both outcomes
+    occur."""
+    rng = np.random.default_rng(10)
+    found = []
+    for spec in SPECS[::4]:  # routes depend on the shape alone
+        dead = set(map(tuple, rng.integers(-4, 5, (500, 3)).tolist()))
+        for src, dst in rng.integers(-8, 9, (80, 2, 3)).tolist():
+            src, dst = tuple(src), tuple(dst)
+            if src in dead or dst in dead:
+                continue
+            route = greedy_route(spec, src, dst, alive=lambda c: tuple(c) not in dead)
+            hops = [tuple(h) for h in route.hops]
+            assert (hops, route.outcome) == plain_route(spec, src, dst, dead), (spec, src, dst)
+            found.append((spec.shape.value, hops, route.outcome))
+    assert {(shape, outcome) for shape, _, outcome in found} == {
+        (shape.value, outcome) for shape in CellShape for outcome in ("delivered", "dead_end")}
+    return digest(found)
+
+
 def tables_digest():
     found = []
     for which in ("I", "II"):
@@ -195,7 +236,8 @@ def tables_digest():
 def digests() -> dict:
     return {"cell_centers": cell_center_digest(), **id_digests(),
             "lifetime_simulation": lifetime_digest(), "accuracy_experiment": accuracy_digest(),
-            "active_count": active_count_digest(), "tables": tables_digest()}
+            "active_count": active_count_digest(), "greedy_route": greedy_route_digest(),
+            "tables": tables_digest()}
 
 
 def test_digests_match_the_golden_file():

@@ -216,6 +216,27 @@ def test_rows_refuse_ints_too_large_for_a_float(entry, points):
     raises_exactly(ROWS[entry], points, "coordinates must be within the float range")
 
 
+# nor is an item that numpy cannot make a float: it raises ValueError, where
+# numpy's float() would raise TypeError
+OBJECT_ROWS = [[[{}, 0, 0]], {"x": 0}, [[1.0, 0, 0], [0, set(), 0]],
+               np.array([[1.0, {}, 0]], dtype=object)]
+
+
+@pytest.mark.parametrize("points", OBJECT_ROWS, ids=repr)
+@pytest.mark.parametrize("entry", ROWS)
+def test_rows_refuse_items_that_are_no_numbers(entry, points):
+    raises_exactly(ROWS[entry], points, "coordinates must be real numbers")
+
+
+# Box.contains refuses a coordinate that is not finite, as as_point does,
+# rather than answer False; None is NaN to numpy
+@pytest.mark.parametrize("points", [(None, 0.5, 0.5), [[0.5, 0.5, 0.5], [math.nan, 0.5, 0.5]],
+                                    [[0.5, math.inf, 0.5]], np.array([[0.5, 0.5, -np.inf]]),
+                                    [[0.5, 0.5, None]]], ids=repr)
+def test_box_contains_refuses_non_finite(points):
+    raises_exactly(BOX.contains, points, "point coordinates must be finite")
+
+
 @pytest.mark.parametrize("entry", ROWS)
 def test_rows_of_ints_pass(entry):
     # ints, numpy's among them, in lists, tuples and rows of arrays are numbers

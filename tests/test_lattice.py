@@ -1079,6 +1079,27 @@ class TestBlockSize:
                 assert (method(spec, p) == want).all(), method.__name__
 
 
+class TestDecoder:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("r_t,sink", [(3.7, (1.25, -0.4, 2.83)), (0.1, (4.2e6, 1.2e6, 4.7e6))])
+    def test_decode_only_reads_p_minus_sink(self, shape, r_t, sink, monkeypatch):
+        # the accuracy run hands one p - sink to _decode and then to
+        # _nearest_int, with no copy: the decoder leaves it bit for bit as
+        # it was, tie rows among them, and gives assign_cells' basis ids
+        spec = LatticeSpec(shape, r_t, sink=sink)
+        rng = np.random.default_rng(43)
+        pts = np.vstack([spec.sink + rng.uniform(-8.0, 8.0, (2_000, 3)) * spec.circumradius,
+                         TestAssignCell.tie_points(spec, id_grid(1))])
+        rel = lattice._relative(spec, pts, np.empty((3, len(pts))))
+        before = rel.copy()
+        settled, settle = [], lattice._settle
+        monkeypatch.setattr(lattice, "_settle", lambda *a: settled.append(1) or settle(*a))
+        ids = lattice._decode(spec, pts, rel, lattice._work(spec, len(pts), spec.rule.tol))
+        assert settled
+        assert rel.tobytes() == before.tobytes()
+        assert (ids.T == half_steps(shape, assign_cells(spec, pts), -1)).all()
+
+
 class TestBulkMemory:
     def test_peak_is_the_result_and_one_block(self):
         # the three bulk paths form p - sink, score and convert one block at
@@ -1362,8 +1383,7 @@ class TestSpecValidation:
             want = lattice._Rule(
                 tuple(as_point(sink).tolist()), tuple(scale.tolist()),
                 tuple((scale * period).tolist()), tuple(period.astype(int).tolist()),
-                tuple(weight.tolist()), 0.5 * float(weight.sum()),
-                tuple(map(tuple, np.linalg.inv(basis).tolist())), reach, float(tol),
+                tuple(weight.tolist()), 0.5 * float(weight.sum()), reach, float(tol),
                 tuple((0.5 * period - tol).tolist()), tuple((period - 1).astype(int).tolist()),
                 tuple(map(tuple, adj.tolist())), det)
             assert repr(spec.rule) == repr(want)
