@@ -126,18 +126,26 @@ def _floats(x) -> np.ndarray:
     it, except that what it would misread raises ``ValueError``: complex
     numbers, rather than lose their imaginary parts, bools, rather than
     become 0 and 1, and strings and bytes, rather than be parsed as
-    numbers, wherever ``_kinds`` finds them. An int too large for a float
-    raises ``OverflowError``, which ``_rows`` and ``as_point`` turn into
-    their ``ValueError``."""
+    numbers, wherever ``_kinds`` finds them. So do ragged rows, such as
+    [[[1, 2], 0, 0]], and an item that is no number, such as a dict or an
+    object array's list, with the readers' own words rather than numpy's.
+    An int too large for a float raises ``OverflowError``, which ``_rows``
+    and ``as_point`` turn into their ``ValueError``."""
     import numpy as np
 
-    a = np.asarray(x)
+    try:
+        a = np.asarray(x)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError("expected points of shape (n, 3), got ragged rows") from None
     kinds = _kinds(x, a)
     if not kinds.isdisjoint("cb"):
         raise ValueError("coordinates must be real numbers, not complex numbers or bools")
     if not kinds.isdisjoint("SU"):
         raise ValueError("coordinates must be real numbers, not strings or bytes")
-    return np.asarray(a, dtype=float)  # x read once: a list's second read cost more than its check
+    try:  # x read once: a list's second read cost more than its check
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):  # float() of a dict, or of a sequence
+        raise ValueError("coordinates must be real numbers") from None
 
 
 def _integer(value, what: str) -> int:
@@ -188,15 +196,13 @@ def _positive(value, what: str) -> float:
 
 def _rows(points) -> np.ndarray:
     """``points`` as an (n, 3) float array (``_floats``), one point of shape
-    (3,) as one row; any other shape, an int too large for a float, and an
-    item that numpy cannot make a float, such as a dict, raise
-    ``ValueError``."""
+    (3,) as one row; any other shape, ragged rows among them, an int too
+    large for a float, and an item that numpy cannot make a float, such as
+    a dict, raise ``ValueError``."""
     try:
         pts = _floats(points)
     except OverflowError:
         raise ValueError("coordinates must be within the float range") from None
-    except TypeError:
-        raise ValueError("coordinates must be real numbers") from None
     if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
         raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
     return pts.reshape(-1, 3)
@@ -214,7 +220,7 @@ def as_point(p, what: str = "point") -> np.ndarray:
         q = _floats(p)
     except OverflowError:
         raise ValueError(f"{what} coordinates must be within the float range") from None
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(f"{what} must be a 3D point of real numbers, got {p!r}") from None
     if q.shape != (3,):
         raise ValueError(f"{what} must be a 3D point, got array of shape {q.shape}")

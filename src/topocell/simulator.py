@@ -21,13 +21,18 @@ the deployment box) so box-boundary truncation does not skew them. All
 randomness flows through numpy's default PCG64 generator seeded from the
 experiment config, so identical seeds reproduce identical results.
 
-Both experiments stream: they draw and score ``lattice._CHUNK`` points at
-a time, the 8,192-row block of the lattice's block driver, and never hold
-an (n, 3) array, so their peak memory does not grow with n, and a block's
-arrays stay in cache. PCG64 gives the same doubles in one call or in many,
-so the blocks are the rows of the one whole-array draw, and the results do
-not depend on the block size. Both draw every block into one reused
-(rows, 3) buffer. The accuracy run scales and shifts it there, the sink,
+Both experiments score ``lattice._CHUNK`` points at a time, the 8,192-row
+block of the lattice's block driver, so a block's arrays stay in cache.
+PCG64 gives the same doubles in one call or in many, so the blocks are the
+rows of the one whole-array draw, and the results do not depend on the
+block size. The accuracy run streams: it draws every block into one
+reused (rows, 3) buffer and never holds an (n, 3) array, so its peak
+memory does not grow with n. A deployment of at most ``_KEPT_ROWS`` nodes
+(2^18) is drawn whole, once, and kept after the call, 24 B per node, so
+the four shapes of one deployment, or ``deploy`` and a lifetime run, draw
+it once (``_deployment``); the lifetime run reads its blocks from that
+draw, and a larger deployment streams as the accuracy run does, keeping
+nothing. The accuracy run scales and shifts its buffer in place, the sink,
 a per-axis constant, one column at a time (``geometry._per_axis``), and
 runs the block driver's p - sink step (``lattice._relative``) on it. The
 lifetime run keeps each block as (3, rows) columns, one per axis, from the
@@ -179,18 +184,61 @@ def _uniform_blocks(seed: int, n: int, rows: int):
         yield rng.random(out=buf[:n - start])
 
 
+# a deployment of at most this many nodes keeps its draw after the call,
+# 24 B per node (6 MiB at the bound), for the next call on its seed and n
+_KEPT_ROWS = 2 ** 18
+# the kept draw, at most one ((seed, n), (n, 3) doubles), out of the list
+# while a call reads or draws into it
+_kept = []
+
+
+def _deployment(seed: int, n: int, rows: int):
+    """The doubles of a deployment, ``default_rng(seed).random((n, 3))``,
+    as consecutive blocks of at most ``rows`` rows.
+
+    While n is at most ``_KEPT_ROWS`` the blocks are read-only views of one
+    draw that is kept after the call, so the next call on the same seed and
+    n, the other shapes of one deployment or ``deploy`` then
+    ``lifetime_simulation``, draws nothing. A call takes the kept draw out
+    of ``_kept`` for its duration, draws into its buffer on a miss (into a
+    new one for a new n, or when another call holds it) and hands it back
+    once its last block is read, so no call reads a buffer that another is
+    drawing into. A larger n streams through ``_uniform_blocks`` and keeps
+    nothing.
+    """
+    import numpy as np
+
+    if n > _KEPT_ROWS:
+        yield from _uniform_blocks(seed, n, rows)
+        return
+    try:
+        key, buf = _kept.pop()
+    except IndexError:
+        key, buf = (None, 0), None
+    if key != (seed, n):
+        buf = buf if key[1] == n else np.empty((n, 3))
+        np.random.default_rng(seed).random(out=buf)
+    u = buf.view()
+    u.flags.writeable = False
+    for start in range(0, n, rows):
+        yield u[start:start + rows]
+    _kept[:] = [((seed, n), buf)]
+
+
 def deploy(config: DeploymentConfig, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Scatter nodes uniformly in the box and assign each to its cell.
 
     Returns the (n, 3) node positions and their (n, 3) integer cell ids:
-    lo + u * (hi - lo) for the uniform doubles u of ``default_rng(seed)``,
-    formed as (3, n) columns, one transposing multiply and one add.
+    lo + u * (hi - lo) for the uniform doubles u of ``default_rng(seed)``
+    (``_deployment``, which keeps them for a lifetime run of the same
+    deployment), formed as (3, n) columns, one transposing multiply and
+    one add.
     """
     import numpy as np
 
-    box = config.box
-    u = np.random.default_rng(config.seed).random((config.node_count, 3))
-    cols = np.multiply(u.T, (box.hi - box.lo)[:, None])
+    box, n = config.box, config.node_count
+    for u in _deployment(config.seed, n, n):  # one block: the whole draw
+        cols = np.multiply(u.T, (box.hi - box.lo)[:, None])
     cols += box.lo[:, None]
     return cols.T, assign_cells(spec, cols.T)
 
@@ -368,7 +416,10 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     with their grid slots as int64 products, below 2^61, and counts them
     with one sort at the end; a sparse box's nodes mostly fall in distinct
     cells, so merging each block's distinct slots as they come would save
-    little. Either way the memory is O(``_CHUNK`` + min(n, slots)).
+    little. Either way the call's own arrays take O(``_CHUNK`` + min(n,
+    slots)) memory; the nodes' draw, 24 B per node, is kept after the call
+    for the next on the same deployment while n is at most ``_KEPT_ROWS``,
+    and streamed a block at a time above it (``_deployment``).
     """
     import numpy as np
 
@@ -395,7 +446,7 @@ def _interior_counts(spec: LatticeSpec, config: DeploymentConfig) -> np.ndarray:
     work = _work(spec, min(config.node_count, _CHUNK), 4.0 * rule.tol)
     # t / P = x gain + offset: gain = span / divisor, offset = (lo - sink) / divisor
     gain, offset = np.array([span, np.subtract(corner, sink)])[:, :, None] / work[0]
-    for u in _uniform_blocks(config.seed, config.node_count, _CHUNK):
+    for u in _deployment(config.seed, config.node_count, _CHUNK):
         t = work[5][:, :len(u)]  # the decoder's input buffer (``_work``)
         np.multiply(u.T, gain, out=t)  # one transposing multiply and one add
         t += offset

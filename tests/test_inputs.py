@@ -219,13 +219,36 @@ def test_rows_refuse_ints_too_large_for_a_float(entry, points):
 # nor is an item that numpy cannot make a float: it raises ValueError, where
 # numpy's float() would raise TypeError
 OBJECT_ROWS = [[[{}, 0, 0]], {"x": 0}, [[1.0, 0, 0], [0, set(), 0]],
-               np.array([[1.0, {}, 0]], dtype=object)]
+               np.array([[1.0, {}, 0]], dtype=object),
+               # an object array's item that is a sequence
+               np.array([[1.0, [2.0, 3.0], 0]], dtype=object),
+               np.array([0.5, 1.0, (2, 3)], dtype=object)]
 
 
 @pytest.mark.parametrize("points", OBJECT_ROWS, ids=repr)
 @pytest.mark.parametrize("entry", ROWS)
 def test_rows_refuse_items_that_are_no_numbers(entry, points):
     raises_exactly(ROWS[entry], points, "coordinates must be real numbers")
+
+
+# nor are ragged rows, which numpy cannot make one array of: the bulk
+# readers say so in their own words, not numpy's "inhomogeneous shape", and
+# the one-point readers name the point
+RAGGED_ROWS = [[[[1, 2], 0, 0]], [[1.0, 2.0, 3.0], [1.0, 2.0]], [[1, 2, 3], [1, 2, [3, 4]]],
+               [(1, 2, 3), np.array([1, 2])], [[1, 2, 3], [[1, 2, 3]]], [1.0, 2.0, [3.0]]]
+
+
+@pytest.mark.parametrize("points", RAGGED_ROWS, ids=repr)
+@pytest.mark.parametrize("entry", ROWS)
+def test_rows_refuse_ragged_rows(entry, points):
+    raises_exactly(ROWS[entry], points, "expected points of shape (n, 3), got ragged rows")
+
+
+@pytest.mark.parametrize("point", [RAGGED_ROWS[0], RAGGED_ROWS[-1], OBJECT_ROWS[-1]], ids=repr)
+@pytest.mark.parametrize("entry", POINTS)
+def test_point_refuses_ragged_rows(entry, point):
+    call, what = POINTS[entry]
+    raises_exactly(call, point, f"{what} must be a 3D point of real numbers, got {point!r}")
 
 
 # Box.contains refuses a coordinate that is not finite, as as_point does,

@@ -19,11 +19,11 @@ def test_prints_every_figure_above_zero(capsys):
     lifetime_stages.main(["--nodes", str(lattice._CHUNK + 100), "--rounds", "1"])
     header, *lines = capsys.readouterr().out.splitlines()
     assert header.split() == ["shape", "draw_us", "prologue_us", "points_us", "slots_us",
-                              "call_us"]
+                              "call_fresh_us", "call_kept_us"]
     rows = [line.split() for line in lines]
     assert [row[0] for row in rows] == [shape.value for shape in CellShape]
     for row in rows:
-        assert len(row) == 6 and all(float(x) > 0 for x in row[1:]), row
+        assert len(row) == 7 and all(float(x) > 0 for x in row[1:]), row
 
 
 def test_refuses_a_run_without_a_full_block():
@@ -33,8 +33,8 @@ def test_refuses_a_run_without_a_full_block():
 
 def test_unwraps_the_simulator():
     # the timed runs leave the simulator's functions as they found them
-    before = (lifetime_stages.simulator._uniform_blocks,
+    before = (lifetime_stages.simulator._deployment,
               lifetime_stages.simulator._lattice_points)
     lifetime_stages.main(["--nodes", str(lattice._CHUNK), "--rounds", "1"])
-    assert (lifetime_stages.simulator._uniform_blocks,
+    assert (lifetime_stages.simulator._deployment,
             lifetime_stages.simulator._lattice_points) == before

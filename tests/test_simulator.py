@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -329,6 +330,16 @@ def whole_array_accuracy(spec, n, seed):
     truth = assign_cells_oracle(spec, pts, window=3)
     return AccuracyReport(n, int((assign_cells(spec, pts) == truth).all(axis=1).sum()),
                           int((assign_cells_nearest_int(spec, pts) == truth).all(axis=1).sum()))
+
+
+def spy_draws(monkeypatch):
+    """The seeds of the generators numpy makes from here on, one per draw,
+    with no deployment's draw kept from before (``simulator._kept``); clear
+    both before each case, as a kept draw makes none."""
+    draws, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or make(seed))
+    simulator._kept.clear()
+    return draws
 
 
 # an Earth-centred sink, far from the origin: p - sink and the centers round
@@ -776,9 +787,7 @@ class TestInteriorSlots:
         with pytest.raises(ValueError) as error:
             assign_cells(spec, sink + (1.9 * reach, 0.0, 0.0))
         beyond = (ValueError, str(error.value))
-        draws, uniform = [], simulator._uniform_blocks
-        monkeypatch.setattr(simulator, "_uniform_blocks",
-                            lambda *a: draws.append(1) or uniform(*a))
+        draws = spy_draws(monkeypatch)
         past = (sink - (0.1, 0.0, 0.0), sink + (1.9 * reach, 4.0, 4.0))
         for lo, hi, n, seed, want in [
                 ((0.05, 0.05, 0.05), (0.08, 0.08, 0.08), 10, 5, empty),
@@ -789,6 +798,7 @@ class TestInteriorSlots:
                 (*past, 3, 2, beyond)]:
             cfg = DeploymentConfig(box=Box(lo=lo, hi=hi), node_count=n, seed=seed)
             draws.clear()
+            simulator._kept.clear()
             got = self.outcomes(monkeypatch, spec, cfg)
             assert got == [want, want]
             assert (len(draws) == 0) == (want == beyond)
@@ -841,13 +851,129 @@ class TestFusedPrologue:
         box = Box(lo=edge - (3.0, 2.0, 4.0), hi=sink + reach + (1e-9, 0.0, 0.0))
         with pytest.raises(ValueError) as error:
             assign_cells(spec, box.lo + (1.0 - 2.0 ** -53) * (box.hi - box.lo))
-        draws = []
-        monkeypatch.setattr(simulator, "_uniform_blocks", lambda *a: draws.append(1))
+        draws = spy_draws(monkeypatch)
         for seed in (7, 8):
             with pytest.raises(ValueError) as refused:
                 lifetime_simulation(spec, DeploymentConfig(box, 20_000, seed), 3.0)
             assert str(refused.value) == str(error.value)
         assert draws == []
+
+
+class TestKeptDraw:
+    """A deployment of at most ``_KEPT_ROWS`` nodes keeps its draw for the
+    next call on its seed and n: a call that reads it gives the result of
+    one that draws and of one that streams, on every shape and both
+    counting paths; a new seed or n draws anew, a kept block refuses
+    writes, a larger n keeps nothing, and threads share the one kept draw
+    safely."""
+
+    SINK = (0.11, -0.07, 0.23)
+    BOX = Box(lo=(-1.1, -0.9, -1.0), hi=(1.0, 1.2, 0.95))
+
+    @pytest.mark.parametrize("path", list(TestInteriorSlots.PATHS))
+    @pytest.mark.parametrize("shape", list(CellShape))
+    def test_hit_miss_and_streaming_agree(self, shape, path, monkeypatch):
+        spec = LatticeSpec(shape, 1.0, sink=self.SINK)
+        cfg = DeploymentConfig(box=self.BOX, node_count=20_001, seed=31)
+        monkeypatch.setattr(simulator, "_SLOTS_PER_NODE", TestInteriorSlots.PATHS[path])
+        want = whole_array_lifetime(spec, cfg, 3.0, 1)
+        draws = spy_draws(monkeypatch)
+        got = [outcome(lifetime_simulation(spec, cfg, 3.0)) for _ in range(2)]
+        assert draws == [31] and len(simulator._kept) == 1
+        # above the bound the same run streams, in blocks of its own draw
+        monkeypatch.setattr(simulator, "_KEPT_ROWS", cfg.node_count - 1)
+        got.append(outcome(lifetime_simulation(spec, cfg, 3.0)))
+        assert got == [want] * 3 and draws == [31, 31]
+
+    def test_new_seed_or_n_redraws(self, monkeypatch):
+        spec = LatticeSpec(CellShape.TO, 1.0, sink=self.SINK)
+        draws, before = spy_draws(monkeypatch), None
+        # n, seed, whether the call draws, whether it keeps the kept buffer:
+        # a call on the kept n does, of the kept seed or a new one
+        for n, seed, drawn, same in [(9_000, 4, True, False), (9_000, 4, False, True),
+                                     (9_000, 5, True, True), (9_001, 5, True, False),
+                                     (9_001, 4, True, True), (9_001, 4, False, True)]:
+            cfg = DeploymentConfig(box=self.BOX, node_count=n, seed=seed)
+            want = whole_array_lifetime(spec, cfg, 3.0, 1)
+            draws.clear()
+            assert outcome(lifetime_simulation(spec, cfg, 3.0)) == want
+            assert draws == ([seed] if drawn else [])
+            (key, buf), = simulator._kept
+            assert key == (seed, n) and buf.shape == (n, 3)
+            assert (buf is before) == same
+            before = buf
+
+    def test_deploy_then_lifetime_draws_once(self, monkeypatch):
+        spec = LatticeSpec(CellShape.RD, 1.0, sink=self.SINK)
+        cfg = DeploymentConfig(box=self.BOX, node_count=12_345, seed=8)
+        draws = spy_draws(monkeypatch)
+        pos, ids = deploy(cfg, spec)
+        res = lifetime_simulation(spec, cfg, 3.0)
+        assert draws == [8]
+        want = cfg.box.lo + np.random.default_rng(8).random((cfg.node_count, 3)) * (
+            cfg.box.hi - cfg.box.lo)
+        assert (pos.view(np.int64) == want.view(np.int64)).all()
+        assert np.array_equal(ids, assign_cells(spec, want))
+        assert outcome(res) == whole_array_lifetime(spec, cfg, 3.0, 1)
+        # the positions are the caller's: writing them leaves the kept draw
+        pos[:] = 0.0
+        draws.clear()
+        assert outcome(lifetime_simulation(spec, cfg, 3.0)) == outcome(res)
+        assert draws == []
+
+    def test_kept_blocks_refuse_writes(self, monkeypatch):
+        spy_draws(monkeypatch)
+        for _ in range(2):  # a miss, then a hit
+            for block in simulator._deployment(3, 1_000, 300):
+                assert not block.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    block[0, 0] = 0.5
+        assert len(simulator._kept) == 1
+
+    def test_above_the_bound_keeps_nothing(self, monkeypatch):
+        spec = LatticeSpec(CellShape.HP, 1.0, sink=self.SINK)
+        box = Box(lo=(-3, -3, -3), hi=(3, 3, 3))
+        monkeypatch.setattr(simulator, "_KEPT_ROWS", 500)
+        draws = spy_draws(monkeypatch)
+        for n, kept in [(501, False), (500, True)]:
+            cfg = DeploymentConfig(box=box, node_count=n, seed=6)
+            want = whole_array_lifetime(spec, cfg, 3.0, 1)
+            pos = box.lo + np.random.default_rng(6).random((n, 3)) * (box.hi - box.lo)
+            simulator._kept.clear()
+            draws.clear()
+            for _ in range(2):
+                assert (deploy(cfg, spec)[0] == pos).all()
+                assert outcome(lifetime_simulation(spec, cfg, 3.0)) == want
+                assert len(simulator._kept) == kept
+            # kept, one draw for the four calls; else one per call
+            assert len(draws) == (1 if kept else 4)
+
+    def test_threads_match_serial(self):
+        # two threads, each on its own seeds, take the one kept draw from
+        # each other all the time: each call's result is the serial one
+        specs = [LatticeSpec(shape, 1.0, sink=self.SINK) for shape in CellShape]
+        cfgs = [[DeploymentConfig(box=self.BOX, node_count=30_000, seed=seed) for seed in seeds]
+                for seeds in ((41, 42), (43, 44))]
+        serial = {cfg.seed: [outcome(lifetime_simulation(s, cfg, 3.0)) for s in specs]
+                  for cfg in sum(cfgs, [])}
+        start = threading.Barrier(2)
+        got = [[], []]
+
+        def run(i):
+            start.wait()
+            for _ in range(6):
+                for cfg in cfgs[i]:
+                    got[i].append((cfg.seed, [outcome(lifetime_simulation(s, cfg, 3.0))
+                                              for s in specs]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert [len(g) for g in got] == [12, 12]
+        for seed, results in got[0] + got[1]:
+            assert results == serial[seed], seed
 
 
 class TestActiveCount:
