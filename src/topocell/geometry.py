@@ -376,11 +376,12 @@ def _per_axis(a: np.ndarray, scale=None, shift=None) -> np.ndarray:
     multiply on the three columns 23 us, and an add on contiguous (3, rows)
     columns 8 us (timeit, 2-core Xeon, numpy 2.4). So a per-axis constant
     goes column by column, and a scalar one, which needs no broadcast of a
-    row, stays a whole-array operation. The accuracy run's draw and the
-    centers use it; the lifetime run, whose blocks go on as (3, rows)
-    columns, instead forms its decoder's input from its draw u in one
-    transposing multiply by a (3, 1) column and a contiguous add
-    (``simulator._interior_counts``), and ``deploy`` its nodes the same way.
+    row, stays a whole-array operation. The centers use it; the lifetime
+    and accuracy runs, whose blocks go on as (3, rows) columns, instead form
+    them from the draw u in one transposing multiply and contiguous adds of
+    (3, 1) columns (``simulator._interior_counts``, which forms its
+    decoder's input so, and ``simulator.accuracy_experiment``, its points),
+    and ``deploy`` its nodes the same way.
     """
     for axis in range(3):
         column = a[..., axis]

@@ -83,16 +83,21 @@ around c, and a candidate farther can neither win nor tie. The support
 function of the box, h(n) = sum_j |n.(scale M e_j)| / 2, bounds a
 candidate's distance from it below by |d| - h(d / |d|), d its offset from
 c, so the kept candidates come from the spec: CB 27, HP 21, RD 17 and
-TO 15, at every window. It ranks them by the score |c|^2 - 2 c.q, c
-being a candidate's offset from the middle center and
-q = p - that center, in one matrix product per block: the squared
-distance |q - c|^2 less |q|^2, which the point's candidates share and
-which is left out. The rigorous bound on the rounding error of the float
-scores comes from the spec too; candidates and bound are built once per
-call, from the spec and window alone. The scores decide every point whose
-runner-up is farther than the bound, and the rest are re-scored exactly
-in integers, so the result, ties included, is that of the full window and
-of exact arithmetic.
+TO 15, at every window. It ranks them in the scaled coordinates, where
+every quantity is O(1) at every supported spec, by the score
+sum w y^2 - 2 sum w y q, y = M o being a candidate's offset from the
+rounded solution base in those coordinates (o its basis-id offset),
+q = t - M base, t = (p - sink) / scale, and w = (scale / scale_0)^2 the
+metric: its squared distance over scale_0^2 less sum w q^2, which the
+point's candidates share and which is left out. The score rows
+[-2 w y | sum w y^2] depend on the shape alone; all of a block's scores are one float32 matrix product.
+The rigorous bound on their error, from the rounding of t, q and the
+centers in float64 and of the rows, q and the product in float32, comes
+from the spec; candidates and bound are built once per call, from the
+spec and window alone. The scores decide every point whose runner-up is
+farther than the bound, and the rest are re-scored exactly in integers,
+so the result, ties included, is that of the full window and of exact
+arithmetic.
 
 The cheaper nearest-integer shortcut rounds each coordinate of the TO
 solution independently; it is wrong for 3/8 of random points (the rounding
@@ -112,11 +117,13 @@ input buffer and scratch (``_work``), the oracle's candidate table
 not per block. The decoder only reads p - sink: it writes
 (p - sink) / divisor into its input buffer, takes ``_lattice_points``
 there, the nearest lattice point y, and returns M^-1 y in that buffer;
-the oracle is ``_nearest_int``, which divides p - sink in place, then
-``_oracle_at`` that rounding. The accuracy experiment runs the same
-p - sink step (``_relative``) on its blocks, with buffers of its own, and
-hands one p - sink to ``_decode`` and then to ``_nearest_int``, with no
-copy, and that rounding to ``_oracle_at``; the lifetime simulation forms
+the oracle is ``_nearest_int``, which divides p - sink by scale in place,
+then ``_oracle_at`` that quotient and its rounding, reading p itself only
+for the rows it re-scores exactly. The accuracy experiment forms its
+blocks as (3, rows) columns and runs the same p - sink step
+(``_relative``) on them, with buffers of its own, and hands one p - sink
+to ``_decode`` and then to ``_nearest_int``, with no copy, and the
+quotient and rounding to ``_oracle_at``; the lifetime simulation forms
 (p - sink) / divisor from its draw in the decoder's input buffer and hands
 it to ``_lattice_points``, with a tol of 4 rule.tol that covers its
 prologue's rounding, and counts the y. Points farther than ``MAX_STEPS``
@@ -158,9 +165,12 @@ from .geometry import (
 # steps (``geometry.MAX_STEPS``, whose id conversions check unsigned ids).
 # Supported magnitudes: a spec's step is at least 1 / MAX_MAGNITUDE and its
 # |sink|inf + MAX_STEPS steps at most MAX_MAGNITUDE = 2^500 m. Every square
-# and product that the oracle and the CLI's distance column form then stays
-# below 2^1000, so none overflows, and the oracle's filter tolerance stays
-# above 2^-1027, far above the 2^-1074 an underflow can move a square by.
+# and product that the oracle's candidate cut and the CLI's distance column
+# form then stays below 2^1000, so none overflows, and the cut's squares of
+# candidate offsets stay above 2^-1000, clear of underflow. The oracle's
+# float32 filter works in scaled units, where every quantity is O(1) at
+# every such spec; in metres its squares would overflow float32 at r_t 1e20
+# and fall below its smallest normal at r_t 1e-20.
 MAX_MAGNITUDE = 2.0 ** 500
 # Supported resolution: a spec's tie tolerance ``rule.tol``, which grows as
 # the float spacing at the sink over the lattice step, is at most MAX_TOL.
@@ -172,7 +182,7 @@ MAX_TOL = 2.0 ** -20
 # rows that every bulk loop (the block driver of the three bulk assigners,
 # the experiments' draws and tallies) handles at once; of 4,096 to 65,536
 # rows, 8,192 ran the accuracy experiment fastest. A block's arrays, 192 KiB
-# per (3, rows) float array and under 1 MiB for the oracle's (15, rows)
+# per (3, rows) float array and 480 KiB for the oracle's (15, rows) float32
 # scores on TO, stay in cache. The allocator need not keep them for the
 # next block: glibc maps arrays of that size, or trims them off the heap's
 # top, when they are freed, so one made afresh in every block can be
@@ -180,9 +190,10 @@ MAX_TOL = 2.0 ** -20
 # constants and scratch (``_work``) of the driver and of both experiments,
 # and the lifetime run's t / P columns, are made once per call and fault in
 # once; the oracle, a reference only, still makes its arrays in every
-# block: held for the call, its TO scores, mask and index
+# block: held for the call, its TO scores (float64 then), mask and index
 # product lifted the accuracy run's tracemalloc peak at 1e6 points from
-# 2.6 to 3.0 MiB for no time gain that paired runs could resolve
+# 2.6 to 3.0 MiB for no time gain that paired runs could resolve; with
+# float32 scores made per block that peak is 2.0 MiB
 _CHUNK = 1 << 13
 
 
@@ -715,17 +726,21 @@ def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarra
     cut is farther than R from p and can neither win nor tie. That keeps
     CB 27, HP 21, RD 17 and TO 15 candidates at every window. The cut and
     the float filter's tolerance come from the spec and window alone,
-    built once per call, so a point's id
-    depends on the spec and the point, not on the other points of its
-    call. The kept candidates, at offsets c from the rounded center, are
-    ranked by the score |c|^2 - 2 c.q, all of a block's in one matrix
-    product: their squared distance |q - c|^2 less the point's own |q|^2,
-    which they all share. The scores are a floating-point filter with an exact fallback
-    (Shewchuk, "Adaptive precision floating-point arithmetic and fast
-    robust geometric predicates", DCG 18, 1997): they decide every point
-    whose runner-up is farther than a rigorous bound on their rounding
-    error, and the points within it are re-scored exactly in integers,
-    every float being an integer times a power of two.
+    built once per call, so a point's id depends on the spec and the point,
+    not on the other points of its call. The kept candidates, at offsets y
+    from the rounded solution in the scaled coordinates, are ranked by the
+    score sum w y^2 - 2 sum w y q, w = (scale / scale_0)^2 and q the
+    point's offset from the rounded solution there, all of a block's in
+    one float32 matrix product: their squared distance over scale_0^2 less
+    the point's own sum w q^2, which they all share. Every quantity is
+    O(1) there at every supported spec, so float32 neither overflows nor
+    underflows. The scores are a floating-point filter with an exact
+    fallback (Shewchuk, "Adaptive precision floating-point arithmetic and
+    fast robust geometric predicates", DCG 18, 1997): they decide every
+    point whose runner-up is farther than a rigorous bound on their
+    rounding error, in float64 and float32, and the points within it are
+    re-scored exactly in integers, every float being an integer times a
+    power of two.
 
     ``window`` must be an integer (a Python or numpy int, read with
     ``operator.index``); others raise ``ValueError``.
@@ -741,54 +756,42 @@ class _OracleTable(NamedTuple):
 
     basis: np.ndarray  # (3, 3) float generator matrix M
     offs: np.ndarray  # (3, k) float basis-id offsets, columns in lexicographic order
-    score: np.ndarray  # (k, 4) rows [-2 doff | |doff|^2] of their center displacements doff
-    tol: float  # the float filter's bound on the rounding error of the scores
+    score: np.ndarray  # (k, 4) float32 rows [-2 w d | sum(w d^2)], d = M offs, w (scale / scale0)^2
+    tol: float  # the float32 filter's bound on the rounding error of the scores
     index: np.ndarray  # (k, 1) int8 candidate numbers 0 .. k - 1
 
 
 def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     """The candidates ``_oracle`` scores for ``spec`` and ``window``, and the
     float filter's tolerance: computed from the spec alone, once per call
-    of the oracle's entry points."""
+    of the oracle's entry points. The score rows depend on the shape alone,
+    and only the tolerance on the spec."""
     import numpy as np
 
-    # basis-id offsets in lexicographic order and their center displacements
+    # basis-id offsets in lexicographic order, their offsets d = M offs in
+    # the scaled coordinates y and their center displacements doff = d scale
     offs = np.indices((2 * window + 1,) * 3, dtype=float).reshape(3, -1).T - window
     basis, scale = np.array(_BASES[spec.shape], dtype=float), spec.rule.scale
-    doff = (offs @ basis.T) * scale
-    # each candidate's row [-2 doff | |doff|^2]
-    score = np.hstack([-2.0 * doff, (doff * doff).sum(axis=1, keepdims=True)])
-    # A candidate center is center(base) + doff, base being the rounded real
-    # solution, and its squared distance is |q - doff|^2 = |q|^2 + s with
-    # the score s = |doff|^2 - 2 doff.q, q = p - center(base) and
-    # center(base) computed by the operations of cell_centers, to the same
-    # doubles. |q|^2 is the same for every candidate of a point, so the
-    # scores rank them as the distances do, and differ as they do.
-    # Rounding error, with u = 2^-53, from the spec alone: on every axis
+    d = offs @ basis.T
+    doff = d * scale
+    norm2 = (doff * doff).sum(axis=1)
+    # The cut, in metric units, with u = 2^-53: on every axis
     # |sink| + |p| <= A = 2|sink|inf + reach (the domain check), every
-    # coordinate of q and of a kept doff is within L, and of a center offset
-    # within A + L, where L < 2^-10 A as A >= reach = 2^19 steps. A center
-    # from cell_centers is within u(|sink| + 2|offset|) <= 3u(A + L) of
-    # sink + offset on each axis, q within uL of p - center(base) and doff
-    # within uL of its offset, so each coordinate of q - doff is within
-    # 8u(A + L) of the exact p - center.
-    # |q|: the real solution, its coordinates below 2^20, is within a few
+    # coordinate of a kept doff is within L, and of a center offset within
+    # A + L, where L < 2^-10 A as A >= reach = 2^19 steps. A center from
+    # cell_centers is within u(|sink| + 2|offset|) <= 3u(A + L) of
+    # sink + offset on each axis, and doff within uL of its offset.
+    # The real solution, its coordinates below 2^20, is within a few
     # roundings of 2^-33, under 2^-30, of its float, and base within
-    # 1/2 + 2^-33 of that, so the exact q is scale * M delta with
-    # |delta|inf <= 1/2 + 2^-29: at most (1 + 2^-28) H, H the longest
-    # half-diagonal of M [-1/2, 1/2]^3 in scaled units (2^-27 also covers
-    # the rounding of H). The computed q adds 4 sqrt3 u(A + L) < 2^-49 A.
-    far = 2.0 * max(map(abs, spec.sink)) + spec.rule.reach
-    corners = (np.indices((2, 2, 2)).reshape(3, -1).T - 0.5) @ basis.T * scale
-    size = math.sqrt((corners * corners).sum(axis=1).max()) * (1.0 + 2.0 ** -27) + 2.0 ** -48 * far
-    # The cut: the lattice point nearest p is within the covering radius R
-    # of p, and its center as computed within 3 sqrt3 u(A + L) of it, so
-    # the nearest center and every center tied with it are within
-    # R + 3 sqrt3 u(A + L) of p, and their q - doff within
-    # R + 11 sqrt3 u(A + L) < R + 2^-47 A in length. The exact q lies in
-    # the rounding box scaled by 1 + 2^-28, whose support function is
-    # h(n) = sum_j |n.(scale M e_j)| / 2, and the computed q within
-    # 2^-49 A of it, so for n = doff / |doff| (a separating plane)
+    # 1/2 + 2^-33 of that, so p less the exact center of base is
+    # scale * M delta with |delta|inf <= 1/2 + 2^-29, in the rounding box
+    # scaled by 1 + 2^-28, and q = p - center(base) within 2^-49 A of it.
+    # The lattice point nearest p is within the covering radius R of p, and
+    # its center as computed within 3 sqrt3 u(A + L) of it, so the nearest
+    # center and every center tied with it are within R + 3 sqrt3 u(A + L)
+    # of p, and their q - doff within R + 11 sqrt3 u(A + L) < R + 2^-47 A
+    # in length. The box's support function is h(n) = sum_j |n.(scale M
+    # e_j)| / 2, so for n = doff / |doff| (a separating plane)
     # |q - doff| >= n.(doff - q) >= |doff| - (1 + 2^-28) h(n) - 2^-49 A.
     # A candidate with |doff| - (1 + 2^-27) h(n) - 2^-48 A > R + 2^-47 A
     # can thus neither win nor tie; 2^-27 covers the rounding of h, and the
@@ -796,63 +799,93 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     # |doff|, with |doff| h(n) = h(doff), so the middle candidate, doff = 0,
     # is always kept. This keeps CB 27, HP 21, RD 17 and TO 15 candidates
     # at every window, those within R of the box, where a ball of radius
-    # H + R around the middle center kept 27, 23, 43 and 27.
+    # H + R around the middle center, H the box's longest half-diagonal,
+    # kept 27, 23, 43 and 27.
+    far = 2.0 * max(map(abs, spec.sink)) + spec.rule.reach
     support = np.abs(doff @ (basis * np.array(scale)[:, None])).sum(axis=1) / 2.0
     slack = (spec.circumradius + 2.0 ** -47 * far) * (1.0 + 1e-9) + 2.0 ** -48 * far
-    keep = score[:, 3] - (1.0 + 2.0 ** -27) * support <= slack * np.sqrt(score[:, 3])
-    size += np.abs(doff[keep]).max()
-    # The filter, with L = max|q| + m, m = max|doff|inf over the kept
-    # candidates. In exact arithmetic on the floats q and doff, the score
-    # plus |q|^2 is |q - doff|^2, which the error of 8u(A + L) on each
-    # coordinate of q - doff, itself within L, moves from the exact
-    # distance by at most 3 (2L + 8u(A + L)) 8u(A + L) < 49uL(A + L), as
-    # MAX_TOL keeps A below 2^34 L. Evaluating the score: the stored
-    # |doff|^2, a sum of three squares, is within g3 |doff|^2 <= 3 g3 m^2
-    # of its exact value (gn = nu / (1 - nu)); the product score @ [q; 1]
-    # is a 4-term inner product, and in any order of its sums, with or
-    # without fused multiply-adds, its error is at most
-    # g4 (2 sum|doff_i q_i| + |doff|^2) <= g4 (2 sqrt3 m (L - m) + 3.01 m^2)
-    # <= 3.01 g4 L^2 (Higham, Accuracy and Stability of Numerical
-    # Algorithms, ch. 3). So every score is within
-    # e = 49uL(A + L) + 22uL^2 < 64uL(A + L) of the exact squared distance
-    # minus the float |q|^2, a shift shared by the point's candidates. With
-    # tol = 4e, a row with no second candidate within tol of its minimum
-    # has one exact winner, which is also the argmin of any float
-    # evaluation within e; the others are flagged, every exact winner among
-    # their close candidates. Rounding min + tol moves it by u(4L^2 + tol)
-    # at most, well inside the factor 2 of slack.
-    tol = 2.0 ** -45 * size * (size + far)
+    keep = norm2 - (1.0 + 2.0 ** -27) * support <= slack * np.sqrt(norm2)
+    d = d[keep]
+    # The filter works in the scaled coordinates, where every quantity is
+    # O(1) at every supported spec, so float32 neither overflows nor
+    # underflows there, as squares in metres would. In exact arithmetic
+    # |p - center|^2 / scale0^2 = sum W (T - C)^2, with W = (scale / scale0)^2,
+    # T = (p - sink) / scale and C = (center - sink) / scale. The oracle has
+    # t = fl(fl(p - sink) / scale), left in rel by _nearest_int, and
+    # q = fl(t - M base), within Q = (1 + 2^-28) sum_j |M_ij| / 2 of 0 on
+    # axis i (delta above). A candidate's C is M base + d up to the
+    # rounding of its center, so T - C = q - d - eps, eps gathering the
+    # roundings of t, 2u reach / scale, of the center, u(|sink|inf +
+    # 2 reach) / scale + 2uL', and of q, uL', L' < 16 the largest |y - M base|:
+    # |eps| <= E = (1 + 2^-10) u(|sink|inf + 4 reach) / scale, as
+    # reach / scale >= 2^18 on every axis. So the exact squared distance
+    # over scale0^2 is sum W q^2, shared by the point's candidates, plus the
+    # score s = sum W d^2 - 2 sum W d q, plus at most
+    # eta = sum W E (2a + E), a = Q + |d| bounding |q - d|. The float32
+    # score: each entry of a row, from w = fl(fl(scale / scale0)^2), is
+    # within u' + 8u of its exact value, u' = 2^-24, and each q within u' of
+    # the float64 q; the 4-term inner product adds at most g4 times the sum
+    # of its terms' magnitudes (gn = n u' / (1 - n u')), in any order of its
+    # sums, with or without fused multiply-adds (Higham, Accuracy and
+    # Stability of Numerical Algorithms, ch. 3). So a computed score is
+    # within err = 5u' sum W d^2 + 6u' 2 sum W |d| Q + eta of its candidate's
+    # exact squared distance over scale0^2 less the shared term; the slack
+    # of 2^-10 covers the terms in u'^2 and u, and an underflow, which moves
+    # a score by 2^-146 at most. The middle candidate scores 0, so the
+    # smallest score is within sum W d^2 + 2 sum W |d| Q of 0, and rounding
+    # the tolerance and its sum with it to float32 moves their sum by at
+    # most u' times that and twice the tolerance. With
+    # tol = 2 max err + u' max(sum W d^2 + 2 sum W |d| Q), a row with no
+    # second candidate within tol of its minimum has one exact winner, which
+    # is also its float argmin; the others are flagged, every exact winner
+    # among their close candidates.
+    w, Q = (np.array(scale) / scale[0]) ** 2, np.abs(basis).sum(axis=1) * (0.5 + 2.0 ** -29)
+    E = (2.0 ** -53 + 2.0 ** -63) * (far / 2.0 + 3.5 * spec.rule.reach) / np.array(scale)
+    wd2, cross = (w * d * d).sum(axis=1), 2.0 * (w * np.abs(d) * Q).sum(axis=1)
+    err = 2.0 ** -24 * (5.0 * wd2 + 6.0 * cross) + (w * E * (2.0 * (np.abs(d) + Q) + E)).sum(axis=1)
+    tol = (2.0 * err.max() + 2.0 ** -24 * (wd2 + cross).max()) * (1.0 + 2.0 ** -10)
+    score = np.hstack([-2.0 * w * d, wd2[:, None]]).astype(np.float32)
     # the at most 27 kept candidates are counted and indexed in int8
-    return _OracleTable(basis, np.ascontiguousarray(offs[keep].T), score[keep], tol,
+    return _OracleTable(basis, np.ascontiguousarray(offs[keep].T), score, float(tol),
                         np.arange(keep.sum(), dtype=np.int8)[:, None])
 
 
 def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, table: _OracleTable) -> np.ndarray:
     """The oracle, a scorer of ``_blocks``: basis ids of
     ``assign_cells_oracle`` for the rows ``p`` (rows, 3), given their
-    p - sink columns ``rel`` (3, rows), which it overwrites, as (3, rows)
-    float columns: ``_oracle_at`` the rounded real solution."""
-    return _oracle_at(spec, p, _nearest_int(spec, p, rel), table)
+    p - sink columns ``rel`` (3, rows), which it divides by scale in place,
+    as (3, rows) float columns: ``_oracle_at`` the rounded real solution."""
+    base = _nearest_int(spec, p, rel)
+    return _oracle_at(spec, p, rel, base, table)
 
 
-def _oracle_at(spec: LatticeSpec, p: np.ndarray, base: np.ndarray,
-               table: _OracleTable) -> np.ndarray:
-    """The oracle's ids for the rows ``p`` from ``base``, their rounded real
-    solution (``_nearest_int``), which it only reads, as (3, rows) float
-    columns: the float filter over the candidate ``table`` around base,
-    then the exact re-score of the rows it flags."""
+def _oracle_scores(t: np.ndarray, base: np.ndarray, table: _OracleTable) -> np.ndarray:
+    """The float32 filter's (k, rows) scores of the candidate ``table``
+    around ``base``, the rounded real solution, for the points whose
+    t = (p - sink) / scale are the columns ``t`` (3, rows): q = t - M base,
+    M base being exact, in float64, rounded to float32 in rows 0 to 2 of
+    q1, whose row 3 is ones, so that score @ q1 gives every candidate's
+    score in one float32 product."""
     import numpy as np
 
-    basis, offs, score, tol, index = table
-    # q = p - center(base), the center computed as cell_centers does:
-    # sink + (M base) scale, M base being exact, one axis at a time; in rows
-    # 0 to 2 of q1, whose row 3 is ones, so that score @ q1 gives every
-    # candidate's score in one product
-    q1 = np.empty((4, len(p)))
+    q1 = np.empty((4, t.shape[1]), dtype=np.float32)
     q1[3] = 1.0
-    q = _per_axis(np.matmul(basis, base, out=q1[:3]).T, spec.rule.scale, spec.sink).T
-    np.subtract(p.T, q, out=q)
-    scores = score @ q1
+    np.subtract(t, table.basis @ base, out=q1[:3], casting="same_kind")
+    return table.score @ q1
+
+
+def _oracle_at(spec: LatticeSpec, p: np.ndarray, t: np.ndarray, base: np.ndarray,
+               table: _OracleTable) -> np.ndarray:
+    """The oracle's ids for the rows ``p`` (rows, 3), any view, from their
+    t = (p - sink) / scale columns ``t`` and their rounded real solution
+    ``base`` (``_nearest_int``), both (3, rows), which it only reads, as
+    (3, rows) float columns: the float filter over the candidate ``table``
+    around base (``_oracle_scores``), then the exact re-score of the rows it
+    flags, the only rows of ``p`` it reads."""
+    import numpy as np
+
+    basis, offs, _, tol, index = table
+    scores = _oracle_scores(t, base, table)
     # every (k, n) array is reduced over k row by row, as a running
     # minimum, count or maximum, which reads memory in order
     close = scores <= scores.min(axis=0) + tol

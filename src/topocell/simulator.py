@@ -32,11 +32,12 @@ memory does not grow with n. A deployment of at most ``_KEPT_ROWS`` nodes
 the four shapes of one deployment, or ``deploy`` and a lifetime run, draw
 it once (``_deployment``); the lifetime run reads its blocks from that
 draw, and a larger deployment streams as the accuracy run does, keeping
-nothing. The accuracy run scales and shifts its buffer in place, the sink,
-a per-axis constant, one column at a time (``geometry._per_axis``), and
-runs the block driver's p - sink step (``lattice._relative``) on it. The
-lifetime run keeps each block as (3, rows) columns, one per axis, from the
-draw to the count, and forms no node: the decoder's input, t / P =
+nothing. Both runs keep each block as (3, rows) columns, one per axis,
+from the draw to the tally or count. The accuracy run forms its points
+from the draw in one transposing multiply into a buffer of its own and
+two contiguous adds, the scalar -half and the sink's column, and runs the
+block driver's p - sink step (``lattice._relative``) on them. The
+lifetime run forms no node: the decoder's input, t / P =
 (p - sink) / divisor, is one transposing multiply of the draw by
 span / divisor and one contiguous add of (lo - sink) / divisor, into a
 second buffer, decoded with a tie tolerance of 4 ``rule.tol``; the
@@ -49,9 +50,10 @@ accuracy run's oracle candidate table (``lattice._oracle_table``), made
 once per call.
 
 The accuracy experiment scores a block in one pass (``_tally``): the
-decoder only reads p - sink, and the shortcut, which then divides it in
-place, rounds it to the oracle's base too, so the oracle shares the
-block's p - sink and rounding but not the decoder's ids. Each block's
+decoder only reads p - sink, and the shortcut, which then divides it by
+scale in place, rounds that quotient to the oracle's base too, so the
+oracle shares the block's quotient and rounding, scoring its candidates
+from them in float32, but not the decoder's ids. Each block's
 correct rows add to two integer counters; the oracle's id of a point does
 not depend on the other points of its call. The lifetime simulation forms
 no ids: the decoder gives each node its lattice point y, whose slot in a
@@ -66,8 +68,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .geometry import (_EXTENTS, CellShape, _count, _Frozen, _per_axis, _positive, _rows,
-                       _seed, as_point)
+from .geometry import _EXTENTS, CellShape, _count, _Frozen, _positive, _rows, _seed, as_point
 from .lattice import (
     _CHUNK,
     LatticeSpec,
@@ -257,17 +258,18 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
         raise ValueError("the accuracy experiment is defined for the TO lattice")
     n, seed = _count(n, "n"), _seed(seed)
     half, rows = 5.0 * spec.r_t, min(n, _CHUNK)
-    buf, work = np.empty((3, rows)), _work(spec, rows, spec.rule.tol)
-    table = _oracle_table(spec, 3)
+    cols, buf, work = np.empty((3, rows)), np.empty((3, rows)), _work(spec, rows, spec.rule.tol)
+    table, sink = _oracle_table(spec, 3), np.array(spec.sink)[:, None]
     counts = np.zeros(2, dtype=np.int64)  # correct_exact, correct_nearest_int
     # the doubles of spec.sink + rng.uniform(-half, half, (n, 3)), a block at
-    # a time: uniform computes -half + 2 half u, and the scalar constants go
-    # over the whole block, the sink's per-axis ones column by column
-    for pts in _uniform_blocks(seed, n, _CHUNK):
-        pts *= 2.0 * half
+    # a time, as (3, rows) columns: uniform computes -half + 2 half u, here
+    # one transposing multiply of the draw u, then the scalar -half and the
+    # sink's column, the operations of _per_axis in the same order
+    for u in _uniform_blocks(seed, n, _CHUNK):
+        pts = np.multiply(u.T, 2.0 * half, out=cols[:, :len(u)])
         pts += -half
-        _per_axis(pts, shift=spec.sink)
-        counts += _tally(spec, pts, buf, work, table)
+        pts += sink
+        counts += _tally(spec, pts.T, buf, work, table)
     return AccuracyReport(n, *counts.tolist())
 
 
@@ -278,21 +280,26 @@ def _tally(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray, work: list,
     (window 3), in one pass over the block's columns, with the call's
     buffers, ``buf`` (3, rows) and the decoder's buffers and scratch
     ``work``, and the oracle's candidate ``table``
-    (``lattice._oracle_table``).
+    (``lattice._oracle_table``). ``p`` may be any view; the accuracy run
+    hands the .T view of its (3, rows) columns, so that every pass reads
+    contiguous columns; only the decoder's tie rows and the oracle's
+    flagged rows are read as rows of ``p``.
 
     p - sink is formed once, in ``buf``, and handed to the decoder, which
-    only reads it, and then to the shortcut, which divides it in place. The
-    shortcut's rounding of the real ids is also the oracle's base, the
-    window's middle id, so it is formed once; the oracle does not read the
-    decoder's ids. On TO public ids are basis ids, so the three scorers'
-    (3, rows) float columns are compared as they are.
+    only reads it, and then to the shortcut, which divides it by scale in
+    place. The shortcut's rounding of the real ids is also the oracle's
+    base, the window's middle id, so it is formed once, and the oracle
+    scores its candidates from the quotient t = (p - sink) / scale left in
+    ``buf``; it does not read the decoder's ids. On TO public ids are basis
+    ids, so the three scorers' (3, rows) float columns are compared as
+    they are.
     """
     import numpy as np
 
     rel = _relative(spec, p, buf)
     ids = _decode(spec, p, rel, work)
     base = _nearest_int(spec, p, rel)
-    truth = _oracle_at(spec, p, base, table)
+    truth = _oracle_at(spec, p, rel, base, table)
     return tuple(int(np.count_nonzero((x == truth).all(axis=0))) for x in (ids, base))
 
 

@@ -710,10 +710,10 @@ class TestMagnitudes:
     @pytest.mark.parametrize("shape", SHAPES)
     @EDGES
     def test_extreme_rt_matches_exact_search(self, shape, step, toward):
-        # At the largest r_t the oracle's squares reach about 2^962 and the
-        # product in its tolerance about 2^984; at the smallest its squares
-        # fall to about 2^-1000 and its tolerance to about 2^-1023. All
-        # three assignments still give the exact nearest center, smallest id
+        # At the largest r_t the squares of the oracle's candidate cut reach
+        # about 2^962, and at the smallest they fall to about 2^-1000; its
+        # float32 scores, in scaled units, are O(1) at both. All three
+        # assignments still give the exact nearest center, smallest id
         # among ties, on a 3^3 block's vertices
         spec = LatticeSpec(shape, edge_rt(shape, step, toward))
         cells = id_grid(1)
@@ -1027,6 +1027,118 @@ class TestOracle:
                 want = exact_nearest(spec, pts, owners)[0]
                 assert (assign_cells_oracle(spec, pts) == want).all()
                 assert (assign_cells(spec, pts) == want).all()
+
+
+def filter_specs(shape):
+    """The float32 filter's specs: the origin sink, a far sink, r_t 1e-100
+    and 1e100, and the finest step at the far sink, on the MAX_TOL edge."""
+    far = (1e8, 1e8, -1e8)
+    edge = edge_rt(shape, finest_step(shape, 1e8), 0.0, far, TIE_BOUND)
+    return {"origin": LatticeSpec(shape, 1.0), "far sink": LatticeSpec(shape, 1.0, sink=far),
+            "r_t 1e-100": LatticeSpec(shape, 1e-100), "r_t 1e100": LatticeSpec(shape, 1e100),
+            "MAX_TOL edge": LatticeSpec(shape, edge, sink=far)}
+
+
+# how far the near-tie points are moved off their ties, in units of R
+NEAR_TIE_DELTAS = [2.0 ** -30, 2.0 ** -26, 2.0 ** -23, 2.0 ** -20]
+
+
+def near_ties(spec, seed):
+    """Points on ties moved off them: the vertices of three cells (HP's odd
+    rows among them) and the midpoints to their neighbors' centers, on the
+    neighbors' bisectors, each moved by delta R along two random directions
+    for every delta of ``NEAR_TIE_DELTAS``; with the cell whose boundary
+    held each point."""
+    cells = np.array([(0, 0, 0), (2, -3, 1), (-1, 1, 2)])
+    centers = cell_centers(spec, cells)
+    ties = [build_polyhedron(spec.shape, c, spec.circumradius).vertices for c in centers]
+    ties += [(c + cell_centers(spec, np.array(neighbors(spec, tuple(cell))))) / 2.0
+             for c, cell in zip(centers, cells)]
+    owners = np.repeat(np.vstack([cells, cells]), [len(t) for t in ties], axis=0)
+    ties = np.vstack(ties)
+    rng = np.random.default_rng(seed)
+    pts, cells = [], []
+    for delta in NEAR_TIE_DELTAS:
+        for _ in range(2):
+            step = rng.normal(size=ties.shape)
+            step *= delta * spec.circumradius / np.sqrt((step * step).sum(axis=1, keepdims=True))
+            pts.append(ties + step)
+            cells.append(owners)
+    return np.vstack(pts), np.vstack(cells)
+
+
+def fraction_nearest(spec, pts, owners):
+    """The nearest center to each point in exact arithmetic, the smallest
+    public (u, v, w) among exactly equidistant ones, found with no part of
+    the oracle: among the centers of ``cell_centers`` within 2R of the
+    point, in the public id window of half-width 2 around its owner, which
+    holds every center within 2R of the owner's; the float squared
+    distances pick those within 2^-10 R^2 of the nearest, far wider than
+    their rounding at every spec here, and ``fractions.Fraction`` decides
+    among them."""
+    R = spec.circumradius
+    cand = owners[:, None, :] + id_grid(2)
+    centers = cell_centers(spec, cand)
+    # in units of R: the float squares stay finite at r_t 1e100 and 1e-100
+    d2 = ((((pts[:, None, :] - centers) / R) ** 2).sum(axis=2))
+    assert d2.min(axis=1).max() <= 1.0 + 1e-6
+    near = (d2 <= 4.0) & (d2 <= d2.min(axis=1, keepdims=True) + 2.0 ** -10)
+    want = np.empty_like(owners)
+    frac = functools.cache(Fraction)
+    for i, row in enumerate(near):
+        p = [Fraction(x) for x in pts[i].tolist()]
+        exact = [sum((a - frac(b)) ** 2 for a, b in zip(p, c)) for c in centers[i, row].tolist()]
+        want[i] = min(zip(exact, map(tuple, cand[i, row].tolist())))[1]
+    return want
+
+
+class TestFloatFilter:
+    """The oracle's float32 filter, in scaled units, against exact
+    arithmetic where float32 cannot decide: an under-sized tolerance, a
+    dropped metric or rows in metres each give wrong ids here."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_near_ties_match_fraction_search(self, shape):
+        # near-ties 2^-30 to 2^-20 R off a tie are within float32's
+        # resolution of the scores; the oracle must flag those it cannot
+        # decide and re-score them exactly
+        for name, spec in filter_specs(shape).items():
+            pts, owners = near_ties(spec, 41)
+            want = fraction_nearest(spec, pts, owners)
+            assert (assign_cells_oracle(spec, pts) == want).all(), name
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_score_error_within_tol(self, shape):
+        # The filter's rigorous tol, measured: on random rows and near-tie
+        # rows, each float32 score against the exact difference of its
+        # candidate's squared distance and the middle candidate's, in units
+        # of scale0^2, from the centers of cell_centers in Fractions. The
+        # observed error is printed over tol, which covers twice the error
+        # of one score, and lies in (0, 1)
+        rng = np.random.default_rng(47)
+        for name, spec in filter_specs(shape).items():
+            R, scale0 = spec.circumradius, Fraction(spec.rule.scale[0])
+            pts = np.vstack([spec.sink + rng.uniform(-4.0, 4.0, (120, 3)) * R,
+                             near_ties(spec, 43)[0][::8]])
+            table = lattice._oracle_table(spec, 3)
+            t = lattice._relative(spec, pts, np.empty((3, len(pts))))
+            base = lattice._nearest_int(spec, pts, t)
+            scores = lattice._oracle_scores(t, base, table).T.tolist()
+            # the candidates' public ids, row by row, the middle one first
+            ids = half_steps(shape, base.T[:, None, :] + table.offs.T, 1)
+            middle = np.flatnonzero((table.offs == 0).all(axis=0))[0]
+            centers = cell_centers(spec, ids).tolist()
+            frac, worst = functools.cache(Fraction), 0.0  # the centers' coordinates recur
+            for p, cs, s in zip(pts.tolist(), centers, scores):
+                p = [Fraction(x) for x in p]
+                d2 = [sum((a - frac(b)) ** 2 for a, b in zip(p, c)) for c in cs]
+                assert s[middle] == 0.0
+                worst = max(worst, *(abs(Fraction(x) - (d - d2[middle]) / scale0 ** 2)
+                                     for x, d in zip(s, d2)))
+            ratio = float(worst / Fraction(table.tol))
+            print(f"{shape.value} {name}: observed score error / tol = {ratio:.3g} "
+                  f"(tol {table.tol:.3g})")
+            assert 0.0 < ratio < 1.0, name
 
 
 class TestBlockSize:
