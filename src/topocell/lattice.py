@@ -90,11 +90,11 @@ rounded solution base in those coordinates (o its basis-id offset),
 q = t - M base, t = (p - sink) / scale, and w = (scale / scale_0)^2 the
 metric: its squared distance over scale_0^2 less sum w q^2, which the
 point's candidates share and which is left out. The score rows
-[-2 w y | sum w y^2] depend on the shape alone; all of a block's scores are one float32 matrix product.
-The rigorous bound on their error, from the rounding of t, q and the
-centers in float64 and of the rows, q and the product in float32, comes
-from the spec; candidates and bound are built once per call, from the
-spec and window alone. The scores decide every point whose runner-up is
+[-2 w y | sum w y^2] depend on the shape alone, and all of a block's
+scores are one float32 matrix product. The rigorous bound on their error,
+from the rounding of t, q and the centers in float64 and of the rows, q
+and the product in float32, comes from the spec; candidates and bound
+are built once per call, from the spec and window alone. The scores decide every point whose runner-up is
 farther than the bound, and the rest are re-scored exactly in integers,
 so the result, ties included, is that of the full window and of exact
 arithmetic.
