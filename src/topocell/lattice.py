@@ -94,10 +94,10 @@ point's candidates share and which is left out. The score rows
 scores are one float32 matrix product. The rigorous bound on their error,
 from the rounding of t, q and the centers in float64 and of the rows, q
 and the product in float32, comes from the spec; candidates and bound
-are built once per call, from the spec and window alone. The scores decide every point whose runner-up is
-farther than the bound, and the rest are re-scored exactly in integers,
-so the result, ties included, is that of the full window and of exact
-arithmetic.
+are built once per call, from the spec and window alone. The scores
+decide every point whose runner-up is farther than the bound, and the
+rest are re-scored exactly in integers, so the result, ties included, is
+that of the full window and of exact arithmetic.
 
 The cheaper nearest-integer shortcut rounds each coordinate of the TO
 solution independently; it is wrong for 3/8 of random points (the rounding
