@@ -845,7 +845,8 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     err = 2.0 ** -24 * (5.0 * wd2 + 6.0 * cross) + (w * E * (2.0 * (np.abs(d) + Q) + E)).sum(axis=1)
     tol = (2.0 * err.max() + 2.0 ** -24 * (wd2 + cross).max()) * (1.0 + 2.0 ** -10)
     score = np.hstack([-2.0 * w * d, wd2[:, None]]).astype(np.float32)
-    # the at most 27 kept candidates are counted and indexed in int8
+    # the at most 27 kept candidates are counted and indexed in int8; tol is
+    # a Python float, which numpy adds to the float32 minima in float32
     return _OracleTable(basis, np.ascontiguousarray(offs[keep].T), score, float(tol),
                         np.arange(keep.sum(), dtype=np.int8)[:, None])
 

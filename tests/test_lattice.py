@@ -1071,11 +1071,12 @@ def fraction_nearest(spec, pts, owners):
     """The nearest center to each point in exact arithmetic, the smallest
     public (u, v, w) among exactly equidistant ones, found with no part of
     the oracle: among the centers of ``cell_centers`` within 2R of the
-    point, in the public id window of half-width 2 around its owner, which
-    holds every center within 2R of the owner's; the float squared
-    distances pick those within 2^-10 R^2 of the nearest, far wider than
-    their rounding at every spec here, and ``fractions.Fraction`` decides
-    among them."""
+    point in the public id window of half-width 2 around its owner. A point
+    lies within R (1 + 2^-20) of its owner's center, so its nearest centers
+    lie within 2R of that center, and the window holds every center within
+    2R of it. The float squared distances pick the centers within 2^-10 R^2
+    of the nearest, far wider than their rounding at every spec here, and
+    ``fractions.Fraction`` decides among them."""
     R = spec.circumradius
     cand = owners[:, None, :] + id_grid(2)
     centers = cell_centers(spec, cand)
@@ -1118,13 +1119,13 @@ class TestFloatFilter:
         rng = np.random.default_rng(47)
         for name, spec in filter_specs(shape).items():
             R, scale0 = spec.circumradius, Fraction(spec.rule.scale[0])
-            pts = np.vstack([spec.sink + rng.uniform(-4.0, 4.0, (120, 3)) * R,
-                             near_ties(spec, 43)[0][::8]])
+            pts = np.vstack([spec.sink + rng.uniform(-4.0, 4.0, (60, 3)) * R,
+                             near_ties(spec, 43)[0][::12]])
             table = lattice._oracle_table(spec, 3)
             t = lattice._relative(spec, pts, np.empty((3, len(pts))))
             base = lattice._nearest_int(spec, pts, t)
             scores = lattice._oracle_scores(t, base, table).T.tolist()
-            # the candidates' public ids, row by row, the middle one first
+            # the candidates' public ids, row by row
             ids = half_steps(shape, base.T[:, None, :] + table.offs.T, 1)
             middle = np.flatnonzero((table.offs == 0).all(axis=0))[0]
             centers = cell_centers(spec, ids).tolist()
