@@ -147,12 +147,9 @@ def cmd_assign(args) -> int:
 
     spec = _spec(vars(args), args.shape)
     point = args.point
-    if args.method == "exact":
-        cid = assign_cell(spec, point)
-    elif args.method == "oracle":
-        cid = assign_cell_oracle(spec, point, window=args.window)
-    else:
-        cid = assign_cell_nearest_int(spec, point)
+    # --window, checked above, changes no id of the oracle's
+    cid = {"exact": assign_cell, "oracle": assign_cell_oracle,
+           "nearest_int": assign_cell_nearest_int}[args.method](spec, point)
     center = _center(spec, cid)
     row = {
         "shape": spec.shape.value,
@@ -317,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_assign.add_argument("--method", choices=("exact", "nearest_int", "oracle"),
                           default="exact")
     p_assign.add_argument("--window", type=int, default=3,
-                          help=f"search half-width for --method oracle, 2 to {MAX_WINDOW} "
-                               "(checked for every method)")
+                          help=f"oracle search half-width, 2 to {MAX_WINDOW}, checked for "
+                               "every method; it changes no id")
     _add_output_flags(p_assign)
     p_assign.set_defaults(func=cmd_assign)
 

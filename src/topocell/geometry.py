@@ -42,9 +42,10 @@ Each cell is the Voronoi cell of its lattice (Conway & Sloane, IEEE Trans.
 IT 32(1), 1986): its faces are the bisectors between its center and its
 face-sharing neighbors', its vertices the points where three faces meet
 inside all the others. At import, Python ints give M^-1 as its adjugate and
-determinant, P, the vertices and each class's ``max_pair_distance_coeff``
-from M, the neighbor classes and ``_METRIC``, the squared axis scales up to
-a common factor. The vertices of a cell centered at the origin are:
+determinant, P, the vertices, each class's ``max_pair_distance_coeff`` and
+the oracle's candidate offsets (``_CANDIDATES``) from M, the neighbor
+classes and ``_METRIC``, the squared axis scales up to a common factor. The
+vertices of a cell centered at the origin are:
 
 * CB: (+-s/2, +-s/2, +-s/2).
 * HP: (+-sqrt(3)*a/2, +-a/2, +-h/2) and (0, +-a, +-h/2), two hexagons
@@ -75,8 +76,9 @@ _SQRT5 = math.sqrt(5.0)
 # (CB s, RD R/sqrt2, TO d, HP hexagon side a). Ids then stay within
 # MAX_STEPS + 2 of zero, exact in float arithmetic and in int64.
 MAX_STEPS = 2 ** 19
-# largest oracle window of ``lattice``: windows >= 2 all give the same ids
-# from the same candidates; only the table build enumerates (2w+1)^3 offsets
+# largest oracle window of ``lattice``: the oracle scores one candidate
+# table per shape (``_CANDIDATES``), so a window from 2 to MAX_WINDOW is
+# validated but changes neither ids nor work
 MAX_WINDOW = 8
 
 
@@ -499,6 +501,53 @@ _EXTENTS = {shape: (*(max(abs(row[i]) for row in rows) for i in range(3)), rows[
             for shape, rows in _VERTICES.items()}
 
 VERTEX_COUNTS = {shape: len(rows) for shape, rows in _VERTICES.items()}
+
+# the oracle's cut widens R by R / _CUT_DEN (``_candidates``)
+_CUT_DEN = 2 ** 12
+
+
+def _candidates(shape: CellShape):
+    """The basis-id offsets o, in lexicographic order, of the centers that
+    ``lattice``'s oracle scores around its rounded real solution base."""
+    # The oracle's point p lies in the rounding box B = scale M [-1/2, 1/2]^3
+    # around the center of base, its support function h(n) = sum_j
+    # |n.(scale M e_j)| / 2. The lattice's covering radius is R, so the
+    # nearest center and every center tied with it lie within R of p. A
+    # candidate at doff = scale M o from the center of base is at least
+    # |doff| - h(doff / |doff|) from every point of B, so one with
+    # |doff|^2 - h(doff) > R |doff| can neither win nor tie. With
+    # scale_i^2 = k W_i and G = M^T W M, in units of k |doff|^2 = o.Go,
+    # h(doff) = sum_j |(Go)_j| / 2 and (L R)^2 is the largest |L v|^2 in W,
+    # L the den of the vertex rows, so the cut keeps o when
+    # L (2 o.Go - sum_j |(Go)_j|) <= 2 (1 + s) sqrt((L R)^2 o.Go), in ints,
+    # squared when the left side is positive. Every o it keeps lies in
+    # {-1, 0, 1}^3 (the tests apply it to every lattice point within H + R
+    # of the middle center, H the box's longest half-diagonal), and
+    # candidates lie exactly on it, so it is not strict.
+    # The slack s covers the rounding of the oracle's floats and of the
+    # centers, which grows with the spec's far = 2|sink|inf + reach: in
+    # units of R, a float test of the same cut needs 2^-47 far (the centers
+    # and the real solution), 2^-48 far (the point's offset from the center
+    # of base), 2^-27 h (the box widened by that rounding), under 2^-26 as
+    # h < 2R, and 1e-9 (its own comparison). MAX_TOL holds
+    # 2^-52 (|sink|inf + 4 reach) / min(scale) under 2^-20, so
+    # far <= 2^33 min(scale) <= 2^33 2R / sqrt3 (CB's step, the largest
+    # min(scale) per R; the coset weights of the others shrink it further),
+    # and the sum is at most 1.06e-4 R, under 2^-13 R. s = 1 / _CUT_DEN =
+    # 2^-12 covers it twice over, and keeps the same offsets up to about
+    # 2^-5.6, where RD's nearest excluded candidate joins.
+    M, (w0, w1, w2), L = _BASES[shape], _METRIC[shape], _VERTICES[shape][0][3]
+    r2 = max(w0 * x * x + w1 * y * y + w2 * z * z for x, y, z, _ in _VERTICES[shape])  # (L R)^2
+    G = [[w0 * a[0] * b[0] + w1 * a[1] * b[1] + w2 * a[2] * b[2] for b in zip(*M)] for a in zip(*M)]
+    for x, y, z in itertools.product((-1, 0, 1), repeat=3):
+        g0, g1, g2 = (a * x + b * y + c * z for a, b, c in G)  # G o
+        d2 = g0 * x + g1 * y + g2 * z
+        gap = L * (2 * d2 - abs(g0) - abs(g1) - abs(g2))
+        if gap <= 0 or (_CUT_DEN * gap) ** 2 <= (_CUT_DEN + 1) ** 2 * 4 * r2 * d2:
+            yield x, y, z
+
+
+_CANDIDATES = {shape: tuple(_candidates(shape)) for shape in CellShape}
 
 
 def _classes(shape: CellShape) -> tuple[NeighborClass, ...]:

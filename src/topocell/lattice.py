@@ -73,31 +73,30 @@ candidates in exact integer arithmetic.
 
 ``assign_cells_oracle``, the brute-force search, is the reference the
 decoders are tested against; no decoder calls it, and it shares nothing
-with them. It enumerates an id window around the
-rounded solution but scores only the candidates that can still win: the
-covering radius of each lattice is the cell circumradius R (every point
-lies within R of its nearest center), and p - c, c the window's middle
-center, lies in the rounding box M [-1/2, 1/2]^3 in scaled units, so the
-nearest center and every center tied with it lie within R of that box
-around c, and a candidate farther can neither win nor tie. The support
-function of the box, h(n) = sum_j |n.(scale M e_j)| / 2, bounds a
-candidate's distance from it below by |d| - h(d / |d|), d its offset from
-c, so the kept candidates come from the spec: CB 27, HP 21, RD 17 and
-TO 15, at every window. It ranks them in the scaled coordinates, where
-every quantity is O(1) at every supported spec, by the score
-sum w y^2 - 2 sum w y q, y = M o being a candidate's offset from the
-rounded solution base in those coordinates (o its basis-id offset),
-q = t - M base, t = (p - sink) / scale, and w = (scale / scale_0)^2 the
-metric: its squared distance over scale_0^2 less sum w q^2, which the
-point's candidates share and which is left out. The score rows
-[-2 w y | sum w y^2] depend on the shape alone, and all of a block's
-scores are one float32 matrix product. The rigorous bound on their error,
-from the rounding of t, q and the centers in float64 and of the rows, q
-and the product in float32, comes from the spec; candidates and bound
-are built once per call, from the spec and window alone. The scores
-decide every point whose runner-up is farther than the bound, and the
-rest are re-scored exactly in integers, so the result, ties included, is
-that of the full window and of exact arithmetic.
+with them. It scores, around the rounded solution base, one table of
+candidates per shape, ``geometry._CANDIDATES``: the covering radius of
+each lattice is the cell circumradius R (every point lies within R of
+its nearest center), and p - c, c the center of base, lies in the
+rounding box M [-1/2, 1/2]^3 in scaled units, so the nearest center and
+every center tied with it lie within R of that box around c, and a
+candidate farther can neither win nor tie. The geometry module cuts the
+basis-id offsets of {-1, 0, 1}^3 so once, at import, in integers, with a
+slack on R that covers the floats of every supported spec, and keeps CB
+27, HP 21, RD 17 and TO 15 candidates; the oracle's ``window`` is
+validated but changes neither ids nor work. It ranks them in the scaled
+coordinates, where every quantity is O(1) at every supported spec, by
+the score sum w y^2 - 2 sum w y q, y = M o being a candidate's offset
+from the rounded solution base in those coordinates (o its basis-id
+offset), q = t - M base, t = (p - sink) / scale, and w = (scale /
+scale_0)^2 the metric: its squared distance over scale_0^2 less sum w
+q^2, which the point's candidates share and which is left out. The score
+rows [-2 w y | sum w y^2] depend on the shape alone, and all of a
+block's scores are one float32 matrix product. The rigorous bound on
+their error, from the rounding of t, q and the centers in float64 and of
+the rows, q and the product in float32, comes from the spec, once per
+call. The scores decide every point whose runner-up is farther than the
+bound, and the rest are re-scored exactly in integers, so the result,
+ties included, is that of an exhaustive search in exact arithmetic.
 
 The cheaper nearest-integer shortcut rounds each coordinate of the TO
 solution independently; it is wrong for 3/8 of random points (the rounding
@@ -146,6 +145,7 @@ from .geometry import (
     MAX_WINDOW,
     _ADJUGATES,
     _BASES,
+    _CANDIDATES,
     _METRIC,
     _PERIODS,
     CellShape,
@@ -165,19 +165,19 @@ from .geometry import (
 # steps (``geometry.MAX_STEPS``, whose id conversions check unsigned ids).
 # Supported magnitudes: a spec's step is at least 1 / MAX_MAGNITUDE and its
 # |sink|inf + MAX_STEPS steps at most MAX_MAGNITUDE = 2^500 m. Every square
-# and product that the oracle's candidate cut and the CLI's distance column
-# form then stays below 2^1000, so none overflows, and the cut's squares of
-# candidate offsets stay above 2^-1000, clear of underflow. The oracle's
-# float32 filter works in scaled units, where every quantity is O(1) at
-# every such spec; in metres its squares would overflow float32 at r_t 1e20
-# and fall below its smallest normal at r_t 1e-20.
+# and product that the CLI's distance column forms then stays below 2^1000,
+# so none overflows, and a step's square stays above 2^-1000, clear of
+# underflow. The oracle's float32 filter works in scaled units, where every
+# quantity is O(1) at every such spec; in metres its squares would overflow
+# float32 at r_t 1e20 and fall below its smallest normal at r_t 1e-20.
 MAX_MAGNITUDE = 2.0 ** 500
 # Supported resolution: a spec's tie tolerance ``rule.tol``, which grows as
 # the float spacing at the sink over the lattice step, is at most MAX_TOL.
 # The decoder flags about 3 to 6 tol of random points for the exact tie
 # step, so at most a few per million; a tol near 1 means the step is near
-# that spacing, where centers round onto each other and ids depend on the
-# oracle's window
+# that spacing, where centers round onto each other, and the oracle's
+# candidate table, whose cut's slack is sized at MAX_TOL
+# (``geometry._candidates``), would miss centers that can win
 MAX_TOL = 2.0 ** -20
 # rows that every bulk loop (the block driver of the three bulk assigners,
 # the experiments' draws and tallies) handles at once; of 4,096 to 65,536
@@ -703,56 +703,50 @@ def assign_cell_nearest_int(spec: LatticeSpec, p) -> CellId:
 
 
 def assign_cells_oracle(spec: LatticeSpec, points, window: int = 3) -> np.ndarray:
-    """Exhaustive-search assignment over a (2*window+1)^3 id neighborhood.
+    """Exhaustive-search assignment over the centers that can win.
 
     Ground truth for the constant-time method. Returns, for each point p,
     the id whose center, as ``cell_centers`` computes it, is nearest to p in
     exact arithmetic; among exactly equidistant centers it returns the
-    smallest (u, v, w). It enumerates every basis id within ``window`` of
-    the rounded real solution. Centers further than the window are farther
-    away than any candidate inside it, so window >= 2 is already exhaustive
-    in effect; the default of 3 leaves margin, and windows above MAX_WINDOW
-    only cost time and memory, so they are refused.
+    smallest (u, v, w). It scores one table of candidates per shape, the
+    basis ids around the rounded real solution whose centers lie within R
+    of the rounding box M [-1/2, 1/2]^3 in scaled units, which holds
+    q = p - center(rounded id) (``geometry._CANDIDATES``, derived once, in
+    integers, with a slack that covers the rounding of q and of the
+    computed centers at every supported spec). The lattice's covering
+    radius is the cell circumradius R, so the nearest center is within R
+    of p, and a candidate cut is farther and can neither win nor tie. That
+    keeps CB 27, HP 21, RD 17 and TO 15 candidates, all within one basis
+    step of the rounded id. The float filter's tolerance comes from the
+    spec alone, once per call, so a point's id depends on the spec and the
+    point, not on the other points of its call. The kept candidates, at
+    offsets y from the rounded solution in the scaled coordinates, are
+    ranked by the score sum w y^2 - 2 sum w y q, w = (scale / scale_0)^2
+    and q the point's offset from the rounded solution there, all of a
+    block's in one float32 matrix product: their squared distance over
+    scale_0^2 less the point's own sum w q^2, which they all share. Every
+    quantity is O(1) there at every supported spec, so float32 neither
+    overflows nor underflows. The scores are a floating-point filter with
+    an exact fallback (Shewchuk, "Adaptive precision floating-point
+    arithmetic and fast robust geometric predicates", DCG 18, 1997): they
+    decide every point whose runner-up is farther than a rigorous bound on
+    their rounding error, in float64 and float32, and the points within it
+    are re-scored exactly in integers, every float being an integer times
+    a power of two.
 
-    Each call scores only the window's candidates within R of the
-    rounding box M [-1/2, 1/2]^3 in scaled units, which holds
-    q = p - center(rounded id): those at an offset d from the rounded
-    center with |d| - h(d / |d|) <= R, h being the box's support function
-    h(n) = sum_j |n.(scale M e_j)| / 2, widened by a bound on the rounding
-    of q and of the computed centers, which grows with |sink| and the
-    domain's reach. The lattice's covering radius is the cell circumradius
-    R, so the nearest center is within R of p, and as n.q <= h(n) for
-    n = d / |d|, |p - (center + d)| = |q - d| >= |d| - h(n): a candidate
-    cut is farther than R from p and can neither win nor tie. That keeps
-    CB 27, HP 21, RD 17 and TO 15 candidates at every window. The cut and
-    the float filter's tolerance come from the spec and window alone,
-    built once per call, so a point's id depends on the spec and the point,
-    not on the other points of its call. The kept candidates, at offsets y
-    from the rounded solution in the scaled coordinates, are ranked by the
-    score sum w y^2 - 2 sum w y q, w = (scale / scale_0)^2 and q the
-    point's offset from the rounded solution there, all of a block's in
-    one float32 matrix product: their squared distance over scale_0^2 less
-    the point's own sum w q^2, which they all share. Every quantity is
-    O(1) there at every supported spec, so float32 neither overflows nor
-    underflows. The scores are a floating-point filter with an exact
-    fallback (Shewchuk, "Adaptive precision floating-point arithmetic and
-    fast robust geometric predicates", DCG 18, 1997): they decide every
-    point whose runner-up is farther than a rigorous bound on their
-    rounding error, in float64 and float32, and the points within it are
-    re-scored exactly in integers, every float being an integer times a
-    power of two.
-
-    ``window`` must be an integer (a Python or numpy int, read with
-    ``operator.index``); others raise ``ValueError``.
+    ``window``, the search half-width of the CLI's ``--window``, must be
+    an integer (a Python or numpy int, read with ``operator.index``) from
+    2 to MAX_WINDOW; others raise ``ValueError``. Every valid window gives
+    the same ids from the same work.
     """
     window = _integer(window, "oracle window")
     if not 2 <= window <= MAX_WINDOW:
         raise ValueError(f"oracle window must be between 2 and {MAX_WINDOW}")
-    return _blocks(spec, _rows(points), partial(_oracle, table=_oracle_table(spec, window)))
+    return _blocks(spec, _rows(points), partial(_oracle, table=_oracle_table(spec)))
 
 
 class _OracleTable(NamedTuple):
-    """The oracle's kept candidates of one spec and window."""
+    """The oracle's candidates and float filter tolerance for one spec."""
 
     basis: np.ndarray  # (3, 3) float generator matrix M
     offs: np.ndarray  # (3, k) float basis-id offsets, columns in lexicographic order
@@ -761,62 +755,30 @@ class _OracleTable(NamedTuple):
     index: np.ndarray  # (k, 1) int8 candidate numbers 0 .. k - 1
 
 
-def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
-    """The candidates ``_oracle`` scores for ``spec`` and ``window``, and the
-    float filter's tolerance: computed from the spec alone, once per call
-    of the oracle's entry points. The score rows depend on the shape alone,
-    and only the tolerance on the spec."""
+def _oracle_table(spec: LatticeSpec) -> _OracleTable:
+    """The candidates ``_oracle`` scores for ``spec``, the shape's
+    ``geometry._CANDIDATES``, and the float filter's tolerance, which alone
+    depends on the spec: computed once per call of the oracle's entry
+    points."""
     import numpy as np
 
-    # basis-id offsets in lexicographic order, their offsets d = M offs in
-    # the scaled coordinates y and their center displacements doff = d scale
-    offs = np.indices((2 * window + 1,) * 3, dtype=float).reshape(3, -1).T - window
-    basis, scale = np.array(_BASES[spec.shape], dtype=float), spec.rule.scale
-    d = offs @ basis.T
-    doff = d * scale
-    norm2 = (doff * doff).sum(axis=1)
-    # The cut, in metric units, with u = 2^-53: on every axis
-    # |sink| + |p| <= A = 2|sink|inf + reach (the domain check), every
-    # coordinate of a kept doff is within L, and of a center offset within
-    # A + L, where L < 2^-10 A as A >= reach = 2^19 steps. A center from
-    # cell_centers is within u(|sink| + 2|offset|) <= 3u(A + L) of
-    # sink + offset on each axis, and doff within uL of its offset.
-    # The real solution, its coordinates below 2^20, is within a few
-    # roundings of 2^-33, under 2^-30, of its float, and base within
-    # 1/2 + 2^-33 of that, so p less the exact center of base is
-    # scale * M delta with |delta|inf <= 1/2 + 2^-29, in the rounding box
-    # scaled by 1 + 2^-28, and q = p - center(base) within 2^-49 A of it.
-    # The lattice point nearest p is within the covering radius R of p, and
-    # its center as computed within 3 sqrt3 u(A + L) of it, so the nearest
-    # center and every center tied with it are within R + 3 sqrt3 u(A + L)
-    # of p, and their q - doff within R + 11 sqrt3 u(A + L) < R + 2^-47 A
-    # in length. The box's support function is h(n) = sum_j |n.(scale M
-    # e_j)| / 2, so for n = doff / |doff| (a separating plane)
-    # |q - doff| >= n.(doff - q) >= |doff| - (1 + 2^-28) h(n) - 2^-49 A.
-    # A candidate with |doff| - (1 + 2^-27) h(n) - 2^-48 A > R + 2^-47 A
-    # can thus neither win nor tie; 2^-27 covers the rounding of h, and the
-    # relative slack that of the comparison. The test is taken times
-    # |doff|, with |doff| h(n) = h(doff), so the middle candidate, doff = 0,
-    # is always kept. This keeps CB 27, HP 21, RD 17 and TO 15 candidates
-    # at every window, those within R of the box, where a ball of radius
-    # H + R around the middle center, H the box's longest half-diagonal,
-    # kept 27, 23, 43 and 27.
-    far = 2.0 * max(map(abs, spec.sink)) + spec.rule.reach
-    support = np.abs(doff @ (basis * np.array(scale)[:, None])).sum(axis=1) / 2.0
-    slack = (spec.circumradius + 2.0 ** -47 * far) * (1.0 + 1e-9) + 2.0 ** -48 * far
-    keep = norm2 - (1.0 + 2.0 ** -27) * support <= slack * np.sqrt(norm2)
-    d = d[keep]
+    offs, basis = (np.array(table[spec.shape], dtype=float) for table in (_CANDIDATES, _BASES))
+    d, scale = offs @ basis.T, np.array(spec.rule.scale)  # d: offsets in the scaled coordinates
     # The filter works in the scaled coordinates, where every quantity is
     # O(1) at every supported spec, so float32 neither overflows nor
     # underflows there, as squares in metres would. In exact arithmetic
     # |p - center|^2 / scale0^2 = sum W (T - C)^2, with W = (scale / scale0)^2,
     # T = (p - sink) / scale and C = (center - sink) / scale. The oracle has
-    # t = fl(fl(p - sink) / scale), left in rel by _nearest_int, and
-    # q = fl(t - M base), within Q = (1 + 2^-28) sum_j |M_ij| / 2 of 0 on
-    # axis i (delta above). A candidate's C is M base + d up to the
-    # rounding of its center, so T - C = q - d - eps, eps gathering the
-    # roundings of t, 2u reach / scale, of the center, u(|sink|inf +
-    # 2 reach) / scale + 2uL', and of q, uL', L' < 16 the largest |y - M base|:
+    # t = fl(fl(p - sink) / scale), left in rel by _nearest_int. The real
+    # solution M^-1 t, its coordinates below 2^20 (the domain check), is
+    # within a few roundings of 2^-33, under 2^-30, of its float, and base
+    # within 1/2 + 2^-33 of that, so T - M base = M delta with
+    # |delta|inf <= 1/2 + 2^-29, and q = fl(t - M base) is within
+    # Q = (1 + 2^-28) sum_j |M_ij| / 2 of 0 on axis i. A candidate's C is
+    # M base + d up to the rounding of its center, so T - C = q - d - eps,
+    # eps gathering, with u = 2^-53, the roundings of t, 2u reach / scale,
+    # of the center, u(|sink|inf + 2 reach) / scale + 2uL', and of q, uL',
+    # L' < 16 the largest |y - M base|:
     # |eps| <= E = (1 + 2^-10) u(|sink|inf + 4 reach) / scale, as
     # reach / scale >= 2^18 on every axis. So the exact squared distance
     # over scale0^2 is sum W q^2, shared by the point's candidates, plus the
@@ -839,16 +801,16 @@ def _oracle_table(spec: LatticeSpec, window: int) -> _OracleTable:
     # second candidate within tol of its minimum has one exact winner, which
     # is also its float argmin; the others are flagged, every exact winner
     # among their close candidates.
-    w, Q = (np.array(scale) / scale[0]) ** 2, np.abs(basis).sum(axis=1) * (0.5 + 2.0 ** -29)
-    E = (2.0 ** -53 + 2.0 ** -63) * (far / 2.0 + 3.5 * spec.rule.reach) / np.array(scale)
+    w, Q = (scale / scale[0]) ** 2, np.abs(basis).sum(axis=1) * (0.5 + 2.0 ** -29)
+    E = (2.0 ** -53 + 2.0 ** -63) * (max(map(abs, spec.sink)) + 4.0 * spec.rule.reach) / scale
     wd2, cross = (w * d * d).sum(axis=1), 2.0 * (w * np.abs(d) * Q).sum(axis=1)
     err = 2.0 ** -24 * (5.0 * wd2 + 6.0 * cross) + (w * E * (2.0 * (np.abs(d) + Q) + E)).sum(axis=1)
     tol = (2.0 * err.max() + 2.0 ** -24 * (wd2 + cross).max()) * (1.0 + 2.0 ** -10)
     score = np.hstack([-2.0 * w * d, wd2[:, None]]).astype(np.float32)
-    # the at most 27 kept candidates are counted and indexed in int8; tol is
-    # a Python float, which numpy adds to the float32 minima in float32
-    return _OracleTable(basis, np.ascontiguousarray(offs[keep].T), score, float(tol),
-                        np.arange(keep.sum(), dtype=np.int8)[:, None])
+    # the at most 27 candidates are counted and indexed in int8; tol is a
+    # Python float, which numpy adds to the float32 minima in float32
+    return _OracleTable(basis, np.ascontiguousarray(offs.T), score, float(tol),
+                        np.arange(len(offs), dtype=np.int8)[:, None])
 
 
 def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, table: _OracleTable) -> np.ndarray:
@@ -856,8 +818,7 @@ def _oracle(spec: LatticeSpec, p: np.ndarray, rel: np.ndarray, table: _OracleTab
     ``assign_cells_oracle`` for the rows ``p`` (rows, 3), given their
     p - sink columns ``rel`` (3, rows), which it divides by scale in place,
     as (3, rows) float columns: ``_oracle_at`` the rounded real solution."""
-    base = _nearest_int(spec, p, rel)
-    return _oracle_at(spec, p, rel, base, table)
+    return _oracle_at(spec, p, rel, _nearest_int(spec, p, rel), table)
 
 
 def _oracle_scores(t: np.ndarray, base: np.ndarray, table: _OracleTable) -> np.ndarray:

@@ -46,8 +46,8 @@ last node, so a box whose nodes may lie past it is refused whatever the
 seed, and a tie rebuilds its node from its draw row. Neither calls a
 bulk assigner: each hands its blocks to the lattice's scorers, with
 buffers, the decoder's constants and scratch (``lattice._work``) and the
-accuracy run's oracle candidate table (``lattice._oracle_table``), made
-once per call.
+accuracy run's oracle table (``lattice._oracle_table``, the shape's
+candidates and the spec's filter tolerance), made once per call.
 
 The accuracy experiment scores a block in one pass (``_tally``): the
 decoder only reads p - sink, and the shortcut, which then divides it by
@@ -259,7 +259,7 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
     n, seed = _count(n, "n"), _seed(seed)
     half, rows = 5.0 * spec.r_t, min(n, _CHUNK)
     cols, buf, work = np.empty((3, rows)), np.empty((3, rows)), _work(spec, rows, spec.rule.tol)
-    table, sink = _oracle_table(spec, 3), np.array(spec.sink)[:, None]
+    table, sink = _oracle_table(spec), np.array(spec.sink)[:, None]
     counts = np.zeros(2, dtype=np.int64)  # correct_exact, correct_nearest_int
     # the doubles of spec.sink + rng.uniform(-half, half, (n, 3)), a block at
     # a time, as (3, rows) columns: uniform computes -half + 2 half u, here
@@ -276,23 +276,22 @@ def accuracy_experiment(spec: LatticeSpec, n: int, seed: int) -> AccuracyReport:
 def _tally(spec: LatticeSpec, p: np.ndarray, buf: np.ndarray, work: list,
            table: _OracleTable) -> tuple[int, int]:
     """Numbers of the TO rows ``p`` (rows, 3) to which ``assign_cells`` and
-    ``assign_cells_nearest_int`` give the id of ``assign_cells_oracle``
-    (window 3), in one pass over the block's columns, with the call's
-    buffers, ``buf`` (3, rows) and the decoder's buffers and scratch
-    ``work``, and the oracle's candidate ``table``
-    (``lattice._oracle_table``). ``p`` may be any view; the accuracy run
-    hands the .T view of its (3, rows) columns, so that every pass reads
-    contiguous columns; only the decoder's tie rows and the oracle's
-    flagged rows are read as rows of ``p``.
+    ``assign_cells_nearest_int`` give the id of ``assign_cells_oracle``, in
+    one pass over the block's columns, with the call's buffers, ``buf`` (3,
+    rows) and the decoder's buffers and scratch ``work``, and the oracle's
+    candidate ``table`` (``lattice._oracle_table``). ``p`` may be any view;
+    the accuracy run hands the .T view of its (3, rows) columns, so that
+    every pass reads contiguous columns; only the decoder's tie rows and the
+    oracle's flagged rows are read as rows of ``p``.
 
     p - sink is formed once, in ``buf``, and handed to the decoder, which
     only reads it, and then to the shortcut, which divides it by scale in
     place. The shortcut's rounding of the real ids is also the oracle's
-    base, the window's middle id, so it is formed once, and the oracle
-    scores its candidates from the quotient t = (p - sink) / scale left in
-    ``buf``; it does not read the decoder's ids. On TO public ids are basis
-    ids, so the three scorers' (3, rows) float columns are compared as
-    they are.
+    base, the id its candidates lie around, so it is formed once, and the
+    oracle scores its candidates from the quotient t = (p - sink) / scale
+    left in ``buf``; it does not read the decoder's ids. On TO public ids
+    are basis ids, so the three scorers' (3, rows) float columns are
+    compared as they are.
     """
     import numpy as np
 

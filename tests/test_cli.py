@@ -148,7 +148,7 @@ class TestAssign:
     def test_spec_too_fine_for_its_sink_is_invalid_parameter(self, shape, rt, capsys):
         # at a sink of (1e8, 1e8, -1e8), whose floats are 1.5e-8 m apart,
         # steps of about 2e-6 m and below leave ids to the tie search or to
-        # the oracle's window
+        # the oracle's candidate cut
         code = main(["assign", "--shape", shape, "--rt", rt, "--sink=1e8,1e8,-1e8",
                      "--point", "1e8,1e8,-1e8"])
         assert code == 3

@@ -14,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from topocell import lattice
+from topocell import geometry, lattice
 from topocell.geometry import (
     _BASES,
+    _CANDIDATES,
+    _METRIC,
     _PERIODS,
+    _VERTICES,
     CellShape,
     _scale,
     as_point,
@@ -792,6 +795,54 @@ class TestNearestInt:
         assert (assign_cells_nearest_int(spec, centers) == ids).all()
 
 
+@functools.cache
+def exact_radius2(shape):
+    """(L R)^2 in the metric W, L the vertex rows' den, in ints."""
+    W = _METRIC[shape]
+    return max(sum(w * x * x for w, x in zip(W, row)) for row in _VERTICES[shape])
+
+
+def cut_terms(shape, o):
+    """(g, b), ints, for the basis-id offset o of a candidate center: the
+    oracle's exact cut keeps it with a relative slack s on R when
+    g <= (1 + s) sqrt(b), g = L (2 |d|^2 - 2 h(d)) and b = 4 (L R)^2 |d|^2,
+    d = M o, |d|^2 in the metric W and h the rounding box's support
+    function, all in units of the common factor k of scale^2 = k W."""
+    M, W = _BASES[shape], _METRIC[shape]
+    d = [sum(m * x for m, x in zip(row, o)) for row in M]
+    wd = [w * x for w, x in zip(W, d)]
+    d2 = sum(a * x for a, x in zip(wd, d))
+    h2 = sum(abs(sum(a * row[j] for a, row in zip(wd, M))) for j in range(3))
+    return _VERTICES[shape][0][3] * (2 * d2 - h2), 4 * exact_radius2(shape) * d2
+
+
+def float_cut(spec, window):
+    """The oracle's candidate cut in floats, per spec and window, which
+    ``geometry._CANDIDATES`` replaced, the reference its table must match:
+    the basis-id offsets of the window that it keeps, in lexicographic
+    order."""
+    offs = np.indices((2 * window + 1,) * 3, dtype=float).reshape(3, -1).T - window
+    basis, scale = np.array(_BASES[spec.shape], dtype=float), spec.rule.scale
+    d = offs @ basis.T
+    doff = d * scale
+    norm2 = (doff * doff).sum(axis=1)
+    far = 2.0 * max(map(abs, spec.sink)) + spec.rule.reach
+    support = np.abs(doff @ (basis * np.array(scale)[:, None])).sum(axis=1) / 2.0
+    slack = (spec.circumradius + 2.0 ** -47 * far) * (1.0 + 1e-9) + 2.0 ** -48 * far
+    keep = norm2 - (1.0 + 2.0 ** -27) * support <= slack * np.sqrt(norm2)
+    return [tuple(o) for o in offs[keep].astype(int).tolist()]
+
+
+def max_tol_sink(shape):
+    """The sink (x, -x, x) with the largest x whose spec at r_t 1 has a tie
+    tolerance of at most MAX_TOL: tol is that at the origin sink times
+    (x + 4 reach) / (4 reach)."""
+    spec = LatticeSpec(shape, 1.0)
+    x = 4.0 * spec.rule.reach * (MAX_TOL / spec.rule.tol - 1.0)
+    x = walk_edge(lambda x: accepts(shape, 1.0, (x, -x, x), TIE_BOUND), x, math.inf)
+    return (x, -x, x)
+
+
 class TestOracle:
     def test_exact_centers(self):
         for shape in SHAPES:
@@ -886,17 +937,45 @@ class TestOracle:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_kept_candidates_per_shape(self, shape):
-        # The cut keeps the window's candidates within R of the rounding box
-        # M [-1/2, 1/2]^3 (by its support function), the same count at
-        # every window and spec; a ball around the middle center, or a
-        # looser support function, keeps more
-        want = {CellShape.CB: 27, CellShape.HP: 21, CellShape.RD: 17, CellShape.TO: 15}[shape]
-        for r_t, sink in [(3.7, (1.25, -0.4, 2.83)), (0.1, (4.2e6, 1.2e6, 4.7e6)),
-                          (1.0, (1e8, 1e8, -1e8))]:
-            spec = LatticeSpec(shape, r_t, sink=sink)
-            for window in (2, 3, MAX_WINDOW):
-                table = lattice._oracle_table(spec, window)
-                assert table.offs.shape == (3, want) and table.score.shape == (want, 4)
+        # The oracle's candidates are one table per shape, derived in ints:
+        # the exact cut keeps exactly the table among every lattice point
+        # within H + R of the middle center, H the rounding box's longest
+        # half-diagonal, so no offset beyond {-1, 0, 1}^3 can win; and the
+        # float cut of each spec that the table replaced kept the same
+        # offsets at windows 2 to 8, at r_t 1e-100 and 1e100, at far sinks
+        # and on the MAX_TOL edge. Printed: the smallest slack at which the
+        # exact cut's set changes, the library's slack and the float cut's
+        # largest, all over R
+        terms = {o: cut_terms(shape, o) for o in itertools.product(range(-8, 9), repeat=3)}
+        M, W = _BASES[shape], _METRIC[shape]
+        L, r2 = _VERTICES[shape][0][3], exact_radius2(shape)
+        h2 = max(sum(w * sum(m * e for m, e in zip(row, eps)) ** 2 for w, row in zip(W, M))
+                 for eps in itertools.product((-1, 1), repeat=3)) / 4.0  # H^2 / k
+        # b = 4 (L R)^2 |d|^2, so |d| <= H + R where b <= 4 (L R)^2 (H + R)^2
+        ball = [o for o, (_, b) in terms.items()
+                if b <= 4.0 * r2 * (math.sqrt(h2) + math.sqrt(r2) / L) ** 2 * (1.0 + 1e-12)]
+        assert max(max(map(abs, o)) for o in ball) < 8  # the range covers the ball
+        slack = Fraction(1, geometry._CUT_DEN)
+        kept = [o for o in ball
+                if terms[o][0] <= 0 or terms[o][0] ** 2 <= (1 + slack) ** 2 * terms[o][1]]
+        assert kept == list(_CANDIDATES[shape])
+        assert {abs(x) for o in kept for x in o} == {0, 1}
+        changes = min(math.sqrt(Fraction(g * g, b)) - 1.0
+                      for o, (g, b) in terms.items() if o not in kept)
+        worst = 0.0
+        for spec in [LatticeSpec(shape, r_t, sink=sink) for r_t, sink in
+                     [(3.7, (1.25, -0.4, 2.83)), (0.1, (4.2e6, 1.2e6, 4.7e6)),
+                      (1.0, (1e8, 1e8, -1e8)), (1e-100, (0.0, 0.0, 0.0)),
+                      (1e100, (0.0, 0.0, 0.0)), (1.0, max_tol_sink(shape))]]:
+            for window in range(2, MAX_WINDOW + 1):
+                assert float_cut(spec, window) == kept, (spec, window)
+            R, far = spec.circumradius, 2.0 * max(map(abs, spec.sink)) + spec.rule.reach
+            float_slack = ((R + 2.0 ** -47 * far) * (1.0 + 1e-9) + 2.0 ** -48 * far) / R - 1.0
+            worst = max(worst, float_slack + 2.0 ** -27 * L * math.sqrt(h2 / r2))
+        print(f"{shape.value}: {len(kept)} candidates; the set changes at slack "
+              f"{changes:.4g} R, library slack {float(slack):.4g} R, float cut's "
+              f"largest {worst:.4g} R")
+        assert worst < slack < changes
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_cut_on_the_rounding_box_boundary(self, shape):
@@ -945,8 +1024,8 @@ class TestOracle:
         with pytest.raises(ValueError, match="window"):
             assign_cell_oracle(spec, (0, 0, 0), window=MAX_WINDOW + 1)
         assert assign_cell_oracle(spec, (0, 0, 0), window=MAX_WINDOW) == CellId(0, 0, 0)
-        # a window that is not an integer passed the range check and then
-        # raised np.indices' TypeError; numpy integers pass
+        # a window that is not an integer is refused, though no window
+        # changes the oracle's work; numpy integers pass
         for window in (3.0, 2.5, np.float64(3.0), "3", None):
             for call in (assign_cell_oracle, assign_cells_oracle):
                 with pytest.raises(ValueError, match=f"oracle window must be an integer, "
@@ -1121,7 +1200,7 @@ class TestFloatFilter:
             R, scale0 = spec.circumradius, Fraction(spec.rule.scale[0])
             pts = np.vstack([spec.sink + rng.uniform(-4.0, 4.0, (60, 3)) * R,
                              near_ties(spec, 43)[0][::12]])
-            table = lattice._oracle_table(spec, 3)
+            table = lattice._oracle_table(spec)
             t = lattice._relative(spec, pts, np.empty((3, len(pts))))
             base = lattice._nearest_int(spec, pts, t)
             scores = lattice._oracle_scores(t, base, table).T.tolist()

@@ -415,23 +415,24 @@ class TestStreaming:
         assert (np.vstack(blocks).view(np.int64) == want.view(np.int64)).all()
 
     def test_one_oracle_table_per_call(self, monkeypatch):
-        # the oracle's candidate table is built once per call of
-        # assign_cells_oracle and of the accuracy run, not once per block
+        # the oracle's table (the shape's candidates and the spec's filter
+        # tolerance) is built once per call of assign_cells_oracle and of
+        # the accuracy run, not once per block
         spec = LatticeSpec(CellShape.TO, 2.0, sink=(11.0, -4.0, 2.5))
         builds, build = [], lattice._oracle_table
 
-        def spy(spec, window):
-            builds.append(window)
-            return build(spec, window)
+        def spy(spec):
+            builds.append(spec)
+            return build(spec)
 
         monkeypatch.setattr(lattice, "_oracle_table", spy)
         monkeypatch.setattr(simulator, "_oracle_table", spy)
         n = 2 * lattice._CHUNK + 1
         pts = spec.sink + np.random.default_rng(3).uniform(-10.0, 10.0, (n, 3))
         assert len(assign_cells_oracle(spec, pts, window=2)) == n
-        assert builds == [2]
+        assert builds == [spec]
         assert accuracy_experiment(spec, n, seed=12).n == n
-        assert builds == [2, 3]
+        assert builds == [spec, spec]
 
     @pytest.mark.parametrize("n", [1, lattice._CHUNK - 1, lattice._CHUNK, lattice._CHUNK + 1])
     def test_accuracy_at_block_edges(self, n):
@@ -444,7 +445,7 @@ class TestStreaming:
         that share one set of buffers, as the accuracy run's blocks do."""
         rows = lattice._CHUNK
         buf, work = np.empty((3, rows)), lattice._work(spec, rows, spec.rule.tol)
-        table = lattice._oracle_table(spec, 3)
+        table = lattice._oracle_table(spec)
         return np.sum([simulator._tally(spec, pts[i:i + rows], buf, work, table)
                        for i in range(0, len(pts), rows)], axis=0).tolist()
 
