@@ -100,54 +100,91 @@ def _as_shape(shape) -> CellShape:
     return shape if isinstance(shape, CellShape) else CellShape(shape)
 
 
-def _kinds(x, a: np.ndarray) -> set[str]:
-    """The dtype kinds of what ``x``, which numpy reads as the array ``a``,
-    holds: ``a``'s own, and those of the innermost items of ``x`` (the
-    coordinates of its rows) and of the arrays among them. numpy reads a
-    list or tuple that mixes bools and numbers as numbers, and one that
-    holds an int too large for int64 as objects, strings among them; only
-    the items' types show them. An array ``x`` of objects is read by its
-    items, any other array by its dtype alone."""
+# the dtype kinds of Python's scalar types; None reads as NaN, a float
+_KINDS = {int: "i", float: "f", type(None): "f", bool: "b", complex: "c", str: "U", bytes: "S"}
+# what ``_numbers`` refuses beside a leaf: nests of unequal shapes
+_RAGGED = object()
+# ``_floats``' words for the kinds of leaf it names
+_NOT = dict(zip("bcSU", [", not complex numbers or bools"] * 2 + [", not strings or bytes"] * 2))
+
+
+def _kind(t) -> str:
+    """The dtype kind of a leaf of type ``t``: a numpy scalar type's own, the
+    one ``_KINDS`` gives a Python type, and O for any other type, a subclass
+    of int or float, a sequence and an ndarray among them."""
     import numpy as np
 
-    if type(x) is np.ndarray:
-        items = list(a.flat) if a.dtype.kind == "O" else ()
-    else:
-        items = [x]
-        for _ in range(a.ndim):
-            items = list(itertools.chain.from_iterable(items))
-    types = set(map(type, items))
-    kinds = {a.dtype.kind, *(np.dtype(t).kind for t in types)}
-    if np.ndarray in types:
-        kinds.update(c.dtype.kind for c in items if type(c) is np.ndarray)
-    return kinds
+    return np.dtype(t).kind if issubclass(t, np.generic) else _KINDS.get(t, "O")
 
 
-def _floats(x) -> np.ndarray:
-    """``x`` as a float array, read as ``np.asarray(x, dtype=float)`` reads
-    it, except that what it would misread raises ``ValueError``: complex
-    numbers, rather than lose their imaginary parts, bools, rather than
-    become 0 and 1, and strings and bytes, rather than be parsed as
-    numbers, wherever ``_kinds`` finds them. So do ragged rows, such as
-    [[[1, 2], 0, 0]], and an item that is no number, such as a dict or an
-    object array's list, with the readers' own words rather than numpy's.
-    An int too large for a float raises ``OverflowError``, which ``_rows``
-    and ``as_point`` turn into their ``ValueError``."""
+def _numbers(x, kinds: str, dtype=None):
+    """``(a, bad)``: ``x`` read through an allow-list, as the array
+    ``a = np.asarray(x, dtype)`` and None, or as None and what refuses it:
+    ``_RAGGED``, or the type of the first leaf that is no number of a dtype
+    kind in ``kinds``, int for an int too large for a float where ``kinds``
+    holds f. The one reader of points, rows and cell ids; numpy parses no
+    part of ``x`` before the whole is accepted.
+
+    * An ndarray (that type, no subclass) not of objects is read by its
+      dtype alone, and refused as its scalar type.
+    * An object array's items are its leaves.
+    * Lists and tuples nest, and so do the arrays among their items, row by
+      row, an empty one with its shape; a 0-d array is its one number, and
+      an array of objects among the items is an object. Nests of one level
+      that differ in shape, or nests beside leaves, are ``_RAGGED``.
+    * A leaf must be of a kind in ``kinds`` (``_kind``): Python's int, not
+      bool, and float, None, which reads as NaN, and numpy's integer and
+      floating scalars. Any other leaf is refused: a bool, a str, a dict, a
+      bytearray, a memoryview, a range, a Fraction, a Decimal, a datetime64,
+      a masked array or an object with ``__array__``.
+    """
     import numpy as np
 
-    try:
-        a = np.asarray(x)
-    except ValueError:  # numpy's "inhomogeneous shape"
-        raise ValueError("expected points of shape (n, 3), got ragged rows") from None
-    kinds = _kinds(x, a)
-    if not kinds.isdisjoint("cb"):
-        raise ValueError("coordinates must be real numbers, not complex numbers or bools")
-    if not kinds.isdisjoint("SU"):
-        raise ValueError("coordinates must be real numbers, not strings or bytes")
-    try:  # x read once: a list's second read cost more than its check
-        return np.asarray(a, dtype=float)
-    except (TypeError, ValueError):  # float() of a dict, or of a sequence
-        raise ValueError("coordinates must be real numbers") from None
+    if type(x) is np.ndarray and x.dtype.kind != "O":
+        return (np.asarray(x, dtype), None) if x.dtype.kind in kinds else (None, x.dtype.type)
+    items, shape = (list(x.flat), list(x.shape)) if (top := type(x) is np.ndarray) else ([x], [])
+    while True:  # one level of nests a pass, lists of numbers in C-level passes
+        types = set(map(type, items))
+        if np.ndarray in types:  # arrays as objects, numbers, rows, or empty nests
+            items = [c if type(c) is not np.ndarray else object() if c.dtype.kind == "O"
+                     else c[()] if not c.ndim else list(c) if len(c) else c for c in items]
+            types = set(map(type, items))
+        # numpy's limit of 64 dims also ends a list that holds itself
+        if top or len(shape) == 64 or {t in (list, tuple, np.ndarray) for t in types} != {True}:
+            break
+        # the nests' common length; if all are empty, the empty arrays' shape
+        # below it; None if they differ
+        lens = set(map(len, items))
+        tails = {getattr(c, "shape", (0,))[1:] for c in items} if lens == {0} else {()}
+        shape += [*lens, *tails.pop()] if len(lens) == len(tails) == 1 else [None]
+        items = list(itertools.chain.from_iterable(items))
+    # the types of leaf of another kind; else, where kinds holds f, int if an
+    # int is too large for a float: float() overflows from 2^1024 - 2^970 up
+    refused = {t for t in types if _kind(t) not in kinds} or "f" in kinds and int in types and {
+        int for v in items if type(v) is int and abs(v) >= 2 ** 1024 - 2 ** 970}
+    bad = next(t for t in map(type, items) if t in refused) if refused else None
+    bad = _RAGGED if not top and (bad in (list, tuple, np.ndarray) or None in shape) else bad
+    # numpy reads an object array, and a value with no leaves, from x itself:
+    # cell ids are no integers in an object array, nor in an empty list,
+    # but they are in an empty array of ints
+    return (None, bad) if bad else (np.asarray(not top and items or x, dtype).reshape(shape), None)
+
+
+def _floats(x, what: str | None = None) -> np.ndarray:
+    """``x`` as the float array ``np.asarray(x, dtype=float)`` if ``_numbers``
+    accepts it, else ``ValueError``: for an int too large for a float, the
+    float-range message, naming ``what`` if given; for anything else, the
+    point ``what`` if given, and otherwise ragged rows or the kind of the
+    first leaf refused: complex numbers and bools, strings and bytes, or any
+    other object."""
+    a, bad = _numbers(x, "fiu", float)
+    if bad is None:
+        return a
+    raise ValueError(
+        f"{what + ' ' if what else ''}coordinates must be within the float range" if bad is int
+        else f"{what} must be a 3D point of real numbers, got {x!r}" if what
+        else "expected points of shape (n, 3), got ragged rows" if bad is _RAGGED
+        else "coordinates must be real numbers" + _NOT.get(_kind(bad), ""))
 
 
 def _integer(value, what: str) -> int:
@@ -198,13 +235,8 @@ def _positive(value, what: str) -> float:
 
 def _rows(points) -> np.ndarray:
     """``points`` as an (n, 3) float array (``_floats``), one point of shape
-    (3,) as one row; any other shape, ragged rows among them, an int too
-    large for a float, and an item that numpy cannot make a float, such as
-    a dict, raise ``ValueError``."""
-    try:
-        pts = _floats(points)
-    except OverflowError:
-        raise ValueError("coordinates must be within the float range") from None
+    (3,) as one row; any other shape raises ``ValueError``."""
+    pts = _floats(points)
     if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
         raise ValueError(f"expected points of shape (n, 3), got {pts.shape}")
     return pts.reshape(-1, 3)
@@ -212,21 +244,15 @@ def _rows(points) -> np.ndarray:
 
 def as_point(p, what: str = "point") -> np.ndarray:
     """Validate and convert a 3D point to a float array of shape (3,); errors
-    name the point ``what``. A bool among its coordinates, Python's or
-    numpy's, raises ``ValueError`` like a complex one or a string
-    (``_floats``): (True, 0, 0) is not the point (1, 0, 0), nor is
-    ("1", 0, 0). So does an int too large for a float."""
-    import numpy as np
-
-    try:
-        q = _floats(p)
-    except OverflowError:
-        raise ValueError(f"{what} coordinates must be within the float range") from None
-    except ValueError:
-        raise ValueError(f"{what} must be a 3D point of real numbers, got {p!r}") from None
+    name the point ``what``. Its coordinates are read by ``_floats``: a
+    bool among them, Python's or numpy's, raises ``ValueError`` like a
+    complex one, a string or any other value that is no real number:
+    (True, 0, 0) is not the point (1, 0, 0), nor is ("1", 0, 0) or
+    bytearray(b"abc"). So does an int too large for a float."""
+    q = _floats(p, what)
     if q.shape != (3,):
         raise ValueError(f"{what} must be a 3D point, got array of shape {q.shape}")
-    if not np.all(np.isfinite(q)):
+    if not (abs(q) < math.inf).all():
         raise ValueError(f"{what} coordinates must be finite")
     return q
 

@@ -151,7 +151,7 @@ from .geometry import (
     CellShape,
     _Frozen,
     _integer,
-    _kinds,
+    _numbers,
     _per_axis,
     _rows,
     _scale,
@@ -312,21 +312,25 @@ def cell_centers(spec: LatticeSpec, ids) -> np.ndarray:
     sink + (b @ M.T) * scale, the scale and sink going column by column
     (``geometry._per_axis``).
 
-    The ids must be an integer array, holding no bool (``_kinds``),
-    within MAX_STEPS + 2 of zero on each axis, as ``as_cell_id`` requires
-    of one id; others raise ``ValueError``, rather than be truncated, cast
-    or broadcast.
+    The ids are read by ``geometry._numbers``, which takes only integers:
+    an integer array, or lists and tuples of ints (not bools), numpy
+    integers and integer arrays, of one shape. A bool, a float, a
+    bytearray or a range among them, an object array or ragged rows raise
+    ``ValueError``, rather than be truncated, cast or read as ints; so do
+    ids beyond MAX_STEPS + 2 of zero on any axis, as ``as_cell_id`` requires
+    of one id.
     """
     import numpy as np
 
-    given, ids = ids, np.asarray(ids)
-    # numpy reads a list that mixes bools and ints as ints: True is not 1
-    bools = "b" in _kinds(given, ids)
-    if bools or ids.dtype.kind not in "iu":
+    ids, bad = _numbers(ids, "iu")
+    # bad: the type of a leaf refused, or else ragged rows; numpy reads an
+    # empty list as floats, and ints beyond 64 bits as objects
+    if isinstance(bad, type) or bad is None and ids.dtype.kind not in "iu":
         raise ValueError(f"cell ids must be integers, got an array of "
-                         f"{'bool' if bools else ids.dtype}")
-    if ids.ndim == 0 or ids.shape[-1] != 3:
-        raise ValueError(f"expected cell ids of shape (..., 3), got {ids.shape}")
+                         f"{bad.__name__ if bad else ids.dtype}")
+    if bad or ids.ndim == 0 or ids.shape[-1] != 3:
+        raise ValueError("expected cell ids of shape (..., 3), got "
+                         + ("ragged rows" if bad else str(ids.shape)))
     # checked before any cast: an unsigned id of 2^63 or more would wrap to
     # a negative int64
     if ids.size and not -(MAX_STEPS + 2) <= ids.min() <= ids.max() <= MAX_STEPS + 2:
@@ -595,10 +599,11 @@ _ndarray = _float64 = None
 def _coords(p, what: str = "point") -> list[float]:
     """The coordinates of ``as_point(p, what)`` as Python floats, not yet
     checked to be finite: read without numpy from a float64 array of shape
-    (3,) or a tuple or list of three Python ints and floats, through
-    ``as_point``, with its errors, otherwise; so too a list holding an int
-    too large for a float, which ``as_point`` refuses with ``ValueError``
-    where ``float`` raises ``OverflowError``."""
+    (3,) or a tuple or list of three Python ints and floats (exactly those
+    types: no bool, no subclass), and otherwise through ``as_point``, whose
+    allow-list reader (``geometry._numbers``) refuses anything else with
+    ``ValueError``; so too a list holding an int too large for a float,
+    which ``as_point`` refuses where ``float`` raises ``OverflowError``."""
     global _ndarray, _float64
     if type(p) is _ndarray and p.dtype is _float64 and p.shape == (3,):
         return p.tolist()

@@ -8,18 +8,33 @@ for arrays of them; the CLI reads its config values with the same readers.
 A value outside its kind raises ``ValueError`` with the entry point's
 message, never ``TypeError`` and never a silently wrong result; numpy
 scalars pass as Python numbers do.
+
+Points, rows and cell ids are read through one allow-list,
+``geometry._numbers``: an ndarray of kind f, i or u (u and i for ids), or
+lists, tuples and object arrays of Python ints (not bools) and floats,
+None, numpy integer and floating scalars and arrays of those kinds. Every
+other value is refused, whatever numpy would make of it; the property test
+at the end of the point cases draws nested values and checks the readers
+against the allow-list stated once more here (``taken_shape``).
 """
 
+import array
 import math
 import re
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from topocell.cli import main
-from topocell.geometry import (as_point, build_polyhedron, cell_spacing, cell_volume,
+from topocell.geometry import (_rows, as_point, build_polyhedron, cell_spacing, cell_volume,
                                max_cell_radius)
-from topocell.lattice import (LatticeSpec, as_cell_id, assign_cell, assign_cell_nearest_int,
+from topocell.lattice import (CellId, LatticeSpec, as_cell_id, assign_cell, assign_cell_nearest_int,
                               assign_cell_oracle, assign_cells, assign_cells_nearest_int,
                               assign_cells_oracle, cell_center, cell_centers, neighbors)
 from topocell.planner import verify_connectivity, verify_coverage
@@ -276,6 +291,200 @@ def test_points_of_ints_pass(entry):
         assert repr(call(point)) == repr(call((1.0, 0.0, 2.0)))
 
 
+# nor is any value the readers do not name, whatever numpy makes of it: a
+# datetime or a timedelta, which numpy reads as a count of its unit; a
+# bytearray, a memoryview, an array.array or a range, which it reads as a
+# sequence of ints; an exact fraction or decimal; an object with __array__;
+# and an ndarray subclass, such as a masked array, whose mask it drops
+class WithArray:
+    """Any object that numpy reads as an array through ``__array__``."""
+
+    def __array__(self, dtype=None, copy=None):
+        return np.zeros(3)
+
+    def __repr__(self):
+        return "WithArray()"
+
+
+UNNAMED_POINTS = [(np.datetime64(1, "s"), 0, 0), [0.5, np.timedelta64(2, "ms"), 1.0],
+                  np.array([1, 2, 3], dtype="M8[s]"), np.array([1, 2, 3], dtype="m8[ns]"),
+                  bytearray(b"\x01\x02\x03"), memoryview(b"\x01\x02\x03"),
+                  array.array("d", [1.0, 2.0, 3.0]), range(3),
+                  (Fraction(1, 2), 0, 0), [0.5, 1.0, Decimal("2.5")], WithArray(),
+                  np.ma.masked_array([1.0, 2.0, 3.0], mask=[False, True, False])]
+UNNAMED_IDS = ["datetime64", "timedelta64", "M8 array", "m8 array", "bytearray", "memoryview",
+               "array.array", "range", "Fraction", "Decimal", "__array__", "masked array"]
+
+
+@pytest.mark.parametrize("point", UNNAMED_POINTS, ids=UNNAMED_IDS)
+@pytest.mark.parametrize("entry", POINTS)
+def test_point_refuses_values_it_does_not_name(entry, point):
+    call, what = POINTS[entry]
+    raises_exactly(call, point, f"{what} must be a 3D point of real numbers, got {point!r}")
+
+
+@pytest.mark.parametrize("points", [*UNNAMED_POINTS, *([p] for p in UNNAMED_POINTS),
+                                    np.zeros((2, 3), dtype="M8[s]"),
+                                    np.ma.masked_array(np.zeros((2, 3)))],
+                         ids=[*UNNAMED_IDS, *(f"[{i}]" for i in UNNAMED_IDS),
+                              "M8 rows", "masked rows"])
+@pytest.mark.parametrize("entry", ROWS)
+def test_rows_refuse_values_they_do_not_name(entry, points):
+    raises_exactly(ROWS[entry], points, "coordinates must be real numbers")
+
+
+def test_empty_arrays_among_rows_keep_their_shape():
+    # a list cannot hold the shape of an empty array, so the readers take it
+    # from the array, as numpy does: an empty block of ids is no ragged row
+    assert cell_centers(SPEC, [np.zeros((0, 3), dtype=int)]).shape == (1, 0, 3)
+    for entry in ROWS:
+        raises_exactly(ROWS[entry], [np.zeros((0, 0))],
+                       "expected points of shape (n, 3), got (1, 0, 0)")
+        raises_exactly(ROWS[entry], [[], np.zeros((0, 3))],
+                       "expected points of shape (n, 3), got ragged rows")
+
+
+# The allow-list of the point and row readers, stated once more: the
+# property test below checks the readers against it on drawn values
+FLOAT_END = 2 ** 1024 - 2 ** 970  # the least int that float() overflows on
+
+
+def is_number(v):
+    """Whether the readers take the leaf ``v`` as a number: a Python int
+    (not a bool) within the float range or float, None (NaN), or a numpy
+    scalar or 0-d array of kind f, i or u."""
+    if type(v) is int:
+        return -FLOAT_END < v < FLOAT_END
+    if type(v) in (float, type(None)):
+        return True
+    return (isinstance(v, np.generic) or type(v) is np.ndarray and v.ndim == 0) and (
+        v.dtype.kind in "fiu")
+
+
+def taken_shape(x, top=True):
+    """The shape the readers read ``x`` as, or None where they refuse it: an
+    ndarray by its dtype, or if of objects by its items; lists and tuples,
+    and the arrays not of objects among their items, as nests of one shape."""
+    if type(x) is np.ndarray and top:
+        kind = x.dtype.kind
+        return x.shape if kind in "fiu" or kind == "O" and all(map(is_number, x.flat)) else None
+    if type(x) is np.ndarray and x.ndim and x.dtype.kind != "O":
+        if not len(x):  # no rows: its shape, as numpy reads it
+            return x.shape
+        x = list(x)
+    if type(x) in (list, tuple):
+        shapes = {taken_shape(c, False) for c in x}
+        if None in shapes or len(shapes) > 1:
+            return None
+        return (len(x), *(shapes.pop() if shapes else ()))
+    return () if is_number(x) else None
+
+
+def object_array(items):
+    a = np.empty(len(items), dtype=object)
+    for i, v in enumerate(items):
+        a[i] = v
+    return a
+
+
+DTYPES = [np.dtype(c) for c in "?bhilqBHILQefdgFDG"] + [np.dtype(c) for c in
+                                                         ("M8[s]", "m8[ms]", "U2", "S2")]
+NUMBERS = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats(-1e6, 1e6), st.none(),
+                    st.sampled_from([np.dtype(c) for c in "bBefdg"]).flatmap(hnp.from_dtype))
+LEAVES = st.one_of(
+    NUMBERS, st.floats(), st.sampled_from([2 ** 63, -2 ** 64, FLOAT_END - 1, -FLOAT_END]),
+    st.booleans(), st.text(max_size=2), st.binary(max_size=2), st.binary(max_size=3).map(bytearray),
+    st.fractions(), st.decimals(places=2, allow_nan=False, allow_infinity=False),
+    st.sampled_from([{}, {"x": 0}, set(), {1}, range(3), WithArray(), np.zeros(3, "V2"),
+                     np.ma.masked_array([1.0, 2.0, 3.0])]),
+    st.sampled_from(DTYPES).flatmap(hnp.from_dtype),
+    st.sampled_from(DTYPES).flatmap(hnp.from_dtype).map(np.array))
+ARRAYS = hnp.arrays(st.sampled_from(DTYPES), hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                              max_side=4))
+
+
+def nests(children):
+    items = st.lists(children, max_size=4)
+    return st.one_of(items, items.map(tuple), items.map(object_array))
+
+
+ROW = st.lists(NUMBERS, min_size=3, max_size=3)
+# any nest of leaves and arrays, or, as often, points and rows of numbers
+# (sampled, as one_of would draw far more of the simpler second)
+VALUES = st.sampled_from([st.recursive(LEAVES | ARRAYS, nests, max_leaves=10), st.one_of(
+    ROW, ROW.map(tuple), ROW.map(object_array), st.lists(ROW, max_size=3),
+    st.lists(ROW, min_size=1, max_size=3).map(lambda rows: np.array(rows, dtype=object)),
+    st.lists(st.one_of(ROW, ROW.map(np.array)), max_size=3))]).flatmap(lambda values: values)
+
+
+def outcome(call, x):
+    try:
+        return call(x)
+    except ValueError as exc:
+        return exc
+
+
+# what an entry point may refuse a point the readers took: its domain
+OWN = re.compile(r"point coordinates must be finite|box must have positive volume|"
+                 r"the lattice step \(")
+
+
+def keeps(got, read):
+    """Whether an entry point's outcome ``got`` keeps its reader's outcome
+    ``read``: the reader's refusal word for word, or where the reader took
+    the value, a result or the entry point's own refusal (``OWN``)."""
+    if isinstance(read, ValueError):
+        return isinstance(got, ValueError) and str(got) == str(read)
+    return not isinstance(got, ValueError) or bool(OWN.match(str(got)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(VALUES)
+def test_readers_take_exactly_what_the_allow_list_names(x):
+    # anything a reader refuses raises ValueError in its own words, never
+    # TypeError, OverflowError or numpy's text; what it takes reads as
+    # np.asarray(x, dtype=float); and the one-point and bulk entry points
+    # refuse the same points
+    shape = taken_shape(x)
+    point, rows = outcome(as_point, x), outcome(_rows, x)
+    if shape is None:
+        assert re.fullmatch(r"point (must be a 3D point of real numbers, got .*|coordinates must "
+                            r"be within the float range)", str(point), re.S), point
+        assert re.fullmatch(r"coordinates must be (real numbers(, not (complex numbers or bools|"
+                            r"strings or bytes))?|within the float range)|expected points of "
+                            r"shape \(n, 3\), got ragged rows", str(rows)), rows
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            want = np.asarray(x, dtype=float)
+        assert want.shape == shape
+        if shape != (3,):
+            assert str(point) == f"point must be a 3D point, got array of shape {shape}"
+        elif not np.isfinite(want).all():
+            assert str(point) == "point coordinates must be finite"
+        else:
+            assert point.dtype == float and (point == want).all()
+        if len(shape) in (1, 2) and shape[-1:] == (3,):
+            assert rows.dtype == float and np.array_equal(rows, want.reshape(-1, 3), equal_nan=True)
+        else:
+            assert str(rows) == f"expected points of shape (n, 3), got {shape}"
+    for call, what in POINTS.values():
+        got, read = outcome(call, x), outcome(lambda p: as_point(p, what), x)
+        assert keeps(got, read), (got, read)
+    for call in ROWS.values():
+        got = outcome(call, x)
+        assert keeps(got, rows), (got, rows)
+    if shape is None or shape == (3,):
+        assert isinstance(outcome(BOX.contains, x), ValueError) == isinstance(point, ValueError)
+        for one, bulk in [(assign_cell, assign_cells),
+                          (assign_cell_nearest_int, assign_cells_nearest_int),
+                          (assign_cell_oracle, assign_cells_oracle)]:
+            # a point that is not finite gets the domain message from the bulk path
+            cid, ids = outcome(lambda p: one(SPEC, p), x), outcome(lambda p: bulk(SPEC, p), x)
+            assert (isinstance(cid, ValueError) and isinstance(ids, ValueError)
+                    or cid == CellId(*ids[0].tolist())), (cid, ids)
+
+
 # nor is a bool a coordinate of a cell id: (True, 0, 0) is not the cell
 # (1, 0, 0), whether one id's reader gets it or numpy reads it among ints
 BOOL_IDS = [(True, 0, 0), [0, np.False_, 1], (1, 2, np.True_)]
@@ -306,6 +515,16 @@ def test_cell_id_refuses_bools(entry, cid):
 def test_cell_ids_refuse_bools(ids):
     raises_exactly(lambda c: cell_centers(SPEC, c), ids,
                    "cell ids must be integers, got an array of bool")
+
+
+# nor is a sequence that numpy reads as ints an id: [bytearray(b"\x01\x02\x03")]
+# is not the cell (1, 2, 3)
+@pytest.mark.parametrize("ids,name", [([bytearray(b"\x01\x02\x03")], "bytearray"),
+                                      ([range(3)], "range"), ([[1, 2, np.datetime64(3, "s")]],
+                                                               "datetime64")], ids=repr)
+def test_cell_ids_refuse_values_that_are_no_integers(ids, name):
+    raises_exactly(lambda c: cell_centers(SPEC, c), ids,
+                   f"cell ids must be integers, got an array of {name}")
 
 
 def test_cell_ids_of_ints_pass():
